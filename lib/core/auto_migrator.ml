@@ -3,11 +3,9 @@ open Accent_kernel
 
 type policy = {
   period_ms : float;
-  imbalance_threshold : float;
-  affinity_weight : float;
   strategy : Strategy.t;
   max_migrations : int;
-  placement : Placement_policy.t option;
+  placement : Placement_policy.t;
   load_smoothing : float option;
       (* EWMA alpha for the sampled load vector; None = raw signal *)
 }
@@ -15,18 +13,15 @@ type policy = {
 let default_policy =
   {
     period_ms = 2_000.;
-    imbalance_threshold = 1.5;
-    affinity_weight = 2.0;
     strategy = Strategy.pure_iou ~prefetch:1 ();
     max_migrations = 8;
-    placement = None;
+    placement = Placement_policy.threshold ();
     load_smoothing = None;
   }
 
 type t = {
   world : World.t;
   policy : policy;
-  placement : Placement_policy.t;
   smoother : Load_metric.Ewma.t option;
   rng : Accent_util.Rng.t;
   live : unit -> bool;
@@ -125,21 +120,14 @@ let tick t =
   (* stop when done migrating or when nothing is left running, so the
      engine can go quiescent *)
   if t.triggered < t.policy.max_migrations && t.live () then begin
-    List.iter (execute t) (Placement_policy.decide t.placement (snapshot t));
+    List.iter (execute t)
+      (Placement_policy.decide t.policy.placement (snapshot t));
     ignore
       (Engine.schedule t.world.World.engine ~delay:(Time.ms t.policy.period_ms)
          t.tick_k)
   end
 
 let start ?live world (policy : policy) =
-  let placement =
-    match policy.placement with
-    | Some p -> p
-    | None ->
-        Placement_policy.threshold
-          ~imbalance_threshold:policy.imbalance_threshold
-          ~affinity_weight:policy.affinity_weight ()
-  in
   let live =
     match live with
     | Some f -> f
@@ -165,7 +153,6 @@ let start ?live world (policy : policy) =
     {
       world;
       policy;
-      placement;
       smoother =
         Option.map
           (fun alpha -> Load_metric.Ewma.create ~alpha ())
@@ -187,4 +174,4 @@ let start ?live world (policy : policy) =
 
 let migrations_triggered t = t.triggered
 let decisions t = List.rev t.decisions
-let placement_name t = Placement_policy.name t.placement
+let placement_name t = Placement_policy.name t.policy.placement

@@ -12,17 +12,11 @@
 
 type policy = {
   period_ms : float;  (** sampling period *)
-  imbalance_threshold : float;
-      (** act when max load - min load exceeds this (threshold policy) *)
-  affinity_weight : float;
-      (** how strongly data placement discounts a destination's load *)
   strategy : Strategy.t;  (** how to ship the victims *)
   max_migrations : int;  (** lifetime cap (safety against thrashing) *)
-  placement : Placement_policy.t option;
-      (** decision function; [None] means the classic threshold balancer
-          built from [imbalance_threshold] and [affinity_weight] —
-          decision-for-decision identical to the pre-policy-layer
-          daemon *)
+  placement : Placement_policy.t;
+      (** decision function; {!default_policy} uses
+          {!Placement_policy.threshold} with its default knobs *)
   load_smoothing : float option;
       (** [Some alpha] folds each sampled load vector through
           {!Load_metric.Ewma} before the policy sees it, damping one-tick

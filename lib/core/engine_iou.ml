@@ -6,61 +6,70 @@ open Transfer_engine
 
 (* --- resident-set RIMAS preparation ------------------------------------ *)
 
+(* The kept pages become sorted, maximal closed runs of collapsed page
+   indices once; each Data chunk is then sliced against them — kept
+   slices stay Data, every other slice is banked whole on the manager's
+   backing server and travels as an IOU.  Work past mapping the keep
+   pages is O(chunks × log runs + pieces): no per-page table, value list
+   or store insert. *)
 let partial_rimas ctx (excised : Excise.excised) ~keep_pages =
-  let resident_offsets = Hashtbl.create 256 in
-  List.iter
-    (fun page ->
-      let vaddr = Page.addr_of_index page in
-      match Context.collapsed_of_vaddr excised.Excise.layout vaddr with
-      | Some c -> Hashtbl.replace resident_offsets c ()
-      | None -> ())
-    keep_pages;
+  let keep =
+    Array.of_list
+      (Image_wire.page_runs_of_pages
+         (List.filter_map
+            (fun page ->
+              Option.map Page.index_of_addr
+                (Context.collapsed_of_vaddr excised.Excise.layout
+                   (Page.addr_of_index page)))
+            keep_pages))
+  in
   let segment_id = Backing_server.new_segment ctx.backing in
   let backing_port = Backing_server.port ctx.backing in
-  let rev_chunks = ref [] in
-  let emit range content =
-    rev_chunks := { Memory_object.range; content } :: !rev_chunks
+  let slice_chunk (chunk : Memory_object.chunk) run =
+    let chunk_first =
+      Page.index_of_addr chunk.Memory_object.range.Vaddr.lo
+    in
+    let last = chunk_first + Page_run.length run - 1 in
+    let rev_pieces = ref [] in
+    let piece ~kept first last =
+      let lo = Page.addr_of_index first in
+      let slice =
+        Page_run.sub run ~pos:(first - chunk_first) ~len:(last - first + 1)
+      in
+      let content =
+        if kept then Memory_object.Data slice
+        else begin
+          Backing_server.put_extent ctx.backing ~segment_id ~offset:lo slice;
+          Memory_object.Iou { segment_id; backing_port; offset = lo }
+        end
+      in
+      let hi = Page.addr_of_index last + Page.size in
+      rev_pieces := { Memory_object.range = Vaddr.range lo hi; content }
+        :: !rev_pieces
+    in
+    (* first keep run that ends at or after the chunk's first page *)
+    let lo = ref 0 and hi = ref (Array.length keep) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if snd keep.(mid) < chunk_first then lo := mid + 1 else hi := mid
+    done;
+    let pos = ref chunk_first and i = ref !lo in
+    while !i < Array.length keep && fst keep.(!i) <= last do
+      let a = max (fst keep.(!i)) !pos and b = min (snd keep.(!i)) last in
+      if a > !pos then piece ~kept:false !pos (a - 1);
+      piece ~kept:true a b;
+      pos := b + 1;
+      incr i
+    done;
+    if !pos <= last then piece ~kept:false !pos last;
+    List.rev !rev_pieces
   in
-  (* Flush the run of resident values accumulated in [run] (reversed)
-     ending before collapsed offset [upto]. *)
-  let flush_run ~run ~run_lo ~upto ~resident =
-    if upto > run_lo then
-      let range = Vaddr.range run_lo upto in
-      if resident then
-        emit range (Memory_object.Data (Page_run.of_list (List.rev run)))
-      else
-        emit range
-          (Memory_object.Iou { segment_id; backing_port; offset = run_lo })
-  in
-  List.iter
+  List.concat_map
     (fun chunk ->
       match chunk.Memory_object.content with
-      | Memory_object.Iou _ | Memory_object.Digest_refs _ ->
-          rev_chunks := chunk :: !rev_chunks
-      | Memory_object.Data chunk_run ->
-          let lo = chunk.Memory_object.range.Vaddr.lo in
-          let hi = chunk.Memory_object.range.Vaddr.hi in
-          let run_lo = ref lo and run_resident = ref true in
-          let run = ref [] in
-          Page_run.iteri
-            (fun i v ->
-              let c = lo + (i * Page.size) in
-              let resident = Hashtbl.mem resident_offsets c in
-              if c = lo then run_resident := resident
-              else if resident <> !run_resident then begin
-                flush_run ~run:!run ~run_lo:!run_lo ~upto:c
-                  ~resident:!run_resident;
-                run := [];
-                run_lo := c;
-                run_resident := resident
-              end;
-              if resident then run := v :: !run
-              else
-                Backing_server.put_page ctx.backing ~segment_id ~offset:c v)
-            chunk_run;
-          flush_run ~run:!run ~run_lo:!run_lo ~upto:hi ~resident:!run_resident)
-    excised.Excise.rimas;
-  List.rev !rev_chunks
+      | Memory_object.Iou _ | Memory_object.Digest_refs _ -> [ chunk ]
+      | Memory_object.Data run -> slice_chunk chunk run)
+    excised.Excise.rimas
 
 (* --- source side -------------------------------------------------------- *)
 

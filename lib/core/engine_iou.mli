@@ -19,8 +19,11 @@ val partial_rimas :
   keep_pages:Accent_mem.Page.index list ->
   Accent_ipc.Memory_object.t
 (** Replace every Data page NOT in [keep_pages] with IOUs backed by the
-    manager's own server, leaving the kept pages physical.  Chunk
-    coordinates are collapsed offsets throughout.  (Exposed for tests.) *)
+    manager's own server, leaving the kept pages physical.  Each Data
+    chunk is sliced against the kept pages' runs: kept slices stay Data,
+    every other slice is banked as one extent and travels as one IOU.
+    Chunk coordinates are collapsed offsets throughout.  (Exposed for
+    tests.) *)
 
 val shippable_ws_pages :
   Transfer_engine.ctx ->
@@ -29,7 +32,7 @@ val shippable_ws_pages :
   Accent_mem.Page.index list
 (** The live process's pages referenced within the last [window_ms] that
     actually carry data (resident or paged out) — the estimated working
-    set a push phase can ship physically.  Shared with {!Engine_hybrid}. *)
+    set a push phase can ship physically.  Shared with {!Engine_push}. *)
 
 val create : Transfer_engine.ctx -> Transfer_engine.t
 (** Claims [Pure_iou], [Resident_set] and [Working_set]; destination

@@ -244,211 +244,14 @@ let precopy_residual_chunks (image : Proc_image.t) ~sent ~written =
            content = Memory_object.Data run;
          })
 
-(* --- source side: shared push-round protocol ------------------------------ *)
-
-type push = {
-  proc : Proc.t;
-  dest : Port.id;
-  max_rounds : int;
-  threshold_pages : int;
-  out_report : Report.t;
-  out_on_complete : (Proc.t -> Report.t -> unit) option;
-  sent : Sent.t;  (** pages ever pushed; owned by the pool *)
-}
-
-let send_round_chunks ctx (state : push) ~round ~chunks ~payload =
-  let proc_id = state.proc.Proc.id in
-  emit ctx ~proc_id
-    (Mig_event.Precopy_round { round; bytes = Memory_object.data_bytes chunks });
-  Dedup.send ctx.dedup ~dest:state.dest ~proc_id ~memory:chunks
-    ~build:(fun memory ->
-      Message.make ~ids:(Host.ids ctx.host) ~dest:state.dest ~inline_bytes:64
-        ~memory ~no_ious:true ~category:Message.Bulk (payload ~round))
-
-let send_push_round ctx (state : push) ~round ~pages ~payload =
-  let proc_id = state.proc.Proc.id in
-  match vaddr_data_chunks (Proc.space_exn state.proc) pages with
-  | exception Abort reason -> abort_migration ctx ~proc_id reason
-  | chunks ->
-      List.iter (fun p -> Sent.mark_page state.sent p) pages;
-      send_round_chunks ctx state ~round ~chunks ~payload
-
-(* A pre-copy first round: push every Real range whole, as shared views,
-   and record the coverage as O(ranges) bulk runs rather than one sent
-   mark per page. *)
-let send_push_all ctx (state : push) ~round ~payload =
-  let proc_id = state.proc.Proc.id in
-  match real_range_chunks (Proc.space_exn state.proc) with
-  | exception Abort reason -> abort_migration ctx ~proc_id reason
-  | chunks ->
-      List.iter
-        (fun c ->
-          Sent.mark_run state.sent
-            ~first:(Page.index_of_addr c.Memory_object.range.Vaddr.lo)
-            ~last:(Page.index_of_addr (c.Memory_object.range.Vaddr.hi - 1)))
-        chunks;
-      send_round_chunks ctx state ~round ~chunks ~payload
-
-let handle_push_ack ctx outbound ~proc_id ~round ~stray ~freeze ~payload =
-  match Hashtbl.find_opt outbound proc_id with
-  | None -> Logs.warn (fun m -> m "MigrationManager: stray %s ack" stray)
-  | Some state ->
-      let dirty = Hashtbl.length state.proc.Proc.written_log in
-      if round >= state.max_rounds || dirty <= state.threshold_pages then
-        freeze state
-      else
-        send_push_round ctx state ~round:(round + 1)
-          ~pages:(Proc.drain_written_log state.proc)
-          ~payload
-
-(* Freeze, capture the process image, derive the final message from it,
-   dissolve the source incarnation, ship.  [residual_and_extra] computes
-   the Data chunks the final message physically carries plus any engine
-   extras (the hybrid cold tail) — reading the image, never the dying
-   space — and may raise {!Transfer_engine.Abort}, which aborts this one
-   migration with the process intact. *)
-let freeze_and_ship ctx outbound pool (state : push) ~residual_and_extra
-    ~final_payload =
-  let proc_id = state.proc.Proc.id in
-  freeze_until_quiescent ctx state.proc ~k:(fun () ->
-      let written = Proc.drain_written_log state.proc in
-      let excised = Excise.capture ctx.host state.proc in
-      let image = excised.Excise.image in
-      match residual_and_extra image ~sent:state.sent ~written with
-      | exception Abort reason -> abort_migration ctx ~proc_id reason
-      | residual_chunks, extra_chunks ->
-          emit ctx ~proc_id
-            (Mig_event.Frozen
-               { residual_bytes = Memory_object.data_bytes residual_chunks });
-          Hashtbl.remove outbound proc_id;
-          Sent_pool.give pool state.sent;
-          Excise.dissolve ctx.host state.proc excised ~k:(fun excised ->
-              emit ctx ~proc_id (Mig_event.Excised excised.Excise.timings);
-              let memory =
-                List.sort
-                  (fun a b ->
-                    Int.compare a.Memory_object.range.Vaddr.lo
-                      b.Memory_object.range.Vaddr.lo)
-                  (residual_chunks @ extra_chunks @ iou_chunks_of_image image)
-              in
-              Memory_object.validate memory;
-              Dedup.send ctx.dedup ~dest:state.dest ~proc_id ~memory
-                ~build:(fun memory ->
-                  Message.make ~ids:(Host.ids ctx.host) ~dest:state.dest
-                    ~inline_bytes:
-                      (Context.core_wire_bytes (Host.costs ctx.host)
-                         excised.Excise.core)
-                    ~rights:excised.Excise.core.Context.port_rights ~memory
-                    ~no_ious:true ~category:Message.Bulk
-                    (final_payload ~core:excised.Excise.core))))
-
-(* --- destination side: staging ------------------------------------------- *)
-
-let staged_store staged proc_id =
-  match Hashtbl.find_opt staged proc_id with
-  | Some store -> store
-  | None ->
-      let store = Segment_store.create () in
-      Hashtbl.replace staged proc_id store;
-      store
-
-let stage_chunks store ~proc_id memory =
-  List.iter
-    (fun chunk ->
-      match chunk.Memory_object.content with
-      | Memory_object.Data run ->
-          let lo = chunk.Memory_object.range.Vaddr.lo in
-          Page_run.iteri
-            (fun i value ->
-              Segment_store.put_page store ~segment_id:proc_id
-                ~offset:(lo + (i * Page.size))
-                value)
-            run
-      (* digest chunks are resolved to Data before staging; none should
-         survive to here, and an unresolved one carries no bytes to stage *)
-      | Memory_object.Iou _ | Memory_object.Digest_refs _ -> ())
-    memory
-
-let handle_staged_pages ctx staged ~proc_id ~round ~src_port ~memory
-    ~ack_payload =
-  match Dedup.resolve ctx.dedup ~proc_id memory with
-  | exception Dedup.Unresolvable reason -> abort_migration ctx ~proc_id reason
-  | memory ->
-      let store = staged_store staged proc_id in
-      stage_chunks store ~proc_id memory;
-      Kernel_ipc.send (Host.kernel ctx.host)
-        (Message.make ~ids:(Host.ids ctx.host) ~dest:src_port ~inline_bytes:32
-           (ack_payload ~proc_id ~round))
-
 (* --- destination side: RIMAS assembly ------------------------------------- *)
 
-(* Strict assembly (pre-copy): every Real_mem page must have been staged
-   by some round or the residual; Imag_mem ranges are covered whole by the
-   final message's IOU chunks. *)
-let assemble_strict store ~proc_id ~amap ~iou_chunks =
-  let cursor = ref 0 and rev_chunks = ref [] in
-  List.iter
-    (fun (lo, hi, cls) ->
-      match (cls : Accessibility.t) with
-      | Real_zero_mem | Bad_mem -> ()
-      | Real_mem ->
-          let len = hi - lo in
-          let first = Page.index_of_addr lo
-          and last = Page.index_of_addr (hi - 1) in
-          let run =
-            Page_run.init (last - first + 1) (fun i ->
-                match
-                  Segment_store.get_page store ~segment_id:proc_id
-                    ~offset:(Page.addr_of_index (first + i))
-                with
-                | Some value -> value
-                | None ->
-                    raise (Abort "pre-copy: staged page missing at insertion"))
-          in
-          rev_chunks :=
-            {
-              Memory_object.range = Vaddr.range !cursor (!cursor + len);
-              content = Memory_object.Data run;
-            }
-            :: !rev_chunks;
-          cursor := !cursor + len
-      | Imag_mem ->
-          let len = hi - lo in
-          let iou =
-            match
-              List.find_opt
-                (fun c ->
-                  c.Memory_object.range.Vaddr.lo <= lo
-                  && hi <= c.Memory_object.range.Vaddr.hi)
-                iou_chunks
-            with
-            | Some c -> c
-            | None -> raise (Abort "pre-copy: imaginary range without an IOU")
-          in
-          (match iou.Memory_object.content with
-          | Memory_object.Iou { segment_id; backing_port; offset } ->
-              rev_chunks :=
-                {
-                  Memory_object.range = Vaddr.range !cursor (!cursor + len);
-                  content =
-                    Memory_object.Iou
-                      {
-                        segment_id;
-                        backing_port;
-                        offset = offset + lo - iou.Memory_object.range.Vaddr.lo;
-                      };
-                }
-                :: !rev_chunks
-          | Memory_object.Data _ | Memory_object.Digest_refs _ ->
-              assert false);
-          cursor := !cursor + len)
-    (Amap.ranges amap);
-  List.rev !rev_chunks
-
-(* Lazy assembly (hybrid): staged pages become Data runs, everything else
-   must be covered by an IOU chunk of the final message — the cold tail or
-   a pre-existing imaginary region. *)
-let assemble_lazy store ~proc_id ~amap ~iou_chunks =
+(* The insertion RIMAS from a staging store: staged pages become Data
+   runs, everything else must be covered by an IOU chunk of the final
+   message — a push cold tail or a pre-existing imaginary region.  Under
+   pre-copy every real page is staged, so each Real range comes out as one
+   Data chunk and a page that never arrived aborts the migration. *)
+let assemble store ~proc_id ~amap ~iou_chunks =
   let cursor = ref 0 and rev_chunks = ref [] in
   let emit_chunk len content =
     rev_chunks :=
@@ -469,7 +272,7 @@ let assemble_lazy store ~proc_id ~amap ~iou_chunks =
             iou_chunks
         with
         | Some c -> c
-        | None -> raise (Abort "hybrid: page neither staged nor IOU-backed")
+        | None -> raise (Abort "push: page neither staged nor IOU-backed")
       in
       let piece_hi = min hi chunk.Memory_object.range.Vaddr.hi in
       (match chunk.Memory_object.content with
@@ -484,99 +287,58 @@ let assemble_lazy store ~proc_id ~amap ~iou_chunks =
       | Memory_object.Data _ | Memory_object.Digest_refs _ -> assert false);
       emit_iou_cover ~lo:piece_hi ~hi)
   in
-  let staged_offsets = Segment_store.offsets store ~segment_id:proc_id in
+  let emit_data first last =
+    let run =
+      Page_run.init
+        (last - first + 1)
+        (fun i ->
+          match
+            Segment_store.get_page store ~segment_id:proc_id
+              ~offset:(Page.addr_of_index (first + i))
+          with
+          | Some value -> value
+          | None -> assert false)
+    in
+    emit_chunk ((last - first + 1) * Page.size) (Memory_object.Data run)
+  in
+  (* The staged page offsets, ascending, and the next one not yet walked.
+     AMap ranges are ascending and disjoint, so one pass over them walks
+     the staged pages once: assembly visits the staged pages and the gaps
+     between them, never every page of a range. *)
+  let staged = Segment_store.offsets store ~segment_id:proc_id in
+  let next = ref 0 in
+  let peek () =
+    if !next < Array.length staged then Page.index_of_addr staged.(!next)
+    else max_int
+  in
+  let rec walk pos ~last =
+    let s = peek () in
+    if s <= last then begin
+      if s > pos then
+        emit_iou_cover ~lo:(Page.addr_of_index pos)
+          ~hi:(Page.addr_of_index s);
+      incr next;
+      let e = ref s in
+      while peek () = !e + 1 && !e + 1 <= last do
+        incr e;
+        incr next
+      done;
+      emit_data s !e;
+      walk (!e + 1) ~last
+    end
+    else if pos <= last then
+      emit_iou_cover ~lo:(Page.addr_of_index pos)
+        ~hi:(Page.addr_of_index last + Page.size)
+  in
   List.iter
     (fun (lo, hi, cls) ->
       match (cls : Accessibility.t) with
       | Real_zero_mem | Bad_mem -> ()
       | Real_mem | Imag_mem ->
-          (* walk only the staged page indices inside the range and the
-             gaps between them — staged runs become Data chunks, gaps are
-             covered from the IOUs (an Imag_mem range simply has no staged
-             pages).  Probing every page of the range instead would make
-             assembly O(space) per migration. *)
-          let first = Page.index_of_addr lo
-          and last = Page.index_of_addr (hi - 1) in
-          let staged_idx =
-            List.filter_map
-              (fun off ->
-                let idx = Page.index_of_addr off in
-                if first <= idx && idx <= last then Some idx else None)
-              staged_offsets
-          in
-          let emit_data run_lo run_hi =
-            let run =
-              Page_run.init
-                (run_hi - run_lo + 1)
-                (fun i ->
-                  match
-                    Segment_store.get_page store ~segment_id:proc_id
-                      ~offset:(Page.addr_of_index (run_lo + i))
-                  with
-                  | Some value -> value
-                  | None -> assert false)
-            in
-            emit_chunk ((run_hi - run_lo + 1) * Page.size)
-              (Memory_object.Data run)
-          in
-          let rec run_end e rest =
-            match rest with
-            | n :: tail when n = e + 1 -> run_end n tail
-            | _ -> (e, rest)
-          in
-          let rec walk pos staged =
-            match staged with
-            | [] ->
-                if pos <= last then
-                  emit_iou_cover
-                    ~lo:(Page.addr_of_index pos)
-                    ~hi:(Page.addr_of_index last + Page.size)
-            | s :: tail ->
-                if s > pos then begin
-                  emit_iou_cover
-                    ~lo:(Page.addr_of_index pos)
-                    ~hi:(Page.addr_of_index s);
-                  walk s staged
-                end
-                else begin
-                  let e, rest = run_end s tail in
-                  emit_data s e;
-                  walk (e + 1) rest
-                end
-          in
-          walk first staged_idx)
+          let first = Page.index_of_addr lo in
+          while peek () < first do
+            incr next
+          done;
+          walk first ~last:(Page.index_of_addr (hi - 1)))
     (Amap.ranges amap);
   List.rev !rev_chunks
-
-let handle_final ctx staged ~core ~report ~on_complete ~memory ~assemble =
-  ctx.note_received ();
-  let proc_id = core.Context.proc_id in
-  emit ctx ~proc_id Mig_event.Core_delivered;
-  (* the residual dirty pages are the RIMAS data this final message
-     physically carries; the staged rounds were accounted per round *)
-  emit ctx ~proc_id
-    (Mig_event.Rimas_delivered { data_bytes = Memory_object.data_bytes memory });
-  match Dedup.resolve ctx.dedup ~proc_id memory with
-  | exception Dedup.Unresolvable reason ->
-      Hashtbl.remove staged proc_id;
-      abort_migration ctx ~proc_id reason
-  | memory -> (
-      let store = staged_store staged proc_id in
-      stage_chunks store ~proc_id memory;
-      let iou_chunks =
-        List.filter
-          (fun c ->
-            match c.Memory_object.content with
-            | Memory_object.Iou _ -> true
-            | Memory_object.Data _ | Memory_object.Digest_refs _ -> false)
-          memory
-      in
-      match assemble store ~proc_id ~amap:core.Context.amap ~iou_chunks with
-      | exception Abort reason ->
-          Hashtbl.remove staged proc_id;
-          abort_migration ctx ~proc_id reason
-      | rimas ->
-          Hashtbl.remove staged proc_id;
-          ctx.insert
-            { core; rimas; prefetch = 0; report; on_complete; on_restart = None })
-

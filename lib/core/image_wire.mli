@@ -1,17 +1,11 @@
-(** Wire-message assembly from first-class process images.
+(** Wire-message building from first-class process images.
 
-    The push engines ({!Engine_precopy}, {!Engine_hybrid}) share a wire
-    shape: rounds of vaddr-coordinate Data chunks pushed while the process
-    runs, then a freeze that captures a {!Accent_kernel.Proc_image.t},
-    derives the final message {e from the image} — residual Data, any cold
-    tail, IOUs for pre-existing imaginary regions — and dissolves the
-    source incarnation.  The destination stages round pages in a segment
-    store and assembles the insertion RIMAS either strictly (pre-copy:
-    every real page must be staged) or lazily (hybrid: unstaged runs are
-    covered by the final message's IOUs).
-
-    Everything here is that shared machinery; the engines keep only their
-    payload constructors, round policy and table plumbing. *)
+    Image→chunk builders for the push engine ({!Engine_push}) — round
+    Data chunks read from the live space, the freeze residual and cold
+    tail derived from a captured {!Accent_kernel.Proc_image.t} by run
+    subtraction against the pages the rounds already pushed — plus the
+    one assembler that turns a destination staging store and the final
+    message's IOU chunks into the insertion RIMAS. *)
 
 open Accent_mem
 open Accent_kernel
@@ -47,6 +41,10 @@ module Sent_pool : sig
 end
 
 (** {2 Data chunks} *)
+
+val page_runs_of_pages : Page.index list -> (Page.index * Page.index) list
+(** The pages, sorted and deduplicated, coalesced into maximal closed
+    runs, ascending. *)
 
 val data_chunks :
   lookup:(Page.index -> Page.value option) ->
@@ -104,134 +102,17 @@ val precopy_residual_chunks :
     maximal run read out of the image as one shared view.  Chunk
     boundaries are identical to coalescing the equivalent page list. *)
 
-(** {2 Source side: the shared push protocol} *)
+(** {2 Destination side: assembly} *)
 
-type push = {
-  proc : Proc.t;
-  dest : Accent_ipc.Port.id;
-  max_rounds : int;
-  threshold_pages : int;
-  out_report : Report.t;
-  out_on_complete : (Proc.t -> Report.t -> unit) option;
-  sent : Sent.t;  (** pages ever pushed; owned by the pool *)
-}
-
-val send_push_round :
-  Transfer_engine.ctx ->
-  push ->
-  round:int ->
-  pages:Page.index list ->
-  payload:(round:int -> Accent_ipc.Message.payload) ->
-  unit
-(** Read the pages from the live space, account the round, and send one
-    round message.  On {!Transfer_engine.Abort} the migration is aborted;
-    the engine's bus subscriber is expected to clear its outbound entry
-    (and return the sent set) on the resulting [Engine_abort] event. *)
-
-val send_push_all :
-  Transfer_engine.ctx ->
-  push ->
-  round:int ->
-  payload:(round:int -> Accent_ipc.Message.payload) ->
-  unit
-(** {!send_push_round} shipping every Real range whole
-    ({!real_range_chunks}), with coverage recorded as O(ranges) bulk sent
-    runs — the pre-copy first round. *)
-
-val handle_push_ack :
-  Transfer_engine.ctx ->
-  (int, push) Hashtbl.t ->
-  proc_id:int ->
-  round:int ->
-  stray:string ->
-  freeze:(push -> unit) ->
-  payload:(round:int -> Accent_ipc.Message.payload) ->
-  unit
-(** The round-pacing decision: freeze when the round budget is spent or
-    the dirty log is small enough, else push the drained dirty log as the
-    next round. *)
-
-val freeze_and_ship :
-  Transfer_engine.ctx ->
-  (int, push) Hashtbl.t ->
-  Sent_pool.t ->
-  push ->
-  residual_and_extra:
-    (Proc_image.t ->
-    sent:Sent.t ->
-    written:Page.index list ->
-    Accent_ipc.Memory_object.t * Accent_ipc.Memory_object.t) ->
-  final_payload:(core:Context.core -> Accent_ipc.Message.payload) ->
-  unit
-(** Freeze until quiescent, drain the dirty log, {!Excise.capture} the
-    process image, compute the final message's Data chunks (and engine
-    extras) from the image via [residual_and_extra], emit [Frozen],
-    dissolve the source incarnation, and ship Core + residual + IOUs in
-    one final message once the trap's cost has elapsed.  An [Abort] from
-    [residual_and_extra] aborts this one migration with the process
-    intact. *)
-
-(** {2 Destination side: staging and assembly} *)
-
-val staged_store :
-  (int, Accent_ipc.Segment_store.t) Hashtbl.t ->
-  int ->
-  Accent_ipc.Segment_store.t
-(** Find-or-create the per-process staging store. *)
-
-val stage_chunks :
-  Accent_ipc.Segment_store.t ->
-  proc_id:int ->
-  Accent_ipc.Memory_object.t ->
-  unit
-(** File every Data chunk's pages into the store, keyed by virtual
-    address; IOU chunks are left alone. *)
-
-val handle_staged_pages :
-  Transfer_engine.ctx ->
-  (int, Accent_ipc.Segment_store.t) Hashtbl.t ->
-  proc_id:int ->
-  round:int ->
-  src_port:Accent_ipc.Port.id ->
-  memory:Accent_ipc.Memory_object.t ->
-  ack_payload:(proc_id:int -> round:int -> Accent_ipc.Message.payload) ->
-  unit
-(** Resolve digests, stage the round's pages, acknowledge. *)
-
-val assemble_strict :
+val assemble :
   Accent_ipc.Segment_store.t ->
   proc_id:int ->
   amap:Accent_mem.Amap.t ->
   iou_chunks:Accent_ipc.Memory_object.t ->
   Accent_ipc.Memory_object.t
-(** Pre-copy assembly: every [Real_mem] page must be staged (missing ones
-    raise [Abort]); [Imag_mem] ranges are covered whole from
-    [iou_chunks]. *)
-
-val assemble_lazy :
-  Accent_ipc.Segment_store.t ->
-  proc_id:int ->
-  amap:Accent_mem.Amap.t ->
-  iou_chunks:Accent_ipc.Memory_object.t ->
-  Accent_ipc.Memory_object.t
-(** Hybrid assembly: staged runs become Data chunks, every gap must be
-    covered by an IOU chunk (splitting on chunk boundaries). *)
-
-val handle_final :
-  Transfer_engine.ctx ->
-  (int, Accent_ipc.Segment_store.t) Hashtbl.t ->
-  core:Context.core ->
-  report:Report.t ->
-  on_complete:(Proc.t -> Report.t -> unit) option ->
-  memory:Accent_ipc.Memory_object.t ->
-  assemble:
-    (Accent_ipc.Segment_store.t ->
-    proc_id:int ->
-    amap:Accent_mem.Amap.t ->
-    iou_chunks:Accent_ipc.Memory_object.t ->
-    Accent_ipc.Memory_object.t) ->
-  unit
-(** The final-message handler: account Core and RIMAS delivery, resolve
-    digests, stage the residual, assemble the insertion RIMAS with
-    [assemble], and hand it to the manager; any failure aborts the
-    migration and clears its staged pages. *)
+(** The insertion RIMAS, in collapsed coordinates: every maximal run of
+    pages staged under [proc_id] becomes one Data chunk, and every other
+    page of a [Real_mem] or [Imag_mem] range is covered from [iou_chunks],
+    splitting on chunk boundaries.  A page neither staged nor IOU-backed
+    raises {!Transfer_engine.Abort}.  O(AMap ranges + staged pages +
+    IOU pieces × IOU chunks), never a probe of every page of a range. *)

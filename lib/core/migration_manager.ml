@@ -90,7 +90,7 @@ let create ?bus host =
     }
   in
   (* The digest-first handshake is strategy-independent, so it mounts as
-     a fifth pseudo-engine: it claims no strategy, only the
+     a fourth pseudo-engine: it claims no strategy, only the
      Mig_digests/Mig_need protocol messages. *)
   let dedup_engine =
     {
@@ -109,8 +109,7 @@ let create ?bus host =
     [
       Engine_copy.create ctx;
       Engine_iou.create ctx;
-      Engine_precopy.create ctx;
-      Engine_hybrid.create ctx;
+      Engine_push.create ctx;
       dedup_engine;
     ];
   Kernel_ipc.bind (Host.kernel host) port (handle t);
@@ -165,7 +164,7 @@ let migrate t ~proc ~dest ~strategy ?on_complete ?on_restart () =
       engine.Transfer_engine.start ~proc ~dest ~strategy ~report ~on_complete
         ~on_restart
   | None ->
-      (* unreachable while the four stock engines cover Strategy.transfer *)
+      (* unreachable while the three stock engines cover Strategy.transfer *)
       invalid_arg "Migration_manager.migrate: no engine claims this strategy");
   report
 

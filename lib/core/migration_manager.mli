@@ -10,8 +10,9 @@
       protocol (Core + RIMAS);
     - {!Engine_iou} — pure-IOU, resident-set, working-set RIMAS
       preparation;
-    - {!Engine_precopy} — Theimer-style pre-copy rounds;
-    - {!Engine_hybrid} — working-set push rounds with an IOU cold tail.
+    - {!Engine_push} — pre-copy and hybrid: rounds pushed while the
+      process runs, then a freeze residual (hybrid leaves its cold tail
+      as IOUs).
 
     Every phase of every migration is published as a {!Mig_event.t} on the
     manager's bus; the per-migration {!Report.t} is maintained as a fold
@@ -55,5 +56,5 @@ val migrations_received : t -> int
 
 val engine_stats : t -> (string * (string * int) list) list
 (** Each engine's name with its live bookkeeping counters
-    ({!Transfer_engine.t.debug_stats}) — e.g. pre-copy's in-flight round
-    state and staged-page stores.  For tests and leak diagnostics. *)
+    ({!Transfer_engine.t.debug_stats}) — e.g. the push engine's in-flight
+    round state and staged-page stores.  For tests and leak diagnostics. *)

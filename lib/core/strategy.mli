@@ -13,13 +13,16 @@
     Prefetch applies to the lazy strategies: each imaginary fault asks for
     that many additional contiguous pages.
 
-    A fourth strategy is implemented as the comparison baseline the paper
-    discusses in §5: {b pre-copy} (Theimer et al., the V system), which
-    ships the address space iteratively {e while the process keeps
-    running}, re-sending pages dirtied during each round, and freezes the
-    process only for the final residual.  It minimises downtime rather
-    than total cost — and, as Zayas observes, both hosts still pay the
-    full transfer. *)
+    Beyond the paper's three, {b working-set} refines resident-set with a
+    recency window, and two push strategies run the process at the
+    source while pages are shipped ahead of it:
+    {b pre-copy} (Theimer et al., the V system), the comparison baseline
+    the paper discusses in §5, ships the address space iteratively,
+    re-sending pages dirtied during each round, and freezes the process
+    only for the final residual.  It minimises downtime rather than total
+    cost — and, as Zayas observes, both hosts still pay the full
+    transfer.  {b Hybrid} pushes only the working set the same way and
+    leaves the rest to be pulled on reference. *)
 
 type transfer =
   | Pure_copy

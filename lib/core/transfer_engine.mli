@@ -39,7 +39,7 @@ type ctx = {
       (** manager-provided: run InsertProcess and the restart lifecycle *)
   note_received : unit -> unit;
       (** manager-provided: count an inbound migration (a Core or final
-          pre-copy context arrival) *)
+          push message arrival) *)
 }
 (** The manager-side capabilities an engine closes over. *)
 
@@ -61,7 +61,7 @@ type t = {
   give_up_proc : Accent_ipc.Message.payload -> int option;
       (** when the reliable transport abandons this payload, which
           migration (by proc id) can no longer proceed normally?  [None]
-          for payloads whose loss is harmless (e.g. pre-copy acks). *)
+          for payloads whose loss is harmless (e.g. push acks). *)
   debug_stats : unit -> (string * int) list;
       (** sizes of the engine's internal tables (staged stores, in-flight
           round state), for leak tests and diagnostics; engines with no

@@ -103,7 +103,13 @@ let compare_policies ?(config = default_config) () =
   [
     run ~config ~policy:None ~label:"unmanaged" ();
     run ~config
-      ~policy:(Some { base_policy with Auto_migrator.affinity_weight = 0. })
+      ~policy:
+        (Some
+           {
+             base_policy with
+             Auto_migrator.placement =
+               Placement_policy.threshold ~affinity_weight:0. ();
+           })
       ~label:"load-levelling" ();
     run ~config ~policy:(Some base_policy) ~label:"load + affinity" ();
   ]
@@ -288,7 +294,7 @@ let run_churn_aux ?(config = default_churn) ~(policy : Placement_policy.t) () =
         Auto_migrator.period_ms = config.period_ms;
         max_migrations = config.max_migrations;
         strategy = config.strategy;
-        placement = Some policy;
+        placement = policy;
       }
   in
   ignore (World.run world);

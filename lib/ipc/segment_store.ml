@@ -91,20 +91,36 @@ let has_segment t ~segment_id = Hashtbl.mem t segment_id
 
 let offsets t ~segment_id =
   match Hashtbl.find_opt t segment_id with
-  | None -> []
+  | None -> [||]
   | Some seg ->
-      let acc = Hashtbl.fold (fun off _ acc -> off :: acc) seg.pages [] in
-      let acc =
+      let n =
         List.fold_left
-          (fun acc (lo, vs) ->
-            let rec add i acc =
-              if i >= Page_run.length vs then acc
-              else add (i + 1) ((lo + (i * Page.size)) :: acc)
-            in
-            add 0 acc)
-          acc seg.extents
+          (fun acc (_, vs) -> acc + Page_run.length vs)
+          (Hashtbl.length seg.pages) seg.extents
       in
-      List.sort_uniq Int.compare acc
+      let all = Array.make n 0 and k = ref 0 in
+      let add off =
+        all.(!k) <- off;
+        incr k
+      in
+      Hashtbl.iter (fun off _ -> add off) seg.pages;
+      List.iter
+        (fun (lo, vs) ->
+          for i = 0 to Page_run.length vs - 1 do
+            add (lo + (i * Page.size))
+          done)
+        seg.extents;
+      Array.sort Int.compare all;
+      (* an overlay page shadowing an extent slot is listed once *)
+      let m = ref 0 in
+      Array.iter
+        (fun off ->
+          if !m = 0 || all.(!m - 1) <> off then begin
+            all.(!m) <- off;
+            incr m
+          end)
+        all;
+      Array.sub all 0 !m
 
 (* Overlay pages that shadow an extent slot must not be double-counted. *)
 let segment_pages t ~segment_id =

@@ -41,8 +41,9 @@ val read_run : t -> segment_id:int -> offset:int -> pages:int ->
 
 val has_segment : t -> segment_id:int -> bool
 
-val offsets : t -> segment_id:int -> int list
-(** All present page offsets of the segment, ascending — O(present pages),
+val offsets : t -> segment_id:int -> int array
+(** All present page offsets of the segment, ascending and distinct —
+    O(present pages log present pages), one flat array sorted in place,
     so callers can walk what the store holds instead of probing every
     offset of a range. *)
 

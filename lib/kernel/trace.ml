@@ -38,10 +38,6 @@ let[@inline] page_at t i = t.t_pages.(i)
 let[@inline] think_at t i = t.t_think.(i)
 let[@inline] write_at t i = Bytes.unsafe_get t.t_write i <> '\000'
 
-let step t i =
-  { page = t.t_pages.(i); think_ms = t.t_think.(i); write = write_at t i }
-
-let to_steps t = List.init (length t) (step t)
 let total_think_ms t = Array.fold_left ( +. ) 0. t.t_think
 
 let pages t =
@@ -64,11 +60,6 @@ let concat a b =
     t_think = Array.append a.t_think b.t_think;
     t_write = Bytes.cat a.t_write b.t_write;
   }
-
-let iter t ~f =
-  for i = 0 to length t - 1 do
-    f (step t i)
-  done
 
 let write_count t =
   let n = ref 0 in

@@ -32,18 +32,12 @@ val of_arrays :
 
 val length : t -> int
 
-val step : t -> int -> step
-(** Materialise step [i] as a record (allocates; for tests and cold
-    paths — the hot loop uses the flat accessors below). *)
-
 val page_at : t -> int -> Accent_mem.Page.index
 val think_at : t -> int -> float
 val write_at : t -> int -> bool
 (** Flat column reads of step [i]: no record is built and no float is
-    boxed at the read site. *)
-
-val to_steps : t -> step list
-(** All steps as records, in order (test convenience). *)
+    boxed at the read site.  [step] records exist only to build traces
+    ({!of_steps}); a built trace is read through these. *)
 
 val total_think_ms : t -> float
 (** Pure compute time of the whole trace — a lower bound on execution
@@ -54,8 +48,6 @@ val pages : t -> Accent_mem.Page.index list
 (** Distinct pages in first-reference order. *)
 
 val concat : t -> t -> t
-
-val iter : t -> f:(step -> unit) -> unit
 
 val write_count : t -> int
 

@@ -175,7 +175,6 @@ let read_run t ~segment_id ~offset ~pages =
   Segment_store.read_run t.store ~segment_id ~offset ~pages
 
 let has_segment t ~segment_id = Segment_store.has_segment t.store ~segment_id
-let offsets t ~segment_id = Segment_store.offsets t.store ~segment_id
 
 let segment_pages t ~segment_id =
   Segment_store.segment_pages t.store ~segment_id

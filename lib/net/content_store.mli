@@ -78,7 +78,6 @@ val read_run :
   t -> segment_id:int -> offset:int -> pages:int -> Accent_mem.Page.value list
 
 val has_segment : t -> segment_id:int -> bool
-val offsets : t -> segment_id:int -> int list
 val segment_pages : t -> segment_id:int -> int
 val segment_bytes : t -> segment_id:int -> int
 

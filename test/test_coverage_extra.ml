@@ -34,17 +34,13 @@ let test_sequential_streams_interleave () =
     Accent_workloads.Access_pattern.choose_touched pattern ~rng ~universe
       ~count:90
   in
-  let steps =
-    Trace.to_steps
-      (Accent_workloads.Access_pattern.generate pattern ~rng ~touched ~refs:90
-         ~total_think_ms:100.)
+  let trace =
+    Accent_workloads.Access_pattern.generate pattern ~rng ~touched ~refs:90
+      ~total_think_ms:100.
   in
   (* the first few references must come from different thirds of the
      touched set: streams advance round-robin, not one after another *)
-  let first_six =
-    List.filteri (fun i _ -> i < 6) steps
-    |> List.map (fun s -> s.Trace.page)
-  in
+  let first_six = List.init 6 (Trace.page_at trace) in
   let third page =
     let pos = ref 0 in
     Array.iteri (fun i p -> if p = page then pos := i) touched;

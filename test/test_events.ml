@@ -39,12 +39,12 @@ let test_unknown_payload_with_memory () =
   ignore (World.run world);
   Alcotest.(check pass) "unknown payload with memory did not raise" () ()
 
-(* A stray pre-copy ack names a proc the manager is not migrating; a stray
+(* A stray push ack names a proc the manager is not migrating; a stray
    RIMAS half-populates the reassembly table.  Neither may raise, and
    neither may leave the manager unable to serve a real migration. *)
 let test_malformed_then_real_migration () =
   let world = World.create ~n_hosts:2 () in
-  send_to_manager world (Engine_precopy.Mig_precopy_ack { proc_id = 424242; round = 1 });
+  send_to_manager world (Engine_push.Mig_push_ack { proc_id = 424242; round = 1 });
   send_to_manager world (Engine_copy.Mig_rimas { proc_id = 424242; report = Report.create ~proc_name:"ghost" ~strategy:Strategy.pure_copy });
   ignore (World.run world);
   let proc =

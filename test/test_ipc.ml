@@ -134,7 +134,15 @@ let test_segment_store_read_run () =
     (List.length
        (Segment_store.read_run store ~segment_id:1 ~offset:1024 ~pages:2));
   Alcotest.(check int) "bounded by pages" 1
-    (List.length (Segment_store.read_run store ~segment_id:1 ~offset:0 ~pages:1))
+    (List.length (Segment_store.read_run store ~segment_id:1 ~offset:0 ~pages:1));
+  (* a two-page extent at 2048 whose first slot a single page shadows *)
+  Segment_store.put_extent store ~segment_id:1 ~offset:2048
+    (Accent_mem.Page_run.pattern ~tag:1 ~first:0 ~len:2);
+  Segment_store.put_page store ~segment_id:1 ~offset:2048
+    (Accent_mem.Page.of_bytes (Bytes.make 512 'c'));
+  Alcotest.(check (array int)) "offsets ascending, each once"
+    [| 0; 512; 1536; 2048; 2560 |]
+    (Segment_store.offsets store ~segment_id:1)
 
 let test_segment_store_keeps_symbolic () =
   (* a Pattern value travels through the store without materializing *)

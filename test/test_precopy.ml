@@ -97,14 +97,16 @@ let test_precopy_data_integrity () =
   (* pages the process wrote at the destination (post-restart) or source
      must carry the marker *)
   let written_some = ref false in
-  Trace.iter proc.Proc.trace ~f:(fun s ->
-      if s.Trace.write then
-        match Address_space.page_data space s.Trace.page with
-        | Some data ->
-            written_some := true;
-            Alcotest.(check char) "store marker present" Proc.write_marker
-              (Bytes.get data 0)
-        | None -> ());
+  let trace = proc.Proc.trace in
+  for i = 0 to Trace.length trace - 1 do
+    if Trace.write_at trace i then
+      match Address_space.page_data space (Trace.page_at trace i) with
+      | Some data ->
+          written_some := true;
+          Alcotest.(check char) "store marker present" Proc.write_marker
+            (Bytes.get data 0)
+      | None -> ()
+  done;
   Alcotest.(check bool) "some writes verified" true !written_some
 
 let test_precopy_round_cap () =
@@ -153,68 +155,89 @@ let test_final_reports_residual_bytes () =
     "Rimas_delivered carries the residual's actual bytes" true
     (List.exists (fun b -> b > 0) residual_bytes)
 
+(* Both push strategies share one wire protocol; each crafted-message
+   test below runs once per strategy, named in the report it registers. *)
+let push_strategies = [ Strategy.pre_copy (); Strategy.hybrid () ]
+
 (* A transport give-up must clear the destination's staged pages (and the
    source's round state) — before the fix, entries were only removed on
-   Mig_precopy_final and an abandoned migration leaked them forever. *)
+   the final message and an abandoned migration leaked them forever. *)
 let test_giveup_clears_staged () =
-  let world = World.create ~n_hosts:2 () in
-  let host0 = World.host world 0 in
-  let manager1 = World.manager world 1 in
-  Accent_ipc.Kernel_ipc.send (Host.kernel host0)
-    (Accent_ipc.Message.make ~ids:(Host.ids host0)
-       ~dest:(Migration_manager.port manager1)
-       ~inline_bytes:64
-       ~memory:
-         [
-           {
-             Accent_ipc.Memory_object.range = Accent_mem.Vaddr.range 0 Page.size;
-             content =
-               Accent_ipc.Memory_object.Data
-                 (Page_run.singleton Page.zero_value);
-           };
-         ]
-       (Engine_precopy.Mig_precopy_pages
-          {
-            proc_id = 777;
-            round = 1;
-            src_port = Migration_manager.port (World.manager world 0);
-          }));
-  ignore (World.run world);
-  let staged () =
-    List.assoc "staged" (List.assoc "precopy" (Migration_manager.engine_stats manager1))
-  in
-  Alcotest.(check int) "round pages staged" 1 (staged ());
-  Mig_event.publish
-    (Migration_manager.bus manager1)
-    {
-      Mig_event.at = Accent_sim.Engine.now (Host.engine host0);
-      proc_id = 777;
-      kind = Mig_event.Transport_give_up;
-    };
-  Alcotest.(check int) "give-up cleared the staged store" 0 (staged ())
+  List.iter
+    (fun strategy ->
+      let world = World.create ~n_hosts:2 () in
+      let host0 = World.host world 0 in
+      let manager1 = World.manager world 1 in
+      let report = Report.create ~proc_name:"crafted" ~strategy in
+      Mig_event.register (Migration_manager.bus manager1) ~proc_id:777 report;
+      Accent_ipc.Kernel_ipc.send (Host.kernel host0)
+        (Accent_ipc.Message.make ~ids:(Host.ids host0)
+           ~dest:(Migration_manager.port manager1)
+           ~inline_bytes:64
+           ~memory:
+             [
+               {
+                 Accent_ipc.Memory_object.range =
+                   Accent_mem.Vaddr.range 0 Page.size;
+                 content =
+                   Accent_ipc.Memory_object.Data
+                     (Page_run.singleton Page.zero_value);
+               };
+             ]
+           (Engine_push.Mig_push_pages
+              {
+                proc_id = 777;
+                round = 1;
+                src_port = Migration_manager.port (World.manager world 0);
+              }));
+      ignore (World.run world);
+      let staged () =
+        List.assoc "staged"
+          (List.assoc "push" (Migration_manager.engine_stats manager1))
+      in
+      let name = Strategy.name strategy in
+      Alcotest.(check int) (name ^ ": round pages staged") 1 (staged ());
+      Mig_event.publish
+        (Migration_manager.bus manager1)
+        {
+          Mig_event.at = Accent_sim.Engine.now (Host.engine host0);
+          proc_id = 777;
+          kind = Mig_event.Transport_give_up;
+        };
+      Alcotest.(check int)
+        (name ^ ": give-up cleared the staged store")
+        0 (staged ());
+      Alcotest.(check bool)
+        (name ^ ": give-up ended the migration")
+        true
+        (report.Report.outcome <> Report.Completed))
+    push_strategies
 
 (* A crafted final message whose pages were never staged must abort that
    one migration with an Engine_abort event — before the fix the manager
-   died with "staged page missing at insertion". *)
+   died on the first page missing at insertion. *)
 let test_missing_staged_pages_abort_not_crash () =
-  let world = World.create ~n_hosts:2 () in
-  let host0 = World.host world 0 in
-  let bus = Migration_manager.bus (World.manager world 0) in
-  let proc = Accent_workloads.Spec.build host0 Test_helpers.small_spec in
-  let report =
-    Report.create ~proc_name:"crafted" ~strategy:(Strategy.pre_copy ())
-  in
-  Mig_event.register bus ~proc_id:proc.Proc.id report;
-  Excise.excise host0 proc ~k:(fun excised ->
-      Accent_ipc.Kernel_ipc.send (Host.kernel host0)
-        (Accent_ipc.Message.make ~ids:(Host.ids host0)
-           ~dest:(Migration_manager.port (World.manager world 1))
-           ~inline_bytes:128
-           (Engine_precopy.Mig_precopy_final
-              { core = excised.Excise.core; report; on_complete = None })));
-  ignore (World.run world);
-  Alcotest.(check bool) "aborted, not crashed" true
-    (report.Report.outcome = Report.Aborted)
+  List.iter
+    (fun strategy ->
+      let world = World.create ~n_hosts:2 () in
+      let host0 = World.host world 0 in
+      let bus = Migration_manager.bus (World.manager world 0) in
+      let proc = Accent_workloads.Spec.build host0 Test_helpers.small_spec in
+      let report = Report.create ~proc_name:"crafted" ~strategy in
+      Mig_event.register bus ~proc_id:proc.Proc.id report;
+      Excise.excise host0 proc ~k:(fun excised ->
+          Accent_ipc.Kernel_ipc.send (Host.kernel host0)
+            (Accent_ipc.Message.make ~ids:(Host.ids host0)
+               ~dest:(Migration_manager.port (World.manager world 1))
+               ~inline_bytes:128
+               (Engine_push.Mig_push_final
+                  { core = excised.Excise.core; report; on_complete = None })));
+      ignore (World.run world);
+      Alcotest.(check bool)
+        (Strategy.name strategy ^ ": aborted, not crashed")
+        true
+        (report.Report.outcome = Report.Aborted))
+    push_strategies
 
 let test_writes_tracked_in_log () =
   let world, proc = Trial.build_only ~write_fraction:1.0 ~spec () in

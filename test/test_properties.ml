@@ -340,12 +340,137 @@ let prop_precopy_residual_equiv =
       List.length got = List.length expected
       && List.for_all2 chunk_equal got expected)
 
+(* --- run-based partial RIMAS ≡ per-page split ------------------------------ *)
+
+(* A partial RIMAS in comparable form: each Data page run is kept or
+   pulled (with the values the destination will see, read back out of the
+   backing server for pulled ones); other chunks pass through. *)
+type piece =
+  | Kept of int * Page.value list
+  | Pulled of int * Page.value list
+  | Passed of Accent_ipc.Memory_object.chunk
+
+let piece_equal a b =
+  let values_equal xs ys =
+    List.length xs = List.length ys && List.for_all2 Page.equal_value xs ys
+  in
+  match (a, b) with
+  | Kept (la, va), Kept (lb, vb) | Pulled (la, va), Pulled (lb, vb) ->
+      la = lb && values_equal va vb
+  | Passed ca, Passed cb -> ca == cb
+  | _ -> false
+
+(* The reference: the per-page walk partial_rimas used to do — a table of
+   kept collapsed offsets, every Data page probed against it, maximal
+   same-kind stretches grouped. *)
+let reference_partial_rimas (excised : Excise.excised) ~keep_pages =
+  let kept = Hashtbl.create 64 in
+  List.iter
+    (fun page ->
+      Option.iter
+        (fun c -> Hashtbl.replace kept c ())
+        (Context.collapsed_of_vaddr excised.Excise.layout
+           (Page.addr_of_index page)))
+    keep_pages;
+  List.concat_map
+    (fun (chunk : Accent_ipc.Memory_object.chunk) ->
+      match chunk.Accent_ipc.Memory_object.content with
+      | Accent_ipc.Memory_object.Data run ->
+          let lo = chunk.Accent_ipc.Memory_object.range.Vaddr.lo in
+          let groups = ref [] in
+          Page_run.iteri
+            (fun i v ->
+              let off = lo + (i * Page.size) in
+              let k = Hashtbl.mem kept off in
+              match !groups with
+              | (start, k', vs) :: rest when k' = k ->
+                  groups := (start, k, v :: vs) :: rest
+              | gs -> groups := (off, k, [ v ]) :: gs)
+            run;
+          List.rev_map
+            (fun (start, k, vs) ->
+              if k then Kept (start, List.rev vs)
+              else Pulled (start, List.rev vs))
+            !groups
+      | Accent_ipc.Memory_object.Iou _ | Accent_ipc.Memory_object.Digest_refs _
+        ->
+          [ Passed chunk ])
+    excised.Excise.rimas
+
+let prop_partial_rimas_equiv =
+  QCheck.Test.make ~count:60
+    ~name:"run-based partial_rimas = per-page keep/pull split"
+    (QCheck.make
+       ~print:(fun (spec, picks) ->
+         Printf.sprintf "real=%d runs=%d picks=%d"
+           spec.Accent_workloads.Spec.real_bytes
+           spec.Accent_workloads.Spec.real_runs (List.length picks))
+       QCheck.Gen.(pair spec_gen (small_list (int_bound 10_000))))
+    (fun (spec, picks) ->
+      let world, proc = Accent_experiments.Trial.build_only ~spec () in
+      let host = World.host world 0 and manager = World.manager world 0 in
+      let excised = Excise.capture host proc in
+      let real = Array.of_list (real_pages_of_image excised.Excise.image) in
+      (* most picks land on real pages; every fifth names a raw page index,
+         usually outside every range, which must simply be ignored *)
+      let keep_pages =
+        List.map
+          (fun i ->
+            if i mod 5 = 0 || Array.length real = 0 then i
+            else real.(i mod Array.length real))
+          picks
+      in
+      let backing = Migration_manager.backing manager in
+      let port = Migration_manager.port manager
+      and bus = Migration_manager.bus manager in
+      let ctx =
+        {
+          Transfer_engine.host;
+          port;
+          backing;
+          bus;
+          dedup = Dedup.create ~host ~port ~bus;
+          insert = ignore;
+          note_received = ignore;
+        }
+      in
+      let got =
+        List.map
+          (fun (chunk : Accent_ipc.Memory_object.chunk) ->
+            let lo = chunk.Accent_ipc.Memory_object.range.Vaddr.lo in
+            let pages =
+              Vaddr.len chunk.Accent_ipc.Memory_object.range / Page.size
+            in
+            match chunk.Accent_ipc.Memory_object.content with
+            | _ when List.memq chunk excised.Excise.rimas -> Passed chunk
+            | Accent_ipc.Memory_object.Data run ->
+                Kept (lo, List.init (Page_run.length run) (Page_run.get run))
+            | Accent_ipc.Memory_object.Iou { segment_id; backing_port; offset }
+              when backing_port = Backing_server.port backing && offset = lo ->
+                Pulled
+                  ( lo,
+                    List.init pages (fun i ->
+                        match
+                          Accent_net.Content_store.get_page
+                            (Backing_server.store backing) ~segment_id
+                            ~offset:(offset + (i * Page.size))
+                        with
+                        | Some v -> v
+                        | None -> Page.zero_value) )
+            | _ -> Passed chunk)
+          (Engine_iou.partial_rimas ctx excised ~keep_pages)
+      in
+      let expected = reference_partial_rimas excised ~keep_pages in
+      List.length got = List.length expected
+      && List.for_all2 piece_equal got expected)
+
 let suite =
   ( "properties",
     [
       QCheck_alcotest.to_alcotest prop_migration_roundtrip;
       QCheck_alcotest.to_alcotest prop_unsent_runs_equiv;
       QCheck_alcotest.to_alcotest prop_precopy_residual_equiv;
+      QCheck_alcotest.to_alcotest prop_partial_rimas_equiv;
       QCheck_alcotest.to_alcotest prop_phase_ordering;
       QCheck_alcotest.to_alcotest prop_iou_ships_fewer_bytes_when_half_touched;
       QCheck_alcotest.to_alcotest prop_lossy_runs_are_deterministic;

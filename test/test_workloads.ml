@@ -39,6 +39,12 @@ let build spec =
   let _, proc = Accent_experiments.Trial.build_only ~spec () in
   proc
 
+(* every page a trace references, in order, repeats included *)
+let trace_pages trace =
+  List.init
+    (Accent_kernel.Trace.length trace)
+    (Accent_kernel.Trace.page_at trace)
+
 let test_composition_matches_table_4_1 () =
   List.iter
     (fun (name, real, realz, total) ->
@@ -72,10 +78,12 @@ let test_trace_touches_exactly_spec () =
       (* distinct real pages in the trace = touched_real_pages; the trace
          may also touch zero pages *)
       let real_pages = Hashtbl.create 256 in
-      Accent_kernel.Trace.iter proc.Accent_kernel.Proc.trace ~f:(fun s ->
-          match Address_space.presence_of_page space s.Accent_kernel.Trace.page with
+      List.iter
+        (fun page ->
+          match Address_space.presence_of_page space page with
           | Address_space.Zero_pending -> ()
-          | _ -> Hashtbl.replace real_pages s.Accent_kernel.Trace.page ());
+          | _ -> Hashtbl.replace real_pages page ())
+        (trace_pages proc.Accent_kernel.Proc.trace);
       Alcotest.(check int)
         (spec.Spec.name ^ " touched pages")
         spec.Spec.touched_real_pages
@@ -92,9 +100,10 @@ let test_rs_overlap_matches_spec () =
         (fun (page, _) -> Hashtbl.replace resident page ())
         (Address_space.resident_pages space);
       let overlap = Hashtbl.create 256 in
-      Accent_kernel.Trace.iter proc.Accent_kernel.Proc.trace ~f:(fun s ->
-          if Hashtbl.mem resident s.Accent_kernel.Trace.page then
-            Hashtbl.replace overlap s.Accent_kernel.Trace.page ());
+      List.iter
+        (fun page ->
+          if Hashtbl.mem resident page then Hashtbl.replace overlap page ())
+        (trace_pages proc.Accent_kernel.Proc.trace);
       Alcotest.(check int)
         (spec.Spec.name ^ " RS/touched overlap")
         spec.Spec.rs_touched_overlap (Hashtbl.length overlap))
@@ -103,13 +112,7 @@ let test_rs_overlap_matches_spec () =
 let test_deterministic_construction () =
   let spec = Representative.minprog in
   let p1 = build spec and p2 = build spec in
-  let steps p =
-    List.init
-      (Accent_kernel.Trace.length p.Accent_kernel.Proc.trace)
-      (fun i ->
-        (Accent_kernel.Trace.step p.Accent_kernel.Proc.trace i)
-          .Accent_kernel.Trace.page)
-  in
+  let steps p = trace_pages p.Accent_kernel.Proc.trace in
   Alcotest.(check (list int)) "identical traces" (steps p1) (steps p2)
 
 (* --- Access_pattern --- *)
@@ -159,25 +162,21 @@ let test_generate_covers_and_counts () =
       (Access_pattern.Clustered_random { cluster = 2. })
       ~rng:(rng ()) ~universe:(universe 200) ~count:50
   in
-  let steps =
-    Accent_kernel.Trace.to_steps
-      (Access_pattern.generate
-         (Access_pattern.Clustered_random { cluster = 2. })
-         ~rng:(rng ()) ~touched ~refs:120 ~total_think_ms:1000.)
+  let trace =
+    Access_pattern.generate
+      (Access_pattern.Clustered_random { cluster = 2. })
+      ~rng:(rng ()) ~touched ~refs:120 ~total_think_ms:1000.
   in
-  Alcotest.(check bool) "at least refs steps" true (List.length steps >= 120);
+  Alcotest.(check bool) "at least refs steps" true
+    (Accent_kernel.Trace.length trace >= 120);
   let seen = Hashtbl.create 64 in
-  List.iter
-    (fun s -> Hashtbl.replace seen s.Accent_kernel.Trace.page ())
-    steps;
+  List.iter (fun page -> Hashtbl.replace seen page ()) (trace_pages trace);
   Array.iter
     (fun p ->
       Alcotest.(check bool) "every touched page referenced" true
         (Hashtbl.mem seen p))
     touched;
-  let think =
-    List.fold_left (fun acc s -> acc +. s.Accent_kernel.Trace.think_ms) 0. steps
-  in
+  let think = Accent_kernel.Trace.total_think_ms trace in
   Alcotest.(check bool) "think time near target" true
     (think > 500. && think < 2000.)
 
@@ -188,7 +187,7 @@ let test_hot_cold_concentrates () =
       ~rng:(rng ()) ~universe:(universe 500) ~count:100
   in
   let steps =
-    Accent_kernel.Trace.to_steps
+    trace_pages
       (Access_pattern.generate
          (Access_pattern.Hot_cold { hot_fraction = 0.2; hot_prob = 0.9 })
          ~rng:(rng ()) ~touched ~refs:5000 ~total_think_ms:1000.)
@@ -198,8 +197,7 @@ let test_hot_cold_concentrates () =
   Array.iteri (fun i p -> if i < 20 then Hashtbl.replace hot p ()) touched;
   let hot_refs =
     List.fold_left
-      (fun acc s ->
-        if Hashtbl.mem hot s.Accent_kernel.Trace.page then acc + 1 else acc)
+      (fun acc page -> if Hashtbl.mem hot page then acc + 1 else acc)
       0 steps
   in
   let ratio = float_of_int hot_refs /. float_of_int (List.length steps) in
