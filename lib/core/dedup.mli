@@ -45,8 +45,8 @@ val send :
     runs exactly once, immediately when negotiation is skipped. *)
 
 val handle : t -> Accent_ipc.Message.t -> bool
-(** The [Mig_digests]/[Mig_need] protocol handler, mounted as a
-    pseudo-engine on the MigrationManager port. *)
+(** The [Mig_digests]/[Mig_need] protocol handler on the
+    MigrationManager port; [false] for any other payload. *)
 
 val give_up_proc : Accent_ipc.Message.payload -> int option
 (** Map an abandoned negotiation message to its migration. *)

@@ -1,44 +1,69 @@
-(** The pure-copy transfer engine, and the classic two-message context
-    protocol it owns.
+(** The classic transfer engine: pure-copy, pure-IOU, resident-set and
+    working-set.
 
-    "Classic" migrations (pure-copy and every lazy variant built on it)
-    ship the context as two concurrent messages: the Core — microstate,
-    PCB, port rights, AMap — and the RIMAS.  This module defines those
-    payloads, the sender both classic engines use, and the
-    destination-side race resolution (the messages arrive in either
-    order: under pure-IOU the tiny RIMAS regularly beats the Core).
+    All four ship the context as two concurrent messages: the Core —
+    microstate, PCB, port rights, AMap — and the RIMAS.  They differ only
+    in how the RIMAS is prepared at the source ({!rimas}):
 
-    {!Engine_iou} reuses {!send_context} with its own RIMAS preparation;
-    destination handling for {e all} classic strategies lives here, since
-    the wire format does not reveal which strategy sent it. *)
+    - {b pure-copy}: the whole RIMAS as data, NoIOUs set;
+    - {b pure-IOU}: the whole RIMAS with NoIOUs {e clear} — "the
+      MigrationManager allows the intermediary NetMsgServers to cache the
+      data and become its backer";
+    - {b resident-set}: the manager plays backer itself: resident pages
+      stay physical in the RIMAS, everything else becomes IOUs on the
+      manager's own backing server;
+    - {b working-set}: as resident-set, but keeping only the pages
+      referenced within the strategy's window (read from the live process
+      {e before} excision dismantles the space).
+
+    The destination side resolves the arrival race (the messages arrive
+    in either order: under pure-IOU the tiny RIMAS regularly beats the
+    Core); the wire format does not reveal which strategy sent them. *)
 
 type Accent_ipc.Message.payload +=
   | Mig_core of {
       core : Accent_kernel.Context.core;
-      prefetch : int;
-      report : Report.t;
-      on_complete : (Accent_kernel.Proc.t -> Report.t -> unit) option;
-      on_restart : (Accent_kernel.Proc.t -> unit) option;
+      handoff : Transfer_engine.handoff;
     }
-  | Mig_rimas of { proc_id : int; report : Report.t }
+  | Mig_rimas of { proc_id : int }
         (** memory object: the RIMAS, collapsed coordinates *)
 
-val send_context :
-  Transfer_engine.ctx ->
-  dest:Accent_ipc.Port.id ->
-  excised:Accent_kernel.Excise.excised ->
-  rimas:Accent_ipc.Memory_object.t ->
-  no_ious:bool ->
-  prefetch:int ->
-  report:Report.t ->
-  on_complete:(Accent_kernel.Proc.t -> Report.t -> unit) option ->
-  on_restart:(Accent_kernel.Proc.t -> unit) option ->
-  unit
-(** Send the RIMAS then the Core to [dest].  RIMAS first: under the lazy
-    strategies it is one small fragment and the relocated process cannot
-    restart until it lands, so it should not queue behind the Core's AMap
-    fragments. *)
+type rimas =
+  | Whole of { no_ious : bool }  (** pure-copy (set) and pure-IOU (clear) *)
+  | Keep_resident  (** resident-set *)
+  | Keep_window of float  (** working-set, window in ms *)
 
-val create : Transfer_engine.ctx -> Transfer_engine.t
-(** Claims [Pure_copy]; its [handle] consumes the Core/RIMAS payloads of
-    every classic strategy. *)
+type t
+
+val create : Transfer_engine.ctx -> t
+
+val start :
+  t ->
+  proc:Accent_kernel.Proc.t ->
+  dest:Accent_ipc.Port.id ->
+  rimas:rimas ->
+  handoff:Transfer_engine.handoff ->
+  unit
+(** Source side: freeze and excise [proc], prepare the RIMAS, then send
+    the RIMAS and the Core to the manager at [dest]. *)
+
+val handle : t -> Accent_ipc.Message.t -> bool
+(** Consume a Core or RIMAS arriving on the manager's port; [false] for
+    any other payload. *)
+
+val give_up_proc : Accent_ipc.Message.payload -> int option
+(** The migration an abandoned Core or RIMAS belonged to. *)
+
+val debug_stats : t -> (string * int) list
+(** ["pending"]: migrations with one of the two messages in hand. *)
+
+val partial_rimas :
+  Backing_server.t ->
+  Accent_kernel.Excise.excised ->
+  keep_pages:Accent_mem.Page.index list ->
+  Accent_ipc.Memory_object.t
+(** Replace every Data page NOT in [keep_pages] with IOUs backed by the
+    given server, leaving the kept pages physical.  Each Data chunk is
+    sliced against the kept pages' runs: kept slices stay Data, every
+    other slice is banked as one extent and travels as one IOU.  Chunk
+    coordinates are collapsed offsets throughout.  (Exposed for tests.) *)

@@ -6,11 +6,7 @@ open Transfer_engine
 type Message.payload +=
   | Mig_push_pages of { proc_id : int; round : int; src_port : Port.id }
   | Mig_push_ack of { proc_id : int; round : int }
-  | Mig_push_final of {
-      core : Context.core;
-      report : Report.t;
-      on_complete : (Proc.t -> Report.t -> unit) option;
-    }
+  | Mig_push_final of { core : Context.core; handoff : handoff }
 
 (* Which runs the rounds push and which the destination pulls: pre-copy
    pushes everything, hybrid only the recency window and leaves the cold
@@ -25,9 +21,18 @@ type push = {
   push_set : push_set;
   max_rounds : int;
   threshold_pages : int;
-  report : Report.t;
-  on_complete : (Proc.t -> Report.t -> unit) option;
+  handoff : handoff;
   sent : Image_wire.Sent.t;  (** pages ever pushed; owned by the pool *)
+}
+
+type t = {
+  ctx : ctx;
+  outbound : (int, push) Hashtbl.t;
+      (** source side of in-progress migrations, by proc id *)
+  staged : (int, Segment_store.t) Hashtbl.t;
+      (** destination side: pages staged by push rounds, by proc id; the
+          inner store indexes pages by virtual address *)
+  pool : Image_wire.Sent_pool.t;
 }
 
 let send_round ctx state ~round chunks =
@@ -81,7 +86,8 @@ let residual ctx state image ~written =
           ~missing:"pre-copy: page vanished mid-round" written
       in
       List.iter (Image_wire.Sent.mark_page state.sent) written;
-      (residual_chunks, Image_wire.cold_iou_chunks ctx image ~sent:state.sent)
+      ( residual_chunks,
+        Image_wire.cold_iou_chunks ctx.backing image ~sent:state.sent )
 
 (* Freeze, capture the process image, derive the final message from it,
    dissolve the source incarnation, ship.  An Abort while building the
@@ -119,12 +125,7 @@ let freeze ctx outbound pool state =
                       (Context.core_wire_bytes (Host.costs ctx.host) core)
                     ~rights:core.Context.port_rights ~memory ~no_ious:true
                     ~category:Message.Bulk
-                    (Mig_push_final
-                       {
-                         core;
-                         report = state.report;
-                         on_complete = state.on_complete;
-                       }))))
+                    (Mig_push_final { core; handoff = state.handoff }))))
 
 (* The round-pacing decision: freeze when the round budget is spent or the
    dirty log is small enough, else push the drained dirty log. *)
@@ -139,16 +140,8 @@ let handle_ack ctx outbound pool ~proc_id ~round =
         push_pages ctx state ~round:(round + 1)
           (Proc.drain_written_log state.proc)
 
-let start ctx outbound pool ~proc ~dest ~strategy ~report ~on_complete
-    ~on_restart:_ =
-  let push_set, max_rounds, threshold_pages =
-    match strategy.Strategy.transfer with
-    | Strategy.Pre_copy { max_rounds; threshold_pages } ->
-        (All, max_rounds, threshold_pages)
-    | Strategy.Hybrid { max_rounds; threshold_pages; window_ms } ->
-        (Window window_ms, max_rounds, threshold_pages)
-    | _ -> assert false (* the manager dispatches on [claims] *)
-  in
+let start t ~proc ~dest ~push_set ~max_rounds ~threshold_pages ~handoff =
+  let ctx = t.ctx in
   (* the process keeps executing at the source while rounds proceed *)
   let state =
     {
@@ -157,12 +150,11 @@ let start ctx outbound pool ~proc ~dest ~strategy ~report ~on_complete
       push_set;
       max_rounds;
       threshold_pages;
-      report;
-      on_complete;
-      sent = Image_wire.Sent_pool.take pool;
+      handoff;
+      sent = Image_wire.Sent_pool.take t.pool;
     }
   in
-  Hashtbl.replace outbound proc.Proc.id state;
+  Hashtbl.replace t.outbound proc.Proc.id state;
   match push_set with
   | All -> push_all ctx state
   | Window window_ms ->
@@ -171,7 +163,9 @@ let start ctx outbound pool ~proc ~dest ~strategy ~report ~on_complete
          or as cold IOUs, so reset dirty tracking to the rounds' epoch *)
       ignore (Proc.drain_written_log proc);
       push_pages ctx state ~round:1
-        (Engine_iou.shippable_ws_pages ctx proc ~window_ms)
+        (Image_wire.shippable_ws_pages proc
+           ~now:(Accent_sim.Engine.now (Host.engine ctx.host))
+           ~window_ms)
 
 (* --- destination side ---------------------------------------------------- *)
 
@@ -213,7 +207,7 @@ let handle_pages ctx staged ~proc_id ~round ~src_port memory =
 (* Account Core and RIMAS delivery, resolve digests, stage the residual,
    assemble the insertion RIMAS and hand it to the manager; any failure
    aborts the migration and clears its staged pages. *)
-let handle_final ctx staged ~core ~report ~on_complete memory =
+let handle_final ctx staged ~core ~handoff memory =
   ctx.note_received ();
   let proc_id = core.Context.proc_id in
   emit ctx ~proc_id Mig_event.Core_delivered;
@@ -244,18 +238,19 @@ let handle_final ctx staged ~core ~report ~on_complete memory =
           abort_migration ctx ~proc_id reason
       | rimas ->
           Hashtbl.remove staged proc_id;
-          ctx.insert
-            { core; rimas; prefetch = 0; report; on_complete; on_restart = None })
+          ctx.insert ~core ~rimas handoff)
 
 (* --- the engine --------------------------------------------------------- *)
 
 let create ctx =
-  (* source side of in-progress migrations, by proc id *)
-  let outbound : (int, push) Hashtbl.t = Hashtbl.create 4 in
-  (* destination side: pages staged by push rounds, keyed by proc id; the
-     inner store indexes pages by virtual address *)
-  let staged : (int, Segment_store.t) Hashtbl.t = Hashtbl.create 4 in
-  let pool = Image_wire.Sent_pool.create () in
+  let t =
+    {
+      ctx;
+      outbound = Hashtbl.create 4;
+      staged = Hashtbl.create 4;
+      pool = Image_wire.Sent_pool.create ();
+    }
+  in
   (* An abandoned migration never sees Mig_push_final, the only normal exit
      for both tables: drop its state when the transport gives up on it (or
      the engine itself aborts it), or the staged pages of every failed
@@ -263,44 +258,34 @@ let create ctx =
   Mig_event.subscribe_cleanup ctx.bus (fun ev ->
       match ev.Mig_event.kind with
       | Mig_event.Transport_give_up | Mig_event.Engine_abort _ ->
-          (match Hashtbl.find_opt outbound ev.Mig_event.proc_id with
-          | Some state -> Image_wire.Sent_pool.give pool state.sent
+          (match Hashtbl.find_opt t.outbound ev.Mig_event.proc_id with
+          | Some state -> Image_wire.Sent_pool.give t.pool state.sent
           | None -> ());
-          Hashtbl.remove outbound ev.Mig_event.proc_id;
-          Hashtbl.remove staged ev.Mig_event.proc_id
+          Hashtbl.remove t.outbound ev.Mig_event.proc_id;
+          Hashtbl.remove t.staged ev.Mig_event.proc_id
       | _ -> ());
-  let handle msg =
-    let memory = Option.value msg.Message.memory ~default:[] in
-    match msg.Message.payload with
-    | Mig_push_pages { proc_id; round; src_port } ->
-        handle_pages ctx staged ~proc_id ~round ~src_port memory;
-        true
-    | Mig_push_ack { proc_id; round } ->
-        handle_ack ctx outbound pool ~proc_id ~round;
-        true
-    | Mig_push_final { core; report; on_complete } ->
-        handle_final ctx staged ~core ~report ~on_complete memory;
-        true
-    | _ -> false
-  in
-  let give_up_proc = function
-    | Mig_push_pages { proc_id; _ } -> Some proc_id
-    | Mig_push_final { core; _ } -> Some core.Context.proc_id
-    (* a lost ack only delays the next round decision; the migration can
-       still proceed when the transport gives up on it *)
-    | _ -> None
-  in
-  {
-    name = "push";
-    claims =
-      (function Strategy.Pre_copy _ | Strategy.Hybrid _ -> true | _ -> false);
-    start = start ctx outbound pool;
-    handle;
-    give_up_proc;
-    debug_stats =
-      (fun () ->
-        [
-          ("outbound", Hashtbl.length outbound);
-          ("staged", Hashtbl.length staged);
-        ]);
-  }
+  t
+
+let handle t msg =
+  let memory = Option.value msg.Message.memory ~default:[] in
+  match msg.Message.payload with
+  | Mig_push_pages { proc_id; round; src_port } ->
+      handle_pages t.ctx t.staged ~proc_id ~round ~src_port memory;
+      true
+  | Mig_push_ack { proc_id; round } ->
+      handle_ack t.ctx t.outbound t.pool ~proc_id ~round;
+      true
+  | Mig_push_final { core; handoff } ->
+      handle_final t.ctx t.staged ~core ~handoff memory;
+      true
+  | _ -> false
+
+let give_up_proc = function
+  | Mig_push_pages { proc_id; _ } -> Some proc_id
+  | Mig_push_final { core; _ } -> Some core.Context.proc_id
+  (* a lost ack only delays the next round decision; the migration can
+     still proceed when the transport gives up on it *)
+  | _ -> None
+
+let debug_stats t =
+  [ ("outbound", Hashtbl.length t.outbound); ("staged", Hashtbl.length t.staged) ]

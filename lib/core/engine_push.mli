@@ -30,16 +30,46 @@ type Accent_ipc.Message.payload +=
   | Mig_push_ack of { proc_id : int; round : int }
   | Mig_push_final of {
       core : Accent_kernel.Context.core;
-      report : Report.t;
-      on_complete : (Accent_kernel.Proc.t -> Report.t -> unit) option;
+      handoff : Transfer_engine.handoff;
     }
       (** memory object: the residual as Data plus IOU chunks for the cold
           tail and any pre-existing imaginary regions, vaddr coordinates *)
 
-val create : Transfer_engine.ctx -> Transfer_engine.t
-(** Claims [Pre_copy] and [Hybrid].  Degraded paths (a page value
-    vanishing mid-round, a page neither staged nor IOU-backed at
-    insertion) abort that one migration with an {!Mig_event.Engine_abort}
-    event instead of raising; a transport give-up or engine abort also
-    clears the migration's staged pages and round state, so failed
-    migrations leak nothing. *)
+type push_set =
+  | All  (** pre-copy *)
+  | Window of float  (** hybrid, recency window in ms *)
+
+type t
+
+val create : Transfer_engine.ctx -> t
+(** Degraded paths (a page value vanishing mid-round, a page neither
+    staged nor IOU-backed at insertion) abort that one migration with an
+    {!Mig_event.Engine_abort} event instead of raising; a transport
+    give-up or engine abort also clears the migration's staged pages and
+    round state, so failed migrations leak nothing. *)
+
+val start :
+  t ->
+  proc:Accent_kernel.Proc.t ->
+  dest:Accent_ipc.Port.id ->
+  push_set:push_set ->
+  max_rounds:int ->
+  threshold_pages:int ->
+  handoff:Transfer_engine.handoff ->
+  unit
+(** Source side: push round 1 to the manager at [dest] while [proc] keeps
+    running; each ack either pushes the drained dirty log as the next
+    round or, once [max_rounds] is spent or at most [threshold_pages]
+    are dirty, freezes and ships the final message. *)
+
+val handle : t -> Accent_ipc.Message.t -> bool
+(** Consume a push round, ack or final message arriving on the manager's
+    port; [false] for any other payload. *)
+
+val give_up_proc : Accent_ipc.Message.payload -> int option
+(** The migration an abandoned round or final message belonged to; [None]
+    for acks, whose loss only delays the next round decision. *)
+
+val debug_stats : t -> (string * int) list
+(** ["outbound"]: source round state; ["staged"]: destination staging
+    stores. *)

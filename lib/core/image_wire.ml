@@ -136,6 +136,17 @@ let vaddr_data_chunks space pages =
 let image_data_chunks image ~missing pages =
   data_chunks ~lookup:(Proc_image.find_value image) ~missing pages
 
+(* Only pages that actually carry data can be shipped physically. *)
+let shippable_ws_pages proc ~now ~window_ms =
+  Working_set.pages_within proc.Proc.working_set ~time:now
+    ~window:(Accent_sim.Time.ms window_ms)
+  |> List.filter (fun page ->
+         match Address_space.presence_of_page (Proc.space_exn proc) page with
+         | Address_space.Resident _ | Address_space.Paged_out _ -> true
+         | Address_space.Zero_pending | Address_space.Imaginary_pending _
+         | Address_space.Invalid ->
+             false)
+
 (* One Data chunk per Real range of the live space, each carrying the
    range's values as one shared view — what a pre-copy first round ships.
    O(cold parts + materialised pages), with no page list, no page array
@@ -196,12 +207,12 @@ let iou_chunks_of_image (image : Proc_image.t) =
    ranges, and each run's values are banked as one adopted extent — never
    a per-range fold over the sent set or a per-page lookup and insert,
    which would make every hybrid freeze O(space). *)
-let cold_iou_chunks ctx (image : Proc_image.t) ~sent =
+let cold_iou_chunks backing (image : Proc_image.t) ~sent =
   match unsent_runs image ~sent with
   | [] -> []
   | runs ->
-      let segment_id = Backing_server.new_segment ctx.backing in
-      let backing_port = Backing_server.port ctx.backing in
+      let segment_id = Backing_server.new_segment backing in
+      let backing_port = Backing_server.port backing in
       List.map
         (fun (first, last) ->
           let lo = Page.addr_of_index first
@@ -211,7 +222,7 @@ let cold_iou_chunks ctx (image : Proc_image.t) ~sent =
             with Failure _ ->
               raise (Abort "hybrid: cold page vanished at freeze")
           in
-          Backing_server.put_extent ctx.backing ~segment_id ~offset:lo run;
+          Backing_server.put_extent backing ~segment_id ~offset:lo run;
           {
             Memory_object.range = Vaddr.range lo hi;
             content = Memory_object.Iou { segment_id; backing_port; offset = lo };

@@ -1,7 +1,8 @@
 (** Wire-message building from first-class process images.
 
     Image→chunk builders for the push engine ({!Engine_push}) — round
-    Data chunks read from the live space, the freeze residual and cold
+    Data chunks and the working-set estimate read from the live space,
+    the freeze residual and cold
     tail derived from a captured {!Accent_kernel.Proc_image.t} by run
     subtraction against the pages the rounds already pushed — plus the
     one assembler that turns a destination staging store and the final
@@ -63,6 +64,13 @@ val image_data_chunks :
   Proc_image.t -> missing:string -> Page.index list -> Accent_ipc.Memory_object.t
 (** [data_chunks] over a captured image — what the freeze reads. *)
 
+val shippable_ws_pages :
+  Proc.t -> now:Accent_sim.Time.t -> window_ms:float -> Page.index list
+(** The live process's pages referenced within [window_ms] before [now]
+    that actually carry data (resident or paged out) — the estimated
+    working set a working-set RIMAS keeps physical and a hybrid first
+    round pushes.  Must be read before excision dismantles the space. *)
+
 val real_range_chunks : Address_space.t -> Accent_ipc.Memory_object.t
 (** One Data chunk per Real range of the live space, each carrying the
     range's values as one shared view ({!Address_space.real_runs}) — what
@@ -84,11 +92,11 @@ val iou_chunks_of_image : Proc_image.t -> Accent_ipc.Memory_object.t
     must carry. *)
 
 val cold_iou_chunks :
-  Transfer_engine.ctx ->
+  Backing_server.t ->
   Proc_image.t ->
   sent:Sent.t ->
   Accent_ipc.Memory_object.t
-(** Bank every real run the rounds never pushed on the manager's backing
+(** Bank every real run the rounds never pushed on the given backing
     server (one adopted extent per run) and return IOU chunks for the
     destination to pull on reference — the hybrid cold tail.
     O({!unsent_runs}), never O(pages). *)

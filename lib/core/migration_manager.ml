@@ -1,117 +1,85 @@
-open Accent_sim
 open Accent_mem
 open Accent_ipc
 open Accent_kernel
+open Transfer_engine
 
 type t = {
-  host : Host.t;
-  port : Port.id;
-  backing : Backing_server.t;
-  bus : Mig_event.bus;
-  mutable engines : Transfer_engine.t list;
+  ctx : ctx;
+  copy : Engine_copy.t;
+  push : Engine_push.t;
   mutable started : int;
-  mutable received : int;
+  received : int ref;
 }
 
-let port t = t.port
-let host t = t.host
-let backing t = t.backing
-let bus t = t.bus
-
-let emit t ~proc_id kind =
-  Mig_event.publish t.bus
-    { Mig_event.at = Engine.now (Host.engine t.host); proc_id; kind }
+let port t = t.ctx.port
+let host t = t.ctx.host
+let backing t = t.ctx.backing
+let bus t = t.ctx.bus
 
 (* --- destination lifecycle ----------------------------------------------- *)
 
-let finish_insert t (a : Transfer_engine.arrival) ~insert_ms proc =
-  emit t ~proc_id:proc.Proc.id (Mig_event.Inserted { insert_ms });
-  proc.Proc.prefetch <- a.prefetch;
+let finish_insert ctx handoff ~insert_ms proc =
+  emit ctx ~proc_id:proc.Proc.id (Mig_event.Inserted { insert_ms });
+  proc.Proc.prefetch <- handoff.prefetch;
   proc.Proc.on_complete <-
     Some
       (fun p ->
         let remote_touched_pages =
           match p.Proc.space with
           | Some space -> Address_space.touched_pages space
-          | None -> a.report.Report.remote_touched_pages
+          | None -> handoff.report.Report.remote_touched_pages
         in
-        emit t ~proc_id:p.Proc.id
+        emit ctx ~proc_id:p.Proc.id
           (Mig_event.Outcome
-             { outcome = a.report.Report.outcome; remote_touched_pages });
-        match a.on_complete with Some f -> f p a.report | None -> ());
-  emit t ~proc_id:proc.Proc.id Mig_event.Restarted;
-  (match a.on_restart with Some f -> f proc | None -> ());
-  Proc_runner.start t.host proc
+             { outcome = handoff.report.Report.outcome; remote_touched_pages });
+        match handoff.on_complete with
+        | Some f -> f p handoff.report
+        | None -> ());
+  emit ctx ~proc_id:proc.Proc.id Mig_event.Restarted;
+  (match handoff.on_restart with Some f -> f proc | None -> ());
+  Proc_runner.start ctx.host proc
 
-let insert_arrival t (a : Transfer_engine.arrival) =
-  let insert_ms = Insert.estimate_ms (Host.costs t.host) a.core a.rimas in
-  Insert.insert t.host ~core:a.core ~rimas:a.rimas
-    ~k:(finish_insert t a ~insert_ms)
+let insert ctx ~core ~rimas handoff =
+  let insert_ms = Insert.estimate_ms (Host.costs ctx.host) core rimas in
+  Insert.insert ctx.host ~core ~rimas ~k:(finish_insert ctx handoff ~insert_ms)
 
 (* --- port dispatch -------------------------------------------------------- *)
 
+(* The payload sets are disjoint, so at most one handler consumes. *)
 let handle t msg =
-  let claimed =
-    List.exists
-      (fun (e : Transfer_engine.t) -> e.Transfer_engine.handle msg)
-      t.engines
-  in
-  if not claimed then
-    Logs.warn (fun m -> m "MigrationManager: unexpected message")
+  if
+    not
+      (Engine_copy.handle t.copy msg
+      || Engine_push.handle t.push msg
+      || Dedup.handle t.ctx.dedup msg)
+  then Logs.warn (fun m -> m "MigrationManager: unexpected message")
 
 let create ?bus host =
   let bus =
     match bus with Some bus -> bus | None -> Mig_event.create_bus ()
   in
   let port = Host.new_port host in
-  let t =
+  let backing =
+    Backing_server.create host
+      ~name:(Printf.sprintf "mm-backing@%s" (Host.name host))
+  in
+  let dedup = Dedup.create ~host ~port ~bus in
+  let received = ref 0 in
+  let rec ctx =
     {
       host;
       port;
-      backing =
-        Backing_server.create host
-          ~name:(Printf.sprintf "mm-backing@%s" (Host.name host));
-      bus;
-      engines = [];
-      started = 0;
-      received = 0;
-    }
-  in
-  let dedup = Dedup.create ~host ~port ~bus in
-  let ctx =
-    {
-      Transfer_engine.host;
-      port;
-      backing = t.backing;
+      backing;
       bus;
       dedup;
-      insert = insert_arrival t;
-      note_received = (fun () -> t.received <- t.received + 1);
+      insert = (fun ~core ~rimas handoff -> insert ctx ~core ~rimas handoff);
+      note_received = (fun () -> incr received);
     }
   in
-  (* The digest-first handshake is strategy-independent, so it mounts as
-     a fourth pseudo-engine: it claims no strategy, only the
-     Mig_digests/Mig_need protocol messages. *)
-  let dedup_engine =
-    {
-      Transfer_engine.name = "dedup";
-      claims = (fun _ -> false);
-      start =
-        (fun ~proc:_ ~dest:_ ~strategy:_ ~report:_ ~on_complete:_
-             ~on_restart:_ ->
-          invalid_arg "Migration_manager: dedup pseudo-engine cannot start");
-      handle = Dedup.handle dedup;
-      give_up_proc = Dedup.give_up_proc;
-      debug_stats = (fun () -> Dedup.debug_stats dedup);
-    }
-  in
-  t.engines <-
-    [
-      Engine_copy.create ctx;
-      Engine_iou.create ctx;
-      Engine_push.create ctx;
-      dedup_engine;
-    ];
+  (* creation order is cleanup-subscription order: Dedup, copy, push *)
+  let copy = Engine_copy.create ctx in
+  let push = Engine_push.create ctx in
+  let t = { ctx; copy; push; started = 0; received } in
   Kernel_ipc.bind (Host.kernel host) port (handle t);
   (* When the reliable transport abandons one of our context or pre-copy
      messages, the migration it belonged to can never proceed normally:
@@ -121,25 +89,24 @@ let create ?bus host =
   Accent_net.Netmsgserver.on_transport_give_up (Host.nms host) (fun msg ->
       match
         List.find_map
-          (fun (e : Transfer_engine.t) ->
-            e.Transfer_engine.give_up_proc msg.Message.payload)
-          t.engines
+          (fun give_up_proc -> give_up_proc msg.Message.payload)
+          [ Engine_copy.give_up_proc; Engine_push.give_up_proc; Dedup.give_up_proc ]
       with
-      | Some proc_id -> emit t ~proc_id Mig_event.Transport_give_up
+      | Some proc_id -> emit ctx ~proc_id Mig_event.Transport_give_up
       | None -> ());
   (* The pager cannot depend on this layer, so it exposes observation
      hooks; turn them into bus events (routing drops events for processes
      no migration is tracking). *)
   Pager.set_observer (Host.pager host)
     ~on_fault:(fun proc kind ->
-      emit t ~proc_id:proc.Proc.id
+      emit ctx ~proc_id:proc.Proc.id
         (Mig_event.Fault
            (match kind with
            | `Zero -> Mig_event.Fault_zero
            | `Disk -> Mig_event.Fault_disk
            | `Imaginary -> Mig_event.Fault_imaginary)))
     ~on_prefetch:(fun proc kind ->
-      emit t ~proc_id:proc.Proc.id
+      emit ctx ~proc_id:proc.Proc.id
         (Mig_event.Prefetch
            (match kind with
            | `Issued -> Mig_event.Prefetch_issued
@@ -151,28 +118,35 @@ let create ?bus host =
 let migrate t ~proc ~dest ~strategy ?on_complete ?on_restart () =
   t.started <- t.started + 1;
   let report = Report.create ~proc_name:proc.Proc.name ~strategy in
-  Mig_event.register t.bus ~proc_id:proc.Proc.id report;
-  emit t ~proc_id:proc.Proc.id
+  Mig_event.register t.ctx.bus ~proc_id:proc.Proc.id report;
+  emit t.ctx ~proc_id:proc.Proc.id
     (Mig_event.Requested { proc_name = proc.Proc.name; strategy });
-  (match
-     List.find_opt
-       (fun (e : Transfer_engine.t) ->
-         e.Transfer_engine.claims strategy.Strategy.transfer)
-       t.engines
-   with
-  | Some engine ->
-      engine.Transfer_engine.start ~proc ~dest ~strategy ~report ~on_complete
-        ~on_restart
-  | None ->
-      (* unreachable while the three stock engines cover Strategy.transfer *)
-      invalid_arg "Migration_manager.migrate: no engine claims this strategy");
+  let handoff =
+    { report; prefetch = strategy.Strategy.prefetch; on_complete; on_restart }
+  in
+  let classic rimas = Engine_copy.start t.copy ~proc ~dest ~rimas ~handoff in
+  let push push_set ~max_rounds ~threshold_pages =
+    Engine_push.start t.push ~proc ~dest ~push_set ~max_rounds ~threshold_pages
+      ~handoff
+  in
+  (match strategy.Strategy.transfer with
+  | Strategy.Pure_copy -> classic (Engine_copy.Whole { no_ious = true })
+  | Strategy.Pure_iou -> classic (Engine_copy.Whole { no_ious = false })
+  | Strategy.Resident_set -> classic Engine_copy.Keep_resident
+  | Strategy.Working_set { window_ms } ->
+      classic (Engine_copy.Keep_window window_ms)
+  | Strategy.Pre_copy { max_rounds; threshold_pages } ->
+      push Engine_push.All ~max_rounds ~threshold_pages
+  | Strategy.Hybrid { max_rounds; threshold_pages; window_ms } ->
+      push (Engine_push.Window window_ms) ~max_rounds ~threshold_pages);
   report
 
 let migrations_started t = t.started
-let migrations_received t = t.received
+let migrations_received t = !(t.received)
 
 let engine_stats t =
-  List.map
-    (fun (e : Transfer_engine.t) ->
-      (e.Transfer_engine.name, e.Transfer_engine.debug_stats ()))
-    t.engines
+  [
+    ("copy", Engine_copy.debug_stats t.copy);
+    ("push", Engine_push.debug_stats t.push);
+    ("dedup", Dedup.debug_stats t.ctx.dedup);
+  ]

@@ -1,15 +1,15 @@
 (** The MigrationManager (paper §3.2).
 
     One runs on every participating host.  The manager itself is a thin
-    coordinator: it binds the command port, dispatches inbound messages to
-    the {!Transfer_engine.t} that claims them, and owns the
-    insert/restart lifecycle at the destination.  The transfer mechanics
-    live in the engines:
+    coordinator: it binds the command port, starts each migration with
+    one exhaustive match on {!Strategy.transfer}, offers every inbound
+    message to its two engines and the dedup negotiator in turn, and owns
+    the insert/restart lifecycle at the destination.  The transfer
+    mechanics live in the engines:
 
-    - {!Engine_copy} — pure-copy, and the shared two-message context
-      protocol (Core + RIMAS);
-    - {!Engine_iou} — pure-IOU, resident-set, working-set RIMAS
-      preparation;
+    - {!Engine_copy} — pure-copy, pure-IOU, resident-set and working-set:
+      the classic two-message context (Core + RIMAS), differing only in
+      how the RIMAS is prepared;
     - {!Engine_push} — pre-copy and hybrid: rounds pushed while the
       process runs, then a freeze residual (hybrid leaves its cold tail
       as IOUs).
@@ -55,6 +55,7 @@ val migrations_started : t -> int
 val migrations_received : t -> int
 
 val engine_stats : t -> (string * (string * int) list) list
-(** Each engine's name with its live bookkeeping counters
-    ({!Transfer_engine.t.debug_stats}) — e.g. the push engine's in-flight
-    round state and staged-page stores.  For tests and leak diagnostics. *)
+(** The live bookkeeping counters of ["copy"] (the Core/RIMAS arrival
+    table), ["push"] (in-flight round state and staged-page stores) and
+    ["dedup"] (parked sends and staged hits), in that order.  For tests
+    and leak diagnostics. *)

@@ -1,11 +1,9 @@
 open Accent_sim
 open Accent_kernel
 
-type arrival = {
-  core : Context.core;
-  rimas : Accent_ipc.Memory_object.t;
-  prefetch : int;
+type handoff = {
   report : Report.t;
+  prefetch : int;
   on_complete : (Proc.t -> Report.t -> unit) option;
   on_restart : (Proc.t -> unit) option;
 }
@@ -16,24 +14,8 @@ type ctx = {
   backing : Backing_server.t;
   bus : Mig_event.bus;
   dedup : Dedup.t;
-  insert : arrival -> unit;
+  insert : core:Context.core -> rimas:Accent_ipc.Memory_object.t -> handoff -> unit;
   note_received : unit -> unit;
-}
-
-type t = {
-  name : string;
-  claims : Strategy.transfer -> bool;
-  start :
-    proc:Proc.t ->
-    dest:Accent_ipc.Port.id ->
-    strategy:Strategy.t ->
-    report:Report.t ->
-    on_complete:(Proc.t -> Report.t -> unit) option ->
-    on_restart:(Proc.t -> unit) option ->
-    unit;
-  handle : Accent_ipc.Message.t -> bool;
-  give_up_proc : Accent_ipc.Message.payload -> int option;
-  debug_stats : unit -> (string * int) list;
 }
 
 exception Abort of string

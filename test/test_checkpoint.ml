@@ -202,30 +202,19 @@ let replay_equals_live strategy () =
     in
     when_quiet ()
   in
-  (* pre-copy and hybrid do not thread [on_restart] through their staged
-     insert (they never did), so the checkpoint point is armed off the
-     bus's Restarted event instead *)
-  let armed = ref false in
-  World.on_migration_event world (fun ev ->
-      if ev.Mig_event.proc_id = proc.Proc.id && not !armed then
-        match ev.Mig_event.kind with
-        | Mig_event.Restarted ->
-            armed := true;
-            ignore
-              (Engine.schedule world.World.engine ~delay:(Time.ms 25.)
-                 (fun () ->
-                   match Host.find_proc h1 proc.Proc.id with
-                   | Some p when not (Proc.is_done p) -> checkpoint_and_move p
-                   | Some p ->
-                       (* finished before the checkpoint point: the
-                          equivalence is trivially about the final state *)
-                       restored_final := Some p
-                   | None -> ()))
-        | _ -> ());
+  let on_restart p =
+    ignore
+      (Engine.schedule world.World.engine ~delay:(Time.ms 25.) (fun () ->
+           if Proc.is_done p then
+             (* finished before the checkpoint point: the equivalence is
+                trivially about the final state *)
+             restored_final := Some p
+           else checkpoint_and_move p))
+  in
   let _report =
     Migration_manager.migrate (World.manager world 0) ~proc
       ~dest:(Migration_manager.port (World.manager world 1))
-      ~strategy ()
+      ~strategy ~on_restart ()
   in
   if live_strategy strategy then Proc_runner.start h0 proc;
   ignore (World.run world);

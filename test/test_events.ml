@@ -45,7 +45,7 @@ let test_unknown_payload_with_memory () =
 let test_malformed_then_real_migration () =
   let world = World.create ~n_hosts:2 () in
   send_to_manager world (Engine_push.Mig_push_ack { proc_id = 424242; round = 1 });
-  send_to_manager world (Engine_copy.Mig_rimas { proc_id = 424242; report = Report.create ~proc_name:"ghost" ~strategy:Strategy.pure_copy });
+  send_to_manager world (Engine_copy.Mig_rimas { proc_id = 424242 });
   ignore (World.run world);
   let proc =
     Accent_workloads.Spec.build (World.host world 0) Test_helpers.small_spec
@@ -59,6 +59,91 @@ let test_malformed_then_real_migration () =
   Alcotest.(check bool)
     "migration after junk still completes" true
     (report.Report.completed_at <> None)
+
+(* A lone Core parks in the classic engine's arrival table waiting for its
+   RIMAS; a transport give-up must clear the entry (the RIMAS will never
+   come) and end the migration. *)
+let test_giveup_clears_pending_core () =
+  let world = World.create ~n_hosts:2 () in
+  let host0 = World.host world 0 in
+  let manager1 = World.manager world 1 in
+  let bus = Migration_manager.bus manager1 in
+  let proc = Accent_workloads.Spec.build host0 Test_helpers.small_spec in
+  let report = Report.create ~proc_name:"crafted" ~strategy:Strategy.pure_copy in
+  Mig_event.register bus ~proc_id:proc.Proc.id report;
+  Excise.excise host0 proc ~k:(fun excised ->
+      Kernel_ipc.send (Host.kernel host0)
+        (Message.make ~ids:(Host.ids host0)
+           ~dest:(Migration_manager.port manager1)
+           ~inline_bytes:128
+           (Engine_copy.Mig_core
+              {
+                core = excised.Excise.core;
+                handoff =
+                  {
+                    Transfer_engine.report;
+                    prefetch = 0;
+                    on_complete = None;
+                    on_restart = None;
+                  };
+              })));
+  ignore (World.run world);
+  let pending () =
+    List.assoc "pending"
+      (List.assoc "copy" (Migration_manager.engine_stats manager1))
+  in
+  Alcotest.(check int) "lone Core parked" 1 (pending ());
+  Mig_event.publish bus
+    {
+      Mig_event.at = Accent_sim.Engine.now (Host.engine host0);
+      proc_id = proc.Proc.id;
+      kind = Mig_event.Transport_give_up;
+    };
+  Alcotest.(check int) "give-up cleared the arrival table" 0 (pending ());
+  Alcotest.(check bool)
+    "give-up ended the migration" true
+    (report.Report.outcome <> Report.Completed)
+
+(* --- on_restart under every strategy ------------------------------------ *)
+
+let strategies =
+  [
+    Strategy.pure_copy;
+    Strategy.pure_iou ();
+    Strategy.resident_set ();
+    Strategy.working_set ();
+    Strategy.pre_copy ();
+    Strategy.hybrid ();
+  ]
+
+(* Every final context message carries the caller's [on_restart]: it
+   fires exactly once, at the destination, before the relocated process
+   finishes and its Outcome is published. *)
+let test_on_restart_fires_once strategy () =
+  let world = World.create ~n_hosts:2 () in
+  let host0 = World.host world 0 in
+  let proc = Accent_workloads.Spec.build host0 Test_helpers.small_spec in
+  let log = ref [] in
+  World.on_migration_event world (fun ev ->
+      match ev.Mig_event.kind with
+      | Mig_event.Outcome _ when ev.Mig_event.proc_id = proc.Proc.id ->
+          log := "outcome" :: !log
+      | _ -> ());
+  (* live strategies need the process executing at the source *)
+  (match strategy.Strategy.transfer with
+  | Strategy.Pre_copy _ | Strategy.Working_set _ | Strategy.Hybrid _ ->
+      Proc_runner.start host0 proc
+  | Strategy.Pure_copy | Strategy.Pure_iou | Strategy.Resident_set -> ());
+  let _report =
+    Migration_manager.migrate (World.manager world 0) ~proc
+      ~dest:(Migration_manager.port (World.manager world 1))
+      ~strategy
+      ~on_restart:(fun _ -> log := "restart" :: !log)
+      ()
+  in
+  ignore (World.run world);
+  Alcotest.(check (list string))
+    "on_restart once, then Outcome" [ "restart"; "outcome" ] (List.rev !log)
 
 (* --- event stream <-> report equivalence -------------------------------- *)
 
@@ -135,6 +220,8 @@ let suite =
         test_unknown_payload_with_memory;
       Alcotest.test_case "malformed traffic then real migration" `Quick
         test_malformed_then_real_migration;
+      Alcotest.test_case "give-up clears a parked Core" `Quick
+        test_giveup_clears_pending_core;
       Alcotest.test_case "replay = live report (pure-copy)" `Quick
         (replay_matches Strategy.pure_copy);
       Alcotest.test_case "replay = live report (pure-IOU pf3)" `Quick
@@ -151,4 +238,11 @@ let suite =
         (replay_matches ~costs:Test_helpers.dedup_costs Strategy.pure_copy);
       Alcotest.test_case "replay = live report (hybrid, dedup)" `Quick
         (replay_matches ~costs:Test_helpers.dedup_costs (Strategy.hybrid ()));
-    ] )
+    ]
+    @ List.map
+        (fun strategy ->
+          Alcotest.test_case
+            (Printf.sprintf "on_restart fires once (%s)" (Strategy.name strategy))
+            `Quick
+            (test_on_restart_fires_once strategy))
+        strategies )

@@ -231,7 +231,16 @@ let test_missing_staged_pages_abort_not_crash () =
                ~dest:(Migration_manager.port (World.manager world 1))
                ~inline_bytes:128
                (Engine_push.Mig_push_final
-                  { core = excised.Excise.core; report; on_complete = None })));
+                  {
+                    core = excised.Excise.core;
+                    handoff =
+                      {
+                        Transfer_engine.report;
+                        prefetch = 0;
+                        on_complete = None;
+                        on_restart = None;
+                      };
+                  })));
       ignore (World.run world);
       Alcotest.(check bool)
         (Strategy.name strategy ^ ": aborted, not crashed")

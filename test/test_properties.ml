@@ -421,19 +421,6 @@ let prop_partial_rimas_equiv =
           picks
       in
       let backing = Migration_manager.backing manager in
-      let port = Migration_manager.port manager
-      and bus = Migration_manager.bus manager in
-      let ctx =
-        {
-          Transfer_engine.host;
-          port;
-          backing;
-          bus;
-          dedup = Dedup.create ~host ~port ~bus;
-          insert = ignore;
-          note_received = ignore;
-        }
-      in
       let got =
         List.map
           (fun (chunk : Accent_ipc.Memory_object.chunk) ->
@@ -458,7 +445,7 @@ let prop_partial_rimas_equiv =
                         | Some v -> v
                         | None -> Page.zero_value) )
             | _ -> Passed chunk)
-          (Engine_iou.partial_rimas ctx excised ~keep_pages)
+          (Engine_copy.partial_rimas backing excised ~keep_pages)
       in
       let expected = reference_partial_rimas excised ~keep_pages in
       List.length got = List.length expected
