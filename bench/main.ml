@@ -5,8 +5,8 @@
    summary, by running the full 77-trial sweep on the simulated testbed.
 
    Part 2 runs Bechamel microbenchmarks of the implementation's hot
-   primitives (interval maps, the event queue, AMap construction,
-   copy-on-write, the page generator, and a complete small migration), so
+   primitives (interval maps, the event queue, AMap construction, the
+   page generator, and a complete small migration), so
    regressions in the simulator itself are visible.
 
    Run with: dune exec bench/main.exe
@@ -20,18 +20,19 @@
 
 module Event_stats = struct
   open Accent_core
+  module Stats = Accent_util.Stats
 
   type t = {
     mutable events : int;
     mutable faults : int;
     mutable last_fault_ms : float option;
-    mutable interarrivals_ms : float list;
+    interarrivals_ms : Stats.t;
         (* gaps between consecutive remote faults within one trial *)
     mutable rounds : int;
     mutable last_round : (int * float) option;
-    mutable round_gaps_ms : float list;
+    round_gaps_ms : Stats.t;
         (* pacing between consecutive pre-copy rounds of one migration *)
-    mutable round_bytes : int list;
+    round_bytes : Stats.t;
   }
 
   let create () =
@@ -39,11 +40,11 @@ module Event_stats = struct
       events = 0;
       faults = 0;
       last_fault_ms = None;
-      interarrivals_ms = [];
+      interarrivals_ms = Stats.create ();
       rounds = 0;
       last_round = None;
-      round_gaps_ms = [];
-      round_bytes = [];
+      round_gaps_ms = Stats.create ();
+      round_bytes = Stats.create ();
     }
 
   let observe t (ev : Mig_event.t) =
@@ -57,34 +58,29 @@ module Event_stats = struct
         t.faults <- t.faults + 1;
         (match t.last_fault_ms with
         | Some prev when t_ms >= prev ->
-            t.interarrivals_ms <- (t_ms -. prev) :: t.interarrivals_ms
+            Stats.add t.interarrivals_ms (t_ms -. prev)
         | _ -> ());
         t.last_fault_ms <- Some t_ms
     | Mig_event.Precopy_round { round; bytes } ->
         t.rounds <- t.rounds + 1;
-        t.round_bytes <- bytes :: t.round_bytes;
+        Stats.add t.round_bytes (float_of_int bytes);
         (match t.last_round with
         | Some (r, prev) when round = r + 1 && t_ms >= prev ->
-            t.round_gaps_ms <- (t_ms -. prev) :: t.round_gaps_ms
+            Stats.add t.round_gaps_ms (t_ms -. prev)
         | _ -> ());
         t.last_round <- Some (round, t_ms)
     | _ -> ()
 
-  let percentile sorted p =
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-
-  let describe label samples =
-    match samples with
-    | [] -> Printf.printf "  %-28s (no samples)\n" label
-    | _ ->
-        let a = Array.of_list samples in
-        Array.sort Float.compare a;
-        let n = Array.length a in
-        let mean = Array.fold_left ( +. ) 0. a /. float_of_int n in
-        Printf.printf
-          "  %-28s n=%-6d mean %8.3f  p50 %8.3f  p95 %8.3f  max %8.3f\n"
-          label n mean (percentile a 0.5) (percentile a 0.95) a.(n - 1)
+  (* Percentiles interpolate over the samples (exactly below
+     [Stats.default_exact_capacity], within the sketch's relative error
+     beyond it). *)
+  let describe label s =
+    if Stats.count s = 0 then Printf.printf "  %-28s (no samples)\n" label
+    else
+      Printf.printf
+        "  %-28s n=%-6d mean %8.3f  p50 %8.3f  p95 %8.3f  max %8.3f\n" label
+        (Stats.count s) (Stats.mean s) (Stats.percentile s 50.)
+        (Stats.percentile s 95.) (Stats.max_value s)
 
   let render t =
     print_endline "Per-event tracing statistics (from the sweep's bus):";
@@ -93,8 +89,7 @@ module Event_stats = struct
     describe "fault interarrival (ms)" t.interarrivals_ms;
     Printf.printf "  pre-copy rounds observed      %d\n" t.rounds;
     describe "pre-copy round gap (ms)" t.round_gaps_ms;
-    describe "pre-copy round bytes"
-      (List.map float_of_int t.round_bytes)
+    describe "pre-copy round bytes" t.round_bytes
 end
 
 (* The table sweep never runs pre-copy (the paper's strategies only), so
@@ -198,18 +193,6 @@ let bench_page_pattern =
          let open Accent_mem in
          Page.checksum (Page.pattern ~tag:7 42)))
 
-let bench_cow =
-  Test.make ~name:"cow: share 64KB + dup + 8 writes"
-    (Staged.stage (fun () ->
-         let open Accent_mem in
-         let store = Cow.create_store () in
-         let h = Cow.share store (Bytes.make 65536 'a') in
-         let d = Cow.dup store h in
-         for i = 0 to 7 do
-           Cow.write store d ~offset:(i * 8192) (Bytes.of_string "x")
-         done;
-         Cow.deferred_copies store))
-
 let bench_tiny_migration =
   let spec =
     {
@@ -248,7 +231,6 @@ let microbenchmarks () =
         bench_event_queue;
         bench_amap_build;
         bench_page_pattern;
-        bench_cow;
         bench_tiny_migration;
       ]
   in

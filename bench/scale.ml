@@ -104,11 +104,8 @@ let run_trial_once ?frames ~strategy ~real_pages ~n_hosts () =
   let completed = ref 0 in
   List.iteri
     (fun i proc ->
-      (* live-migration strategies push rounds against a running process *)
-      (match strategy.Strategy.transfer with
-      | Strategy.Pre_copy _ | Strategy.Working_set _ | Strategy.Hybrid _ ->
-          Accent_kernel.Proc_runner.start (World.host world i) proc
-      | Strategy.Pure_copy | Strategy.Pure_iou | Strategy.Resident_set -> ());
+      if Strategy.is_live strategy then
+        Accent_kernel.Proc_runner.start (World.host world i) proc;
       ignore
         (Migration_manager.migrate (World.manager world i) ~proc
            ~dest:(Migration_manager.port (World.manager world ((i + 1) mod n_hosts)))
@@ -159,7 +156,7 @@ type probe = {
   workload : string;
   strategy : string;
   probe_wall_s : float;
-  allocated_bytes : float;
+  minor_words : float;
 }
 
 let fig41_probe () =
@@ -173,14 +170,14 @@ let fig41_probe () =
       let wall0 = Unix.gettimeofday () in
       let alloc0 = Gc.minor_words () in
       let result = Accent_experiments.Trial.run ~spec ~strategy () in
-      let allocated_bytes = (Gc.minor_words () -. alloc0) *. 8. in
+      let minor_words = Gc.minor_words () -. alloc0 in
       let wall_s = Unix.gettimeofday () -. wall0 in
       ignore result.Accent_experiments.Trial.report;
       {
         workload = spec.Accent_workloads.Spec.name;
         strategy = Strategy.name strategy;
         probe_wall_s = wall_s;
-        allocated_bytes;
+        minor_words;
       })
     [ Strategy.pure_copy; Strategy.pure_iou (); Strategy.hybrid () ]
 
@@ -194,8 +191,8 @@ let trial_json (t : trial) =
 
 let probe_json p =
   Printf.sprintf
-    {|    {"workload": "%s", "strategy": "%s", "wall_s": %.4f, "allocated_bytes": %.0f}|}
-    p.workload p.strategy p.probe_wall_s p.allocated_bytes
+    {|    {"workload": "%s", "strategy": "%s", "wall_s": %.4f, "minor_words": %.0f}|}
+    p.workload p.strategy p.probe_wall_s p.minor_words
 
 (* --- the content-addressed transfer headline --------------------------- *)
 
@@ -309,8 +306,8 @@ let () =
       let probes = fig41_probe () in
       List.iter
         (fun p ->
-          Printf.printf "fig41: %-9s %-10s %7.3f s  %14.0f bytes allocated\n%!"
-            p.workload p.strategy p.probe_wall_s p.allocated_bytes)
+          Printf.printf "fig41: %-9s %-10s %7.3f s  %14.0f minor words\n%!"
+            p.workload p.strategy p.probe_wall_s p.minor_words)
         probes;
       probes
     end

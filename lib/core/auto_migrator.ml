@@ -6,8 +6,6 @@ type policy = {
   strategy : Strategy.t;
   max_migrations : int;
   placement : Placement_policy.t;
-  load_smoothing : float option;
-      (* EWMA alpha for the sampled load vector; None = raw signal *)
 }
 
 let default_policy =
@@ -16,13 +14,11 @@ let default_policy =
     strategy = Strategy.pure_iou ~prefetch:1 ();
     max_migrations = 8;
     placement = Placement_policy.threshold ();
-    load_smoothing = None;
   }
 
 type t = {
   world : World.t;
   policy : policy;
-  smoother : Load_metric.Ewma.t option;
   rng : Accent_util.Rng.t;
   live : unit -> bool;
   loads_buf : float array;
@@ -49,18 +45,15 @@ let live_procs_anywhere world =
 
 (* --- sampling the world into a policy snapshot -------------------------- *)
 
-(* The per-tick sample refills the preallocated load buffer in place and
-   smooths it in place; the only snapshot allocation left is the record
-   itself.  [movable_on] was hoisted to [start]. *)
+(* The per-tick sample refills the preallocated load buffer in place;
+   the only snapshot allocation left is the record itself.  [movable_on]
+   was hoisted to [start]. *)
 let snapshot t =
   let hosts = t.world.World.hosts in
   let loads = t.loads_buf in
   for i = 0 to Array.length hosts - 1 do
     loads.(i) <- Load_metric.host_load hosts.(i)
   done;
-  (match t.smoother with
-  | None -> ()
-  | Some ewma -> Load_metric.Ewma.observe_into ewma loads);
   { Placement_policy.loads; movable = t.movable_on; rng = t.rng }
 
 (* --- executing what the policy decided ---------------------------------- *)
@@ -153,10 +146,6 @@ let start ?live world (policy : policy) =
     {
       world;
       policy;
-      smoother =
-        Option.map
-          (fun alpha -> Load_metric.Ewma.create ~alpha ())
-          policy.load_smoothing;
       rng = Engine.rng world.World.engine "auto-migrator";
       live;
       loads_buf = Array.make (Array.length world.World.hosts) 0.;
@@ -174,4 +163,3 @@ let start ?live world (policy : policy) =
 
 let migrations_triggered t = t.triggered
 let decisions t = List.rev t.decisions
-let placement_name t = Placement_policy.name t.policy.placement

@@ -17,11 +17,6 @@ type policy = {
   placement : Placement_policy.t;
       (** decision function; {!default_policy} uses
           {!Placement_policy.threshold} with its default knobs *)
-  load_smoothing : float option;
-      (** [Some alpha] folds each sampled load vector through
-          {!Load_metric.Ewma} before the policy sees it, damping one-tick
-          spikes the raw signal would migrate on; [None] (the default)
-          keeps the raw instantaneous signal *)
 }
 
 val default_policy : policy
@@ -39,6 +34,3 @@ val migrations_triggered : t -> int
 
 val decisions : t -> (int * string * int * int) list
 (** [(time_ms, proc_name, from_host, to_host)] log, oldest first. *)
-
-val placement_name : t -> string
-(** Name of the placement policy actually driving this daemon. *)

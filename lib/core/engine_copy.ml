@@ -168,7 +168,6 @@ let handle t msg =
   let ctx = t.ctx in
   match msg.Message.payload with
   | Mig_core { core; handoff } ->
-      ctx.note_received ();
       let proc_id = core.Context.proc_id in
       emit ctx ~proc_id Mig_event.Core_delivered;
       let partial = partial_for t proc_id in

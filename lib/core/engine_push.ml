@@ -208,7 +208,6 @@ let handle_pages ctx staged ~proc_id ~round ~src_port memory =
    assemble the insertion RIMAS and hand it to the manager; any failure
    aborts the migration and clears its staged pages. *)
 let handle_final ctx staged ~core ~handoff memory =
-  ctx.note_received ();
   let proc_id = core.Context.proc_id in
   emit ctx ~proc_id Mig_event.Core_delivered;
   (* the residual is the RIMAS data this final message physically carries;

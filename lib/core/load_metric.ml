@@ -25,43 +25,6 @@ let dispersion ~registry host proc =
   Hashtbl.fold (fun host_id bytes acc -> (host_id, bytes) :: acc) tally []
   |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
 
-(* §6's load metrics are instantaneous, and the threshold policy acts on
-   a single sample — so a one-tick queue blip can trigger a migration
-   whose cost dwarfs the imbalance it "fixed".  The classic remedy
-   (Barak & Shiloh's MOSIX load vectors, and every load-average since)
-   is exponential smoothing of the per-host signal.  Opt-in: policies
-   consume whatever load vector the sampler hands them. *)
-module Ewma = struct
-  type t = { alpha : float; mutable smoothed : float array option }
-
-  let create ?(alpha = 0.3) () =
-    if not (alpha > 0. && alpha <= 1.) then
-      invalid_arg "Load_metric.Ewma.create: alpha must be in (0, 1]";
-    { alpha; smoothed = None }
-
-  let alpha t = t.alpha
-
-  (* Fold [buf] through the smoother and overwrite it with the smoothed
-     vector, allocating nothing after the state is seeded.  This is the
-     sampler's per-tick path: the caller owns [buf] and reuses it. *)
-  let observe_into t buf =
-    match t.smoothed with
-    | Some prev when Array.length prev = Array.length buf ->
-        for i = 0 to Array.length buf - 1 do
-          let s = (t.alpha *. buf.(i)) +. ((1. -. t.alpha) *. prev.(i)) in
-          prev.(i) <- s;
-          buf.(i) <- s
-        done
-    | None | Some _ ->
-        (* seed (or re-seed after a topology change) with the raw sample *)
-        t.smoothed <- Some (Array.copy buf)
-
-  let observe t raw =
-    let buf = Array.copy raw in
-    observe_into t buf;
-    buf
-end
-
 let affinity ~registry host proc ~host_id =
   let shares = dispersion ~registry host proc in
   let total = List.fold_left (fun acc (_, b) -> acc + b) 0 shares in

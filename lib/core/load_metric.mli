@@ -19,32 +19,6 @@ val host_load : Accent_kernel.Host.t -> float
 (** Live (Running or Ready) processes plus 0.2 per message queued at the
     host CPU. *)
 
-(** Opt-in exponential smoothing of the per-host load vector (the MOSIX
-    load-vector / load-average remedy for sample noise).  The raw
-    {!host_load} reacts instantly, so a one-tick queue blip can cross a
-    placement policy's imbalance threshold and trigger a migration whose
-    cost dwarfs the imbalance; a sampler that folds each tick through
-    {!Ewma.observe} hands the policy a damped signal instead.
-    {!Auto_migrator}'s [load_smoothing] switches this on. *)
-module Ewma : sig
-  type t
-
-  val create : ?alpha:float -> unit -> t
-  (** [alpha] ∈ (0, 1] weights the newest sample ([1.] reproduces the raw
-      signal); default [0.3].  The first observation seeds the state. *)
-
-  val alpha : t -> float
-
-  val observe : t -> float array -> float array
-  (** Fold one raw per-host sample into the smoothed state and return the
-      smoothed vector (a fresh array). *)
-
-  val observe_into : t -> float array -> unit
-  (** In-place {!observe}: folds [buf] into the smoothed state and
-      overwrites [buf] with the result, allocating nothing once seeded.
-      The per-tick sampler path — the caller owns and reuses [buf]. *)
-end
-
 val dispersion :
   registry:Accent_net.Net_registry.t ->
   Accent_kernel.Host.t ->

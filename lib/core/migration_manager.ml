@@ -7,8 +7,6 @@ type t = {
   ctx : ctx;
   copy : Engine_copy.t;
   push : Engine_push.t;
-  mutable started : int;
-  received : int ref;
 }
 
 let port t = t.ctx.port
@@ -64,7 +62,6 @@ let create ?bus host =
       ~name:(Printf.sprintf "mm-backing@%s" (Host.name host))
   in
   let dedup = Dedup.create ~host ~port ~bus in
-  let received = ref 0 in
   let rec ctx =
     {
       host;
@@ -73,13 +70,12 @@ let create ?bus host =
       bus;
       dedup;
       insert = (fun ~core ~rimas handoff -> insert ctx ~core ~rimas handoff);
-      note_received = (fun () -> incr received);
     }
   in
   (* creation order is cleanup-subscription order: Dedup, copy, push *)
   let copy = Engine_copy.create ctx in
   let push = Engine_push.create ctx in
-  let t = { ctx; copy; push; started = 0; received } in
+  let t = { ctx; copy; push } in
   Kernel_ipc.bind (Host.kernel host) port (handle t);
   (* When the reliable transport abandons one of our context or pre-copy
      messages, the migration it belonged to can never proceed normally:
@@ -116,7 +112,6 @@ let create ?bus host =
 (* --- source side ---------------------------------------------------------- *)
 
 let migrate t ~proc ~dest ~strategy ?on_complete ?on_restart () =
-  t.started <- t.started + 1;
   let report = Report.create ~proc_name:proc.Proc.name ~strategy in
   Mig_event.register t.ctx.bus ~proc_id:proc.Proc.id report;
   emit t.ctx ~proc_id:proc.Proc.id
@@ -140,9 +135,6 @@ let migrate t ~proc ~dest ~strategy ?on_complete ?on_restart () =
   | Strategy.Hybrid { max_rounds; threshold_pages; window_ms } ->
       push (Engine_push.Window window_ms) ~max_rounds ~threshold_pages);
   report
-
-let migrations_started t = t.started
-let migrations_received t = !(t.received)
 
 let engine_stats t =
   [

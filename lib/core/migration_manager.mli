@@ -51,9 +51,6 @@ val migrate :
     attach an {!Adaptive_prefetch} controller); [on_complete] fires when
     the relocated process finishes its remote execution. *)
 
-val migrations_started : t -> int
-val migrations_received : t -> int
-
 val engine_stats : t -> (string * (string * int) list) list
 (** The live bookkeeping counters of ["copy"] (the Core/RIMAS arrival
     table), ["push"] (in-flight round state and staged-page stores) and

@@ -23,6 +23,11 @@ let hybrid ?(max_rounds = 5) ?(threshold_pages = 8) ?(window_ms = 5_000.) () =
 
 let paper_prefetch_values = [ 0; 1; 3; 7; 15 ]
 
+let is_live t =
+  match t.transfer with
+  | Working_set _ | Pre_copy _ | Hybrid _ -> true
+  | Pure_copy | Pure_iou | Resident_set -> false
+
 let transfer_name = function
   | Pure_copy -> "copy"
   | Pure_iou -> "iou"

@@ -78,6 +78,12 @@ val hybrid :
 val paper_prefetch_values : int list
 (** 0, 1, 3, 7, 15 — the sweep of §4.3.3. *)
 
+val is_live : t -> bool
+(** Whether the strategy needs the process executing at the source when
+    the migration starts: working-set estimates its window from source
+    references, and pre-copy and hybrid push rounds against a running
+    process.  Drivers start such a process before migrating it. *)
+
 val name : t -> string
 (** e.g. ["iou+pf3"], ["copy"], ["rs"]. *)
 

@@ -15,7 +15,6 @@ type ctx = {
   bus : Mig_event.bus;
   dedup : Dedup.t;
   insert : core:Context.core -> rimas:Accent_ipc.Memory_object.t -> handoff -> unit;
-  note_received : unit -> unit;
 }
 
 exception Abort of string

@@ -3,10 +3,10 @@
     The strategies of the paper live in two engines: {!Engine_copy}
     (pure-copy and the lazy variants built on the classic Core/RIMAS
     pair) and {!Engine_push} (pre-copy and hybrid).  The MigrationManager
-    owns the port, the insert/restart lifecycle and the counters, and
-    starts each migration with one exhaustive match on
-    {!Strategy.transfer}: adding a strategy means adding a constructor,
-    and the compiler points at the manager's match.
+    owns the port and the insert/restart lifecycle, and starts each
+    migration with one exhaustive match on {!Strategy.transfer}: adding
+    a strategy means adding a constructor, and the compiler points at the
+    manager's match.
 
     Engines never stamp {!Report} fields directly: they publish
     {!Mig_event} events on the world bus, and the bus folds them into the
@@ -41,9 +41,6 @@ type ctx = {
     unit;
       (** manager-provided: run InsertProcess on a fully assembled context
           ([rimas] in collapsed coordinates) and the restart lifecycle *)
-  note_received : unit -> unit;
-      (** manager-provided: count an inbound migration (a Core or final
-          push message arrival) *)
 }
 (** The manager-side capabilities an engine closes over. *)
 

@@ -290,7 +290,6 @@ let run_churn_aux ?(config = default_churn) ~(policy : Placement_policy.t) () =
   let migrator =
     Auto_migrator.start ~live world
       {
-        Auto_migrator.default_policy with
         Auto_migrator.period_ms = config.period_ms;
         max_migrations = config.max_migrations;
         strategy = config.strategy;

@@ -58,11 +58,6 @@ let default_strategies () =
     Strategy.hybrid ();
   ]
 
-let live (s : Strategy.t) =
-  match s.Strategy.transfer with
-  | Strategy.Pre_copy _ | Strategy.Working_set _ | Strategy.Hybrid _ -> true
-  | Strategy.Pure_copy | Strategy.Pure_iou | Strategy.Resident_set -> false
-
 (* Restoration lands on whatever host survived, not on hardware chosen for
    the process: price InsertProcess as if the destination were half as
    fast, exercising the [?cost_model] seam. *)
@@ -166,7 +161,7 @@ let crash_trial ~seed ~spec ~strategy ~kill_frac ~kill_ms ~clean_downtime_s =
          | Some _ when proc.Proc.finished_at = None -> Proc_runner.interrupt proc
          | _ -> ());
          Backing_server.fail (Migration_manager.backing (World.manager world 0))));
-  if live strategy then Proc_runner.start h0 proc;
+  if Strategy.is_live strategy then Proc_runner.start h0 proc;
   let r =
     Migration_manager.migrate (World.manager world 0) ~proc
       ~dest:(Migration_manager.port (World.manager world 1))
@@ -193,7 +188,7 @@ let crash_trial ~seed ~spec ~strategy ~kill_frac ~kill_ms ~clean_downtime_s =
     match r.Report.frozen_at with
     | Some f -> Float.min (Time.to_seconds f) kill_s
     | None ->
-        if live strategy then kill_s
+        if Strategy.is_live strategy then kill_s
         else
           Option.fold ~none:0. ~some:Time.to_seconds r.Report.requested_at
   in

@@ -40,10 +40,8 @@ let run_once ~seed ~spec ~strategy ~dedup ~capacity_pages =
   in
   let world = World.create ~seed ~costs ~n_hosts:2 () in
   let live_start proc =
-    match strategy.Strategy.transfer with
-    | Strategy.Pre_copy _ | Strategy.Working_set _ | Strategy.Hybrid _ ->
-        Proc_runner.start (World.host world 0) proc
-    | Strategy.Pure_copy | Strategy.Pure_iou | Strategy.Resident_set -> ()
+    if Strategy.is_live strategy then
+      Proc_runner.start (World.host world 0) proc
   in
   (* warm: an identical process migrates first and runs to completion,
      leaving its page contents behind in the destination's store *)

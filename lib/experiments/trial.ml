@@ -23,13 +23,8 @@ let run ?seed ?costs ?fault_plan ?write_fraction ?(migrate_after_ms = 0.)
   (match on_event with
   | Some f -> World.on_migration_event world f
   | None -> ());
-  (* live-migration strategies need the process executing at the source *)
-  (match strategy.Strategy.transfer with
-  | Strategy.Pre_copy _ | Strategy.Working_set _ | Strategy.Hybrid _ ->
-      Accent_kernel.Proc_runner.start (World.host world 0) proc
-  | Strategy.Pure_copy | Strategy.Pure_iou | Strategy.Resident_set ->
-      if migrate_after_ms > 0. then
-        Accent_kernel.Proc_runner.start (World.host world 0) proc);
+  if Strategy.is_live strategy || migrate_after_ms > 0. then
+    Accent_kernel.Proc_runner.start (World.host world 0) proc;
   let report =
     World.migrate_and_run ~after_ms:migrate_after_ms world ~proc ~src:0 ~dst:1
       ~strategy

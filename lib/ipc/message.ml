@@ -37,7 +37,7 @@ let make ~ids ~dest ?reply_to ?(inline_bytes = 64) ?memory ?(rights = [])
   }
 
 let header_bytes = 32
-let right_bytes = 8
+let right_bytes = 8 (* wire overhead per transferred port right *)
 
 let local_size t =
   header_bytes + t.inline_bytes

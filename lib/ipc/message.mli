@@ -61,9 +61,6 @@ val make :
 val header_bytes : int
 (** Fixed per-message wire overhead. *)
 
-val right_bytes : int
-(** Wire overhead per transferred port right. *)
-
 val local_size : t -> int
 (** Bytes the message logically occupies on one host: header + inline +
     out-of-line memory (data and promised alike do not differ locally —

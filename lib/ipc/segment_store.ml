@@ -22,8 +22,6 @@ let segment t segment_id =
       Hashtbl.replace t segment_id seg;
       seg
 
-let add_segment t ~segment_id = ignore (segment t segment_id)
-
 let put_page t ~segment_id ~offset value =
   if offset mod Page.size <> 0 then
     invalid_arg "Segment_store.put_page: unaligned offset";

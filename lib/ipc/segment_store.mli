@@ -11,9 +11,6 @@ type t
 
 val create : unit -> t
 
-val add_segment : t -> segment_id:int -> unit
-(** Declare a segment (idempotent). *)
-
 val put_page : t -> segment_id:int -> offset:int -> Accent_mem.Page.value ->
   unit
 (** Store one page value at the page-aligned [offset].  Implicitly declares

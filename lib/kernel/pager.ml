@@ -255,7 +255,6 @@ let fault_timeouts t = t.fault_timeouts
 let faults_zero t = t.faults_zero
 let faults_disk t = t.faults_disk
 let faults_imag t = t.faults_imag
-let pending_faults t = Hashtbl.length t.waiting
 
 let pending_faults_for t ~proc_id =
   Hashtbl.fold

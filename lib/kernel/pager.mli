@@ -87,8 +87,6 @@ val set_observer :
 val faults_zero : t -> int
 val faults_disk : t -> int
 val faults_imag : t -> int
-val pending_faults : t -> int
-(** Faults awaiting a read reply right now. *)
 
 val fault_timeouts : t -> int
 (** Faults abandoned because no reply arrived within the cost model's

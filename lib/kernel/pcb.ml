@@ -43,12 +43,3 @@ let copy t =
 
 let size_bytes t = Bytes.length t.microstate
 let checksum t = Accent_mem.Page.checksum t.microstate
-
-let status_to_string = function
-  | Ready -> "Ready"
-  | Running -> "Running"
-  | Blocked -> "Blocked"
-  | Terminated -> "Terminated"
-  | Excised -> "Excised"
-
-let total_faults t = t.faults_zero + t.faults_disk + t.faults_imag

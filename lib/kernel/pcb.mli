@@ -29,5 +29,3 @@ val copy : t -> t
 
 val size_bytes : t -> int
 val checksum : t -> int
-val status_to_string : status -> string
-val total_faults : t -> int

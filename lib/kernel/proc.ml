@@ -68,7 +68,6 @@ let space_exn t =
   | None -> invalid_arg (Printf.sprintf "process %s is excised" t.name)
 
 let is_done t = t.pcb.Pcb.pc >= Trace.length t.trace
-let remaining_steps t = max 0 (Trace.length t.trace - t.pcb.Pcb.pc)
 
 let prefetch_hit_ratio t =
   if t.prefetch_extra = 0 then None

@@ -65,8 +65,6 @@ val space_exn : t -> Accent_mem.Address_space.t
 val is_done : t -> bool
 (** Program counter has reached the end of the trace. *)
 
-val remaining_steps : t -> int
-
 val prefetch_hit_ratio : t -> float option
 (** Hits over extra prefetched pages; [None] if nothing was prefetched. *)
 

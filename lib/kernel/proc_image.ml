@@ -171,22 +171,16 @@ let range_run t ~lo ~hi =
       t.mem
   with
   | Some run -> run
-  | None -> failwith "Proc_image.range_values: missing page"
+  | None -> failwith "Proc_image.range_run: missing page"
 
-let range_values t ~lo ~hi = Page_run.to_array (range_run t ~lo ~hi)
-
-let real_page_values t =
+let digests t =
   List.concat_map
     (fun (run : Address_space.image_run) ->
       match run with
-      | Address_space.Img_real { lo; run; homes = _ } ->
-          List.mapi
-            (fun i value -> (Page.index_of_addr lo + i, value))
-            (Array.to_list (Page_run.to_array run))
+      | Address_space.Img_real { run; _ } ->
+          Array.to_list (Page_run.map_to_array Page.digest run)
       | Address_space.Img_zero _ | Address_space.Img_imag _ -> [])
     t.mem
-
-let digests t = List.map (fun (_, v) -> Page.digest v) (real_page_values t)
 
 (* --- freeze / restore ---------------------------------------------------- *)
 

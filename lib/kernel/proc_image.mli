@@ -72,15 +72,9 @@ val range_run : t -> lo:int -> hi:int -> Page_run.t
     O(log parts) however many pages the range spans.  Raises [Failure]
     on a page the image does not hold. *)
 
-val range_values : t -> lo:int -> hi:int -> Page.value array
-(** [Page_run.to_array (range_run t ~lo ~hi)]. *)
-
-val real_page_values : t -> (Page.index * Page.value) list
-(** Every real page with its value, ascending by page. *)
-
 val digests : t -> int list
-(** Content digests of every real page, in {!real_page_values} order —
-    the digest set a checkpoint pairs with the image skeleton. *)
+(** Content digests of every real page, ascending by page — the digest
+    set a checkpoint pairs with the image skeleton. *)
 
 (** {2 Restore} *)
 

@@ -13,7 +13,6 @@ type t = {
 }
 
 let step_read ?(think_ms = 0.) page = { page; think_ms; write = false }
-let step_write ?(think_ms = 0.) page = { page; think_ms; write = true }
 
 let of_arrays ~pages ~think_ms ~writes =
   if

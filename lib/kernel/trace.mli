@@ -12,7 +12,6 @@ type step = {
 }
 
 val step_read : ?think_ms:float -> Accent_mem.Page.index -> step
-val step_write : ?think_ms:float -> Accent_mem.Page.index -> step
 
 type t
 

@@ -1,12 +1,6 @@
 type t = Real_zero_mem | Real_mem | Imag_mem | Bad_mem
 
-let distance = function
-  | Real_zero_mem -> 0
-  | Real_mem -> 1
-  | Imag_mem -> 2
-  | Bad_mem -> 3
-
-let equal a b = distance a = distance b
+let equal (a : t) b = a = b
 
 let to_string = function
   | Real_zero_mem -> "RealZeroMem"

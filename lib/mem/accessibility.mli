@@ -14,10 +14,6 @@ type t =
   | Bad_mem
       (** Not validated; touching it is an addressing error. *)
 
-val distance : t -> int
-(** 0 = immediately accessible (RealZero), 1 = moderate (Real), 2 = distant
-    (Imag), 3 = infinitely distant (Bad). *)
-
 val equal : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -138,11 +138,6 @@ let materialize t idx value ~resident =
   | Some (Zero | Imaginary _) | None ->
       t.regions <- Interval_map.set t.regions ~lo ~hi Real)
 
-let install_page t ~addr value ~resident =
-  if addr mod Page.size <> 0 then
-    invalid_arg "Address_space.install_page: unaligned address";
-  materialize t (Page.index_of_addr addr) value ~resident
-
 let install_run ?(segment = "<anon>") t ~addr run ~resident =
   if addr mod Page.size <> 0 then
     invalid_arg "Address_space.install_run: unaligned address";
@@ -384,7 +379,7 @@ let read_location t = function
 let gather_real t ov ~lo ~hi =
   let first = Page.index_of_addr lo and last = Page.index_of_addr (hi - 1) in
   let missing () =
-    failwith "Address_space.range_values: Real range with missing page"
+    failwith "Address_space.range_run: Real range with missing page"
   in
   let parts = Page_run.builder () and homes = ref [] in
   let push_home len home =
@@ -439,7 +434,6 @@ let gather_real t ov ~lo ~hi =
   (Page_run.builder_run parts, List.rev !homes)
 
 let range_run t ~lo ~hi = fst (gather_real t (overlay_of t) ~lo ~hi)
-let range_values t ~lo ~hi = Page_run.to_array (range_run t ~lo ~hi)
 
 (* Every Real range with its values as one shared view, sharing a single
    overlay preparation across all ranges (regions are ascending, which is
@@ -569,8 +563,6 @@ let real_ranges t =
       | Real -> (lo, hi) :: acc
       | Zero | Imaginary _ -> acc)
   |> List.rev
-
-let backed_ranges t = Interval_map.ranges t.regions
 
 let imag_segments t =
   let tbl = Hashtbl.create 8 in

@@ -53,11 +53,6 @@ val map_imaginary : t -> Vaddr.range -> segment_id:int -> offset:int -> unit
     contiguous segment (paper §3.1), so segment offsets generally differ
     from virtual addresses. *)
 
-val install_page : t -> addr:int -> Page.value -> resident:bool -> unit
-(** Materialise one page of real data at the page-aligned [addr]; resident
-    pages take a physical frame (possibly evicting), others go straight to
-    the paging disk.  Overwrites any previous backing for that page. *)
-
 val install_run :
   ?segment:string -> t -> addr:int -> Page_run.t -> resident:bool -> unit
 (** Install a run of page values starting at the page-aligned [addr], one
@@ -81,7 +76,6 @@ val install_bytes :
 (** {2 Classification} *)
 
 val classify : t -> int -> Accessibility.t
-val presence : t -> int -> presence
 val presence_of_page : t -> Page.index -> presence
 
 val build_amap : t -> Amap.t
@@ -127,10 +121,6 @@ val range_run : t -> lo:int -> hi:int -> Page_run.t
     materialised pages in range), with no per-page table lookups and no
     copying.  This is the excision path.  Raises [Failure] if any page of
     the range has no materialised value. *)
-
-val range_values : t -> lo:int -> hi:int -> Page.value array
-(** [Page_run.to_array (range_run t ~lo ~hi)] — array-edge convenience,
-    O(pages in range). *)
 
 val real_runs : t -> (int * Page_run.t) list
 (** [(lo, run)] for every Real range, ascending — {!range_run} over each
@@ -215,10 +205,6 @@ val total_bytes : t -> int
 
 val real_ranges : t -> (int * int) list
 (** Half-open byte ranges currently backed by real data. *)
-
-val backed_ranges : t -> (int * int * backing) list
-(** Every validated range with its backing, in increasing address order —
-    the raw material of ExciseProcess's address-space collapse. *)
 
 val imag_segments : t -> (int * int) list
 (** [(segment_id, remaining_bytes)] for every imaginary segment that still

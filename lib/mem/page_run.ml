@@ -170,16 +170,12 @@ let blit_part part buf dst_pos =
       done
   | Concat _ -> assert false
 
-let blit_to t ~src_pos buf ~dst_pos ~len =
-  if len > 0 then
-    match sub t ~pos:src_pos ~len with
-    | Concat { parts; starts; _ } ->
-        Array.iteri (fun p part -> blit_part part buf (dst_pos + starts.(p))) parts
-    | (Slice _ | Gen _) as part -> blit_part part buf dst_pos
-
 let to_array t =
   let buf = Array.make (length t) Page.zero_value in
-  blit_to t ~src_pos:0 buf ~dst_pos:0 ~len:(length t);
+  (match t with
+  | Concat { parts; starts; _ } ->
+      Array.iteri (fun p part -> blit_part part buf starts.(p)) parts
+  | (Slice _ | Gen _) as part -> blit_part part buf 0);
   buf
 
 let iteri f t =

@@ -61,8 +61,6 @@ val concat : t list -> t
 val to_array : t -> Page.value array
 (** Materialize as a fresh array (O(length)). *)
 
-val blit_to : t -> src_pos:int -> Page.value array -> dst_pos:int -> len:int -> unit
-
 val iter : (Page.value -> unit) -> t -> unit
 val iteri : (int -> Page.value -> unit) -> t -> unit
 val fold_left : ('a -> Page.value -> 'a) -> 'a -> t -> 'a

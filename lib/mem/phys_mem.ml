@@ -292,7 +292,6 @@ let unpin t id =
     maybe_compact t
   end
 
-let owner_of t id = (find_frame t id).owner
 let is_dirty t id = (find_frame t id).dirty
 
 let frames_of_space t space_id =

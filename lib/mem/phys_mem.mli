@@ -60,7 +60,6 @@ val pin : t -> frame_id -> unit
 
 val unpin : t -> frame_id -> unit
 
-val owner_of : t -> frame_id -> owner
 val is_dirty : t -> frame_id -> bool
 
 val choose_victim : t -> frame_id option

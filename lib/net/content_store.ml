@@ -16,17 +16,26 @@ open Accent_ipc
    With [dedup] off the digest layer is never touched, so the store is
    observationally identical to the plain Segment_store it replaced. *)
 
-type entry = {
-  value : Page.value;
-  mutable handle : Accent_util.Lazy_heap.handle;
-}
+type entry = { value : Page.value; mutable tick : int (* last use *) }
 
+(* The recency order is a FIFO of (tick, digest) pairs: a ring over two
+   int arrays.  Every push carries a fresh tick from a strictly
+   increasing clock, so push order is LRU order and the head is always
+   the least recently used candidate.  There are no cancellation
+   handles; a queued pair is live iff the index still maps its digest
+   to an entry carrying that tick.  A touch restamps the entry and
+   pushes a new pair, leaving the old one stale; stale pairs are skipped
+   when they reach the head and squeezed out when they outnumber the
+   live ones, the compaction rule [Phys_mem] and [Event_queue] use. *)
 type t = {
   dedup : bool;
   capacity_pages : int;
   store : Segment_store.t;
   index : (int, entry) Hashtbl.t; (* digest -> value *)
-  lru : (int * int) Accent_util.Lazy_heap.t; (* (last-use tick, digest) *)
+  mutable q_ticks : int array;
+  mutable q_digests : int array;
+  mutable q_head : int;
+  mutable q_len : int;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -36,17 +45,16 @@ type t = {
   mutable interned : int;
 }
 
-(* Ticks are unique, so the order is strict and the heap pops
-   deterministically. *)
-let lru_earlier (ta, da) (tb, db) = ta < tb || (ta = tb && da < db)
-
 let create ?(dedup = false) ?(capacity_pages = 4096) () =
   {
     dedup;
     capacity_pages = max 0 capacity_pages;
     store = Segment_store.create ();
     index = Hashtbl.create 1024;
-    lru = Accent_util.Lazy_heap.create ~earlier:lru_earlier ();
+    q_ticks = [||];
+    q_digests = [||];
+    q_head = 0;
+    q_len = 0;
     clock = 0;
     hits = 0;
     misses = 0;
@@ -59,22 +67,68 @@ let create ?(dedup = false) ?(capacity_pages = 4096) () =
 let dedup_enabled t = t.dedup
 let capacity_pages t = t.capacity_pages
 
-(* --- the digest layer --------------------------------------------------- *)
+(* --- the recency FIFO --------------------------------------------------- *)
 
-let touch t digest entry =
-  Accent_util.Lazy_heap.cancel t.lru entry.handle;
+let q_slot t i = (t.q_head + i) mod Array.length t.q_ticks
+
+let pair_live t ~tick ~digest =
+  match Hashtbl.find t.index digest with
+  | entry -> entry.tick = tick
+  | exception Not_found -> false
+
+(* Slide the live pairs down to the front, in order.  The write slot
+   never overtakes the read slot, so this works in place. *)
+let q_compact t =
+  let kept = ref 0 in
+  for i = 0 to t.q_len - 1 do
+    let src = q_slot t i in
+    let tick = t.q_ticks.(src) and digest = t.q_digests.(src) in
+    if pair_live t ~tick ~digest then begin
+      let dst = q_slot t !kept in
+      t.q_ticks.(dst) <- tick;
+      t.q_digests.(dst) <- digest;
+      incr kept
+    end
+  done;
+  t.q_len <- !kept
+
+let q_grow t =
+  let cap = max 16 (2 * t.q_len) in
+  let ticks = Array.make cap 0 and digests = Array.make cap 0 in
+  for i = 0 to t.q_len - 1 do
+    ticks.(i) <- t.q_ticks.(q_slot t i);
+    digests.(i) <- t.q_digests.(q_slot t i)
+  done;
+  t.q_ticks <- ticks;
+  t.q_digests <- digests;
+  t.q_head <- 0
+
+(* Stamp [entry] with a fresh tick and queue it at the tail. *)
+let stamp t digest entry =
   t.clock <- t.clock + 1;
-  entry.handle <- Accent_util.Lazy_heap.push t.lru (t.clock, digest)
+  entry.tick <- t.clock;
+  if t.q_len = Array.length t.q_ticks then q_grow t;
+  let slot = q_slot t t.q_len in
+  t.q_ticks.(slot) <- t.clock;
+  t.q_digests.(slot) <- digest;
+  t.q_len <- t.q_len + 1;
+  let live = Hashtbl.length t.index in
+  if t.q_len >= 64 && t.q_len - live > live then q_compact t
 
-let rec evict_to_capacity t =
-  if Hashtbl.length t.index > t.capacity_pages then begin
-    (match Accent_util.Lazy_heap.pop t.lru with
-    | None -> assert false (* every index entry holds a live heap element *)
-    | Some (_, digest) ->
-        Hashtbl.remove t.index digest;
-        t.evictions <- t.evictions + 1);
-    evict_to_capacity t
+(* Pop pairs off the head until one is live, and evict its digest. *)
+let rec evict_oldest t =
+  if t.q_len = 0 then assert false (* every index entry has a live pair *);
+  let slot = t.q_head in
+  let tick = t.q_ticks.(slot) and digest = t.q_digests.(slot) in
+  t.q_head <- (slot + 1) mod Array.length t.q_ticks;
+  t.q_len <- t.q_len - 1;
+  if pair_live t ~tick ~digest then begin
+    Hashtbl.remove t.index digest;
+    t.evictions <- t.evictions + 1
   end
+  else evict_oldest t
+
+(* --- the digest layer --------------------------------------------------- *)
 
 (* Remember [value] under [digest], returning the stored (possibly
    pre-existing, physically shared) copy. *)
@@ -84,14 +138,14 @@ let remember t digest value =
     match Hashtbl.find_opt t.index digest with
     | Some entry ->
         t.interned <- t.interned + 1;
-        touch t digest entry;
+        stamp t digest entry;
         entry.value
     | None ->
-        t.clock <- t.clock + 1;
-        let handle = Accent_util.Lazy_heap.push t.lru (t.clock, digest) in
-        Hashtbl.replace t.index digest { value; handle };
+        let entry = { value; tick = 0 } in
+        Hashtbl.replace t.index digest entry;
+        stamp t digest entry;
         t.insertions <- t.insertions + 1;
-        evict_to_capacity t;
+        if Hashtbl.length t.index > t.capacity_pages then evict_oldest t;
         value
 
 let insert t value = ignore (remember t (Page.digest value) value)
@@ -117,7 +171,7 @@ let find t digest =
     match Hashtbl.find_opt t.index digest with
     | Some entry ->
         t.hits <- t.hits + 1;
-        touch t digest entry;
+        stamp t digest entry;
         Some entry.value
     | None ->
         t.misses <- t.misses + 1;

@@ -13,9 +13,10 @@
       segments and all migrations, keyed by content digest.  This is the
       cache the digest-first handshake ({!Protocol.Mig_digests} /
       [Mig_need]) consults, and it is {e opportunistic}: LRU-bounded to
-      [capacity_pages] entries (evictions reuse
-      {!Accent_util.Lazy_heap}), and safe to lose entries from at any
-      time, because segment contents reference their values directly.
+      [capacity_pages] entries (recency is a stamp-validated FIFO, so a
+      touch and an eviction are O(1) amortised), and safe to lose entries
+      from at any time, because segment contents reference their values
+      directly.
 
     With [dedup = false] (the default everywhere) the digest layer is
     never consulted or populated by the segment operations, making the

@@ -20,7 +20,7 @@ type t = {
   params : params;
   monitor : Transfer_monitor.t;
   medium : Queue_server.t;
-  mutable faults : Fault_plan.state;
+  faults : Fault_plan.state;
   mutable bytes : int;
   mutable fragments : int;
 }
@@ -39,11 +39,7 @@ let create ?(fault_plan = Fault_plan.none) engine ~params ~monitor =
 
 let params_of t = t.params
 
-let set_fault_plan t plan =
-  t.faults <- Fault_plan.make plan ~rng:(Engine.rng t.engine "link.fault_plan")
-
 let fault_plan t = Fault_plan.plan t.faults
-let fault_state t = t.faults
 
 (* A transmission always needs at least one packet: a 0-byte payload
    (control-only message, bare acknowledgement) still puts one
@@ -53,26 +49,6 @@ let fragments_for params bytes =
 
 let wire_bytes_for params bytes =
   bytes + (fragments_for params bytes * params.fragment_overhead_bytes)
-
-let transmit t ~bytes ~category k =
-  let n = fragments_for t.params bytes in
-  let remaining = ref bytes and sent = ref 0 in
-  for _ = 1 to n do
-    let payload = min t.params.fragment_bytes !remaining in
-    remaining := !remaining - payload;
-    let wire = payload + t.params.fragment_overhead_bytes in
-    let service = Time.ms (float_of_int wire /. t.params.bytes_per_ms) in
-    Queue_server.submit t.medium ~service_time:service (fun () ->
-        t.bytes <- t.bytes + wire;
-        t.fragments <- t.fragments + 1;
-        Transfer_monitor.record t.monitor ~time:(Engine.now t.engine)
-          ~category ~bytes:wire;
-        incr sent;
-        if !sent = n then
-          (* Propagation delay applies once the last fragment leaves. *)
-          ignore
-            (Engine.schedule t.engine ~delay:(Time.ms t.params.latency_ms) k))
-  done
 
 let transmit_frag t ~src ~dst ~bytes ~category ?(on_wire = fun () -> ()) k =
   let wire = bytes + t.params.fragment_overhead_bytes in

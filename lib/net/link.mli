@@ -6,12 +6,12 @@
     delays fault traffic — the contention that makes pure-copy's burst
     behaviour visible in Figure 4-5.
 
-    The medium carries an optional {!Fault_plan}: each packet sent through
-    {!transmit_frag} is given a fate (delivered, corrupted, dropped,
-    delayed) as it leaves the wire.  The legacy {!transmit} path predates
-    the fault model and always delivers — it is what the plain
-    stop-and-wait NetMsgServer pipeline uses, and it behaves identically
-    whether or not a plan is installed. *)
+    Every packet goes through {!transmit_frag}, which gives it a fate
+    (delivered, corrupted, dropped, delayed) from the link's
+    {!Fault_plan} as it leaves the wire.  The default plan delivers
+    everything and draws no randomness, which is what the plain
+    stop-and-wait NetMsgServer pipeline relies on; installing any other
+    plan through [World.create] turns on the reliable transport. *)
 
 type params = {
   bytes_per_ms : float;  (** raw medium bandwidth *)
@@ -34,25 +34,7 @@ val create :
 (** [fault_plan] defaults to {!Fault_plan.none} (deliver everything,
     consult no randomness). *)
 
-val set_fault_plan : t -> Fault_plan.t -> unit
-(** Replace the link's fault plan, resetting the fault model's runtime
-    state (Gilbert–Elliott chain position, counters) and rebinding its
-    RNG stream. *)
-
 val fault_plan : t -> Fault_plan.t
-val fault_state : t -> Fault_plan.state
-
-val transmit :
-  t ->
-  bytes:int ->
-  category:Accent_ipc.Message.category ->
-  (unit -> unit) ->
-  unit
-(** Ship [bytes] across the medium as a train of fragments, invoking the
-    continuation when the last fragment (plus latency) has arrived.  Each
-    fragment's bytes are recorded with the monitor as it completes, so the
-    monitor's series reflect actual wire occupancy over time.  This path
-    assumes reliable delivery and never consults the fault plan. *)
 
 val transmit_frag :
   t ->

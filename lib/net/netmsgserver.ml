@@ -253,8 +253,11 @@ let forward t msg =
                 else 0.
               in
               Queue_server.submit t.cpu ~service_time:(Time.ms cost) (fun () ->
-                  Link.transmit t.link ~bytes:wire_bytes
-                    ~category:msg.Message.category (fun () ->
+                  (* without ARQ the link carries the no-fault plan, so
+                     every fragment's fate is [Delivered] *)
+                  Link.transmit_frag t.link ~src:t.host_id ~dst:dest_host
+                    ~bytes:wire_bytes ~category:msg.Message.category
+                    (fun _fate ->
                       let ack () =
                         (* the acknowledgement rides back after one link
                            latency, releasing the next window slot *)

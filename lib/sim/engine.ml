@@ -26,10 +26,6 @@ let post t ~delay f =
   let delay = Float.max 0. delay in
   Event_queue.push_unit t.queue ~time:(Time.add t.clock.(0) delay) f
 
-let schedule_at t ~time f =
-  let time = Float.max t.clock.(0) time in
-  Event_queue.push t.queue ~time f
-
 let cancel t handle = Event_queue.cancel t.queue handle
 
 let step t =

@@ -24,9 +24,6 @@ val schedule : t -> delay:Time.t -> (unit -> unit) -> Event_queue.handle
 (** [schedule t ~delay f] runs [f] at [now t + delay].  Negative delays are
     clamped to zero. *)
 
-val schedule_at : t -> time:Time.t -> (unit -> unit) -> Event_queue.handle
-(** Absolute-time variant; times in the past are clamped to [now]. *)
-
 val post : t -> delay:Time.t -> (unit -> unit) -> unit
 (** {!schedule} for events that will never be cancelled: no handle is
     created, so the push itself allocates nothing.  The hot loop's

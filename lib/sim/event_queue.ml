@@ -2,14 +2,13 @@
    the simulator's hot loop: entries live in parallel arrays — the time
    keys in a flat float array — so a push allocates nothing but the
    2-word cancellation handle, and every heap comparison reads unboxed
-   floats.  The generic Accent_util.Lazy_heap this replaces stored each
-   entry as a mixed record whose Time.t field the runtime boxed: three
+   floats.  A generic heap of records would box each Time.t field: three
    allocations (item, boxed float, heap entry) per scheduled event, and
    a pointer chase per comparison.
 
-   The algorithm (sift rules, lazy cancellation, dead-majority
-   compaction) is ported unchanged, so pop order — and therefore every
-   simulation — is identical. *)
+   Ties on time break by insertion sequence, a strict total order, so
+   the pop sequence is a pure function of the live set and compaction
+   can never reorder events. *)
 
 type handle = { mutable dead : bool }
 
@@ -200,14 +199,13 @@ let rec pop_payload_exn t =
     end
   end
 
-let pop_payload t = if t.live = 0 then None else Some (pop_payload_exn t)
-
 let last_time t = t.last_time.(0)
 
 let pop t =
-  match pop_payload t with
-  | None -> None
-  | Some payload -> Some (t.last_time.(0), payload)
+  if t.live = 0 then None
+  else
+    let payload = pop_payload_exn t in
+    Some (t.last_time.(0), payload)
 
 let rec skip_dead_roots t =
   if t.len > 0 && t.slots.(0).dead then begin

@@ -44,13 +44,11 @@ val cancel : 'a t -> handle -> unit
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest live event, or [None] when empty. *)
 
-val pop_payload : 'a t -> 'a option
-(** Allocation-light {!pop}: the payload alone; the time it was
-    scheduled for is readable via {!last_time} until the next pop. *)
-
 val pop_payload_exn : 'a t -> 'a
-(** {!pop_payload} without the option cell; raises [Invalid_argument]
-    when the queue is empty, so check {!is_empty} first. *)
+(** Allocation-free {!pop}: the payload alone, whose scheduled time is
+    readable via {!last_time} until the next pop.  Raises
+    [Invalid_argument] when the queue is empty, so check {!is_empty}
+    first. *)
 
 val last_time : 'a t -> Time.t
 (** Time of the most recently popped event (0 before any pop). *)

@@ -8,9 +8,7 @@
    - replay ≡ live: for each strategy, interrupting the relocated
      process mid-run, checkpointing it, and restoring it on the other
      host finishes with exactly the memory the uninterrupted twin ends
-     with.
-   - the EWMA load signal damps a one-tick spike the raw signal
-     migrates on (and still migrates under sustained overload). *)
+     with. *)
 open Accent_sim
 open Accent_mem
 open Accent_net
@@ -261,65 +259,6 @@ let restore_detects_corruption () =
     (Failure "Checkpoint: page missing from durable store") (fun () ->
       ignore (Checkpoint.rebuild_image starved ck))
 
-(* --- EWMA load smoothing -------------------------------------------------- *)
-
-let snap loads =
-  {
-    Placement_policy.loads;
-    movable =
-      (fun i ->
-        if i = 0 then
-          [
-            {
-              Placement_policy.proc_id = 1;
-              proc_name = "spiky";
-              host = 0;
-              affinity = (fun _ -> 0.);
-            };
-          ]
-        else []);
-    rng = Accent_util.Rng.create 1L;
-  }
-
-let has_move actions =
-  List.exists
-    (function Placement_policy.Move _ -> true | _ -> false)
-    actions
-
-let ewma_damps_spike () =
-  let policy = Placement_policy.threshold () in
-  (* the raw signal migrates on a single-tick queue blip *)
-  Alcotest.(check bool) "raw signal migrates on the spike" true
-    (has_move (Placement_policy.decide policy (snap [| 3.; 0. |])));
-  (* the smoothed signal sees the same blip under the threshold *)
-  let ewma = Load_metric.Ewma.create ~alpha:0.3 () in
-  ignore (Load_metric.Ewma.observe ewma [| 0.; 0. |]);
-  ignore (Load_metric.Ewma.observe ewma [| 0.; 0. |]);
-  let spike = Load_metric.Ewma.observe ewma [| 3.; 0. |] in
-  Alcotest.(check bool) "smoothed signal damps the spike" false
-    (has_move (Placement_policy.decide policy (snap spike)));
-  let decayed = Load_metric.Ewma.observe ewma [| 0.; 0. |] in
-  Alcotest.(check bool) "the blip decays instead of accumulating" false
-    (has_move (Placement_policy.decide policy (snap decayed)));
-  (* sustained overload still crosses within a few periods *)
-  let sustained = ref decayed in
-  for _ = 1 to 4 do
-    sustained := Load_metric.Ewma.observe ewma [| 3.; 0. |]
-  done;
-  Alcotest.(check bool) "sustained overload still migrates" true
-    (has_move (Placement_policy.decide policy (snap !sustained)))
-
-let ewma_validates_alpha () =
-  Alcotest.check_raises "alpha 0 rejected"
-    (Invalid_argument "Load_metric.Ewma.create: alpha must be in (0, 1]")
-    (fun () -> ignore (Load_metric.Ewma.create ~alpha:0. ()));
-  (* alpha 1 reproduces the raw signal *)
-  let ewma = Load_metric.Ewma.create ~alpha:1. () in
-  ignore (Load_metric.Ewma.observe ewma [| 0.; 0. |]);
-  Alcotest.(check (array (float 1e-9)))
-    "alpha=1 is the raw signal" [| 3.; 0. |]
-    (Load_metric.Ewma.observe ewma [| 3.; 0. |])
-
 let suite =
   ( "checkpoint",
     QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip
@@ -333,7 +272,4 @@ let suite =
         Alcotest.test_case "checkpoint file round trip" `Quick file_roundtrip;
         Alcotest.test_case "restore refuses a lossy store" `Quick
           restore_detects_corruption;
-        Alcotest.test_case "EWMA damps a one-tick spike" `Quick
-          ewma_damps_spike;
-        Alcotest.test_case "EWMA alpha validation" `Quick ewma_validates_alpha;
       ] )

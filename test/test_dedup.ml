@@ -24,8 +24,13 @@ let test_distinct_digests () =
 
 (* --- LRU behaviour vs a linear-fold oracle ------------------------------ *)
 
-(* Most-recent digest first; everything the store does in O(log n) with a
-   lazy heap, the model does by walking a list. *)
+(* The operations the store's digest layer offers.  [Wire (k, honest)]
+   claims key [k]'s digest; a dishonest claim names the next key, so the
+   integrity check must reject it. *)
+type op = Insert of int | Wire of int * bool | Find of int | Mem of int
+
+(* Most-recent digest first; everything the store does with a
+   stamp-validated FIFO, the model does by walking a list. *)
 type model = {
   order : int list;
   evs : int;
@@ -33,45 +38,83 @@ type model = {
   misses : int;
   ins : int;
   intern : int;
+  rejects : int;
 }
 
-let model_empty = { order = []; evs = 0; hits = 0; misses = 0; ins = 0; intern = 0 }
+let model_empty =
+  {
+    order = [];
+    evs = 0;
+    hits = 0;
+    misses = 0;
+    ins = 0;
+    intern = 0;
+    rejects = 0;
+  }
+
 let model_touch m d = { m with order = d :: List.filter (fun x -> x <> d) m.order }
 
-let model_apply cap m (is_insert, key) =
-  let d = key_digests.(key) in
+let model_remember cap m d =
   if cap = 0 then m (* a disabled index counts nothing *)
-  else if is_insert then
-    if List.mem d m.order then
-      let m = model_touch m d in
-      { m with intern = m.intern + 1 }
-    else
-      let order = d :: m.order in
-      if List.length order > cap then
-        {
-          m with
-          order = List.filteri (fun i _ -> i < cap) order;
-          evs = m.evs + 1;
-          ins = m.ins + 1;
-        }
-      else { m with order; ins = m.ins + 1 }
   else if List.mem d m.order then
     let m = model_touch m d in
-    { m with hits = m.hits + 1 }
-  else { m with misses = m.misses + 1 }
+    { m with intern = m.intern + 1 }
+  else
+    let order = d :: m.order in
+    if List.length order > cap then
+      {
+        m with
+        order = List.filteri (fun i _ -> i < cap) order;
+        evs = m.evs + 1;
+        ins = m.ins + 1;
+      }
+    else { m with order; ins = m.ins + 1 }
+
+let model_apply cap m = function
+  | Insert key | Wire (key, true) -> model_remember cap m key_digests.(key)
+  | Wire (_, false) -> { m with rejects = m.rejects + 1 }
+  | Mem _ -> m
+  | Find key ->
+      let d = key_digests.(key) in
+      if cap = 0 then m
+      else if List.mem d m.order then
+        let m = model_touch m d in
+        { m with hits = m.hits + 1 }
+      else { m with misses = m.misses + 1 }
+
+let pp_op = function
+  | Insert k -> Printf.sprintf "i%d" k
+  | Wire (k, honest) -> Printf.sprintf "w%d%s" k (if honest then "" else "!")
+  | Find k -> Printf.sprintf "f%d" k
+  | Mem k -> Printf.sprintf "m%d" k
 
 let pp_ops (cap, ops) =
-  Printf.sprintf "cap=%d [%s]" cap
-    (String.concat ";"
-       (List.map
-          (fun (ins, k) -> Printf.sprintf "%s%d" (if ins then "i" else "f") k)
-          ops))
+  Printf.sprintf "cap=%d [%s]" cap (String.concat ";" (List.map pp_op ops))
 
 let arb_ops =
-  QCheck.make ~print:pp_ops
+  (* skewed toward a hot set of three keys: long runs of hits with no
+     eviction pile up stale FIFO pairs, so the queue compacts, and the
+     cold keys' evictions then walk its head round the ring *)
+  let key =
     QCheck.Gen.(
-      pair (int_range 0 8)
-        (list_size (int_range 0 160) (pair bool (int_range 0 (n_keys - 1)))))
+      frequency [ (3, int_range 0 2); (1, int_range 0 (n_keys - 1)) ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun k -> Insert k) key);
+          ( 2,
+            map2
+              (fun k honest -> Wire (k, honest))
+              key
+              (frequencyl [ (4, true); (1, false) ]) );
+          (4, map (fun k -> Find k) key);
+          (1, map (fun k -> Mem k) key);
+        ])
+  in
+  QCheck.make ~print:pp_ops
+    QCheck.Gen.(pair (int_range 0 8) (list_size (int_range 0 400) op))
 
 let prop_lru_matches_oracle =
   QCheck.Test.make ~count:300
@@ -79,18 +122,37 @@ let prop_lru_matches_oracle =
     arb_ops
     (fun (cap, ops) ->
       let store = Content_store.create ~dedup:true ~capacity_pages:cap () in
-      List.iter
-        (fun (is_insert, key) ->
-          if is_insert then Content_store.insert store key_values.(key)
-          else ignore (Content_store.find store key_digests.(key)))
-        ops;
-      let m = List.fold_left (model_apply cap) model_empty ops in
-      Content_store.hits store = m.hits
+      let mem_agrees = ref true in
+      let m =
+        List.fold_left
+          (fun m op ->
+            (match op with
+            | Insert key -> Content_store.insert store key_values.(key)
+            | Wire (key, honest) ->
+                let claimed =
+                  if honest then key_digests.(key)
+                  else key_digests.((key + 1) mod n_keys)
+                in
+                ignore
+                  (Content_store.insert_wire store ~claimed key_values.(key))
+            | Find key -> ignore (Content_store.find store key_digests.(key))
+            | Mem key ->
+                if
+                  Content_store.mem store key_digests.(key)
+                  <> List.mem key_digests.(key) m.order
+                then mem_agrees := false);
+            model_apply cap m op)
+          model_empty ops
+      in
+      !mem_agrees
+      && Content_store.hits store = m.hits
       && Content_store.misses store = m.misses
       && Content_store.insertions store = m.ins
       && Content_store.evictions store = m.evs
       && Content_store.interned store = m.intern
+      && Content_store.rejects store = m.rejects
       && Content_store.indexed_pages store = List.length m.order
+      && Content_store.verify store
       && Array.for_all
            (fun d -> Content_store.mem store d = List.mem d m.order)
            key_digests)

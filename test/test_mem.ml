@@ -1,5 +1,5 @@
 (* Memory substrate: pages, ranges, physical memory with LRU eviction, the
-   paging disk, working sets and copy-on-write sharing. *)
+   paging disk and working sets. *)
 open Accent_mem
 
 (* --- Page --- *)
@@ -301,91 +301,6 @@ let test_working_set_rereference_refreshes () =
   Alcotest.(check int) "re-reference keeps page in" 1
     (Working_set.size_at ws ~time:150.)
 
-(* --- Cow --- *)
-
-let test_cow_share_read () =
-  let store = Cow.create_store () in
-  let data = Bytes.of_string (String.make 1000 'x') in
-  let h = Cow.share store data in
-  Alcotest.(check int) "length" 1000 (Cow.length store h);
-  Alcotest.(check int) "pages" 2 (Cow.pages_of store h);
-  Alcotest.(check bool) "roundtrip" true (Bytes.equal data (Cow.read store h))
-
-let test_cow_dup_no_copy () =
-  let store = Cow.create_store () in
-  let h = Cow.share store (Bytes.make 2048 'a') in
-  let d = Cow.dup store h in
-  Alcotest.(check int) "no new physical pages" 4 (Cow.live_pages store);
-  Alcotest.(check int) "logical doubled" 8 (Cow.logical_pages store);
-  Alcotest.(check int) "no deferred copies yet" 0 (Cow.deferred_copies store);
-  Alcotest.(check bool) "same contents" true
-    (Bytes.equal (Cow.read store h) (Cow.read store d))
-
-let test_cow_write_isolates () =
-  let store = Cow.create_store () in
-  let h = Cow.share store (Bytes.make 2048 'a') in
-  let d = Cow.dup store h in
-  Cow.write store d ~offset:0 (Bytes.of_string "zz");
-  Alcotest.(check char) "writer sees change" 'z' (Bytes.get (Cow.read store d) 0);
-  Alcotest.(check char) "sharer unaffected" 'a' (Bytes.get (Cow.read store h) 0);
-  Alcotest.(check int) "only the touched page copied" 1
-    (Cow.deferred_copies store);
-  Alcotest.(check int) "five physical pages now" 5 (Cow.live_pages store)
-
-let test_cow_write_exclusive_in_place () =
-  let store = Cow.create_store () in
-  let h = Cow.share store (Bytes.make 512 'a') in
-  Cow.write store h ~offset:10 (Bytes.of_string "b");
-  Alcotest.(check int) "no copy when exclusive" 0 (Cow.deferred_copies store)
-
-let test_cow_write_spanning_pages () =
-  let store = Cow.create_store () in
-  let h = Cow.share store (Bytes.make 2048 'a') in
-  let d = Cow.dup store h in
-  (* write across the page-1/page-2 boundary *)
-  Cow.write store d ~offset:1020 (Bytes.make 10 'c');
-  Alcotest.(check int) "both touched pages copied" 2
-    (Cow.deferred_copies store);
-  let out = Cow.read store d in
-  Alcotest.(check char) "start" 'c' (Bytes.get out 1020);
-  Alcotest.(check char) "end" 'c' (Bytes.get out 1029);
-  Alcotest.(check char) "sharer intact" 'a' (Bytes.get (Cow.read store h) 1025)
-
-let test_cow_release_frees () =
-  let store = Cow.create_store () in
-  let h = Cow.share store (Bytes.make 1024 'a') in
-  let d = Cow.dup store h in
-  Cow.release store h;
-  Alcotest.(check int) "pages survive via dup" 2 (Cow.live_pages store);
-  Cow.release store d;
-  Alcotest.(check int) "all freed" 0 (Cow.live_pages store)
-
-let test_cow_released_handle_rejected () =
-  let store = Cow.create_store () in
-  let h = Cow.share store (Bytes.make 512 'a') in
-  Cow.release store h;
-  Alcotest.check_raises "use after release"
-    (Invalid_argument "Cow: released handle") (fun () ->
-      ignore (Cow.read store h))
-
-let test_cow_sharing_ratio () =
-  let store = Cow.create_store () in
-  (* a system-building pattern: lots of duplication, almost no writes *)
-  let h = Cow.share store (Bytes.make (512 * 100) 'a') in
-  let dups = List.init 50 (fun _ -> Cow.dup store h) in
-  Cow.write store (List.hd dups) ~offset:0 (Bytes.of_string "x");
-  let ratio = Cow.sharing_ratio store in
-  Alcotest.(check bool) "like Fitzgerald's 99.98%" true (ratio > 0.999)
-
-let prop_cow_dup_read_equal =
-  QCheck.Test.make ~name:"dup reads equal original"
-    QCheck.(string_of_size Gen.(int_range 1 3000))
-    (fun s ->
-      let store = Cow.create_store () in
-      let h = Cow.share store (Bytes.of_string s) in
-      let d = Cow.dup store h in
-      Bytes.to_string (Cow.read store d) = s)
-
 (* --- hot-path equivalence properties --- *)
 
 (* The old O(frames) victim scan, kept as the executable spec: the
@@ -561,18 +476,6 @@ let suite =
       Alcotest.test_case "working set window" `Quick test_working_set_window;
       Alcotest.test_case "working set refresh" `Quick
         test_working_set_rereference_refreshes;
-      Alcotest.test_case "cow share/read" `Quick test_cow_share_read;
-      Alcotest.test_case "cow dup no copy" `Quick test_cow_dup_no_copy;
-      Alcotest.test_case "cow write isolates" `Quick test_cow_write_isolates;
-      Alcotest.test_case "cow exclusive write in place" `Quick
-        test_cow_write_exclusive_in_place;
-      Alcotest.test_case "cow write spans pages" `Quick
-        test_cow_write_spanning_pages;
-      Alcotest.test_case "cow release frees" `Quick test_cow_release_frees;
-      Alcotest.test_case "cow rejects released handle" `Quick
-        test_cow_released_handle_rejected;
-      Alcotest.test_case "cow sharing ratio" `Quick test_cow_sharing_ratio;
-      QCheck_alcotest.to_alcotest prop_cow_dup_read_equal;
       QCheck_alcotest.to_alcotest prop_victim_equals_linear_scan;
       QCheck_alcotest.to_alcotest prop_working_set_equals_fold;
     ] )

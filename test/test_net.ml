@@ -38,27 +38,47 @@ let test_link_transmit_timing () =
   let engine = Engine.create () in
   let mon = monitor () in
   let link = Link.create engine ~params:Link.default_params ~monitor:mon in
-  let arrived = ref (-1.) in
-  Link.transmit link ~bytes:1250 ~category:Message.Bulk (fun () ->
+  let arrived = ref (-1.) and fate = ref Fault_plan.Dropped in
+  Link.transmit_frag link ~src:0 ~dst:1 ~bytes:1250 ~category:Message.Bulk
+    (fun f ->
+      fate := f;
       arrived := Engine.now engine);
   ignore (Engine.run engine);
   (* (1250 + 32) / 1250 B/ms + 2ms latency *)
   Alcotest.(check (float 0.01)) "arrival time" 3.0256 !arrived;
+  Alcotest.(check bool) "the default plan delivers" true
+    (!fate = Fault_plan.Delivered);
   Alcotest.(check int) "bytes recorded with headers" 1282 (Link.bytes_sent link);
   Alcotest.(check int) "monitor saw it" 1282
     (Transfer_monitor.bytes_of mon Message.Bulk)
 
+(* The medium is one FIFO resource: a fault packet queued behind a bulk
+   train waits for the whole train to serialise. *)
 let test_link_serializes_transfers () =
   let engine = Engine.create () in
-  let link = Link.create engine ~params:Link.default_params ~monitor:(monitor ()) in
+  let p = Link.default_params in
+  let link = Link.create engine ~params:p ~monitor:(monitor ()) in
   let order = ref [] in
-  Link.transmit link ~bytes:12500 ~category:Message.Bulk (fun () ->
-      order := "big" :: !order);
-  Link.transmit link ~bytes:100 ~category:Message.Fault (fun () ->
-      order := "small" :: !order);
+  for i = 1 to 8 do
+    Link.transmit_frag link ~src:0 ~dst:1 ~bytes:p.Link.fragment_bytes
+      ~category:Message.Bulk (fun _ ->
+        order := Printf.sprintf "bulk%d" i :: !order)
+  done;
+  let on_wire_at = ref (-1.) and arrived = ref (-1.) in
+  Link.transmit_frag link ~src:0 ~dst:1 ~bytes:100 ~category:Message.Fault
+    ~on_wire:(fun () -> on_wire_at := Engine.now engine)
+    (fun _ ->
+      order := "small" :: !order;
+      arrived := Engine.now engine);
   ignore (Engine.run engine);
-  Alcotest.(check (list string)) "FIFO medium" [ "big"; "small" ]
-    (List.rev !order)
+  Alcotest.(check (list string)) "FIFO medium"
+    (List.init 8 (fun i -> Printf.sprintf "bulk%d" (i + 1)) @ [ "small" ])
+    (List.rev !order);
+  (* 8 x (1536 + 32) bytes of bulk, then (100 + 32) of fault, at 1250 B/ms *)
+  Alcotest.(check (float 0.001)) "fault packet left after the bulk train"
+    10.1408 !on_wire_at;
+  Alcotest.(check (float 0.001)) "fault packet arrives one latency later"
+    12.1408 !arrived
 
 (* --- Fault_plan --- *)
 

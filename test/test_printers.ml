@@ -121,12 +121,6 @@ let test_kernel_cost_threshold_boundary () =
   Alcotest.(check bool) "copy at threshold costs more than map above" true
     (Accent_sim.Time.to_ms c_at > Accent_sim.Time.to_ms c_above)
 
-let test_cow_write_bounds () =
-  let store = Cow.create_store () in
-  let h = Cow.share store (Bytes.make 512 'a') in
-  Alcotest.check_raises "out of bounds" (Invalid_argument "Cow.write: bounds")
-    (fun () -> Cow.write store h ~offset:510 (Bytes.of_string "xyz"))
-
 let test_world_migrate_failure_raises () =
   (* kill the backer mid-migration: migrate_and_run must refuse to call a
      failed trial completed *)
@@ -172,7 +166,6 @@ let suite =
       Alcotest.test_case "phys mem all pinned" `Quick test_phys_mem_all_pinned;
       Alcotest.test_case "kernel cost threshold" `Quick
         test_kernel_cost_threshold_boundary;
-      Alcotest.test_case "cow write bounds" `Quick test_cow_write_bounds;
       Alcotest.test_case "migrate failure raises" `Quick
         test_world_migrate_failure_raises;
     ] )

@@ -248,95 +248,6 @@ let test_chart_stacked () =
   Alcotest.(check bool) "has both layers" true
     (Test_helpers.contains out "#" && Test_helpers.contains out "o")
 
-(* --- Lazy_heap --- *)
-
-let int_heap ?min_compact () =
-  Lazy_heap.create ?min_compact ~earlier:(fun (a : int) b -> a < b) ()
-
-let drain h =
-  let rec go acc =
-    match Lazy_heap.pop h with None -> List.rev acc | Some x -> go (x :: acc)
-  in
-  go []
-
-let test_lazy_heap_order () =
-  let h = int_heap () in
-  List.iter (fun x -> ignore (Lazy_heap.push h x)) [ 5; 1; 4; 2; 3 ];
-  Alcotest.(check int) "live" 5 (Lazy_heap.live h);
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (drain h);
-  Alcotest.(check bool) "empty" true (Lazy_heap.is_empty h)
-
-let test_lazy_heap_cancel () =
-  let h = int_heap () in
-  let _a = Lazy_heap.push h 1 in
-  let b = Lazy_heap.push h 2 in
-  ignore (Lazy_heap.push h 3);
-  Lazy_heap.cancel h b;
-  Alcotest.(check int) "live excludes cancelled" 2 (Lazy_heap.live h);
-  Alcotest.(check (option int)) "peek skips nothing yet" (Some 1)
-    (Lazy_heap.peek h);
-  Alcotest.(check (list int)) "cancelled never pops" [ 1; 3 ] (drain h);
-  (* double-cancel and cancel-after-pop are no-ops *)
-  Lazy_heap.cancel h b;
-  Alcotest.(check int) "still empty" 0 (Lazy_heap.live h)
-
-let test_lazy_heap_cancel_after_pop () =
-  let h = int_heap () in
-  let a = Lazy_heap.push h 1 in
-  ignore (Lazy_heap.push h 2);
-  Alcotest.(check (option int)) "pop a" (Some 1) (Lazy_heap.pop h);
-  Lazy_heap.cancel h a;
-  Alcotest.(check int) "live unaffected by stale cancel" 1 (Lazy_heap.live h)
-
-let test_lazy_heap_peek_discards_dead () =
-  let h = int_heap () in
-  let a = Lazy_heap.push h 1 in
-  ignore (Lazy_heap.push h 2);
-  Lazy_heap.cancel h a;
-  Alcotest.(check (option int)) "peek skips dead top" (Some 2)
-    (Lazy_heap.peek h);
-  Alcotest.(check int) "dead top physically dropped" 1 (Lazy_heap.physical_size h)
-
-let test_lazy_heap_compaction () =
-  let h = int_heap ~min_compact:16 () in
-  let handles = List.init 100 (fun i -> (i, Lazy_heap.push h i)) in
-  List.iter (fun (i, handle) -> if i mod 10 <> 0 then Lazy_heap.cancel h handle)
-    handles;
-  Alcotest.(check int) "live" 10 (Lazy_heap.live h);
-  Alcotest.(check bool) "compacted" true (Lazy_heap.compactions h > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "physical size shrank (%d)" (Lazy_heap.physical_size h))
-    true
-    (Lazy_heap.physical_size h < 30);
-  Alcotest.(check (list int)) "survivors pop in order"
-    [ 0; 10; 20; 30; 40; 50; 60; 70; 80; 90 ]
-    (drain h)
-
-let prop_lazy_heap_matches_sort =
-  QCheck.Test.make ~name:"lazy heap with random cancels pops the sorted live set"
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 0 300) (int_range 0 10_000))
-        (list_of_size Gen.(int_range 0 300) small_nat))
-    (fun (values, cancels) ->
-      (* unique keys keep [earlier] a strict total order *)
-      let values = List.sort_uniq compare values in
-      let h = int_heap ~min_compact:8 () in
-      let handles = Array.of_list (List.map (fun v -> (v, Lazy_heap.push h v)) values) in
-      let dead = Hashtbl.create 16 in
-      List.iter
-        (fun c ->
-          if Array.length handles > 0 then begin
-            let v, handle = handles.(c mod Array.length handles) in
-            Lazy_heap.cancel h handle;
-            Hashtbl.replace dead v ()
-          end)
-        cancels;
-      let expected =
-        List.filter (fun v -> not (Hashtbl.mem dead v)) values
-      in
-      drain h = expected)
-
 let suite =
   ( "util",
     [
@@ -365,13 +276,4 @@ let suite =
       Alcotest.test_case "chart timeline" `Quick test_chart_timeline;
       Alcotest.test_case "chart empty" `Quick test_chart_empty_timeline;
       Alcotest.test_case "chart stacked" `Quick test_chart_stacked;
-      Alcotest.test_case "lazy heap order" `Quick test_lazy_heap_order;
-      Alcotest.test_case "lazy heap cancel" `Quick test_lazy_heap_cancel;
-      Alcotest.test_case "lazy heap stale cancel" `Quick
-        test_lazy_heap_cancel_after_pop;
-      Alcotest.test_case "lazy heap peek" `Quick
-        test_lazy_heap_peek_discards_dead;
-      Alcotest.test_case "lazy heap compaction" `Quick
-        test_lazy_heap_compaction;
-      QCheck_alcotest.to_alcotest prop_lazy_heap_matches_sort;
     ] )
