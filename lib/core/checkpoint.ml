@@ -43,7 +43,7 @@ let digests t =
 (* --- save ---------------------------------------------------------------- *)
 
 let save ?bus ?(at = Time.zero) store (image : Proc_image.t) =
-  (* privatise the mutable microstate first: unlike excision, the process
+  (* privatise the mutable PCB first: unlike excision, the process
      keeps executing after a checkpoint *)
   let image = Proc_image.freeze image in
   let new_bytes = ref 0 in

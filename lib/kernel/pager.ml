@@ -212,7 +212,11 @@ let reference t proc page ~k =
   Address_space.note_reference space page;
   Accent_mem.Working_set.reference proc.Proc.working_set
     ~time:(Engine.now t.engine) page;
-  if Hashtbl.mem proc.Proc.prefetched_pending page then begin
+  (* only prefetching processes ever fill this table *)
+  if
+    Hashtbl.length proc.Proc.prefetched_pending > 0
+    && Hashtbl.mem proc.Proc.prefetched_pending page
+  then begin
     Hashtbl.remove proc.Proc.prefetched_pending page;
     proc.Proc.prefetch_hits <- proc.Proc.prefetch_hits + 1;
     t.on_prefetch proc `Hit

@@ -3,7 +3,8 @@
     Of a process's five context components (paper §3.1) — microstate,
     kernel stack, PCB, port rights, address space — the first three travel
     as an opaque blob of roughly 1 KB inside the Core message.  We carry
-    them as real bytes (checksummable across a migration) plus the few
+    the blob as its seed and length — the bytes are a pure function of
+    the two, generated only when {!checksum} reads them — plus the few
     fields the simulator interprets. *)
 
 type status = Ready | Running | Blocked | Terminated | Excised
@@ -12,7 +13,8 @@ type t = {
   mutable status : status;
   mutable priority : int;
   mutable pc : int;  (** microengine "program counter": next trace step *)
-  microstate : bytes;  (** opaque register/stack image *)
+  tag : int;  (** seed of the opaque register/stack image *)
+  microstate_bytes : int;  (** length of that image *)
   mutable faults_zero : int;
   mutable faults_disk : int;
   mutable faults_imag : int;
@@ -24,8 +26,9 @@ val create : ?priority:int -> ?microstate_bytes:int -> tag:int -> unit -> t
     ([microstate_bytes] defaults to 1024, the paper's "roughly 1 Kbyte"). *)
 
 val copy : t -> t
-(** Deep copy (microstate bytes included) — what checkpointing needs to
-    freeze the microengine state while the live PCB keeps mutating. *)
+(** Independent copy — what checkpointing needs to freeze the
+    microengine state while the live PCB keeps mutating. *)
 
 val size_bytes : t -> int
 val checksum : t -> int
+(** Checksum of the microstate image, generated afresh from [tag]. *)

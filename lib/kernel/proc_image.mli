@@ -16,7 +16,7 @@
     exactly what migration wants, since excision dissolves the source
     incarnation immediately.  Anything that lets the process keep
     running after the snapshot (checkpointing) must call {!freeze} to
-    privatise the mutable microstate first.  Page values are immutable
+    privatise the mutable PCB first.  Page values are immutable
     and never materialised by any operation here: symbolic pages stay
     symbolic however many captures, checkpoints and restores they
     traverse. *)

@@ -11,19 +11,6 @@ let finish host proc =
   Host.release_ports host proc;
   match proc.Proc.on_complete with None -> () | Some f -> f proc
 
-(* The PCB is shared between a process's incarnations (the context ships
-   it by reference), so after a migration completes the *destination*
-   restart flips the status back to Running — and a stale callback still
-   queued on the source's exec CPU would sail through a status-only
-   check and reference the excised source incarnation.  The queue can
-   stay deep for hundreds of milliseconds under cluster churn, so the
-   callback must also confirm this object is still the host's current
-   incarnation (excision removes it from the host table). *)
-let current_incarnation host proc =
-  match Host.find_proc host proc.Proc.id with
-  | Some p -> p == proc
-  | None -> false
-
 (* One runner per incarnation: its two continuations — CPU grant and
    fault-service completion — are allocated once at [start] and reused
    for every trace step, instead of two fresh closures per reference.
@@ -67,13 +54,23 @@ let make_runner host proc =
       step r);
   r.on_cpu <-
     (fun () ->
-      if
-        proc.Proc.pcb.Pcb.status = Pcb.Running
-        && current_incarnation host proc
-      then begin
-        proc.Proc.in_flight <- true;
-        Pager.reference (Host.pager host) proc r.page ~k:r.after_ref
-      end);
+      (* The PCB is shared between a process's incarnations (the context
+         ships it by reference), so after a migration completes the
+         *destination* restart flips the status back to Running — and a
+         stale step still queued on the source's exec CPU, which can stay
+         deep for hundreds of milliseconds under cluster churn, would
+         sail through a status-only check and reference the excised
+         source incarnation.  The two paths that drop a live
+         incarnation from its host table — excision and crash
+         recovery's zombie sweep — clear its [space] in the same step
+         (a finished one is already Terminated), so a present space is
+         the current-incarnation test, read off the record the step
+         already holds instead of a host-table probe. *)
+      match proc.Proc.space with
+      | Some _ when proc.Proc.pcb.Pcb.status = Pcb.Running ->
+          proc.Proc.in_flight <- true;
+          Pager.reference (Host.pager host) proc r.page ~k:r.after_ref
+      | Some _ | None -> ());
   r
 
 let start host proc =

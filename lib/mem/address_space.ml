@@ -1,3 +1,5 @@
+module Int_tbl = Accent_util.Int_tbl
+
 type backing = Zero | Real | Imaginary of { segment_id : int; base : int }
 (* [base] is chosen so that the segment offset of an address [a] inside the
    region is [base + a]: regions mapping consecutive segment offsets then
@@ -25,11 +27,11 @@ type t = {
   mem : Phys_mem.t;
   disk : Paging_disk.t;
   mutable regions : backing Interval_map.t;
-  pages : (Page.index, location) Hashtbl.t;
+  pages : location Int_tbl.t;
   mutable cold : cold_run list;
-  cold_gone : (Page.index, unit) Hashtbl.t;
+  cold_gone : unit Int_tbl.t;
   mutable cold_live : int;
-  touched : (Page.index, unit) Hashtbl.t;
+  touched : unit Int_tbl.t;
   segments : (string, unit) Hashtbl.t;
 }
 
@@ -48,11 +50,11 @@ let create ~id ~name ~mem ~disk =
     mem;
     disk;
     regions = Interval_map.empty ~equal:backing_equal ();
-    pages = Hashtbl.create 16;
+    pages = Int_tbl.create 16;
     cold = [];
-    cold_gone = Hashtbl.create 16;
+    cold_gone = Int_tbl.create 16;
     cold_live = 0;
-    touched = Hashtbl.create 16;
+    touched = Int_tbl.create 16;
     segments = Hashtbl.create 8;
   }
 
@@ -89,7 +91,7 @@ let page_range idx =
   (Page.addr_of_index idx, Page.addr_of_index idx + Page.size)
 
 let cold_find t idx =
-  if Hashtbl.mem t.cold_gone idx then None
+  if Int_tbl.mem t.cold_gone idx then None
   else
     let rec loop = function
       | [] -> None
@@ -106,19 +108,19 @@ let cold_take t idx =
   match cold_find t idx with
   | None -> None
   | Some _ as v ->
-      Hashtbl.replace t.cold_gone idx ();
+      Int_tbl.replace t.cold_gone idx ();
       t.cold_live <- t.cold_live - 1;
       v
 
 let drop_materialized t idx =
-  (match Hashtbl.find_opt t.pages idx with
+  (match Int_tbl.find_opt t.pages idx with
   | None -> ()
   | Some (In_mem frame) ->
       Phys_mem.free t.mem frame;
-      Hashtbl.remove t.pages idx
+      Int_tbl.remove t.pages idx
   | Some (On_disk block) ->
       Paging_disk.free t.disk block;
-      Hashtbl.remove t.pages idx);
+      Int_tbl.remove t.pages idx);
   ignore (cold_take t idx)
 
 let materialize t idx value ~resident =
@@ -129,7 +131,7 @@ let materialize t idx value ~resident =
         (Phys_mem.allocate t.mem ~owner:{ space_id = t.id; page = idx } value)
     else On_disk (Paging_disk.alloc t.disk value)
   in
-  Hashtbl.replace t.pages idx location;
+  Int_tbl.replace t.pages idx location;
   let lo, hi = page_range idx in
   (* the common fault path re-materializes a page of an existing Real
      region; skip the interval-map rebuild when the class already agrees *)
@@ -176,7 +178,7 @@ let install_run ?(segment = "<anon>") t ~addr run ~resident =
                    value)
             else On_disk (Paging_disk.alloc t.disk value)
           in
-          Hashtbl.replace t.pages idx location)
+          Int_tbl.replace t.pages idx location)
         run;
       t.regions <- Interval_map.set t.regions ~lo ~hi Real
     end
@@ -203,7 +205,7 @@ let install_bytes ?segment t ~addr data ~resident =
   install_values ?segment t ~addr values ~resident
 
 let presence_of_page t idx =
-  match Hashtbl.find_opt t.pages idx with
+  match Int_tbl.find_opt t.pages idx with
   | Some (In_mem frame) -> Resident frame
   | Some (On_disk block) -> Paged_out block
   | None -> (
@@ -250,11 +252,11 @@ let resolve_zero_fault t idx =
   | _ -> invalid_arg "Address_space.resolve_zero_fault: page not zero-pending"
 
 let resolve_disk_fault t idx =
-  match Hashtbl.find_opt t.pages idx with
+  match Int_tbl.find_opt t.pages idx with
   | Some (On_disk block) ->
       let value = Paging_disk.read t.disk block in
       Paging_disk.free t.disk block;
-      Hashtbl.remove t.pages idx;
+      Int_tbl.remove t.pages idx;
       materialize t idx value ~resident:true
   | Some (In_mem _) ->
       invalid_arg "Address_space.resolve_disk_fault: page not on disk"
@@ -272,10 +274,10 @@ let resolve_imaginary_fault t idx value =
   | _ ->
       invalid_arg "Address_space.resolve_imaginary_fault: page not imaginary"
 
-let note_reference t idx = Hashtbl.replace t.touched idx ()
+let note_reference t idx = Int_tbl.replace t.touched idx ()
 
 let touch t idx =
-  match Hashtbl.find_opt t.pages idx with
+  match Int_tbl.find_opt t.pages idx with
   | Some (In_mem frame) -> Phys_mem.touch t.mem frame
   | Some (On_disk _) | None -> ()
 
@@ -284,7 +286,7 @@ let touch t idx =
    no-fault reference never allocates a presence constructor or probes
    the table twice. *)
 let touch_if_resident t idx =
-  match Hashtbl.find t.pages idx with
+  match Int_tbl.find t.pages idx with
   | In_mem frame ->
       Phys_mem.touch t.mem frame;
       true
@@ -292,7 +294,7 @@ let touch_if_resident t idx =
   | exception Not_found -> false
 
 let page_value t idx =
-  match Hashtbl.find_opt t.pages idx with
+  match Int_tbl.find_opt t.pages idx with
   | Some (In_mem frame) -> Some (Phys_mem.read t.mem frame)
   | Some (On_disk block) -> Some (Paging_disk.read t.disk block)
   | None -> cold_find t idx
@@ -325,9 +327,9 @@ type overlay = {
    list merge sort's per-level cons cells are the single biggest
    allocation of the whole export.  The array sort is in-place. *)
 let sorted_list_of_tbl tbl ~dummy ~pair =
-  let a = Array.make (Hashtbl.length tbl) dummy in
+  let a = Array.make (Int_tbl.length tbl) dummy in
   let i = ref 0 in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun k v ->
       a.(!i) <- pair k v;
       incr i)
@@ -339,9 +341,9 @@ let sorted_list_of_tbl tbl ~dummy ~pair =
   Array.to_list a
 
 let sorted_ints_of_tbl tbl =
-  let a = Array.make (Hashtbl.length tbl) 0 in
+  let a = Array.make (Int_tbl.length tbl) 0 in
   let i = ref 0 in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun k () ->
       a.(!i) <- k;
       incr i)
@@ -498,7 +500,7 @@ let import_image t runs =
                              value)
                       else On_disk (Paging_disk.alloc t.disk value)
                     in
-                    Hashtbl.replace t.pages idx location
+                    Int_tbl.replace t.pages idx location
                   done);
               pos := !pos + len)
             homes;
@@ -524,26 +526,26 @@ let image_equal a b =
 let page_data t idx = Option.map Page.to_bytes (page_value t idx)
 
 let write_page t idx value =
-  match Hashtbl.find_opt t.pages idx with
+  match Int_tbl.find_opt t.pages idx with
   | Some (In_mem frame) -> Phys_mem.write t.mem frame value
   | Some (On_disk _) | None ->
       invalid_arg "Address_space.write_page: page not resident"
 
 let evict_page t idx value ~dirty =
   ignore dirty;
-  match Hashtbl.find_opt t.pages idx with
+  match Int_tbl.find_opt t.pages idx with
   | Some (In_mem _) ->
       (* The frame itself is reclaimed by Phys_mem; we just record where the
          contents now live. *)
       let block = Paging_disk.alloc t.disk value in
-      Hashtbl.replace t.pages idx (On_disk block)
+      Int_tbl.replace t.pages idx (On_disk block)
   | Some (On_disk _) | None ->
       invalid_arg "Address_space.evict_page: page not resident"
 
 let resident_pages t = Phys_mem.frames_of_space t.mem t.id
 let resident_page_count t = Phys_mem.resident_count t.mem t.id
 let resident_bytes t = resident_page_count t * Page.size
-let real_bytes t = (Hashtbl.length t.pages + t.cold_live) * Page.size
+let real_bytes t = (Int_tbl.length t.pages + t.cold_live) * Page.size
 
 let zero_bytes t =
   Interval_map.length_where t.regions ~f:(function
@@ -581,21 +583,23 @@ let imag_segments t =
 
 let region_count t = Interval_map.cardinal t.regions
 let vm_segment_count t = Hashtbl.length t.segments
-let touched_pages t = Hashtbl.length t.touched
-let pages_materialized t = Hashtbl.length t.pages + t.cold_live
+let touched_pages t = Int_tbl.length t.touched
+let pages_materialized t = Int_tbl.length t.pages + t.cold_live
 
+(* The one unsorted fold over the page table: the release order only
+   decides which frame and block ids the free lists hand out next, and
+   ids never order anything (LRU keys order by their unique tick) *)
 let destroy t =
-  let entries = Hashtbl.fold (fun idx loc acc -> (idx, loc) :: acc) t.pages [] in
-  List.iter
-    (fun (_, loc) ->
+  Int_tbl.iter
+    (fun _ loc ->
       match loc with
       | In_mem frame -> Phys_mem.free t.mem frame
       | On_disk block -> Paging_disk.free t.disk block)
-    entries;
-  Hashtbl.reset t.pages;
+    t.pages;
+  Int_tbl.reset t.pages;
   (* cold runs hold no frames and no disk blocks — dropping the list is
      the whole teardown *)
   t.cold <- [];
   t.cold_live <- 0;
-  Hashtbl.reset t.cold_gone;
+  Int_tbl.reset t.cold_gone;
   t.regions <- Interval_map.empty ~equal:backing_equal ()

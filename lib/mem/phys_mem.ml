@@ -180,7 +180,7 @@ let index_owner t owner id =
     match Hashtbl.find_opt t.by_space owner.space_id with
     | Some tbl -> tbl
     | None ->
-        let tbl = Hashtbl.create 64 in
+        let tbl = Hashtbl.create 16 in
         Hashtbl.replace t.by_space owner.space_id tbl;
         tbl
   in

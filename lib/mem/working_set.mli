@@ -11,7 +11,14 @@
     prefix it returns.  Entries older than the largest window ever
     queried are pruned from the list amortized; a query reaching
     further back than any prior prune falls back to an exhaustive
-    fold, so every answer is identical to the naive scan's. *)
+    fold, so every answer is identical to the naive scan's.
+
+    The list is flat: each page ever referenced owns one slot in
+    parallel [int]/[float] arrays (page, last reference, prev, next;
+    slot 0 is the sentinel), found through an {!Accent_util.Int_tbl}
+    slot map.  A reference allocates nothing once the page has a slot;
+    a first reference adds one slot-map entry and may double the
+    arrays. *)
 
 type t
 

@@ -50,38 +50,57 @@ let earlier t i j =
   t.times.(i) < t.times.(j)
   || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
 
-let swap t i j =
-  let time = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- time;
-  let seq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- seq;
-  let payload = t.payloads.(i) in
-  t.payloads.(i) <- t.payloads.(j);
-  t.payloads.(j) <- payload;
-  let slot = t.slots.(i) in
-  t.slots.(i) <- t.slots.(j);
-  t.slots.(j) <- slot
+let move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.payloads.(dst) <- t.payloads.(src);
+  t.slots.(dst) <- t.slots.(src)
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if earlier t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Both sifts carry a hole: the entry at [i] is lifted into locals,
+   each level moves one entry across the hole (one write per array),
+   and the lifted entry is written once where it lands.  The
+   comparisons are a swapping sift's, so the layout — and with it the
+   pop order — does not depend on which of the two is used.  The loops
+   are written out flat — no local closure, no float argument — so a
+   sift allocates nothing. *)
+let sift_up t i =
+  let time = t.times.(i) and seq = t.seqs.(i) in
+  let payload = t.payloads.(i) and slot = t.slots.(i) in
+  let hole = ref i and rising = ref true in
+  while !rising && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    let pt = t.times.(parent) in
+    if time < pt || (time = pt && seq < t.seqs.(parent)) then begin
+      move t ~src:parent ~dst:!hole;
+      hole := parent
     end
-  end
+    else rising := false
+  done;
+  let h = !hole in
+  t.times.(h) <- time;
+  t.seqs.(h) <- seq;
+  t.payloads.(h) <- payload;
+  t.slots.(h) <- slot
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && earlier t l !smallest then smallest := l;
-  if r < t.len && earlier t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+let sift_down t i =
+  let time = t.times.(i) and seq = t.seqs.(i) in
+  let payload = t.payloads.(i) and slot = t.slots.(i) in
+  let hole = ref i and sinking = ref true in
+  while !sinking && (2 * !hole) + 1 < t.len do
+    let l = (2 * !hole) + 1 in
+    let c = if l + 1 < t.len && earlier t (l + 1) l then l + 1 else l in
+    let ct = t.times.(c) in
+    if ct < time || (ct = time && t.seqs.(c) < seq) then begin
+      move t ~src:c ~dst:!hole;
+      hole := c
+    end
+    else sinking := false
+  done;
+  let h = !hole in
+  t.times.(h) <- time;
+  t.seqs.(h) <- seq;
+  t.payloads.(h) <- payload;
+  t.slots.(h) <- slot
 
 let grow t payload slot =
   let cap = Array.length t.times in
@@ -171,10 +190,7 @@ let drop_root t =
     t.last_time.(0) <- t.times.(0);
     t.len <- t.len - 1;
     if t.len > 0 then begin
-      t.times.(0) <- t.times.(t.len);
-      t.seqs.(0) <- t.seqs.(t.len);
-      t.payloads.(0) <- t.payloads.(t.len);
-      t.slots.(0) <- t.slots.(t.len);
+      move t ~src:t.len ~dst:0;
       sift_down t 0
     end;
     true

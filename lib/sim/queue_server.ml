@@ -4,12 +4,14 @@
    two per-job times in flat float arrays, the continuation in a
    closure array — so [submit] stores three slots instead of building a
    mixed job record (whose Time.t fields the runtime boxed) plus a
-   Queue cell.  The job in service lives in the same shape: its times
-   sit in a scratch float array and one completion closure, allocated
-   at [create], is rescheduled for every job, where the old code closed
-   over each job record afresh.  Wait/sojourn accounting streams into
-   bounded Stats accumulators (exact_capacity 0): per-host queue
-   statistics no longer retain a float per job served. *)
+   Queue cell.  The job in service lives in the same shape: its service
+   time sits in a scratch float array and one completion closure,
+   allocated at [create], is rescheduled for every job, where the old
+   code closed over each job record afresh.  The one per-job statistic
+   is the queueing delay, streamed into a bounded Stats accumulator
+   (exact_capacity 0) at service start, so per-host queue statistics
+   never retain a float per job served and a completion records nothing
+   but the busy time. *)
 
 type t = {
   engine : Engine.t;
@@ -22,13 +24,12 @@ type t = {
   mutable waiting : int;
   mutable in_service : bool;
   mutable completed : int;
-  (* scratch.(0) busy_total; scratch.(1)/(2) current job's service time
-     and arrival — unboxed, so serving a job never boxes a float *)
+  (* scratch.(0) busy_total; scratch.(1) current job's service time —
+     unboxed, so serving a job never boxes a float *)
   scratch : float array;
   mutable cur_k : unit -> unit;
   mutable on_done : unit -> unit;
   waits : Accent_util.Stats.t;
-  sojourns : Accent_util.Stats.t;
 }
 
 let nop () = ()
@@ -70,7 +71,6 @@ let start_next t =
     t.head <- (i + 1) mod Array.length t.q_k;
     t.waiting <- t.waiting - 1;
     t.scratch.(1) <- service_time;
-    t.scratch.(2) <- arrived;
     Accent_util.Stats.add t.waits
       (Time.diff (Engine.now t.engine) arrived);
     Engine.post t.engine ~delay:service_time t.on_done
@@ -88,11 +88,10 @@ let create engine ~name =
       waiting = 0;
       in_service = false;
       completed = 0;
-      scratch = Array.make 3 0.;
+      scratch = Array.make 2 0.;
       cur_k = nop;
       on_done = nop;
       waits = Accent_util.Stats.create ~exact_capacity:0 ();
-      sojourns = Accent_util.Stats.create ~exact_capacity:0 ();
     }
   in
   (* the one completion continuation: rescheduled for every job *)
@@ -100,8 +99,6 @@ let create engine ~name =
     (fun () ->
       t.completed <- t.completed + 1;
       t.scratch.(0) <- Time.add t.scratch.(0) t.scratch.(1);
-      Accent_util.Stats.add t.sojourns
-        (Time.diff (Engine.now t.engine) t.scratch.(2));
       let k = t.cur_k in
       t.cur_k <- nop;
       k ();
@@ -119,10 +116,8 @@ let submit t ~service_time k =
 let jobs_completed t = t.completed
 let busy_time t = t.scratch.(0)
 let wait_stats t = t.waits
-let sojourn_stats t = t.sojourns
 
 let reset_accounting t =
   t.completed <- 0;
   t.scratch.(0) <- Time.zero;
-  Accent_util.Stats.clear t.waits;
-  Accent_util.Stats.clear t.sojourns
+  Accent_util.Stats.clear t.waits

@@ -5,7 +5,13 @@
     read requests, the paging disk, and the network link transmitter.  Jobs
     queue in arrival order; one job is in service at a time; completion
     callbacks fire through the engine so queueing delay under load emerges
-    naturally. *)
+    naturally.
+
+    Accounting is two counters and one distribution: jobs completed,
+    busy time, and the per-job queueing delay (arrival to service
+    start) in a bounded [Stats] sketch.  A job's total time in the
+    system is its delay plus its service time, so it is not recorded
+    separately. *)
 
 type t
 
@@ -30,9 +36,6 @@ val busy_time : t -> Time.t
 
 val wait_stats : t -> Accent_util.Stats.t
 (** Per-job queueing delays (arrival to service start). *)
-
-val sojourn_stats : t -> Accent_util.Stats.t
-(** Per-job total times (arrival to completion). *)
 
 val reset_accounting : t -> unit
 (** Zero the counters and stats; queued work is unaffected. *)

@@ -392,18 +392,23 @@ let prop_victim_equals_linear_scan =
 (* The old fold over every page ever referenced, as the spec for the
    recency-list working set.  Windows range well past τ (exercising
    the exhaustive-fold fallback behind the prune high-water mark) and
-   query times reach back before the newest reference. *)
+   query times reach back before the newest reference.  Up to 201
+   distinct pages grow the slot arrays through several doublings, and
+   an export→import into a fresh estimator, taken mid-sequence and at
+   the end, must answer every query asked so far exactly as the
+   original does — and keep matching the model as references go on. *)
 let prop_working_set_equals_fold =
   QCheck.Test.make ~name:"pruned working-set queries = fold over all refs"
     QCheck.(
       list_of_size
-        Gen.(int_range 0 300)
-        (triple (int_range 0 2) (int_range 0 100) (int_range 0 50)))
+        Gen.(int_range 0 600)
+        (triple (int_range 0 5) (int_range 0 100) (int_range 0 200)))
     (fun events ->
       let tau = 50. in
-      let ws = Working_set.create ~window:tau in
+      let ws = ref (Working_set.create ~window:tau) in
       let model : (int, float) Hashtbl.t = Hashtbl.create 32 in
       let now = ref 0. in
+      let asked = ref [] in
       let ok = ref true in
       let fold_within ~time ~window =
         Hashtbl.fold
@@ -412,28 +417,47 @@ let prop_working_set_equals_fold =
           model []
         |> List.sort compare
       in
+      let answers ws =
+        ( Working_set.references ws,
+          Working_set.distinct_pages ws,
+          Working_set.pages_at ws ~time:!now,
+          Working_set.size_at ws ~time:!now,
+          List.map
+            (fun (time, window) -> Working_set.pages_within ws ~time ~window)
+            !asked )
+      in
+      let roundtrip () =
+        let fresh = Working_set.create ~window:tau in
+        Working_set.import fresh (Working_set.export !ws);
+        if answers fresh <> answers !ws then ok := false;
+        ws := fresh
+      in
       List.iter
         (fun (kind, a, b) ->
           match kind with
-          | 0 ->
+          | 0 | 1 | 2 ->
               now := !now +. (float_of_int a /. 10.);
-              Working_set.reference ws ~time:!now b;
+              Working_set.reference !ws ~time:!now b;
               Hashtbl.replace model b !now
-          | 1 ->
+          | 3 ->
               let window = float_of_int (a * 5) in
-              let time = !now -. (float_of_int b /. 2.) in
+              let time = !now -. (float_of_int b /. 4.) in
+              asked := (time, window) :: !asked;
               if
-                Working_set.pages_within ws ~time ~window
+                Working_set.pages_within !ws ~time ~window
                 <> fold_within ~time ~window
               then ok := false
-          | _ ->
+          | 4 ->
               let expected = fold_within ~time:!now ~window:tau in
-              if Working_set.pages_at ws ~time:!now <> expected then
+              if Working_set.pages_at !ws ~time:!now <> expected then
                 ok := false;
-              if Working_set.size_at ws ~time:!now <> List.length expected then
-                ok := false)
+              if Working_set.size_at !ws ~time:!now <> List.length expected
+              then ok := false
+          | _ -> if a < 10 then roundtrip ())
         events;
-      if Working_set.distinct_pages ws <> Hashtbl.length model then ok := false;
+      roundtrip ();
+      if Working_set.distinct_pages !ws <> Hashtbl.length model then
+        ok := false;
       !ok)
 
 let suite =

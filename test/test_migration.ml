@@ -290,6 +290,43 @@ let test_monitor_consistency () =
     (Accent_net.Link.bytes_sent w.World.link)
     (Report.bytes_total r)
 
+(* A trace step still queued on the source's exec CPU when excision
+   runs outlives the source incarnation, and the destination restart
+   flips the shared PCB back to Running before it fires.  The
+   incarnation guard must keep it off the excised source: no
+   exception, and the source pager counts no fault for it. *)
+let test_stale_step_after_excision strategy () =
+  let spec = { spec with Accent_workloads.Spec.total_think_ms = 600_000. } in
+  let world, proc = Accent_experiments.Trial.build_only ~spec () in
+  let src = World.host world 0 in
+  let blocker_ms = 30_000. in
+  let stale_fired_at = ref None in
+  Queue_server.submit (Host.exec_cpu src) ~service_time:(Time.ms blocker_ms)
+    (fun () -> stale_fired_at := Some (World.now world));
+  Proc_runner.start src proc;
+  let pager = Host.pager src in
+  let faults () =
+    (Pager.faults_zero pager, Pager.faults_disk pager, Pager.faults_imag pager)
+  in
+  let before = faults () in
+  let report =
+    Migration_manager.migrate (World.manager world 0) ~proc
+      ~dest:(Migration_manager.port (World.manager world 1))
+      ~strategy ()
+  in
+  ignore (World.run world);
+  let at = function Some t -> t | None -> Alcotest.fail "missing time" in
+  let restarted = at report.Report.restarted_at
+  and completed = at report.Report.completed_at
+  and stale = at !stale_fired_at in
+  Alcotest.(check bool)
+    "the stale step fires while the destination incarnation runs" true
+    (restarted < stale && stale < completed);
+  Alcotest.(check bool) "source incarnation excised" true
+    (proc.Proc.space = None);
+  Alcotest.(check (triple int int int)) "source fault counters unchanged"
+    before (faults ())
+
 let suite =
   ( "migration",
     [
@@ -312,4 +349,8 @@ let suite =
       Alcotest.test_case "deterministic" `Quick test_migration_is_deterministic;
       Alcotest.test_case "second migration" `Quick test_second_migration;
       Alcotest.test_case "monitor consistency" `Quick test_monitor_consistency;
+      Alcotest.test_case "stale step after excision under copy" `Quick
+        (test_stale_step_after_excision Strategy.pure_copy);
+      Alcotest.test_case "stale step after excision under hybrid" `Quick
+        (test_stale_step_after_excision (Strategy.hybrid ()));
     ] )

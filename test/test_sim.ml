@@ -92,6 +92,92 @@ let test_queue_compacts_after_mass_cancel () =
   Alcotest.(check bool) "only uncancelled timers fire" true
     (List.for_all (fun i -> i mod 20 = 0) popped)
 
+(* The queue against a plain list of live entries.  Times come from
+   four values, so most comparisons are (time, seq) ties; handle-less
+   pushes, cancels of live, popped and already-cancelled handles, and
+   mass cancels that force compaction are interleaved with pops, and
+   every pop must return the (time, seq)-least live entry of the
+   model. *)
+type model_entry = {
+  m_time : float;
+  m_seq : int;
+  m_handle : Event_queue.handle option;
+}
+
+let prop_queue_matches_model =
+  QCheck.Test.make ~count:300
+    ~name:"event queue pops = (time, seq) order of the live model"
+    QCheck.(
+      list_of_size Gen.(int_range 0 600) (pair (int_range 0 9) (int_range 0 999)))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let live = ref [] and retired = ref [] and seq = ref 0 in
+      let ok = ref true in
+      let earlier a b =
+        a.m_time < b.m_time || (a.m_time = b.m_time && a.m_seq < b.m_seq)
+      in
+      let push ~handled a =
+        let time = float_of_int (a mod 4) in
+        let m_handle =
+          if handled then Some (Event_queue.push q ~time !seq)
+          else begin
+            Event_queue.push_unit q ~time !seq;
+            None
+          end
+        in
+        live := { m_time = time; m_seq = !seq; m_handle } :: !live;
+        incr seq
+      in
+      let cancel e =
+        Option.iter (Event_queue.cancel q) e.m_handle;
+        live := List.filter (fun x -> x.m_seq <> e.m_seq) !live;
+        retired := e :: !retired
+      in
+      let handled () = List.filter (fun e -> e.m_handle <> None) !live in
+      let pop () =
+        let expected =
+          List.fold_left
+            (fun best e ->
+              match best with
+              | Some b when earlier b e -> best
+              | _ -> Some e)
+            None !live
+        in
+        match (Event_queue.pop q, expected) with
+        | None, None -> ()
+        | Some (time, s), Some e when time = e.m_time && s = e.m_seq ->
+            live := List.filter (fun x -> x.m_seq <> s) !live;
+            retired := e :: !retired
+        | _ -> ok := false
+      in
+      List.iter
+        (fun (kind, a) ->
+          match kind with
+          | 0 | 1 | 2 -> push ~handled:true a
+          | 3 | 4 -> push ~handled:false a
+          | 5 -> (
+              match handled () with
+              | [] -> ()
+              | hs -> cancel (List.nth hs (a mod List.length hs)))
+          | 6 -> (
+              (* a retired handle: cancelling it again is a no-op *)
+              match !retired with
+              | [] -> ()
+              | rs ->
+                  Option.iter (Event_queue.cancel q)
+                    (List.nth rs (a mod List.length rs)).m_handle)
+          | 7 ->
+              List.iter
+                (fun e -> if e.m_seq mod ((a mod 5) + 2) <> 0 then cancel e)
+                (handled ())
+          | _ -> pop ();
+          if Event_queue.size q <> List.length !live then ok := false)
+        ops;
+      while !ok && !live <> [] do
+        pop ()
+      done;
+      !ok && Event_queue.pop q = None)
+
 (* --- Engine --- *)
 
 let test_engine_runs_in_order () =
@@ -234,6 +320,7 @@ let suite =
       Alcotest.test_case "queue cancel" `Quick test_queue_cancel;
       Alcotest.test_case "queue peek" `Quick test_queue_peek;
       QCheck_alcotest.to_alcotest prop_queue_pops_sorted;
+      QCheck_alcotest.to_alcotest prop_queue_matches_model;
       Alcotest.test_case "queue compaction" `Quick
         test_queue_compacts_after_mass_cancel;
       Alcotest.test_case "engine order" `Quick test_engine_runs_in_order;
