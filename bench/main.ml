@@ -1,16 +1,13 @@
 (* The benchmark harness.
 
-   Part 1 regenerates every table and figure of the paper's evaluation
+   It regenerates every table and figure of the paper's evaluation
    section (Tables 4-1..4-5, Figures 4-1..4-5) plus the headline-claims
-   summary, by running the full 77-trial sweep on the simulated testbed.
-
-   Part 2 runs Bechamel microbenchmarks of the implementation's hot
-   primitives (interval maps, the event queue, AMap construction, the
-   page generator, and a complete small migration), so
-   regressions in the simulator itself are visible.
+   summary, by running the full 77-trial sweep on the simulated testbed,
+   then the ablations and the replication across seeds.
 
    Run with: dune exec bench/main.exe
-   (use --tables-only or --micro-only to run half) *)
+   (use --tables-only, --ablations-only or --replication-only to run one
+   part) *)
 
 (* --- Per-event tracing statistics ---------------------------------------
 
@@ -121,140 +118,6 @@ let run_tables ?csv_dir () =
   print_newline ();
   Event_stats.render stats
 
-(* --- Bechamel microbenchmarks --- *)
-
-open Bechamel
-open Toolkit
-
-let bench_interval_map =
-  Test.make ~name:"interval_map: 100 set + 1000 find"
-    (Staged.stage (fun () ->
-         let open Accent_mem in
-         let m = ref (Interval_map.empty ()) in
-         for i = 0 to 99 do
-           m := Interval_map.set !m ~lo:(i * 37 mod 4096) ~hi:((i * 37 mod 4096) + 16) (i mod 3)
-         done;
-         let hits = ref 0 in
-         for i = 0 to 999 do
-           if Interval_map.find !m (i * 7 mod 4200) <> None then incr hits
-         done;
-         !hits))
-
-let bench_event_queue =
-  Test.make ~name:"event_queue: 1000 push + drain"
-    (Staged.stage (fun () ->
-         let open Accent_sim in
-         let q = Event_queue.create () in
-         for i = 0 to 999 do
-           ignore (Event_queue.push q ~time:(float_of_int ((i * 7919) mod 1000)) i)
-         done;
-         let n = ref 0 in
-         let rec drain () =
-           match Event_queue.pop q with
-           | Some _ ->
-               incr n;
-               drain ()
-           | None -> ()
-         in
-         drain ();
-         !n))
-
-let amap_space =
-  (* built once: a mid-sized space with a few hundred regions *)
-  lazy
-    (let open Accent_mem in
-     let mem = Phys_mem.create ~frames:4096 in
-     let disk = Paging_disk.create () in
-     let space = Address_space.create ~id:999 ~name:"bench" ~mem ~disk in
-     Phys_mem.set_evict_handler mem (fun o data ~dirty ->
-         ignore o;
-         ignore data;
-         ignore dirty);
-     for i = 0 to 199 do
-       let base = i * 8 * Page.size * 2 in
-       Address_space.validate_zero space
-         (Vaddr.of_len base (4 * Page.size));
-       Address_space.install_bytes space
-         ~addr:(base + (4 * Page.size))
-         (Bytes.make (4 * Page.size) 'b')
-         ~resident:(i mod 2 = 0)
-     done;
-     space)
-
-let bench_amap_build =
-  Test.make ~name:"amap: build over 400-region space"
-    (Staged.stage (fun () ->
-         Accent_mem.Amap.entry_count
-           (Accent_mem.Address_space.build_amap (Lazy.force amap_space))))
-
-let bench_page_pattern =
-  Test.make ~name:"page: pattern + checksum"
-    (Staged.stage (fun () ->
-         let open Accent_mem in
-         Page.checksum (Page.pattern ~tag:7 42)))
-
-let bench_tiny_migration =
-  let spec =
-    {
-      Accent_workloads.Spec.name = "bench";
-      description = "benchmark workload";
-      real_bytes = 32 * 512;
-      total_bytes = 64 * 512;
-      rs_bytes = 16 * 512;
-      touched_real_pages = 10;
-      rs_touched_overlap = 5;
-      real_runs = 3;
-      vm_segments = 2;
-      pattern =
-        Accent_workloads.Access_pattern.Sequential
-          { streams = 1; revisit = 0.1; run = 8 };
-      refs = 20;
-      total_think_ms = 50.;
-      zero_touch_pages = 2;
-      base_addr = 0x40000;
-    }
-  in
-  Test.make ~name:"simulator: full tiny IOU migration"
-    (Staged.stage (fun () ->
-         let result =
-           Accent_experiments.Trial.run ~spec
-             ~strategy:(Accent_core.Strategy.pure_iou ()) ()
-         in
-         result.Accent_experiments.Trial.report
-           .Accent_core.Report.dest_faults_imag))
-
-let microbenchmarks () =
-  let tests =
-    Test.make_grouped ~name:"primitives" ~fmt:"%s %s"
-      [
-        bench_interval_map;
-        bench_event_queue;
-        bench_amap_build;
-        bench_page_pattern;
-        bench_tiny_migration;
-      ]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
-  print_endline "Microbenchmarks (ns per run, OLS on monotonic clock):";
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> Printf.sprintf "%12.1f" est
-        | _ -> "      (n/a)"
-      in
-      Printf.printf "  %s ns/run  %s\n" ns name)
-    results;
-  print_newline ()
-
 let run_replication () =
   print_endline "=====================================================";
   print_endline " Replication across seeds";
@@ -278,7 +141,7 @@ let () =
   let only flag = List.mem flag args in
   let all =
     not
-      (only "--tables-only" || only "--micro-only" || only "--ablations-only"
+      (only "--tables-only" || only "--ablations-only"
       || only "--replication-only")
   in
   let rec csv_dir = function
@@ -295,8 +158,4 @@ let () =
   if all || only "--replication-only" then begin
     print_newline ();
     run_replication ()
-  end;
-  if all || only "--micro-only" then begin
-    print_newline ();
-    microbenchmarks ()
   end

@@ -7,9 +7,10 @@
     Imaginary Read Requests with the requested run of pages, and retires
     segments when their death notice arrives.
 
-    Used by the MigrationManager to back the non-resident remainder under
-    the resident-set strategy, and directly by applications that want lazy
-    shipment of their own data (see examples/lazy_file_server.ml).
+    Each MigrationManager owns one: the {!Transfer_engine} banks on it the
+    pages a resident-set or working-set RIMAS leaves behind and the hybrid
+    cold tail.  Applications that want lazy shipment of their own data use
+    it directly (see examples/lazy_file_server.ml).
 
     Segment contents are kept in the host's shared {!Accent_net.Content_store}
     (the NetMsgServer's), not a private store: a page value banked here and
@@ -41,7 +42,7 @@ val put_page :
 val put_extent :
   t -> segment_id:int -> offset:int -> Accent_mem.Page_run.t -> unit
 (** Adopt a whole run of page values starting at the page-aligned
-    [offset] in O(1) — see {!Accent_ipc.Segment_store.put_extent}. *)
+    [offset] in O(1) — see {!Accent_net.Content_store.put_extent}. *)
 
 val store : t -> Accent_net.Content_store.t
 (** The host's shared content store this server banks into. *)

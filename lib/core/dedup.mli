@@ -8,7 +8,7 @@
     with the runs it lacks ([Mig_need]), and only then does the parked
     message leave — with every already-held run replaced by 8-byte
     digest references.  The destination rebuilds the full object with
-    {!resolve} before the engine stages or inserts it.
+    {!resolve} before the {!Transfer_engine} stages or inserts it.
 
     With dedup disabled {!send} builds and sends at the same program
     point and {!resolve} is the identity, so simulations without the
@@ -20,7 +20,8 @@ type t
 exception Unresolvable of string
 (** Raised by {!resolve} when a digest reference cannot be materialised
     (e.g. the store evicted the value and a corrupt refill was rejected).
-    Engines translate this into {!Transfer_engine.Abort}. *)
+    The {!Transfer_engine} turns it into an {!Mig_event.Engine_abort} for
+    that one migration. *)
 
 val create :
   host:Accent_kernel.Host.t ->

@@ -1,15 +1,22 @@
 (** Wire-message building from first-class process images.
 
-    Image→chunk builders for the push engine ({!Engine_push}) — round
-    Data chunks and the working-set estimate read from the live space,
-    the freeze residual and cold
-    tail derived from a captured {!Accent_kernel.Proc_image.t} by run
-    subtraction against the pages the rounds already pushed — plus the
-    one assembler that turns a destination staging store and the final
-    message's IOU chunks into the insertion RIMAS. *)
+    Image→chunk builders for the push rounds of {!Transfer_engine} —
+    round Data chunks and the working-set estimate read from the live
+    space, the freeze residual and cold tail derived from a captured
+    {!Accent_kernel.Proc_image.t} by run subtraction against the pages
+    the rounds already pushed — plus the one assembler that turns the
+    destination's staged round pages and the final message's IOU chunks
+    into the insertion RIMAS. *)
 
 open Accent_mem
 open Accent_kernel
+
+exception Abort of string
+(** A migration cannot proceed: a page value vanished mid-round, or a
+    page was neither staged nor IOU-backed at assembly.  Raised by the
+    builders below; {!Transfer_engine} catches it at its protocol
+    boundaries and turns it into an {!Mig_event.Engine_abort} event — it
+    must never escape to the simulation loop. *)
 
 (** A migration's sent set: which pages some round has already pushed.
     Bulk pushes record closed page runs in O(1) ({!Sent.mark_run}); dirty-
@@ -54,7 +61,7 @@ val data_chunks :
   Accent_ipc.Memory_object.t
 (** Coalesce the pages (sorted and deduplicated here) into consecutive
     runs and read each value through [lookup]; a [None] raises
-    {!Transfer_engine.Abort} with [missing]. *)
+    {!Abort} with [missing]. *)
 
 val vaddr_data_chunks :
   Address_space.t -> Page.index list -> Accent_ipc.Memory_object.t
@@ -113,14 +120,14 @@ val precopy_residual_chunks :
 (** {2 Destination side: assembly} *)
 
 val assemble :
-  Accent_ipc.Segment_store.t ->
-  proc_id:int ->
+  Page.value Accent_util.Int_tbl.t ->
   amap:Accent_mem.Amap.t ->
   iou_chunks:Accent_ipc.Memory_object.t ->
   Accent_ipc.Memory_object.t
-(** The insertion RIMAS, in collapsed coordinates: every maximal run of
-    pages staged under [proc_id] becomes one Data chunk, and every other
-    page of a [Real_mem] or [Imag_mem] range is covered from [iou_chunks],
-    splitting on chunk boundaries.  A page neither staged nor IOU-backed
-    raises {!Transfer_engine.Abort}.  O(AMap ranges + staged pages +
-    IOU pieces × IOU chunks), never a probe of every page of a range. *)
+(** The insertion RIMAS, in collapsed coordinates, from the staged pages
+    (keyed by page index): every maximal run of staged pages becomes one
+    Data chunk, and every other page of a [Real_mem] or [Imag_mem] range
+    is covered from [iou_chunks], splitting on chunk boundaries.  A page
+    neither staged nor IOU-backed raises {!Abort}.  O(AMap ranges +
+    staged pages log staged pages + IOU pieces × IOU chunks), never a
+    probe of every page of a range. *)

@@ -164,6 +164,7 @@ let subscribe bus f = subs_add bus.all f
 let subscribe_cleanup bus f = subs_add bus.cleanup f
 
 let register bus ~proc_id report = Hashtbl.replace bus.routes proc_id report
+let tracked bus ~proc_id = Hashtbl.mem bus.routes proc_id
 
 let publish bus ev =
   (match Hashtbl.find bus.routes ev.proc_id with

@@ -1,18 +1,12 @@
 (** The MigrationManager (paper §3.2).
 
-    One runs on every participating host.  The manager itself is a thin
-    coordinator: it binds the command port, starts each migration with
-    one exhaustive match on {!Strategy.transfer}, offers every inbound
-    message to its two engines and the dedup negotiator in turn, and owns
-    the insert/restart lifecycle at the destination.  The transfer
-    mechanics live in the engines:
-
-    - {!Engine_copy} — pure-copy, pure-IOU, resident-set and working-set:
-      the classic two-message context (Core + RIMAS), differing only in
-      how the RIMAS is prepared;
-    - {!Engine_push} — pre-copy and hybrid: rounds pushed while the
-      process runs, then a freeze residual (hybrid leaves its cold tail
-      as IOUs).
+    One runs on every participating host.  The manager is wiring: it
+    binds the command port, offers every inbound message to the
+    {!Transfer_engine} and then to the {!Dedup} negotiator, turns
+    transport give-ups and pager observations into bus events, and
+    starts each migration by handing its {!Strategy.transfer} to the
+    engine, which owns the transfer mechanics and the destination's
+    insert/restart lifecycle.
 
     Every phase of every migration is published as a {!Mig_event.t} on the
     manager's bus; the per-migration {!Report.t} is maintained as a fold
@@ -21,10 +15,9 @@
 
 type t
 
-val create : ?bus:Mig_event.bus -> Accent_kernel.Host.t -> t
-(** Bind the manager's command port on the host.  [bus] lets several
-    managers share one event stream (as {!World} does); a private bus is
-    created when omitted. *)
+val create : bus:Mig_event.bus -> Accent_kernel.Host.t -> t
+(** Bind the manager's command port on the host.  Every manager of a
+    world publishes on the world's one [bus]. *)
 
 val port : t -> Accent_ipc.Port.id
 val host : t -> Accent_kernel.Host.t
@@ -52,7 +45,6 @@ val migrate :
     the relocated process finishes its remote execution. *)
 
 val engine_stats : t -> (string * (string * int) list) list
-(** The live bookkeeping counters of ["copy"] (the Core/RIMAS arrival
-    table), ["push"] (in-flight round state and staged-page stores) and
-    ["dedup"] (parked sends and staged hits), in that order.  For tests
-    and leak diagnostics. *)
+(** The live bookkeeping counters of ["transfer"] (source round state and
+    destination entries) and ["dedup"] (parked sends and staged hits), in
+    that order.  For tests and leak diagnostics. *)

@@ -1,13 +1,14 @@
 (** The per-host content-addressed page store.
 
     One instance lives in each host's NetMsgServer and is shared with the
-    MigrationManager's backing server, replacing the private per-purpose
-    Segment_stores those layers used to keep.  It layers a digest-keyed
-    view over the familiar segment/offset view:
+    MigrationManager's backing server.  It layers a digest-keyed view over
+    a segment/offset view:
 
     - {b segment/offset}: the authoritative contents of cached and banked
-      imaginary segments, exactly as {!Accent_ipc.Segment_store} kept them
-      (O(1) extent adoption, overlay pages, per-segment drop);
+      imaginary segments, indexed by page-aligned segment offset (O(1)
+      extent adoption, overlay pages shadowing extents, per-segment drop),
+      plus the request-answering logic the NetMsgServer cache and backing
+      servers share ({!read_run});
 
     - {b digest}: every page value this host has seen, across all
       segments and all migrations, keyed by content digest.  This is the
@@ -19,9 +20,8 @@
       directly.
 
     With [dedup = false] (the default everywhere) the digest layer is
-    never consulted or populated by the segment operations, making the
-    store behaviourally identical to the Segment_store it replaced —
-    the compatibility guarantee behind dedup being default-off. *)
+    never consulted or populated by the segment operations — the
+    compatibility guarantee behind dedup being default-off. *)
 
 type t
 
@@ -61,32 +61,47 @@ val indexed_pages : t -> int
 
 (** {2 Segment/offset layer}
 
-    Mirrors {!Accent_ipc.Segment_store}.  When [dedup] is on, stored
-    values are also registered in (and interned through) the digest
-    layer, so the NMS cache and the backing server share one physical
-    copy of any page value they both hold. *)
+    When [dedup] is on, stored values are also registered in (and
+    interned through) the digest layer, so the NMS cache and the backing
+    server share one physical copy of any page value they both hold. *)
 
 val put_page :
   t -> segment_id:int -> offset:int -> Accent_mem.Page.value -> unit
+(** Store one page value at the page-aligned [offset].  Implicitly
+    declares the segment.  Nothing is copied — values are immutable. *)
 
 val put_extent :
   t -> segment_id:int -> offset:int -> Accent_mem.Page_run.t -> unit
+(** Adopt a whole run of page values starting at the page-aligned
+    [offset] in O(1) with dedup off — the run is referenced, not copied.
+    Raises [Invalid_argument] if the run overlaps an extent already
+    stored; offsets already present via {!put_page} keep shadowing the
+    extent. *)
 
 val put_bytes : t -> segment_id:int -> offset:int -> bytes -> unit
+(** Bytes-edge convenience: store a run of pages; trailing partial page
+    zero-padded. *)
+
 val get_page : t -> segment_id:int -> offset:int -> Accent_mem.Page.value option
 
 val read_run :
   t -> segment_id:int -> offset:int -> pages:int -> Accent_mem.Page.value list
+(** Pages at [offset], [offset+512], ... while present, at most [pages] of
+    them — the service routine for an Imaginary Read Request.  Empty if
+    the first page is absent. *)
 
 val has_segment : t -> segment_id:int -> bool
+
 val segment_pages : t -> segment_id:int -> int
+(** Present pages; an overlay page shadowing an extent slot counts
+    once. *)
+
 val segment_bytes : t -> segment_id:int -> int
 
 val drop_segment : t -> segment_id:int -> unit
 (** Forgets the segment's offsets but not its digests: dropped content
     still counts as seen. *)
 
-val segments : t -> int list
 val total_bytes : t -> int
 
 (** {2 Accounting} *)

@@ -2,6 +2,7 @@
    segment stores and local kernel delivery with its cost model. *)
 open Accent_sim
 open Accent_ipc
+module Content_store = Accent_net.Content_store
 
 let ids () = Ids.create ()
 
@@ -108,68 +109,73 @@ let test_with_memory_validates () =
         (Message.with_memory msg
            (Some [ data_chunk ~lo:0 1024; data_chunk ~lo:0 1024 ])))
 
-(* --- Segment_store --- *)
+(* --- Content_store's segment/offset layer, dedup off --- *)
 
 let test_segment_store_roundtrip () =
-  let store = Segment_store.create () in
-  Segment_store.put_bytes store ~segment_id:1 ~offset:0 (Bytes.make 1200 'a');
-  Alcotest.(check int) "pages" 3 (Segment_store.segment_pages store ~segment_id:1);
-  (match Segment_store.get_page store ~segment_id:1 ~offset:512 with
+  let store = Content_store.create () in
+  Content_store.put_bytes store ~segment_id:1 ~offset:0 (Bytes.make 1200 'a');
+  Alcotest.(check int) "pages" 3 (Content_store.segment_pages store ~segment_id:1);
+  (match Content_store.get_page store ~segment_id:1 ~offset:512 with
   | Some page ->
       Alcotest.(check char) "content" 'a'
         (Bytes.get (Accent_mem.Page.to_bytes page) 0)
   | None -> Alcotest.fail "page missing");
   Alcotest.(check (option Alcotest.reject)) "absent offset" None
-    (Option.map ignore (Segment_store.get_page store ~segment_id:1 ~offset:4096))
+    (Option.map ignore (Content_store.get_page store ~segment_id:1 ~offset:4096))
 
 let test_segment_store_read_run () =
-  let store = Segment_store.create () in
-  Segment_store.put_bytes store ~segment_id:1 ~offset:0 (Bytes.make 1024 'a');
+  let store = Content_store.create () in
+  Content_store.put_bytes store ~segment_id:1 ~offset:0 (Bytes.make 1024 'a');
   (* a hole at page 2, then another page *)
-  Segment_store.put_page store ~segment_id:1 ~offset:1536
+  Content_store.put_page store ~segment_id:1 ~offset:1536
     (Accent_mem.Page.of_bytes (Bytes.make 512 'b'));
   Alcotest.(check int) "run stops at hole" 2
-    (List.length (Segment_store.read_run store ~segment_id:1 ~offset:0 ~pages:8));
+    (List.length (Content_store.read_run store ~segment_id:1 ~offset:0 ~pages:8));
   Alcotest.(check int) "empty when first absent" 0
     (List.length
-       (Segment_store.read_run store ~segment_id:1 ~offset:1024 ~pages:2));
+       (Content_store.read_run store ~segment_id:1 ~offset:1024 ~pages:2));
   Alcotest.(check int) "bounded by pages" 1
-    (List.length (Segment_store.read_run store ~segment_id:1 ~offset:0 ~pages:1));
+    (List.length (Content_store.read_run store ~segment_id:1 ~offset:0 ~pages:1));
   (* a two-page extent at 2048 whose first slot a single page shadows *)
-  Segment_store.put_extent store ~segment_id:1 ~offset:2048
+  Content_store.put_extent store ~segment_id:1 ~offset:2048
     (Accent_mem.Page_run.pattern ~tag:1 ~first:0 ~len:2);
-  Segment_store.put_page store ~segment_id:1 ~offset:2048
+  Content_store.put_page store ~segment_id:1 ~offset:2048
     (Accent_mem.Page.of_bytes (Bytes.make 512 'c'));
-  Alcotest.(check (array int)) "offsets ascending, each once"
-    [| 0; 512; 1536; 2048; 2560 |]
-    (Segment_store.offsets store ~segment_id:1)
+  Alcotest.(check (list int)) "offsets ascending, each once"
+    [ 0; 512; 1536; 2048; 2560 ]
+    (List.filter
+       (fun offset ->
+         Content_store.get_page store ~segment_id:1 ~offset <> None)
+       (List.init 8 (fun i -> i * 512)));
+  Alcotest.(check int) "the shadowed slot counts once" 5
+    (Content_store.segment_pages store ~segment_id:1)
 
 let test_segment_store_keeps_symbolic () =
   (* a Pattern value travels through the store without materializing *)
-  let store = Segment_store.create () in
+  let store = Content_store.create () in
   let v = Accent_mem.Page.pattern_value ~tag:21 3 in
-  Segment_store.put_page store ~segment_id:2 ~offset:512 v;
-  (match Segment_store.get_page store ~segment_id:2 ~offset:512 with
+  Content_store.put_page store ~segment_id:2 ~offset:512 v;
+  (match Content_store.get_page store ~segment_id:2 ~offset:512 with
   | Some back ->
       Alcotest.(check bool) "still symbolic" true
         (Accent_mem.Page.is_symbolic back);
       Alcotest.(check bool) "content intact" true
         (Accent_mem.Page.equal_value v back)
   | None -> Alcotest.fail "page missing");
-  match Segment_store.read_run store ~segment_id:2 ~offset:512 ~pages:4 with
+  match Content_store.read_run store ~segment_id:2 ~offset:512 ~pages:4 with
   | [ back ] ->
       Alcotest.(check bool) "read_run preserves the value" true
         (Accent_mem.Page.equal_value v back)
   | run -> Alcotest.failf "expected a 1-page run, got %d" (List.length run)
 
 let test_segment_store_drop () =
-  let store = Segment_store.create () in
-  Segment_store.put_bytes store ~segment_id:5 ~offset:0 (Bytes.make 512 'x');
-  Alcotest.(check bool) "present" true (Segment_store.has_segment store ~segment_id:5);
-  Segment_store.drop_segment store ~segment_id:5;
+  let store = Content_store.create () in
+  Content_store.put_bytes store ~segment_id:5 ~offset:0 (Bytes.make 512 'x');
+  Alcotest.(check bool) "present" true (Content_store.has_segment store ~segment_id:5);
+  Content_store.drop_segment store ~segment_id:5;
   Alcotest.(check bool) "dropped" false
-    (Segment_store.has_segment store ~segment_id:5);
-  Alcotest.(check int) "no bytes" 0 (Segment_store.total_bytes store)
+    (Content_store.has_segment store ~segment_id:5);
+  Alcotest.(check int) "no bytes" 0 (Content_store.total_bytes store)
 
 (* --- Kernel_ipc --- *)
 

@@ -184,7 +184,7 @@ let test_giveup_clears_staged () =
                      (Page_run.singleton Page.zero_value);
                };
              ]
-           (Engine_push.Mig_push_pages
+           (Transfer_engine.Mig_push_pages
               {
                 proc_id = 777;
                 round = 1;
@@ -192,8 +192,8 @@ let test_giveup_clears_staged () =
               }));
       ignore (World.run world);
       let staged () =
-        List.assoc "staged"
-          (List.assoc "push" (Migration_manager.engine_stats manager1))
+        List.assoc "inbound"
+          (List.assoc "transfer" (Migration_manager.engine_stats manager1))
       in
       let name = Strategy.name strategy in
       Alcotest.(check int) (name ^ ": round pages staged") 1 (staged ());
@@ -230,7 +230,7 @@ let test_missing_staged_pages_abort_not_crash () =
             (Accent_ipc.Message.make ~ids:(Host.ids host0)
                ~dest:(Migration_manager.port (World.manager world 1))
                ~inline_bytes:128
-               (Engine_push.Mig_push_final
+               (Transfer_engine.Mig_push_final
                   {
                     core = excised.Excise.core;
                     handoff =

@@ -445,7 +445,7 @@ let prop_partial_rimas_equiv =
                         | Some v -> v
                         | None -> Page.zero_value) )
             | _ -> Passed chunk)
-          (Engine_copy.partial_rimas backing excised ~keep_pages)
+          (Transfer_engine.partial_rimas backing excised ~keep_pages)
       in
       let expected = reference_partial_rimas excised ~keep_pages in
       List.length got = List.length expected
