@@ -56,7 +56,7 @@ val default_kill_fracs : float list
 (** [0.25; 0.5; 0.75]. *)
 
 val default_strategies : unit -> Strategy.t list
-(** All four transfer engines: pure-copy, pure-IOU, pre-copy, hybrid. *)
+(** Four strategies: pure-copy, pure-IOU, pre-copy, hybrid. *)
 
 val run :
   ?seed:int64 ->

@@ -5,9 +5,9 @@
     AMap and cold-extent layout, every materialised page value with its
     residency, the microstate/PCB and port rights, the working-set
     recency stream, the dirty-page log and the provenance of pending
-    IOUs — captured in one plain-data snapshot.  The transfer engines
-    assemble their wire messages {e from} an image rather than from
-    ad-hoc per-engine bookkeeping, and a durable checkpoint is just an
+    IOUs — captured in one plain-data snapshot.  The transfer engine
+    assembles its wire messages {e from} an image rather than from
+    ad-hoc per-strategy bookkeeping, and a durable checkpoint is just an
     image with its page values swapped for digests
     ({!Accent_core.Checkpoint}).
 
