@@ -416,6 +416,12 @@ let compare_cmd =
 
 let cluster hosts jobs churn policy domains seed json =
   if churn <= 0. then begin
+    (* the batch table has no JSON form: refuse rather than write nothing *)
+    if json <> None then begin
+      prerr_endline
+        "--json needs --churn: only the churn comparison is written as JSON";
+      exit 1
+    end;
     (* the original closed-batch experiment: a burst of jobs arriving on
        one host of a small cluster.  Bare `accentctl cluster` reproduces
        the classic 3-host policy table. *)
@@ -513,7 +519,9 @@ let cluster_domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~doc)
 
 let cluster_json_arg =
-  let doc = "Also write the churn comparison as JSON to $(docv)." in
+  let doc =
+    "Also write the churn comparison as JSON to $(docv); requires --churn."
+  in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
 let cluster_cmd =

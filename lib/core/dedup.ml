@@ -75,22 +75,23 @@ let iou_run_values t (c : Memory_object.chunk) =
       let values =
         Accent_net.Content_store.read_run t.store ~segment_id ~offset ~pages
       in
-      if List.length values = pages then Some (Array.of_list values) else None
+      if List.length values = pages then Some (Page_run.of_list values)
+      else None
 
 let digest_runs t memory =
   List.filter_map
     (fun (c : Memory_object.chunk) ->
-      match c.Memory_object.content with
-      | Memory_object.Data run ->
-          Some
-            ( c.Memory_object.range.Vaddr.lo,
-              Page_run.map_to_array Page.digest run )
-      | Memory_object.Digest_refs _ -> None
-      | Memory_object.Iou _ ->
-          Option.map
-            (fun values ->
-              (c.Memory_object.range.Vaddr.lo, Array.map Page.digest values))
-            (iou_run_values t c))
+      let advertised =
+        match c.Memory_object.content with
+        | Memory_object.Data run -> Some run
+        | Memory_object.Digest_refs _ -> None
+        | Memory_object.Iou _ -> iou_run_values t c
+      in
+      Option.map
+        (fun run ->
+          ( c.Memory_object.range.Vaddr.lo,
+            Page_run.map_to_array Page.digest run ))
+        advertised)
     memory
 
 let send t ~dest ~proc_id ~memory ~build =
@@ -106,57 +107,47 @@ let send t ~dest ~proc_id ~memory ~build =
           (Protocol.mig_digests ~ids:(Host.ids t.host) ~dest ~xfer_id ~proc_id
              ~src_port:t.port ~runs)
 
-(* Split an advertised chunk into maximal sub-runs: pages the destination
-   asked for keep their original shape (Data bytes, or an IOU to pull
-   through), the rest travel as 8-byte digest references. *)
-let split_chunk (c : Memory_object.chunk) ~values ~need ~mk_needed =
-  let lo = c.Memory_object.range.Vaddr.lo in
-  let n = Array.length values in
-  let needed = Array.make n false in
-  List.iter
-    (fun (off, pages) ->
-      for k = 0 to pages - 1 do
-        let po = off + (k * Page.size) in
-        if po >= lo && po < c.Memory_object.range.Vaddr.hi then
-          needed.((po - lo) / Page.size) <- true
-      done)
-    need;
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let j = ref !i in
-    while !j < n && needed.(!j) = needed.(!i) do
-      incr j
-    done;
-    let sub = Array.sub values !i (!j - !i) in
-    let range =
-      Vaddr.of_len (lo + (!i * Page.size)) (Page.size * (!j - !i))
-    in
-    let content =
-      if needed.(!i) then mk_needed ~first_page:!i sub
-      else Memory_object.Digest_refs (Array.map Page.digest sub)
-    in
-    out := { Memory_object.range; content } :: !out;
-    i := !j
-  done;
-  List.rev !out
-
+(* Split each advertised chunk against the need runs (one map by
+   address): pages the destination asked for keep their original shape
+   (Data bytes, or an IOU to pull through), the rest travel as 8-byte
+   digest references. *)
 let prune t memory need =
+  let need =
+    List.fold_left
+      (fun map (off, pages) ->
+        Interval_map.set map ~lo:off ~hi:(off + (pages * Page.size)) ())
+      (Interval_map.empty ()) need
+  in
+  let split_chunk (c : Memory_object.chunk) run ~mk_needed =
+    let lo = c.range.Vaddr.lo in
+    Interval_map.fold_pieces need ~lo ~hi:c.range.Vaddr.hi ~init:[]
+      ~f:(fun rev_pieces a b needed ->
+        let first_page = (a - lo) / Page.size in
+        let sub = Page_run.sub run ~pos:first_page ~len:((b - a) / Page.size) in
+        let content =
+          match needed with
+          | Some () -> mk_needed ~first_page sub
+          | None ->
+              Memory_object.Digest_refs (Page_run.map_to_array Page.digest sub)
+        in
+        { Memory_object.range = Vaddr.range a b; content } :: rev_pieces)
+    |> List.rev
+  in
   List.concat_map
     (fun (c : Memory_object.chunk) ->
       match c.Memory_object.content with
       | Memory_object.Digest_refs _ -> [ c ]
       | Memory_object.Data run ->
-          split_chunk c ~values:(Page_run.to_array run) ~need
-            ~mk_needed:(fun ~first_page:_ sub ->
-              Memory_object.Data (Page_run.of_array sub))
+          (* a needed slice is copied out, so the destination does not pin
+             the source's whole run for the few pages it missed *)
+          split_chunk c run ~mk_needed:(fun ~first_page:_ sub ->
+              Memory_object.Data (Page_run.of_array (Page_run.to_array sub)))
       | Memory_object.Iou { segment_id; backing_port; offset } -> (
           match iou_run_values t c with
           | None -> [ c ] (* was not advertised; ship the IOU whole *)
-          | Some values ->
-              split_chunk c ~values ~need
-                ~mk_needed:(fun ~first_page sub ->
-                  ignore sub;
+          | Some run ->
+              split_chunk c run
+                ~mk_needed:(fun ~first_page _ ->
                   Memory_object.Iou
                     {
                       segment_id;

@@ -4,99 +4,6 @@ open Accent_kernel
 
 exception Abort of string
 
-(* --- sent sets ------------------------------------------------------------ *)
-
-(* monomorphic order on closed page runs: the freeze-path sorts must not
-   fall back to polymorphic compare *)
-let run_compare ((a1 : int), (a2 : int)) (b1, b2) =
-  match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c
-
-module Sent = struct
-  (* The pages a migration's rounds have pushed.  Bulk pushes (a pre-copy
-     first round reads whole real ranges) record closed page runs in O(1);
-     per-page marks (dirty-log rounds, the hybrid residual) land in the
-     table.  Nothing ever consults this page-by-page over the address
-     space: a freeze collapses the whole set into one sorted run view and
-     subtracts it from the image's real ranges. *)
-  type t = {
-    tbl : (Page.index, unit) Hashtbl.t;
-    mutable bulk : (Page.index * Page.index) list;  (* closed page runs *)
-  }
-
-  let create () = { tbl = Hashtbl.create 256; bulk = [] }
-
-  let reset t =
-    Hashtbl.reset t.tbl;
-    t.bulk <- []
-
-  let mark_page t p = Hashtbl.replace t.tbl p ()
-
-  let mark_run t ~first ~last =
-    if last >= first then t.bulk <- (first, last) :: t.bulk
-
-  (* Coalesce a sorted list of closed page runs into maximal disjoint
-     ones, merging overlap and adjacency. *)
-  let coalesce = function
-    | [] -> [||]
-    | first :: rest ->
-        let out = ref [] and cur = ref first in
-        List.iter
-          (fun (a, b) ->
-            let ca, cb = !cur in
-            if a <= cb + 1 then cur := (ca, max cb b)
-            else begin
-              out := (ca, cb) :: !out;
-              cur := (a, b)
-            end)
-          rest;
-        out := !cur :: !out;
-        Array.of_list (List.rev !out)
-
-  (* The whole sent set as maximal sorted disjoint closed page runs —
-     built once per freeze, O(marks log marks), never O(space). *)
-  let sorted_view t =
-    coalesce
-      (List.sort run_compare
-         (Hashtbl.fold (fun p () acc -> (p, p) :: acc) t.tbl t.bulk))
-
-  (* Closed page runs of [first, last] not covered by [view], ascending:
-     one binary search to land on the first overlapping run, then a walk
-     of the runs the range actually intersects. *)
-  let uncovered view ~first ~last =
-    let n = Array.length view in
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if snd view.(mid) < first then lo := mid + 1 else hi := mid
-    done;
-    let acc = ref [] and pos = ref first and i = ref !lo in
-    while !pos <= last && !i < n && fst view.(!i) <= last do
-      let a, b = view.(!i) in
-      if a > !pos then acc := (!pos, a - 1) :: !acc;
-      if b >= !pos then pos := b + 1;
-      incr i
-    done;
-    if !pos <= last then acc := (!pos, last) :: !acc;
-    List.rev !acc
-end
-
-module Sent_pool = struct
-  type t = Sent.t list ref
-
-  let create () = ref []
-
-  let take pool =
-    match !pool with
-    | s :: rest ->
-        pool := rest;
-        s
-    | [] -> Sent.create ()
-
-  let give pool s =
-    Sent.reset s;
-    pool := s :: !pool
-end
-
 (* --- data chunks ---------------------------------------------------------- *)
 
 (* Sorted, deduplicated pages coalesced into maximal closed page runs. *)
@@ -166,14 +73,16 @@ let real_range_chunks space =
         runs
 
 (* Closed page runs of the image's real memory that no round ever pushed —
-   the run-subtraction core of both the hybrid cold tail and the pre-copy
-   residual. *)
+   the gaps the sent set leaves in each real range, the run-subtraction
+   core of both the hybrid cold tail and the pre-copy residual. *)
 let unsent_runs (image : Proc_image.t) ~sent =
-  let view = Sent.sorted_view sent in
   List.concat_map
     (fun (lo, hi) ->
-      Sent.uncovered view ~first:(Page.index_of_addr lo)
-        ~last:(Page.index_of_addr (hi - 1)))
+      Interval_map.fold_pieces sent ~lo:(Page.index_of_addr lo)
+        ~hi:(Page.index_of_addr (hi - 1) + 1)
+        ~init:[]
+        ~f:(fun acc a b -> function None -> (a, b - 1) :: acc | Some () -> acc)
+      |> List.rev)
     (Proc_image.real_ranges image)
 
 (* --- IOU chunks ----------------------------------------------------------- *)
@@ -203,10 +112,9 @@ let iou_chunks_of_image (image : Proc_image.t) =
 (* Everything real that no round ever pushed and the freeze did not catch
    dirty becomes the cold tail: its values move into the manager's backing
    server (keyed by virtual address) and the final message carries IOUs
-   for the destination to pull on reference.  The cold runs come from one
-   run subtraction of the sorted sent view against the image's real
-   ranges, and each run's values are banked as one adopted extent — never
-   a per-range fold over the sent set or a per-page lookup and insert,
+   for the destination to pull on reference.  The cold runs are the gaps
+   the sent set leaves in the image's real ranges, and each run's values
+   are banked as one adopted extent — never a per-page lookup and insert,
    which would make every hybrid freeze O(space). *)
 let cold_iou_chunks backing (image : Proc_image.t) ~sent =
   match unsent_runs image ~sent with
@@ -231,21 +139,20 @@ let cold_iou_chunks backing (image : Proc_image.t) ~sent =
         runs
 
 (* The pre-copy residual: everything dirtied since the last round plus
-   every real page no round ever pushed — the unsent runs merged with the
-   (small) dirty log, each merged run read out of the image as one shared
-   view.  Replaces the old page-list pipeline (enumerate every image
-   page, filter by a per-page membership probe, re-sort, re-coalesce)
-   whose cost and allocation were O(space) per freeze. *)
+   every real page no round ever pushed — the unsent runs and the (small)
+   dirty log merged into one page set, each maximal run read out of the
+   image as one shared view.  Never a per-page probe of the image, whose
+   cost and allocation would be O(space) per freeze. *)
 let precopy_residual_chunks (image : Proc_image.t) ~sent ~written =
-  let runs =
-    Sent.coalesce
-      (List.sort run_compare
-         (List.rev_append (page_runs_of_pages written) (unsent_runs image ~sent)))
-  in
-  Array.to_list runs
-  |> List.map (fun (first, last) ->
-         let lo = Page.addr_of_index first
-         and hi = Page.addr_of_index last + Page.size in
+  List.fold_left
+    (fun set (first, last) -> Interval_map.set set ~lo:first ~hi:(last + 1) ())
+    (Interval_map.empty ())
+    (List.rev_append
+       (List.map (fun p -> (p, p)) written)
+       (unsent_runs image ~sent))
+  |> Interval_map.ranges
+  |> List.map (fun (first, stop, ()) ->
+         let lo = Page.addr_of_index first and hi = Page.addr_of_index stop in
          let run =
            try Proc_image.range_run image ~lo ~hi
            with Failure _ ->
@@ -272,32 +179,30 @@ let assemble staged ~amap ~iou_chunks =
     cursor := !cursor + len
   in
   (* Cover [lo, hi) out of the final message's IOU chunks, splitting on
-     chunk boundaries. *)
-  let rec emit_iou_cover ~lo ~hi =
-    if lo < hi then (
-      let chunk =
-        match
-          List.find_opt
-            (fun c ->
-              c.Memory_object.range.Vaddr.lo <= lo
-              && lo < c.Memory_object.range.Vaddr.hi)
-            iou_chunks
-        with
-        | Some c -> c
-        | None -> raise (Abort "push: page neither staged nor IOU-backed")
-      in
-      let piece_hi = min hi chunk.Memory_object.range.Vaddr.hi in
-      (match chunk.Memory_object.content with
-      | Memory_object.Iou { segment_id; backing_port; offset } ->
-          emit_chunk (piece_hi - lo)
-            (Memory_object.Iou
-               {
-                 segment_id;
-                 backing_port;
-                 offset = offset + lo - chunk.Memory_object.range.Vaddr.lo;
-               })
-      | Memory_object.Data _ | Memory_object.Digest_refs _ -> assert false);
-      emit_iou_cover ~lo:piece_hi ~hi)
+     chunk boundaries: one map keyed by address, never coalesced, so each
+     piece it yields is one chunk's share of the range. *)
+  let ious =
+    List.fold_left
+      (fun map (c : Memory_object.chunk) ->
+        Interval_map.set map ~lo:c.range.Vaddr.lo ~hi:c.range.Vaddr.hi c)
+      (Interval_map.empty ~equal:(fun _ _ -> false) ())
+      iou_chunks
+  in
+  let emit_iou_cover ~lo ~hi =
+    Interval_map.fold_pieces ious ~lo ~hi ~init:() ~f:(fun () a b -> function
+      | None -> raise (Abort "push: page neither staged nor IOU-backed")
+      | Some (chunk : Memory_object.chunk) -> (
+          match chunk.content with
+          | Memory_object.Iou { segment_id; backing_port; offset } ->
+              emit_chunk (b - a)
+                (Memory_object.Iou
+                   {
+                     segment_id;
+                     backing_port;
+                     offset = offset + a - chunk.range.Vaddr.lo;
+                   })
+          | Memory_object.Data _ | Memory_object.Digest_refs _ ->
+              assert false))
   in
   let emit_data first last =
     let run =

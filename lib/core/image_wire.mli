@@ -6,7 +6,13 @@
     {!Accent_kernel.Proc_image.t} by run subtraction against the pages
     the rounds already pushed — plus the one assembler that turns the
     destination's staged round pages and the final message's IOU chunks
-    into the insertion RIMAS. *)
+    into the insertion RIMAS.
+
+    A migration's sent set is a plain [unit Interval_map.t] over page
+    indices, owned by the engine: every round sets one run per chunk it
+    pushed, and the freeze reads only its gaps
+    ({!Accent_mem.Interval_map.fold_pieces}) inside the image's real
+    ranges — never a per-page probe over the address space. *)
 
 open Accent_mem
 open Accent_kernel
@@ -17,36 +23,6 @@ exception Abort of string
     builders below; {!Transfer_engine} catches it at its protocol
     boundaries and turns it into an {!Mig_event.Engine_abort} event — it
     must never escape to the simulation loop. *)
-
-(** A migration's sent set: which pages some round has already pushed.
-    Bulk pushes record closed page runs in O(1) ({!Sent.mark_run}); dirty-
-    log rounds mark individual pages.  The set is only ever read by
-    collapsing it into one sorted run view per freeze and subtracting it
-    from the image's real ranges — never by a per-page probe over the
-    address space. *)
-module Sent : sig
-  type t
-
-  val create : unit -> t
-  val mark_page : t -> Page.index -> unit
-
-  val mark_run : t -> first:Page.index -> last:Page.index -> unit
-  (** Record the closed page run [first, last] as pushed; no-op when
-      empty. *)
-end
-
-(** Pooled scratch for the per-migration sent sets: taken at migration
-    start, returned (and reset) at freeze or abort, so steady churn
-    reuses a few sets instead of allocating one per migration. *)
-module Sent_pool : sig
-  type t
-
-  val create : unit -> t
-  val take : t -> Sent.t
-
-  val give : t -> Sent.t -> unit
-  (** Resets the set; the caller must not retain it. *)
-end
 
 (** {2 Data chunks} *)
 
@@ -85,11 +61,12 @@ val real_range_chunks : Address_space.t -> Accent_ipc.Memory_object.t
     copied. *)
 
 val unsent_runs :
-  Proc_image.t -> sent:Sent.t -> (Page.index * Page.index) list
+  Proc_image.t -> sent:unit Interval_map.t -> (Page.index * Page.index) list
 (** Closed page runs of the image's real memory that no round ever
-    pushed, ascending — the run subtraction at the heart of the hybrid
-    cold tail and the pre-copy residual.  O(real ranges + sent marks log
-    sent marks), independent of the address-space page count. *)
+    pushed, ascending: the gaps [sent] leaves in each real range — the
+    run subtraction at the heart of the hybrid cold tail and the pre-copy
+    residual.  O((real ranges + pieces) × log sent runs), independent of
+    the address-space page count. *)
 
 (** {2 IOU chunks} *)
 
@@ -101,7 +78,7 @@ val iou_chunks_of_image : Proc_image.t -> Accent_ipc.Memory_object.t
 val cold_iou_chunks :
   Backing_server.t ->
   Proc_image.t ->
-  sent:Sent.t ->
+  sent:unit Interval_map.t ->
   Accent_ipc.Memory_object.t
 (** Bank every real run the rounds never pushed on the given backing
     server (one adopted extent per run) and return IOU chunks for the
@@ -110,12 +87,13 @@ val cold_iou_chunks :
 
 val precopy_residual_chunks :
   Proc_image.t ->
-  sent:Sent.t ->
+  sent:unit Interval_map.t ->
   written:Page.index list ->
   Accent_ipc.Memory_object.t
-(** The pre-copy residual: the dirty log merged with {!unsent_runs}, each
-    maximal run read out of the image as one shared view.  Chunk
-    boundaries are identical to coalescing the equivalent page list. *)
+(** The pre-copy residual: the dirty log merged with {!unsent_runs} into
+    one page set, each maximal run read out of the image as one shared
+    view.  Chunk boundaries are identical to coalescing the equivalent
+    page list. *)
 
 (** {2 Destination side: assembly} *)
 
@@ -127,7 +105,9 @@ val assemble :
 (** The insertion RIMAS, in collapsed coordinates, from the staged pages
     (keyed by page index): every maximal run of staged pages becomes one
     Data chunk, and every other page of a [Real_mem] or [Imag_mem] range
-    is covered from [iou_chunks], splitting on chunk boundaries.  A page
-    neither staged nor IOU-backed raises {!Abort}.  O(AMap ranges +
-    staged pages log staged pages + IOU pieces × IOU chunks), never a
-    probe of every page of a range. *)
+    is covered from [iou_chunks] — one never-coalescing [Interval_map] of
+    the chunks by address, walked with
+    {!Accent_mem.Interval_map.fold_pieces} so the cover splits on chunk
+    boundaries.  A page neither staged nor IOU-backed raises {!Abort}.
+    O(AMap ranges + staged pages log staged pages + (IOU chunks + IOU
+    pieces) × log IOU chunks), never a probe of every page of a range. *)

@@ -36,7 +36,7 @@ type push = {
           real page and leaves nothing to pull *)
   max_rounds : int;
   threshold_pages : int;
-  sent : Image_wire.Sent.t;  (** pages ever pushed; owned by the pool *)
+  mutable sent : unit Interval_map.t;  (** page indices ever pushed *)
 }
 
 (* What the final leg carries.  The classic four are the zero-round case:
@@ -64,7 +64,6 @@ type t = {
   ctx : ctx;
   outbound : (int, push) Hashtbl.t;  (** by proc id *)
   inbound : (int, inbound) Hashtbl.t;  (** by proc id *)
-  pool : Image_wire.Sent_pool.t;
 }
 
 let emit ctx ~proc_id kind =
@@ -78,15 +77,17 @@ let abort_migration ctx ~proc_id reason =
 
 (* --- resident-set RIMAS preparation ------------------------------------- *)
 
-(* The kept pages become sorted, maximal closed runs of collapsed page
-   indices once; each Data chunk is then sliced against them — kept
-   slices stay Data, every other slice is banked whole on the manager's
-   backing server and travels as an IOU.  Work past mapping the keep
-   pages is O(chunks × log runs + pieces): no per-page table, value list
-   or store insert. *)
+(* The kept pages become one map of collapsed page runs; each Data chunk
+   is then split against it — kept pieces stay Data, every gap is banked
+   whole on the manager's backing server and travels as an IOU.  Work
+   past mapping the keep pages is O(pieces × log kept runs): no per-page
+   table, value list or store insert. *)
 let partial_rimas backing (excised : Excise.excised) ~keep_pages =
   let keep =
-    Array.of_list
+    List.fold_left
+      (fun keep (first, last) ->
+        Interval_map.set keep ~lo:first ~hi:(last + 1) ())
+      (Interval_map.empty ())
       (Image_wire.page_runs_of_pages
          (List.filter_map
             (fun page ->
@@ -97,50 +98,28 @@ let partial_rimas backing (excised : Excise.excised) ~keep_pages =
   in
   let segment_id = Backing_server.new_segment backing in
   let backing_port = Backing_server.port backing in
-  let slice_chunk (chunk : Memory_object.chunk) run =
-    let chunk_first =
-      Page.index_of_addr chunk.Memory_object.range.Vaddr.lo
-    in
-    let last = chunk_first + Page_run.length run - 1 in
-    let rev_pieces = ref [] in
-    let piece ~kept first last =
-      let lo = Page.addr_of_index first in
-      let slice =
-        Page_run.sub run ~pos:(first - chunk_first) ~len:(last - first + 1)
-      in
-      let content =
-        if kept then Memory_object.Data slice
-        else begin
-          Backing_server.put_extent backing ~segment_id ~offset:lo slice;
-          Memory_object.Iou { segment_id; backing_port; offset = lo }
-        end
-      in
-      let hi = Page.addr_of_index last + Page.size in
-      rev_pieces := { Memory_object.range = Vaddr.range lo hi; content }
-        :: !rev_pieces
-    in
-    (* first keep run that ends at or after the chunk's first page *)
-    let lo = ref 0 and hi = ref (Array.length keep) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if snd keep.(mid) < chunk_first then lo := mid + 1 else hi := mid
-    done;
-    let pos = ref chunk_first and i = ref !lo in
-    while !i < Array.length keep && fst keep.(!i) <= last do
-      let a = max (fst keep.(!i)) !pos and b = min (snd keep.(!i)) last in
-      if a > !pos then piece ~kept:false !pos (a - 1);
-      piece ~kept:true a b;
-      pos := b + 1;
-      incr i
-    done;
-    if !pos <= last then piece ~kept:false !pos last;
-    List.rev !rev_pieces
+  let split_chunk (chunk : Memory_object.chunk) run =
+    let first = Page.index_of_addr chunk.range.Vaddr.lo in
+    Interval_map.fold_pieces keep ~lo:first ~hi:(first + Page_run.length run)
+      ~init:[] ~f:(fun rev_pieces a b kept ->
+        let lo = Page.addr_of_index a in
+        let slice = Page_run.sub run ~pos:(a - first) ~len:(b - a) in
+        let content =
+          match kept with
+          | Some () -> Memory_object.Data slice
+          | None ->
+              Backing_server.put_extent backing ~segment_id ~offset:lo slice;
+              Memory_object.Iou { segment_id; backing_port; offset = lo }
+        in
+        { Memory_object.range = Vaddr.range lo (Page.addr_of_index b); content }
+        :: rev_pieces)
+    |> List.rev
   in
   List.concat_map
     (fun chunk ->
       match chunk.Memory_object.content with
       | Memory_object.Iou _ | Memory_object.Digest_refs _ -> [ chunk ]
-      | Memory_object.Data run -> slice_chunk chunk run)
+      | Memory_object.Data run -> split_chunk chunk run)
     excised.Excise.rimas
 
 (* --- source side: the final leg ----------------------------------------- *)
@@ -184,6 +163,18 @@ let send_final ctx ~dest ~handoff ~image chunks (excised : Excise.excised) =
         ~category:Message.Bulk
         (Mig_push_final { core; handoff }))
 
+(* Record every page the (vaddr-coordinate) chunks carry as pushed: one
+   run per chunk, never one mark per page. *)
+let mark_sent push chunks =
+  List.iter
+    (fun (c : Memory_object.chunk) ->
+      push.sent <-
+        Interval_map.set push.sent
+          ~lo:(Page.index_of_addr c.range.Vaddr.lo)
+          ~hi:(Page.index_of_addr c.range.Vaddr.hi)
+          ())
+    chunks
+
 (* The push residual's Data chunks and cold-tail IOUs, read out of the
    captured image.  Pre-copy ships everything dirtied since the last round
    plus every real page no round ever pushed; hybrid ships only the dirty
@@ -197,7 +188,7 @@ let residual ctx push image ~written =
         Image_wire.image_data_chunks image
           ~missing:"pre-copy: page vanished mid-round" written
       in
-      List.iter (Image_wire.Sent.mark_page push.sent) written;
+      mark_sent push residual_chunks;
       ( residual_chunks,
         Image_wire.cold_iou_chunks ctx.backing image ~sent:push.sent )
 
@@ -229,7 +220,6 @@ let final_leg t ~dest ~handoff leg ~live_pages (captured : Excise.excised) =
         (Mig_event.Frozen
            { residual_bytes = Memory_object.data_bytes residual_chunks });
       Hashtbl.remove t.outbound proc_id;
-      Image_wire.Sent_pool.give t.pool push.sent;
       send_final ctx ~dest ~handoff ~image (residual_chunks @ cold_chunks)
 
 (* The one freeze path: wait out any in-flight fault (ExciseProcess
@@ -284,7 +274,7 @@ let push_pages ctx push ~round pages =
   | exception Image_wire.Abort reason ->
       abort_migration ctx ~proc_id:push.proc.Proc.id reason
   | chunks ->
-      List.iter (Image_wire.Sent.mark_page push.sent) pages;
+      mark_sent push chunks;
       send_round ctx push ~round chunks
 
 (* Pre-copy's first round: every Real range whole, as shared views, with
@@ -295,12 +285,7 @@ let push_all ctx push =
   | exception Image_wire.Abort reason ->
       abort_migration ctx ~proc_id:push.proc.Proc.id reason
   | chunks ->
-      List.iter
-        (fun c ->
-          Image_wire.Sent.mark_run push.sent
-            ~first:(Page.index_of_addr c.Memory_object.range.Vaddr.lo)
-            ~last:(Page.index_of_addr (c.Memory_object.range.Vaddr.hi - 1)))
-        chunks;
+      mark_sent push chunks;
       send_round ctx push ~round:1 chunks
 
 (* The process keeps executing at the source while rounds proceed. *)
@@ -314,7 +299,7 @@ let start_push t ~proc ~dest ~handoff ~window ~max_rounds ~threshold_pages =
       window;
       max_rounds;
       threshold_pages;
-      sent = Image_wire.Sent_pool.take t.pool;
+      sent = Interval_map.empty ();
     }
   in
   Hashtbl.replace t.outbound proc.Proc.id push;
@@ -514,14 +499,7 @@ let give_up_proc = function
   | _ -> None
 
 let create ctx =
-  let t =
-    {
-      ctx;
-      outbound = Hashtbl.create 4;
-      inbound = Hashtbl.create 4;
-      pool = Image_wire.Sent_pool.create ();
-    }
-  in
+  let t = { ctx; outbound = Hashtbl.create 4; inbound = Hashtbl.create 4 } in
   (* An abandoned migration never reaches its normal exit (the freeze for
      [outbound], insertion for [inbound]): drop its state when the
      transport gives up on it or the engine aborts it, or the staged pages
@@ -530,9 +508,6 @@ let create ctx =
       match ev.Mig_event.kind with
       | Mig_event.Transport_give_up | Mig_event.Engine_abort _ ->
           let proc_id = ev.Mig_event.proc_id in
-          Option.iter
-            (fun push -> Image_wire.Sent_pool.give t.pool push.sent)
-            (Hashtbl.find_opt t.outbound proc_id);
           Hashtbl.remove t.outbound proc_id;
           Hashtbl.remove t.inbound proc_id
       | _ -> ());

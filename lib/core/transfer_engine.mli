@@ -123,7 +123,10 @@ val partial_rimas :
   keep_pages:Accent_mem.Page.index list ->
   Accent_ipc.Memory_object.t
 (** Replace every Data page NOT in [keep_pages] with IOUs backed by the
-    given server, leaving the kept pages physical.  Each Data chunk is
-    sliced against the kept pages' runs: kept slices stay Data, every
-    other slice is banked as one extent and travels as one IOU.  Chunk
-    coordinates are collapsed offsets throughout.  (Exposed for tests.) *)
+    given server, leaving the kept pages physical.  The kept pages go
+    into one [Interval_map] of collapsed page indices, and each Data
+    chunk is split against it with
+    {!Accent_mem.Interval_map.fold_pieces}: kept pieces stay Data (a
+    {!Accent_mem.Page_run.sub} view), every gap is banked as one extent
+    and travels as one IOU.  Chunk coordinates are collapsed offsets
+    throughout.  (Exposed for tests.) *)

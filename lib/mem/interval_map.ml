@@ -96,6 +96,17 @@ let fold_range t ~lo ~hi ~init ~f =
 let iter_range t ~lo ~hi ~f =
   fold_range t ~lo ~hi ~init:() ~f:(fun () a b v -> f a b v)
 
+let fold_pieces t ~lo ~hi ~init ~f =
+  if lo >= hi then init
+  else begin
+    let pos, acc =
+      fold_range t ~lo ~hi ~init:(lo, init) ~f:(fun (pos, acc) a b v ->
+          let acc = if a > pos then f acc pos a None else acc in
+          (b, f acc a b (Some v)))
+    in
+    if pos < hi then f acc pos hi None else acc
+  end
+
 let total_length t = fold t ~init:0 ~f:(fun acc lo hi _ -> acc + hi - lo)
 
 let length_where t ~f =

@@ -6,7 +6,12 @@
 
     Invariants maintained: intervals never overlap, and adjacent intervals
     carrying equal values are coalesced, so the representation of any
-    total assignment is canonical. *)
+    total assignment is canonical.
+
+    It is also the one page-run algebra of the migration wire path: a
+    [unit t] is a set of page runs (a push migration's sent pages, a
+    RIMAS's kept pages, a dedup need list), and {!fold_pieces} splits a
+    range into what such a set covers and the gaps it leaves. *)
 
 type 'a t
 
@@ -45,6 +50,15 @@ val fold_range : 'a t -> lo:int -> hi:int -> init:'b ->
 
 val iter_range : 'a t -> lo:int -> hi:int -> f:(int -> int -> 'a -> unit) ->
   unit
+
+val fold_pieces : 'a t -> lo:int -> hi:int -> init:'b ->
+  f:('b -> int -> int -> 'a option -> 'b) -> 'b
+(** Walk [lo, hi) in increasing order: [f acc a b (Some v)] for every
+    interval clipped to the range and [f acc a b None] for every gap
+    between them, so the pieces tile [lo, hi) exactly.  This is the one
+    split behind every "which of these pages are in the set" question on
+    the migration wire path (sent pages, kept pages, needed pages, IOU
+    cover).  O(pieces × log intervals). *)
 
 val total_length : 'a t -> int
 (** Sum of interval lengths. *)

@@ -207,6 +207,28 @@ let run_ops ops =
   in
   (model, m)
 
+(* fold_pieces over [lo, hi) against the model: the pieces tile the range
+   in order, every point of a piece carries exactly the model's value (so
+   [Some v] pieces agree with it and [None] pieces are exactly its
+   unassigned points), and no two gaps abut. *)
+let pieces_match_model model m ~lo ~hi =
+  let rec tiles pos prev_gap = function
+    | [] -> pos = hi
+    | (a, b, v) :: rest ->
+        let points_ok = ref true in
+        for i = a to b - 1 do
+          if model.(i) <> v then points_ok := false
+        done;
+        a = pos && a < b && !points_ok
+        && not (prev_gap && v = None)
+        && tiles b (v = None) rest
+  in
+  let pieces =
+    Interval_map.fold_pieces m ~lo ~hi ~init:[] ~f:(fun acc a b v ->
+        (a, b, v) :: acc)
+  in
+  if lo >= hi then pieces = [] else tiles lo false (List.rev pieces)
+
 let prop_matches_model =
   QCheck.Test.make ~count:500 ~name:"interval map point queries match model"
     QCheck.(make ~print:(fun l -> String.concat ";" (List.map op_print l))
@@ -217,7 +239,15 @@ let prop_matches_model =
       for i = 0 to 63 do
         if Interval_map.find m i <> model.(i) then ok := false
       done;
-      !ok)
+      (* the walk over the whole domain and over every op's own range,
+         whose bounds mostly fall inside later intervals *)
+      !ok
+      && List.for_all
+           (fun (lo, hi) -> pieces_match_model model m ~lo ~hi)
+           ((0, 64)
+           :: List.map
+                (function Set (lo, hi, _) | Clear (lo, hi) -> (lo, hi))
+                ops))
 
 let prop_invariants_hold =
   QCheck.Test.make ~count:500 ~name:"interval map invariants after random ops"
