@@ -4,10 +4,11 @@
 
      eviction storm    Phys_mem.allocate against a full pool — every
                        allocation evicts.  The claim under test: cost
-                       per eviction is O(log frames) — heap depth plus
-                       a cache-miss term on the entry array (the old
-                       linear victim scan was O(frames); see
-                       docs/ARCHITECTURE.md §6 for the measured curve).
+                       per eviction is O(1) amortised — a FIFO pop
+                       plus a cache-miss term on the frame table and
+                       queue ring (the old linear victim scan was
+                       O(frames); see docs/ARCHITECTURE.md §6 for the
+                       measured curve).
      working-set churn Working_set queries against a long-lived
                        process — cost per query is flat in lifetime
                        footprint (the old fold was O(every page ever

@@ -416,12 +416,22 @@ let compare_cmd =
 
 let cluster hosts jobs churn policy domains seed json =
   if churn <= 0. then begin
-    (* the batch table has no JSON form: refuse rather than write nothing *)
-    if json <> None then begin
-      prerr_endline
-        "--json needs --churn: only the churn comparison is written as JSON";
+    (* the batch table has no JSON form, compares its own fixed policy
+       set and runs in one domain: refuse these flags rather than
+       silently ignore them *)
+    let refuse msg =
+      prerr_endline msg;
       exit 1
-    end;
+    in
+    if json <> None then
+      refuse
+        "--json needs --churn: only the churn comparison is written as JSON";
+    if policy <> None then
+      refuse
+        "--policy needs --churn: the batch table always compares its own \
+         policies";
+    if domains <> 1 then
+      refuse "--domains needs --churn: the batch table runs in one domain";
     (* the original closed-batch experiment: a burst of jobs arriving on
        one host of a small cluster.  Bare `accentctl cluster` reproduces
        the classic 3-host policy table. *)
@@ -510,12 +520,15 @@ let cluster_churn_arg =
 let cluster_policy_arg =
   let doc =
     "Run only this placement policy (threshold, destination-swap, random, \
-     static); default compares all four."
+     static); default compares all four.  Requires --churn."
   in
   Arg.(value & opt (some string) None & info [ "policy" ] ~doc)
 
 let cluster_domains_arg =
-  let doc = "Fan the per-policy worlds over this many OCaml domains." in
+  let doc =
+    "Fan the per-policy worlds over this many OCaml domains; more than 1 \
+     requires --churn."
+  in
   Arg.(value & opt int 1 & info [ "domains" ] ~doc)
 
 let cluster_json_arg =

@@ -368,7 +368,7 @@ let overlay_of t =
 (* Kernel-side gathering (excision, checkpoint, pre-copy rounds) reads
    pages without bumping the LRU clock: a migration read is not a process
    reference, and per-page recency bumps during a capture both distort
-   eviction order and allocate a heap entry per resident page. *)
+   eviction order and queue an LRU pair per resident page. *)
 let read_location t = function
   | In_mem frame -> Phys_mem.peek t.mem frame
   | On_disk block -> Paging_disk.read t.disk block

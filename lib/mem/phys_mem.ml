@@ -5,8 +5,7 @@ type frame = {
   mutable owner : owner;
   mutable data : Page.value;
   mutable dirty : bool;
-  mutable pinned : bool;
-  mutable last_use : int; (* LRU clock stamp *)
+  mutable last_use : int; (* stamp of its live pair in the LRU queue *)
 }
 
 (* Frames live in a dense array indexed by id (ids are recycled through
@@ -15,16 +14,12 @@ type frame = {
    hot-path lookup is one bounds-checked load — the Hashtbl this
    replaces cost a hash, a bucket walk and an option box per touch.
 
-   The LRU is a lazy-invalidation min-heap of plain ints: each entry
-   packs (stamp, frame id) into one immediate word.  There are no
-   cancellation handles; an entry is live iff the frame it names still
-   holds the stamp it was pushed with (stamps are unique, the clock
-   ticks on every bump) and is not pinned.  A recency bump therefore
-   allocates nothing: it writes the new stamp into the frame and pushes
-   one int.  Stale entries are skipped at pop and squeezed out when
-   they outnumber the live ones, exactly the event queue's compaction
-   rule, and the strict total order on stamps keeps the victim sequence
-   identical to the handle-based heap this replaces. *)
+   The LRU is an [Accent_util.Stamp_fifo] of frame ids: every recency
+   bump pushes the id with the queue's next stamp and writes that stamp
+   into the frame, so push order is LRU order and the victim is the
+   oldest live pair at the head.  A pair is live iff its frame still
+   carries its stamp; a freed slot holds [no_frame] (stamp -1) and a
+   recycled id carries a younger stamp.  A bump allocates nothing. *)
 
 type t = {
   capacity : int;
@@ -32,50 +27,30 @@ type t = {
   mutable in_use : int;
   mutable free_list : frame_id list;
   mutable next_id : int;
-  mutable clock : int;
   mutable evict : (owner -> Page.value -> dirty:bool -> unit) option;
   mutable evictions : int;
   (* space_id -> page -> frame, for O(1) resident-set queries *)
   by_space : (int, (Page.index, frame_id) Hashtbl.t) Hashtbl.t;
-  mutable lru : int array; (* packed (stamp, id); slots >= lru_len stale *)
-  mutable lru_len : int;
-  mutable lru_live : int; (* unpinned live frames = live heap entries *)
+  lru : Accent_util.Stamp_fifo.t;
 }
-
-(* Frame ids fit 20 bits (pools are bounded in [create]); stamps are
-   unique, so the packed key preserves stamp order with the frame id as
-   a vestigial tie-break. *)
-let id_bits = 20
-let lru_key stamp id = (stamp lsl id_bits) lor id
-let lru_id key = key land ((1 lsl id_bits) - 1)
-let lru_stamp key = key lsr id_bits
 
 let no_owner = { space_id = -1; page = -1 }
 
 let no_frame =
-  {
-    owner = no_owner;
-    data = Page.zero_value;
-    dirty = false;
-    pinned = false;
-    last_use = -1;
-  }
+  { owner = no_owner; data = Page.zero_value; dirty = false; last_use = -1 }
 
 let create ~frames =
-  assert (frames > 0 && frames < 1 lsl id_bits);
+  assert (frames > 0);
   {
     capacity = frames;
     slots = [||];
     in_use = 0;
     free_list = [];
     next_id = 0;
-    clock = 0;
     evict = None;
     evictions = 0;
     by_space = Hashtbl.create 16;
-    lru = [||];
-    lru_len = 0;
-    lru_live = 0;
+    lru = Accent_util.Stamp_fifo.create ();
   }
 
 let set_evict_handler t f = t.evict <- Some f
@@ -83,95 +58,17 @@ let capacity t = t.capacity
 let in_use t = t.in_use
 let free_frames t = t.capacity - t.in_use
 
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
+(* --- the LRU queue ------------------------------------------------------ *)
 
-(* --- the stamp-validated LRU heap -------------------------------------- *)
+let frame_live t id stamp = t.slots.(id).last_use = stamp
+let frame_restamp t id stamp = t.slots.(id).last_use <- stamp
 
-(* Live iff the named frame still carries this stamp and is evictable.
-   A freed slot holds [no_frame] (stamp -1), a recycled id carries a
-   younger stamp, a pinned frame sits out until unpinned. *)
-let entry_live t key =
-  let f = t.slots.(lru_id key) in
-  f.last_use = lru_stamp key && not f.pinned
+(* A fresh stamp for frame [id], its pair queued at the tail. *)
+let stamp t id =
+  Accent_util.Stamp_fifo.push t.lru ~live:frame_live ~restamp:frame_restamp t
+    ~live_count:t.in_use id
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.lru.(i) < t.lru.(parent) then begin
-      let tmp = t.lru.(i) in
-      t.lru.(i) <- t.lru.(parent);
-      t.lru.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.lru_len && t.lru.(l) < t.lru.(!smallest) then smallest := l;
-  if r < t.lru_len && t.lru.(r) < t.lru.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.lru.(i) in
-    t.lru.(i) <- t.lru.(!smallest);
-    t.lru.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
-let heap_compact t =
-  let kept = ref 0 in
-  for i = 0 to t.lru_len - 1 do
-    let key = t.lru.(i) in
-    if entry_live t key then begin
-      t.lru.(!kept) <- key;
-      incr kept
-    end
-  done;
-  t.lru_len <- !kept;
-  for i = (t.lru_len / 2) - 1 downto 0 do
-    sift_down t i
-  done
-
-let heap_push t key =
-  (if t.lru_len = Array.length t.lru then begin
-     let cap' = max 16 (2 * t.lru_len) in
-     let lru = Array.make cap' 0 in
-     Array.blit t.lru 0 lru 0 t.lru_len;
-     t.lru <- lru
-   end);
-  t.lru.(t.lru_len) <- key;
-  t.lru_len <- t.lru_len + 1;
-  sift_up t (t.lru_len - 1)
-
-let heap_drop_root t =
-  t.lru_len <- t.lru_len - 1;
-  if t.lru_len > 0 then begin
-    t.lru.(0) <- t.lru.(t.lru_len);
-    sift_down t 0
-  end
-
-(* Drop stale roots until the top is live; -1 when nothing evictable. *)
-let rec heap_top t =
-  if t.lru_len = 0 then -1
-  else begin
-    let key = t.lru.(0) in
-    if entry_live t key then key
-    else begin
-      heap_drop_root t;
-      heap_top t
-    end
-  end
-
-let maybe_compact t =
-  if t.lru_len >= 64 && t.lru_len - t.lru_live > t.lru_live then heap_compact t
-
-let bump t id f =
-  f.last_use <- tick t;
-  if not f.pinned then begin
-    heap_push t (lru_key f.last_use id);
-    maybe_compact t
-  end
+let oldest t = Accent_util.Stamp_fifo.oldest t.lru ~live:frame_live t
 
 (* --- frames ------------------------------------------------------------ *)
 
@@ -201,29 +98,25 @@ let find_frame t id =
   end
 
 let choose_victim t =
-  let key = heap_top t in
-  if key < 0 then None else Some (lru_id key)
+  let id = oldest t in
+  if id < 0 then None else Some id
 
 let release_slot t id f =
-  if not f.pinned then t.lru_live <- t.lru_live - 1;
   unindex_owner t f.owner;
   t.slots.(id) <- no_frame;
   t.in_use <- t.in_use - 1;
   t.free_list <- id :: t.free_list
 
+(* Only called on a full pool, so the head always holds a live pair. *)
 let evict_one t =
-  let key = heap_top t in
-  if key < 0 then failwith "Phys_mem: all frames pinned, cannot evict"
-  else begin
-    let id = lru_id key in
-    let f = t.slots.(id) in
-    (match t.evict with
-    | Some handler -> handler f.owner f.data ~dirty:f.dirty
-    | None -> failwith "Phys_mem: pool full and no evict handler set");
-    t.evictions <- t.evictions + 1;
-    heap_drop_root t;
-    release_slot t id f
-  end
+  let id = oldest t in
+  let f = t.slots.(id) in
+  (match t.evict with
+  | Some handler -> handler f.owner f.data ~dirty:f.dirty
+  | None -> failwith "Phys_mem: pool full and no evict handler set");
+  t.evictions <- t.evictions + 1;
+  Accent_util.Stamp_fifo.pop t.lru;
+  release_slot t id f
 
 let allocate t ~owner data =
   if t.in_use >= t.capacity then evict_one t;
@@ -243,23 +136,23 @@ let allocate t ~owner data =
          end);
         id
   in
-  let f = { owner; data; dirty = false; pinned = false; last_use = tick t } in
-  t.slots.(id) <- f;
+  (* stamped while the slot still holds [no_frame]: a compaction inside
+     [stamp] must see the id's pairs from an earlier frame as stale *)
+  let last_use = stamp t id in
+  t.slots.(id) <- { owner; data; dirty = false; last_use };
   t.in_use <- t.in_use + 1;
-  t.lru_live <- t.lru_live + 1;
-  heap_push t (lru_key f.last_use id);
-  maybe_compact t;
   index_owner t owner id;
   id
 
-let free t id =
+let free t id = release_slot t id (find_frame t id)
+
+let touch t id =
   let f = find_frame t id in
-  release_slot t id f;
-  maybe_compact t
+  f.last_use <- stamp t id
 
 let read t id =
   let f = find_frame t id in
-  bump t id f;
+  f.last_use <- stamp t id;
   f.data
 
 let peek t id = (find_frame t id).data
@@ -268,29 +161,7 @@ let write t id data =
   let f = find_frame t id in
   f.data <- data;
   f.dirty <- true;
-  bump t id f
-
-let touch t id =
-  let f = find_frame t id in
-  bump t id f
-
-let pin t id =
-  let f = find_frame t id in
-  if not f.pinned then begin
-    f.pinned <- true;
-    t.lru_live <- t.lru_live - 1
-  end
-
-let unpin t id =
-  let f = find_frame t id in
-  if f.pinned then begin
-    f.pinned <- false;
-    t.lru_live <- t.lru_live + 1;
-    (* re-enter at the original stamp: unpinning must not look like a
-       reference, or pinning would distort eviction order *)
-    heap_push t (lru_key f.last_use id);
-    maybe_compact t
-  end
+  f.last_use <- stamp t id
 
 let is_dirty t id = (find_frame t id).dirty
 

@@ -9,13 +9,14 @@
     shipment bringing over dead file pages — and this module reproduces
     that: nothing is evicted until the pool is full.
 
-    Victim selection is O(log frames), not O(frames): eviction
-    candidates live in a lazy-invalidation min-heap of plain ints, each
-    packing (LRU stamp, frame id) into one immediate word.  There are
-    no cancellation handles — an entry is live iff its frame still
-    carries the stamp it was pushed with — so a recency bump allocates
-    nothing.  Stamps are unique, which makes the order total and the
-    chosen victim identical to the old linear scan's. *)
+    Victim selection is O(1) amortised, not O(frames): every recency
+    bump pushes the frame id on an {!Accent_util.Stamp_fifo} and stamps
+    the frame with its position, so push order is LRU order and the
+    victim is the oldest live pair at the head.  There are no
+    cancellation handles — a pair is live iff its frame still carries
+    that stamp — so a bump allocates nothing.  Stamps are unique, which
+    makes the order total and the chosen victim identical to the old
+    linear scan's. *)
 
 type t
 type frame_id = int
@@ -55,17 +56,11 @@ val write : t -> frame_id -> Page.value -> unit
 val touch : t -> frame_id -> unit
 (** Bump recency only. *)
 
-val pin : t -> frame_id -> unit
-(** Exclude from eviction (kernel pages). *)
-
-val unpin : t -> frame_id -> unit
-
 val is_dirty : t -> frame_id -> bool
 
 val choose_victim : t -> frame_id option
-(** The frame the next eviction would take — the unpinned frame with
-    the smallest LRU stamp — without evicting it.  [None] when every
-    frame is pinned (or the pool is empty). *)
+(** The frame the next eviction would take — the least recently used
+    one — without evicting it.  [None] when the pool is empty. *)
 
 val frames_of_space : t -> int -> (Page.index * frame_id) list
 (** All frames currently owned by the given address-space id: its resident

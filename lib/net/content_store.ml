@@ -22,27 +22,23 @@ type seg = {
   mutable extents : (int * Page_run.t) list; (* (byte offset, run) *)
 }
 
-type entry = { value : Page.value; mutable tick : int (* last use *) }
+type entry = {
+  value : Page.value;
+  mutable tick : int; (* stamp of its live pair *)
+}
 
-(* The recency order is a FIFO of (tick, digest) pairs: a ring over two
-   int arrays.  Every push carries a fresh tick from a strictly
-   increasing clock, so push order is LRU order and the head is always
-   the least recently used candidate.  There are no cancellation
-   handles; a queued pair is live iff the index still maps its digest
-   to an entry carrying that tick.  A touch restamps the entry and
-   pushes a new pair, leaving the old one stale; stale pairs are skipped
-   when they reach the head and squeezed out when they outnumber the
-   live ones, the compaction rule [Phys_mem] and [Event_queue] use. *)
+(* The recency order is an [Accent_util.Stamp_fifo] of digests: every
+   touch pushes the digest with the queue's next stamp and records it in
+   the entry, so push order is LRU order and the head is always the
+   least recently used candidate.  A queued pair is live iff the index
+   still maps its digest to an entry carrying that stamp; an evicted
+   digest leaves the index, so none of its pairs stay live. *)
 type t = {
   dedup : bool;
   capacity_pages : int;
   segs : (int, seg) Hashtbl.t; (* segment id -> contents *)
   index : (int, entry) Hashtbl.t; (* digest -> value *)
-  mutable q_ticks : int array;
-  mutable q_digests : int array;
-  mutable q_head : int;
-  mutable q_len : int;
-  mutable clock : int;
+  lru : Accent_util.Stamp_fifo.t;
   mutable hits : int;
   mutable misses : int;
   mutable insertions : int;
@@ -57,11 +53,7 @@ let create ?(dedup = false) ?(capacity_pages = 4096) () =
     capacity_pages = max 0 capacity_pages;
     segs = Hashtbl.create 16;
     index = Hashtbl.create 1024;
-    q_ticks = [||];
-    q_digests = [||];
-    q_head = 0;
-    q_len = 0;
-    clock = 0;
+    lru = Accent_util.Stamp_fifo.create ();
     hits = 0;
     misses = 0;
     insertions = 0;
@@ -73,66 +65,26 @@ let create ?(dedup = false) ?(capacity_pages = 4096) () =
 let dedup_enabled t = t.dedup
 let capacity_pages t = t.capacity_pages
 
-(* --- the recency FIFO --------------------------------------------------- *)
+(* --- the recency queue -------------------------------------------------- *)
 
-let q_slot t i = (t.q_head + i) mod Array.length t.q_ticks
-
-let pair_live t ~tick ~digest =
+let digest_live t digest tick =
   match Hashtbl.find t.index digest with
   | entry -> entry.tick = tick
   | exception Not_found -> false
 
-(* Slide the live pairs down to the front, in order.  The write slot
-   never overtakes the read slot, so this works in place. *)
-let q_compact t =
-  let kept = ref 0 in
-  for i = 0 to t.q_len - 1 do
-    let src = q_slot t i in
-    let tick = t.q_ticks.(src) and digest = t.q_digests.(src) in
-    if pair_live t ~tick ~digest then begin
-      let dst = q_slot t !kept in
-      t.q_ticks.(dst) <- tick;
-      t.q_digests.(dst) <- digest;
-      incr kept
-    end
-  done;
-  t.q_len <- !kept
+let digest_restamp t digest tick = (Hashtbl.find t.index digest).tick <- tick
 
-let q_grow t =
-  let cap = max 16 (2 * t.q_len) in
-  let ticks = Array.make cap 0 and digests = Array.make cap 0 in
-  for i = 0 to t.q_len - 1 do
-    ticks.(i) <- t.q_ticks.(q_slot t i);
-    digests.(i) <- t.q_digests.(q_slot t i)
-  done;
-  t.q_ticks <- ticks;
-  t.q_digests <- digests;
-  t.q_head <- 0
+(* A fresh stamp for [digest], its pair queued at the tail. *)
+let stamp t digest =
+  Accent_util.Stamp_fifo.push t.lru ~live:digest_live ~restamp:digest_restamp t
+    ~live_count:(Hashtbl.length t.index) digest
 
-(* Stamp [entry] with a fresh tick and queue it at the tail. *)
-let stamp t digest entry =
-  t.clock <- t.clock + 1;
-  entry.tick <- t.clock;
-  if t.q_len = Array.length t.q_ticks then q_grow t;
-  let slot = q_slot t t.q_len in
-  t.q_ticks.(slot) <- t.clock;
-  t.q_digests.(slot) <- digest;
-  t.q_len <- t.q_len + 1;
-  let live = Hashtbl.length t.index in
-  if t.q_len >= 64 && t.q_len - live > live then q_compact t
-
-(* Pop pairs off the head until one is live, and evict its digest. *)
-let rec evict_oldest t =
-  if t.q_len = 0 then assert false (* every index entry has a live pair *);
-  let slot = t.q_head in
-  let tick = t.q_ticks.(slot) and digest = t.q_digests.(slot) in
-  t.q_head <- (slot + 1) mod Array.length t.q_ticks;
-  t.q_len <- t.q_len - 1;
-  if pair_live t ~tick ~digest then begin
-    Hashtbl.remove t.index digest;
-    t.evictions <- t.evictions + 1
-  end
-  else evict_oldest t
+(* Every index entry has a live pair, so an over-full index has a head. *)
+let evict_oldest t =
+  let digest = Accent_util.Stamp_fifo.oldest t.lru ~live:digest_live t in
+  Accent_util.Stamp_fifo.pop t.lru;
+  Hashtbl.remove t.index digest;
+  t.evictions <- t.evictions + 1
 
 (* --- the digest layer --------------------------------------------------- *)
 
@@ -144,12 +96,10 @@ let remember t digest value =
     match Hashtbl.find_opt t.index digest with
     | Some entry ->
         t.interned <- t.interned + 1;
-        stamp t digest entry;
+        entry.tick <- stamp t digest;
         entry.value
     | None ->
-        let entry = { value; tick = 0 } in
-        Hashtbl.replace t.index digest entry;
-        stamp t digest entry;
+        Hashtbl.replace t.index digest { value; tick = stamp t digest };
         t.insertions <- t.insertions + 1;
         if Hashtbl.length t.index > t.capacity_pages then evict_oldest t;
         value
@@ -177,7 +127,7 @@ let find t digest =
     match Hashtbl.find_opt t.index digest with
     | Some entry ->
         t.hits <- t.hits + 1;
-        stamp t digest entry;
+        entry.tick <- stamp t digest;
         Some entry.value
     | None ->
         t.misses <- t.misses + 1;

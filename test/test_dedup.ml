@@ -117,7 +117,7 @@ let arb_ops =
     QCheck.Gen.(pair (int_range 0 8) (list_size (int_range 0 400) op))
 
 let prop_lru_matches_oracle =
-  QCheck.Test.make ~count:300
+  QCheck.Test.make ~count:300 ~long_factor:50
     ~name:"store LRU = linear-fold oracle (contents + every counter)"
     arb_ops
     (fun (cap, ops) ->

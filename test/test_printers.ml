@@ -77,28 +77,6 @@ let test_phys_mem_full_without_handler () =
            ~owner:{ Phys_mem.space_id = 1; page = 1 }
            Page.zero_value))
 
-let test_phys_mem_all_pinned () =
-  let mem = Phys_mem.create ~frames:1 in
-  Phys_mem.set_evict_handler mem (fun _ _ ~dirty:_ -> ());
-  let f =
-    Phys_mem.allocate mem
-      ~owner:{ Phys_mem.space_id = 1; page = 0 }
-      Page.zero_value
-  in
-  Phys_mem.pin mem f;
-  Alcotest.check_raises "all pinned"
-    (Failure "Phys_mem: all frames pinned, cannot evict") (fun () ->
-      ignore
-        (Phys_mem.allocate mem
-           ~owner:{ Phys_mem.space_id = 1; page = 1 }
-           Page.zero_value));
-  Phys_mem.unpin mem f;
-  (* now eviction can proceed *)
-  ignore
-    (Phys_mem.allocate mem
-       ~owner:{ Phys_mem.space_id = 1; page = 1 }
-       Page.zero_value)
-
 let test_kernel_cost_threshold_boundary () =
   let params = Kernel_ipc.default_params in
   let ids = Accent_sim.Ids.create () in
@@ -163,7 +141,6 @@ let suite =
       Alcotest.test_case "stats pp" `Quick test_stats_pp;
       Alcotest.test_case "phys mem no handler" `Quick
         test_phys_mem_full_without_handler;
-      Alcotest.test_case "phys mem all pinned" `Quick test_phys_mem_all_pinned;
       Alcotest.test_case "kernel cost threshold" `Quick
         test_kernel_cost_threshold_boundary;
       Alcotest.test_case "migrate failure raises" `Quick
