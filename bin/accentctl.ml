@@ -177,7 +177,7 @@ let inspect workload loss partition =
       Format.printf
         "  %.1f Mbit/s, %.1f ms latency, %d B fragments (+%d B header)@."
         (lp.Link.bytes_per_ms *. 8. /. 1000.)
-        lp.Link.latency_ms lp.Link.fragment_bytes lp.Link.fragment_overhead_bytes;
+        lp.Link.latency_ms Link.fragment_bytes Link.fragment_overhead_bytes;
       (match
          Netmsgserver.reliability
            (Accent_kernel.Host.nms (Accent_core.World.host world 0))
@@ -188,15 +188,14 @@ let inspect workload loss partition =
              wire assumed@."
             world.Accent_core.World.costs.Accent_kernel.Cost_model.nms
               .Netmsgserver.flow_window
-      | Some rel ->
-          let p = Reliable.params_of rel in
+      | Some _ ->
           Format.printf
             "  transport: sliding-window ARQ — window %d, %d B acks, RTO \
              %.0f ms ×%.1f up to %.0f ms, %d retries@."
-            p.Reliable.window p.Reliable.ack_bytes p.Reliable.initial_rto_ms
-            p.Reliable.rto_backoff p.Reliable.max_rto_ms p.Reliable.max_retries);
+            Reliable.window Reliable.ack_bytes Reliable.initial_rto_ms
+            Reliable.rto_backoff Reliable.max_rto_ms Reliable.max_retries);
       Format.printf "  fault plan: @[<v>%a@]@." Fault_plan.pp
-        (Link.fault_plan link)
+        (Option.value (Link.fault_plan link) ~default:Fault_plan.none)
 
 let workloads () =
   let table =

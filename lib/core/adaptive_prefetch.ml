@@ -1,34 +1,25 @@
 open Accent_sim
 open Accent_kernel
 
-type params = {
-  period_ms : float;
-  raise_threshold : float;
-  lower_threshold : float;
-  min_prefetch : int;
-  max_prefetch : int;
-}
+let period_ms = 500.
+let raise_threshold = 0.7
+let lower_threshold = 0.35
 
-let default_params =
-  {
-    period_ms = 500.;
-    raise_threshold = 0.7;
-    lower_threshold = 0.35;
-    min_prefetch = 1;
-    max_prefetch = 15;
-  }
+(* 1 keeps the hit-ratio signal alive; 15 is the paper's largest
+   prefetch setting. *)
+let min_prefetch = 1
+let max_prefetch = 15
 
 type t = {
   engine : Engine.t;
   proc : Proc.t;
-  params : params;
   mutable last_extra : int;
   mutable last_hits : int;
   mutable adjustments : int;
   mutable trajectory : (float * int) list; (* reversed *)
 }
 
-let clamp t v = max t.params.min_prefetch (min t.params.max_prefetch v)
+let clamp v = max min_prefetch (min max_prefetch v)
 
 let sample t =
   let de = t.proc.Proc.prefetch_extra - t.last_extra in
@@ -40,8 +31,8 @@ let sample t =
     let ratio = float_of_int dh /. float_of_int de in
     let current = t.proc.Proc.prefetch in
     let next =
-      if ratio >= t.params.raise_threshold then clamp t ((2 * current) + 1)
-      else if ratio <= t.params.lower_threshold then clamp t (current / 2)
+      if ratio >= raise_threshold then clamp ((2 * current) + 1)
+      else if ratio <= lower_threshold then clamp (current / 2)
       else current
     in
     if next <> current then begin
@@ -57,24 +48,23 @@ let rec tick t =
   | Pcb.Running | Pcb.Ready ->
       sample t;
       ignore
-        (Engine.schedule t.engine ~delay:(Time.ms t.params.period_ms)
+        (Engine.schedule t.engine ~delay:(Time.ms period_ms)
            (fun () -> tick t))
   | Pcb.Blocked | Pcb.Terminated | Pcb.Excised -> ()
 
-let attach ?(params = default_params) engine proc =
+let attach engine proc =
   let t =
     {
       engine;
       proc;
-      params;
       last_extra = proc.Proc.prefetch_extra;
       last_hits = proc.Proc.prefetch_hits;
       adjustments = 0;
       trajectory = [];
     }
   in
-  proc.Proc.prefetch <- clamp t proc.Proc.prefetch;
-  ignore (Engine.schedule engine ~delay:(Time.ms params.period_ms) (fun () -> tick t));
+  proc.Proc.prefetch <- clamp proc.Proc.prefetch;
+  ignore (Engine.schedule engine ~delay:(Time.ms period_ms) (fun () -> tick t));
   t
 
 let adjustments t = t.adjustments

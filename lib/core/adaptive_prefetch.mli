@@ -9,23 +9,17 @@
     process's prefetch hit ratio periodically and walks the prefetch
     amount up while extra pages keep getting used, and back down when they
     stop — converging near the best static setting for each behaviour
-    without being told which program it is watching. *)
+    without being told which program it is watching.
 
-type params = {
-  period_ms : float;  (** sampling period *)
-  raise_threshold : float;  (** hit ratio above which prefetch grows *)
-  lower_threshold : float;  (** hit ratio below which prefetch shrinks *)
-  min_prefetch : int;  (** never below (1 keeps the signal alive) *)
-  max_prefetch : int;
-}
-
-val default_params : params
-(** 500 ms period, grow above 70%, shrink below 35%, range 1..15. *)
+    The controller's numbers are constants of this module: it samples
+    every 500 ms, grows the prefetch amount at a hit ratio of 70% or
+    more, shrinks it at 35% or less, and keeps it within 1..15, the range
+    of the paper's prefetch measurements (§4.4.2).  No experiment varies
+    them. *)
 
 type t
 
-val attach :
-  ?params:params -> Accent_sim.Engine.t -> Accent_kernel.Proc.t -> t
+val attach : Accent_sim.Engine.t -> Accent_kernel.Proc.t -> t
 (** Start controlling the process's [prefetch] field; the controller
     stops itself when the process is no longer running. *)
 

@@ -20,11 +20,11 @@
 
 type t
 
-val create : ?service_ms:float -> Accent_kernel.Host.t -> name:string -> t
-(** Bind a fresh backing port on the host.  [service_ms] (default 50) is
-    the wakeup-plus-lookup latency charged per request served, calibrated
-    so a remote fault through an application backer costs the same ~115 ms
-    as one through the NetMsgServer cache. *)
+val create : Accent_kernel.Host.t -> name:string -> t
+(** Bind a fresh backing port on the host.  Each request served is
+    charged a fixed 50 ms of wakeup-plus-lookup latency, calibrated so a
+    remote fault through an application backer costs the same ~115 ms as
+    one through the NetMsgServer cache. *)
 
 val port : t -> Accent_ipc.Port.id
 val name : t -> string

@@ -45,6 +45,10 @@ let spread_extremes loads =
     loads;
   (!max_i, !min_load)
 
+(* The load spread (busiest minus idlest, in runnable processes) above
+   which the load-aware policies act. *)
+let imbalance_threshold = 1.5
+
 (* --- Threshold: the original balancer, bit-for-bit ---------------------- *)
 
 (* One move per tick: when the busiest-to-idlest spread exceeds the
@@ -53,7 +57,7 @@ let spread_extremes loads =
    wins ties).  The Observe action is emitted on every crossing, even
    when no victim or destination exists — exactly the event stream the
    pre-refactor daemon published. *)
-let threshold ?(imbalance_threshold = 1.5) ?(affinity_weight = 2.0) () =
+let threshold ?(affinity_weight = 2.0) () =
   let decide s =
     let max_i, min_load = spread_extremes s.loads in
     let spread = s.loads.(max_i) -. min_load in
@@ -92,8 +96,7 @@ let threshold ?(imbalance_threshold = 1.5) ?(affinity_weight = 2.0) () =
    rides back, so load stays levelled while both processes land nearer
    their data.  Unlike Threshold this emits up to [n/2] moves per tick,
    which is what lets it keep up with continuous churn. *)
-let destination_swap ?(imbalance_threshold = 1.5) ?(max_pairs = max_int) ()
-    =
+let destination_swap () =
   let decide s =
     let n = n_hosts s in
     let order = Array.init n (fun i -> i) in
@@ -106,8 +109,7 @@ let destination_swap ?(imbalance_threshold = 1.5) ?(max_pairs = max_int) ()
         | c -> c)
       order;
     let actions = ref [] in
-    let pairs = min max_pairs (n / 2) in
-    for k = 0 to pairs - 1 do
+    for k = 0 to (n / 2) - 1 do
       let busy = order.(k) and idle = order.(n - 1 - k) in
       let spread = s.loads.(busy) -. s.loads.(idle) in
       if spread > imbalance_threshold then begin
@@ -159,10 +161,9 @@ let random () =
    so the comparison harness treats it uniformly. *)
 let static () = { name = "static"; decide = (fun _ -> []) }
 
-let by_name ?imbalance_threshold ?affinity_weight = function
-  | "threshold" -> Some (threshold ?imbalance_threshold ?affinity_weight ())
-  | "destination-swap" | "swap" ->
-      Some (destination_swap ?imbalance_threshold ())
+let by_name = function
+  | "threshold" -> Some (threshold ())
+  | "destination-swap" | "swap" -> Some (destination_swap ())
   | "random" -> Some (random ())
   | "static" | "none" -> Some (static ())
   | _ -> None

@@ -6,7 +6,12 @@
     world, which is what makes the family testable on synthetic
     snapshots and comparable like-for-like under the cluster scenario.
     {!Auto_migrator} samples a world into a snapshot on a period and
-    executes whatever the policy decides. *)
+    executes whatever the policy decides.
+
+    The load-aware policies act only when the load spread between two
+    hosts exceeds 1.5 runnable processes.  That threshold is a constant
+    of this module, inherited from the original balancer; no experiment
+    varies it. *)
 
 type candidate = {
   proc_id : int;
@@ -44,13 +49,13 @@ type t
 val name : t -> string
 val decide : t -> snapshot -> action list
 
-val threshold :
-  ?imbalance_threshold:float -> ?affinity_weight:float -> unit -> t
+val threshold : ?affinity_weight:float -> unit -> t
 (** The original {!Auto_migrator} balancer, preserved decision-for-
     decision: at most one move per tick, busiest host's first movable
-    process, destination minimising [load - weight × affinity]. *)
+    process, destination minimising [load - weight × affinity]
+    ([affinity_weight] defaults to 2; 0 gives pure load levelling). *)
 
-val destination_swap : ?imbalance_threshold:float -> ?max_pairs:int -> unit -> t
+val destination_swap : unit -> t
 (** Pairwise destination-swap (Avin/Dunay/Schmid): rank hosts by load,
     pair busiest with idlest, move one process per crossing pair — and
     swap back a process whose data lives on the sender, keeping the pair
@@ -62,7 +67,6 @@ val random : unit -> t
 val static : unit -> t
 (** Never migrates; the unmanaged baseline as a policy. *)
 
-val by_name :
-  ?imbalance_threshold:float -> ?affinity_weight:float -> string -> t option
+val by_name : string -> t option
 (** ["threshold"], ["destination-swap"]/["swap"], ["random"],
     ["static"]/["none"]. *)

@@ -132,7 +132,7 @@ let send_pair ctx ~dest ~handoff ~no_ious ~rimas (excised : Excise.excised) =
   let core = excised.Excise.core in
   let core_msg =
     Message.make ~ids ~dest
-      ~inline_bytes:(Context.core_wire_bytes (Host.costs ctx.host) core)
+      ~inline_bytes:(Context.core_wire_bytes core)
       ~rights:core.Context.port_rights
       (Mig_core { core; handoff })
   in
@@ -158,7 +158,7 @@ let send_final ctx ~dest ~handoff ~image chunks (excised : Excise.excised) =
   Dedup.send ctx.dedup ~dest ~proc_id:core.Context.proc_id ~memory
     ~build:(fun memory ->
       Message.make ~ids:(Host.ids ctx.host) ~dest
-        ~inline_bytes:(Context.core_wire_bytes (Host.costs ctx.host) core)
+        ~inline_bytes:(Context.core_wire_bytes core)
         ~rights:core.Context.port_rights ~memory ~no_ious:true
         ~category:Message.Bulk
         (Mig_push_final { core; handoff }))

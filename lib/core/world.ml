@@ -17,23 +17,6 @@ type t = {
 let create ?(seed = 42L) ?(costs = Cost_model.default) ?fault_plan ~n_hosts ()
     =
   assert (n_hosts >= 1);
-  (* an unreliable wire needs the reliable transport to be survivable, so
-     configuring any fault plan switches the NMSes to ARQ (unless the cost
-     model already chose parameters).  A clean plan still enables ARQ —
-     that is how the acknowledgement overhead at zero loss is measured. *)
-  let costs =
-    match fault_plan with
-    | Some _ when costs.Cost_model.nms.Netmsgserver.arq = None ->
-        {
-          costs with
-          Cost_model.nms =
-            {
-              costs.Cost_model.nms with
-              Netmsgserver.arq = Some Reliable.default_params;
-            };
-        }
-    | _ -> costs
-  in
   let engine = Engine.create ~seed () in
   let ids = Ids.create () in
   let monitor = Transfer_monitor.create () in

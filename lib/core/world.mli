@@ -26,11 +26,11 @@ val create :
   t
 (** Hosts are numbered 0 .. n-1 and named "host0", "host1", ...
 
-    [fault_plan] installs a fault model on the link {e and} switches every
-    NetMsgServer to the {!Accent_net.Reliable} sliding-window transport
-    (with {!Accent_net.Reliable.default_params}, unless [costs] already
-    configures [nms.arq]).  Without it the wire is perfectly reliable and
-    the 1987 stop-and-wait pipeline is used, exactly as before. *)
+    [fault_plan] installs a fault model on the link {e and} thereby
+    switches every NetMsgServer to the {!Accent_net.Reliable}
+    sliding-window transport, even for {!Accent_net.Fault_plan.none}.
+    Without it the wire is perfectly reliable and the 1987 stop-and-wait
+    pipeline is used. *)
 
 val host : t -> int -> Accent_kernel.Host.t
 val manager : t -> int -> Migration_manager.t

@@ -19,7 +19,6 @@ let faster_network factor =
     d with
     Cost_model.link =
       {
-        d.Cost_model.link with
         Accent_net.Link.bytes_per_ms =
           d.Cost_model.link.Accent_net.Link.bytes_per_ms *. factor;
         latency_ms = d.Cost_model.link.Accent_net.Link.latency_ms /. factor;

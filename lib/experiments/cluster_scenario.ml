@@ -23,6 +23,7 @@ type outcome = {
   label : string;
   makespan_s : float;
   mean_turnaround_s : float;
+  completed : int;
   migrations : int;
   placements : int list;
 }
@@ -53,10 +54,30 @@ let acc_mean acc =
   let n = Accent_util.Stats.count acc in
   if n = 0 then 0. else Accent_util.Stats.total acc /. float_of_int n
 
+(* A migration's insert installs its own completion callback on the new
+   incarnation, so the arrival-time [on_complete] never fires for a job
+   that moved.  Both runners therefore harvest the relocated jobs from
+   the host tables after the run: excision removes the stale source
+   incarnation from its host table, so each job id survives on exactly
+   the host where it ended up.  [arrived] maps the ids not yet counted to
+   their arrival times; [f] gets the final host and the turnaround. *)
+let harvest_relocated world arrived ~f =
+  Array.iteri
+    (fun h host ->
+      List.iter
+        (fun p ->
+          match (Hashtbl.find_opt arrived p.Proc.id, p.Proc.finished_at) with
+          | Some t0, Some t when p.Proc.pcb.Pcb.status = Pcb.Terminated ->
+              f h (Time.to_seconds (Time.diff t t0))
+          | _ -> ())
+        (Host.procs host))
+    world.World.hosts
+
 let run ?(config = default_config) ~policy ~label () =
   let world = World.create ~seed:config.seed ~n_hosts:config.n_hosts () in
   let h0 = World.host world 0 in
   let turnarounds = Accent_util.Stats.create () in
+  let arrived : (int, Time.t) Hashtbl.t = Hashtbl.create 16 in
   (* jobs arrive staggered on host 0 and start executing there *)
   List.iteri
     (fun i spec ->
@@ -68,11 +89,13 @@ let run ?(config = default_config) ~policy ~label () =
         (Engine.schedule world.World.engine ~delay:(Time.ms arrival)
            (fun () ->
              let proc = Accent_workloads.Spec.build h0 spec in
+             Hashtbl.replace arrived proc.Proc.id (Time.ms arrival);
              proc.Proc.on_complete <-
                Some
                  (fun p ->
                    match p.Proc.finished_at with
                    | Some t ->
+                       Hashtbl.remove arrived p.Proc.id;
                        Accent_util.Stats.add turnarounds
                          (Time.to_seconds (Time.diff t (Time.ms arrival)))
                    | None -> ());
@@ -80,10 +103,13 @@ let run ?(config = default_config) ~policy ~label () =
     (List.init config.n_jobs (job_spec config));
   let migrator = Option.map (Auto_migrator.start world) policy in
   ignore (World.run world);
+  harvest_relocated world arrived ~f:(fun _ s ->
+      Accent_util.Stats.add turnarounds s);
   {
     label;
     makespan_s = Time.to_seconds (World.now world);
     mean_turnaround_s = acc_mean turnarounds;
+    completed = Accent_util.Stats.count turnarounds;
     migrations =
       Option.value ~default:0
         (Option.map Auto_migrator.migrations_triggered migrator);
@@ -299,25 +325,10 @@ let run_churn_aux ?(config = default_churn) ~(policy : Placement_policy.t) () =
   ignore (World.run world);
   let sim_s = Time.to_seconds (World.now world) in
   let migrations = Auto_migrator.migrations_triggered migrator in
-  (* harvest the relocated jobs (their arrival-time callback was replaced
-     by the migration's insert): excision removes the stale source
-     incarnation from its host table, so each job id survives on exactly
-     the host where it ended up *)
-  Array.iteri
-    (fun h host ->
-      List.iter
-        (fun p ->
-          match
-            (Hashtbl.find_opt arrived p.Proc.id, p.Proc.finished_at)
-          with
-          | Some t0, Some t when p.Proc.pcb.Pcb.status = Pcb.Terminated ->
-              incr completed;
-              Accent_util.Stats.add turnarounds
-                (Time.to_seconds (Time.diff t t0));
-              per_host_completions.(h) <- per_host_completions.(h) + 1
-          | _ -> ())
-        (Host.procs host))
-    world.World.hosts;
+  harvest_relocated world arrived ~f:(fun h s ->
+      incr completed;
+      Accent_util.Stats.add turnarounds s;
+      per_host_completions.(h) <- per_host_completions.(h) + 1);
   let result =
     {
       policy_name = Placement_policy.name policy;

@@ -29,7 +29,10 @@ val default_config : config
 type outcome = {
   label : string;
   makespan_s : float;  (** last completion *)
-  mean_turnaround_s : float;  (** mean per-job start-to-finish *)
+  mean_turnaround_s : float;
+      (** mean per-job arrival-to-finish, over every job that finished,
+          relocated ones included *)
+  completed : int;  (** jobs that finished: all of them, barring a failure *)
   migrations : int;
   placements : int list;  (** final process count per host *)
 }

@@ -8,8 +8,10 @@ type panel = {
   end_to_end_s : float;
 }
 
-let panels ?seed ?(spec = Accent_workloads.Representative.lisp_del)
-    ?(bin_s = 1.0) () =
+(* The paper's figure plots one-second bins. *)
+let bin_s = 1.0
+
+let panels ?seed ?(spec = Accent_workloads.Representative.lisp_del) () =
   List.map
     (fun strategy ->
       let result = Trial.run ?seed ~spec ~strategy () in

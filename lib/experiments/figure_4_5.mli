@@ -14,8 +14,7 @@ type panel = {
 }
 
 val panels :
-  ?seed:int64 -> ?spec:Accent_workloads.Spec.t -> ?bin_s:float -> unit ->
-  panel list
+  ?seed:int64 -> ?spec:Accent_workloads.Spec.t -> unit -> panel list
 (** Runs the three trials (default Lisp-Del, 1-second bins). *)
 
 val render : panel list -> string

@@ -1,27 +1,16 @@
 open Accent_sim
 
-type params = {
-  local_base_ms : float;
-  copy_threshold : int;
-  copy_per_byte_ms : float;
-  map_per_page_ms : float;
-}
-
 (* Calibrated so that a small control message costs ~1.2 ms of kernel time
    and mapping a whole excised address space costs milliseconds, not the
    seconds a physical copy would. *)
-let default_params =
-  {
-    local_base_ms = 1.2;
-    copy_threshold = 2048;
-    copy_per_byte_ms = 0.0006;
-    map_per_page_ms = 0.01;
-  }
+let local_base_ms = 1.2
+let copy_threshold = 2048
+let copy_per_byte_ms = 0.0006
+let map_per_page_ms = 0.01
 
 type t = {
   engine : Engine.t;
   cpu : Queue_server.t;
-  params : params;
   handlers : (Message.t -> unit) Port.Table.t;
   mutable forwarder : (Message.t -> unit) option;
   mutable sent : int;
@@ -29,11 +18,10 @@ type t = {
   mutable forwarded : int;
 }
 
-let create engine ~cpu params =
+let create engine ~cpu =
   {
     engine;
     cpu;
-    params;
     handlers = Port.Table.create 64;
     forwarder = None;
     sent = 0;
@@ -46,24 +34,24 @@ let unbind t port = Port.Table.remove t.handlers port
 let has_local_receiver t port = Port.Table.mem t.handlers port
 let set_forwarder t f = t.forwarder <- Some f
 
-let handling_cost params msg =
+let handling_cost msg =
   (* IOU chunks carry no local pages until touched, so the kernel's
      copy/map work scales with the physically-present bytes (plus
      descriptors), not with the promised ranges. *)
   let size = Message.wire_size msg in
   let data_cost =
-    if size <= params.copy_threshold then
+    if size <= copy_threshold then
       (* Double-copy semantics: in and out of the kernel. *)
-      2. *. float_of_int size *. params.copy_per_byte_ms
+      2. *. float_of_int size *. copy_per_byte_ms
     else
       let pages = (size + Accent_mem.Page.size - 1) / Accent_mem.Page.size in
-      float_of_int pages *. params.map_per_page_ms
+      float_of_int pages *. map_per_page_ms
   in
-  Time.ms (params.local_base_ms +. data_cost)
+  Time.ms (local_base_ms +. data_cost)
 
 let send t msg =
   t.sent <- t.sent + 1;
-  let cost = handling_cost t.params msg in
+  let cost = handling_cost msg in
   Queue_server.submit t.cpu ~service_time:cost (fun () ->
       match Port.Table.find_opt t.handlers msg.Message.dest with
       | Some handler ->

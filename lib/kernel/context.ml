@@ -7,8 +7,8 @@ type core = {
   trace : Trace.t;
 }
 
-let core_wire_bytes costs core =
-  costs.Cost_model.pcb_bytes
+let core_wire_bytes core =
+  Cost_model.pcb_bytes
   + Accent_mem.Amap.wire_size core.amap
   + (8 * List.length core.port_rights)
 

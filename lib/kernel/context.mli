@@ -15,7 +15,7 @@ type core = {
   trace : Trace.t;  (** the program: trace plus [pcb.pc] resumes execution *)
 }
 
-val core_wire_bytes : Cost_model.t -> core -> int
+val core_wire_bytes : core -> int
 (** Bytes the Core message occupies: PCB blob + AMap + rights. *)
 
 type layout_run = {

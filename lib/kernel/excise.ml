@@ -13,27 +13,27 @@ type excised = {
   timings : timings;
 }
 
-let estimate_timings (costs : Cost_model.t) space =
+let estimate_timings space =
   let resident_pages = Address_space.resident_page_count space in
   let real_pages = Address_space.pages_materialized space in
   let disk_pages = real_pages - resident_pages in
   let amap_ms =
-    costs.amap_base_ms
-    +. (costs.amap_per_region_ms
+    Cost_model.amap_base_ms
+    +. (Cost_model.amap_per_region_ms
        *. float_of_int (Address_space.region_count space))
-    +. (costs.amap_per_real_page_ms *. float_of_int real_pages)
-    +. (costs.amap_per_vm_segment_ms
+    +. (Cost_model.amap_per_real_page_ms *. float_of_int real_pages)
+    +. (Cost_model.amap_per_vm_segment_ms
        *. float_of_int (Address_space.vm_segment_count space))
   in
   let rimas_ms =
-    costs.rimas_base_ms
-    +. (costs.rimas_per_resident_page_ms *. float_of_int resident_pages)
-    +. (costs.rimas_per_disk_page_ms *. float_of_int disk_pages)
+    Cost_model.rimas_base_ms
+    +. (Cost_model.rimas_per_resident_page_ms *. float_of_int resident_pages)
+    +. (Cost_model.rimas_per_disk_page_ms *. float_of_int disk_pages)
   in
   {
     amap_ms;
     rimas_ms;
-    overall_ms = costs.excise_base_ms +. amap_ms +. rimas_ms;
+    overall_ms = Cost_model.excise_base_ms +. amap_ms +. rimas_ms;
   }
 
 let capture host proc =
@@ -42,7 +42,7 @@ let capture host proc =
   let pager = Host.pager host in
   if Pager.pending_faults_for pager ~proc_id:proc.Proc.id > 0 then
     invalid_arg "Excise: process has a fault in flight";
-  let timings = estimate_timings (Host.costs host) space in
+  let timings = estimate_timings space in
   let image = Proc_image.capture host proc in
   let rimas, layout = Proc_image.to_rimas image in
   Memory_object.validate rimas;

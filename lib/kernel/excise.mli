@@ -48,5 +48,5 @@ val excise : Host.t -> Proc.t -> k:(excised -> unit) -> unit
 (** [capture] then [dissolve]: freeze, extract and dismantle in one
     trap — the paper's ExciseProcess. *)
 
-val estimate_timings : Cost_model.t -> Accent_mem.Address_space.t -> timings
+val estimate_timings : Accent_mem.Address_space.t -> timings
 (** The cost model by itself, for tests and what-if analysis. *)

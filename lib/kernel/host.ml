@@ -30,9 +30,7 @@ let create engine ~ids ~id ~name ~costs ~link ~registry ~monitor =
   let exec_cpu =
     Queue_server.create engine ~name:(Printf.sprintf "%s/exec" name)
   in
-  let kernel =
-    Accent_ipc.Kernel_ipc.create engine ~cpu costs.Cost_model.ipc
-  in
+  let kernel = Accent_ipc.Kernel_ipc.create engine ~cpu in
   let nms =
     Accent_net.Netmsgserver.create engine ~ids ~host_id:id ~kernel ~link
       ~registry ~monitor ~params:costs.Cost_model.nms

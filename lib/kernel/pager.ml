@@ -113,7 +113,7 @@ let handle_reply t ~segment_id ~offset ~page_data =
       end
       else
       let install_cost =
-        Time.ms (t.costs.Cost_model.imag_install_per_page_ms *. float_of_int n)
+        Time.ms (Cost_model.imag_install_per_page_ms *. float_of_int n)
       in
         Engine.post t.engine ~delay:install_cost (fun () ->
              let space = Proc.space_exn proc in
@@ -201,7 +201,7 @@ let imaginary_fault t proc ~segment_id ~offset ~k =
       in
       Hashtbl.replace t.waiting (segment_id, offset) { proc; k; timeout };
       let pages = 1 + max 0 proc.Proc.prefetch in
-      Engine.post t.engine ~delay:(Time.ms t.costs.Cost_model.pager_ms)
+      Engine.post t.engine ~delay:(Time.ms Cost_model.pager_ms)
         (fun () ->
           Kernel_ipc.send t.kernel
             (Protocol.read_request ~ids:t.ids ~dest ~reply_to:t.port ~segment_id
@@ -232,7 +232,7 @@ let reference t proc page ~k =
       t.faults_zero <- t.faults_zero + 1;
       proc.Proc.pcb.Pcb.faults_zero <- proc.Proc.pcb.Pcb.faults_zero + 1;
       t.on_fault proc `Zero;
-      Engine.post t.engine ~delay:(Time.ms t.costs.Cost_model.fill_zero_ms)
+      Engine.post t.engine ~delay:(Time.ms Cost_model.fill_zero_ms)
         (fun () ->
           Address_space.resolve_zero_fault space page;
           k ())
@@ -240,10 +240,10 @@ let reference t proc page ~k =
       t.faults_disk <- t.faults_disk + 1;
       proc.Proc.pcb.Pcb.faults_disk <- proc.Proc.pcb.Pcb.faults_disk + 1;
       t.on_fault proc `Disk;
-      Engine.post t.engine ~delay:(Time.ms t.costs.Cost_model.pager_ms)
+      Engine.post t.engine ~delay:(Time.ms Cost_model.pager_ms)
         (fun () ->
           Queue_server.submit t.disk
-            ~service_time:(Time.ms t.costs.Cost_model.disk_service_ms)
+            ~service_time:(Time.ms Cost_model.disk_service_ms)
             (fun () ->
               Address_space.resolve_disk_fault space page;
               k ()))

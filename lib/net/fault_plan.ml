@@ -118,7 +118,6 @@ let make plan ~rng =
   { plan; rng; ge_bad = false; decided = 0; dropped = 0; corrupted = 0;
     delayed = 0 }
 
-let plan s = s.plan
 
 let lost s =
   match s.plan.loss with

@@ -92,7 +92,6 @@ type decision = { fate : fate; extra_delay_ms : float }
 type state
 
 val make : t -> rng:Accent_util.Rng.t -> state
-val plan : state -> t
 
 val decide : state -> now_ms:float -> src:int -> dst:int -> decision
 (** The fate of one fragment leaving the medium now.  Checks partitions

@@ -8,20 +8,30 @@
 
     Every packet goes through {!transmit_frag}, which gives it a fate
     (delivered, corrupted, dropped, delayed) from the link's
-    {!Fault_plan} as it leaves the wire.  The default plan delivers
-    everything and draws no randomness, which is what the plain
-    stop-and-wait NetMsgServer pipeline relies on; installing any other
-    plan through [World.create] turns on the reliable transport. *)
+    {!Fault_plan} as it leaves the wire.  A link created without a plan
+    delivers everything and draws no randomness, which is what the plain
+    stop-and-wait NetMsgServer pipeline relies on; a link created with
+    one (any plan, {!Fault_plan.none} included) makes the NetMsgServers
+    run the reliable transport.
+
+    Bandwidth and latency are parameters, because the bandwidth ablation
+    varies them.  The packet format is fixed: {!fragment_bytes} and
+    {!fragment_overhead_bytes} are constants of this module, the
+    Ethernet framing of the paper's testbed. *)
 
 type params = {
   bytes_per_ms : float;  (** raw medium bandwidth *)
   latency_ms : float;  (** per-packet propagation + media access *)
-  fragment_bytes : int;  (** maximum payload per packet *)
-  fragment_overhead_bytes : int;  (** per-packet header on the wire *)
 }
 
 val default_params : params
-(** 10 Mbit/s, 2 ms latency, 1536-byte fragments with 32 bytes of header. *)
+(** 10 Mbit/s, 2 ms latency. *)
+
+val fragment_bytes : int
+(** Maximum payload per packet: 1536 bytes. *)
+
+val fragment_overhead_bytes : int
+(** Header bytes each packet adds on the wire: 32. *)
 
 type t
 
@@ -31,10 +41,11 @@ val create :
   params:params ->
   monitor:Transfer_monitor.t ->
   t
-(** [fault_plan] defaults to {!Fault_plan.none} (deliver everything,
-    consult no randomness). *)
+(** Without [fault_plan] the link behaves as under {!Fault_plan.none}:
+    it delivers everything and consults no randomness. *)
 
-val fault_plan : t -> Fault_plan.t
+val fault_plan : t -> Fault_plan.t option
+(** The plan the link was created with, if any. *)
 
 val transmit_frag :
   t ->
@@ -42,28 +53,25 @@ val transmit_frag :
   dst:int ->
   bytes:int ->
   category:Accent_ipc.Message.category ->
-  ?on_wire:(unit -> unit) ->
   (Fault_plan.fate -> unit) ->
   unit
 (** Ship one packet of [bytes] payload (plus header) from host [src] to
     host [dst].  The packet occupies the FIFO medium for its serialisation
     time and its wire bytes are charged to the monitor unconditionally —
-    dropped packets still burned bandwidth.  [on_wire] fires when the
-    packet finishes serialising (before its fate is known); use it for
-    flow-control windows.  The continuation fires [latency_ms] (plus any
-    reorder delay) later with [Delivered] or [Corrupted], and never fires
-    for a dropped packet — detecting the loss is the transport's job. *)
+    dropped packets still burned bandwidth.  The continuation fires
+    [latency_ms] (plus any reorder delay) after the packet finishes
+    serialising, with [Delivered] or [Corrupted], and never fires for a
+    dropped packet — detecting the loss is the transport's job. *)
 
 val params_of : t -> params
-(** The link's parameters (NetMsgServers size their fragment pipeline to
-    the medium's packet size). *)
+(** The link's bandwidth and latency. *)
 
-val fragments_for : params -> int -> int
+val fragments_for : int -> int
 (** How many packets a transmission of the given size needs.  Always at
     least 1: a 0-byte transmission (a control-only message or a bare ack)
     still sends one header-only packet. *)
 
-val wire_bytes_for : params -> int -> int
+val wire_bytes_for : int -> int
 (** Bytes on the wire including per-fragment headers. *)
 
 val bytes_sent : t -> int

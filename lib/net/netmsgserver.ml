@@ -2,16 +2,10 @@ open Accent_sim
 open Accent_ipc
 
 type params = {
-  base_ms : float;
   per_byte_ms : float;
-  per_chunk_ms : float;
-  iou_cache_setup_ms : float;
-  cache_per_page_ms : float;
-  stand_in_per_chunk_ms : float;
   backing_lookup_ms : float;
   iou_caching : bool;
   flow_window : int;
-  arq : Reliable.params option;
   dedup : bool;
   dedup_capacity_pages : int;
 }
@@ -23,19 +17,20 @@ type params = {
    pure-copy times imply (Table 4-5 Copy ÷ Table 4-1 Real). *)
 let default_params =
   {
-    base_ms = 2.0;
     per_byte_ms = 0.032;
-    per_chunk_ms = 0.8;
-    iou_cache_setup_ms = 100.;
-    cache_per_page_ms = 0.006;
-    stand_in_per_chunk_ms = 3.;
     backing_lookup_ms = 38.;
     iou_caching = true;
     flow_window = 1;
-    arq = None;
     dedup = false;
     dedup_capacity_pages = 4096;
   }
+
+(* The fixed terms of the same calibration. *)
+let base_ms = 2.0
+let per_chunk_ms = 0.8
+let iou_cache_setup_ms = 100.
+let cache_per_page_ms = 0.006
+let stand_in_per_chunk_ms = 3.
 
 type t = {
   engine : Engine.t;
@@ -158,6 +153,20 @@ let iou_chunks msg =
              | Memory_object.Data _ | Memory_object.Digest_refs _ -> false)
            m)
 
+(* NMS CPU for one fragment of [wire_bytes], either side.  The
+   per-message terms ride on top: fragment 0 on the send side, the last
+   fragment on the receive side ([receive_cost]). *)
+let fragment_cost t wire_bytes =
+  base_ms +. (t.params.per_byte_ms *. float_of_int wire_bytes)
+
+let receive_cost t msg ~wire_bytes ~last =
+  fragment_cost t wire_bytes
+  +.
+  if last then
+    (per_chunk_ms *. float_of_int (chunk_count msg))
+    +. (stand_in_per_chunk_ms *. float_of_int (iou_chunks msg))
+  else 0.
+
 (* A completed inbound message enters the local kernel.  With dedup on,
    imaginary read replies populate the content store on receipt first:
    each page is re-hashed and kept only if the bytes match their name
@@ -182,13 +191,7 @@ let receive t (frag : Net_registry.fragment) =
   let last = frag.Net_registry.index = frag.Net_registry.count - 1 in
   if last then t.handled <- t.handled + 1;
   let cost =
-    t.params.base_ms
-    +. (t.params.per_byte_ms *. float_of_int frag.Net_registry.wire_bytes)
-    +.
-    if last then
-      (t.params.per_chunk_ms *. float_of_int (chunk_count msg))
-      +. (t.params.stand_in_per_chunk_ms *. float_of_int (iou_chunks msg))
-    else 0.
+    receive_cost t msg ~wire_bytes:frag.Net_registry.wire_bytes ~last
   in
   Queue_server.submit t.cpu ~service_time:(Time.ms cost) (fun () ->
       if last then deliver_local t msg;
@@ -215,8 +218,8 @@ let forward t msg =
       let msg, cached = substitute_ious t msg in
       let setup =
         if cached then
-          t.params.iou_cache_setup_ms
-          +. t.params.cache_per_page_ms
+          iou_cache_setup_ms
+          +. cache_per_page_ms
              *. float_of_int
                   ((t.cached_bytes - bytes_before) / Accent_mem.Page.size)
         else 0.
@@ -229,11 +232,11 @@ let forward t msg =
              live in [Reliable]; we only contribute the cost model *)
           Reliable.send rel ~dst:dest_host ~msg ~wire_bytes:wire
             ~first_fragment_extra_ms:
-              (setup +. (t.params.per_chunk_ms *. float_of_int (chunk_count msg)))
+              (setup +. (per_chunk_ms *. float_of_int (chunk_count msg)))
       | None ->
-          let link_params = Link.params_of t.link in
-          let payload = link_params.Link.fragment_bytes in
-          let count = max 1 ((wire + payload - 1) / payload) in
+          let latency_ms = (Link.params_of t.link).Link.latency_ms in
+          let payload = Link.fragment_bytes in
+          let count = Link.fragments_for wire in
           let window = max 1 t.params.flow_window in
           (* sliding window: up to [window] fragments may be unacknowledged.
              window = 1 is classic stop-and-wait. *)
@@ -244,17 +247,16 @@ let forward t msg =
               next := index + 1;
               let wire_bytes = min payload (wire - (index * payload)) in
               let cost =
-                t.params.base_ms
-                +. (t.params.per_byte_ms *. float_of_int wire_bytes)
+                fragment_cost t wire_bytes
                 +.
                 if index = 0 then
                   setup
-                  +. (t.params.per_chunk_ms *. float_of_int (chunk_count msg))
+                  +. (per_chunk_ms *. float_of_int (chunk_count msg))
                 else 0.
               in
               Queue_server.submit t.cpu ~service_time:(Time.ms cost) (fun () ->
-                  (* without ARQ the link carries the no-fault plan, so
-                     every fragment's fate is [Delivered] *)
+                  (* without ARQ the link carries no fault plan, so every
+                     fragment's fate is [Delivered] *)
                   Link.transmit_frag t.link ~src:t.host_id ~dst:dest_host
                     ~bytes:wire_bytes ~category:msg.Message.category
                     (fun _fate ->
@@ -263,7 +265,7 @@ let forward t msg =
                            latency, releasing the next window slot *)
                         ignore
                           (Engine.schedule t.engine
-                             ~delay:(Time.ms link_params.Link.latency_ms)
+                             ~delay:(Time.ms latency_ms)
                              send_fragment)
                       in
                       Net_registry.deliver_to t.registry ~host_id:dest_host
@@ -301,28 +303,22 @@ let create engine ~ids ~host_id ~kernel ~link ~registry ~monitor ~params =
   in
   Kernel_ipc.set_forwarder kernel (forward t);
   Net_registry.register_host registry ~host_id ~deliver:(receive t);
-  (match params.arq with
+  (* an unreliable wire needs the reliable transport to be survivable, so
+     a link that carries any fault plan switches the NMS to ARQ.  A clean
+     plan still enables it: that is how the acknowledgement overhead at
+     zero loss is measured. *)
+  (match Link.fault_plan link with
   | None -> ()
-  | Some arq_params ->
+  | Some _ ->
       t.rel <-
         Some
-          (Reliable.create engine ~host_id ~link ~registry ~params:arq_params
+          (Reliable.create engine ~host_id ~link ~registry
              ~cpu:(fun ~service_ms k ->
                Queue_server.submit t.cpu ~service_time:(Time.ms service_ms) k)
-             ~fragment_cost_ms:(fun ~bytes ->
-               params.base_ms +. (params.per_byte_ms *. float_of_int bytes))
+             ~fragment_cost_ms:(fun ~bytes -> fragment_cost t bytes)
              ~on_deliver:(fun ~msg ~wire_bytes ~completes ->
                if completes then t.handled <- t.handled + 1;
-               let cost =
-                 params.base_ms
-                 +. (params.per_byte_ms *. float_of_int wire_bytes)
-                 +.
-                 if completes then
-                   (params.per_chunk_ms *. float_of_int (chunk_count msg))
-                   +. (params.stand_in_per_chunk_ms
-                      *. float_of_int (iou_chunks msg))
-                 else 0.
-               in
+               let cost = receive_cost t msg ~wire_bytes ~last:completes in
                Queue_server.submit t.cpu ~service_time:(Time.ms cost)
                  (fun () -> if completes then deliver_local t msg))
              ~on_give_up:(fun ~msg ~dst:_ ->

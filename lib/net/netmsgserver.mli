@@ -13,35 +13,33 @@
     address space management" gets lazy copy-on-reference shipment simply
     by leaving NoIOUs clear (§3.2).  The NMS then fields Imaginary Read
     Requests for the cached data until the segment's death notice
-    arrives. *)
+    arrives.
+
+    Cost model: each fragment costs 2 ms plus [per_byte_ms] per wire byte
+    on each side; each message adds 0.8 ms per memory chunk on each side
+    and 3 ms per IOU chunk on the receive side (creating the stand-in
+    imaginary object); caching a message costs 100 ms once (the segment
+    and its backing port) plus 0.006 ms per page retained.  Those fixed
+    terms are constants of this module, calibrated once against the
+    paper's Perq/Accent measurements (see [Accent_kernel.Cost_model]);
+    no experiment varies them.  The fields of {!params} are the ones an
+    experiment does vary.
+
+    The transport is not a setting either: the NMS runs the {!Reliable}
+    sliding-window ARQ exactly when its link carries a {!Fault_plan}
+    ({!Link.fault_plan}), and the 1987 stop-and-wait pipeline
+    otherwise. *)
 
 type params = {
-  base_ms : float;  (** handling cost per message, each side *)
   per_byte_ms : float;  (** protocol cost per wire byte, each side *)
-  per_chunk_ms : float;  (** fragmentation/reassembly cost per memory chunk *)
-  iou_cache_setup_ms : float;
-      (** send side, once per message cached: creating the segment and its
-          backing port *)
-  cache_per_page_ms : float;
-      (** send side, per page retained: the cache is built by memory
-          mapping, so this is small *)
-  stand_in_per_chunk_ms : float;
-      (** receive side, per IOU chunk: creating the local stand-in
-          imaginary object *)
   backing_lookup_ms : float;  (** servicing one read request from the cache *)
   iou_caching : bool;  (** master switch for §2.4 caching behaviour *)
   flow_window : int;
       (** fragments a sender may have unacknowledged at once.  1 =
           stop-and-wait, the 1987 behaviour; larger windows pipeline the
           two NMS CPUs and the wire (a what-if ablation — Theimer reported
-          exactly the buffering overruns this risks) *)
-  arq : Reliable.params option;
-      (** [None] (the default) keeps the 1987 pipeline above: implicit
-          zero-cost acks, reliable wire assumed.  [Some p] replaces it with
-          the {!Reliable} sliding-window transport — sequence numbers, real
-          acknowledgement packets, retransmission with backoff, checksums —
-          which is required for the link's {!Fault_plan} to be survivable.
-          [flow_window] is ignored in that case; [p.window] governs. *)
+          exactly the buffering overruns this risks).  Ignored under the
+          reliable transport, whose own window governs. *)
   dedup : bool;
       (** content-addressed transfer: when on, the migration layer
           negotiates digests before shipping page bytes and the NMS feeds
@@ -74,7 +72,8 @@ val create :
 val host_id : t -> int
 
 val reliability : t -> Reliable.t option
-(** The host's reliable transport, when [params.arq] asked for one. *)
+(** The host's reliable transport: present exactly when the link was
+    created with a fault plan. *)
 
 val content_store : t -> Content_store.t
 (** The host's shared content-addressed page store.  The NMS keeps its

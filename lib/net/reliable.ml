@@ -1,24 +1,12 @@
 open Accent_sim
 open Accent_ipc
 
-type params = {
-  window : int;
-  ack_bytes : int;
-  initial_rto_ms : float;
-  rto_backoff : float;
-  max_rto_ms : float;
-  max_retries : int;
-}
-
-let default_params =
-  {
-    window = 8;
-    ack_bytes = 32;
-    initial_rto_ms = 25.;
-    rto_backoff = 2.;
-    max_rto_ms = 1600.;
-    max_retries = 8;
-  }
+let window = 8
+let ack_bytes = 32
+let initial_rto_ms = 25.
+let rto_backoff = 2.
+let max_rto_ms = 1600.
+let max_retries = 8
 
 (* Order-sensitive fold of the per-page digests of the message's
    physically-present Data chunks.  Page digests come for free from the
@@ -86,7 +74,6 @@ type t = {
   host_id : int;
   link : Link.t;
   registry : Net_registry.t;
-  params : params;
   cpu : service_ms:float -> (unit -> unit) -> unit;
   fragment_cost_ms : bytes:int -> float;
   on_deliver : msg:Message.t -> wire_bytes:int -> completes:bool -> unit;
@@ -102,7 +89,6 @@ type t = {
   mutable completed : int;
 }
 
-let params_of t = t.params
 let max_sacks = 16
 
 (* --- sender ------------------------------------------------------- *)
@@ -129,10 +115,10 @@ let rec arm_timer t m i =
       (Engine.schedule t.engine ~delay:(Time.ms m.rto.(i)) (fun () ->
            m.timers.(i) <- None;
            if (not m.acked.(i)) && not m.abandoned then
-             if m.retries.(i) >= t.params.max_retries then give_up t m
+             if m.retries.(i) >= max_retries then give_up t m
              else begin
                m.retries.(i) <- m.retries.(i) + 1;
-               m.rto.(i) <- Float.min t.params.max_rto_ms (m.rto.(i) *. t.params.rto_backoff);
+               m.rto.(i) <- Float.min max_rto_ms (m.rto.(i) *. rto_backoff);
                t.retransmissions <- t.retransmissions + 1;
                transmit_frag t m i ~retransmit:true
              end))
@@ -174,7 +160,7 @@ let pump t m =
   while
     (not m.abandoned)
     && m.next_unsent < m.count
-    && m.in_flight < t.params.window
+    && m.in_flight < window
   do
     let i = m.next_unsent in
     m.next_unsent <- i + 1;
@@ -183,8 +169,8 @@ let pump t m =
   done
 
 let send t ~dst ~msg ~wire_bytes ~first_fragment_extra_ms =
-  let payload = (Link.params_of t.link).Link.fragment_bytes in
-  let count = max 1 ((wire_bytes + payload - 1) / payload) in
+  let payload = Link.fragment_bytes in
+  let count = Link.fragments_for wire_bytes in
   let uid = t.next_uid in
   t.next_uid <- uid + 1;
   let m =
@@ -200,7 +186,7 @@ let send t ~dst ~msg ~wire_bytes ~first_fragment_extra_ms =
       acked = Array.make count false;
       timers = Array.make count None;
       retries = Array.make count 0;
-      rto = Array.make count t.params.initial_rto_ms;
+      rto = Array.make count initial_rto_ms;
       next_unsent = 0;
       in_flight = 0;
       unacked = count;
@@ -254,7 +240,7 @@ let send_ack t entry ~uid =
       { src = t.host_id; uid; cum = entry.cum; sacks = !sacks }
   in
   let dst = entry.src in
-  Link.transmit_frag t.link ~src:t.host_id ~dst ~bytes:t.params.ack_bytes
+  Link.transmit_frag t.link ~src:t.host_id ~dst ~bytes:ack_bytes
     ~category:Message.Ack (fun fate ->
       match fate with
       | Fault_plan.Corrupted ->
@@ -318,15 +304,14 @@ let receive t (packet : Net_registry.arq_packet) =
   | Net_registry.Arq_ack { src = _; uid; cum; sacks } ->
       handle_ack t ~uid ~cum ~sacks
 
-let create engine ~host_id ~link ~registry ~params ~cpu ~fragment_cost_ms
-    ~on_deliver ~on_give_up =
+let create engine ~host_id ~link ~registry ~cpu ~fragment_cost_ms ~on_deliver
+    ~on_give_up =
   let t =
     {
       engine;
       host_id;
       link;
       registry;
-      params;
       cpu;
       fragment_cost_ms;
       on_deliver;

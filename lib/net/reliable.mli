@@ -12,29 +12,43 @@
     suppression at the receiver, and checksum verification of each
     fragment against the message's physically-present page contents.
 
-    Retries are bounded.  A fragment that exhausts [max_retries] abandons
+    Retries are bounded.  A fragment that exhausts {!max_retries} abandons
     its whole message and reports the give-up to the sending NetMsgServer
     — which is how a partitioned network surfaces as a [Degraded] or
     [Aborted] migration instead of a simulation that never terminates.
+
+    The protocol's numbers are the constants below, not settings: no
+    experiment varies them, and the paper's measurements have no
+    transport of this kind to calibrate them against.  A fragment that
+    never gets through is transmitted 9 times; its timers wait
+    25 + 50 + 100 + 200 + 400 + 800 + 1600 + 1600 + 1600 = 6,375 ms in
+    all, so the give-up comes 6,375 ms plus the sender's CPU charges
+    for the 9 transmissions after the first one was queued.  The 8th
+    retransmission leaves at 4,775 ms; the last timer runs after it.
+    That is comfortably past any single scheduled partition we model as
+    "transient".
 
     Everything is deterministic: the transport draws no randomness of its
     own (all stochastic behaviour lives in the link's {!Fault_plan}), so
     one seed reproduces every timeout, retransmission and give-up. *)
 
-type params = {
-  window : int;  (** fragments a sender may have unacknowledged per message *)
-  ack_bytes : int;  (** payload size of an acknowledgement packet *)
-  initial_rto_ms : float;  (** first retransmit timeout for a fragment *)
-  rto_backoff : float;  (** timeout multiplier per retry (exponential) *)
-  max_rto_ms : float;  (** ceiling on the backed-off timeout *)
-  max_retries : int;
-      (** retransmissions per fragment before the message is abandoned *)
-}
+val window : int
+(** Fragments a sender may have unacknowledged per message: 8. *)
 
-val default_params : params
-(** window 8, 32-byte acks, RTO 25 ms doubling up to 1600 ms, 8 retries —
-    a retry span of roughly 4.8 s before giving up, comfortably past any
-    single scheduled partition we model as "transient". *)
+val ack_bytes : int
+(** Payload size of an acknowledgement packet: 32 bytes. *)
+
+val initial_rto_ms : float
+(** First retransmit timeout for a fragment: 25 ms. *)
+
+val rto_backoff : float
+(** Timeout multiplier per retry: 2 (exponential backoff). *)
+
+val max_rto_ms : float
+(** Ceiling on the backed-off timeout: 1600 ms. *)
+
+val max_retries : int
+(** Retransmissions per fragment before the message is abandoned: 8. *)
 
 type t
 
@@ -43,7 +57,6 @@ val create :
   host_id:int ->
   link:Link.t ->
   registry:Net_registry.t ->
-  params:params ->
   cpu:(service_ms:float -> (unit -> unit) -> unit) ->
   fragment_cost_ms:(bytes:int -> float) ->
   on_deliver:
@@ -76,8 +89,6 @@ val send :
     of fragment 0 do not pay it again.  First transmissions are charged to
     the message's own traffic category; retransmissions to [Retransmit];
     acks to [Ack]. *)
-
-val params_of : t -> params
 
 (** {2 Accounting} *)
 

@@ -61,7 +61,7 @@ let squeeze bins width =
         (fst bins.(start), !sum /. float_of_int (stop - start)))
   end
 
-let columns ?(height = 10) ~width bins =
+let columns ~height ~width bins =
   let bins = squeeze bins width in
   let n = Array.length bins in
   let max_v = Array.fold_left (fun acc (_, v) -> Float.max acc v) 0. bins in
@@ -74,7 +74,8 @@ let columns ?(height = 10) ~width bins =
   in
   (bins, n, max_v, levels)
 
-let timeline ?(height = 10) ?(width = 72) ~title ~y_label ~x_label bins =
+let timeline ?(width = 72) ~title ~y_label ~x_label bins =
+  let height = 10 in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';
@@ -101,8 +102,8 @@ let timeline ?(height = 10) ?(width = 72) ~title ~y_label ~x_label bins =
     Buffer.contents buf
   end
 
-let stacked_timeline ?(height = 12) ?(width = 72) ~title ~y_label ~x_label
-    lower upper =
+let stacked_timeline ?(width = 72) ~title ~y_label ~x_label lower upper =
+  let height = 12 in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';

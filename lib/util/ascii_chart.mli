@@ -14,7 +14,6 @@ val hbar_groups :
     zero axis so slowdown bars (Figure 4-2) are visible. *)
 
 val timeline :
-  ?height:int ->
   ?width:int ->
   title:string ->
   y_label:string ->
@@ -22,10 +21,10 @@ val timeline :
   (float * float) array ->
   string
 (** [timeline ~title ~y_label ~x_label bins] renders binned series values as
-    a column chart; bins wider than [width] (default 72) are re-aggregated. *)
+    a 10-row column chart; bins wider than [width] (default 72) are
+    re-aggregated. *)
 
 val stacked_timeline :
-  ?height:int ->
   ?width:int ->
   title:string ->
   y_label:string ->
@@ -33,7 +32,7 @@ val stacked_timeline :
   (float * float) array ->
   (float * float) array ->
   string
-(** [stacked_timeline ... lower upper]: two-layer column chart for
+(** [stacked_timeline ... lower upper]: two-layer, 12-row column chart for
     Figure 4-5: [lower] drawn with '#' and
     [upper] stacked above it with 'o' (the paper's black/white split of bulk
     vs fault traffic).  The two arrays must describe identical bin starts;

@@ -227,6 +227,18 @@ let test_cluster_scenario_outcomes () =
   let levelled = find "load-levelling" in
   Alcotest.(check int) "no migrations unmanaged" 0
     unmanaged.Accent_experiments.Cluster_scenario.migrations;
+  (* a relocated job loses its arrival-time completion callback; the
+     turnaround mean must still count it *)
+  List.iter
+    (fun o ->
+      Alcotest.(check int)
+        (o.Accent_experiments.Cluster_scenario.label ^ " averages every job")
+        4 o.Accent_experiments.Cluster_scenario.completed)
+    outcomes;
+  Alcotest.(check bool) "the managed rows relocated jobs" true
+    (levelled.Accent_experiments.Cluster_scenario.migrations > 0
+    && (find "load + affinity").Accent_experiments.Cluster_scenario.migrations
+       > 0);
   Alcotest.(check bool) "balancing cuts the makespan" true
     (levelled.Accent_experiments.Cluster_scenario.makespan_s
     < unmanaged.Accent_experiments.Cluster_scenario.makespan_s *. 0.8);

@@ -12,7 +12,7 @@ let within name ~lo ~hi x =
 
 let test_local_disk_fault_40_8ms () =
   Alcotest.(check (float 1e-9)) "cost model constant" 40.8
-    (Cost_model.disk_fault_ms Cost_model.default)
+    Cost_model.disk_fault_ms
 
 let test_remote_fault_near_115ms () =
   (* measured through the full machinery: NMS cache at host 0 serving a
@@ -35,7 +35,7 @@ let test_remote_fault_near_115ms () =
 
 let test_fault_cost_ratio_2_8x () =
   (* §4.3.3: remote imaginary access is ~2.8x a local disk fault *)
-  let ratio = 115. /. Cost_model.disk_fault_ms Cost_model.default in
+  let ratio = 115. /. Cost_model.disk_fault_ms in
   within "remote/local fault ratio" ~lo:2.5 ~hi:3.1 ratio
 
 let test_bulk_shipment_rate () =
@@ -60,7 +60,7 @@ let test_minprog_excision_time () =
     Accent_experiments.Trial.build_only
       ~spec:Accent_workloads.Representative.minprog ()
   in
-  let t = Excise.estimate_timings Cost_model.default (Proc.space_exn proc) in
+  let t = Excise.estimate_timings (Proc.space_exn proc) in
   within "Minprog overall excision (paper 0.82s)" ~lo:0.7 ~hi:0.95
     (t.Excise.overall_ms /. 1000.)
 
@@ -69,7 +69,7 @@ let test_lisp_excision_time () =
     Accent_experiments.Trial.build_only
       ~spec:Accent_workloads.Representative.lisp_del ()
   in
-  let t = Excise.estimate_timings Cost_model.default (Proc.space_exn proc) in
+  let t = Excise.estimate_timings (Proc.space_exn proc) in
   within "Lisp-Del overall excision (paper 3.38s)" ~lo:2.6 ~hi:3.8
     (t.Excise.overall_ms /. 1000.)
 
@@ -78,7 +78,7 @@ let test_excision_varies_little () =
      four orders of magnitude *)
   let overall spec =
     let _, proc = Accent_experiments.Trial.build_only ~spec () in
-    (Excise.estimate_timings Cost_model.default (Proc.space_exn proc))
+    (Excise.estimate_timings (Proc.space_exn proc))
       .Excise.overall_ms
   in
   let all = List.map overall Accent_workloads.Representative.all in

@@ -60,8 +60,7 @@ let test_insert_rejects_short_rimas () =
 
 let test_fragment_boundary_sizes () =
   (* messages around the 1536-byte packet size must all arrive intact *)
-  let params = Accent_net.Link.default_params in
-  let payload = params.Accent_net.Link.fragment_bytes in
+  let payload = Accent_net.Link.fragment_bytes in
   List.iter
     (fun extra ->
       let w = world () in

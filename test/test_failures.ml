@@ -163,8 +163,8 @@ let test_partition_outlasting_retries_degrades () =
   in
   Alcotest.(check bool) "process killed by the pager" true
     relocated.Proc.failed;
-  (* the world must drain: give-up after ~5 s of retries, pager timeout at
-     2 s — nothing should still be scheduled minutes later *)
+  (* the world must drain: give-up after ~6.4 s of retries, pager timeout
+     at 2 s — nothing should still be scheduled minutes later *)
   Alcotest.(check bool) "no hang" true
     (Accent_sim.Time.to_seconds (World.now world) < 120.)
 

@@ -182,7 +182,7 @@ let test_segment_store_drop () =
 let kernel_world () =
   let engine = Engine.create () in
   let cpu = Queue_server.create engine ~name:"cpu" in
-  let kernel = Kernel_ipc.create engine ~cpu Kernel_ipc.default_params in
+  let kernel = Kernel_ipc.create engine ~cpu in
   (engine, kernel)
 
 let test_kernel_local_delivery () =
@@ -225,7 +225,6 @@ let test_kernel_unbind () =
   Alcotest.(check int) "dropped silently" 0 !hits
 
 let test_kernel_cost_small_vs_large () =
-  let params = Kernel_ipc.default_params in
   let ids = ids () in
   let dest = Port.fresh ids in
   let small = Message.make ~ids ~dest ~inline_bytes:64 (Message.Ping 0) in
@@ -234,8 +233,8 @@ let test_kernel_cost_small_vs_large () =
       ~memory:[ data_chunk ~lo:0 (512 * 200) ]
       (Message.Ping 0)
   in
-  let small_cost = Kernel_ipc.handling_cost params small in
-  let large_cost = Kernel_ipc.handling_cost params large in
+  let small_cost = Kernel_ipc.handling_cost small in
+  let large_cost = Kernel_ipc.handling_cost large in
   Alcotest.(check bool) "copy path for small" true
     (Time.to_ms small_cost < 2.);
   (* 200 pages at the map rate, not 100 KB at the copy rate *)

@@ -88,7 +88,7 @@ let test_fill_zero_fault_cost () =
   in
   let cost = reference_once w h proc 0 in
   Alcotest.(check (float 1e-9)) "FillZero is the cheap fault"
-    Cost_model.default.Cost_model.fill_zero_ms cost;
+    Cost_model.fill_zero_ms cost;
   (* and the page is now resident zeros *)
   match Address_space.presence_of_page (Proc.space_exn proc) 0 with
   | Address_space.Resident _ -> ()

@@ -73,7 +73,7 @@ let test_excise_timing_model_monotone () =
   let world, proc = Accent_experiments.Trial.build_only ~spec () in
   ignore world;
   let space = Proc.space_exn proc in
-  let t = Excise.estimate_timings Cost_model.default space in
+  let t = Excise.estimate_timings space in
   Alcotest.(check bool) "positive parts" true
     (t.Excise.amap_ms > 0. && t.Excise.rimas_ms > 0.);
   Alcotest.(check bool) "overall includes parts" true

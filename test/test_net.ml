@@ -10,29 +10,25 @@ let monitor () = Transfer_monitor.create ()
 (* --- Link --- *)
 
 let test_link_fragment_math () =
-  let p = Link.default_params in
-  Alcotest.(check int) "one fragment minimum" 1 (Link.fragments_for p 0);
-  Alcotest.(check int) "exact" 1 (Link.fragments_for p p.Link.fragment_bytes);
-  Alcotest.(check int) "spill" 2
-    (Link.fragments_for p (p.Link.fragment_bytes + 1));
+  Alcotest.(check int) "one fragment minimum" 1 (Link.fragments_for 0);
+  Alcotest.(check int) "exact" 1 (Link.fragments_for Link.fragment_bytes);
+  Alcotest.(check int) "spill" 2 (Link.fragments_for (Link.fragment_bytes + 1));
   Alcotest.(check int) "wire includes headers"
-    (3000 + (2 * p.Link.fragment_overhead_bytes))
-    (Link.wire_bytes_for p 3000)
+    (3000 + (2 * Link.fragment_overhead_bytes))
+    (Link.wire_bytes_for 3000)
 
 (* The edge cases of fragments_for: a 0-byte transmission (control-only
    message, bare ack) still needs one header-only packet; exact multiples
    don't spill; one byte over does. *)
 let test_link_fragment_edges () =
-  let p = Link.default_params in
-  let fb = p.Link.fragment_bytes in
-  Alcotest.(check int) "zero bytes -> one packet" 1 (Link.fragments_for p 0);
-  Alcotest.(check int) "one byte" 1 (Link.fragments_for p 1);
-  Alcotest.(check int) "one under" 1 (Link.fragments_for p (fb - 1));
-  Alcotest.(check int) "exact multiple" 3 (Link.fragments_for p (3 * fb));
-  Alcotest.(check int) "off by one" 4 (Link.fragments_for p ((3 * fb) + 1));
+  let fb = Link.fragment_bytes in
+  Alcotest.(check int) "zero bytes -> one packet" 1 (Link.fragments_for 0);
+  Alcotest.(check int) "one byte" 1 (Link.fragments_for 1);
+  Alcotest.(check int) "one under" 1 (Link.fragments_for (fb - 1));
+  Alcotest.(check int) "exact multiple" 3 (Link.fragments_for (3 * fb));
+  Alcotest.(check int) "off by one" 4 (Link.fragments_for ((3 * fb) + 1));
   Alcotest.(check int) "zero-byte wire size is pure header"
-    p.Link.fragment_overhead_bytes
-    (Link.wire_bytes_for p 0)
+    Link.fragment_overhead_bytes (Link.wire_bytes_for 0)
 
 let test_link_transmit_timing () =
   let engine = Engine.create () in
@@ -56,17 +52,17 @@ let test_link_transmit_timing () =
    train waits for the whole train to serialise. *)
 let test_link_serializes_transfers () =
   let engine = Engine.create () in
-  let p = Link.default_params in
-  let link = Link.create engine ~params:p ~monitor:(monitor ()) in
+  let link =
+    Link.create engine ~params:Link.default_params ~monitor:(monitor ())
+  in
   let order = ref [] in
   for i = 1 to 8 do
-    Link.transmit_frag link ~src:0 ~dst:1 ~bytes:p.Link.fragment_bytes
+    Link.transmit_frag link ~src:0 ~dst:1 ~bytes:Link.fragment_bytes
       ~category:Message.Bulk (fun _ ->
         order := Printf.sprintf "bulk%d" i :: !order)
   done;
-  let on_wire_at = ref (-1.) and arrived = ref (-1.) in
+  let arrived = ref (-1.) in
   Link.transmit_frag link ~src:0 ~dst:1 ~bytes:100 ~category:Message.Fault
-    ~on_wire:(fun () -> on_wire_at := Engine.now engine)
     (fun _ ->
       order := "small" :: !order;
       arrived := Engine.now engine);
@@ -74,11 +70,10 @@ let test_link_serializes_transfers () =
   Alcotest.(check (list string)) "FIFO medium"
     (List.init 8 (fun i -> Printf.sprintf "bulk%d" (i + 1)) @ [ "small" ])
     (List.rev !order);
-  (* 8 x (1536 + 32) bytes of bulk, then (100 + 32) of fault, at 1250 B/ms *)
-  Alcotest.(check (float 0.001)) "fault packet left after the bulk train"
-    10.1408 !on_wire_at;
-  Alcotest.(check (float 0.001)) "fault packet arrives one latency later"
-    12.1408 !arrived
+  (* 8 x (1536 + 32) bytes of bulk, then (100 + 32) of fault, at 1250 B/ms
+     (10.1408 ms), then one 2 ms latency *)
+  Alcotest.(check (float 0.001))
+    "fault packet arrives one latency after the bulk train" 12.1408 !arrived
 
 (* --- Fault_plan --- *)
 
@@ -193,7 +188,7 @@ let nms_world ?(params = Netmsgserver.default_params) ?fault_plan () =
   in
   let make host_id =
     let cpu = Queue_server.create engine ~name:(Printf.sprintf "cpu%d" host_id) in
-    let kernel = Kernel_ipc.create engine ~cpu Kernel_ipc.default_params in
+    let kernel = Kernel_ipc.create engine ~cpu in
     let nms =
       Netmsgserver.create engine ~ids ~host_id ~kernel ~link ~registry
         ~monitor ~params
@@ -401,10 +396,8 @@ let test_nms_serves_cached_faults_and_death () =
 
 (* --- Reliable transport --- *)
 
-let arq_params =
-  { Netmsgserver.default_params with Netmsgserver.arq = Some Reliable.default_params }
-
-let arq_world ?fault_plan () = nms_world ~params:arq_params ?fault_plan ()
+(* any fault plan on the link, the clean one included, turns the ARQ on *)
+let arq_world ?(fault_plan = Fault_plan.none) () = nms_world ~fault_plan ()
 
 let sender_rel w =
   match Netmsgserver.reliability w.servers.(0) with
@@ -508,9 +501,54 @@ let test_arq_give_up_on_partition () =
   Alcotest.(check int) "give-up reported to the NMS" 1 !gave_up;
   Alcotest.(check int) "give-up counted" 1
     (Netmsgserver.transport_give_ups w.servers.(0));
-  (* the retry schedule is bounded: 25+50+...+1600 capped, ~4.8 s *)
+  (* the retry schedule is bounded: 6,375 ms of timers, see below *)
   Alcotest.(check bool) "gave up promptly instead of hanging" true
     (final < 10_000.)
+
+(* [World.create] has no transport switch: the NMSes run the ARQ exactly
+   when the link carries a fault plan, the clean one included (the loss
+   sweep's 0% point measures the ack overhead this way). *)
+let test_arq_iff_fault_plan () =
+  let arq_hosts w =
+    List.init 3 (fun i ->
+        Option.is_some
+          (Netmsgserver.reliability
+             (Accent_kernel.Host.nms (Accent_core.World.host w i))))
+  in
+  Alcotest.(check (list bool)) "no fault plan, no ARQ" [ false; false; false ]
+    (arq_hosts (Accent_core.World.create ~n_hosts:3 ()));
+  Alcotest.(check (list bool)) "the clean plan turns it on" [ true; true; true ]
+    (arq_hosts
+       (Accent_core.World.create ~fault_plan:Fault_plan.none ~n_hosts:3 ()))
+
+let test_arq_give_up_time () =
+  (* one fragment across a permanent partition: 9 transmissions whose
+     timers wait 25+50+100+200+400+800+1600+1600+1600 = 6,375 ms in all,
+     plus the kernel's handling of the message and the sending NMS's CPU
+     charge for each transmission (2 ms + 0.032 ms per wire byte) *)
+  let w =
+    arq_world
+      ~fault_plan:
+        (Fault_plan.with_partition ~start_ms:0. ~duration_ms:3_600_000.
+           Fault_plan.none)
+      ()
+  in
+  let gave_up_at = ref [] in
+  Netmsgserver.on_transport_give_up w.servers.(0) (fun _ ->
+      gave_up_at := Engine.now w.engine :: !gave_up_at);
+  let port = remote_port w ~on:1 (fun _ -> ()) in
+  let msg = Message.make ~ids:w.ids ~dest:port (Message.Ping 0) in
+  let wire = Message.wire_size msg in
+  Alcotest.(check int) "one fragment" 1 (Link.fragments_for wire);
+  Kernel_ipc.send w.kernels.(0) msg;
+  ignore (Engine.run w.engine);
+  let kernel_ms = Time.to_ms (Kernel_ipc.handling_cost msg) in
+  let send_ms = 2. +. (0.032 *. float_of_int wire) in
+  Alcotest.(check (list (float 1e-6))) "give-up time"
+    [ kernel_ms +. (9. *. send_ms) +. 6_375. ]
+    !gave_up_at;
+  Alcotest.(check int) "8 retransmissions" 8
+    (Reliable.retransmissions (sender_rel w))
 
 let suite =
   ( "net",
@@ -548,4 +586,7 @@ let suite =
         test_arq_reordering_tolerated;
       Alcotest.test_case "ARQ: bounded retries give up" `Quick
         test_arq_give_up_on_partition;
+      Alcotest.test_case "ARQ: give-up time" `Quick test_arq_give_up_time;
+      Alcotest.test_case "ARQ: on iff a fault plan" `Quick
+        test_arq_iff_fault_plan;
     ] )

@@ -78,22 +78,21 @@ let test_phys_mem_full_without_handler () =
            Page.zero_value))
 
 let test_kernel_cost_threshold_boundary () =
-  let params = Kernel_ipc.default_params in
   let ids = Accent_sim.Ids.create () in
   let dest = Port.fresh ids in
   let at_threshold =
     Message.make ~ids ~dest
-      ~inline_bytes:(params.Kernel_ipc.copy_threshold - Message.header_bytes)
+      ~inline_bytes:(Kernel_ipc.copy_threshold - Message.header_bytes)
       (Message.Ping 0)
   in
   let above =
     Message.make ~ids ~dest
       ~inline_bytes:
-        (params.Kernel_ipc.copy_threshold - Message.header_bytes + 1)
+        (Kernel_ipc.copy_threshold - Message.header_bytes + 1)
       (Message.Ping 0)
   in
-  let c_at = Kernel_ipc.handling_cost params at_threshold in
-  let c_above = Kernel_ipc.handling_cost params above in
+  let c_at = Kernel_ipc.handling_cost at_threshold in
+  let c_above = Kernel_ipc.handling_cost above in
   (* at the boundary we pay the double copy; one byte above switches to the
      much cheaper map path *)
   Alcotest.(check bool) "copy at threshold costs more than map above" true
