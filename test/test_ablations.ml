@@ -88,6 +88,25 @@ let test_renderers () =
   check_render
     (Ablations.render_face_off (Ablations.strategy_face_off ~spec ()))
 
+(* Four ablations whose numbers come from the IOU and backing-server
+   paths, at their default workloads (what [accentctl ablate] prints),
+   pinned by one digest of the rendered tables: caching, backer load,
+   the strategy face-off (resident-set banks on the manager's backer)
+   and working-set vs resident-set. *)
+let test_backing_tables_pinned () =
+  let rendered =
+    String.concat ""
+      [
+        Ablations.render_caching (Ablations.caching_ablation ());
+        Ablations.render_backer (Ablations.backer_load_sweep ());
+        Ablations.render_face_off (Ablations.strategy_face_off ());
+        Ablations.render_ws_vs_rs (Ablations.ws_vs_rs ());
+      ]
+  in
+  Alcotest.(check string) "rendered tables"
+    "3bb0b9c4d3184577f31da57d59c3e367"
+    (Digest.to_hex (Digest.string rendered))
+
 let suite =
   ( "ablations",
     [
@@ -99,6 +118,8 @@ let suite =
         test_memory_pressure_direction;
       Alcotest.test_case "face-off shape" `Quick test_face_off_shape;
       Alcotest.test_case "renderers" `Quick test_renderers;
+      Alcotest.test_case "backing tables pinned" `Quick
+        test_backing_tables_pinned;
     ] )
 
 let test_flow_window_direction () =

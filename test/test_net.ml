@@ -394,6 +394,74 @@ let test_nms_serves_cached_faults_and_death () =
   Alcotest.(check int) "segment retired" 0
     (Netmsgserver.segments_backed w.servers.(0))
 
+(* Send [pages] pages of [fill] from host 0 to host 1 with IOU caching on
+   and return the IOU the receiver saw. *)
+let send_cached w ~pages ~fill =
+  let received = ref None in
+  let dest_port = remote_port w ~on:1 (fun msg -> received := msg.Message.memory) in
+  Kernel_ipc.send w.kernels.(0)
+    (Message.make ~ids:w.ids ~dest:dest_port
+       ~memory:
+         [
+           {
+             Memory_object.range = Accent_mem.Vaddr.of_len 0 (512 * pages);
+             content =
+               Memory_object.Data
+                 (Accent_mem.Page_run.of_array
+                    (Accent_mem.Page.values_of_bytes
+                       (Bytes.make (512 * pages) fill)));
+           };
+         ]
+       ~category:Message.Bulk (Message.Ping 0));
+  ignore (Engine.run w.engine);
+  match !received with
+  | Some
+      [
+        {
+          Memory_object.content =
+            Memory_object.Iou { segment_id; backing_port; offset };
+          _;
+        };
+      ] ->
+      (segment_id, backing_port, offset)
+  | _ -> Alcotest.fail "expected one IOU chunk"
+
+(* Fault one page of an IOU from host 1; the reply's pages, if any came. *)
+let fault_iou w (segment_id, backing_port, offset) =
+  let reply = ref None in
+  let reply_port =
+    remote_port w ~on:1 (fun msg ->
+        match msg.Message.payload with
+        | Protocol.Imaginary_read_reply r -> reply := Some r.page_data
+        | _ -> ())
+  in
+  Kernel_ipc.send w.kernels.(1)
+    (Protocol.read_request ~ids:w.ids ~dest:backing_port ~reply_to:reply_port
+       ~segment_id ~offset ~pages:1);
+  ignore (Engine.run w.engine);
+  !reply
+
+(* A backing crash loses the cache, not the ability to cache: the next
+   message is served again, from a fresh backing port. *)
+let test_nms_caches_again_after_fail_backing () =
+  let w = nms_world () in
+  let lost = send_cached w ~pages:2 ~fill:'a' in
+  Netmsgserver.fail_backing w.servers.(0);
+  Alcotest.(check int) "cache gone" 0
+    (Netmsgserver.segments_backed w.servers.(0));
+  Alcotest.(check bool) "lost segment unanswered" true (fault_iou w lost = None);
+  let fresh = send_cached w ~pages:2 ~fill:'b' in
+  let port_of (_, backing_port, _) = backing_port in
+  Alcotest.(check bool) "a new backing port" true
+    (not (Port.equal (port_of fresh) (port_of lost)));
+  Alcotest.(check int) "one segment backed" 1
+    (Netmsgserver.segments_backed w.servers.(0));
+  match fault_iou w fresh with
+  | Some [ page ] ->
+      Alcotest.(check char) "the new message's data" 'b'
+        (Bytes.get (Accent_mem.Page.to_bytes page) 0)
+  | _ -> Alcotest.fail "expected a one-page reply"
+
 (* --- Reliable transport --- *)
 
 (* any fault plan on the link, the clean one included, turns the ARQ on *)
@@ -578,6 +646,8 @@ let suite =
         test_nms_caching_disabled_by_params;
       Alcotest.test_case "serves faults and death" `Quick
         test_nms_serves_cached_faults_and_death;
+      Alcotest.test_case "caches again after fail_backing" `Quick
+        test_nms_caches_again_after_fail_backing;
       Alcotest.test_case "ARQ: clean delivery" `Quick test_arq_clean_delivery;
       Alcotest.test_case "ARQ: loss recovery" `Quick test_arq_loss_recovery;
       Alcotest.test_case "ARQ: corruption recovery" `Quick
