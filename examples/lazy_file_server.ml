@@ -12,6 +12,7 @@
 
 open Accent_sim
 open Accent_mem
+open Accent_net
 open Accent_kernel
 open Accent_core
 
@@ -22,23 +23,33 @@ let () =
   let world = World.create ~n_hosts:2 () in
   let client_host = World.host world 0 and server_host = World.host world 1 in
 
-  (* The server: a backing process whose segment holds the file image. *)
-  let server = Backing_server.create server_host ~name:"file-server" in
+  (* The server: a backing process whose segment holds the file image,
+     answering with the same latency as a MigrationManager's backer. *)
+  let server =
+    Host.new_backer server_host
+      ~service_ms:Migration_manager.backing_service_ms
+  in
   let segment_id = Backing_server.new_segment server in
   let file_image =
     Bytes.init file_bytes (fun i -> Char.chr (((i / 512) + (i mod 512)) mod 256))
   in
   Backing_server.put_bytes server ~segment_id ~offset:0 file_image;
 
-  (* The client maps the whole file copy-on-reference at 16 MB. *)
+  (* The client maps the whole file copy-on-reference at 16 MB, and its
+     pager learns where faults on the segment go. *)
   let space = Host.new_space client_host ~name:"client" in
   let file_base = 16 * 1024 * 1024 in
-  Backing_server.map_into server client_host space ~at:file_base ~segment_id
-    ~offset:0 ~len:file_bytes;
+  Address_space.map_imaginary space
+    (Vaddr.of_len file_base file_bytes)
+    ~segment_id ~offset:0;
+  Pager.register_segment (Host.pager client_host)
+    ~space_id:(Address_space.id space) ~segment_id
+    ~backing_port:(Backing_server.port server) ~offset:0 ~len:file_bytes
+    ~vaddr:file_base;
   Format.printf "client mapped a %s file; nothing transferred yet (%s on the wire)@."
     (Accent_util.Bytesize.to_string file_bytes)
     (Accent_util.Bytesize.to_string
-       (Accent_net.Link.bytes_sent world.World.link));
+       (Link.bytes_sent world.World.link));
 
   (* Read five records scattered through the file: a trace touching 4
      pages per record. *)
@@ -79,7 +90,7 @@ let () =
       done)
     records;
 
-  let moved = Accent_net.Link.bytes_sent world.World.link in
+  let moved = Link.bytes_sent world.World.link in
   Format.printf
     "read %d records (%s of data) in %a; %s crossed the wire — %.1f%% of \
      the file, all of it verified byte-exact.@." (List.length records)

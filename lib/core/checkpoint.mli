@@ -4,11 +4,11 @@
     A checkpoint is exactly the first-class {!Accent_kernel.Proc_image}
     with every real page value replaced by its content digest; the values
     themselves are banked in a {!Accent_net.Content_store} — the same
-    digest-keyed store the {!Backing_server} and the NetMsgServer dedup
-    cache share — which thereby doubles as the durable store.  Two
-    checkpoints of similar processes share pages automatically, and a
-    checkpoint taken {e after} a migration shipped pages to a host costs
-    only the pages that host has not already seen.
+    digest-keyed store the host's {!Accent_net.Backing_server}s and the
+    NetMsgServer dedup cache share — which thereby doubles as the durable
+    store.  Two checkpoints of similar processes share pages
+    automatically, and a checkpoint taken {e after} a migration shipped
+    pages to a host costs only the pages that host has not already seen.
 
     Restore resolves every digest back to a value and re-derives each
     value's digest against the recorded name, so a store that lost a page

@@ -120,8 +120,7 @@ let cold_iou_chunks backing (image : Proc_image.t) ~sent =
   match unsent_runs image ~sent with
   | [] -> []
   | runs ->
-      let segment_id = Backing_server.new_segment backing in
-      let backing_port = Backing_server.port backing in
+      let segment_id = Accent_net.Backing_server.new_segment backing in
       List.map
         (fun (first, last) ->
           let lo = Page.addr_of_index first
@@ -131,10 +130,10 @@ let cold_iou_chunks backing (image : Proc_image.t) ~sent =
             with Failure _ ->
               raise (Abort "hybrid: cold page vanished at freeze")
           in
-          Backing_server.put_extent backing ~segment_id ~offset:lo run;
           {
             Memory_object.range = Vaddr.range lo hi;
-            content = Memory_object.Iou { segment_id; backing_port; offset = lo };
+            content =
+              Accent_net.Backing_server.bank backing ~segment_id ~offset:lo run;
           })
         runs
 

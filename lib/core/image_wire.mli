@@ -76,7 +76,7 @@ val iou_chunks_of_image : Proc_image.t -> Accent_ipc.Memory_object.t
     must carry. *)
 
 val cold_iou_chunks :
-  Backing_server.t ->
+  Accent_net.Backing_server.t ->
   Proc_image.t ->
   sent:unit Interval_map.t ->
   Accent_ipc.Memory_object.t

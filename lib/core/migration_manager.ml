@@ -4,6 +4,11 @@ open Transfer_engine
 
 type t = { ctx : ctx; engine : Transfer_engine.t }
 
+(* Wakeup plus lookup per request the manager's backer serves, calibrated
+   so a remote fault through it costs the same ~115 ms as one through the
+   NetMsgServer cache. *)
+let backing_service_ms = 50.
+
 let port t = t.ctx.port
 let host t = t.ctx.host
 let backing t = t.ctx.backing
@@ -16,10 +21,7 @@ let handle t msg =
 
 let create ~bus host =
   let port = Host.new_port host in
-  let backing =
-    Backing_server.create host
-      ~name:(Printf.sprintf "mm-backing@%s" (Host.name host))
-  in
+  let backing = Host.new_backer host ~service_ms:backing_service_ms in
   let dedup = Dedup.create ~host ~port ~bus in
   let ctx = { host; port; backing; bus; dedup } in
   (* creation order is cleanup-subscription order: Dedup, then the engine *)

@@ -22,9 +22,14 @@ val create : bus:Mig_event.bus -> Accent_kernel.Host.t -> t
 val port : t -> Accent_ipc.Port.id
 val host : t -> Accent_kernel.Host.t
 
-val backing : t -> Backing_server.t
+val backing : t -> Accent_net.Backing_server.t
 (** The manager's own backing server (used by the resident-set and
-    working-set strategies). *)
+    working-set strategies, and the hybrid cold tail). *)
+
+val backing_service_ms : float
+(** The manager's backer answers each read request after 50 ms, so a
+    remote fault through it costs the same ~115 ms as one through the
+    NetMsgServer cache. *)
 
 val bus : t -> Mig_event.bus
 (** The event bus this manager publishes on. *)

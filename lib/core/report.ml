@@ -115,8 +115,6 @@ let downtime_seconds t =
 let transfer_plus_execution_seconds t =
   transfer_seconds t +. remote_execution_seconds t
 
-let recovery_seconds t = span t.checkpoint_restored_at t.checkpointed_at
-
 let goodput_bytes t = t.bytes_control + t.bytes_bulk + t.bytes_fault
 let overhead_bytes t = t.bytes_retransmit + t.bytes_ack
 let bytes_total t = goodput_bytes t + overhead_bytes t

@@ -105,11 +105,6 @@ val downtime_seconds : t -> float
 val transfer_plus_execution_seconds : t -> float
 (** The sum Figure 4-2 compares across strategies. *)
 
-val recovery_seconds : t -> float
-(** Checkpoint save to checkpoint restore — how long the durable image
-    sat before a crash forced it back into service (0 when either stamp
-    is missing). *)
-
 val goodput_bytes : t -> int
 (** Control + bulk + fault — the traffic the 1987 accounting knew about. *)
 

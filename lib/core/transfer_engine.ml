@@ -21,7 +21,7 @@ type Message.payload +=
 type ctx = {
   host : Host.t;
   port : Port.id;
-  backing : Backing_server.t;
+  backing : Accent_net.Backing_server.t;
   bus : Mig_event.bus;
   dedup : Dedup.t;
 }
@@ -96,8 +96,7 @@ let partial_rimas backing (excised : Excise.excised) ~keep_pages =
                    (Page.addr_of_index page)))
             keep_pages))
   in
-  let segment_id = Backing_server.new_segment backing in
-  let backing_port = Backing_server.port backing in
+  let segment_id = Accent_net.Backing_server.new_segment backing in
   let split_chunk (chunk : Memory_object.chunk) run =
     let first = Page.index_of_addr chunk.range.Vaddr.lo in
     Interval_map.fold_pieces keep ~lo:first ~hi:(first + Page_run.length run)
@@ -108,8 +107,8 @@ let partial_rimas backing (excised : Excise.excised) ~keep_pages =
           match kept with
           | Some () -> Memory_object.Data slice
           | None ->
-              Backing_server.put_extent backing ~segment_id ~offset:lo slice;
-              Memory_object.Iou { segment_id; backing_port; offset = lo }
+              Accent_net.Backing_server.bank backing ~segment_id ~offset:lo
+                slice
         in
         { Memory_object.range = Vaddr.range lo (Page.addr_of_index b); content }
         :: rev_pieces)

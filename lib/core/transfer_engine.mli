@@ -69,7 +69,7 @@ type Accent_ipc.Message.payload +=
 type ctx = {
   host : Accent_kernel.Host.t;
   port : Accent_ipc.Port.id;  (** the manager's command port *)
-  backing : Backing_server.t;
+  backing : Accent_net.Backing_server.t;
       (** the manager's own backing server (resident-set/working-set IOUs,
           the hybrid cold tail) *)
   bus : Mig_event.bus;
@@ -118,7 +118,7 @@ val debug_stats : t -> (string * int) list
     entries (a parked classic half, staged push rounds). *)
 
 val partial_rimas :
-  Backing_server.t ->
+  Accent_net.Backing_server.t ->
   Accent_kernel.Excise.excised ->
   keep_pages:Accent_mem.Page.index list ->
   Accent_ipc.Memory_object.t

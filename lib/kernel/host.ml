@@ -98,6 +98,12 @@ let new_port t =
   Accent_net.Net_registry.set_port_home t.registry port ~host_id:t.id;
   port
 
+let new_backer t ~service_ms =
+  Accent_net.Backing_server.create t.engine ~ids:t.ids ~kernel:t.kernel
+    ~registry:t.registry ~host_id:t.id
+    ~store:(Accent_net.Netmsgserver.content_store t.nms)
+    ~service_ms
+
 let spawn t ~name ~trace ~space ?(n_ports = 2) () =
   let ports = List.init n_ports (fun _ -> new_port t) in
   let proc = Proc.create ~id:(Ids.next t.ids) ~name ~trace ~ports ~space () in

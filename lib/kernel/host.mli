@@ -39,6 +39,10 @@ val drop_space : t -> Accent_mem.Address_space.t -> unit
 val new_port : t -> Accent_ipc.Port.id
 (** Allocate a port homed on this host. *)
 
+val new_backer : t -> service_ms:float -> Accent_net.Backing_server.t
+(** A backing server on a fresh port homed here, banking into the host's
+    shared content store. *)
+
 val spawn :
   t ->
   name:string ->

@@ -47,9 +47,7 @@ let install_content host space chunks ~c ~vaddr ~len =
           (Vaddr.of_len !vaddr piece)
           ~segment_id ~offset:seg_off;
         Pager.register_segment pager ~space_id:(Address_space.id space)
-          ~segment_id ~backing_port;
-        Pager.register_segment_range pager ~segment_id ~offset:seg_off
-          ~len:piece ~vaddr:!vaddr
+          ~segment_id ~backing_port ~offset:seg_off ~len:piece ~vaddr:!vaddr
     | Memory_object.Digest_refs _ ->
         (* the migration layer resolves digest references back to Data
            before insertion; one reaching this deep is a protocol bug *)

@@ -37,7 +37,8 @@ type t = {
 
 let port t = t.port
 
-let register_segment t ~space_id ~segment_id ~backing_port =
+let register_segment t ~space_id ~segment_id ~backing_port ~offset ~len ~vaddr
+    =
   Hashtbl.replace t.segment_ports segment_id backing_port;
   let list =
     match Hashtbl.find_opt t.segments_of_space space_id with
@@ -47,9 +48,7 @@ let register_segment t ~space_id ~segment_id ~backing_port =
         Hashtbl.replace t.segments_of_space space_id l;
         l
   in
-  if not (List.mem segment_id !list) then list := segment_id :: !list
-
-let register_segment_range t ~segment_id ~offset ~len ~vaddr =
+  if not (List.mem segment_id !list) then list := segment_id :: !list;
   let layout =
     Option.value
       (Hashtbl.find_opt t.layouts segment_id)

@@ -37,16 +37,19 @@ val port : t -> Accent_ipc.Port.id
 (** {2 Imaginary segment bindings} *)
 
 val register_segment :
-  t -> space_id:int -> segment_id:int -> backing_port:Accent_ipc.Port.id ->
+  t ->
+  space_id:int ->
+  segment_id:int ->
+  backing_port:Accent_ipc.Port.id ->
+  offset:int ->
+  len:int ->
+  vaddr:int ->
   unit
-(** Teach the pager where read requests for [segment_id] go, and which
-    address space's lifetime the segment is tied to. *)
-
-val register_segment_range :
-  t -> segment_id:int -> offset:int -> len:int -> vaddr:int -> unit
-(** Record that segment offsets [offset, offset+len) correspond to virtual
-    addresses [vaddr, vaddr+len) — needed to map prefetched pages, which
-    arrive addressed by segment offset. *)
+(** Teach the pager where read requests for [segment_id] go, which
+    address space's lifetime the segment is tied to, and that segment
+    offsets [offset, offset+len) sit at virtual addresses
+    [vaddr, vaddr+len) — needed to map prefetched pages, which arrive
+    addressed by segment offset. *)
 
 val backing_port : t -> segment_id:int -> Accent_ipc.Port.id option
 (** The backing port registered for a segment, if any. *)

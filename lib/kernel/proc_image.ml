@@ -199,9 +199,8 @@ let restore host t =
           Pager.register_segment pager
             ~space_id:(Address_space.id space)
             ~segment_id
-            ~backing_port:(backing_port_exn t ~segment_id);
-          Pager.register_segment_range pager ~segment_id ~offset ~len:(hi - lo)
-            ~vaddr:lo)
+            ~backing_port:(backing_port_exn t ~segment_id)
+            ~offset ~len:(hi - lo) ~vaddr:lo)
     t.mem;
   let proc =
     Proc.reincarnate ~id:t.core.Context.proc_id ~name:t.core.Context.proc_name

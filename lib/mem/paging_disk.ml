@@ -60,4 +60,3 @@ let free t id =
   end
 
 let blocks_in_use t = Hashtbl.length t.blocks
-let bytes_in_use t = blocks_in_use t * Page.size

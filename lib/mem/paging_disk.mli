@@ -28,4 +28,3 @@ val free : t -> block_id -> unit
     the same block to two owners. *)
 
 val blocks_in_use : t -> int
-val bytes_in_use : t -> int

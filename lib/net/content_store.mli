@@ -1,14 +1,15 @@
 (** The per-host content-addressed page store.
 
-    One instance lives in each host's NetMsgServer and is shared with the
-    MigrationManager's backing server.  It layers a digest-keyed view over
-    a segment/offset view:
+    One instance lives in each host's NetMsgServer and is shared by every
+    {!Backing_server} on the host: the NMS's IOU-cache backer and the
+    MigrationManager's.  It layers a digest-keyed view over a
+    segment/offset view:
 
     - {b segment/offset}: the authoritative contents of cached and banked
       imaginary segments, indexed by page-aligned segment offset (O(1)
       extent adoption, overlay pages shadowing extents, per-segment drop),
-      plus the request-answering logic the NetMsgServer cache and backing
-      servers share ({!read_run});
+      plus the request-answering logic of the backing servers
+      ({!read_run});
 
     - {b digest}: every page value this host has seen, across all
       segments and all migrations, keyed by content digest.  This is the

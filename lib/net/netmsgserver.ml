@@ -43,11 +43,10 @@ type t = {
   params : params;
   cpu : Queue_server.t;
   cache : Content_store.t;
-  backing_ports : (int, Port.id) Hashtbl.t; (* segment -> port *)
+  mutable backer : Backing_server.t option;
+  mutable failed_backers : Backing_server.t list;
   mutable handled : int;
   mutable cached_bytes : int;
-  mutable faults_served : int;
-  mutable pages_served : int;
   mutable rel : Reliable.t option;
   mutable give_up_handlers : (Message.t -> unit) list;
   mutable transport_give_ups : int;
@@ -60,47 +59,21 @@ let chunk_count msg =
   | None -> 0
   | Some m -> Memory_object.chunk_count m
 
-(* Serve an imaginary read request aimed at one of our cached segments.
-   The lookup delay models waking the backing process and walking its maps
-   — latency, not message-handling CPU, so it is charged on the clock
-   rather than the CPU server (it does not appear in Figure 4-4). *)
-let serve_fault t msg segment_id offset pages =
-  match msg.Message.reply_to with
+(* The IOU cache's backing server, created on the first message cached:
+   allocating its port any earlier would shift every later id on the
+   host.  [fail_backing] retires it to [failed_backers], whose counters
+   stay in the accounting. *)
+let backer t =
+  match t.backer with
+  | Some backer -> backer
   | None ->
-      Logs.warn (fun m -> m "NMS%d: read request without reply port" t.host_id)
-  | Some reply_port ->
-      ignore
-        (Engine.schedule t.engine ~delay:(Time.ms t.params.backing_lookup_ms)
-           (fun () ->
-             let page_data =
-               Content_store.read_run t.cache ~segment_id ~offset ~pages
-             in
-             t.faults_served <- t.faults_served + 1;
-             t.pages_served <- t.pages_served + List.length page_data;
-             let reply =
-               Protocol.read_reply ~ids:t.ids ~dest:reply_port ~segment_id
-                 ~offset ~page_data
-             in
-             Kernel_ipc.send t.kernel reply))
-
-let drop_segment t segment_id =
-  Content_store.drop_segment t.cache ~segment_id;
-  match Hashtbl.find_opt t.backing_ports segment_id with
-  | None -> ()
-  | Some port ->
-      Hashtbl.remove t.backing_ports segment_id;
-      Kernel_ipc.unbind t.kernel port;
-      Net_registry.forget_port t.registry port
-
-let backing_handler t msg =
-  match msg.Message.payload with
-  | Protocol.Imaginary_read_request { segment_id; offset; pages } ->
-      serve_fault t msg segment_id offset pages
-  | Protocol.Imaginary_segment_death { segment_id } ->
-      drop_segment t segment_id
-  | _ ->
-      Logs.warn (fun m ->
-          m "NMS%d: unexpected message on backing port" t.host_id)
+      let backer =
+        Backing_server.create t.engine ~ids:t.ids ~kernel:t.kernel
+          ~registry:t.registry ~host_id:t.host_id ~store:t.cache
+          ~service_ms:t.params.backing_lookup_ms
+      in
+      t.backer <- Some backer;
+      backer
 
 (* §2.4: retain the Data chunks of an outbound memory object, become their
    backer, and substitute IOUs.  One fresh segment covers the whole
@@ -110,32 +83,21 @@ let substitute_ious t msg =
   | Some memory
     when t.params.iou_caching && (not msg.Message.no_ious)
          && Memory_object.data_bytes memory > 0 ->
-      let segment_id = Ids.next t.ids in
-      let backing_port = Port.fresh t.ids in
-      Hashtbl.replace t.backing_ports segment_id backing_port;
-      Kernel_ipc.bind t.kernel backing_port (backing_handler t);
-      Net_registry.set_port_home t.registry backing_port ~host_id:t.host_id;
+      let backer = backer t in
+      let segment_id = Backing_server.new_segment backer in
       let memory =
         Memory_object.map_chunks memory ~f:(fun chunk ->
             match chunk.Memory_object.content with
             | Memory_object.Iou _ | Memory_object.Digest_refs _ -> chunk
             | Memory_object.Data run ->
-                let page_size = Accent_mem.Page.size in
-                let lo = chunk.Memory_object.range.Accent_mem.Vaddr.lo in
                 t.cached_bytes <-
-                  t.cached_bytes + (Accent_mem.Page_run.length run * page_size);
-                (* the chunk's run becomes the segment extent wholesale —
-                   no per-page insert loop on the send path *)
-                Content_store.put_extent t.cache ~segment_id ~offset:lo run;
+                  t.cached_bytes
+                  + (Accent_mem.Page_run.length run * Accent_mem.Page.size);
                 {
                   chunk with
                   Memory_object.content =
-                    Memory_object.Iou
-                      {
-                        segment_id;
-                        backing_port;
-                        offset = chunk.Memory_object.range.Accent_mem.Vaddr.lo;
-                      };
+                    Backing_server.bank backer ~segment_id
+                      ~offset:chunk.Memory_object.range.Accent_mem.Vaddr.lo run;
                 })
       in
       (Message.with_memory msg (Some memory), true)
@@ -291,11 +253,10 @@ let create engine ~ids ~host_id ~kernel ~link ~registry ~monitor ~params =
       cache =
         Content_store.create ~dedup:params.dedup
           ~capacity_pages:params.dedup_capacity_pages ();
-      backing_ports = Hashtbl.create 16;
+      backer = None;
+      failed_backers = [];
       handled = 0;
       cached_bytes = 0;
-      faults_served = 0;
-      pages_served = 0;
       rel = None;
       give_up_handlers = [];
       transport_give_ups = 0;
@@ -341,19 +302,32 @@ let on_transport_give_up t handler =
 
 let transport_give_ups t = t.transport_give_ups
 let bytes_cached t = t.cached_bytes
-let segments_backed t = Hashtbl.length t.backing_ports
-let faults_served t = t.faults_served
-let pages_served t = t.pages_served
+let backers t = Option.to_list t.backer @ t.failed_backers
+
+let segments_backed t =
+  Option.fold ~none:0 ~some:Backing_server.segments_alive t.backer
+
+let faults_served t =
+  List.fold_left (fun n b -> n + Backing_server.faults_served b) 0 (backers t)
+
+let pages_served t =
+  List.fold_left (fun n b -> n + Backing_server.pages_served b) 0 (backers t)
 
 let reset_accounting t =
   Queue_server.reset_accounting t.cpu;
   t.handled <- 0;
   t.cached_bytes <- 0;
-  t.faults_served <- 0;
-  t.pages_served <- 0;
+  List.iter Backing_server.reset_accounting (backers t);
   t.transport_give_ups <- 0;
   Option.iter Reliable.reset_accounting t.rel
 
+(* The crashed backer's port stops being a home, so requests for its
+   segments are dropped at the requester's NMS. *)
 let fail_backing t =
-  let segments = Hashtbl.fold (fun s _ acc -> s :: acc) t.backing_ports [] in
-  List.iter (drop_segment t) segments
+  Option.iter
+    (fun backer ->
+      Backing_server.fail backer;
+      Net_registry.forget_port t.registry (Backing_server.port backer);
+      t.failed_backers <- backer :: t.failed_backers;
+      t.backer <- None)
+    t.backer

@@ -7,19 +7,25 @@
 
     Its distinguishing feature for this paper: {b IOU caching}.  On its own
     initiative — unless the sender set the NoIOUs bit — it may retain the
-    physically-present portions of an outbound memory object, create an
-    imaginary segment over them backed by a port it serves, and transmit
-    only IOUs.  A MigrationManager that "doesn't attempt sophisticated
-    address space management" gets lazy copy-on-reference shipment simply
-    by leaving NoIOUs clear (§3.2).  The NMS then fields Imaginary Read
-    Requests for the cached data until the segment's death notice
-    arrives.
+    physically-present portions of an outbound memory object, bank them
+    as an imaginary segment on its {!Backing_server}, and transmit only
+    IOUs.  A MigrationManager that "doesn't attempt sophisticated address
+    space management" gets lazy copy-on-reference shipment simply by
+    leaving NoIOUs clear (§3.2).  The backer then fields Imaginary Read
+    Requests for the cached data, [backing_lookup_ms] after each arrives,
+    until the segment's death notice arrives.
+
+    The NMS owns one backer and one backing port for all its cached
+    segments.  It creates them on the first message it caches, not at
+    {!create}: a port allocated up front would shift every later id on
+    the host, proc ids included.  {!fail_backing} discards the backer, so
+    the next cached message gets a fresh one.
 
     Cost model: each fragment costs 2 ms plus [per_byte_ms] per wire byte
     on each side; each message adds 0.8 ms per memory chunk on each side
     and 3 ms per IOU chunk on the receive side (creating the stand-in
-    imaginary object); caching a message costs 100 ms once (the segment
-    and its backing port) plus 0.006 ms per page retained.  Those fixed
+    imaginary object); caching a message costs 100 ms once (creating its
+    segment) plus 0.006 ms per page retained.  Those fixed
     terms are constants of this module, calibrated once against the
     paper's Perq/Accent measurements (see [Accent_kernel.Cost_model]);
     no experiment varies them.  The fields of {!params} are the ones an
@@ -32,7 +38,8 @@
 
 type params = {
   per_byte_ms : float;  (** protocol cost per wire byte, each side *)
-  backing_lookup_ms : float;  (** servicing one read request from the cache *)
+  backing_lookup_ms : float;
+      (** the cache backer's service time for one read request *)
   iou_caching : bool;  (** master switch for §2.4 caching behaviour *)
   flow_window : int;
       (** fragments a sender may have unacknowledged at once.  1 =
@@ -76,10 +83,10 @@ val reliability : t -> Reliable.t option
     created with a fault plan. *)
 
 val content_store : t -> Content_store.t
-(** The host's shared content-addressed page store.  The NMS keeps its
-    IOU-cache segments in it, and the MigrationManager's backing server
-    shares the same instance, so one host stores any given page value
-    once no matter which layer banked it. *)
+(** The host's shared content-addressed page store.  Every backing
+    server on the host banks into it — the NMS's for its IOU cache, the
+    MigrationManager's for its IOUs — so one host stores any given page
+    value once no matter which backer banked it. *)
 
 val dedup_enabled : t -> bool
 (** Whether [params.dedup] asked for digest-first transfers. *)
@@ -103,10 +110,11 @@ val bytes_cached : t -> int
 (** Data retained by IOU caching so far. *)
 
 val segments_backed : t -> int
-(** Cached segments currently alive. *)
+(** Cached segments currently alive on the current backer. *)
 
 val faults_served : t -> int
-(** Imaginary read requests answered from the cache. *)
+(** Imaginary read requests answered from the cache, by every backer
+    this NMS has had. *)
 
 val pages_served : t -> int
 (** Pages returned by those replies (> faults when prefetching). *)
@@ -114,8 +122,9 @@ val pages_served : t -> int
 val reset_accounting : t -> unit
 
 val fail_backing : t -> unit
-(** Failure injection: the server loses its cached segments and unbinds
-    their ports, as if the machine (or the NetMsgServer process) crashed
-    and restarted without its cache.  Outstanding and future read requests
-    for those segments go unanswered — the residual-dependency hazard of
-    copy-on-reference migration made testable. *)
+(** Failure injection: the backer loses its cached segments and its port
+    is unbound and forgotten, as if the machine (or the NetMsgServer
+    process) crashed and restarted without its cache.  Outstanding and
+    future read requests for those segments go unanswered — the
+    residual-dependency hazard of copy-on-reference migration made
+    testable.  The next cached message gets a fresh backer. *)

@@ -86,7 +86,6 @@ type t = {
   mutable duplicates : int;
   mutable checksum_failures : int;
   mutable give_ups : int;
-  mutable completed : int;
 }
 
 let max_sacks = 16
@@ -206,10 +205,7 @@ let mark_acked t m i =
     | Some h ->
         Engine.cancel t.engine h;
         m.timers.(i) <- None);
-    if m.unacked = 0 then begin
-      Hashtbl.remove t.outbound m.uid;
-      t.completed <- t.completed + 1
-    end
+    if m.unacked = 0 then Hashtbl.remove t.outbound m.uid
   end
 
 let handle_ack t ~uid ~cum ~sacks =
@@ -324,7 +320,6 @@ let create engine ~host_id ~link ~registry ~cpu ~fragment_cost_ms ~on_deliver
       duplicates = 0;
       checksum_failures = 0;
       give_ups = 0;
-      completed = 0;
     }
   in
   Net_registry.register_arq registry ~host_id ~deliver:(receive t);
@@ -335,12 +330,10 @@ let acks_sent t = t.acks
 let duplicates t = t.duplicates
 let checksum_failures t = t.checksum_failures
 let give_ups t = t.give_ups
-let completed_sends t = t.completed
 
 let reset_accounting t =
   t.retransmissions <- 0;
   t.acks <- 0;
   t.duplicates <- 0;
   t.checksum_failures <- 0;
-  t.give_ups <- 0;
-  t.completed <- 0
+  t.give_ups <- 0

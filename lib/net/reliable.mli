@@ -106,8 +106,5 @@ val checksum_failures : t -> int
 val give_ups : t -> int
 (** Messages abandoned after a fragment exhausted its retries. *)
 
-val completed_sends : t -> int
-(** Outbound messages fully acknowledged. *)
-
 val reset_accounting : t -> unit
 (** Zero the counters above.  Live transfer state is untouched. *)

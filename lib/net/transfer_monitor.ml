@@ -59,8 +59,6 @@ let bytes_total t = List.fold_left (fun acc s -> acc + s.bytes) 0 (all_slots t)
 let goodput_bytes t = t.control.bytes + t.bulk.bytes + t.fault.bytes
 let overhead_bytes t = t.retransmit.bytes + t.ack.bytes
 
-let messages_of t category = (slot t category).messages
-
 let messages_total t =
   List.fold_left (fun acc s -> acc + s.messages) 0 (all_slots t)
 

@@ -32,7 +32,6 @@ val overhead_bytes : t -> int
 (** Retransmit + ack bytes — what the reliable transport adds on top of
     goodput.  Zero whenever the ARQ layer is off or the link is clean. *)
 
-val messages_of : t -> Accent_ipc.Message.category -> int
 val messages_total : t -> int
 
 val series_of : t -> Accent_ipc.Message.category -> Accent_util.Series.t

@@ -2,6 +2,7 @@
    direction): dispersion accounting, imbalance-triggered relocation, and
    the data-affinity tiebreak that moves a process toward its backers. *)
 open Accent_sim
+open Accent_net
 open Accent_kernel
 open Accent_core
 
@@ -170,12 +171,12 @@ let test_affinity_pull () =
   let world_reg = world.World.registry in
   let h0 = World.host world 0 in
   (* proc on host 0 whose space is entirely an IOU backed by host 2 *)
-  let backing = Backing_server.create (World.host world 2) ~name:"b2" in
+  let backing = Test_helpers.new_backer (World.host world 2) in
   let segment_id = Backing_server.new_segment backing in
   Backing_server.put_bytes backing ~segment_id ~offset:0
     (Bytes.make (16 * 512) 'z');
   let space = Host.new_space h0 ~name:"pull" in
-  Backing_server.map_into backing h0 space ~at:0 ~segment_id ~offset:0
+  Test_helpers.map_segment h0 backing space ~at:0 ~segment_id ~offset:0
     ~len:(16 * 512);
   let proc =
     Host.spawn h0 ~name:"pull"

@@ -4,6 +4,7 @@
    forwarding counters. *)
 open Accent_mem
 open Accent_ipc
+open Accent_net
 open Accent_kernel
 open Accent_core
 
@@ -54,14 +55,14 @@ let test_sequential_streams_interleave () =
 let test_excise_preserves_iou_chunks () =
   let world = World.create ~n_hosts:2 () in
   let h0 = World.host world 0 and h1 = World.host world 1 in
-  let backing = Backing_server.create h1 ~name:"b" in
+  let backing = Test_helpers.new_backer h1 in
   let segment_id = Backing_server.new_segment backing in
   Backing_server.put_bytes backing ~segment_id ~offset:(8 * 512)
     (Bytes.make (4 * 512) 'r');
   let space = Host.new_space h0 ~name:"mixed" in
   Address_space.install_bytes space ~addr:0 (Bytes.make (2 * 512) 'd')
     ~resident:true;
-  Backing_server.map_into backing h0 space ~at:(4 * 512) ~segment_id
+  Test_helpers.map_segment h0 backing space ~at:(4 * 512) ~segment_id
     ~offset:(8 * 512) ~len:(4 * 512);
   let proc = Host.spawn h0 ~name:"mixed" ~trace:(Trace.of_steps []) ~space () in
   let captured = ref None in

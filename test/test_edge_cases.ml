@@ -4,6 +4,7 @@
 open Accent_sim
 open Accent_mem
 open Accent_ipc
+open Accent_net
 open Accent_kernel
 open Accent_core
 
@@ -118,7 +119,7 @@ let test_eviction_multi_space_dispatch () =
 let test_read_request_without_reply_port_is_dropped () =
   let w = world () in
   let h0 = World.host w 0 and h1 = World.host w 1 in
-  let backing = Backing_server.create h1 ~name:"b" in
+  let backing = Test_helpers.new_backer h1 in
   let segment_id = Backing_server.new_segment backing in
   Backing_server.put_bytes backing ~segment_id ~offset:0 (Bytes.make 512 'x');
   (* a raw request with no reply_to: server must log-and-drop, not die *)
@@ -132,7 +133,7 @@ let test_read_request_without_reply_port_is_dropped () =
 let test_death_idempotent () =
   let w = world () in
   let h1 = World.host w 1 in
-  let backing = Backing_server.create h1 ~name:"b" in
+  let backing = Test_helpers.new_backer h1 in
   let segment_id = Backing_server.new_segment backing in
   Backing_server.put_bytes backing ~segment_id ~offset:0 (Bytes.make 512 'x');
   for _ = 1 to 3 do
@@ -146,13 +147,79 @@ let test_death_idempotent () =
   Alcotest.(check int) "segment gone once" 0
     (Backing_server.segments_alive backing)
 
+(* Every backer on a host shares the host's content store, so a death
+   notice must retire only a segment the receiving backer owns.  One sent
+   to the manager's backer naming a segment the NMS cache backs must
+   leave the cached copy alone: a later fault on it is still served. *)
+let test_misdirected_death_spares_the_nms_cache () =
+  let w = world () in
+  let h0 = World.host w 0 and h1 = World.host w 1 in
+  let on_h1 handler =
+    let port = Host.new_port h1 in
+    Kernel_ipc.bind (Host.kernel h1) port handler;
+    port
+  in
+  let received = ref None in
+  let dest = on_h1 (fun msg -> received := msg.Message.memory) in
+  Kernel_ipc.send (Host.kernel h0)
+    (Message.make ~ids:(Host.ids h0) ~dest ~category:Message.Bulk
+       ~memory:
+         [
+           {
+             Memory_object.range = Vaddr.of_len 0 512;
+             content =
+               Memory_object.Data
+                 (Page_run.of_array
+                    (Page.values_of_bytes (Bytes.make 512 'n')));
+           };
+         ]
+       (Message.Ping 0));
+  ignore (World.run w);
+  let segment_id, backing_port =
+    match !received with
+    | Some
+        [
+          {
+            Memory_object.content =
+              Memory_object.Iou { segment_id; backing_port; _ };
+            _;
+          };
+        ] ->
+        (segment_id, backing_port)
+    | _ -> Alcotest.fail "expected the NMS to cache the page"
+  in
+  let manager_backer = Migration_manager.backing (World.manager w 0) in
+  Kernel_ipc.send (Host.kernel h1)
+    (Protocol.segment_death ~ids:(Host.ids h1)
+       ~dest:(Backing_server.port manager_backer) ~segment_id);
+  ignore (World.run w);
+  Alcotest.(check int) "NMS segment survives" 1
+    (Netmsgserver.segments_backed (Host.nms h0));
+  let reply = ref [] in
+  let reply_to =
+    on_h1 (fun msg ->
+        match msg.Message.payload with
+        | Protocol.Imaginary_read_reply r -> reply := r.page_data
+        | _ -> ())
+  in
+  Kernel_ipc.send (Host.kernel h1)
+    (Protocol.read_request ~ids:(Host.ids h1) ~dest:backing_port ~reply_to
+       ~segment_id ~offset:0 ~pages:1);
+  ignore (World.run w);
+  match !reply with
+  | [ page ] ->
+      Alcotest.(check char) "fault served from the cache" 'n'
+        (Bytes.get (Page.to_bytes page) 0)
+  | pages ->
+      Alcotest.failf "expected one page, got %d" (List.length pages)
+
 let test_unknown_segment_read_returns_empty_and_faulter_fails () =
   let w = world () in
   let h0 = World.host w 0 and h1 = World.host w 1 in
-  let backing = Backing_server.create h1 ~name:"b" in
+  let backing = Test_helpers.new_backer h1 in
   (* map a segment the backer was never given data for *)
   let space = Host.new_space h0 ~name:"p" in
-  Backing_server.map_into backing h0 space ~at:0 ~segment_id:4242 ~offset:0
+  Test_helpers.map_segment h0 backing space ~at:0 ~segment_id:4242 ~offset:0
     ~len:512;
   let proc = Host.spawn h0 ~name:"p" ~trace:(Trace.of_steps []) ~space () in
   Pager.reference (Host.pager h0) proc 0 ~k:(fun () -> ());
@@ -221,6 +288,8 @@ let suite =
       Alcotest.test_case "request without reply port" `Quick
         test_read_request_without_reply_port_is_dropped;
       Alcotest.test_case "death idempotent" `Quick test_death_idempotent;
+      Alcotest.test_case "misdirected death spares the NMS cache" `Quick
+        test_misdirected_death_spares_the_nms_cache;
       Alcotest.test_case "unknown segment fails loudly" `Quick
         test_unknown_segment_read_returns_empty_and_faulter_fails;
       Alcotest.test_case "RIMAS-before-Core race" `Quick

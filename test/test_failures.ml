@@ -3,6 +3,7 @@
    last page is fetched; if the backing site dies, so does the process.
    Pure-copy has no such window once the transfer completes. *)
 open Accent_sim
+open Accent_net
 open Accent_kernel
 open Accent_core
 

@@ -44,3 +44,22 @@ let random_spec =
     Accent_workloads.Spec.name = "TinyRandom";
     pattern = Accent_workloads.Access_pattern.Clustered_random { cluster = 2. };
   }
+
+(* A backing server on [host] with the MigrationManager's service time. *)
+let new_backer host =
+  Accent_kernel.Host.new_backer host
+    ~service_ms:Accent_core.Migration_manager.backing_service_ms
+
+(* Map [len] bytes of a backer's segment, from segment offset [offset],
+   into [space] at address [at], and teach [host]'s pager where the
+   faults go. *)
+let map_segment host backing space ~at ~segment_id ~offset ~len =
+  Accent_mem.Address_space.map_imaginary space
+    (Accent_mem.Vaddr.of_len at len)
+    ~segment_id ~offset;
+  Accent_kernel.Pager.register_segment
+    (Accent_kernel.Host.pager host)
+    ~space_id:(Accent_mem.Address_space.id space)
+    ~segment_id
+    ~backing_port:(Accent_net.Backing_server.port backing)
+    ~offset ~len ~vaddr:at

@@ -121,13 +121,13 @@ let test_imaginary_fault_via_backing_server () =
      ~115 ms remote fault. *)
   let w = world () in
   let h0 = host w 0 and h1 = host w 1 in
-  let backing = Accent_core.Backing_server.create h1 ~name:"backer" in
-  let segment_id = Accent_core.Backing_server.new_segment backing in
+  let backing = Test_helpers.new_backer h1 in
+  let segment_id = Accent_net.Backing_server.new_segment backing in
   let payload = Bytes.init 1024 (fun i -> Char.chr (i mod 256)) in
-  Accent_core.Backing_server.put_bytes backing ~segment_id ~offset:0 payload;
+  Accent_net.Backing_server.put_bytes backing ~segment_id ~offset:0 payload;
   let proc =
     build_proc h0 ~steps:[] (fun space ->
-        Accent_core.Backing_server.map_into backing h0 space ~at:0 ~segment_id
+        Test_helpers.map_segment h0 backing space ~at:0 ~segment_id
           ~offset:0 ~len:1024)
   in
   let cost = reference_once w h0 proc 0 in
@@ -136,7 +136,7 @@ let test_imaginary_fault_via_backing_server () =
     true
     (cost > 100. && cost < 130.);
   Alcotest.(check int) "served by the backer" 1
-    (Accent_core.Backing_server.faults_served backing);
+    (Accent_net.Backing_server.faults_served backing);
   (match Address_space.page_data (Proc.space_exn proc) 0 with
   | Some page ->
       Alcotest.(check bool) "bit-exact delivery" true
@@ -147,13 +147,13 @@ let test_imaginary_fault_via_backing_server () =
 let test_prefetch_installs_and_tracks_hits () =
   let w = world () in
   let h0 = host w 0 and h1 = host w 1 in
-  let backing = Accent_core.Backing_server.create h1 ~name:"backer" in
-  let segment_id = Accent_core.Backing_server.new_segment backing in
-  Accent_core.Backing_server.put_bytes backing ~segment_id ~offset:0
+  let backing = Test_helpers.new_backer h1 in
+  let segment_id = Accent_net.Backing_server.new_segment backing in
+  Accent_net.Backing_server.put_bytes backing ~segment_id ~offset:0
     (Bytes.make (512 * 4) 'p');
   let proc =
     build_proc h0 ~steps:[] (fun space ->
-        Accent_core.Backing_server.map_into backing h0 space ~at:0 ~segment_id
+        Test_helpers.map_segment h0 backing space ~at:0 ~segment_id
           ~offset:0 ~len:(512 * 4))
   in
   proc.Proc.prefetch <- 3;
@@ -173,22 +173,22 @@ let test_prefetch_installs_and_tracks_hits () =
 let test_segment_death_on_release () =
   let w = world () in
   let h0 = host w 0 and h1 = host w 1 in
-  let backing = Accent_core.Backing_server.create h1 ~name:"backer" in
-  let segment_id = Accent_core.Backing_server.new_segment backing in
-  Accent_core.Backing_server.put_bytes backing ~segment_id ~offset:0
+  let backing = Test_helpers.new_backer h1 in
+  let segment_id = Accent_net.Backing_server.new_segment backing in
+  Accent_net.Backing_server.put_bytes backing ~segment_id ~offset:0
     (Bytes.make 512 'd');
   let proc =
     build_proc h0 ~steps:[] (fun space ->
-        Accent_core.Backing_server.map_into backing h0 space ~at:0 ~segment_id
+        Test_helpers.map_segment h0 backing space ~at:0 ~segment_id
           ~offset:0 ~len:512)
   in
   Pager.release_segments (Host.pager h0)
     ~space_id:(Address_space.id (Proc.space_exn proc));
   run w;
   Alcotest.(check int) "death delivered" 1
-    (Accent_core.Backing_server.deaths_received backing);
+    (Accent_net.Backing_server.deaths_received backing);
   Alcotest.(check int) "segment gone" 0
-    (Accent_core.Backing_server.segments_alive backing)
+    (Accent_net.Backing_server.segments_alive backing)
 
 (* --- Proc_runner --- *)
 

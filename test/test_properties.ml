@@ -3,6 +3,7 @@
    hold regardless of parameters — completion, bit-exact content, byte
    accounting, phase ordering. *)
 open Accent_mem
+open Accent_net
 open Accent_kernel
 open Accent_core
 
