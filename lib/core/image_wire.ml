@@ -50,7 +50,7 @@ let shippable_ws_pages proc ~now ~window_ms =
     ~window:(Accent_sim.Time.ms window_ms)
   |> List.filter (fun page ->
          match Address_space.presence_of_page (Proc.space_exn proc) page with
-         | Address_space.Resident _ | Address_space.Paged_out _ -> true
+         | Address_space.Resident _ | Address_space.Paged_out -> true
          | Address_space.Zero_pending | Address_space.Imaginary_pending _
          | Address_space.Invalid ->
              false)

@@ -132,7 +132,7 @@ let handle_reply t ~segment_id ~offset ~page_data =
                              proc.Proc.prefetch_extra + 1;
                            t.on_prefetch proc `Issued
                          end
-                     | Resident _ | Paged_out _ | Zero_pending | Invalid ->
+                     | Resident _ | Paged_out | Zero_pending | Invalid ->
                          (* already materialised some other way; drop *)
                          ()))
                page_data;
@@ -235,7 +235,7 @@ let reference t proc page ~k =
         (fun () ->
           Address_space.resolve_zero_fault space page;
           k ())
-  | Paged_out _ ->
+  | Paged_out ->
       t.faults_disk <- t.faults_disk + 1;
       proc.Proc.pcb.Pcb.faults_disk <- proc.Proc.pcb.Pcb.faults_disk + 1;
       t.on_fault proc `Disk;

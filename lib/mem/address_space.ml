@@ -7,7 +7,7 @@ type backing = Zero | Real | Imaginary of { segment_id : int; base : int }
 
 type presence =
   | Resident of Phys_mem.frame_id
-  | Paged_out of Paging_disk.block_id
+  | Paged_out
   | Zero_pending
   | Imaginary_pending of { segment_id : int; offset : int }
   | Invalid
@@ -15,11 +15,13 @@ type presence =
 type location = In_mem of Phys_mem.frame_id | On_disk of Paging_disk.block_id
 
 type cold_run = { first : Page.index; run : Page_run.t }
-(* A bulk-installed run of never-touched disk-resident pages, kept as one
-   adopted run instead of one table entry + disk block per page.  Pages
-   leave a run individually (fault-in, overwrite) by being marked in
-   [cold_gone]; the run itself is never rewritten.  This is what keeps
-   workload construction and excision O(runs), not O(space). *)
+(* An installed run of never-touched disk-resident pages, of any length,
+   kept as one adopted run instead of one table entry + disk block per
+   page.  Pages leave a run individually (fault-in, overwrite) by being
+   marked in [cold_gone]; the run itself is never rewritten.  This is what
+   keeps workload construction and excision O(runs), not O(space). *)
+
+let no_run = { first = 0; run = Page_run.empty }
 
 type t = {
   id : int;
@@ -28,7 +30,8 @@ type t = {
   disk : Paging_disk.t;
   mutable regions : backing Interval_map.t;
   pages : location Int_tbl.t;
-  mutable cold : cold_run list;
+  mutable cold : cold_run array; (* [0, cold_len) ascending by [first] *)
+  mutable cold_len : int;
   cold_gone : unit Int_tbl.t;
   mutable cold_live : int;
   touched : unit Int_tbl.t;
@@ -51,7 +54,8 @@ let create ~id ~name ~mem ~disk =
     disk;
     regions = Interval_map.empty ~equal:backing_equal ();
     pages = Int_tbl.create 16;
-    cold = [];
+    cold = [||];
+    cold_len = 0;
     cold_gone = Int_tbl.create 16;
     cold_live = 0;
     touched = Int_tbl.create 16;
@@ -90,17 +94,38 @@ let map_imaginary t range ~segment_id ~offset =
 let page_range idx =
   (Page.addr_of_index idx, Page.addr_of_index idx + Page.size)
 
+(* Binary search: the position of the last cold run starting at or below
+   [idx], or -1.  Runs never overlap, so only that run can hold [idx]. *)
+let cold_search t idx =
+  let lo = ref (-1) and hi = ref (t.cold_len - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if t.cold.(mid).first <= idx then lo := mid else hi := mid - 1
+  done;
+  !lo
+
 let cold_find t idx =
-  if Int_tbl.mem t.cold_gone idx then None
+  let i = cold_search t idx in
+  if i < 0 then None
   else
-    let rec loop = function
-      | [] -> None
-      | { first; run } :: rest ->
-          if first <= idx && idx < first + Page_run.length run then
-            Some (Page_run.get run (idx - first))
-          else loop rest
-    in
-    loop t.cold
+    let { first; run } = t.cold.(i) in
+    if idx >= first + Page_run.length run || Int_tbl.mem t.cold_gone idx then
+      None
+    else Some (Page_run.get run (idx - first))
+
+(* Every caller adds in ascending address order, so the insert is nearly
+   always an append; an out-of-order run shifts the tail up one slot. *)
+let cold_add t first run =
+  if t.cold_len = Array.length t.cold then begin
+    let grown = Array.make ((2 * t.cold_len) + 1) no_run in
+    Array.blit t.cold 0 grown 0 t.cold_len;
+    t.cold <- grown
+  end;
+  let at = cold_search t first + 1 in
+  Array.blit t.cold at t.cold (at + 1) (t.cold_len - at);
+  t.cold.(at) <- { first; run };
+  t.cold_len <- t.cold_len + 1;
+  t.cold_live <- t.cold_live + Page_run.length run
 
 (* Remove the page from its cold run (if it is in one); the slot becomes a
    hole and the page must thereafter live in [t.pages] or nowhere. *)
@@ -153,14 +178,13 @@ let install_run ?(segment = "<anon>") t ~addr run ~resident =
         ~f:(fun acc _ _ backing ->
           acc || match backing with Real -> true | Zero | Imaginary _ -> false)
     in
-    if (not resident) && (not overlaps_real) && n >= 16 then begin
-      (* Bulk cold install: the run is adopted whole as one extent — no
+    if (not resident) && not overlaps_real then begin
+      (* Cold install: the run is adopted whole as one extent — no
          per-page table entry, no per-page disk block, no copy.  Only
          valid when no page in the range was previously materialised (no
          Real backing), which is the workload-construction case this path
          exists for. *)
-      t.cold <- { first; run } :: t.cold;
-      t.cold_live <- t.cold_live + n;
+      cold_add t first run;
       t.regions <- Interval_map.set t.regions ~lo ~hi Real
     end
     else begin
@@ -207,12 +231,10 @@ let install_bytes ?segment t ~addr data ~resident =
 let presence_of_page t idx =
   match Int_tbl.find_opt t.pages idx with
   | Some (In_mem frame) -> Resident frame
-  | Some (On_disk block) -> Paged_out block
+  | Some (On_disk _) -> Paged_out
   | None -> (
       match cold_find t idx with
-      | Some _ ->
-          (* held in a bulk extent, not an individual disk block *)
-          Paged_out (-1)
+      | Some _ -> Paged_out
       | None -> (
           let addr = Page.addr_of_index idx in
           match Interval_map.find t.regions addr with
@@ -228,7 +250,7 @@ let presence t addr = presence_of_page t (Page.index_of_addr addr)
 
 let classify t addr : Accessibility.t =
   match presence t addr with
-  | Resident _ | Paged_out _ -> Real_mem
+  | Resident _ | Paged_out -> Real_mem
   | Zero_pending -> Real_zero_mem
   | Imaginary_pending _ -> Imag_mem
   | Invalid -> Bad_mem
@@ -312,15 +334,15 @@ type image_run =
     }
   | Img_imag of { lo : int; hi : int; segment_id : int; offset : int }
 
-(* The materialized overlay and cold geometry, presorted: one export
-   shares a single O(overlay log overlay) preparation across every Real
-   range instead of re-walking the page table once per range.  The lists
-   are consumed monotonically as [gather_real] is called over ascending
-   ranges. *)
+(* The materialized overlay, presorted, and a cursor over the (already
+   ascending) cold runs: one export shares a single O(overlay log overlay)
+   preparation across every Real range instead of re-walking the page
+   table once per range.  Both are consumed monotonically as
+   [gather_real] is called over ascending ranges. *)
 type overlay = {
   mutable ov_mats : (Page.index * location) list; (* ascending *)
   mutable ov_holes : Page.index list; (* ascending; cold slots taken *)
-  mutable ov_cold : (Page.index * Page_run.t) list; (* ascending starts *)
+  mutable ov_cold : int; (* next cold run that may cover a range *)
 }
 
 (* Sort via an array: a capture sorts the full materialized set, and a
@@ -352,17 +374,11 @@ let sorted_ints_of_tbl tbl =
   Array.to_list a
 
 let overlay_of t =
-  let cold = Array.of_list t.cold in
-  Array.sort
-    (fun a b ->
-      if a.first < b.first then -1 else if a.first > b.first then 1 else 0)
-    cold;
   {
     ov_mats =
       sorted_list_of_tbl t.pages ~dummy:(0, In_mem 0) ~pair:(fun k v -> (k, v));
     ov_holes = sorted_ints_of_tbl t.cold_gone;
-    ov_cold =
-      Array.fold_right (fun { first; run } acc -> (first, run) :: acc) cold [];
+    ov_cold = 0;
   }
 
 (* Kernel-side gathering (excision, checkpoint, pre-copy rounds) reads
@@ -412,14 +428,17 @@ let gather_real t ov ~lo ~hi =
           | _ -> last
         in
         let rec covering () =
-          match ov.ov_cold with
-          | (f, run) :: rest when f + Page_run.length run <= !pos ->
-              ov.ov_cold <- rest;
+          if ov.ov_cold >= t.cold_len then missing ()
+          else
+            let c = t.cold.(ov.ov_cold) in
+            if c.first + Page_run.length c.run <= !pos then begin
+              ov.ov_cold <- ov.ov_cold + 1;
               covering ()
-          | (f, run) :: _ when f <= !pos -> (f, run)
-          | _ -> missing ()
+            end
+            else if c.first <= !pos then c
+            else missing ()
         in
-        let f, run = covering () in
+        let { first = f; run } = covering () in
         let piece_end = min stop (f + Page_run.length run - 1) in
         (* a hole here is a cold slot whose page was never re-homed *)
         while (match ov.ov_holes with i :: _ -> i < !pos | [] -> false) do
@@ -476,18 +495,15 @@ let import_image t runs =
             invalid_arg "Address_space.import_image: malformed real run";
           Hashtbl.replace t.segments "image" ();
           let first = Page.index_of_addr lo in
-          (* cold stretches rebuild as bulk extents of any length, shared
-             as views of the incoming run — per-page table entries and
-             disk blocks only for pages that had them *)
+          (* cold stretches rebuild as cold extents, shared as views of
+             the incoming run — per-page table entries and disk blocks
+             only for pages that had them *)
           let pos = ref 0 in
           List.iter
             (fun (len, home) ->
               (match home with
               | Home_cold ->
-                  t.cold <-
-                    { first = first + !pos; run = Page_run.sub run ~pos:!pos ~len }
-                    :: t.cold;
-                  t.cold_live <- t.cold_live + len
+                  cold_add t (first + !pos) (Page_run.sub run ~pos:!pos ~len)
               | Home_resident | Home_disk ->
                   for i = !pos to !pos + len - 1 do
                     let idx = first + i in
@@ -597,9 +613,10 @@ let destroy t =
       | On_disk block -> Paging_disk.free t.disk block)
     t.pages;
   Int_tbl.reset t.pages;
-  (* cold runs hold no frames and no disk blocks — dropping the list is
+  (* cold runs hold no frames and no disk blocks — dropping the array is
      the whole teardown *)
-  t.cold <- [];
+  t.cold <- [||];
+  t.cold_len <- 0;
   t.cold_live <- 0;
   Int_tbl.reset t.cold_gone;
   t.regions <- Interval_map.empty ~equal:backing_equal ()

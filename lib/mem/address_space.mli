@@ -21,11 +21,10 @@ type backing =
 
 type presence =
   | Resident of Phys_mem.frame_id
-  | Paged_out of Paging_disk.block_id
-      (** the block id is [-1] when the page is held in a bulk-installed
-          extent rather than an individual disk block; use the fault
-          resolvers and {!page_value}, never [Paging_disk.read], to reach
-          the contents *)
+  | Paged_out
+      (** on the paging disk, in an individual block or a cold extent;
+          use the fault resolvers and {!page_value} to reach the
+          contents *)
   | Zero_pending  (** FillZero fault will materialise it *)
   | Imaginary_pending of { segment_id : int; offset : int }
       (** offset is the byte offset of the page within the segment *)
@@ -56,12 +55,14 @@ val map_imaginary : t -> Vaddr.range -> segment_id:int -> offset:int -> unit
 val install_run :
   ?segment:string -> t -> addr:int -> Page_run.t -> resident:bool -> unit
 (** Install a run of page values starting at the page-aligned [addr], one
-    page per value, without materialising any of them.  Non-resident runs
-    of 16+ pages over fresh (non-Real) territory are {e adopted} whole as
-    one cold extent — O(1), no copy, so the caller must treat the run as
-    shared from here on.  [segment] labels the Accent VM segment this data
-    belongs to (program text, a mapped file...) purely for the excision
-    cost model; unlabelled installs count as one anonymous segment. *)
+    page per value, without materialising any of them.  A non-resident
+    run of any length over fresh (non-Real) territory is {e adopted}
+    whole as one cold extent — no copy, and a binary search over the
+    space's cold extents finds it on a fault — so the caller must treat
+    the run as shared from here on.  [segment] labels the Accent VM
+    segment this data belongs to (program text, a mapped file...) purely
+    for the excision cost model; unlabelled installs count as one
+    anonymous segment. *)
 
 val install_values :
   ?segment:string -> t -> addr:int -> Page.value array -> resident:bool -> unit
@@ -88,7 +89,8 @@ val resolve_zero_fault : t -> Page.index -> unit
 (** Materialise a [Zero_pending] page as a zero-filled resident frame. *)
 
 val resolve_disk_fault : t -> Page.index -> unit
-(** Bring a [Paged_out] page into a frame; frees its disk block. *)
+(** Bring a [Paged_out] page into a frame; frees its disk block, if it
+    has one. *)
 
 val resolve_imaginary_fault : t -> Page.index -> Page.value -> unit
 (** Install the value that arrived from the backing port, making the page
@@ -132,15 +134,15 @@ val real_runs : t -> (int * Page_run.t) list
 
     The address-space slice of a first-class process image: every backed
     range with its page values {e and} where each page lives, so a space
-    can be rebuilt elsewhere with the same residency and the same bulk
-    cold extents — no per-page table entries or disk blocks for pages
+    can be rebuilt elsewhere with the same residency and the same cold
+    extents — no per-page table entries or disk blocks for pages
     that never had them, and no page bytes materialised (symbolic values
     stay symbolic). *)
 
 type page_home =
   | Home_resident  (** in a physical frame *)
   | Home_disk  (** in an individual paging-disk block *)
-  | Home_cold  (** held in a bulk-installed cold extent *)
+  | Home_cold  (** held in a cold extent *)
 
 type image_run =
   | Img_zero of { lo : int; hi : int }
@@ -161,7 +163,7 @@ val export_image : t -> image_run list
 
 val import_image : t -> image_run list -> unit
 (** Rebuild the exported layout into an {e empty} space: cold stretches
-    become bulk extents of any length (adopted as views of the image's
+    become cold extents (adopted as views of the image's
     runs), disk pages take disk blocks, resident pages take frames
     (possibly evicting).  Imaginary runs are remapped; registering their
     backing ports with the pager is the caller's job.

@@ -13,7 +13,7 @@ type t = {
 
 let create () =
   {
-    blocks = Hashtbl.create 1024;
+    blocks = Hashtbl.create 16;
     next_id = 0;
     free_list = [];
     freed = Hashtbl.create 64;

@@ -52,7 +52,7 @@ let create ?(dedup = false) ?(capacity_pages = 4096) () =
     dedup;
     capacity_pages = max 0 capacity_pages;
     segs = Hashtbl.create 16;
-    index = Hashtbl.create 1024;
+    index = Hashtbl.create 16;
     lru = Accent_util.Stamp_fifo.create ();
     hits = 0;
     misses = 0;

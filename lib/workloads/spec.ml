@@ -94,7 +94,7 @@ let universe_position u idx =
 (* Lay the space out as gap/run/gap/run/.../gap and install run contents
    (straight to the paging disk, like data faulted in long ago).  Each
    slice goes in as one symbolic {!Page_run.pattern} — no value array is
-   ever filled, and 16+-page slices are adopted whole by the space. *)
+   ever filled, and the space adopts each slice whole as a cold extent. *)
 let build_layout space t =
   let tag = content_tag t in
   let runs = min t.real_runs (real_pages t) in

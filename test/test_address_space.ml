@@ -101,7 +101,11 @@ let test_zero_fault_rejects_wrong_state () =
 let test_disk_fault_resolution () =
   let space, _, disk = fresh () in
   Address_space.install_bytes space ~addr:0 (Bytes.make 512 'q') ~resident:false;
-  Alcotest.(check int) "block on disk" 1 (Paging_disk.blocks_in_use disk);
+  (* a never-touched install is a cold extent: on disk, but no block *)
+  (match Address_space.presence_of_page space 0 with
+  | Address_space.Paged_out -> ()
+  | _ -> Alcotest.fail "expected Paged_out");
+  Alcotest.(check int) "no block allocated" 0 (Paging_disk.blocks_in_use disk);
   Address_space.resolve_disk_fault space 0;
   (match Address_space.presence_of_page space 0 with
   | Address_space.Resident _ -> ()
@@ -124,7 +128,7 @@ let test_eviction_roundtrip () =
   Alcotest.(check int) "one eviction" 1 (Phys_mem.evictions mem);
   Alcotest.(check int) "evicted page on disk" 1 (Paging_disk.blocks_in_use disk);
   (match Address_space.presence_of_page space 0 with
-  | Address_space.Paged_out _ -> ()
+  | Address_space.Paged_out -> ()
   | _ -> Alcotest.fail "page 0 should be on disk");
   (* still RealMem, and contents intact *)
   Alcotest.check acc "still RealMem" Accessibility.Real_mem

@@ -454,6 +454,111 @@ let prop_working_set_equals_fold =
         ok := false;
       !ok)
 
+(* The cold store against a naive per-page model: page -> (value, in a
+   frame or on disk).  Random installs of 1-40 pages land anywhere in a
+   200-page window, so they cross the old 16-page bulk threshold, overlap
+   earlier installs (the per-page overwrite path) and arrive out of
+   address order (the cold index's shift path).  Disk faults, the
+   evictions a 12-frame pool forces, and export -> destroy -> import
+   round trips are interleaved; after every step every page's presence
+   class and value, and the space's page counts, must match the model. *)
+type model_home = M_frame | M_disk
+
+let prop_cold_store_equals_per_page_model =
+  QCheck.Test.make ~long_factor:50 ~name:"cold-extent store = per-page model"
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 40)
+        (quad (int_range 0 9) small_nat small_nat small_nat))
+    (fun ops ->
+      let window = 200 in
+      let mem = Phys_mem.create ~frames:12 and disk = Paging_disk.create () in
+      let model : (int, Page.value * model_home) Hashtbl.t =
+        Hashtbl.create 64
+      in
+      let fresh_space () = Address_space.create ~id:1 ~name:"p" ~mem ~disk in
+      let space = ref (fresh_space ()) in
+      (* An install over resident pages may evict one of them before its
+         turn to be overwritten: the model, already holding the new value,
+         ignores that stale eviction.  Every install gets a fresh tag, so
+         old and new values never compare equal. *)
+      Phys_mem.set_evict_handler mem (fun o value ~dirty ->
+          let idx = o.Phys_mem.page in
+          Address_space.evict_page !space idx value ~dirty;
+          match Hashtbl.find_opt model idx with
+          | Some (v, M_frame) when Page.equal_value v value ->
+              Hashtbl.replace model idx (v, M_disk)
+          | _ -> ());
+      let tag = ref 0 in
+      let ok = ref true in
+      let check () =
+        let s = !space in
+        for idx = 0 to window - 1 do
+          match
+            (Hashtbl.find_opt model idx, Address_space.presence_of_page s idx)
+          with
+          | None, Address_space.Invalid -> ()
+          | Some (v, M_frame), Address_space.Resident _
+          | Some (v, M_disk), Address_space.Paged_out -> (
+              match Address_space.page_value s idx with
+              | Some got when Page.equal_value got v -> ()
+              | _ -> ok := false)
+          | _ -> ok := false
+        done;
+        let n = Hashtbl.length model in
+        if Address_space.pages_materialized s <> n then ok := false;
+        if Address_space.real_bytes s <> n * Page.size then ok := false
+      in
+      List.iter
+        (fun (kind, a, b, c) ->
+          (if kind < 5 then begin
+             let first = a mod (window - 40) and len = 1 + (b mod 40) in
+             let resident = c mod 3 = 0 in
+             incr tag;
+             let run =
+               Page_run.init len (fun i ->
+                   Page.pattern_value ~tag:!tag (first + i))
+             in
+             Page_run.iteri
+               (fun i v ->
+                 Hashtbl.replace model (first + i)
+                   (v, if resident then M_frame else M_disk))
+               run;
+             Address_space.install_run !space ~addr:(Page.addr_of_index first)
+               run ~resident
+           end
+           else if kind < 9 then begin
+             let on_disk =
+               Hashtbl.fold
+                 (fun idx (_, home) acc ->
+                   if home = M_disk then idx :: acc else acc)
+                 model []
+               |> List.sort compare
+             in
+             match on_disk with
+             | [] -> ()
+             | _ ->
+                 let idx = List.nth on_disk (a mod List.length on_disk) in
+                 let v, _ = Hashtbl.find model idx in
+                 Hashtbl.replace model idx (v, M_frame);
+                 Address_space.resolve_disk_fault !space idx
+           end
+           else begin
+             let image = Address_space.export_image !space in
+             Address_space.destroy !space;
+             let leaked =
+               Phys_mem.in_use mem + Paging_disk.blocks_in_use disk
+             in
+             if leaked <> 0 then ok := false;
+             space := fresh_space ();
+             Address_space.import_image !space image;
+             let back = Address_space.export_image !space in
+             if not (Address_space.image_equal back image) then ok := false
+           end);
+          check ())
+        ops;
+      !ok)
+
 let suite =
   ( "mem",
     [
@@ -497,4 +602,5 @@ let suite =
         test_working_set_rereference_refreshes;
       QCheck_alcotest.to_alcotest prop_victim_equals_linear_scan;
       QCheck_alcotest.to_alcotest prop_working_set_equals_fold;
+      QCheck_alcotest.to_alcotest prop_cold_store_equals_per_page_model;
     ] )
