@@ -174,6 +174,7 @@ type nms_world = {
   ids : Ids.t;
   registry : Net_registry.t;
   monitor : Transfer_monitor.t;
+  link : Link.t;
   kernels : Kernel_ipc.t array;
   servers : Netmsgserver.t array;
 }
@@ -201,6 +202,7 @@ let nms_world ?(params = Netmsgserver.default_params) ?fault_plan () =
     ids;
     registry;
     monitor;
+    link;
     kernels = Array.map fst pairs;
     servers = Array.map snd pairs;
   }
@@ -618,6 +620,37 @@ let test_arq_give_up_time () =
   Alcotest.(check int) "8 retransmissions" 8
     (Reliable.retransmissions (sender_rel w))
 
+(* One long message over loss, reordering and corruption at once, at the
+   engine's default seed: every ack the receiver sends (and so every
+   SACK list it builds) shapes the retransmissions that follow, so the
+   exact counters pin the selective-ack selection end to end. *)
+let test_arq_sack_pin () =
+  let w =
+    arq_world
+      ~fault_plan:
+        Fault_plan.(iid 0.2 |> with_reordering 0.3 |> with_corruption 0.1)
+      ()
+  in
+  let delivered = ref 0 in
+  let port = remote_port w ~on:1 (fun _ -> incr delivered) in
+  let msg = bulk_message w ~dest:port ~pages:11_998 in
+  Alcotest.(check int) "4,000 fragments" 4_000
+    (Link.fragments_for (Message.wire_size msg));
+  Kernel_ipc.send w.kernels.(0) msg;
+  ignore (Engine.run w.engine);
+  let snd = sender_rel w and rcv = receiver_rel w in
+  Alcotest.(check int) "delivered once" 1 !delivered;
+  Alcotest.(check (list int))
+    "acks, retransmissions, duplicates, checksum failures"
+    [ 4870; 2689; 870; 517 ]
+    [
+      Reliable.acks_sent rcv;
+      Reliable.retransmissions snd;
+      Reliable.duplicates rcv;
+      Reliable.checksum_failures rcv;
+    ];
+  Alcotest.(check int) "link bytes" 10_798_224 (Link.bytes_sent w.link)
+
 let suite =
   ( "net",
     [
@@ -659,4 +692,5 @@ let suite =
       Alcotest.test_case "ARQ: give-up time" `Quick test_arq_give_up_time;
       Alcotest.test_case "ARQ: on iff a fault plan" `Quick
         test_arq_iff_fault_plan;
+      Alcotest.test_case "ARQ: SACK selection pinned" `Quick test_arq_sack_pin;
     ] )
