@@ -17,6 +17,13 @@
                        push/cancel pattern — mass-cancelled backoff
                        timers must not accumulate (compaction), and
                        per-op cost stays O(log live).
+     page checks       Page.digest on distinct Pattern pages (a memo
+                       miss, then a hit) and Page.checksum_value, the
+                       wire re-check — per page, no buffer built.
+     ARQ acks          one message through two Reliable endpoints on a
+                       clean link — cost per in-order fragment is flat
+                       in message length (an ack walks top - cum + 1
+                       bitmap slots, not the whole message).
 
    Results land in BENCH_hotpath.json next to BENCH_scale.json.
 
@@ -155,6 +162,91 @@ let timer_churn ~window ~rounds =
     max_physical = !max_physical;
   }
 
+(* --- page checks -------------------------------------------------------- *)
+
+type page_row = {
+  pages : int;
+  ns_per_cold : float;
+  ns_per_hit : float;
+  ns_per_recheck : float;
+}
+
+(* A tag no workload uses, so the first pass misses the memo on every
+   page; the values are built before the clock starts. *)
+let page_checks ~pages =
+  let values =
+    Array.init pages (fun i -> Page.pattern_value ~tag:0x2F00D i)
+  in
+  let per_page f =
+    let sink = ref 0 in
+    let wall =
+      time_it (fun () -> Array.iter (fun v -> sink := !sink lxor f v) values)
+    in
+    ignore (Sys.opaque_identity !sink);
+    wall /. float_of_int pages *. 1e9
+  in
+  let ns_per_cold = per_page Page.digest in
+  let ns_per_hit = per_page Page.digest in
+  let ns_per_recheck = per_page Page.checksum_value in
+  { pages; ns_per_cold; ns_per_hit; ns_per_recheck }
+
+(* --- ARQ acks ---------------------------------------------------------- *)
+
+type arq_row = {
+  fragments : int;
+  messages : int;
+  arq_wall_s : float;
+  ns_per_fragment : float;
+}
+
+(* [messages] messages of [fragments] fragments each, one after another
+   from host 0 to host 1, on a clean link with free CPUs: every fragment
+   arrives in order and is acked, so the cost per fragment is the ack
+   handling on both ends plus a constant for the events around it.
+   (Sent all at once, the messages' windows would queue on the link past
+   the retransmit timeout.) *)
+let arq_acks ~fragments ~messages =
+  let open Accent_net in
+  let engine = Accent_sim.Engine.create () in
+  let ids = Accent_sim.Ids.create () in
+  let registry = Net_registry.create () in
+  let link =
+    Link.create engine ~params:Link.default_params
+      ~monitor:(Transfer_monitor.create ())
+  in
+  let delivered = ref 0 in
+  let endpoint host_id =
+    Reliable.create engine ~host_id ~link ~registry
+      ~cpu:(fun ~service_ms:_ k -> k ())
+      ~fragment_cost_ms:(fun ~bytes:_ -> 0.)
+      ~on_deliver:(fun ~msg:_ ~wire_bytes:_ ~completes:_ -> incr delivered)
+      ~on_give_up:(fun ~msg:_ ~dst:_ -> ())
+  in
+  let sender = endpoint 0 and _receiver = endpoint 1 in
+  let msg =
+    Accent_ipc.Message.make ~ids
+      ~dest:(Accent_ipc.Port.fresh ids)
+      (Accent_ipc.Message.Ping 0)
+  in
+  let wall =
+    time_it (fun () ->
+        for _ = 1 to messages do
+          Reliable.send sender ~dst:1 ~msg
+            ~wire_bytes:(fragments * Link.fragment_bytes)
+            ~first_fragment_extra_ms:0.;
+          ignore (Accent_sim.Engine.run engine)
+        done)
+  in
+  assert (
+    !delivered = fragments * messages
+    && Reliable.retransmissions sender = 0);
+  {
+    fragments;
+    messages;
+    arq_wall_s = wall;
+    ns_per_fragment = wall /. float_of_int !delivered *. 1e9;
+  }
+
 (* --- JSON output ------------------------------------------------------- *)
 
 let evict_json r =
@@ -173,7 +265,17 @@ let timer_json r =
     r.window r.rounds r.timer_ops r.tm_wall_s r.tm_ns_per_op r.compactions
     r.max_physical
 
-let write_json ~path ~mode ~evict ~ws ~timers =
+let page_json r =
+  Printf.sprintf
+    {|    {"pages": %d, "ns_per_cold_digest": %.1f, "ns_per_memo_hit": %.1f, "ns_per_checksum_value": %.1f}|}
+    r.pages r.ns_per_cold r.ns_per_hit r.ns_per_recheck
+
+let arq_json r =
+  Printf.sprintf
+    {|    {"fragments": %d, "messages": %d, "wall_s": %.4f, "ns_per_fragment": %.1f}|}
+    r.fragments r.messages r.arq_wall_s r.ns_per_fragment
+
+let write_json ~path ~mode ~evict ~ws ~timers ~page ~arq =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc {|  "benchmark": "hotpath",%s|} "\n";
@@ -183,8 +285,12 @@ let write_json ~path ~mode ~evict ~ws ~timers =
     (String.concat ",\n" (List.map evict_json evict));
   Printf.fprintf oc "  \"working_set_churn\": [\n%s\n  ],\n"
     (String.concat ",\n" (List.map ws_json ws));
-  Printf.fprintf oc "  \"timer_churn\": [\n%s\n  ]\n"
+  Printf.fprintf oc "  \"timer_churn\": [\n%s\n  ],\n"
     (String.concat ",\n" (List.map timer_json timers));
+  Printf.fprintf oc "  \"page_checks\": [\n%s\n  ],\n"
+    (String.concat ",\n" (List.map page_json page));
+  Printf.fprintf oc "  \"arq_ack\": [\n%s\n  ]\n"
+    (String.concat ",\n" (List.map arq_json arq));
   Printf.fprintf oc "}\n";
   close_out oc
 
@@ -240,6 +346,25 @@ let () =
         r)
       windows
   in
+  let page =
+    let r = page_checks ~pages:(if smoke then 20_000 else 200_000) in
+    Printf.printf
+      "hotpath: page   %8d pages  cold %6.1f  hit %6.1f  recheck %6.1f ns\n%!"
+      r.pages r.ns_per_cold r.ns_per_hit r.ns_per_recheck;
+    [ r ]
+  in
+  (* the same fragment total at every message length *)
+  let total = if smoke then 4_096 else 65_536 in
+  let arq =
+    List.map
+      (fun fragments ->
+        let r = arq_acks ~fragments ~messages:(total / fragments) in
+        Printf.printf
+          "hotpath: arq    frags %6d  %8d msgs %7.1f ns/fragment\n%!"
+          r.fragments r.messages r.ns_per_fragment;
+        r)
+      (if smoke then [ 64; 1_024 ] else [ 64; 1_024; 16_384 ])
+  in
   write_json ~path:out ~mode:(if smoke then "smoke" else "full") ~evict ~ws
-    ~timers;
+    ~timers ~page ~arq;
   Printf.printf "hotpath: wrote %s\n%!" out

@@ -98,7 +98,7 @@ let rebuild_image store t =
     match Content_store.find store digest with
     | None -> failwith "Checkpoint: page missing from durable store"
     | Some value ->
-        if Page.digest value <> digest then
+        if Page.checksum_value value <> digest then
           failwith "Checkpoint: page fails digest integrity check";
         value
   in

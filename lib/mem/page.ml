@@ -25,8 +25,10 @@ let is_zero data =
 
 (* A cheap LCG keyed by (tag, idx); every byte depends on both so two
    pages never coincide unless (tag, idx) do. *)
+let pattern_seed ~tag idx = (tag * 0x1000193) lxor (idx * 0x9E3779B9) lor 1
+
 let fill_pattern buf off ~tag idx =
-  let state = ref ((tag * 0x1000193) lxor (idx * 0x9E3779B9) lor 1) in
+  let state = ref (pattern_seed ~tag idx) in
   for i = 0 to size - 1 do
     state := ((!state * 0x9E3779B9) + 0x7F4A7C15) land max_int;
     Bytes.set buf (off + i) (Char.chr ((!state lsr 24) land 0xFF))
@@ -41,6 +43,16 @@ let checksum data =
   let h = ref 0xCBF29CE484222 in
   for i = 0 to Bytes.length data - 1 do
     h := (!h lxor Char.code (Bytes.get data i)) * 0x100000001B3 land max_int
+  done;
+  !h
+
+(* [checksum (pattern ~tag idx)] in one pass: the LCG's byte stream goes
+   straight into the FNV fold, with no page buffer in between. *)
+let pattern_checksum ~tag idx =
+  let state = ref (pattern_seed ~tag idx) and h = ref 0xCBF29CE484222 in
+  for _ = 1 to size do
+    state := ((!state * 0x9E3779B9) + 0x7F4A7C15) land max_int;
+    h := (!h lxor ((!state lsr 24) land 0xFF)) * 0x100000001B3 land max_int
   done;
   !h
 
@@ -64,21 +76,29 @@ let pattern_value ~tag idx = Pattern { tag; idx }
    (checksum is a function of (tag, idx) alone), so domain-local tables
    trade a little recomputation for lock-free safety.  Worlds running on
    different domains therefore share no mutable state through this
-   module. *)
+   module.  The memo key packs tag above bit 32, idx below. *)
 let zero_digest = checksum (zero ())
 
-let pattern_digests : (int * int, int) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+let checksum_value = function
+  | Zero -> zero_digest
+  | Pattern { tag; idx } -> pattern_checksum ~tag idx
+  | Literal { data; _ } -> checksum data
+
+let pattern_digests : int Accent_util.Int_tbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Accent_util.Int_tbl.create 4096)
 
 let digest = function
   | Zero -> zero_digest
+  | Pattern { tag; idx } when tag lsr 30 <> 0 || idx lsr 32 <> 0 ->
+      pattern_checksum ~tag idx
   | Pattern { tag; idx } -> (
       let memo = Domain.DLS.get pattern_digests in
-      match Hashtbl.find_opt memo (tag, idx) with
-      | Some d -> d
-      | None ->
-          let d = checksum (pattern ~tag idx) in
-          Hashtbl.replace memo (tag, idx) d;
+      let key = (tag lsl 32) lor idx in
+      match Accent_util.Int_tbl.find memo key with
+      | d -> d
+      | exception Not_found ->
+          let d = pattern_checksum ~tag idx in
+          Accent_util.Int_tbl.add memo key d;
           d)
   | Literal { digest; _ } -> digest
 

@@ -72,7 +72,14 @@ val blit_value : value -> bytes -> int -> unit
 
 val digest : value -> int
 (** Equals [checksum (to_bytes v)], without materializing: constant for
-    [Zero], memoized for [Pattern], precomputed for [Literal]. *)
+    [Zero], precomputed for [Literal], memoized per domain for [Pattern]
+    under one int packing [(tag, idx)] (a pair with [tag] outside
+    \[0, 2{^30}) or [idx] outside \[0, 2{^32}) is never memoized). *)
+
+val checksum_value : value -> int
+(** [checksum (to_bytes v)], re-derived from the content on every call:
+    no memo, no stored digest, no copy.  The check for a value whose
+    digest cannot be trusted (off the wire, out of a store). *)
 
 val equal_value : value -> value -> bool
 (** Content equality across representations.  O(1) for same-shape

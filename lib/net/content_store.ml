@@ -106,13 +106,13 @@ let remember t digest value =
 
 let insert t value = ignore (remember t (Page.digest value) value)
 
-(* Every insert coming off the wire re-derives the digest from the bytes
-   themselves: a Data reply whose payload does not hash to its claimed
-   name is dropped (and counted), never cached — so a corrupted reply can
-   never satisfy a later digest hit.  The requester simply refetches. *)
+(* Every insert coming off the wire re-derives the digest from the
+   value's content: a Data reply whose payload does not hash to its
+   claimed name is dropped (and counted), never cached — so a corrupted
+   reply can never satisfy a later digest hit.  The requester refetches. *)
 let insert_wire t ?claimed value =
   let claimed = match claimed with Some d -> d | None -> Page.digest value in
-  if Page.checksum (Page.to_bytes value) <> claimed then begin
+  if Page.checksum_value value <> claimed then begin
     t.rejects <- t.rejects + 1;
     false
   end
@@ -140,7 +140,7 @@ let indexed_pages t = Hashtbl.length t.index
 let verify t =
   Hashtbl.fold
     (fun digest entry ok ->
-      ok && Page.checksum (Page.to_bytes entry.value) = digest)
+      ok && Page.checksum_value entry.value = digest)
     t.index true
 
 (* --- the segment/offset layer ------------------------------------------- *)

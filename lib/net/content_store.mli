@@ -49,14 +49,16 @@ val insert : t -> Accent_mem.Page.value -> unit
 
 val insert_wire : t -> ?claimed:int -> Accent_mem.Page.value -> bool
 (** Remember a value that arrived off the wire.  The digest is re-derived
-    from the materialised bytes and checked against [claimed] (the name
-    the sender advertised; the value's own digest when omitted): on
-    mismatch the value is dropped, the reject counter bumped, and
-    [false] returned — a poisoned page never enters the store, so it can
-    never serve a later digest hit.  The requester refetches. *)
+    from the value's content ({!Accent_mem.Page.checksum_value}) and
+    checked against [claimed] (the name the sender advertised; the
+    value's own digest when omitted): on mismatch the value is dropped,
+    the reject counter bumped, and [false] returned — a poisoned page
+    never enters the store, so it can never serve a later digest hit.
+    The requester refetches. *)
 
 val verify : t -> bool
-(** Integrity sweep: every indexed value's bytes hash to its key. *)
+(** Integrity sweep: every indexed value's digest, re-derived from the
+    value's content, equals its key. *)
 
 val indexed_pages : t -> int
 

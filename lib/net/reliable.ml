@@ -55,6 +55,7 @@ type out_msg = {
   retries : int array;
   rto : float array;
   mutable next_unsent : int;
+  mutable cum_acked : int; (* every seq below it is acked *)
   mutable in_flight : int;
   mutable unacked : int;
   mutable abandoned : bool;
@@ -67,6 +68,7 @@ type in_msg = {
   mutable got : bool array;
   mutable received : int;
   mutable cum : int;
+  mutable top : int; (* highest seq received; -1 before the first *)
 }
 
 type t = {
@@ -187,6 +189,7 @@ let send t ~dst ~msg ~wire_bytes ~first_fragment_extra_ms =
       retries = Array.make count 0;
       rto = Array.make count initial_rto_ms;
       next_unsent = 0;
+      cum_acked = 0;
       in_flight = 0;
       unacked = count;
       abandoned = false;
@@ -212,28 +215,29 @@ let handle_ack t ~uid ~cum ~sacks =
   match Hashtbl.find_opt t.outbound uid with
   | None -> () (* already completed or abandoned; stale ack *)
   | Some m ->
-      for i = 0 to min cum m.count - 1 do
+      for i = m.cum_acked to min cum m.count - 1 do
         mark_acked t m i
       done;
+      m.cum_acked <- Int.max m.cum_acked (min cum m.count);
       List.iter (fun i -> mark_acked t m i) sacks;
       if Hashtbl.mem t.outbound uid then pump t m
 
 (* --- receiver ----------------------------------------------------- *)
 
+(* Walks down from [top]: nothing above it has arrived. *)
+let sacks ~got ~cum ~top =
+  let rec walk i n acc =
+    if i < cum || n = max_sacks then acc
+    else if got.(i) then walk (i - 1) (n + 1) (i :: acc)
+    else walk (i - 1) n acc
+  in
+  walk top 0 []
+
 let send_ack t entry ~uid =
   t.acks <- t.acks + 1;
-  let sacks = ref [] and n = ref 0 in
-  (let i = ref (entry.count_in - 1) in
-   while !i >= entry.cum do
-     if entry.got.(!i) && !n < max_sacks then begin
-       sacks := !i :: !sacks;
-       incr n
-     end;
-     decr i
-   done);
+  let sacks = sacks ~got:entry.got ~cum:entry.cum ~top:entry.top in
   let packet =
-    Net_registry.Arq_ack
-      { src = t.host_id; uid; cum = entry.cum; sacks = !sacks }
+    Net_registry.Arq_ack { src = t.host_id; uid; cum = entry.cum; sacks }
   in
   let dst = entry.src in
   Link.transmit_frag t.link ~src:t.host_id ~dst ~bytes:ack_bytes
@@ -260,6 +264,7 @@ let handle_data t ~src ~msg ~uid ~seq ~count ~wire_bytes ~checksum =
             got = Array.make count false;
             received = 0;
             cum = 0;
+            top = -1;
           }
         in
         Hashtbl.replace t.inbound key e;
@@ -278,6 +283,7 @@ let handle_data t ~src ~msg ~uid ~seq ~count ~wire_bytes ~checksum =
   else begin
     entry.got.(seq) <- true;
     entry.received <- entry.received + 1;
+    entry.top <- Int.max entry.top seq;
     while entry.cum < entry.count_in && entry.got.(entry.cum) do
       entry.cum <- entry.cum + 1
     done;

@@ -90,6 +90,11 @@ val send :
     the message's own traffic category; retransmissions to [Retransmit];
     acks to [Ack]. *)
 
+val sacks : got:bool array -> cum:int -> top:int -> int list
+(** The selective acks an ack carries: the highest 16 seqs in \[[cum],
+    [top]\] with [got] set, ascending (nothing above [top] has arrived).
+    An ack walks at most [top - cum + 1] slots, however long the message. *)
+
 (** {2 Accounting} *)
 
 val retransmissions : t -> int

@@ -259,6 +259,33 @@ let restore_detects_corruption () =
     (Failure "Checkpoint: page missing from durable store") (fun () ->
       ignore (Checkpoint.rebuild_image starved ck))
 
+(* A page whose bytes change after capture must fail restore even though
+   the value still carries the digest it was saved under: restore
+   re-derives every page from its content. *)
+let restore_refuses_corrupted_page () =
+  let image = image_of_mode Accent_workloads.Representative.minprog 1 in
+  let store = Content_store.create ~capacity_pages:4096 () in
+  let ck = Checkpoint.save store image in
+  let literal =
+    List.find_map
+      (fun d ->
+        match Content_store.find store d with
+        | Some (Page.Literal { data; _ }) -> Some data
+        | _ -> None)
+      (Checkpoint.digests ck)
+  in
+  match literal with
+  | None -> Alcotest.fail "no written page to corrupt"
+  | Some data ->
+      Alcotest.(check bool) "intact store verifies" true
+        (Content_store.verify store);
+      Bytes.set data 0 (Char.chr (Char.code (Bytes.get data 0) lxor 1));
+      Alcotest.(check bool) "the sweep sees the flipped byte" false
+        (Content_store.verify store);
+      Alcotest.check_raises "restore refuses the page"
+        (Failure "Checkpoint: page fails digest integrity check") (fun () ->
+          ignore (Checkpoint.rebuild_image store ck))
+
 let suite =
   ( "checkpoint",
     QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip
@@ -272,4 +299,6 @@ let suite =
         Alcotest.test_case "checkpoint file round trip" `Quick file_roundtrip;
         Alcotest.test_case "restore refuses a lossy store" `Quick
           restore_detects_corruption;
+        Alcotest.test_case "restore refuses a corrupted page" `Quick
+          restore_refuses_corrupted_page;
       ] )

@@ -112,6 +112,61 @@ let prop_value_roundtrip_and_digest =
       && Page.digest v = Page.checksum buf
       && Page.equal_value v (Page.pattern_value ~tag idx))
 
+(* Keys on both sides of the digest memo's packing bounds: tag in
+   [0, 2^30), idx in [0, 2^32), and negative or too-wide ones. *)
+let key_gen ~bits =
+  let bound = 1 lsl bits in
+  QCheck.Gen.(
+    oneof
+      [
+        int_range 0 (bound - 1);
+        oneofl [ 0; bound - 1; bound; -1; min_int; max_int ];
+        int_range bound max_int;
+        int_range min_int (-1);
+      ])
+
+let value_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Page.zero_value;
+        map2
+          (fun tag idx -> Page.pattern_value ~tag idx)
+          (key_gen ~bits:30) (key_gen ~bits:32);
+        map
+          (fun s -> Page.of_bytes (Bytes.of_string s))
+          (string_size ~gen:char (return Page.size));
+      ])
+
+let print_value = function
+  | Page.Zero -> "Zero"
+  | Page.Pattern { tag; idx } -> Printf.sprintf "Pattern (%d, %d)" tag idx
+  | Page.Literal { digest; _ } -> Printf.sprintf "Literal %d" digest
+
+(* The checksum contract: the fused re-derivation and the digest (a
+   memo miss, then a hit) all equal the checksum of the materialised
+   bytes; and a wire insert re-derives rather than trusting any name. *)
+let prop_checksum_contract =
+  QCheck.Test.make ~long_factor:50
+    ~name:"checksum_value = digest (miss, hit) = checksum of the bytes"
+    (QCheck.make ~print:print_value value_gen)
+    (fun v ->
+      let c = Page.checksum (Page.to_bytes v) in
+      Page.checksum_value v = c
+      && Page.digest v = c
+      && Page.digest v = c
+      &&
+      match v with
+      | Page.Literal { data; digest } ->
+          let module C = Accent_net.Content_store in
+          let store = C.create ~dedup:true () in
+          let forged = Page.Literal { data; digest = digest lxor 1 } in
+          (not (C.insert_wire store ~claimed:(c lxor 1) v))
+          && (not (C.insert_wire store forged))
+          && C.rejects store = 2
+          && C.insert_wire store v
+      | Page.Zero | Page.Pattern _ -> true)
+
 let prop_span_count_consistent =
   QCheck.Test.make ~name:"span and count agree"
     QCheck.(pair (int_range 0 100_000) (int_range 1 100_000))
@@ -578,6 +633,7 @@ let suite =
         test_values_bytes_roundtrip;
       QCheck_alcotest.to_alcotest prop_value_roundtrip_and_digest;
       QCheck_alcotest.to_alcotest prop_span_count_consistent;
+      QCheck_alcotest.to_alcotest prop_checksum_contract;
       Alcotest.test_case "vaddr basics" `Quick test_vaddr_basic;
       Alcotest.test_case "vaddr invalid" `Quick test_vaddr_invalid;
       Alcotest.test_case "vaddr intersect" `Quick test_vaddr_intersect;

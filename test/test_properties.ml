@@ -611,6 +611,38 @@ let prop_assemble_equiv =
           && List.for_all2 chunk_equal got expected
       | _ -> false)
 
+(* The ARQ receiver's SACK selection, from the highest seq received
+   down, against the scan of the whole bitmap it replaced: at most 16
+   received seqs at or above [cum], the highest ones, ascending. *)
+let full_scan_sacks ~got ~cum =
+  let sacks = ref [] and n = ref 0 in
+  for i = Array.length got - 1 downto cum do
+    if got.(i) && !n < 16 then begin
+      sacks := i :: !sacks;
+      incr n
+    end
+  done;
+  !sacks
+
+let prop_sacks_equal_full_scan =
+  QCheck.Test.make ~long_factor:50
+    ~name:"bounded SACK selection = full-bitmap scan"
+    (QCheck.make
+       ~print:(fun (got, cum) ->
+         Printf.sprintf "cum=%d got=%s" cum
+           (String.init (Array.length got) (fun i ->
+                if got.(i) then '1' else '0')))
+       QCheck.Gen.(
+         let* len = int_range 0 300 in
+         let* density = float_range 0. 1. in
+         let* got = array_repeat len (map (fun x -> x < density) float) in
+         let* cum = int_range 0 len in
+         return (got, cum)))
+    (fun (got, cum) ->
+      let top = ref (-1) in
+      Array.iteri (fun i b -> if b then top := i) got;
+      Reliable.sacks ~got ~cum ~top:!top = full_scan_sacks ~got ~cum)
+
 let suite =
   ( "properties",
     [
@@ -623,4 +655,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_iou_ships_fewer_bytes_when_half_touched;
       QCheck_alcotest.to_alcotest prop_lossy_runs_are_deterministic;
       QCheck_alcotest.to_alcotest prop_excise_insert_identity;
+      QCheck_alcotest.to_alcotest prop_sacks_equal_full_scan;
     ] )
