@@ -333,12 +333,83 @@ let test_spreading_improves_makespan () =
   Alcotest.(check bool) "two hosts beat one" true
     (makespan true < makespan false /. 1.5)
 
+(* --- page-state counters across a whole migration --- *)
+
+(* Each space's page-state counters at completion, summed over the
+   processes on each host, with the host's frame pool, for one trial per
+   strategy on a pool small enough that both hosts evict and re-fault.
+   The source incarnation dissolved at excision, so host 0's row pins
+   that nothing of its page state is left.  The values are literals: any
+   change to how a space stores its page state must reproduce them. *)
+let page_state_counts (r : Accent_experiments.Trial.result) =
+  List.map
+    (fun i ->
+      let h = Accent_core.World.host r.world i in
+      let spaces =
+        List.filter_map (fun p -> p.Proc.space) (Host.procs h)
+      in
+      let sum f = List.fold_left (fun acc s -> acc + f s) 0 spaces in
+      [
+        sum Address_space.touched_pages;
+        sum Address_space.resident_page_count;
+        sum (fun s -> List.length (Address_space.resident_pages s));
+        sum Address_space.real_bytes;
+        sum Address_space.pages_materialized;
+        Phys_mem.in_use (Host.mem h);
+        Phys_mem.evictions (Host.mem h);
+      ])
+    [ 0; 1 ]
+
+let test_page_state_counts_pinned () =
+  let costs =
+    { Cost_model.default with Cost_model.frames_per_host = 12 }
+  in
+  let trial strategy =
+    Accent_experiments.Trial.run ~costs ~write_fraction:0.3
+      ~spec:Test_helpers.small_spec ~strategy ()
+  in
+  List.iter
+    (fun (strategy, expected_hosts, expected_remote_touched) ->
+      let r = trial strategy in
+      let name = Accent_core.Strategy.name strategy in
+      Alcotest.(check (list (list int)))
+        (name ^ ": [touched; resident; |resident_pages|; real bytes; \
+                 materialized; frames in use; evictions] per host")
+        expected_hosts (page_state_counts r);
+      Alcotest.(check int) (name ^ ": remote touched pages")
+        expected_remote_touched r.report.Accent_core.Report.remote_touched_pages)
+    [
+      ( Accent_core.Strategy.pure_copy,
+        [ [ 0; 0; 0; 0; 0; 0; 12 ]; [ 23; 12; 12; 34304; 67; 12; 82 ] ],
+        23 );
+      ( Accent_core.Strategy.pure_iou (),
+        [ [ 0; 0; 0; 0; 0; 0; 12 ]; [ 23; 12; 12; 11776; 23; 12; 18 ] ],
+        23 );
+      ( Accent_core.Strategy.pure_iou ~prefetch:3 (),
+        [ [ 0; 0; 0; 0; 0; 0; 12 ]; [ 23; 12; 12; 13824; 27; 12; 23 ] ],
+        23 );
+      ( Accent_core.Strategy.resident_set (),
+        [ [ 0; 0; 0; 0; 0; 0; 12 ]; [ 23; 12; 12; 15360; 30; 12; 29 ] ],
+        23 );
+      ( Accent_core.Strategy.working_set (),
+        [ [ 0; 0; 0; 0; 0; 0; 12 ]; [ 23; 12; 12; 11776; 23; 12; 18 ] ],
+        23 );
+      ( Accent_core.Strategy.pre_copy (),
+        [ [ 0; 0; 0; 0; 0; 0; 41 ]; [ 0; 12; 12; 34304; 67; 12; 55 ] ],
+        0 );
+      ( Accent_core.Strategy.hybrid (),
+        [ [ 0; 0; 0; 0; 0; 0; 13 ]; [ 23; 12; 12; 11776; 23; 12; 18 ] ],
+        23 );
+    ]
+
 let contention_cases =
   [
     Alcotest.test_case "co-located contention" `Quick
       test_colocated_processes_contend;
     Alcotest.test_case "spreading improves makespan" `Quick
       test_spreading_improves_makespan;
+    Alcotest.test_case "page-state counts pinned" `Quick
+      test_page_state_counts_pinned;
   ]
 
 let suite = (fst suite, snd suite @ contention_cases)
