@@ -24,6 +24,11 @@
                        clean link — cost per in-order fragment is flat
                        in message length (an ack walks top - cum + 1
                        bitmap slots, not the whole message).
+     reference path    the pager's no-fault reference
+                       (Address_space.reference plus
+                       Working_set.reference) round-robin over many
+                       live spaces — ns and minor words per reference,
+                       with the page-table probe missing cache.
 
    Results land in BENCH_hotpath.json next to BENCH_scale.json.
 
@@ -247,6 +252,60 @@ let arq_acks ~fragments ~messages =
     ns_per_fragment = wall /. float_of_int !delivered *. 1e9;
   }
 
+(* --- reference path ------------------------------------------------------ *)
+
+type ref_row = {
+  spaces : int;
+  refs : int;
+  ref_wall_s : float;
+  ns_per_ref : float;
+  words_per_ref : float;
+}
+
+(* [spaces] live spaces of 16 resident, already-touched pages each on one
+   frame pool, each with its working set, referenced round-robin — space
+   [i mod spaces], page [i / spaces mod 16] — so consecutive references
+   land in different page tables, as a churn host's processes do. *)
+let reference_path ~spaces ~refs =
+  let per_space = 16 in
+  let mem = Phys_mem.create ~frames:(spaces * per_space) in
+  let disk = Paging_disk.create () in
+  let run = Page_run.init per_space (fun _ -> Page.zero_value) in
+  let procs =
+    Array.init spaces (fun id ->
+        let space = Address_space.create ~id ~name:"p" ~mem ~disk in
+        Address_space.install_run space ~addr:0 run ~resident:true;
+        (space, Working_set.create ~window:1_000.))
+  in
+  let reference i =
+    let space, ws = procs.(i mod spaces) in
+    let page = i / spaces mod per_space in
+    let resident = Address_space.reference space page in
+    Working_set.reference ws ~time:(float_of_int i) page;
+    resident
+  in
+  for i = 0 to (spaces * per_space) - 1 do
+    ignore (reference i)
+  done;
+  let base = spaces * per_space in
+  let words0 = Gc.minor_words () in
+  let missed = ref 0 in
+  let wall =
+    time_it (fun () ->
+        for i = base to base + refs - 1 do
+          if not (reference i) then incr missed
+        done)
+  in
+  let words = Gc.minor_words () -. words0 in
+  assert (!missed = 0 && Phys_mem.evictions mem = 0);
+  {
+    spaces;
+    refs;
+    ref_wall_s = wall;
+    ns_per_ref = wall /. float_of_int refs *. 1e9;
+    words_per_ref = words /. float_of_int refs;
+  }
+
 (* --- JSON output ------------------------------------------------------- *)
 
 let evict_json r =
@@ -275,7 +334,12 @@ let arq_json r =
     {|    {"fragments": %d, "messages": %d, "wall_s": %.4f, "ns_per_fragment": %.1f}|}
     r.fragments r.messages r.arq_wall_s r.ns_per_fragment
 
-let write_json ~path ~mode ~evict ~ws ~timers ~page ~arq =
+let ref_json r =
+  Printf.sprintf
+    {|    {"spaces": %d, "references": %d, "wall_s": %.4f, "ns_per_reference": %.1f, "minor_words_per_reference": %.2f}|}
+    r.spaces r.refs r.ref_wall_s r.ns_per_ref r.words_per_ref
+
+let write_json ~path ~mode ~evict ~ws ~timers ~page ~arq ~refs =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc {|  "benchmark": "hotpath",%s|} "\n";
@@ -289,8 +353,10 @@ let write_json ~path ~mode ~evict ~ws ~timers ~page ~arq =
     (String.concat ",\n" (List.map timer_json timers));
   Printf.fprintf oc "  \"page_checks\": [\n%s\n  ],\n"
     (String.concat ",\n" (List.map page_json page));
-  Printf.fprintf oc "  \"arq_ack\": [\n%s\n  ]\n"
+  Printf.fprintf oc "  \"arq_ack\": [\n%s\n  ],\n"
     (String.concat ",\n" (List.map arq_json arq));
+  Printf.fprintf oc "  \"reference_path\": [\n%s\n  ]\n"
+    (String.concat ",\n" (List.map ref_json refs));
   Printf.fprintf oc "}\n";
   close_out oc
 
@@ -365,6 +431,18 @@ let () =
         r)
       (if smoke then [ 64; 1_024 ] else [ 64; 1_024; 16_384 ])
   in
+  let refs =
+    List.map
+      (fun spaces ->
+        let r =
+          reference_path ~spaces ~refs:(if smoke then 100_000 else 2_000_000)
+        in
+        Printf.printf
+          "hotpath: ref    spaces %6d  %8d refs %7.1f ns/ref  %.2f words/ref\n%!"
+          r.spaces r.refs r.ns_per_ref r.words_per_ref;
+        r)
+      (if smoke then [ 256; 1_024 ] else [ 1_024; 16_384; 131_072 ])
+  in
   write_json ~path:out ~mode:(if smoke then "smoke" else "full") ~evict ~ws
-    ~timers ~page ~arq;
+    ~timers ~page ~arq ~refs;
   Printf.printf "hotpath: wrote %s\n%!" out

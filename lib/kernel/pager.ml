@@ -208,7 +208,7 @@ let imaginary_fault t proc ~segment_id ~offset ~k =
 
 let reference t proc page ~k =
   let space = Proc.space_exn proc in
-  Address_space.note_reference space page;
+  let resident = Address_space.reference space page in
   Accent_mem.Working_set.reference proc.Proc.working_set
     ~time:(Engine.now t.engine) page;
   (* only prefetching processes ever fill this table *)
@@ -220,13 +220,10 @@ let reference t proc page ~k =
     proc.Proc.prefetch_hits <- proc.Proc.prefetch_hits + 1;
     t.on_prefetch proc `Hit
   end;
-  if Address_space.touch_if_resident space page then k ()
+  if resident then k ()
   else
     match Address_space.presence_of_page space page with
-    | Resident _ ->
-        (* unreachable: touch_if_resident just said not resident *)
-        Address_space.touch space page;
-        k ()
+    | Resident _ -> assert false (* [reference] said it is not *)
     | Zero_pending ->
       t.faults_zero <- t.faults_zero + 1;
       proc.Proc.pcb.Pcb.faults_zero <- proc.Proc.pcb.Pcb.faults_zero + 1;

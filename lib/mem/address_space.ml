@@ -12,14 +12,25 @@ type presence =
   | Imaginary_pending of { segment_id : int; offset : int }
   | Invalid
 
-type location = In_mem of Phys_mem.frame_id | On_disk of Paging_disk.block_id
+(* A page-table entry is one immediate int: the location kind in bits
+   0-1, the touched bit in bit 2, and the frame or block id above.  A
+   page has an entry iff it is located or touched; a touched page with no
+   location has kind [no_loc]. *)
+let no_loc = 0
+let in_mem = 1
+let on_disk = 2
+let touched_bit = 4
+let kind e = e land 3
+let slot e = e lsr 3
+let located ~kind id = (id lsl 3) lor kind
 
 type cold_run = { first : Page.index; run : Page_run.t }
 (* An installed run of never-touched disk-resident pages, of any length,
    kept as one adopted run instead of one table entry + disk block per
-   page.  Pages leave a run individually (fault-in, overwrite) by being
-   marked in [cold_gone]; the run itself is never rewritten.  This is what
-   keeps workload construction and excision O(runs), not O(space). *)
+   page.  A page leaves its run (fault-in, overwrite) only by being given
+   a location, so a located page has already left it; the run itself is
+   never rewritten.  This is what keeps workload construction and
+   excision O(runs), not O(space). *)
 
 let no_run = { first = 0; run = Page_run.empty }
 
@@ -29,12 +40,13 @@ type t = {
   mem : Phys_mem.t;
   disk : Paging_disk.t;
   mutable regions : backing Interval_map.t;
-  pages : location Int_tbl.t;
+  pages : int Int_tbl.t; (* the one page table: packed entries *)
+  mutable located : int;
+  mutable resident : int;
+  mutable touched : int;
   mutable cold : cold_run array; (* [0, cold_len) ascending by [first] *)
   mutable cold_len : int;
-  cold_gone : unit Int_tbl.t;
   mutable cold_live : int;
-  touched : unit Int_tbl.t;
   segments : (string, unit) Hashtbl.t;
 }
 
@@ -54,11 +66,12 @@ let create ~id ~name ~mem ~disk =
     disk;
     regions = Interval_map.empty ~equal:backing_equal ();
     pages = Int_tbl.create 16;
+    located = 0;
+    resident = 0;
+    touched = 0;
     cold = [||];
     cold_len = 0;
-    cold_gone = Int_tbl.create 16;
     cold_live = 0;
-    touched = Int_tbl.create 16;
     segments = Hashtbl.create 8;
   }
 
@@ -104,13 +117,16 @@ let cold_search t idx =
   done;
   !lo
 
+(* The entry of [idx]; 0 (no location, untouched) if it has none. *)
+let entry t idx = try Int_tbl.find t.pages idx with Not_found -> 0
+
+(* The cold value at [idx], for a page with no location. *)
 let cold_find t idx =
   let i = cold_search t idx in
   if i < 0 then None
   else
     let { first; run } = t.cold.(i) in
-    if idx >= first + Page_run.length run || Int_tbl.mem t.cold_gone idx then
-      None
+    if idx >= first + Page_run.length run then None
     else Some (Page_run.get run (idx - first))
 
 (* Every caller adds in ascending address order, so the insert is nearly
@@ -127,36 +143,38 @@ let cold_add t first run =
   t.cold_len <- t.cold_len + 1;
   t.cold_live <- t.cold_live + Page_run.length run
 
-(* Remove the page from its cold run (if it is in one); the slot becomes a
-   hole and the page must thereafter live in [t.pages] or nowhere. *)
-let cold_take t idx =
-  match cold_find t idx with
-  | None -> None
-  | Some _ as v ->
-      Int_tbl.replace t.cold_gone idx ();
-      t.cold_live <- t.cold_live - 1;
-      v
+(* Free the frame or disk block an entry holds, if any. *)
+let release t e =
+  if kind e = in_mem then begin
+    Phys_mem.free t.mem (slot e);
+    t.resident <- t.resident - 1
+  end
+  else if kind e = on_disk then Paging_disk.free t.disk (slot e)
 
-let drop_materialized t idx =
-  (match Int_tbl.find_opt t.pages idx with
-  | None -> ()
-  | Some (In_mem frame) ->
-      Phys_mem.free t.mem frame;
-      Int_tbl.remove t.pages idx
-  | Some (On_disk block) ->
-      Paging_disk.free t.disk block;
-      Int_tbl.remove t.pages idx);
-  ignore (cold_take t idx)
+(* Store [value] at a new location for [idx], releasing its old one; a
+   page given its first location leaves its cold run, if it is in one.
+   The touched bit is kept. *)
+let locate t idx value ~resident =
+  let e = entry t idx in
+  if kind e = no_loc then begin
+    t.located <- t.located + 1;
+    if Option.is_some (cold_find t idx) then t.cold_live <- t.cold_live - 1
+  end
+  else release t e;
+  let loc =
+    if resident then begin
+      let frame =
+        Phys_mem.allocate t.mem ~owner:{ space_id = t.id; page = idx } value
+      in
+      t.resident <- t.resident + 1;
+      located ~kind:in_mem frame
+    end
+    else located ~kind:on_disk (Paging_disk.alloc t.disk value)
+  in
+  Int_tbl.replace t.pages idx (loc lor (e land touched_bit))
 
 let materialize t idx value ~resident =
-  drop_materialized t idx;
-  let location =
-    if resident then
-      In_mem
-        (Phys_mem.allocate t.mem ~owner:{ space_id = t.id; page = idx } value)
-    else On_disk (Paging_disk.alloc t.disk value)
-  in
-  Int_tbl.replace t.pages idx location;
+  locate t idx value ~resident;
   let lo, hi = page_range idx in
   (* the common fault path re-materializes a page of an existing Real
      region; skip the interval-map rebuild when the class already agrees *)
@@ -190,20 +208,7 @@ let install_run ?(segment = "<anon>") t ~addr run ~resident =
     else begin
       (* One interval-map update for the whole run instead of one per
          page; the per-page location entries remain. *)
-      Page_run.iteri
-        (fun i value ->
-          let idx = first + i in
-          drop_materialized t idx;
-          let location =
-            if resident then
-              In_mem
-                (Phys_mem.allocate t.mem
-                   ~owner:{ space_id = t.id; page = idx }
-                   value)
-            else On_disk (Paging_disk.alloc t.disk value)
-          in
-          Int_tbl.replace t.pages idx location)
-        run;
+      Page_run.iteri (fun i value -> locate t (first + i) value ~resident) run;
       t.regions <- Interval_map.set t.regions ~lo ~hi Real
     end
   end
@@ -229,22 +234,22 @@ let install_bytes ?segment t ~addr data ~resident =
   install_values ?segment t ~addr values ~resident
 
 let presence_of_page t idx =
-  match Int_tbl.find_opt t.pages idx with
-  | Some (In_mem frame) -> Resident frame
-  | Some (On_disk _) -> Paged_out
-  | None -> (
-      match cold_find t idx with
-      | Some _ -> Paged_out
-      | None -> (
-          let addr = Page.addr_of_index idx in
-          match Interval_map.find t.regions addr with
-          | Some Zero -> Zero_pending
-          | Some (Imaginary { segment_id; base }) ->
-              Imaginary_pending { segment_id; offset = base + addr }
-          | Some Real ->
-              (* Region says Real but no page entry: broken invariant. *)
-              assert false
-          | None -> Invalid))
+  let e = entry t idx in
+  if kind e = in_mem then Resident (slot e)
+  else if kind e = on_disk then Paged_out
+  else
+    match cold_find t idx with
+    | Some _ -> Paged_out
+    | None -> (
+        let addr = Page.addr_of_index idx in
+        match Interval_map.find t.regions addr with
+        | Some Zero -> Zero_pending
+        | Some (Imaginary { segment_id; base }) ->
+            Imaginary_pending { segment_id; offset = base + addr }
+        | Some Real ->
+            (* Region says Real but no page entry: broken invariant. *)
+            assert false
+        | None -> Invalid)
 
 let presence t addr = presence_of_page t (Page.index_of_addr addr)
 
@@ -274,21 +279,19 @@ let resolve_zero_fault t idx =
   | _ -> invalid_arg "Address_space.resolve_zero_fault: page not zero-pending"
 
 let resolve_disk_fault t idx =
-  match Int_tbl.find_opt t.pages idx with
-  | Some (On_disk block) ->
-      let value = Paging_disk.read t.disk block in
-      Paging_disk.free t.disk block;
-      Int_tbl.remove t.pages idx;
-      materialize t idx value ~resident:true
-  | Some (In_mem _) ->
-      invalid_arg "Address_space.resolve_disk_fault: page not on disk"
-  | None -> (
-      match cold_find t idx with
-      | Some value ->
-          (* [materialize] marks the cold slot as a hole via
-             [drop_materialized] *)
-          materialize t idx value ~resident:true
-      | None -> invalid_arg "Address_space.resolve_disk_fault: page not on disk")
+  let e = entry t idx in
+  let not_on_disk () =
+    invalid_arg "Address_space.resolve_disk_fault: page not on disk"
+  in
+  if kind e = on_disk then
+    (* re-homed in place: the page left any cold run when it was first
+       located, and its region is already Real *)
+    locate t idx (Paging_disk.read t.disk (slot e)) ~resident:true
+  else if kind e = in_mem then not_on_disk ()
+  else
+    match cold_find t idx with
+    | Some value -> materialize t idx value ~resident:true
+    | None -> not_on_disk ()
 
 let resolve_imaginary_fault t idx value =
   match presence_of_page t idx with
@@ -296,30 +299,27 @@ let resolve_imaginary_fault t idx value =
   | _ ->
       invalid_arg "Address_space.resolve_imaginary_fault: page not imaginary"
 
-let note_reference t idx = Int_tbl.replace t.touched idx ()
-
-let touch t idx =
-  match Int_tbl.find_opt t.pages idx with
-  | Some (In_mem frame) -> Phys_mem.touch t.mem frame
-  | Some (On_disk _) | None -> ()
-
-(* The pager's fast path: one page-table probe that both answers "is it
-   resident?" and bumps LRU recency, so the overwhelmingly common
-   no-fault reference never allocates a presence constructor or probes
-   the table twice. *)
-let touch_if_resident t idx =
-  match Int_tbl.find t.pages idx with
-  | In_mem frame ->
-      Phys_mem.touch t.mem frame;
-      true
-  | On_disk _ -> false
-  | exception Not_found -> false
+(* The pager's fast path: one page-table probe that marks the page
+   touched, answers "is it resident?" and bumps LRU recency, so the
+   overwhelmingly common no-fault reference of a touched page allocates
+   nothing and leaves the table as it was. *)
+let reference t idx =
+  let e = entry t idx in
+  if e land touched_bit = 0 then begin
+    t.touched <- t.touched + 1;
+    Int_tbl.replace t.pages idx (e lor touched_bit)
+  end;
+  if kind e = in_mem then begin
+    Phys_mem.touch t.mem (slot e);
+    true
+  end
+  else false
 
 let page_value t idx =
-  match Int_tbl.find_opt t.pages idx with
-  | Some (In_mem frame) -> Some (Phys_mem.read t.mem frame)
-  | Some (On_disk block) -> Some (Paging_disk.read t.disk block)
-  | None -> cold_find t idx
+  let e = entry t idx in
+  if kind e = in_mem then Some (Phys_mem.read t.mem (slot e))
+  else if kind e = on_disk then Some (Paging_disk.read t.disk (slot e))
+  else cold_find t idx
 
 (* --- process-image export / import ------------------------------------- *)
 
@@ -334,50 +334,39 @@ type image_run =
     }
   | Img_imag of { lo : int; hi : int; segment_id : int; offset : int }
 
-(* The materialized overlay, presorted, and a cursor over the (already
+(* The [n] entries of kind [want], as [(page, entry)] ascending by page.
+   Sorted via an array: a capture sorts the full located set, and a list
+   merge sort's per-level cons cells are the single biggest allocation of
+   the whole export.  The array sort is in-place. *)
+let sorted_entries t ~n ~want =
+  let a = Array.make n (0, 0) in
+  let i = ref 0 in
+  Int_tbl.iter
+    (fun idx e ->
+      if want (kind e) then begin
+        a.(!i) <- (idx, e);
+        incr i
+      end)
+    t.pages;
+  Array.sort
+    (fun ((x : int), _) ((y : int), _) ->
+      if x < y then -1 else if x > y then 1 else 0)
+    a;
+  Array.to_list a
+
+(* The located overlay, presorted, and a cursor over the (already
    ascending) cold runs: one export shares a single O(overlay log overlay)
    preparation across every Real range instead of re-walking the page
    table once per range.  Both are consumed monotonically as
    [gather_real] is called over ascending ranges. *)
 type overlay = {
-  mutable ov_mats : (Page.index * location) list; (* ascending *)
-  mutable ov_holes : Page.index list; (* ascending; cold slots taken *)
+  mutable ov_mats : (Page.index * int) list; (* ascending, packed entries *)
   mutable ov_cold : int; (* next cold run that may cover a range *)
 }
 
-(* Sort via an array: a capture sorts the full materialized set, and a
-   list merge sort's per-level cons cells are the single biggest
-   allocation of the whole export.  The array sort is in-place. *)
-let sorted_list_of_tbl tbl ~dummy ~pair =
-  let a = Array.make (Int_tbl.length tbl) dummy in
-  let i = ref 0 in
-  Int_tbl.iter
-    (fun k v ->
-      a.(!i) <- pair k v;
-      incr i)
-    tbl;
-  Array.sort
-    (fun (((x : int), _) : int * _) ((y, _) : int * _) ->
-      if x < y then -1 else if x > y then 1 else 0)
-    a;
-  Array.to_list a
-
-let sorted_ints_of_tbl tbl =
-  let a = Array.make (Int_tbl.length tbl) 0 in
-  let i = ref 0 in
-  Int_tbl.iter
-    (fun k () ->
-      a.(!i) <- k;
-      incr i)
-    tbl;
-  Array.sort (fun (x : int) y -> if x < y then -1 else if x > y then 1 else 0) a;
-  Array.to_list a
-
 let overlay_of t =
   {
-    ov_mats =
-      sorted_list_of_tbl t.pages ~dummy:(0, In_mem 0) ~pair:(fun k v -> (k, v));
-    ov_holes = sorted_ints_of_tbl t.cold_gone;
+    ov_mats = sorted_entries t ~n:t.located ~want:(fun k -> k <> no_loc);
     ov_cold = 0;
   }
 
@@ -385,15 +374,17 @@ let overlay_of t =
    pages without bumping the LRU clock: a migration read is not a process
    reference, and per-page recency bumps during a capture both distort
    eviction order and queue an LRU pair per resident page. *)
-let read_location t = function
-  | In_mem frame -> Phys_mem.peek t.mem frame
-  | On_disk block -> Paging_disk.read t.disk block
+let read_location t e =
+  if kind e = in_mem then Phys_mem.peek t.mem (slot e)
+  else Paging_disk.read t.disk (slot e)
 
 (* Gather the Real range [lo, hi) as view parts over the cold runs plus
-   materialized singletons, in page order, with a run-length encoding of
-   where each page lives.  O(parts + materialized-in-range), and no page
-   value is ever copied — cold stretches are shared sub-views.  Raises
-   [Failure] if some page of the range has no materialized value. *)
+   located singletons, in page order, with a run-length encoding of
+   where each page lives.  O(parts + located-in-range), and no page
+   value is ever copied — cold stretches are shared sub-views (a located
+   page has left its run, so the located singletons cut the stretches).
+   Raises [Failure] if some page of the range has no materialized
+   value. *)
 let gather_real t ov ~lo ~hi =
   let first = Page.index_of_addr lo and last = Page.index_of_addr (hi - 1) in
   let missing () =
@@ -408,16 +399,12 @@ let gather_real t ov ~lo ~hi =
   while (match ov.ov_mats with (i, _) :: _ -> i < first | [] -> false) do
     ov.ov_mats <- List.tl ov.ov_mats
   done;
-  while (match ov.ov_holes with i :: _ -> i < first | [] -> false) do
-    ov.ov_holes <- List.tl ov.ov_holes
-  done;
   let pos = ref first in
   while !pos <= last do
     match ov.ov_mats with
     | (i, loc) :: rest when i = !pos ->
         Page_run.builder_add parts (Page_run.singleton (read_location t loc));
-        push_home 1
-          (match loc with In_mem _ -> Home_resident | On_disk _ -> Home_disk);
+        push_home 1 (if kind loc = in_mem then Home_resident else Home_disk);
         ov.ov_mats <- rest;
         incr pos
     | _ ->
@@ -440,13 +427,6 @@ let gather_real t ov ~lo ~hi =
         in
         let { first = f; run } = covering () in
         let piece_end = min stop (f + Page_run.length run - 1) in
-        (* a hole here is a cold slot whose page was never re-homed *)
-        while (match ov.ov_holes with i :: _ -> i < !pos | [] -> false) do
-          ov.ov_holes <- List.tl ov.ov_holes
-        done;
-        (match ov.ov_holes with
-        | i :: _ when i <= piece_end -> missing ()
-        | _ -> ());
         let len = piece_end - !pos + 1 in
         Page_run.builder_add parts (Page_run.sub run ~pos:(!pos - f) ~len);
         push_home len Home_cold;
@@ -506,17 +486,8 @@ let import_image t runs =
                   cold_add t (first + !pos) (Page_run.sub run ~pos:!pos ~len)
               | Home_resident | Home_disk ->
                   for i = !pos to !pos + len - 1 do
-                    let idx = first + i in
-                    let value = Page_run.get run i in
-                    let location =
-                      if home = Home_resident then
-                        In_mem
-                          (Phys_mem.allocate t.mem
-                             ~owner:{ space_id = t.id; page = idx }
-                             value)
-                      else On_disk (Paging_disk.alloc t.disk value)
-                    in
-                    Int_tbl.replace t.pages idx location
+                    locate t (first + i) (Page_run.get run i)
+                      ~resident:(home = Home_resident)
                   done);
               pos := !pos + len)
             homes;
@@ -542,26 +513,31 @@ let image_equal a b =
 let page_data t idx = Option.map Page.to_bytes (page_value t idx)
 
 let write_page t idx value =
-  match Int_tbl.find_opt t.pages idx with
-  | Some (In_mem frame) -> Phys_mem.write t.mem frame value
-  | Some (On_disk _) | None ->
-      invalid_arg "Address_space.write_page: page not resident"
+  let e = entry t idx in
+  if kind e = in_mem then Phys_mem.write t.mem (slot e) value
+  else invalid_arg "Address_space.write_page: page not resident"
 
 let evict_page t idx value ~dirty =
   ignore dirty;
-  match Int_tbl.find_opt t.pages idx with
-  | Some (In_mem _) ->
-      (* The frame itself is reclaimed by Phys_mem; we just record where the
-         contents now live. *)
-      let block = Paging_disk.alloc t.disk value in
-      Int_tbl.replace t.pages idx (On_disk block)
-  | Some (On_disk _) | None ->
-      invalid_arg "Address_space.evict_page: page not resident"
+  let e = entry t idx in
+  if kind e = in_mem then begin
+    (* The frame itself is reclaimed by Phys_mem; we just record where the
+       contents now live. *)
+    let block = Paging_disk.alloc t.disk value in
+    t.resident <- t.resident - 1;
+    Int_tbl.replace t.pages idx
+      (located ~kind:on_disk block lor (e land touched_bit))
+  end
+  else invalid_arg "Address_space.evict_page: page not resident"
 
-let resident_pages t = Phys_mem.frames_of_space t.mem t.id
-let resident_page_count t = Phys_mem.resident_count t.mem t.id
-let resident_bytes t = resident_page_count t * Page.size
-let real_bytes t = (Int_tbl.length t.pages + t.cold_live) * Page.size
+let resident_pages t =
+  List.map
+    (fun (idx, e) -> (idx, slot e))
+    (sorted_entries t ~n:t.resident ~want:(fun k -> k = in_mem))
+
+let resident_page_count t = t.resident
+let resident_bytes t = t.resident * Page.size
+let real_bytes t = (t.located + t.cold_live) * Page.size
 
 let zero_bytes t =
   Interval_map.length_where t.regions ~f:(function
@@ -599,24 +575,20 @@ let imag_segments t =
 
 let region_count t = Interval_map.cardinal t.regions
 let vm_segment_count t = Hashtbl.length t.segments
-let touched_pages t = Int_tbl.length t.touched
-let pages_materialized t = Int_tbl.length t.pages + t.cold_live
+let touched_pages t = t.touched
+let pages_materialized t = t.located + t.cold_live
 
 (* The one unsorted fold over the page table: the release order only
    decides which frame and block ids the free lists hand out next, and
-   ids never order anything (LRU keys order by their unique tick) *)
+   ids never order anything (LRU keys order by their unique tick).  The
+   touched count outlives the table: it is what the process referenced. *)
 let destroy t =
-  Int_tbl.iter
-    (fun _ loc ->
-      match loc with
-      | In_mem frame -> Phys_mem.free t.mem frame
-      | On_disk block -> Paging_disk.free t.disk block)
-    t.pages;
+  Int_tbl.iter (fun _ e -> release t e) t.pages;
   Int_tbl.reset t.pages;
+  t.located <- 0;
   (* cold runs hold no frames and no disk blocks — dropping the array is
      the whole teardown *)
   t.cold <- [||];
   t.cold_len <- 0;
   t.cold_live <- 0;
-  Int_tbl.reset t.cold_gone;
   t.regions <- Interval_map.empty ~equal:backing_equal ()

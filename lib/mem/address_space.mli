@@ -3,8 +3,9 @@
     An address space is a set of validated regions over the 4 GB range,
     each backed one of three ways — untouched zero-fill, real local data
     (in a physical frame or on the paging disk), or an imaginary segment
-    reached through IPC — plus the per-page state of every materialised
-    page.  This is the object that migration exists to move.
+    reached through IPC — plus one page table holding the per-page state
+    (location and touched bit, packed in one int) of every located or
+    touched page.  This is the object that migration exists to move.
 
     The module provides mechanism only: page classification, fault
     resolution steps, eviction.  Fault {e costs} and the decision of which
@@ -97,17 +98,12 @@ val resolve_imaginary_fault : t -> Page.index -> Page.value -> unit
     resident real memory (a subsequent page-out goes to the local disk, as
     in the paper). *)
 
-val note_reference : t -> Page.index -> unit
-(** Record that the process referenced this page (utilisation stats). *)
-
-val touch : t -> Page.index -> unit
-(** Bump the LRU recency of a resident page; no-op otherwise. *)
-
-val touch_if_resident : t -> Page.index -> bool
-(** [true] iff the page is resident, bumping its LRU recency — the
-    pager's no-fault fast path, equivalent to matching
-    {!presence_of_page} on [Resident] and calling {!touch} but with a
-    single page-table probe and no allocation. *)
+val reference : t -> Page.index -> bool
+(** The process referenced this page: mark it touched (see
+    {!touched_pages}) and answer [true] iff it is resident, bumping its
+    frame's LRU recency.  One page-table probe; a reference to a page
+    already touched allocates nothing.  On [false] the caller classifies
+    the page with {!presence_of_page} and takes the fault. *)
 
 (** {2 Page access} *)
 
@@ -189,10 +185,12 @@ val evict_page : t -> Page.index -> Page.value -> dirty:bool -> unit
 (** {2 Inventory} *)
 
 val resident_pages : t -> (Page.index * Phys_mem.frame_id) list
+(** The resident set, ascending by page: a sorted walk of the space's own
+    page table. *)
 
 val resident_page_count : t -> int
-(** [List.length (resident_pages t)] in O(1), off the frame pool's
-    per-space index. *)
+(** [List.length (resident_pages t)] in O(1): the space counts its own
+    resident pages. *)
 
 val resident_bytes : t -> int
 val real_bytes : t -> int
@@ -220,7 +218,8 @@ val vm_segment_count : t -> int
 (** Number of labelled VM segments (code, stack, mapped files...). *)
 
 val touched_pages : t -> int
-(** Distinct pages referenced via {!note_reference} since creation. *)
+(** Distinct pages referenced via {!reference} since creation; {!destroy}
+    keeps the count. *)
 
 val pages_materialized : t -> int
 

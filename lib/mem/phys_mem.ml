@@ -29,8 +29,6 @@ type t = {
   mutable next_id : int;
   mutable evict : (owner -> Page.value -> dirty:bool -> unit) option;
   mutable evictions : int;
-  (* space_id -> page -> frame, for O(1) resident-set queries *)
-  by_space : (int, (Page.index, frame_id) Hashtbl.t) Hashtbl.t;
   lru : Accent_util.Stamp_fifo.t;
 }
 
@@ -49,7 +47,6 @@ let create ~frames =
     next_id = 0;
     evict = None;
     evictions = 0;
-    by_space = Hashtbl.create 16;
     lru = Accent_util.Stamp_fifo.create ();
   }
 
@@ -72,24 +69,6 @@ let oldest t = Accent_util.Stamp_fifo.oldest t.lru ~live:frame_live t
 
 (* --- frames ------------------------------------------------------------ *)
 
-let index_owner t owner id =
-  let tbl =
-    match Hashtbl.find_opt t.by_space owner.space_id with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 16 in
-        Hashtbl.replace t.by_space owner.space_id tbl;
-        tbl
-  in
-  Hashtbl.replace tbl owner.page id
-
-let unindex_owner t owner =
-  match Hashtbl.find_opt t.by_space owner.space_id with
-  | None -> ()
-  | Some tbl ->
-      Hashtbl.remove tbl owner.page;
-      if Hashtbl.length tbl = 0 then Hashtbl.remove t.by_space owner.space_id
-
 let find_frame t id =
   if id < 0 || id >= t.next_id then invalid_arg "Phys_mem: unknown frame"
   else begin
@@ -101,8 +80,7 @@ let choose_victim t =
   let id = oldest t in
   if id < 0 then None else Some id
 
-let release_slot t id f =
-  unindex_owner t f.owner;
+let release_slot t id =
   t.slots.(id) <- no_frame;
   t.in_use <- t.in_use - 1;
   t.free_list <- id :: t.free_list
@@ -116,7 +94,7 @@ let evict_one t =
   | None -> failwith "Phys_mem: pool full and no evict handler set");
   t.evictions <- t.evictions + 1;
   Accent_util.Stamp_fifo.pop t.lru;
-  release_slot t id f
+  release_slot t id
 
 let allocate t ~owner data =
   if t.in_use >= t.capacity then evict_one t;
@@ -141,10 +119,11 @@ let allocate t ~owner data =
   let last_use = stamp t id in
   t.slots.(id) <- { owner; data; dirty = false; last_use };
   t.in_use <- t.in_use + 1;
-  index_owner t owner id;
   id
 
-let free t id = release_slot t id (find_frame t id)
+let free t id =
+  ignore (find_frame t id);
+  release_slot t id
 
 let touch t id =
   let f = find_frame t id in
@@ -164,34 +143,5 @@ let write t id data =
   f.last_use <- stamp t id
 
 let is_dirty t id = (find_frame t id).dirty
-
-let frames_of_space t space_id =
-  match Hashtbl.find_opt t.by_space space_id with
-  | None -> []
-  | Some tbl ->
-      (* array sort: a resident set is ~10^3 entries and this runs on
-         every excision, where a list merge sort's O(n log n) cons cells
-         dominate the capture's allocation *)
-      let a = Array.make (Hashtbl.length tbl) (0, 0) in
-      let i = ref 0 in
-      Hashtbl.iter
-        (fun page id ->
-          a.(!i) <- (page, id);
-          incr i)
-        tbl;
-      Array.sort
-        (fun ((pa : int), (ia : int)) (pb, ib) ->
-          if pa < pb then -1
-          else if pa > pb then 1
-          else if ia < ib then -1
-          else if ia > ib then 1
-          else 0)
-        a;
-      Array.to_list a
-
-let resident_count t space_id =
-  match Hashtbl.find_opt t.by_space space_id with
-  | None -> 0
-  | Some tbl -> Hashtbl.length tbl
 
 let evictions t = t.evictions

@@ -4,7 +4,9 @@
     Frames are owned by (address-space id, page index) pairs.  When an
     allocation finds no free frame, the least-recently-used frame is evicted
     through the registered handler, which is how the owning address space
-    learns that its page must move to the paging disk.  Accent used physical
+    learns that its page must move to the paging disk.  The pool keeps no
+    per-space index: each address space records its own frames in its
+    page table and counts its own resident set.  Accent used physical
     memory as a disk cache — a behaviour the paper blames for resident-set
     shipment bringing over dead file pages — and this module reproduces
     that: nothing is evicted until the pool is full.
@@ -61,14 +63,6 @@ val is_dirty : t -> frame_id -> bool
 val choose_victim : t -> frame_id option
 (** The frame the next eviction would take — the least recently used
     one — without evicting it.  [None] when the pool is empty. *)
-
-val frames_of_space : t -> int -> (Page.index * frame_id) list
-(** All frames currently owned by the given address-space id: its resident
-    set. *)
-
-val resident_count : t -> int -> int
-(** Number of frames owned by the given address-space id; O(1), unlike
-    building the {!frames_of_space} list just to measure it. *)
 
 val evictions : t -> int
 (** Total evictions performed (for tests and reports). *)

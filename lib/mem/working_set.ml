@@ -92,14 +92,10 @@ let link_front t s =
    time it was linked, so the tail walk is O(1) amortized. *)
 let prune t =
   let cutoff = t.marks.(0) -. t.marks.(1) in
-  let rec drop () =
-    let s = t.prev.(0) in
-    if s <> 0 && t.last.(s) < cutoff then begin
-      unlink t s;
-      drop ()
-    end
-  in
-  drop ();
+  (* a loop, not a local closure: the cutoff stays unboxed *)
+  while t.prev.(0) <> 0 && t.last.(t.prev.(0)) < cutoff do
+    unlink t t.prev.(0)
+  done;
   if cutoff > t.marks.(2) then t.marks.(2) <- cutoff
 
 let reference t ~time idx =

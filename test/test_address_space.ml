@@ -171,10 +171,67 @@ let test_imaginary_fault_resolution () =
 let test_touch_tracking () =
   let space, _, _ = fresh () in
   Address_space.validate_zero space (Vaddr.of_len 0 (page_bytes 8));
-  Address_space.note_reference space 0;
-  Address_space.note_reference space 3;
-  Address_space.note_reference space 0;
-  Alcotest.(check int) "distinct touched" 2 (Address_space.touched_pages space)
+  List.iter
+    (fun idx ->
+      Alcotest.(check bool) "zero-pending is not resident" false
+        (Address_space.reference space idx))
+    [ 0; 3; 0 ];
+  Alcotest.(check int) "distinct touched" 2 (Address_space.touched_pages space);
+  Address_space.resolve_zero_fault space 3;
+  Alcotest.(check bool) "resident after the fault" true
+    (Address_space.reference space 3);
+  Alcotest.(check int) "still two" 2 (Address_space.touched_pages space)
+
+(* Two spaces share one frame pool behind a host-style evict handler:
+   each space's resident set stays ascending, its count equal to the
+   set's length, through installs, evictions, a disk fault, a write and
+   the other space's destruction. *)
+let test_resident_set_per_space () =
+  let mem = Phys_mem.create ~frames:6 and disk = Paging_disk.create () in
+  let spaces = Hashtbl.create 2 in
+  let mk id =
+    let space = Address_space.create ~id ~name:"t" ~mem ~disk in
+    Hashtbl.replace spaces id space;
+    space
+  in
+  let a = mk 1 and b = mk 2 in
+  Phys_mem.set_evict_handler mem (fun o data ~dirty ->
+      Address_space.evict_page
+        (Hashtbl.find spaces o.Phys_mem.space_id)
+        o.Phys_mem.page data ~dirty);
+  let install space idx =
+    Address_space.install_bytes space ~addr:(page_bytes idx)
+      (Bytes.make Page.size (Char.chr (65 + (idx mod 26))))
+      ~resident:true
+  in
+  let check name space expected =
+    let pages = List.map fst (Address_space.resident_pages space) in
+    Alcotest.(check (list int)) (name ^ ": resident set") expected pages;
+    Alcotest.(check int) (name ^ ": count = length") (List.length pages)
+      (Address_space.resident_page_count space)
+  in
+  List.iter (install a) [ 12; 10; 11 ];
+  List.iter (install b) [ 21; 20 ];
+  check "installed a" a [ 10; 11; 12 ];
+  check "installed b" b [ 20; 21 ];
+  (* three more frames for b: the pool evicts a's two oldest pages *)
+  List.iter (install b) [ 24; 22; 23 ];
+  Alcotest.(check int) "two evictions" 2 (Phys_mem.evictions mem);
+  check "a after eviction" a [ 11 ];
+  check "b after eviction" b [ 20; 21; 22; 23; 24 ];
+  (* a reference keeps a's page; faulting another back in evicts b's
+     oldest *)
+  Alcotest.(check bool) "resident" true (Address_space.reference a 11);
+  Address_space.resolve_disk_fault a 12;
+  check "a after disk fault" a [ 11; 12 ];
+  check "b after disk fault" b [ 20; 22; 23; 24 ];
+  Address_space.write_page a 11 (Page.pattern_value ~tag:9 11);
+  check "a after write" a [ 11; 12 ];
+  Alcotest.(check int) "frames = both sets" 6 (Phys_mem.in_use mem);
+  Address_space.destroy a;
+  check "a destroyed" a [];
+  check "b untouched" b [ 20; 22; 23; 24 ];
+  Alcotest.(check int) "frames = b's set" 4 (Phys_mem.in_use mem)
 
 let test_region_and_segment_counts () =
   let space, _, _ = fresh () in
@@ -323,6 +380,8 @@ let suite =
       Alcotest.test_case "imaginary fault" `Quick
         test_imaginary_fault_resolution;
       Alcotest.test_case "touch tracking" `Quick test_touch_tracking;
+      Alcotest.test_case "resident set per space" `Quick
+        test_resident_set_per_space;
       Alcotest.test_case "region/segment counts" `Quick
         test_region_and_segment_counts;
       Alcotest.test_case "destroy releases" `Quick

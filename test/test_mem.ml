@@ -246,18 +246,6 @@ let test_phys_lru_eviction () =
   Alcotest.(check (list int)) "evicted the LRU page" [ 1 ] !evicted;
   Alcotest.(check int) "eviction count" 1 (Phys_mem.evictions mem)
 
-let test_phys_frames_of_space () =
-  let mem = Phys_mem.create ~frames:8 in
-  ignore (Phys_mem.allocate mem ~owner:(owner 1 10) Page.zero_value);
-  ignore (Phys_mem.allocate mem ~owner:(owner 2 20) Page.zero_value);
-  ignore (Phys_mem.allocate mem ~owner:(owner 1 11) Page.zero_value);
-  let pages = List.map fst (Phys_mem.frames_of_space mem 1) in
-  Alcotest.(check (list int)) "per-space resident pages" [ 10; 11 ] pages;
-  Alcotest.(check (list int)) "other space" [ 20 ]
-    (List.map fst (Phys_mem.frames_of_space mem 2));
-  Alcotest.(check (list int)) "unknown space" []
-    (List.map fst (Phys_mem.frames_of_space mem 3))
-
 let test_phys_free_recycles () =
   let mem = Phys_mem.create ~frames:1 in
   let f = Phys_mem.allocate mem ~owner:(owner 1 0) Page.zero_value in
@@ -510,13 +498,17 @@ let prop_working_set_equals_fold =
       !ok)
 
 (* The cold store against a naive per-page model: page -> (value, in a
-   frame or on disk).  Random installs of 1-40 pages land anywhere in a
-   200-page window, so they cross the old 16-page bulk threshold, overlap
-   earlier installs (the per-page overwrite path) and arrive out of
-   address order (the cold index's shift path).  Disk faults, the
-   evictions a 12-frame pool forces, and export -> destroy -> import
-   round trips are interleaved; after every step every page's presence
-   class and value, and the space's page counts, must match the model. *)
+   frame or on disk), plus the touched set and the pages still held in a
+   cold run.  Random installs of 1-40 pages land anywhere in a 200-page
+   window, so they cross the old 16-page bulk threshold, overlap earlier
+   installs (the per-page overwrite path) and arrive out of address order
+   (the cold index's shift path).  Disk faults, references, the
+   evictions a 12-frame pool forces, a page faulted out of its cold run,
+   evicted by another space's installs and faulted in again, and export
+   -> destroy -> import round trips are interleaved; after every step
+   every page's presence class and value, the resident set, and the
+   space's touched, resident and materialized counts must match the
+   model. *)
 type model_home = M_frame | M_disk
 
 let prop_cold_store_equals_per_page_model =
@@ -524,28 +516,41 @@ let prop_cold_store_equals_per_page_model =
     QCheck.(
       list_of_size
         Gen.(int_range 0 40)
-        (quad (int_range 0 9) small_nat small_nat small_nat))
+        (quad (int_range 0 11) small_nat small_nat small_nat))
     (fun ops ->
       let window = 200 in
       let mem = Phys_mem.create ~frames:12 and disk = Paging_disk.create () in
       let model : (int, Page.value * model_home) Hashtbl.t =
         Hashtbl.create 64
       in
-      let fresh_space () = Address_space.create ~id:1 ~name:"p" ~mem ~disk in
-      let space = ref (fresh_space ()) in
-      (* An install over resident pages may evict one of them before its
-         turn to be overwritten: the model, already holding the new value,
-         ignores that stale eviction.  Every install gets a fresh tag, so
-         old and new values never compare equal. *)
+      let touched : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+      let cold : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+      let fresh_space id = Address_space.create ~id ~name:"p" ~mem ~disk in
+      let space = ref (fresh_space 1) and other = ref (fresh_space 2) in
+      (* A host-style handler dispatching on the owner.  An install over
+         resident pages may evict one of them before its turn to be
+         overwritten: the model, already holding the new value, ignores
+         that stale eviction.  Every install gets a fresh tag, so old and
+         new values never compare equal. *)
       Phys_mem.set_evict_handler mem (fun o value ~dirty ->
           let idx = o.Phys_mem.page in
-          Address_space.evict_page !space idx value ~dirty;
-          match Hashtbl.find_opt model idx with
-          | Some (v, M_frame) when Page.equal_value v value ->
-              Hashtbl.replace model idx (v, M_disk)
-          | _ -> ());
+          if o.Phys_mem.space_id = 2 then
+            Address_space.evict_page !other idx value ~dirty
+          else begin
+            Address_space.evict_page !space idx value ~dirty;
+            match Hashtbl.find_opt model idx with
+            | Some (v, M_frame) when Page.equal_value v value ->
+                Hashtbl.replace model idx (v, M_disk)
+            | _ -> ()
+          end);
       let tag = ref 0 in
       let ok = ref true in
+      let homed home =
+        Hashtbl.fold
+          (fun idx (_, h) acc -> if h = home then idx :: acc else acc)
+          model []
+        |> List.sort compare
+      in
       let check () =
         let s = !space in
         for idx = 0 to window - 1 do
@@ -560,15 +565,41 @@ let prop_cold_store_equals_per_page_model =
               | _ -> ok := false)
           | _ -> ok := false
         done;
-        let n = Hashtbl.length model in
+        let n = Hashtbl.length model and resident = homed M_frame in
         if Address_space.pages_materialized s <> n then ok := false;
-        if Address_space.real_bytes s <> n * Page.size then ok := false
+        if Address_space.real_bytes s <> n * Page.size then ok := false;
+        if Address_space.touched_pages s <> Hashtbl.length touched then
+          ok := false;
+        if Address_space.resident_page_count s <> List.length resident then
+          ok := false;
+        if List.map fst (Address_space.resident_pages s) <> resident then
+          ok := false
       in
+      let reference idx =
+        Hashtbl.replace touched idx ();
+        let expected =
+          match Hashtbl.find_opt model idx with
+          | Some (_, M_frame) -> true
+          | Some (_, M_disk) | None -> false
+        in
+        if Address_space.reference !space idx <> expected then ok := false
+      in
+      let disk_fault idx =
+        let v, _ = Hashtbl.find model idx in
+        Hashtbl.replace model idx (v, M_frame);
+        Hashtbl.remove cold idx;
+        Address_space.resolve_disk_fault !space idx
+      in
+      let pick l a = List.nth l (a mod List.length l) in
       List.iter
         (fun (kind, a, b, c) ->
           (if kind < 5 then begin
              let first = a mod (window - 40) and len = 1 + (b mod 40) in
              let resident = c mod 3 = 0 in
+             let fresh = ref true in
+             for idx = first to first + len - 1 do
+               if Hashtbl.mem model idx then fresh := false
+             done;
              incr tag;
              let run =
                Page_run.init len (fun i ->
@@ -576,36 +607,65 @@ let prop_cold_store_equals_per_page_model =
              in
              Page_run.iteri
                (fun i v ->
-                 Hashtbl.replace model (first + i)
-                   (v, if resident then M_frame else M_disk))
+                 let idx = first + i in
+                 Hashtbl.replace model idx
+                   (v, if resident then M_frame else M_disk);
+                 if (not resident) && !fresh then Hashtbl.replace cold idx ()
+                 else Hashtbl.remove cold idx)
                run;
              Address_space.install_run !space ~addr:(Page.addr_of_index first)
                run ~resident
            end
-           else if kind < 9 then begin
-             let on_disk =
-               Hashtbl.fold
-                 (fun idx (_, home) acc ->
-                   if home = M_disk then idx :: acc else acc)
-                 model []
-               |> List.sort compare
-             in
-             match on_disk with
+           else if kind < 8 then begin
+             match homed M_disk with
              | [] -> ()
-             | _ ->
-                 let idx = List.nth on_disk (a mod List.length on_disk) in
-                 let v, _ = Hashtbl.find model idx in
-                 Hashtbl.replace model idx (v, M_frame);
-                 Address_space.resolve_disk_fault !space idx
+             | on_disk -> disk_fault (pick on_disk a)
+           end
+           else if kind < 10 then begin
+             (* a touched page again, or any page of the window *)
+             let ts = Hashtbl.fold (fun idx () acc -> idx :: acc) touched [] in
+             if b mod 2 = 0 && ts <> [] then
+               reference (pick (List.sort compare ts) a)
+             else reference (a mod window)
+           end
+           else if kind = 10 then begin
+             (* fault a page out of its cold run, evict it by filling the
+                pool from another space, and fault it in again *)
+             let on_disk = homed M_disk in
+             let candidates =
+               match List.filter (Hashtbl.mem cold) on_disk with
+               | [] -> on_disk
+               | still_cold -> still_cold
+             in
+             match candidates with
+             | [] -> ()
+             | l ->
+                 let idx = pick l a in
+                 reference idx;
+                 disk_fault idx;
+                 reference idx;
+                 Address_space.install_run !other ~addr:0
+                   (Page_run.init (Phys_mem.capacity mem) (fun i ->
+                        Page.pattern_value ~tag:(-1) i))
+                   ~resident:true;
+                 Address_space.destroy !other;
+                 other := fresh_space 2;
+                 if Hashtbl.find model idx |> snd <> M_disk then ok := false;
+                 reference idx;
+                 disk_fault idx;
+                 reference idx
            end
            else begin
              let image = Address_space.export_image !space in
              Address_space.destroy !space;
+             if Address_space.touched_pages !space <> Hashtbl.length touched
+             then ok := false;
              let leaked =
                Phys_mem.in_use mem + Paging_disk.blocks_in_use disk
              in
              if leaked <> 0 then ok := false;
-             space := fresh_space ();
+             space := fresh_space 1;
+             Hashtbl.reset touched;
              Address_space.import_image !space image;
              let back = Address_space.export_image !space in
              if not (Address_space.image_equal back image) then ok := false
@@ -641,8 +701,6 @@ let suite =
       Alcotest.test_case "phys alloc/read" `Quick test_phys_alloc_read;
       Alcotest.test_case "phys write dirty" `Quick test_phys_write_dirty;
       Alcotest.test_case "phys LRU eviction" `Quick test_phys_lru_eviction;
-      Alcotest.test_case "phys frames of space" `Quick
-        test_phys_frames_of_space;
       Alcotest.test_case "phys free recycles" `Quick test_phys_free_recycles;
       Alcotest.test_case "phys touch allocates nothing" `Quick
         test_phys_touch_allocates_nothing;
