@@ -29,6 +29,11 @@
                        Working_set.reference) round-robin over many
                        live spaces — ns and minor words per reference,
                        with the page-table probe missing cache.
+     interval map      Interval_map at 16, 1,024 and 65,536 intervals:
+                       a one-page set inside a region and back (the
+                       fault path's materialize), a point find, and a
+                       fold_pieces over 64 pieces — ns and minor words
+                       per operation.
 
    Results land in BENCH_hotpath.json next to BENCH_scale.json.
 
@@ -306,6 +311,83 @@ let reference_path ~spaces ~refs =
     words_per_ref = words /. float_of_int refs;
   }
 
+(* --- interval map --------------------------------------------------------- *)
+
+type imap_row = {
+  intervals : int;
+  set_ops : int;
+  ns_per_set : float;
+  words_per_set : float;
+  find_ops : int;
+  ns_per_find : float;
+  words_per_find : float;
+  folds : int;
+  pieces_per_fold : int;
+  ns_per_fold : float;
+  words_per_fold : float;
+}
+
+(* ns and minor words per call of [op i] over [ops] calls. *)
+let per_op ~ops op =
+  let words0 = Gc.minor_words () in
+  let wall =
+    time_it (fun () ->
+        for i = 0 to ops - 1 do
+          op i
+        done)
+  in
+  ( wall /. float_of_int ops *. 1e9,
+    (Gc.minor_words () -. words0) /. float_of_int ops )
+
+(* [intervals] regions of 48 pages, 64 apart, all carrying 0: a sparse
+   space's layout.  The set op makes one page of region [r] carry 1 (the
+   region splits in three) and the next op puts it back (the three
+   coalesce), so the map keeps its size; regions are visited with a
+   stride, so the splice point is spread over the whole map.  A fold
+   spans 32 regions and their gaps. *)
+let interval_map_ops ~intervals ~set_ops ~find_ops ~folds =
+  let m = Interval_map.create () in
+  for r = 0 to intervals - 1 do
+    Interval_map.set m ~lo:(r * 64) ~hi:((r * 64) + 48) 0
+  done;
+  let region i = i * 7919 mod intervals in
+  let ns_per_set, words_per_set =
+    per_op ~ops:set_ops (fun i ->
+        let page = (region (i / 2) * 64) + 16 in
+        Interval_map.set m ~lo:page ~hi:(page + 1) (i land 1 lxor 1))
+  in
+  assert (Interval_map.cardinal m = intervals);
+  let found = ref 0 in
+  let ns_per_find, words_per_find =
+    per_op ~ops:find_ops (fun i ->
+        match Interval_map.find m ((region i * 64) + 24) with
+        | Some _ -> incr found
+        | None -> ())
+  in
+  assert (!found = find_ops);
+  let span = min intervals 32 in
+  let pieces = ref 0 in
+  let ns_per_fold, words_per_fold =
+    per_op ~ops:folds (fun i ->
+        let lo = region i mod (intervals - span + 1) * 64 in
+        pieces :=
+          Interval_map.fold_pieces m ~lo ~hi:(lo + (span * 64)) ~init:0
+            ~f:(fun n _ _ _ -> n + 1))
+  in
+  {
+    intervals;
+    set_ops;
+    ns_per_set;
+    words_per_set;
+    find_ops;
+    ns_per_find;
+    words_per_find;
+    folds;
+    pieces_per_fold = !pieces;
+    ns_per_fold;
+    words_per_fold;
+  }
+
 (* --- JSON output ------------------------------------------------------- *)
 
 let evict_json r =
@@ -339,7 +421,13 @@ let ref_json r =
     {|    {"spaces": %d, "references": %d, "wall_s": %.4f, "ns_per_reference": %.1f, "minor_words_per_reference": %.2f}|}
     r.spaces r.refs r.ref_wall_s r.ns_per_ref r.words_per_ref
 
-let write_json ~path ~mode ~evict ~ws ~timers ~page ~arq ~refs =
+let imap_json r =
+  Printf.sprintf
+    {|    {"intervals": %d, "set_ops": %d, "ns_per_set": %.1f, "minor_words_per_set": %.2f, "find_ops": %d, "ns_per_find": %.1f, "minor_words_per_find": %.2f, "folds": %d, "pieces_per_fold": %d, "ns_per_fold": %.1f, "minor_words_per_fold": %.2f}|}
+    r.intervals r.set_ops r.ns_per_set r.words_per_set r.find_ops r.ns_per_find
+    r.words_per_find r.folds r.pieces_per_fold r.ns_per_fold r.words_per_fold
+
+let write_json ~path ~mode ~evict ~ws ~timers ~page ~arq ~refs ~imap =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc {|  "benchmark": "hotpath",%s|} "\n";
@@ -355,8 +443,10 @@ let write_json ~path ~mode ~evict ~ws ~timers ~page ~arq ~refs =
     (String.concat ",\n" (List.map page_json page));
   Printf.fprintf oc "  \"arq_ack\": [\n%s\n  ],\n"
     (String.concat ",\n" (List.map arq_json arq));
-  Printf.fprintf oc "  \"reference_path\": [\n%s\n  ]\n"
+  Printf.fprintf oc "  \"reference_path\": [\n%s\n  ],\n"
     (String.concat ",\n" (List.map ref_json refs));
+  Printf.fprintf oc "  \"interval_map\": [\n%s\n  ]\n"
+    (String.concat ",\n" (List.map imap_json imap));
   Printf.fprintf oc "}\n";
   close_out oc
 
@@ -443,6 +533,26 @@ let () =
         r)
       (if smoke then [ 256; 1_024 ] else [ 1_024; 16_384; 131_072 ])
   in
+  let imap =
+    List.map
+      (fun intervals ->
+        let r =
+          if smoke then
+            interval_map_ops ~intervals ~set_ops:2_000 ~find_ops:20_000
+              ~folds:2_000
+          else
+            interval_map_ops ~intervals ~set_ops:20_000 ~find_ops:2_000_000
+              ~folds:200_000
+        in
+        Printf.printf
+          "hotpath: imap   n %6d  set %8.1f ns %5.2f w  find %6.1f ns %5.2f \
+           w  fold/%d %8.1f ns %6.2f w\n\
+           %!"
+          r.intervals r.ns_per_set r.words_per_set r.ns_per_find
+          r.words_per_find r.pieces_per_fold r.ns_per_fold r.words_per_fold;
+        r)
+      [ 16; 1_024; 65_536 ]
+  in
   write_json ~path:out ~mode:(if smoke then "smoke" else "full") ~evict ~ws
-    ~timers ~page ~arq ~refs;
+    ~timers ~page ~arq ~refs ~imap;
   Printf.printf "hotpath: wrote %s\n%!" out

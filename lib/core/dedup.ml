@@ -112,15 +112,14 @@ let send t ~dest ~proc_id ~memory ~build =
    (Data bytes, or an IOU to pull through), the rest travel as 8-byte
    digest references. *)
 let prune t memory need =
-  let need =
-    List.fold_left
-      (fun map (off, pages) ->
-        Interval_map.set map ~lo:off ~hi:(off + (pages * Page.size)) ())
-      (Interval_map.empty ()) need
-  in
+  let needed = Interval_map.create () in
+  List.iter
+    (fun (off, pages) ->
+      Interval_map.set needed ~lo:off ~hi:(off + (pages * Page.size)) ())
+    need;
   let split_chunk (c : Memory_object.chunk) run ~mk_needed =
     let lo = c.range.Vaddr.lo in
-    Interval_map.fold_pieces need ~lo ~hi:c.range.Vaddr.hi ~init:[]
+    Interval_map.fold_pieces needed ~lo ~hi:c.range.Vaddr.hi ~init:[]
       ~f:(fun rev_pieces a b needed ->
         let first_page = (a - lo) / Page.size in
         let sub = Page_run.sub run ~pos:first_page ~len:((b - a) / Page.size) in

@@ -143,13 +143,13 @@ let cold_iou_chunks backing (image : Proc_image.t) ~sent =
    image as one shared view.  Never a per-page probe of the image, whose
    cost and allocation would be O(space) per freeze. *)
 let precopy_residual_chunks (image : Proc_image.t) ~sent ~written =
-  List.fold_left
-    (fun set (first, last) -> Interval_map.set set ~lo:first ~hi:(last + 1) ())
-    (Interval_map.empty ())
+  let set = Interval_map.create () in
+  List.iter
+    (fun (first, last) -> Interval_map.set set ~lo:first ~hi:(last + 1) ())
     (List.rev_append
        (List.map (fun p -> (p, p)) written)
-       (unsent_runs image ~sent))
-  |> Interval_map.ranges
+       (unsent_runs image ~sent));
+  Interval_map.ranges set
   |> List.map (fun (first, stop, ()) ->
          let lo = Page.addr_of_index first and hi = Page.addr_of_index stop in
          let run =
@@ -180,13 +180,11 @@ let assemble staged ~amap ~iou_chunks =
   (* Cover [lo, hi) out of the final message's IOU chunks, splitting on
      chunk boundaries: one map keyed by address, never coalesced, so each
      piece it yields is one chunk's share of the range. *)
-  let ious =
-    List.fold_left
-      (fun map (c : Memory_object.chunk) ->
-        Interval_map.set map ~lo:c.range.Vaddr.lo ~hi:c.range.Vaddr.hi c)
-      (Interval_map.empty ~equal:(fun _ _ -> false) ())
-      iou_chunks
-  in
+  let ious = Interval_map.create ~equal:(fun _ _ -> false) () in
+  List.iter
+    (fun (c : Memory_object.chunk) ->
+      Interval_map.set ious ~lo:c.range.Vaddr.lo ~hi:c.range.Vaddr.hi c)
+    iou_chunks;
   let emit_iou_cover ~lo ~hi =
     Interval_map.fold_pieces ious ~lo ~hi ~init:() ~f:(fun () a b -> function
       | None -> raise (Abort "push: page neither staged nor IOU-backed")

@@ -65,7 +65,7 @@ val unsent_runs :
 (** Closed page runs of the image's real memory that no round ever
     pushed, ascending: the gaps [sent] leaves in each real range — the
     run subtraction at the heart of the hybrid cold tail and the pre-copy
-    residual.  O((real ranges + pieces) × log sent runs), independent of
+    residual.  O(real ranges × log sent runs + pieces), independent of
     the address-space page count. *)
 
 (** {2 IOU chunks} *)
@@ -109,5 +109,5 @@ val assemble :
     the chunks by address, walked with
     {!Accent_mem.Interval_map.fold_pieces} so the cover splits on chunk
     boundaries.  A page neither staged nor IOU-backed raises {!Abort}.
-    O(AMap ranges + staged pages log staged pages + (IOU chunks + IOU
-    pieces) × log IOU chunks), never a probe of every page of a range. *)
+    O(AMap ranges + staged pages log staged pages + IOU chunks × log IOU
+    chunks + IOU pieces), never a probe of every page of a range. *)

@@ -36,7 +36,7 @@ type push = {
           real page and leaves nothing to pull *)
   max_rounds : int;
   threshold_pages : int;
-  mutable sent : unit Interval_map.t;  (** page indices ever pushed *)
+  sent : unit Interval_map.t;  (** page indices ever pushed *)
 }
 
 (* What the final leg carries.  The classic four are the zero-round case:
@@ -80,22 +80,19 @@ let abort_migration ctx ~proc_id reason =
 (* The kept pages become one map of collapsed page runs; each Data chunk
    is then split against it — kept pieces stay Data, every gap is banked
    whole on the manager's backing server and travels as an IOU.  Work
-   past mapping the keep pages is O(pieces × log kept runs): no per-page
-   table, value list or store insert. *)
+   past mapping the keep pages is O(chunks × log kept runs + pieces): no
+   per-page table, value list or store insert. *)
 let partial_rimas backing (excised : Excise.excised) ~keep_pages =
-  let keep =
-    List.fold_left
-      (fun keep (first, last) ->
-        Interval_map.set keep ~lo:first ~hi:(last + 1) ())
-      (Interval_map.empty ())
-      (Image_wire.page_runs_of_pages
-         (List.filter_map
-            (fun page ->
-              Option.map Page.index_of_addr
-                (Context.collapsed_of_vaddr excised.Excise.layout
-                   (Page.addr_of_index page)))
-            keep_pages))
-  in
+  let keep = Interval_map.create () in
+  List.iter
+    (fun (first, last) -> Interval_map.set keep ~lo:first ~hi:(last + 1) ())
+    (Image_wire.page_runs_of_pages
+       (List.filter_map
+          (fun page ->
+            Option.map Page.index_of_addr
+              (Context.collapsed_of_vaddr excised.Excise.layout
+                 (Page.addr_of_index page)))
+          keep_pages));
   let segment_id = Accent_net.Backing_server.new_segment backing in
   let split_chunk (chunk : Memory_object.chunk) run =
     let first = Page.index_of_addr chunk.range.Vaddr.lo in
@@ -167,11 +164,10 @@ let send_final ctx ~dest ~handoff ~image chunks (excised : Excise.excised) =
 let mark_sent push chunks =
   List.iter
     (fun (c : Memory_object.chunk) ->
-      push.sent <-
-        Interval_map.set push.sent
-          ~lo:(Page.index_of_addr c.range.Vaddr.lo)
-          ~hi:(Page.index_of_addr c.range.Vaddr.hi)
-          ())
+      Interval_map.set push.sent
+        ~lo:(Page.index_of_addr c.range.Vaddr.lo)
+        ~hi:(Page.index_of_addr c.range.Vaddr.hi)
+        ())
     chunks
 
 (* The push residual's Data chunks and cold-tail IOUs, read out of the
@@ -298,7 +294,7 @@ let start_push t ~proc ~dest ~handoff ~window ~max_rounds ~threshold_pages =
       window;
       max_rounds;
       threshold_pages;
-      sent = Interval_map.empty ();
+      sent = Interval_map.create ();
     }
   in
   Hashtbl.replace t.outbound proc.Proc.id push;

@@ -17,7 +17,7 @@ val table_4_4 : Table_4_4.row list -> string
 val table_4_5 : Table_4_5.row list -> string
 
 val figure_grid :
-  Sweep.t -> metric:(Trial.result -> float) -> string
+  Sweep.t -> metric:(Trial.summary -> float) -> string
 (** Long-format rows: representative, strategy, prefetch, value. *)
 
 val figure_4_2 : Sweep.t -> string

@@ -1,6 +1,6 @@
 open Accent_core
 
-let remote_seconds (result : Trial.result) =
+let remote_seconds (result : Trial.summary) =
   Report.remote_execution_seconds result.Trial.report
 
 let iou_penalty rep =

@@ -5,7 +5,7 @@
 
 val render : Sweep.t -> string
 
-val remote_seconds : Trial.result -> float
+val remote_seconds : Trial.summary -> float
 
 val iou_penalty : Sweep.rep_results -> float
 (** Remote execution time under IOU (no prefetch) divided by pure-copy's —

@@ -1,6 +1,6 @@
 open Accent_core
 
-let sum (result : Trial.result) =
+let sum (result : Trial.summary) =
   Report.transfer_plus_execution_seconds result.Trial.report
 
 let speedup_pct ~baseline result =

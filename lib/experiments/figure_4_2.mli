@@ -2,7 +2,7 @@
     time, each lazy strategy against pure-copy, across prefetch values.
     Positive bars are speedups, negative slowdowns. *)
 
-val speedup_pct : baseline:Trial.result -> Trial.result -> float
+val speedup_pct : baseline:Trial.summary -> Trial.summary -> float
 (** [(T_copy - T_x) / T_copy * 100] over transfer + remote execution. *)
 
 val render : Sweep.t -> string

@@ -1,6 +1,6 @@
 open Accent_core
 
-let bytes (result : Trial.result) =
+let bytes (result : Trial.summary) =
   float_of_int (Report.bytes_total result.Trial.report)
 
 let render sweep =

@@ -2,7 +2,7 @@
     migration request to remote completion, plus the headline average
     savings of pure-IOU over pure-copy. *)
 
-val bytes : Trial.result -> float
+val bytes : Trial.summary -> float
 val render : Sweep.t -> string
 
 val mean_iou_savings_pct : Sweep.t -> float

@@ -1,6 +1,6 @@
 open Accent_core
 
-let seconds (result : Trial.result) =
+let seconds (result : Trial.summary) =
   result.Trial.report.Report.message_seconds
 
 let render sweep =

@@ -2,7 +2,7 @@
     trial (both hosts' NetMsgServer and kernel IPC CPUs), plus the headline
     average savings. *)
 
-val seconds : Trial.result -> float
+val seconds : Trial.summary -> float
 val render : Sweep.t -> string
 
 val mean_iou_savings_pct : Sweep.t -> float

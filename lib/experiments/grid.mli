@@ -2,19 +2,19 @@
 
 val cells :
   Sweep.rep_results ->
-  metric:(Trial.result -> float) ->
+  metric:(Trial.summary -> float) ->
   (string * float) list
 (** One labelled value per strategy/prefetch cell: iou+pf*, rs+pf*, copy. *)
 
 val table :
-  Sweep.t -> title:string -> metric:(Trial.result -> float) -> string
+  Sweep.t -> title:string -> metric:(Trial.summary -> float) -> string
 (** Numeric grid, representatives as rows and strategy cells as columns. *)
 
 val chart :
   Sweep.t ->
   title:string ->
   unit_label:string ->
-  metric:(Trial.result -> float) ->
+  metric:(Trial.summary -> float) ->
   string
 (** Bar-chart rendering (one group per representative, individually
     scaled like the paper's panels). *)

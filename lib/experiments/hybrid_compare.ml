@@ -1,11 +1,5 @@
 open Accent_core
 
-type row = {
-  spec : Accent_workloads.Spec.t;
-  strategy : Strategy.t;
-  report : Report.t;
-}
-
 let strategies () =
   [ Strategy.pre_copy (); Strategy.working_set (); Strategy.hybrid () ]
 
@@ -28,11 +22,9 @@ let rows ?(seed = 42L) ?(write_fraction = 0.1) ?(migrate_after_ms = 5_000.) ()
     (fun spec ->
       List.map
         (fun strategy ->
-          let result =
-            Trial.run ~seed ~write_fraction ~migrate_after_ms ~spec ~strategy
-              ()
-          in
-          { spec; strategy; report = result.Trial.report })
+          Trial.summary
+            (Trial.run ~seed ~write_fraction ~migrate_after_ms ~spec ~strategy
+               ()))
         (strategies ()))
     Accent_workloads.Representative.all
 
@@ -52,7 +44,7 @@ let render rows =
   in
   let last = ref "" in
   List.iter
-    (fun row ->
+    (fun (row : Trial.summary) ->
       let name = row.spec.Accent_workloads.Spec.name in
       if !last <> "" && !last <> name then Accent_util.Text_table.add_rule table;
       last := name;
@@ -84,7 +76,7 @@ let to_csv rows =
   in
   let lines =
     List.map
-      (fun row ->
+      (fun (row : Trial.summary) ->
         let r = row.report in
         Csv_export.csv_line
           [

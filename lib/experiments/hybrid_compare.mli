@@ -9,12 +9,6 @@
     physical RIMAS portion) and bytes {e pulled} (network faults and
     prefetch), alongside the freeze downtime each strategy imposes. *)
 
-type row = {
-  spec : Accent_workloads.Spec.t;
-  strategy : Accent_core.Strategy.t;
-  report : Accent_core.Report.t;
-}
-
 val pulled_bytes : Accent_core.Report.t -> int
 val pushed_bytes : Accent_core.Report.t -> int
 
@@ -23,11 +17,11 @@ val rows :
   ?write_fraction:float ->
   ?migrate_after_ms:float ->
   unit ->
-  row list
+  Trial.summary list
 (** Workload-major, strategy order pre-copy, working-set, hybrid.  The
     process runs at the source for [migrate_after_ms] (default one
     recency window, 5 s) before migration, so the push phase has a live
     working set to ship. *)
 
-val render : row list -> string
-val to_csv : row list -> string
+val render : Trial.summary list -> string
+val to_csv : Trial.summary list -> string

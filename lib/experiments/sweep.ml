@@ -2,9 +2,9 @@ open Accent_core
 
 type rep_results = {
   spec : Accent_workloads.Spec.t;
-  copy : Trial.result;
-  iou : (int * Trial.result) list;
-  rs : (int * Trial.result) list;
+  copy : Trial.summary;
+  iou : (int * Trial.summary) list;
+  rs : (int * Trial.summary) list;
 }
 
 type t = rep_results list
@@ -30,7 +30,7 @@ let run ?seed ?costs ?on_event ?(specs = Accent_workloads.Representative.all)
       (fun (spec, strategy) ->
         note "  trial: %-9s %s" spec.Accent_workloads.Spec.name
           (Strategy.name strategy);
-        Trial.run ?seed ?costs ?on_event ~spec ~strategy ())
+        Trial.summary (Trial.run ?seed ?costs ?on_event ~spec ~strategy ()))
       grid
   in
   let per_spec = List.length strategies in

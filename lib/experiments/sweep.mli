@@ -1,12 +1,17 @@
 (** The full trial grid behind Figures 4-1 through 4-4: every representative
     × every strategy × the paper's prefetch values, each in its own fresh
-    world.  Run once and share across the figure modules. *)
+    world.  Run once and share across the figure modules.
+
+    The grid holds {!Trial.summary} values: each trial's world is dropped
+    as soon as its report is taken, so holding the whole sweep retains
+    the reports alone, not 77 two-host worlds.  Use {!Trial.run} for a
+    trial whose world or process must stay live. *)
 
 type rep_results = {
   spec : Accent_workloads.Spec.t;
-  copy : Trial.result;
-  iou : (int * Trial.result) list;  (** keyed by prefetch value *)
-  rs : (int * Trial.result) list;
+  copy : Trial.summary;
+  iou : (int * Trial.summary) list;  (** keyed by prefetch value *)
+  rs : (int * Trial.summary) list;
 }
 
 type t = rep_results list
@@ -34,5 +39,5 @@ val run :
 val find : t -> string -> rep_results
 (** By representative name; raises [Not_found]. *)
 
-val iou_at : rep_results -> int -> Trial.result
-val rs_at : rep_results -> int -> Trial.result
+val iou_at : rep_results -> int -> Trial.summary
+val rs_at : rep_results -> int -> Trial.summary

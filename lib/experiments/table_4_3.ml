@@ -9,7 +9,7 @@ type row = {
   rs_pct_total : float;
 }
 
-let pcts (result : Trial.result) =
+let pcts (result : Trial.summary) =
   let fetched =
     result.report.Report.remote_real_bytes_fetched
   in

@@ -13,7 +13,7 @@ let rows sweep =
   List.map
     (fun (rep : Sweep.rep_results) ->
       let name = rep.Sweep.spec.Accent_workloads.Spec.name in
-      let rimas (result : Trial.result) =
+      let rimas (result : Trial.summary) =
         Report.rimas_transfer_seconds result.Trial.report
       in
       {

@@ -1,5 +1,11 @@
 open Accent_core
 
+type summary = {
+  spec : Accent_workloads.Spec.t;
+  strategy : Strategy.t;
+  report : Report.t;
+}
+
 type result = {
   spec : Accent_workloads.Spec.t;
   strategy : Strategy.t;
@@ -35,3 +41,6 @@ let run ?seed ?costs ?fault_plan ?write_fraction ?(migrate_after_ms = 0.)
     | None -> proc
   in
   { spec; strategy; world; proc; report }
+
+let summary (r : result) =
+  { spec = r.spec; strategy = r.strategy; report = r.report }

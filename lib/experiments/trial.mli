@@ -5,6 +5,16 @@
     Every number in the reproduced tables and figures comes out of one or
     more of these. *)
 
+type summary = {
+  spec : Accent_workloads.Spec.t;
+  strategy : Accent_core.Strategy.t;
+  report : Accent_core.Report.t;
+}
+(** What a finished trial hands to the tables and figures: its inputs and
+    its report, no world.  A summary holds no simulation state, so a grid
+    of them costs a few words per trial; use {!run} when a live world or
+    process is needed. *)
+
 type result = {
   spec : Accent_workloads.Spec.t;
   strategy : Accent_core.Strategy.t;
@@ -12,6 +22,8 @@ type result = {
   proc : Accent_kernel.Proc.t;  (** the relocated incarnation *)
   report : Accent_core.Report.t;
 }
+(** A trial with its whole two-host world and the relocated process,
+    kept alive as long as the result is. *)
 
 val run :
   ?seed:int64 ->
@@ -33,6 +45,9 @@ val run :
 
     [on_event] subscribes to the world's migration event bus before the
     trial starts — the hook behind [accentctl trace]. *)
+
+val summary : result -> summary
+(** The result without its world and process. *)
 
 val build_only :
   ?seed:int64 ->

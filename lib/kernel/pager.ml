@@ -50,12 +50,14 @@ let register_segment t ~space_id ~segment_id ~backing_port ~offset ~len ~vaddr
   in
   if not (List.mem segment_id !list) then list := segment_id :: !list;
   let layout =
-    Option.value
-      (Hashtbl.find_opt t.layouts segment_id)
-      ~default:(Interval_map.empty ())
+    match Hashtbl.find_opt t.layouts segment_id with
+    | Some layout -> layout
+    | None ->
+        let layout = Interval_map.create () in
+        Hashtbl.replace t.layouts segment_id layout;
+        layout
   in
-  Hashtbl.replace t.layouts segment_id
-    (Interval_map.set layout ~lo:offset ~hi:(offset + len) (vaddr - offset))
+  Interval_map.set layout ~lo:offset ~hi:(offset + len) (vaddr - offset)
 
 let backing_port t ~segment_id = Hashtbl.find_opt t.segment_ports segment_id
 

@@ -39,7 +39,7 @@ type t = {
   name : string;
   mem : Phys_mem.t;
   disk : Paging_disk.t;
-  mutable regions : backing Interval_map.t;
+  regions : backing Interval_map.t;
   pages : int Int_tbl.t; (* the one page table: packed entries *)
   mutable located : int;
   mutable resident : int;
@@ -64,7 +64,7 @@ let create ~id ~name ~mem ~disk =
     name;
     mem;
     disk;
-    regions = Interval_map.empty ~equal:backing_equal ();
+    regions = Interval_map.create ~equal:backing_equal ();
     pages = Int_tbl.create 16;
     located = 0;
     resident = 0;
@@ -93,16 +93,15 @@ let require_unmapped t op (range : Vaddr.range) =
 let validate_zero t range =
   require_aligned "validate_zero" range;
   require_unmapped t "validate_zero" range;
-  t.regions <- Interval_map.set t.regions ~lo:range.lo ~hi:range.hi Zero
+  Interval_map.set t.regions ~lo:range.lo ~hi:range.hi Zero
 
 let map_imaginary t range ~segment_id ~offset =
   require_aligned "map_imaginary" range;
   require_unmapped t "map_imaginary" range;
   if offset mod Page.size <> 0 then
     invalid_arg "Address_space.map_imaginary: unaligned segment offset";
-  t.regions <-
-    Interval_map.set t.regions ~lo:range.lo ~hi:range.hi
-      (Imaginary { segment_id; base = offset - range.lo })
+  Interval_map.set t.regions ~lo:range.lo ~hi:range.hi
+    (Imaginary { segment_id; base = offset - range.lo })
 
 let page_range idx =
   (Page.addr_of_index idx, Page.addr_of_index idx + Page.size)
@@ -177,11 +176,11 @@ let materialize t idx value ~resident =
   locate t idx value ~resident;
   let lo, hi = page_range idx in
   (* the common fault path re-materializes a page of an existing Real
-     region; skip the interval-map rebuild when the class already agrees *)
+     region; skip the interval-map splice when the class already agrees *)
   (match Interval_map.find t.regions lo with
   | Some Real -> ()
   | Some (Zero | Imaginary _) | None ->
-      t.regions <- Interval_map.set t.regions ~lo ~hi Real)
+      Interval_map.set t.regions ~lo ~hi Real)
 
 let install_run ?(segment = "<anon>") t ~addr run ~resident =
   if addr mod Page.size <> 0 then
@@ -203,13 +202,13 @@ let install_run ?(segment = "<anon>") t ~addr run ~resident =
          Real backing), which is the workload-construction case this path
          exists for. *)
       cold_add t first run;
-      t.regions <- Interval_map.set t.regions ~lo ~hi Real
+      Interval_map.set t.regions ~lo ~hi Real
     end
     else begin
       (* One interval-map update for the whole run instead of one per
          page; the per-page location entries remain. *)
       Page_run.iteri (fun i value -> locate t (first + i) value ~resident) run;
-      t.regions <- Interval_map.set t.regions ~lo ~hi Real
+      Interval_map.set t.regions ~lo ~hi Real
     end
   end
 
@@ -491,8 +490,7 @@ let import_image t runs =
                   done);
               pos := !pos + len)
             homes;
-          t.regions <-
-            Interval_map.set t.regions ~lo ~hi:(lo + (n * Page.size)) Real)
+          Interval_map.set t.regions ~lo ~hi:(lo + (n * Page.size)) Real)
     runs
 
 (* Representation-independent equality: image runs compare by content
@@ -591,4 +589,4 @@ let destroy t =
   t.cold <- [||];
   t.cold_len <- 0;
   t.cold_live <- 0;
-  t.regions <- Interval_map.empty ~equal:backing_equal ()
+  Interval_map.clear t.regions ~lo:min_int ~hi:max_int

@@ -1,18 +1,19 @@
 type t = Accessibility.t Interval_map.t
 
 let of_ranges ranges =
-  List.fold_left
-    (fun acc (lo, hi, cls) ->
+  let t = Interval_map.create ~equal:Accessibility.equal () in
+  List.iter
+    (fun (lo, hi, cls) ->
       match (cls : Accessibility.t) with
-      | Bad_mem -> acc (* gaps already mean Bad_mem *)
+      | Bad_mem -> () (* gaps already mean Bad_mem *)
       | _ ->
-          (match Interval_map.fold_range acc ~lo ~hi ~init:None
+          (match Interval_map.fold_range t ~lo ~hi ~init:None
                    ~f:(fun _ a b _ -> Some (a, b)) with
           | Some _ -> invalid_arg "Amap.of_ranges: overlapping ranges"
           | None -> ());
-          Interval_map.set acc ~lo ~hi cls)
-    (Interval_map.empty ~equal:Accessibility.equal ())
-    ranges
+          Interval_map.set t ~lo ~hi cls)
+    ranges;
+  t
 
 let classify t addr =
   match Interval_map.find t addr with

@@ -1,4 +1,4 @@
-(** Maps from half-open integer intervals to values.
+(** Mutable maps from half-open integer intervals to values.
 
     This is the workhorse behind sparse address spaces and accessibility
     maps: a 4 GB Lisp address space that is 99.9% untouched zero-fill is two
@@ -11,21 +11,38 @@
     It is also the one page-run algebra of the migration wire path: a
     [unit t] is a set of page runs (a push migration's sent pages, a
     RIMAS's kept pages, a dedup need list), and {!fold_pieces} splits a
-    range into what such a set covers and the gaps it leaves. *)
+    range into what such a set covers and the gaps it leaves.
+
+    The map is updated in place.  Its [n] intervals live in sorted
+    parallel arrays: the bounds as unboxed ints, the values in a pool
+    that never moves.  With [k] the number of intervals visited:
+    - {!find}, {!find_interval}: one binary search, O(log n);
+    - {!fold_range}, {!iter_range}, {!fold_pieces}, {!next_unassigned}:
+      one binary search, then a linear walk, O(log n + k);
+    - {!set}, {!clear}: one binary search and one splice that replaces
+      the overlapped entries with at most three (left stub, new
+      interval, right stub), then a memmove of the entries after them:
+      O(log n) for an append, O(n) ints moved at worst.  The arrays
+      double when full; a {!clear} that empties the map drops them.  No
+      other allocation;
+    - {!cardinal}, {!is_empty}: O(1).
+    A value is referenced only while some interval carries it.  Do not
+    update a map from inside a fold over it. *)
 
 type 'a t
 
-val empty : ?equal:('a -> 'a -> bool) -> unit -> 'a t
-(** [equal] (default [( = )]) decides when adjacent intervals coalesce. *)
+val create : ?equal:('a -> 'a -> bool) -> unit -> 'a t
+(** A fresh empty map.  [equal] (default [( = )]) decides when adjacent
+    intervals coalesce. *)
 
 val is_empty : 'a t -> bool
 
-val set : 'a t -> lo:int -> hi:int -> 'a -> 'a t
+val set : 'a t -> lo:int -> hi:int -> 'a -> unit
 (** [set t ~lo ~hi v] assigns [v] on [lo, hi), overwriting any previous
     assignment there and splitting partially-overlapped intervals.  Empty
     ranges are a no-op. *)
 
-val clear : 'a t -> lo:int -> hi:int -> 'a t
+val clear : 'a t -> lo:int -> hi:int -> unit
 (** Remove any assignment on [lo, hi). *)
 
 val find : 'a t -> int -> 'a option
@@ -58,7 +75,7 @@ val fold_pieces : 'a t -> lo:int -> hi:int -> init:'b ->
     between them, so the pieces tile [lo, hi) exactly.  This is the one
     split behind every "which of these pages are in the set" question on
     the migration wire path (sent pages, kept pages, needed pages, IOU
-    cover).  O(pieces × log intervals). *)
+    cover).  O(log intervals + pieces). *)
 
 val total_length : 'a t -> int
 (** Sum of interval lengths. *)

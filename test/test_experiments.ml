@@ -18,10 +18,43 @@ let test_sweep_shape () =
   Alcotest.(check int) "rs cells" 2 (List.length rep.Sweep.rs);
   (* all trials completed *)
   List.iter
-    (fun (_, (r : Trial.result)) ->
+    (fun (_, (r : Trial.summary)) ->
       Alcotest.(check bool) "completed" true
         (r.Trial.report.Report.completed_at <> None))
     (rep.Sweep.iou @ rep.Sweep.rs)
+
+(* Words the major heap keeps live once [x] is built, against before:
+   deterministic on one domain, since a full major collection leaves
+   exactly the reachable heap. *)
+let retained_words build =
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let x = build () in
+  Gc.full_major ();
+  let after = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity x);
+  after - before
+
+(* A finished sweep holds reports, not worlds: all ten trials of the
+   small sweep together retain less than one live trial of the same
+   spec, world and process included. *)
+let test_sweep_retains_no_world () =
+  let run_sweep () =
+    Sweep.run ~specs ~prefetches:[ 0; 2 ] ~progress:false ()
+  in
+  let run_trial () =
+    Trial.run ~spec:Test_helpers.small_spec ~strategy:(Strategy.pure_iou ()) ()
+  in
+  (* warm module-level caches so neither measurement pays for them *)
+  ignore (Sys.opaque_identity (run_sweep ()));
+  ignore (Sys.opaque_identity (run_trial ()));
+  let sweep_words = retained_words run_sweep in
+  let world_words = retained_words run_trial in
+  Alcotest.(check bool)
+    (Printf.sprintf "sweep (%d words) < one world (%d words)" sweep_words
+       world_words)
+    true
+    (sweep_words < world_words)
 
 let test_table_4_1_rows () =
   let rows = Table_4_1.rows ~specs () in
@@ -133,6 +166,8 @@ let suite =
   ( "experiments",
     [
       Alcotest.test_case "sweep shape" `Quick test_sweep_shape;
+      Alcotest.test_case "sweep retains no world" `Quick
+        test_sweep_retains_no_world;
       Alcotest.test_case "table 4-1" `Quick test_table_4_1_rows;
       Alcotest.test_case "table 4-2" `Quick test_table_4_2_rows;
       Alcotest.test_case "table 4-3" `Quick test_table_4_3_rows;

@@ -258,11 +258,11 @@ let real_pages_of_image image =
 (* Apply random marks to a sent set and mirror them in a plain table;
    marks index into the image's real pages so they always land somewhere
    interesting (runs may span gaps — subtraction only sees real ranges). *)
-let apply_marks sent tbl arr marks =
-  if Array.length arr = 0 then sent
-  else
-    List.fold_left
-      (fun sent (bulk, i, j) ->
+let apply_marks tbl arr marks =
+  let sent = Interval_map.create () in
+  if Array.length arr > 0 then
+    List.iter
+      (fun (bulk, i, j) ->
         let i = i mod Array.length arr and j = j mod Array.length arr in
         let a = arr.(min i j) and b = arr.(max i j) in
         if bulk then begin
@@ -275,7 +275,8 @@ let apply_marks sent tbl arr marks =
           Hashtbl.replace tbl a ();
           Interval_map.set sent ~lo:a ~hi:(a + 1) ()
         end)
-      sent marks
+      marks;
+  sent
 
 let marks_gen =
   QCheck.Gen.(
@@ -298,7 +299,7 @@ let prop_unsent_runs_equiv =
       let tbl = Hashtbl.create 64 in
       let real = real_pages_of_image image in
       let sent =
-        apply_marks (Interval_map.empty ()) tbl (Array.of_list real) marks
+        apply_marks tbl (Array.of_list real) marks
       in
       let expected =
         coalesce_pages (List.filter (fun p -> not (Hashtbl.mem tbl p)) real)
@@ -326,7 +327,7 @@ let prop_precopy_residual_equiv =
       let tbl = Hashtbl.create 64 in
       let real = real_pages_of_image image in
       let arr = Array.of_list real in
-      let sent = apply_marks (Interval_map.empty ()) tbl arr marks in
+      let sent = apply_marks tbl arr marks in
       let written =
         if Array.length arr = 0 then []
         else List.map (fun i -> arr.(i mod Array.length arr)) dirty_picks
