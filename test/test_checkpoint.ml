@@ -286,6 +286,25 @@ let restore_refuses_corrupted_page () =
         (Failure "Checkpoint: page fails digest integrity check") (fun () ->
           ignore (Checkpoint.rebuild_image store ck))
 
+(* A crash trial saves its checkpoint before the migration's report
+   exists; the report must still carry the save's stamp and page count. *)
+let crash_trials_stamp_the_checkpoint () =
+  let sweep =
+    Accent_experiments.Crash_recovery.run ~seeds:1
+      ~spec:Accent_workloads.Representative.minprog ~kill_fracs:[ 0.5 ] ()
+  in
+  List.iter
+    (fun (tr : Accent_experiments.Crash_recovery.trial) ->
+      let name = Strategy.name tr.strategy in
+      Alcotest.(check bool)
+        (name ^ ": checkpointed_at stamped")
+        true
+        (tr.report.Report.checkpointed_at <> None);
+      Alcotest.(check int)
+        (name ^ ": checkpoint pages")
+        tr.checkpoint_pages tr.report.Report.checkpoint_pages)
+    sweep.Accent_experiments.Crash_recovery.trials
+
 let suite =
   ( "checkpoint",
     QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip
@@ -301,4 +320,6 @@ let suite =
           restore_detects_corruption;
         Alcotest.test_case "restore refuses a corrupted page" `Quick
           restore_refuses_corrupted_page;
+        Alcotest.test_case "crash trials stamp the checkpoint" `Quick
+          crash_trials_stamp_the_checkpoint;
       ] )

@@ -186,6 +186,29 @@ let test_partition_during_transfer_aborts () =
   Alcotest.(check bool) "gave up promptly" true
     (Accent_sim.Time.to_seconds (World.now world) < 60.)
 
+(* Give-ups the bus never hears of: at 30% fragment loss the transport
+   abandons three messages that belong to no migration (stray acks and
+   retried traffic), no Transport_give_up event is published, and the
+   process still finishes.  Only the post-run traffic snapshot can mark
+   this migration Degraded. *)
+let test_completed_despite_give_ups_degrades () =
+  let events = ref [] in
+  let result =
+    Accent_experiments.Trial.run ~fault_plan:(Fault_plan.iid 0.30)
+      ~on_event:(fun ev -> events := ev :: !events)
+      ~spec:Accent_workloads.Representative.pm_start
+      ~strategy:(Strategy.pure_iou ()) ()
+  in
+  let report = result.Accent_experiments.Trial.report in
+  Alcotest.(check bool) "completed" true (report.Report.completed_at <> None);
+  Alcotest.(check int) "three give-ups" 3 report.Report.transport_give_ups;
+  Alcotest.(check bool) "outcome degraded" true
+    (report.Report.outcome = Report.Degraded);
+  Alcotest.(check bool) "no give-up on the bus" false
+    (List.exists
+       (fun ev -> ev.Mig_event.kind = Mig_event.Transport_give_up)
+       !events)
+
 let suite =
   ( "failures",
     [
@@ -207,4 +230,6 @@ let suite =
         test_partition_outlasting_retries_degrades;
       Alcotest.test_case "partition during transfer aborts" `Quick
         test_partition_during_transfer_aborts;
+      Alcotest.test_case "completed despite give-ups degrades" `Quick
+        test_completed_despite_give_ups_degrades;
     ] )
