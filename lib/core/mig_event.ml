@@ -1,3 +1,10 @@
+type outcome = Completed | Degraded | Aborted
+
+let outcome_name = function
+  | Completed -> "completed"
+  | Degraded -> "degraded"
+  | Aborted -> "aborted"
+
 type fault_kind = Fault_zero | Fault_disk | Fault_imaginary
 type prefetch_kind = Prefetch_issued | Prefetch_hit
 
@@ -26,89 +33,11 @@ type kind =
           [pages] digest-resolved pages passed the integrity check *)
   | Transport_give_up
   | Engine_abort of { reason : string }
-  | Outcome of { outcome : Report.outcome; remote_touched_pages : int }
+  | Outcome of { outcome : outcome; remote_touched_pages : int }
   | Auto_threshold of { src : int; spread : float }
   | Auto_candidate of { proc_name : string; src : int; dst : int }
 
 type t = { at : Accent_sim.Time.t; proc_id : int; kind : kind }
-
-(* --- the fold step ------------------------------------------------------ *)
-
-(* Destination faults and prefetch traffic only belong to the migration
-   while the relocated process is executing there: pre-copy keeps the
-   process running (and faulting) at the source between Requested and
-   Frozen, and those must not count. *)
-let counting_remote_execution (r : Report.t) =
-  r.Report.restarted_at <> None && r.Report.completed_at = None
-
-let apply (r : Report.t) ev =
-  let at = Some ev.at in
-  match ev.kind with
-  | Requested _ -> r.Report.requested_at <- at
-  | Excised timings ->
-      r.Report.excised_at <- at;
-      r.Report.excise <- Some timings
-  | Core_delivered -> r.Report.core_delivered_at <- at
-  | Rimas_delivered { data_bytes } ->
-      r.Report.rimas_delivered_at <- at;
-      r.Report.remote_real_bytes_fetched <- data_bytes
-  | Inserted { insert_ms } ->
-      r.Report.inserted_at <- at;
-      r.Report.insert_ms <- Some insert_ms
-  | Restarted -> r.Report.restarted_at <- at
-  | Frozen { residual_bytes } ->
-      r.Report.frozen_at <- at;
-      r.Report.precopy_bytes <- r.Report.precopy_bytes + residual_bytes
-  | Precopy_round { round; bytes } ->
-      r.Report.precopy_rounds <- round;
-      r.Report.precopy_bytes <- r.Report.precopy_bytes + bytes
-  | Fault kind ->
-      if counting_remote_execution r then begin
-        match kind with
-        | Fault_zero ->
-            r.Report.dest_faults_zero <- r.Report.dest_faults_zero + 1
-        | Fault_disk ->
-            r.Report.dest_faults_disk <- r.Report.dest_faults_disk + 1
-        | Fault_imaginary ->
-            r.Report.dest_faults_imag <- r.Report.dest_faults_imag + 1
-      end
-  | Prefetch kind ->
-      if counting_remote_execution r then begin
-        match kind with
-        | Prefetch_issued ->
-            r.Report.prefetch_extra <- r.Report.prefetch_extra + 1
-        | Prefetch_hit -> r.Report.prefetch_hits <- r.Report.prefetch_hits + 1
-      end
-  | Dedup_digests { pages; hits } ->
-      r.Report.dedup_pages_checked <- r.Report.dedup_pages_checked + pages;
-      r.Report.dedup_hits <- r.Report.dedup_hits + hits
-  | Dedup_elided { bytes } ->
-      r.Report.dedup_bytes_elided <- r.Report.dedup_bytes_elided + bytes
-  | Checkpointed { pages; new_bytes = _ } ->
-      r.Report.checkpointed_at <- at;
-      r.Report.checkpoint_pages <- pages
-  | Restored { pages = _ } -> r.Report.checkpoint_restored_at <- at
-  | Transport_give_up ->
-      r.Report.transport_give_ups <- r.Report.transport_give_ups + 1;
-      if r.Report.outcome = Report.Completed then
-        r.Report.outcome <-
-          (if r.Report.restarted_at = None then Report.Aborted
-           else Report.Degraded)
-  | Engine_abort _ ->
-      if r.Report.outcome = Report.Completed then
-        r.Report.outcome <-
-          (if r.Report.restarted_at = None then Report.Aborted
-           else Report.Degraded)
-  | Outcome { outcome = _; remote_touched_pages } ->
-      r.Report.completed_at <- at;
-      r.Report.remote_touched_pages <- remote_touched_pages;
-      r.Report.remote_real_bytes_fetched <-
-        r.Report.remote_real_bytes_fetched
-        + Accent_mem.Page.size
-          * (r.Report.dest_faults_imag + r.Report.prefetch_extra)
-  (* balancer decisions are trace-only: they explain why a migration
-     started but stamp nothing on its report *)
-  | Auto_threshold _ | Auto_candidate _ -> ()
 
 (* --- the bus ------------------------------------------------------------ *)
 
@@ -133,7 +62,7 @@ type subs = {
 type bus = {
   all : subs;
   cleanup : subs;  (* sees only Transport_give_up / Engine_abort *)
-  routes : (int, Report.t) Hashtbl.t;
+  routes : (int, t -> unit) Hashtbl.t;  (* each migration's fold step *)
 }
 
 let create_bus () =
@@ -163,13 +92,13 @@ let subs_notify s ev =
 let subscribe bus f = subs_add bus.all f
 let subscribe_cleanup bus f = subs_add bus.cleanup f
 
-let register bus ~proc_id report = Hashtbl.replace bus.routes proc_id report
+let register bus ~proc_id step = Hashtbl.replace bus.routes proc_id step
 let tracked bus ~proc_id = Hashtbl.mem bus.routes proc_id
 
 let publish bus ev =
   (match Hashtbl.find bus.routes ev.proc_id with
-  | report ->
-      apply report ev;
+  | step ->
+      step ev;
       (* The Outcome is terminal, so drop the route: the table then
          scales with in-flight migrations, not with every migration a
          churn run ever completed.  An aborted migration's route stays —
@@ -183,23 +112,6 @@ let publish bus ev =
   | Transport_give_up | Engine_abort _ -> subs_notify bus.cleanup ev
   | _ -> ());
   subs_notify bus.all ev
-
-let fold_report ~proc_id events =
-  let mine = List.filter (fun ev -> ev.proc_id = proc_id) events in
-  let requested =
-    List.find_map
-      (fun ev ->
-        match ev.kind with
-        | Requested { proc_name; strategy } -> Some (proc_name, strategy)
-        | _ -> None)
-      mine
-  in
-  Option.map
-    (fun (proc_name, strategy) ->
-      let report = Report.create ~proc_name ~strategy in
-      List.iter (apply report) mine;
-      report)
-    requested
 
 (* --- trace output ------------------------------------------------------- *)
 
@@ -275,7 +187,7 @@ let to_json ev =
     | Restored { pages } -> Printf.sprintf {|,"pages":%d|} pages
     | Outcome { outcome; remote_touched_pages } ->
         Printf.sprintf {|,"outcome":"%s","remote_touched_pages":%d|}
-          (Report.outcome_name outcome)
+          (outcome_name outcome)
           remote_touched_pages
     | Auto_threshold { src; spread } ->
         Printf.sprintf {|,"src":%d,"spread":%.3f|} src spread
@@ -317,7 +229,7 @@ let pp ppf ev =
     | Restored { pages } -> Printf.sprintf " %d pages verified" pages
     | Outcome { outcome; remote_touched_pages } ->
         Printf.sprintf " %s (%d pages touched)"
-          (Report.outcome_name outcome)
+          (outcome_name outcome)
           remote_touched_pages
     | Auto_threshold { src; spread } ->
         Printf.sprintf " host %d overloaded (spread %.2f)" src spread

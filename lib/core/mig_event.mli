@@ -5,15 +5,27 @@
     the final outcome — is published as one typed event stamped with the
     virtual clock.  The transfer engine, the pager (via the
     MigrationManager's observer) and the reliable transport emit events
-    here instead of poking {!Report} fields; the live report is maintained
-    by folding each event into it as it is published, and
-    {!fold_report} replays a recorded stream into a fresh report, so the
-    two are equivalent by construction (a property the test suite checks).
+    here.  Each migration registers a fold step that the bus calls with
+    every event carrying the migration's process id, before any subscriber
+    sees it.  The bus knows nothing of what the step builds.
 
     Subscribers see every event on the bus, including events for processes
     no migration is tracking (e.g. faults taken by a process that never
     moved are {e not} published — only hosts' pagers observed by a
     MigrationManager feed the bus). *)
+
+type outcome =
+  | Completed  (** the relocated process ran to completion *)
+  | Degraded
+      (** the process restarted at the destination, but the reliable
+          transport abandoned at least one message along the way (or the
+          pager killed the process after an unanswerable fault) — the
+          migration survived the network, impaired *)
+  | Aborted
+      (** the execution context never reached the destination; the process
+          was never restarted there *)
+
+val outcome_name : outcome -> string
 
 type fault_kind = Fault_zero | Fault_disk | Fault_imaginary
 type prefetch_kind = Prefetch_issued | Prefetch_hit
@@ -57,9 +69,9 @@ type kind =
   | Engine_abort of { reason : string }
       (** a transfer engine hit an unrecoverable inconsistency (e.g. a
           page that should have been staged never arrived) and abandoned
-          the migration instead of crashing; the fold marks the report
+          the migration instead of crashing; the fold marks the migration
           [Aborted] (never restarted) or [Degraded] *)
-  | Outcome of { outcome : Report.outcome; remote_touched_pages : int }
+  | Outcome of { outcome : outcome; remote_touched_pages : int }
       (** the relocated process finished its remote execution *)
   | Auto_threshold of { src : int; spread : float }
       (** the {!Auto_migrator} saw the load spread between the most and
@@ -93,31 +105,19 @@ val subscribe_cleanup : bus -> (t -> unit) -> unit
     thousand-host world sharing one bus, full-stream delivery would put
     every one of their closures in front of every page-fault event. *)
 
-val register : bus -> proc_id:int -> Report.t -> unit
-(** Route events for [proc_id] into [report]: each published event with
-    that id is folded into the report via {!apply}.  A later registration
-    for the same process replaces the earlier one (re-migration). *)
+val register : bus -> proc_id:int -> (t -> unit) -> unit
+(** Route events for [proc_id] to a fold step: each published event with
+    that id is passed to it before any subscriber sees the event.  The
+    route is dropped after the [Outcome] event.  A later registration for
+    the same process replaces the earlier one (re-migration). *)
 
 val tracked : bus -> proc_id:int -> bool
-(** Whether a report route is registered for [proc_id]: a migration of
+(** Whether a route is registered for [proc_id]: a migration of
     it was requested and has not yet published its [Outcome]. *)
 
 val publish : bus -> t -> unit
-(** Fold the event into the registered report (if any), then notify
-    subscribers. *)
-
-(** {2 Report reconstruction} *)
-
-val apply : Report.t -> t -> unit
-(** The fold step: stamp/accumulate one event into a report.  Destination
-    fault and prefetch events only count between [Restarted] and
-    [Outcome], mirroring the destination-execution accounting window. *)
-
-val fold_report : proc_id:int -> t list -> Report.t option
-(** Rebuild a report purely from an in-order event stream: find the
-    [Requested] event for [proc_id], create a fresh report from it, and
-    apply every subsequent event with that id.  [None] when the stream
-    holds no such request. *)
+(** Pass the event to its process's fold step (if one is registered),
+    then notify subscribers. *)
 
 (** {2 Trace output} *)
 

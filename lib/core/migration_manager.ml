@@ -61,7 +61,7 @@ let create ~bus host =
 
 let migrate t ~proc ~dest ~strategy ?on_complete ?on_restart () =
   let report = Report.create ~proc_name:proc.Proc.name ~strategy in
-  Mig_event.register t.ctx.bus ~proc_id:proc.Proc.id report;
+  Mig_event.register t.ctx.bus ~proc_id:proc.Proc.id (Report.apply report);
   emit t.ctx ~proc_id:proc.Proc.id
     (Mig_event.Requested { proc_name = proc.Proc.name; strategy });
   Transfer_engine.start t.engine ~proc ~dest

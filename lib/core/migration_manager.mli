@@ -9,9 +9,10 @@
     insert/restart lifecycle.
 
     Every phase of every migration is published as a {!Mig_event.t} on the
-    manager's bus; the per-migration {!Report.t} is maintained as a fold
-    over that stream ({!Mig_event.apply}), so subscribers observe exactly
-    the information the report is built from. *)
+    manager's bus; {!migrate} registers {!Report.apply} on the new
+    report as the migration's route, so the report is a fold over that
+    stream and subscribers observe exactly the information it is built
+    from. *)
 
 type t
 
@@ -44,7 +45,9 @@ val migrate :
   unit ->
   Report.t
 (** Start a migration of [proc] to the manager listening on [dest].  The
-    returned report is stamped as phases complete; [on_restart] fires at
+    returned report is the live fold of the migration's events, stamped
+    as phases complete; its traffic totals stay zero until
+    {!Report.settle} snapshots them into a copy.  [on_restart] fires at
     the destination just before the reincarnated process resumes (e.g. to
     attach an {!Adaptive_prefetch} controller); [on_complete] fires when
     the relocated process finishes its remote execution. *)

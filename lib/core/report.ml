@@ -1,9 +1,6 @@
-type outcome = Completed | Degraded | Aborted
+type outcome = Mig_event.outcome = Completed | Degraded | Aborted
 
-let outcome_name = function
-  | Completed -> "completed"
-  | Degraded -> "degraded"
-  | Aborted -> "aborted"
+let outcome_name = Mig_event.outcome_name
 
 type t = {
   proc_name : string;
@@ -30,18 +27,18 @@ type t = {
   mutable prefetch_hits : int;
   mutable remote_touched_pages : int;
   mutable remote_real_bytes_fetched : int;
-  mutable bytes_control : int;
-  mutable bytes_bulk : int;
-  mutable bytes_fault : int;
-  mutable bytes_retransmit : int;
-  mutable bytes_ack : int;
-  mutable retransmits : int;
-  mutable transport_give_ups : int;
+  bytes_control : int;
+  bytes_bulk : int;
+  bytes_fault : int;
+  bytes_retransmit : int;
+  bytes_ack : int;
+  retransmits : int;
+  transport_give_ups : int;
   mutable dedup_pages_checked : int;
   mutable dedup_hits : int;
   mutable dedup_bytes_elided : int;
-  mutable network_messages : int;
-  mutable message_seconds : float;
+  network_messages : int;
+  message_seconds : float;
   mutable outcome : outcome;
 }
 
@@ -85,6 +82,118 @@ let create ~proc_name ~strategy =
     message_seconds = 0.;
     outcome = Completed;
   }
+
+(* The one outcome rule: an abandoned message impairs a migration that
+   has not already been marked — Aborted if the process never restarted
+   at the destination, Degraded if it did. *)
+let impair r =
+  if r.outcome = Completed then
+    r.outcome <- (if r.restarted_at = None then Aborted else Degraded)
+
+(* Destination faults and prefetch traffic only belong to the migration
+   while the relocated process is executing there: pre-copy keeps the
+   process running (and faulting) at the source between Requested and
+   Frozen, and those must not count. *)
+let counting_remote_execution r =
+  r.restarted_at <> None && r.completed_at = None
+
+let apply r (ev : Mig_event.t) =
+  let at = Some ev.at in
+  match ev.kind with
+  | Requested _ -> r.requested_at <- at
+  | Excised timings ->
+      r.excised_at <- at;
+      r.excise <- Some timings
+  | Core_delivered -> r.core_delivered_at <- at
+  | Rimas_delivered { data_bytes } ->
+      r.rimas_delivered_at <- at;
+      r.remote_real_bytes_fetched <- data_bytes
+  | Inserted { insert_ms } ->
+      r.inserted_at <- at;
+      r.insert_ms <- Some insert_ms
+  | Restarted -> r.restarted_at <- at
+  | Frozen { residual_bytes } ->
+      r.frozen_at <- at;
+      r.precopy_bytes <- r.precopy_bytes + residual_bytes
+  | Precopy_round { round; bytes } ->
+      r.precopy_rounds <- round;
+      r.precopy_bytes <- r.precopy_bytes + bytes
+  | Fault kind ->
+      if counting_remote_execution r then begin
+        match kind with
+        | Fault_zero -> r.dest_faults_zero <- r.dest_faults_zero + 1
+        | Fault_disk -> r.dest_faults_disk <- r.dest_faults_disk + 1
+        | Fault_imaginary -> r.dest_faults_imag <- r.dest_faults_imag + 1
+      end
+  | Prefetch kind ->
+      if counting_remote_execution r then begin
+        match kind with
+        | Prefetch_issued -> r.prefetch_extra <- r.prefetch_extra + 1
+        | Prefetch_hit -> r.prefetch_hits <- r.prefetch_hits + 1
+      end
+  | Dedup_digests { pages; hits } ->
+      r.dedup_pages_checked <- r.dedup_pages_checked + pages;
+      r.dedup_hits <- r.dedup_hits + hits
+  | Dedup_elided { bytes } ->
+      r.dedup_bytes_elided <- r.dedup_bytes_elided + bytes
+  | Checkpointed { pages; new_bytes = _ } ->
+      r.checkpointed_at <- at;
+      r.checkpoint_pages <- pages
+  | Restored { pages = _ } -> r.checkpoint_restored_at <- at
+  | Transport_give_up | Engine_abort _ -> impair r
+  | Outcome { outcome = _; remote_touched_pages } ->
+      r.completed_at <- at;
+      r.remote_touched_pages <- remote_touched_pages;
+      r.remote_real_bytes_fetched <-
+        r.remote_real_bytes_fetched
+        + (Accent_mem.Page.size * (r.dest_faults_imag + r.prefetch_extra))
+  (* balancer decisions are trace-only: they explain why a migration
+     started but stamp nothing on its report *)
+  | Auto_threshold _ | Auto_candidate _ -> ()
+
+let replay ~proc_id events =
+  let mine =
+    List.filter (fun (ev : Mig_event.t) -> ev.proc_id = proc_id) events
+  in
+  List.find_map
+    (fun (ev : Mig_event.t) ->
+      match ev.kind with
+      | Requested { proc_name; strategy } -> Some (create ~proc_name ~strategy)
+      | _ -> None)
+    mine
+  |> Option.map (fun r ->
+         List.iter (apply r) mine;
+         r)
+
+let settle r ~monitor ~hosts =
+  let open Accent_net in
+  let sum f =
+    Array.fold_left (fun acc h -> acc + f (Accent_kernel.Host.nms h)) 0 hosts
+  in
+  let bytes c = Transfer_monitor.bytes_of monitor c in
+  let r =
+    {
+      r with
+      bytes_control = bytes Accent_ipc.Message.Control;
+      bytes_bulk = bytes Accent_ipc.Message.Bulk;
+      bytes_fault = bytes Accent_ipc.Message.Fault;
+      bytes_retransmit = bytes Accent_ipc.Message.Retransmit;
+      bytes_ack = bytes Accent_ipc.Message.Ack;
+      retransmits =
+        sum (fun nms ->
+            match Netmsgserver.reliability nms with
+            | None -> 0
+            | Some rel -> Reliable.retransmissions rel);
+      transport_give_ups = sum Netmsgserver.transport_give_ups;
+      network_messages = Transfer_monitor.messages_total monitor;
+      message_seconds =
+        Array.fold_left
+          (fun acc h -> acc +. Accent_kernel.Host.message_seconds h)
+          0. hosts;
+    }
+  in
+  if r.transport_give_ups > 0 then impair r;
+  r
 
 let span later earlier =
   match (later, earlier) with

@@ -1,25 +1,18 @@
 (** Everything measured about one migration trial.
 
-    The MigrationManagers stamp phase boundaries as the trial progresses;
-    the experiment layer adds traffic totals read from the transfer monitor
-    when the relocated process completes.  Accessors derive the quantities
-    the paper reports: phase durations, end-to-end time, byte and
-    message-cost totals, prefetch hit ratios. *)
+    This module is the record's only writer.  Phase boundaries, fault and
+    prefetch counts, dedup and checkpoint figures are a fold of the
+    migration's {!Mig_event} stream ({!apply}, {!replay}); the traffic
+    totals are one snapshot of the transfer monitor and the hosts'
+    NetMsgServers ({!settle}).  Accessors derive the quantities the paper
+    reports: phase durations, end-to-end time, byte and message-cost
+    totals, prefetch hit ratios. *)
 
-type outcome =
-  | Completed  (** the relocated process ran to completion *)
-  | Degraded
-      (** the process restarted at the destination, but the reliable
-          transport abandoned at least one message along the way (or the
-          pager killed the process after an unanswerable fault) — the
-          migration survived the network, impaired *)
-  | Aborted
-      (** the execution context never reached the destination; the process
-          was never restarted there *)
+type outcome = Mig_event.outcome = Completed | Degraded | Aborted
 
 val outcome_name : outcome -> string
 
-type t = {
+type t = private {
   proc_name : string;
   strategy : Strategy.t;
   mutable requested_at : Accent_sim.Time.t option;
@@ -54,15 +47,15 @@ type t = {
   mutable remote_real_bytes_fetched : int;
       (** bytes of RealMem content physically moved to the new site,
           whether at migration time or by faulting *)
-  (* traffic totals over the whole trial (filled by the experiment layer) *)
-  mutable bytes_control : int;
-  mutable bytes_bulk : int;
-  mutable bytes_fault : int;
-  mutable bytes_retransmit : int;
+  (* traffic totals over the whole trial (filled by {!settle}) *)
+  bytes_control : int;
+  bytes_bulk : int;
+  bytes_fault : int;
+  bytes_retransmit : int;
       (** wire bytes burned resending fragments the network ate *)
-  mutable bytes_ack : int;  (** wire bytes of acknowledgement packets *)
-  mutable retransmits : int;  (** fragment retransmissions, both hosts *)
-  mutable transport_give_ups : int;
+  bytes_ack : int;  (** wire bytes of acknowledgement packets *)
+  retransmits : int;  (** fragment retransmissions, both hosts *)
+  transport_give_ups : int;
       (** messages the reliable transport abandoned, both hosts *)
   mutable dedup_pages_checked : int;
       (** page digests advertised to and checked by the destination *)
@@ -70,13 +63,41 @@ type t = {
       (** of those, pages the destination's content store already held *)
   mutable dedup_bytes_elided : int;
       (** page-data bytes never sent because their digests hit *)
-  mutable network_messages : int;
-  mutable message_seconds : float;
+  network_messages : int;
+  message_seconds : float;
       (** node time spent manipulating messages, summed over both hosts *)
   mutable outcome : outcome;
 }
 
 val create : proc_name:string -> strategy:Strategy.t -> t
+
+(** {2 Building a report} *)
+
+val apply : t -> Mig_event.t -> unit
+(** The fold step: stamp or accumulate one event.  Destination fault and
+    prefetch events count only between [Restarted] and [Outcome], the
+    destination-execution window.  A [Transport_give_up] or
+    [Engine_abort] impairs the outcome: [Aborted] if the process never
+    restarted at the destination, [Degraded] if it did (an outcome
+    already impaired stays as it is).  A migration registers this step on
+    the bus as its route. *)
+
+val replay : proc_id:int -> Mig_event.t list -> t option
+(** Rebuild a report from an in-order event stream: create it from the
+    [Requested] event for [proc_id], then {!apply} every event with that
+    id.  [None] when the stream holds no such request. *)
+
+val settle :
+  t ->
+  monitor:Accent_net.Transfer_monitor.t ->
+  hosts:Accent_kernel.Host.t array ->
+  t
+(** A copy of the report holding one snapshot of the traffic totals: the
+    monitor's bytes per class and message count, retransmissions, give-ups
+    and message-handling time summed over [hosts].  Give-ups impair the
+    copy's outcome by the same rule as {!apply}, which catches abandoned
+    messages no migration event carried (a stray ack, a retried round).
+    The argument is left as it was. *)
 
 (** {2 Derived durations (seconds)} *)
 

@@ -37,8 +37,9 @@
     An arrival for a process no migration is tracking
     ({!Mig_event.tracked}) is dropped with a warning instead of parking.
 
-    The engine never stamps {!Report} fields directly: it publishes
-    {!Mig_event} events on the world bus, and the bus folds them into the
+    The engine only reads the {!Report} it hands along (the record is
+    private to its module): it publishes {!Mig_event} events on the world
+    bus, and the migration's route, {!Report.apply}, folds them into the
     live report. *)
 
 type handoff = {

@@ -67,45 +67,15 @@ let migrate_and_run ?(after_ms = 0.) t ~proc ~src ~dst ~strategy =
   if after_ms <= 0. then request ()
   else ignore (Engine.schedule t.engine ~delay:(Time.ms after_ms) request);
   ignore (run t);
-  let report = !report in
-  let give_ups =
-    Array.fold_left
-      (fun acc h -> acc + Netmsgserver.transport_give_ups (Host.nms h))
-      0 t.hosts
-  in
-  (match report.Report.completed_at with
-  | Some _ ->
-      (* the process finished despite the transport abandoning traffic
-         along the way (a lost-then-retried round, a stray ack) *)
-      if give_ups > 0 && report.Report.outcome = Report.Completed then
-        report.Report.outcome <- Report.Degraded
-  | None ->
-      if give_ups > 0 || report.Report.outcome <> Report.Completed then begin
-        if report.Report.outcome = Report.Completed then
-          report.Report.outcome <-
-            (if report.Report.restarted_at = None then Report.Aborted
-             else Report.Degraded)
-      end
-      else
-        (* no network give-up explains this: a genuine bug, not a
-           simulated failure *)
-        failwith
-          (Printf.sprintf "World.migrate_and_run: %s never completed"
-             proc.Proc.name));
-  let bytes c = Transfer_monitor.bytes_of t.monitor c in
-  report.Report.bytes_control <- bytes Accent_ipc.Message.Control;
-  report.Report.bytes_bulk <- bytes Accent_ipc.Message.Bulk;
-  report.Report.bytes_fault <- bytes Accent_ipc.Message.Fault;
-  report.Report.bytes_retransmit <- bytes Accent_ipc.Message.Retransmit;
-  report.Report.bytes_ack <- bytes Accent_ipc.Message.Ack;
-  report.Report.retransmits <-
-    Array.fold_left
-      (fun acc h ->
-        match Netmsgserver.reliability (Host.nms h) with
-        | None -> acc
-        | Some rel -> acc + Reliable.retransmissions rel)
-      0 t.hosts;
-  report.Report.transport_give_ups <- give_ups;
-  report.Report.network_messages <- Transfer_monitor.messages_total t.monitor;
-  report.Report.message_seconds <- message_seconds t;
+  let report = Report.settle !report ~monitor:t.monitor ~hosts:t.hosts in
+  (* settled, an unfinished migration is impaired exactly when the
+     transport gave up; with no such network explanation it is a genuine
+     bug, not a simulated failure *)
+  if
+    report.Report.completed_at = None
+    && report.Report.outcome = Report.Completed
+  then
+    failwith
+      (Printf.sprintf "World.migrate_and_run: %s never completed"
+         proc.Proc.name);
   report

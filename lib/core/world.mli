@@ -58,14 +58,14 @@ val migrate_and_run :
   Report.t
 (** Convenience for the common experiment: reset traffic accounting,
     migrate [proc] from host [src] to host [dst], run the world to
-    quiescence (the process executes remotely to completion), then fill the
-    report's traffic totals.  [after_ms] delays the migration request, for
+    quiescence (the process executes remotely to completion), then return
+    the report settled against this world's monitor and hosts
+    ({!Report.settle}).  [after_ms] delays the migration request, for
     live-migration experiments where the process executes at the source
     first.
 
-    If the process never completes because the reliable transport gave up
-    (partitioned network, retry cap exhausted), the report comes back with
-    outcome [Degraded] (restarted at the destination but impaired) or
-    [Aborted] (context never delivered) instead of raising.  Raises
-    [Failure] only when non-completion has no such network explanation —
-    that is a bug, not a simulated failure. *)
+    If the transport gave up on any message, the settled outcome is
+    [Degraded] (restarted at the destination, even if it then finished)
+    or [Aborted] (context never delivered) instead of raising.  Raises
+    [Failure] only when the process never completed and no give-up
+    explains it — that is a bug, not a simulated failure. *)

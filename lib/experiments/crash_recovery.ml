@@ -88,16 +88,20 @@ let crash_trial ~seed ~spec ~strategy ~kill_frac ~kill_ms ~clean_downtime_s =
       ~capacity_pages:((Accent_workloads.Spec.real_pages spec * 2) + 256)
       ()
   in
-  let ck_at = World.now world in
+  (* The save publishes its Checkpointed event before [migrate] registers
+     the report's route: keep it, to fold in once the report exists. *)
+  let checkpointed = ref None in
+  World.on_migration_event world (fun ev ->
+      match ev.Mig_event.kind with
+      | Mig_event.Checkpointed _ -> checkpointed := Some ev
+      | _ -> ());
   let ck =
-    Checkpoint.save ~bus:world.World.bus ~at:ck_at store
+    Checkpoint.save ~bus:world.World.bus ~at:(World.now world) store
       (Proc_image.capture h0 proc)
   in
   let completed_at = ref None in
   let recovering = ref false in
   let restore_restart_at = ref None in
-  (* Stamped below once [migrate] has created it. *)
-  let report = ref None in
   let trigger_restore () =
     if (not !recovering) && !completed_at = None then begin
       recovering := true;
@@ -167,11 +171,7 @@ let crash_trial ~seed ~spec ~strategy ~kill_frac ~kill_ms ~clean_downtime_s =
       ~dest:(Migration_manager.port (World.manager world 1))
       ~strategy ()
   in
-  report := Some r;
-  (* The save happened before [migrate] created the report, so the
-     Checkpointed event could not be folded in; stamp it directly. *)
-  r.Report.checkpointed_at <- Some ck_at;
-  r.Report.checkpoint_pages <- Checkpoint.pages ck;
+  Option.iter (Report.apply r) !checkpointed;
   ignore (World.run world);
   (* Some crash modes produce no give-up — e.g. the destination restarted
      before the kill and its incarnation was then killed by the pager's

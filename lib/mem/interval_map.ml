@@ -44,7 +44,6 @@ let create ?(equal = ( = )) () =
     n = 0;
   }
 
-let is_empty t = t.n = 0
 let cardinal t = t.n
 
 (* The first entry whose upper bound exceeds [x] (strictly, or at least
@@ -165,10 +164,6 @@ let find_index t x =
   let k = search_lo t x ~eq:false - 1 in
   if k >= 0 && hi_at t k > x then k else -1
 
-let find_interval t x =
-  let k = find_index t x in
-  if k < 0 then None else Some (lo_at t k, hi_at t k, value t k)
-
 let find t x =
   let k = find_index t x in
   if k < 0 then None else Some (value t k)
@@ -222,14 +217,6 @@ let total_length t = fold t ~init:0 ~f:(fun acc lo hi _ -> acc + hi - lo)
 
 let length_where t ~f =
   fold t ~init:0 ~f:(fun acc lo hi v -> if f v then acc + hi - lo else acc)
-
-let next_unassigned t x =
-  let x = ref x and k = ref (search_hi t x ~eq:false) in
-  while !k < t.n && lo_at t !k <= !x do
-    x := hi_at t !k;
-    incr k
-  done;
-  Some !x
 
 let check_invariants t =
   let cap = Array.length t.vals in

@@ -16,16 +16,16 @@
     The map is updated in place.  Its [n] intervals live in sorted
     parallel arrays: the bounds as unboxed ints, the values in a pool
     that never moves.  With [k] the number of intervals visited:
-    - {!find}, {!find_interval}: one binary search, O(log n);
-    - {!fold_range}, {!iter_range}, {!fold_pieces}, {!next_unassigned}:
-      one binary search, then a linear walk, O(log n + k);
+    - {!find}: one binary search, O(log n);
+    - {!fold_range}, {!iter_range}, {!fold_pieces}: one binary search,
+      then a linear walk, O(log n + k);
     - {!set}, {!clear}: one binary search and one splice that replaces
       the overlapped entries with at most three (left stub, new
       interval, right stub), then a memmove of the entries after them:
       O(log n) for an append, O(n) ints moved at worst.  The arrays
       double when full; a {!clear} that empties the map drops them.  No
       other allocation;
-    - {!cardinal}, {!is_empty}: O(1).
+    - {!cardinal}: O(1).
     A value is referenced only while some interval carries it.  Do not
     update a map from inside a fold over it. *)
 
@@ -34,8 +34,6 @@ type 'a t
 val create : ?equal:('a -> 'a -> bool) -> unit -> 'a t
 (** A fresh empty map.  [equal] (default [( = )]) decides when adjacent
     intervals coalesce. *)
-
-val is_empty : 'a t -> bool
 
 val set : 'a t -> lo:int -> hi:int -> 'a -> unit
 (** [set t ~lo ~hi v] assigns [v] on [lo, hi), overwriting any previous
@@ -47,9 +45,6 @@ val clear : 'a t -> lo:int -> hi:int -> unit
 
 val find : 'a t -> int -> 'a option
 (** Value at a point, if assigned. *)
-
-val find_interval : 'a t -> int -> (int * int * 'a) option
-(** [(lo, hi, v)] of the interval containing the point, if any. *)
 
 val ranges : 'a t -> (int * int * 'a) list
 (** All intervals in increasing order. *)
@@ -82,10 +77,6 @@ val total_length : 'a t -> int
 
 val length_where : 'a t -> f:('a -> bool) -> int
 (** Summed length of intervals whose value satisfies [f]. *)
-
-val next_unassigned : 'a t -> int -> int option
-(** [next_unassigned t x] is the smallest [y >= x] carrying no assignment,
-    or [None] if assignments cover everything from [x] to [max_int]. *)
 
 val check_invariants : 'a t -> bool
 (** For tests: intervals are well-formed, sorted, non-overlapping,

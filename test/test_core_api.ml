@@ -55,13 +55,17 @@ let test_report_spans () =
   let r =
     Report.create ~proc_name:"p" ~strategy:Strategy.pure_copy
   in
-  r.Report.requested_at <- Some 0.;
-  r.Report.excised_at <- Some 1000.;
-  r.Report.core_delivered_at <- Some 3000.;
-  r.Report.rimas_delivered_at <- Some 2000.;
-  r.Report.inserted_at <- Some 3500.;
-  r.Report.restarted_at <- Some 3600.;
-  r.Report.completed_at <- Some 8600.;
+  let stamp at kind = Report.apply r { Mig_event.at; proc_id = 1; kind } in
+  stamp 0.
+    (Mig_event.Requested { proc_name = "p"; strategy = Strategy.pure_copy });
+  stamp 1000.
+    (Mig_event.Excised { Excise.amap_ms = 0.; rimas_ms = 0.; overall_ms = 0. });
+  stamp 2000. (Mig_event.Rimas_delivered { data_bytes = 0 });
+  stamp 3000. Mig_event.Core_delivered;
+  stamp 3500. (Mig_event.Inserted { insert_ms = 0. });
+  stamp 3600. Mig_event.Restarted;
+  stamp 8600.
+    (Mig_event.Outcome { outcome = Report.Completed; remote_touched_pages = 0 });
   Alcotest.(check (float 1e-9)) "excise" 1. (Report.excise_seconds r);
   Alcotest.(check (float 1e-9)) "rimas from excise" 1.
     (Report.rimas_transfer_seconds r);
@@ -72,7 +76,7 @@ let test_report_spans () =
   Alcotest.(check (float 1e-9)) "end to end" 8.6 (Report.end_to_end_seconds r);
   Alcotest.(check (float 1e-9)) "downtime without freeze = from request" 3.6
     (Report.downtime_seconds r);
-  r.Report.frozen_at <- Some 3000.;
+  stamp 3000. (Mig_event.Frozen { residual_bytes = 0 });
   Alcotest.(check (float 1e-9)) "downtime with freeze" 0.6
     (Report.downtime_seconds r)
 

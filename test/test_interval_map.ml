@@ -15,7 +15,7 @@ let of_sets ?equal sets =
 
 let test_empty () =
   let m = Interval_map.create () in
-  Alcotest.(check bool) "empty" true (Interval_map.is_empty m);
+  Alcotest.(check bool) "empty" true (Interval_map.cardinal m = 0);
   Alcotest.(check (option string)) "find" None (Interval_map.find m 5);
   Alcotest.(check int) "length" 0 (Interval_map.total_length m)
 
@@ -70,7 +70,7 @@ let test_carve_overhang_right_only () =
 let test_carve_exact_match () =
   let m = of_sets [ (10, 20, "a") ] in
   Interval_map.clear m ~lo:10 ~hi:20;
-  Alcotest.(check bool) "fully removed" true (Interval_map.is_empty m)
+  Alcotest.(check bool) "fully removed" true (Interval_map.cardinal m = 0)
 
 let test_carve_boundary_abutting_untouched () =
   (* neighbours that merely abut the cleared range must not be split *)
@@ -105,7 +105,7 @@ let test_carve_in_gap_noop () =
 
 let test_empty_range_noop () =
   let m = of_sets [ (5, 5, "a") ] in
-  Alcotest.(check bool) "still empty" true (Interval_map.is_empty m)
+  Alcotest.(check bool) "still empty" true (Interval_map.cardinal m = 0)
 
 let test_fold_range_clips () =
   let m = of_sets [ (0, 100, "a") ] in
@@ -125,26 +125,10 @@ let test_fold_range_spans_gaps () =
     [ (20, 25, "b"); (5, 10, "a") ]
     pieces
 
-let test_find_interval () =
-  let m = of_sets [ (10, 20, "a") ] in
-  Alcotest.(check (option (triple int int string)))
-    "finds container" (Some (10, 20, "a"))
-    (Interval_map.find_interval m 12);
-  Alcotest.(check (option (triple int int string)))
-    "none outside" None
-    (Interval_map.find_interval m 25)
-
 let test_length_where () =
   let m = of_sets [ (0, 10, "a"); (20, 25, "b") ] in
   Alcotest.(check int) "selective length" 5
     (Interval_map.length_where m ~f:(fun v -> v = "b"))
-
-let test_next_unassigned () =
-  let m = of_sets [ (0, 10, "a"); (10, 20, "b") ] in
-  Alcotest.(check (option int)) "skips assigned" (Some 20)
-    (Interval_map.next_unassigned m 5);
-  Alcotest.(check (option int)) "already free" (Some 42)
-    (Interval_map.next_unassigned m 42)
 
 let test_custom_equal () =
   (* equality mod 10: 1 and 11 coalesce *)
@@ -209,7 +193,7 @@ let test_splice_merges_both_neighbours () =
 let test_splice_clear_empties () =
   let m = of_sets [ (0, 10, "a"); (10, 20, "b"); (30, 40, "c") ] in
   Interval_map.clear m ~lo:(-5) ~hi:45;
-  Alcotest.(check bool) "empty" true (Interval_map.is_empty m);
+  Alcotest.(check bool) "empty" true (Interval_map.cardinal m = 0);
   Alcotest.(check int) "no entries" 0 (Interval_map.cardinal m);
   Alcotest.(check bool) "invariants" true (Interval_map.check_invariants m);
   (* the emptied map takes new assignments *)
@@ -349,16 +333,7 @@ let agrees_with_model model m ~lo ~hi =
   let runs = model_runs model in
   let ok = ref true in
   for i = 0 to domain do
-    if Interval_map.find m i <> model_at model i then ok := false;
-    let expected_interval =
-      List.find_opt (fun (a, b, _) -> a <= i && i < b) runs
-    in
-    if Interval_map.find_interval m i <> expected_interval then ok := false;
-    let free = ref i in
-    while model_at model !free <> None do
-      incr free
-    done;
-    if Interval_map.next_unassigned m i <> Some !free then ok := false
+    if Interval_map.find m i <> model_at model i then ok := false
   done;
   !ok
   && Interval_map.cardinal m = List.length runs
@@ -444,9 +419,7 @@ let suite =
       Alcotest.test_case "fold_range clips" `Quick test_fold_range_clips;
       Alcotest.test_case "fold_range spans gaps" `Quick
         test_fold_range_spans_gaps;
-      Alcotest.test_case "find_interval" `Quick test_find_interval;
       Alcotest.test_case "length_where" `Quick test_length_where;
-      Alcotest.test_case "next_unassigned" `Quick test_next_unassigned;
       Alcotest.test_case "custom equal" `Quick test_custom_equal;
       Alcotest.test_case "splice growth past capacity" `Quick
         test_splice_growth;

@@ -169,7 +169,9 @@ let test_giveup_clears_staged () =
       let host0 = World.host world 0 in
       let manager1 = World.manager world 1 in
       let report = Report.create ~proc_name:"crafted" ~strategy in
-      Mig_event.register (Migration_manager.bus manager1) ~proc_id:777 report;
+      Mig_event.register
+        (Migration_manager.bus manager1)
+        ~proc_id:777 (Report.apply report);
       Accent_ipc.Kernel_ipc.send (Host.kernel host0)
         (Accent_ipc.Message.make ~ids:(Host.ids host0)
            ~dest:(Migration_manager.port manager1)
@@ -224,7 +226,7 @@ let test_missing_staged_pages_abort_not_crash () =
       let bus = Migration_manager.bus (World.manager world 0) in
       let proc = Accent_workloads.Spec.build host0 Test_helpers.small_spec in
       let report = Report.create ~proc_name:"crafted" ~strategy in
-      Mig_event.register bus ~proc_id:proc.Proc.id report;
+      Mig_event.register bus ~proc_id:proc.Proc.id (Report.apply report);
       Excise.excise host0 proc ~k:(fun excised ->
           Accent_ipc.Kernel_ipc.send (Host.kernel host0)
             (Accent_ipc.Message.make ~ids:(Host.ids host0)
