@@ -273,7 +273,7 @@ let run ?(seed = 42L) ?(seeds = 3) ?(spec = Accent_workloads.Representative.pm_s
 
 let to_csv t =
   let header =
-    Csv_export.csv_line
+    Result_table.csv_line
       [
         "strategy";
         "seed";
@@ -290,7 +290,7 @@ let to_csv t =
   let rows =
     List.map
       (fun (tr : trial) ->
-        Csv_export.csv_line
+        Result_table.csv_line
           [
             Strategy.name tr.strategy;
             Int64.to_string tr.seed;

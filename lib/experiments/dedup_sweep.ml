@@ -81,7 +81,7 @@ let run ?(seed = 42L) ?(spec = Accent_workloads.Representative.pm_start)
 
 let to_csv t =
   let header =
-    Csv_export.csv_line
+    Result_table.csv_line
       [
         "strategy";
         "overlap";
@@ -98,7 +98,7 @@ let to_csv t =
   let rows =
     List.map
       (fun c ->
-        Csv_export.csv_line
+        Result_table.csv_line
           [
             Strategy.name c.strategy;
             Printf.sprintf "%g" c.overlap;

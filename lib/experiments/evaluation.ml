@@ -1,56 +1,63 @@
 let headline_summary sweep =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let t45 = Table_4_5.rows sweep in
+  (* a representative's line, skipped when the sweep does not hold it or
+     the prefetch values it reads *)
+  let for_rep name f = try f (Sweep.find sweep name) with Not_found -> () in
   line "Headline claims (paper value in parentheses):";
-  line "  max copy/IOU transfer-time ratio: %.0fx (up to ~1000x)"
-    (Table_4_5.max_copy_over_iou t45);
+  line "  max copy/IOU transfer-time ratio: %.0fx (up to ~%.0fx)"
+    (Paper_tables.max_copy_over_iou sweep)
+    Paper.max_copy_over_iou;
   line "  mean IOU byte savings over copy: %.1f%% (%.1f%%)"
-    (Figure_4_3.mean_iou_savings_pct sweep)
+    (Paper_tables.mean_byte_savings_pct sweep)
     Paper.byte_savings_pct;
   line "  mean IOU message-cost savings:   %.1f%% (%.1f%%)"
-    (Figure_4_4.mean_iou_savings_pct sweep)
+    (Paper_tables.mean_message_savings_pct sweep)
     Paper.message_cost_savings_pct;
-  (try
-     let minprog = Sweep.find sweep "Minprog" in
-     line "  Minprog IOU execution penalty:   %.0fx slower (%.0fx)"
-       (Figure_4_1.iou_penalty minprog)
-       Paper.minprog_iou_slowdown
-   with Not_found -> ());
-  (try
-     let chess = Sweep.find sweep "Chess" in
-     line "  Chess IOU execution penalty:     +%.1f%% (~%.0f%%)"
-       ((Figure_4_1.iou_penalty chess -. 1.) *. 100.)
-       Paper.chess_iou_penalty_pct
-   with Not_found -> ());
-  (try
-     let pm = Sweep.find sweep "PM-Start" in
-     let ratios =
-       List.filter_map
-         (fun (p, _) ->
-           if p = 0 then None else Figure_4_1.hit_ratio pm ~prefetch:p)
-         pm.Sweep.iou
-     in
-     if ratios <> [] then
-       line "  Pasmac prefetch hit ratio:       %.0f%%..%.0f%% (~%.0f%% flat)"
-         (100. *. List.fold_left Float.min 1. ratios)
-         (100. *. List.fold_left Float.max 0. ratios)
-         (100. *. Paper.pasmac_hit_ratio)
-   with Not_found -> ());
-  (try
-     let lisp = Sweep.find sweep "Lisp-Del" in
-     let at p = Figure_4_1.hit_ratio lisp ~prefetch:p in
-     match (at 1, at 15) with
-     | Some low_pf, Some high_pf ->
-         line "  Lisp prefetch hit ratio pf1->pf15: %.0f%% -> %.0f%% (40%% -> 20%%)"
-           (100. *. low_pf) (100. *. high_pf)
-     | _ -> ()
-   with Not_found -> ());
+  for_rep "Minprog" (fun minprog ->
+      line "  Minprog IOU execution penalty:   %.0fx slower (%.0fx)"
+        (Paper_tables.iou_penalty minprog)
+        Paper.minprog_iou_slowdown);
+  for_rep "Chess" (fun chess ->
+      line "  Chess IOU execution penalty:     +%.1f%% (~%.0f%%)"
+        ((Paper_tables.iou_penalty chess -. 1.) *. 100.)
+        Paper.chess_iou_penalty_pct);
+  for_rep "PM-Start" (fun pm ->
+      let ratios =
+        List.filter_map
+          (fun (p, _) ->
+            if p = 0 then None else Paper_tables.hit_ratio pm ~prefetch:p)
+          pm.Sweep.iou
+      in
+      if ratios <> [] then
+        line "  Pasmac prefetch hit ratio:       %.0f%%..%.0f%% (~%.0f%% flat)"
+          (100. *. List.fold_left Float.min 1. ratios)
+          (100. *. List.fold_left Float.max 0. ratios)
+          (100. *. Paper.pasmac_hit_ratio));
+  for_rep "Lisp-Del" (fun lisp ->
+      let at p = Paper_tables.hit_ratio lisp ~prefetch:p in
+      match (at 1, at 15) with
+      | Some low_pf, Some high_pf ->
+          let paper_low, paper_high = Paper.lisp_hit_ratio_range in
+          line
+            "  Lisp prefetch hit ratio pf1->pf15: %.0f%% -> %.0f%% (%.0f%% -> \
+             %.0f%%)"
+            (100. *. low_pf) (100. *. high_pf) (100. *. paper_low)
+            (100. *. paper_high)
+      | _ -> ());
   line "  prefetch=1 never hurts end-to-end: %b (paper: always helps)"
-    (Figure_4_2.pf1_always_helps sweep);
+    (Paper_tables.pf1_always_helps sweep);
   line "  prefetch=1 reduces message costs:  %b (paper: slight drop)"
-    (Figure_4_4.pf1_reduces_cost sweep);
+    (Paper_tables.pf1_reduces_cost sweep);
   Buffer.contents buf
+
+let write_csvs ~dir files =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  List.iter
+    (fun (name, contents) ->
+      Out_channel.with_open_text (Filename.concat dir (name ^ ".csv"))
+        (fun oc -> output_string oc contents))
+    files
 
 let run_all ?seed ?on_event ?(progress = true) ?(out = Format.std_formatter)
     ?csv_dir () =
@@ -62,28 +69,29 @@ let run_all ?seed ?on_event ?(progress = true) ?(out = Format.std_formatter)
   in
   let out_newline () = out_string "\n" in
   let outf fmt = Printf.ksprintf out_string fmt in
-  out_string (Table_4_1.render (Table_4_1.rows ?seed ()));
-  out_newline ();
-  out_string (Table_4_2.render (Table_4_2.rows ?seed ()));
-  out_newline ();
+  let show text = out_string (text ^ "\n") in
+  let t41 = Paper_tables.table_4_1 ?seed () in
+  show (Result_table.text t41);
+  let t42 = Paper_tables.table_4_2 ?seed () in
+  show (Result_table.text t42);
   let sweep = Sweep.run ?seed ?on_event ~progress () in
-  out_string (Table_4_3.render (Table_4_3.rows sweep));
-  out_newline ();
-  out_string (Table_4_4.render (Table_4_4.rows sweep));
-  out_newline ();
-  out_string (Table_4_5.render (Table_4_5.rows sweep));
-  out_newline ();
-  out_string (Figure_4_1.render sweep);
-  out_newline ();
-  out_string (Figure_4_2.render sweep);
-  out_newline ();
-  out_string (Figure_4_3.render sweep);
-  out_newline ();
-  out_string (Figure_4_4.render sweep);
-  out_newline ();
+  let t43 = Paper_tables.table_4_3 sweep in
+  let t44 = Paper_tables.table_4_4 sweep in
+  let t45 = Paper_tables.table_4_5 sweep in
+  List.iter (fun t -> show (Result_table.text t)) [ t43; t44; t45 ];
+  let f41 = Paper_tables.figure_4_1 sweep in
+  let f42 = Paper_tables.figure_4_2 sweep in
+  let f43 = Paper_tables.figure_4_3 sweep in
+  let f44 = Paper_tables.figure_4_4 sweep in
+  let grid_and_chart t ~unit_label =
+    Paper_tables.grid t ^ Paper_tables.chart ~title:"" ~unit_label t
+  in
+  show (grid_and_chart f41 ~unit_label:"s" ^ Paper_tables.penalties sweep);
+  show (Paper_tables.chart ~title:f42.Result_table.title ~unit_label:"%" f42);
+  show (grid_and_chart f43 ~unit_label:"B");
+  show (grid_and_chart f44 ~unit_label:"s");
   let panels = Figure_4_5.panels ?seed () in
-  out_string (Figure_4_5.render panels);
-  out_newline ();
+  show (Figure_4_5.render panels);
   out_string (headline_summary sweep);
   (* §4.4.3: "sustained network transmission speeds are reduced up to 66%" *)
   (match panels with
@@ -102,8 +110,22 @@ let run_all ?seed ?on_event ?(progress = true) ?(out = Format.std_formatter)
   match csv_dir with
   | None -> ()
   | Some dir ->
-      Csv_export.write_all ~dir sweep panels;
-      let oc = open_out (Filename.concat dir "hybrid_compare.csv") in
-      output_string oc (Hybrid_compare.to_csv hybrid);
-      close_out oc;
+      write_csvs ~dir
+        (List.map
+           (fun (name, t) -> (name, Result_table.csv t))
+           [
+             ("table_4_1", t41);
+             ("table_4_2", t42);
+             ("table_4_3", t43);
+             ("table_4_4", t44);
+             ("table_4_5", t45);
+             ("figure_4_1", f41);
+             ("figure_4_2", f42);
+             ("figure_4_3", f43);
+             ("figure_4_4", f44);
+           ]
+        @ [
+            ("figure_4_5", Figure_4_5.to_csv panels);
+            ("hybrid_compare", Hybrid_compare.to_csv hybrid);
+          ]);
       outf "\nCSV artifacts written to %s/\n" dir

@@ -13,10 +13,16 @@ val run_all :
   unit
 (** Print Tables 4-1..4-5 and Figures 4-1..4-5 plus the headline summary to
     [out] (default [Format.std_formatter]).  Runs the full 77-trial sweep.
-    With [csv_dir], also write machine-readable CSVs there (see
-    {!Csv_export}).  [on_event] observes every migration event of the
-    sweep's trial worlds (see {!Sweep.run}); the printed tables are
-    unaffected. *)
+    With [csv_dir], also write one CSV per artifact there (see
+    {!write_csvs}): each table's {!Result_table.csv}, Figure 4-5's rate
+    series and the hybrid comparison.  [on_event] observes every
+    migration event of the sweep's trial worlds (see {!Sweep.run}); the
+    printed tables are unaffected. *)
+
+val write_csvs : dir:string -> (string * string) list -> unit
+(** [write_csvs ~dir files] writes each [(name, contents)] to
+    [dir/name.csv], creating [dir] if it does not exist.  A file's
+    channel is closed even if its write raises. *)
 
 val headline_summary : Sweep.t -> string
 (** The §4.5 claims, measured: max copy/IOU transfer ratio, mean byte and

@@ -39,12 +39,16 @@ let panels ?seed ?(spec = Accent_workloads.Representative.lisp_del) () =
       })
     [ Strategy.pure_iou (); Strategy.resident_set (); Strategy.pure_copy ]
 
-let peak_rate panel =
+(* A bin series as a lookup by bin time, 0 where it has no bin. *)
+let lookup bins =
   let at = Hashtbl.create 64 in
-  Array.iter (fun (t, v) -> Hashtbl.replace at t v) panel.other;
+  Array.iter (fun (t, v) -> Hashtbl.replace at t v) bins;
+  fun t -> Option.value ~default:0. (Hashtbl.find_opt at t)
+
+let peak_rate panel =
+  let other_at = lookup panel.other in
   Array.fold_left
-    (fun acc (t, v) ->
-      Float.max acc (v +. Option.value ~default:0. (Hashtbl.find_opt at t)))
+    (fun acc (t, v) -> Float.max acc (v +. other_at t))
     (Array.fold_left (fun acc (_, v) -> Float.max acc v) 0. panel.other)
     panel.fault
 
@@ -66,3 +70,20 @@ let render panels =
       Buffer.add_char buf '\n')
     panels;
   Buffer.contents buf
+
+let to_csv panels =
+  let line fields = Result_table.csv_line fields ^ "\n" in
+  String.concat ""
+    (line [ "strategy"; "second"; "fault_bytes_per_s"; "other_bytes_per_s" ]
+    :: List.concat_map
+         (fun panel ->
+           let fault_at = lookup panel.fault in
+           Array.to_list
+             (Array.map
+                (fun (t, other) ->
+                  line
+                    (Strategy.name panel.strategy
+                    :: List.map (Printf.sprintf "%.6f") [ t; fault_at t; other ]
+                    ))
+                panel.other))
+         panels)

@@ -22,3 +22,7 @@ val render : panel list -> string
 val peak_rate : panel -> float
 (** Peak combined bytes/s — pure-IOU's should be far below pure-copy's
     ("sustained network transmission speeds are reduced up to 66%"). *)
+
+val to_csv : panel list -> string
+(** Long-form rate series, one line per [other] bin: strategy, second,
+    fault bytes/s (0 where the bin has no fault traffic), other bytes/s. *)

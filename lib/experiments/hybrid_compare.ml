@@ -63,7 +63,7 @@ let render rows =
 
 let to_csv rows =
   let header =
-    Csv_export.csv_line
+    Result_table.csv_line
       [
         "workload";
         "strategy";
@@ -78,7 +78,7 @@ let to_csv rows =
     List.map
       (fun (row : Trial.summary) ->
         let r = row.report in
-        Csv_export.csv_line
+        Result_table.csv_line
           [
             row.spec.Accent_workloads.Spec.name;
             Strategy.name row.strategy;

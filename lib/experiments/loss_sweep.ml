@@ -35,7 +35,7 @@ let run ?(seed = 42L) ?(spec = Accent_workloads.Representative.pm_start)
 
 let to_csv t =
   let header =
-    Csv_export.csv_line
+    Result_table.csv_line
       [
         "strategy";
         "loss_pct";
@@ -52,7 +52,7 @@ let to_csv t =
     List.map
       (fun p ->
         let r = p.report in
-        Csv_export.csv_line
+        Result_table.csv_line
           [
             Strategy.name p.strategy;
             Printf.sprintf "%g" p.loss_pct;

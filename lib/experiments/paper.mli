@@ -4,20 +4,18 @@
     charts without readable absolute values, so for them we compare against
     the qualitative anchors stated in the text (§4.3.3, §4.4). *)
 
-type row_4_5 = {
-  name : string;
-  iou_s : float;
-  rs_s : float;
-  copy_s : float;
-}
+val table_4_4 : (string * (float * float * float)) list
+(** name, (AMap s, RIMAS s, Overall s). *)
 
-val table_4_4 : (string * float * float * float) list
-(** name, AMap s, RIMAS s, Overall s. *)
-
-val table_4_5 : row_4_5 list
+val table_4_5 : (string * (float * float * float)) list
+(** name, (pure-IOU s, RS s, pure-copy s). *)
 
 val insert_range_s : float * float
 (** 0.263 (Minprog) .. 0.853 (Lisp-Del). *)
+
+val max_copy_over_iou : float
+(** 1000: pure-copy's address-space transfer takes "up to 1,000 times"
+    pure-IOU's (Lisp-Del in Table 4-5). *)
 
 val byte_savings_pct : float
 (** 58.2: mean byte-traffic reduction, IOU vs copy, no prefetch. *)

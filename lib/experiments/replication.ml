@@ -10,28 +10,34 @@ type metric = {
 let headline_values sweep =
   let penalty name =
     match Sweep.find sweep name with
-    | rep -> Some (Figure_4_1.iou_penalty rep)
+    | rep -> Some (Paper_tables.iou_penalty rep)
     | exception Not_found -> None
   in
   List.filter_map Fun.id
     [
       Some
         ( "max copy/IOU transfer ratio (x)",
-          Table_4_5.max_copy_over_iou (Table_4_5.rows sweep),
-          Some 1000. );
+          Paper_tables.max_copy_over_iou sweep,
+          Some Paper.max_copy_over_iou );
       Some
         ( "mean IOU byte savings (%)",
-          Figure_4_3.mean_iou_savings_pct sweep,
-          Some 58.2 );
+          Paper_tables.mean_byte_savings_pct sweep,
+          Some Paper.byte_savings_pct );
       Some
         ( "mean IOU message-cost savings (%)",
-          Figure_4_4.mean_iou_savings_pct sweep,
-          Some 47.8 );
+          Paper_tables.mean_message_savings_pct sweep,
+          Some Paper.message_cost_savings_pct );
       Option.map
-        (fun p -> ("Minprog IOU execution penalty (x)", p, Some 44.))
+        (fun p ->
+          ( "Minprog IOU execution penalty (x)",
+            p,
+            Some Paper.minprog_iou_slowdown ))
         (penalty "Minprog");
       Option.map
-        (fun p -> ("Chess IOU execution penalty (%)", (p -. 1.) *. 100., Some 3.))
+        (fun p ->
+          ( "Chess IOU execution penalty (%)",
+            (p -. 1.) *. 100.,
+            Some Paper.chess_iou_penalty_pct ))
         (penalty "Chess");
     ]
 

@@ -1,0 +1,65 @@
+(** A reproduced table as data: labelled rows of measured numbers, each
+    optionally beside the value the paper printed, rendered once as an
+    aligned text table and once as CSV.
+
+    Every table of the paper's evaluation ({!Paper_tables}) is one of
+    these, so the text and the CSV of a table always show the same cells.
+    The simulation is deterministic: the same seed renders byte-identical
+    text and CSV. *)
+
+type format =
+  | Bytes  (** comma-grouped integer in text, [%d] in CSV *)
+  | Fixed of int  (** [%.nf] in text *)
+  | Bracketed of int  (** [[%.nf]] in text, the paper's share-of-total style *)
+(** How a column's values print.  Every non-[Bytes] value prints as
+    [%.6f] in CSV, whatever its text precision. *)
+
+type column = {
+  header : string;  (** text header *)
+  csv : string;  (** CSV header *)
+  format : format;
+  in_paper : bool;
+      (** the paper printed this column: its CSV gains a [paper_<csv>]
+          column after the measured ones *)
+}
+
+type cell = {
+  measured : float;
+  paper : float option;  (** the paper's value, where it printed one *)
+}
+
+type row = {
+  keys : string list;  (** one per [key_headers] entry *)
+  cells : cell list;  (** one per column *)
+}
+
+type t = {
+  title : string;
+  key_headers : string list;  (** CSV headers of the row keys *)
+  columns : column list;
+  rows : row list;
+}
+
+val measured : float -> cell
+(** A cell with no paper value. *)
+
+val text : t -> string
+(** Aligned text under [title]: key columns left-aligned with empty
+    headers, value columns right-aligned under their text headers.  A
+    cell prints in its column's format, then [" (p)"] with the paper's
+    value [p] at the same precision when it has one.
+    Trailing newline included. *)
+
+val csv : t -> string
+(** A header line, then one line per row: the keys, the measured values
+    in column order, then one [paper_<csv>] value per [in_paper] column,
+    empty where the row has no paper value.  Every line ends in a
+    newline. *)
+
+val csv_line : string list -> string
+(** One CSV record, quoting any field that holds a comma, a double quote
+    or a newline (no trailing newline). *)
+
+val find : t -> row:string list -> column:string -> cell
+(** The cell in the row with those keys and the column with that CSV
+    header.  Raises [Not_found] if either is absent. *)

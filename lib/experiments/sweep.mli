@@ -1,6 +1,7 @@
 (** The full trial grid behind Figures 4-1 through 4-4: every representative
     × every strategy × the paper's prefetch values, each in its own fresh
-    world.  Run once and share across the figure modules.
+    world.  Run once and share across the tables and figures
+    ({!Paper_tables}).
 
     The grid holds {!Trial.summary} values: each trial's world is dropped
     as soon as its report is taken, so holding the whole sweep retains

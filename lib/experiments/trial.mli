@@ -58,4 +58,4 @@ val build_only :
   unit ->
   Accent_core.World.t * Accent_kernel.Proc.t
 (** Just the world and the process at its migration point, for experiments
-    that inspect state without migrating (Tables 4-1, 4-2, 4-4). *)
+    that inspect state without migrating (Tables 4-1 and 4-2). *)

@@ -73,5 +73,4 @@ let render t =
 let print t = print_string (render t)
 
 let cell_f ?(dec = 2) x = Printf.sprintf "%.*f" dec x
-let cell_pct x = Printf.sprintf "%.1f" x
 let cell_bytes n = Bytesize.with_commas n

@@ -27,8 +27,5 @@ val print : t -> unit
 val cell_f : ?dec:int -> float -> string
 (** Fixed-point float cell, default 2 decimals. *)
 
-val cell_pct : float -> string
-(** Percentage with one decimal, e.g. ["56.9"]. *)
-
 val cell_bytes : int -> string
 (** Comma-separated byte count, matching the paper's style. *)

@@ -162,7 +162,7 @@ let test_table_arity () =
 
 let test_table_cells () =
   Alcotest.(check string) "float cell" "3.14" (Text_table.cell_f 3.14159);
-  Alcotest.(check string) "pct cell" "56.9" (Text_table.cell_pct 56.93);
+  Alcotest.(check string) "pct cell" "56.9" (Text_table.cell_f ~dec:1 56.93);
   Alcotest.(check string) "bytes cell" "1,024" (Text_table.cell_bytes 1024)
 
 (* --- Series --- *)
