@@ -124,8 +124,7 @@ let run_replication () =
   print_endline "=====================================================";
   print_newline ();
   print_string
-    (Accent_experiments.Replication.render
-       (Accent_experiments.Replication.run ()));
+    Accent_experiments.Claims.(render_replication (replicate ()));
   print_newline ()
 
 let run_ablations () =

@@ -4,6 +4,12 @@
 
 open Cmdliner
 
+(* Write [contents] to [path], closing the file even if the write raises,
+   and say so on stdout. *)
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  Printf.printf "\nwrote %s\n" path
+
 let strategy_of_string name prefetch =
   match String.lowercase_ascii name with
   | "copy" | "pure-copy" -> Ok Accent_core.Strategy.pure_copy
@@ -252,11 +258,7 @@ let losssweep workload seed csv =
   print_string (Accent_experiments.Loss_sweep.render t);
   match csv with
   | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Accent_experiments.Loss_sweep.to_csv t);
-      close_out oc;
-      Printf.printf "\nwrote %s\n" path
+  | Some path -> write_file path (Accent_experiments.Loss_sweep.to_csv t)
 
 let losssweep_workload_arg =
   let doc = "Representative process to sweep (default pm-start)." in
@@ -288,11 +290,7 @@ let dedupsweep workload seed csv =
   print_string (Accent_experiments.Dedup_sweep.render t);
   match csv with
   | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Accent_experiments.Dedup_sweep.to_csv t);
-      close_out oc;
-      Printf.printf "\nwrote %s\n" path
+  | Some path -> write_file path (Accent_experiments.Dedup_sweep.to_csv t)
 
 let dedupsweep_cmd =
   let doc =
@@ -332,10 +330,10 @@ let trace workload strategy prefetch seed loss partition out pretty =
             else Accent_core.Mig_event.jsonl_writer oc
           in
           let result =
-            Accent_experiments.Trial.run ~seed ?fault_plan ~on_event ~spec
-              ~strategy ()
+            Fun.protect ~finally:close (fun () ->
+                Accent_experiments.Trial.run ~seed ?fault_plan ~on_event ~spec
+                  ~strategy ())
           in
-          close ();
           (match out with
           | Some path -> Printf.eprintf "wrote %s\n" path
           | None -> ());
@@ -483,17 +481,15 @@ let cluster hosts jobs churn policy domains seed json =
     match json with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        Printf.fprintf oc
-          "{\n  \"benchmark\": \"cluster\",\n  \"mode\": \"ctl\",\n  \
-           \"policies\": [\n%s\n  ]\n}\n"
-          (String.concat ",\n"
-             (List.map
-                (fun r ->
-                  "    " ^ Accent_experiments.Cluster_scenario.churn_json r)
-                results));
-        close_out oc;
-        Printf.printf "\nwrote %s\n" path
+        write_file path
+          (Printf.sprintf
+             "{\n  \"benchmark\": \"cluster\",\n  \"mode\": \"ctl\",\n  \
+              \"policies\": [\n%s\n  ]\n}\n"
+             (String.concat ",\n"
+                (List.map
+                   (fun r ->
+                     "    " ^ Accent_experiments.Cluster_scenario.churn_json r)
+                   results)))
   end
 
 let cluster_hosts_arg =
@@ -656,18 +652,10 @@ let crashsweep workload seed seeds kills csv json =
   print_string (Accent_experiments.Crash_recovery.render t);
   (match csv with
   | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Accent_experiments.Crash_recovery.to_csv t);
-      close_out oc;
-      Printf.printf "\nwrote %s\n" path);
+  | Some path -> write_file path (Accent_experiments.Crash_recovery.to_csv t));
   match json with
   | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Accent_experiments.Crash_recovery.to_json t);
-      close_out oc;
-      Printf.printf "\nwrote %s\n" path
+  | Some path -> write_file path (Accent_experiments.Crash_recovery.to_json t)
 
 let crashsweep_seeds_arg =
   let doc = "Independent worlds per strategy." in

@@ -1,54 +1,47 @@
-let headline_summary sweep =
+let headline_summary evidence =
   let buf = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  (* a representative's line, skipped when the sweep does not hold it or
-     the prefetch values it reads *)
-  let for_rep name f = try f (Sweep.find sweep name) with Not_found -> () in
+  (* a claim's line, skipped when the evidence does not measure it *)
+  let claim name f =
+    let c = Claims.find name in
+    Option.iter (f c.Claims.paper) (c.Claims.measure evidence)
+  in
+  (* a line for two claims, skipped unless both measure *)
+  let pair a b f =
+    claim a (fun paper_a va ->
+        claim b (fun paper_b vb -> f paper_a va paper_b vb))
+  in
   line "Headline claims (paper value in parentheses):";
-  line "  max copy/IOU transfer-time ratio: %.0fx (up to ~%.0fx)"
-    (Paper_tables.max_copy_over_iou sweep)
-    Paper.max_copy_over_iou;
-  line "  mean IOU byte savings over copy: %.1f%% (%.1f%%)"
-    (Paper_tables.mean_byte_savings_pct sweep)
-    Paper.byte_savings_pct;
-  line "  mean IOU message-cost savings:   %.1f%% (%.1f%%)"
-    (Paper_tables.mean_message_savings_pct sweep)
-    Paper.message_cost_savings_pct;
-  for_rep "Minprog" (fun minprog ->
-      line "  Minprog IOU execution penalty:   %.0fx slower (%.0fx)"
-        (Paper_tables.iou_penalty minprog)
-        Paper.minprog_iou_slowdown);
-  for_rep "Chess" (fun chess ->
-      line "  Chess IOU execution penalty:     +%.1f%% (~%.0f%%)"
-        ((Paper_tables.iou_penalty chess -. 1.) *. 100.)
-        Paper.chess_iou_penalty_pct);
-  for_rep "PM-Start" (fun pm ->
-      let ratios =
-        List.filter_map
-          (fun (p, _) ->
-            if p = 0 then None else Paper_tables.hit_ratio pm ~prefetch:p)
-          pm.Sweep.iou
-      in
-      if ratios <> [] then
-        line "  Pasmac prefetch hit ratio:       %.0f%%..%.0f%% (~%.0f%% flat)"
-          (100. *. List.fold_left Float.min 1. ratios)
-          (100. *. List.fold_left Float.max 0. ratios)
-          (100. *. Paper.pasmac_hit_ratio));
-  for_rep "Lisp-Del" (fun lisp ->
-      let at p = Paper_tables.hit_ratio lisp ~prefetch:p in
-      match (at 1, at 15) with
-      | Some low_pf, Some high_pf ->
-          let paper_low, paper_high = Paper.lisp_hit_ratio_range in
-          line
-            "  Lisp prefetch hit ratio pf1->pf15: %.0f%% -> %.0f%% (%.0f%% -> \
-             %.0f%%)"
-            (100. *. low_pf) (100. *. high_pf) (100. *. paper_low)
-            (100. *. paper_high)
-      | _ -> ());
-  line "  prefetch=1 never hurts end-to-end: %b (paper: always helps)"
-    (Paper_tables.pf1_always_helps sweep);
-  line "  prefetch=1 reduces message costs:  %b (paper: slight drop)"
-    (Paper_tables.pf1_reduces_cost sweep);
+  claim "max copy/IOU transfer-time ratio (x)" (fun paper v ->
+      line "  max copy/IOU transfer-time ratio: %.0fx (up to ~%.0fx)" v paper);
+  claim "mean IOU byte savings (%)" (fun paper v ->
+      line "  mean IOU byte savings over copy: %.1f%% (%.1f%%)" v paper);
+  claim "mean IOU message-cost savings (%)" (fun paper v ->
+      line "  mean IOU message-cost savings:   %.1f%% (%.1f%%)" v paper);
+  claim "Minprog IOU execution penalty (x)" (fun paper v ->
+      line "  Minprog IOU execution penalty:   %.0fx slower (%.0fx)" v paper);
+  claim "Chess IOU execution penalty (%)" (fun paper v ->
+      line "  Chess IOU execution penalty:     +%.1f%% (~%.0f%%)" v paper);
+  pair "PM-Start prefetch hit ratio, least"
+    "PM-Start prefetch hit ratio, greatest" (fun paper least _ greatest ->
+      line "  Pasmac prefetch hit ratio:       %.0f%%..%.0f%% (~%.0f%% flat)"
+        (100. *. least) (100. *. greatest) (100. *. paper));
+  pair "Lisp-Del prefetch hit ratio at pf1" "Lisp-Del prefetch hit ratio at pf15"
+    (fun paper_low low_pf paper_high high_pf ->
+      line
+        "  Lisp prefetch hit ratio pf1->pf15: %.0f%% -> %.0f%% (%.0f%% -> \
+         %.0f%%)"
+        (100. *. low_pf) (100. *. high_pf) (100. *. paper_low)
+        (100. *. paper_high));
+  claim "prefetch=1 faster in every IOU trial" (fun _ v ->
+      line "  prefetch=1 never hurts end-to-end: %b (paper: always helps)"
+        (v = 1.));
+  claim "prefetch=1 lowers total IOU message time" (fun _ v ->
+      line "  prefetch=1 reduces message costs:  %b (paper: slight drop)"
+        (v = 1.));
+  claim "peak wire-rate cut, IOU vs copy (%)" (fun paper v ->
+      line "  peak wire rate, IOU vs copy:     -%.0f%% (paper: reduced up to \
+            %.0f%%)" v paper);
   Buffer.contents buf
 
 let write_csvs ~dir files =
@@ -92,17 +85,7 @@ let run_all ?seed ?on_event ?(progress = true) ?(out = Format.std_formatter)
   show (grid_and_chart f44 ~unit_label:"s");
   let panels = Figure_4_5.panels ?seed () in
   show (Figure_4_5.render panels);
-  out_string (headline_summary sweep);
-  (* §4.4.3: "sustained network transmission speeds are reduced up to 66%" *)
-  (match panels with
-  | iou :: _ :: copy :: _ ->
-      outf
-        "  peak wire rate, IOU vs copy:     -%.0f%% (paper: reduced up to \
-         66%%)\n"
-        (100.
-        *. (1.
-           -. Figure_4_5.peak_rate iou /. Figure_4_5.peak_rate copy))
-  | _ -> ());
+  out_string (headline_summary { Claims.sweep; panels });
   (* beyond the paper: the hybrid engine against its two parents *)
   let hybrid = Hybrid_compare.rows ?seed () in
   out_newline ();

@@ -24,7 +24,9 @@ val write_csvs : dir:string -> (string * string) list -> unit
     [dir/name.csv], creating [dir] if it does not exist.  A file's
     channel is closed even if its write raises. *)
 
-val headline_summary : Sweep.t -> string
-(** The §4.5 claims, measured: max copy/IOU transfer ratio, mean byte and
-    message-cost savings, Minprog's IOU execution penalty, Chess's
-    insensitivity, hit ratios, prefetch-one rule. *)
+val headline_summary : Claims.evidence -> string
+(** The §4.5 headline, printed from {!Claims.all} beside the paper's
+    values: the transfer-time ratio, byte and message-cost savings, the
+    Minprog and Chess penalties, the hit ratios, the prefetch-one rule
+    and the peak wire-rate cut.  A claim the evidence does not measure
+    prints no line. *)

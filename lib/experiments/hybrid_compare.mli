@@ -9,9 +9,6 @@
     physical RIMAS portion) and bytes {e pulled} (network faults and
     prefetch), alongside the freeze downtime each strategy imposes. *)
 
-val pulled_bytes : Accent_core.Report.t -> int
-val pushed_bytes : Accent_core.Report.t -> int
-
 val rows :
   ?seed:int64 ->
   ?write_fraction:float ->

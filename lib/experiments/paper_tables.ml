@@ -249,7 +249,7 @@ let chart ~title ~unit_label t =
              ])
          t.R.rows)
 
-(* --- §4.3.3 and §4.4 anchors --- *)
+(* --- Figure 4-1's footnote --- *)
 
 let iou_penalty rep =
   remote_seconds (Sweep.iou_at rep 0)
@@ -276,46 +276,3 @@ let penalties sweep =
              (name rep.Sweep.spec) (iou_penalty rep)
              (if ratios = [] then "-" else String.concat " " ratios))
          sweep)
-
-let mean_savings_pct ~floor metric sweep =
-  Stats.mean_of
-    (List.map
-       (fun (rep : Sweep.rep_results) ->
-         let copy = metric rep.Sweep.copy in
-         (copy -. metric (Sweep.iou_at rep 0)) /. Float.max floor copy *. 100.)
-       sweep)
-
-let mean_byte_savings_pct = mean_savings_pct ~floor:1. bytes
-let mean_message_savings_pct = mean_savings_pct ~floor:1e-9 message_seconds
-
-let pf1_always_helps sweep =
-  List.for_all
-    (fun (rep : Sweep.rep_results) ->
-      match
-        (List.assoc_opt 0 rep.Sweep.iou, List.assoc_opt 1 rep.Sweep.iou)
-      with
-      | Some pf0, Some pf1 ->
-          transfer_plus_execution pf1 <= transfer_plus_execution pf0 +. 1e-9
-      | _ -> true)
-    sweep
-
-(* The paper's claim is aggregate ("the time spent processing messages
-   drops slightly"); per-representative, weak-locality programs can tick up
-   at pf1 because the larger replies outweigh the faults saved. *)
-let pf1_reduces_cost sweep =
-  let total p =
-    List.fold_left
-      (fun acc (rep : Sweep.rep_results) ->
-        Option.fold ~none:acc
-          ~some:(fun r -> acc +. message_seconds r)
-          (List.assoc_opt p rep.Sweep.iou))
-      0. sweep
-  in
-  total 1 <= total 0 +. 1e-9
-
-let max_copy_over_iou sweep =
-  List.fold_left
-    (fun acc (rep : Sweep.rep_results) ->
-      Float.max acc
-        (rimas rep.Sweep.copy /. Float.max 1e-9 (rimas (Sweep.iou_at rep 0))))
-    0. sweep

@@ -1,5 +1,5 @@
 (** The paper's §4 tables and bar-chart figures as {!Result_table.t}
-    values, and the figure metrics and claim measures they rest on.
+    values, and the trial measures {!Claims} reads beside them.
 
     Tables 4-1..4-5 have one row per representative, keyed [process]; a
     column the paper printed carries Zayas's value in each cell of a row
@@ -57,11 +57,7 @@ val penalties : Sweep.t -> string
 (** Figure 4-1's footnote: each representative's {!iou_penalty} and IOU
     prefetch hit ratios. *)
 
-(** {2 Metrics and claim measures} *)
-
-val remote_seconds : Trial.summary -> float
-val bytes : Trial.summary -> float
-val message_seconds : Trial.summary -> float
+(** {2 Trial measures} *)
 
 val speedup_pct : baseline:Trial.summary -> Trial.summary -> float
 (** [(T_copy - T_x) / T_copy * 100] over transfer + remote execution. *)
@@ -72,19 +68,3 @@ val iou_penalty : Sweep.rep_results -> float
 
 val hit_ratio : Sweep.rep_results -> prefetch:int -> float option
 (** Prefetch hit ratio of the IOU trial at that prefetch value. *)
-
-val mean_byte_savings_pct : Sweep.t -> float
-val mean_message_savings_pct : Sweep.t -> float
-(** Mean over representatives of IOU's (no prefetch) reduction in bytes,
-    or in message-processing time, against pure-copy. *)
-
-val pf1_always_helps : Sweep.t -> bool
-(** Prefetching one page never lengthens an IOU trial's transfer plus
-    remote execution. *)
-
-val pf1_reduces_cost : Sweep.t -> bool
-(** One page of prefetch does not raise the total message-processing
-    time across the representatives (§4.4.2). *)
-
-val max_copy_over_iou : Sweep.t -> float
-(** The largest copy/IOU RIMAS transfer-time ratio. *)

@@ -43,65 +43,6 @@ let hbar_groups ?(width = 50) ?(unit_label = "") ~title groups =
     groups;
   Buffer.contents buf
 
-(* Re-aggregate [bins] down to at most [width] columns by summing
-   neighbours, preserving total mass. *)
-let squeeze bins width =
-  let n = Array.length bins in
-  if n <= width then bins
-  else begin
-    let per = (n + width - 1) / width in
-    let m = (n + per - 1) / per in
-    Array.init m (fun i ->
-        let start = i * per in
-        let stop = min n (start + per) in
-        let sum = ref 0. in
-        for j = start to stop - 1 do
-          sum := !sum +. snd bins.(j)
-        done;
-        (fst bins.(start), !sum /. float_of_int (stop - start)))
-  end
-
-let columns ~height ~width bins =
-  let bins = squeeze bins width in
-  let n = Array.length bins in
-  let max_v = Array.fold_left (fun acc (_, v) -> Float.max acc v) 0. bins in
-  let levels =
-    Array.map
-      (fun (_, v) ->
-        if max_v = 0. then 0
-        else int_of_float (Float.round (v /. max_v *. float_of_int height)))
-      bins
-  in
-  (bins, n, max_v, levels)
-
-let timeline ?(width = 72) ~title ~y_label ~x_label bins =
-  let height = 10 in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf title;
-  Buffer.add_char buf '\n';
-  if Array.length bins = 0 then begin
-    Buffer.add_string buf "  (empty series)\n";
-    Buffer.contents buf
-  end
-  else begin
-    let bins, n, max_v, levels = columns ~height ~width bins in
-    Buffer.add_string buf
-      (Printf.sprintf "  %s (peak %.1f)\n" y_label max_v);
-    for row = height downto 1 do
-      Buffer.add_string buf "  |";
-      for i = 0 to n - 1 do
-        Buffer.add_char buf (if levels.(i) >= row then '#' else ' ')
-      done;
-      Buffer.add_char buf '\n'
-    done;
-    Buffer.add_string buf ("  +" ^ String.make n '-' ^ "\n");
-    let t_end = fst bins.(n - 1) in
-    Buffer.add_string buf
-      (Printf.sprintf "   0%*s\n  %s\n" (n - 1)
-         (Printf.sprintf "%.0f" t_end) x_label);
-    Buffer.contents buf
-  end
-
 let stacked_timeline ?(width = 72) ~title ~y_label ~x_label lower upper =
   let height = 12 in
   let buf = Buffer.create 2048 in

@@ -13,17 +13,6 @@ val hbar_groups :
     [width] (default 50) characters.  Negative values draw to the left of a
     zero axis so slowdown bars (Figure 4-2) are visible. *)
 
-val timeline :
-  ?width:int ->
-  title:string ->
-  y_label:string ->
-  x_label:string ->
-  (float * float) array ->
-  string
-(** [timeline ~title ~y_label ~x_label bins] renders binned series values as
-    a 10-row column chart; bins wider than [width] (default 72) are
-    re-aggregated. *)
-
 val stacked_timeline :
   ?width:int ->
   title:string ->

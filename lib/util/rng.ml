@@ -59,8 +59,6 @@ let float t bound =
   let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0) *. bound
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else float t 1.0 < p
 

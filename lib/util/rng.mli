@@ -34,9 +34,6 @@ val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound).  [bound] must be
     positive. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is true with probability [p] (clamped to [0,1]). *)
 

@@ -184,7 +184,6 @@ let mean t = if t.count = 0 then 0. else t.moments.(i_mean)
 let variance t =
   if t.count < 2 then 0. else t.moments.(i_m2) /. float_of_int (t.count - 1)
 
-let stddev t = sqrt (variance t)
 let min_value t = t.moments.(i_min)
 let max_value t = t.moments.(i_max)
 let retained_exactly t = t.sketch = None
@@ -307,7 +306,7 @@ let merge a b =
 
 let pp ppf t =
   Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.count
-    (mean t) (stddev t) t.moments.(i_min) t.moments.(i_max)
+    (mean t) (sqrt (variance t)) t.moments.(i_min) t.moments.(i_max)
 
 (* --- batch helpers ------------------------------------------------------ *)
 
@@ -326,12 +325,3 @@ let percentile_of xs p =
       let arr = Array.of_list xs in
       Array.sort Float.compare arr;
       percentile_sorted arr (Array.length arr) p
-
-let min_of = function [] -> 0. | xs -> List.fold_left Float.min infinity xs
-let max_of = function [] -> 0. | xs -> List.fold_left Float.max neg_infinity xs
-
-let geometric_mean = function
-  | [] -> 0.
-  | xs ->
-      let logs = List.map log xs in
-      exp (List.fold_left ( +. ) 0. logs /. float_of_int (List.length xs))

@@ -50,7 +50,6 @@ val variance : t -> float
 (** Unbiased sample variance (Welford); 0 with fewer than two samples.
     Exact in both modes. *)
 
-val stddev : t -> float
 val min_value : t -> float
 (** Smallest observation; [infinity] if empty.  Exact in both modes. *)
 
@@ -85,13 +84,3 @@ val percentile_of : float list -> float -> float
     (regardless of length); 0 if the list is empty.  Never raises and
     never returns NaN for an empty series — report rows built from it
     stay printable when a policy triggers no migrations at all. *)
-
-val min_of : float list -> float
-(** Smallest element; 0 if the list is empty (unlike {!min_value}, which
-    reports [infinity] on an empty accumulator). *)
-
-val max_of : float list -> float
-(** Largest element; 0 if the list is empty. *)
-
-val geometric_mean : float list -> float
-(** Geometric mean of positive values; 0 if the list is empty. *)

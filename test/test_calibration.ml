@@ -11,8 +11,8 @@ let within name ~lo ~hi x =
     (x >= lo && x <= hi)
 
 let test_local_disk_fault_40_8ms () =
-  Alcotest.(check (float 1e-9)) "cost model constant" 40.8
-    Cost_model.disk_fault_ms
+  Alcotest.(check (float 1e-9)) "cost model constant"
+    Accent_experiments.Paper.local_disk_fault_ms Cost_model.disk_fault_ms
 
 let test_remote_fault_near_115ms () =
   (* measured through the full machinery: NMS cache at host 0 serving a
@@ -35,7 +35,9 @@ let test_remote_fault_near_115ms () =
 
 let test_fault_cost_ratio_2_8x () =
   (* §4.3.3: remote imaginary access is ~2.8x a local disk fault *)
-  let ratio = 115. /. Cost_model.disk_fault_ms in
+  let ratio =
+    Accent_experiments.Paper.remote_fault_ms /. Cost_model.disk_fault_ms
+  in
   within "remote/local fault ratio" ~lo:2.5 ~hi:3.1 ratio
 
 let test_bulk_shipment_rate () =

@@ -10,6 +10,18 @@ let small_sweep =
   (* computed once; the suite reads it many times *)
   lazy (Sweep.run ~specs ~prefetches:[ 0; 2 ] ~progress:false ())
 
+let small_panels = lazy (Figure_4_5.panels ~spec:Test_helpers.small_spec ())
+
+let small_evidence =
+  lazy
+    {
+      Claims.sweep = Lazy.force small_sweep;
+      panels = Lazy.force small_panels;
+    }
+
+(* One claim's measure on the small sweep. *)
+let measure name = (Claims.find name).Claims.measure (Lazy.force small_evidence)
+
 let test_sweep_shape () =
   let sweep = Lazy.force small_sweep in
   Alcotest.(check int) "one entry per spec" 2 (List.length sweep);
@@ -120,13 +132,14 @@ let test_table_4_5_ordering () =
         (v "iou_s" < v "rs_s" && v "rs_s" < v "copy_s"))
     (processes t);
   Alcotest.(check bool) "ratio computed" true
-    (Paper_tables.max_copy_over_iou sweep > 1.)
+    (Option.get (measure "max copy/IOU transfer-time ratio (x)") > 1.)
 
 let test_figure_4_1 () =
   let sweep = Lazy.force small_sweep in
-  let rep = Sweep.find sweep "Tiny" in
+  let t = Paper_tables.figure_4_1 sweep in
   Alcotest.(check bool) "iou slower than copy at destination" true
-    (Paper_tables.iou_penalty rep > 1.);
+    (cell t [ "Tiny"; "iou"; "0" ] "value"
+    > cell t [ "Tiny"; "copy"; "0" ] "value");
   let rendered = Paper_tables.penalties sweep in
   Alcotest.(check bool) "renders penalties" true
     (Test_helpers.contains rendered "penalty")
@@ -142,17 +155,15 @@ let test_figure_4_2_speedup_math () =
     (Paper_tables.speedup_pct ~baseline:rep.Sweep.copy rep.Sweep.copy)
 
 let test_figure_4_3_savings () =
-  let sweep = Lazy.force small_sweep in
-  let savings = Paper_tables.mean_byte_savings_pct sweep in
+  let savings = Option.get (measure "mean IOU byte savings (%)") in
   Alcotest.(check bool) "IOU saves bytes" true (savings > 0.)
 
 let test_figure_4_4_savings () =
-  let sweep = Lazy.force small_sweep in
-  let savings = Paper_tables.mean_message_savings_pct sweep in
+  let savings = Option.get (measure "mean IOU message-cost savings (%)") in
   Alcotest.(check bool) "IOU saves message time" true (savings > 0.)
 
 let test_figure_4_5_panels () =
-  let panels = Figure_4_5.panels ~spec:Test_helpers.small_spec () in
+  let panels = Lazy.force small_panels in
   Alcotest.(check int) "three panels" 3 (List.length panels);
   let iou = List.hd panels and copy = List.nth panels 2 in
   Alcotest.(check bool) "iou has fault traffic" true
@@ -163,14 +174,20 @@ let test_figure_4_5_panels () =
   Alcotest.(check bool) "renders" true (Test_helpers.contains rendered "B/s")
 
 let test_headline_summary_renders () =
-  let s = Evaluation.headline_summary (Lazy.force small_sweep) in
+  let s = Evaluation.headline_summary (Lazy.force small_evidence) in
   Alcotest.(check bool) "has ratio line" true
-    (Test_helpers.contains s "copy/IOU")
+    (Test_helpers.contains s "copy/IOU");
+  Alcotest.(check bool) "has the peak wire-rate line" true
+    (Test_helpers.contains s "peak wire rate");
+  (* the small sweep holds neither Minprog nor Chess *)
+  Alcotest.(check bool) "no Minprog line" false
+    (Test_helpers.contains s "Minprog")
 
 let test_paper_reference_data () =
   Alcotest.(check int) "table 4-4 rows" 7 (List.length Paper.table_4_4);
   Alcotest.(check int) "table 4-5 rows" 7 (List.length Paper.table_4_5);
-  Alcotest.(check (float 1e-9)) "byte savings" 58.2 Paper.byte_savings_pct
+  Alcotest.(check (float 1e-9)) "byte savings" 58.2
+    (Claims.find "mean IOU byte savings (%)").Claims.paper
 
 (* A figure's long-form rows for one process: every iou and rs prefetch
    cell, then copy. *)
@@ -242,7 +259,7 @@ let test_csv_write_all () =
   let dir = Filename.temp_file "accent_csv" "" in
   Sys.remove dir;
   let sweep = Lazy.force small_sweep in
-  let panels = Figure_4_5.panels ~spec:Test_helpers.small_spec () in
+  let panels = Lazy.force small_panels in
   let files =
     [
       ("table_4_5", Result_table.csv (Paper_tables.table_4_5 sweep));
@@ -332,27 +349,163 @@ let result_table_cases =
 
 let suite = (fst suite, snd suite @ result_table_cases)
 
-(* --- replication harness --- *)
+(* --- the claim list --- *)
+
+let claim_names = List.map (fun c -> c.Claims.name)
+let band = Alcotest.(pair (float 1e-9) (float 1e-9))
+
+let test_claims_band_rule () =
+  (* a bare figure: 58.2% fewer bytes, ±10% *)
+  let bytes = Claims.find "mean IOU byte savings (%)" in
+  Alcotest.check band "bare" (52.38, 64.02) bytes.Claims.band;
+  Alcotest.(check bool) "bare lower edge holds" true (Claims.holds bytes 52.38);
+  Alcotest.(check bool) "below the band misses" false (Claims.holds bytes 52.);
+  (* a hedged figure: "up to 1,000 times", ±25% *)
+  Alcotest.check band "hedged" (750., 1250.)
+    (Claims.find "max copy/IOU transfer-time ratio (x)").Claims.band;
+  (* a predicate holds only at 1 *)
+  let pf1 = Claims.find "prefetch=1 faster in every IOU trial" in
+  Alcotest.check band "predicate" (1., 1.) pf1.Claims.band;
+  Alcotest.(check bool) "true holds" true (Claims.holds pf1 1.);
+  Alcotest.(check bool) "false misses" false (Claims.holds pf1 0.);
+  (* no claim has a tolerance of its own *)
+  List.iter
+    (fun (c : Claims.t) ->
+      let p = c.Claims.paper in
+      Alcotest.(check bool)
+        (c.Claims.name ^ ": band from the rule")
+        true
+        (List.exists
+           (fun b -> c.Claims.band = b)
+           [ (p *. 0.9, p *. 1.1); (p *. 0.75, p *. 1.25); (1., 1.) ]))
+    Claims.all
+
+let empty_evidence = { Claims.sweep = []; panels = [] }
+
+let test_claims_unexplained () =
+  let stray =
+    {
+      Claims.name = "stray";
+      paper = 1.;
+      band = (0.9, 1.1);
+      measure = (fun _ -> Some 2.);
+      deviation = None;
+    }
+  in
+  let unexplained c = claim_names (Claims.unexplained [ c ] empty_evidence) in
+  Alcotest.(check (list string)) "a miss without a note fails" [ "stray" ]
+    (unexplained stray);
+  Alcotest.(check (list string)) "a noted miss passes" []
+    (unexplained { stray with Claims.deviation = Some "cause" });
+  Alcotest.(check (list string)) "a hold passes" []
+    (unexplained { stray with Claims.measure = (fun _ -> Some 1.) });
+  Alcotest.(check (list string)) "an unmeasured claim passes" []
+    (unexplained { stray with Claims.measure = (fun _ -> None) });
+  (* evidence with nothing in it measures nothing, and raises nothing *)
+  Alcotest.(check (list string)) "empty evidence measures nothing" []
+    (claim_names
+       (List.filter
+          (fun c -> c.Claims.measure empty_evidence <> None)
+          Claims.all))
 
 let test_replication_metrics () =
-  let metrics =
-    Replication.run ~seeds:[ 1L; 2L ] ~specs ~progress:false ()
-  in
-  Alcotest.(check int) "three metrics on the reduced spec set" 3
-    (List.length metrics);
+  let rows = Claims.replicate ~seeds:[ 1L; 2L ] ~specs ~progress:false () in
+  Alcotest.(check (list string)) "one row per claim" (claim_names Claims.all)
+    (claim_names (List.map fst rows));
+  let values name = List.assoc (Claims.find name) rows in
+  Alcotest.(check int) "one value per seed" 2
+    (List.length (values "mean IOU byte savings (%)"));
+  Alcotest.(check bool) "the ratio is measured at both seeds" true
+    (List.for_all Option.is_some
+       (values "max copy/IOU transfer-time ratio (x)"));
+  (* the small specs hold neither Minprog nor Chess, nor Lisp-Del for the
+     panels *)
   List.iter
-    (fun m ->
-      Alcotest.(check bool) "mean within [min,max]" true
-        (m.Replication.min_v <= m.Replication.mean
-        && m.Replication.mean <= m.Replication.max_v))
-    metrics;
-  let rendered = Replication.render metrics in
-  Alcotest.(check bool) "renders" true (Test_helpers.contains rendered "sd")
+    (fun name ->
+      Alcotest.(check bool) (name ^ " unmeasured") true
+        (List.for_all Option.is_none (values name)))
+    [
+      "Minprog IOU execution penalty (x)";
+      "Chess IOU execution penalty (%)";
+      "peak wire-rate cut, IOU vs copy (%)";
+    ];
+  let rendered = Claims.render_replication rows in
+  let line name =
+    List.find
+      (fun l -> Test_helpers.contains l name)
+      (String.split_on_char '\n' rendered)
+  in
+  Alcotest.(check bool) "counts the seeds" true
+    (Test_helpers.contains (line "byte savings") "of 2");
+  Alcotest.(check bool) "an unmeasured claim renders -" true
+    (Test_helpers.contains (line "Minprog") " -")
 
-let replication_cases =
-  [ Alcotest.test_case "replication metrics" `Quick test_replication_metrics ]
+(* The whole list at the paper's seed: every miss carries a note naming
+   its cause, and every note sits on a claim that misses. *)
+let test_claims_at_seed_42 () =
+  let evidence =
+    {
+      Claims.sweep = Sweep.run ~seed:42L ~progress:false ();
+      panels = Figure_4_5.panels ~seed:42L ();
+    }
+  in
+  let misses_without_note = Claims.unexplained Claims.all evidence in
+  Alcotest.(check (list string)) "every miss has a note" []
+    (claim_names misses_without_note);
+  let measured c = Option.get (c.Claims.measure evidence) in
+  Alcotest.(check (list string)) "every note is on a miss" []
+    (claim_names
+       (List.filter
+          (fun c -> c.Claims.deviation <> None && Claims.holds c (measured c))
+          Claims.all))
 
-let suite = (fst suite, snd suite @ replication_cases)
+(* EXPERIMENTS.md's "Known deviations" (its last section) names every
+   claim that carries a note, with the note's text, and no claim that
+   carries none. *)
+let test_claims_documented () =
+  (* under dune runtest the suite runs in _build/default/test; under dune
+     exec, at the project root *)
+  let path =
+    List.find Sys.file_exists [ "../EXPERIMENTS.md"; "EXPERIMENTS.md" ]
+  in
+  let doc = In_channel.with_open_bin path In_channel.input_all in
+  let heading = "## Known deviations" in
+  let rec start i =
+    if String.sub doc i (String.length heading) = heading then i
+    else start (i + 1)
+  in
+  let words s =
+    String.concat " "
+      (List.filter (( <> ) "")
+         (String.split_on_char ' '
+            (String.map (function '\n' -> ' ' | c -> c) s)))
+  in
+  let i = start 0 in
+  let section = words (String.sub doc i (String.length doc - i)) in
+  List.iter
+    (fun (c : Claims.t) ->
+      let named = Test_helpers.contains section ("**" ^ c.Claims.name ^ "**") in
+      match c.Claims.deviation with
+      | Some note ->
+          Alcotest.(check bool) (c.Claims.name ^ " listed") true named;
+          Alcotest.(check bool)
+            (c.Claims.name ^ " with its note")
+            true
+            (Test_helpers.contains section (words note))
+      | None ->
+          Alcotest.(check bool) (c.Claims.name ^ " not listed") false named)
+    Claims.all
+
+let claims_cases =
+  [
+    Alcotest.test_case "claims documented" `Quick test_claims_documented;
+    Alcotest.test_case "claims band rule" `Quick test_claims_band_rule;
+    Alcotest.test_case "claims unexplained miss" `Quick test_claims_unexplained;
+    Alcotest.test_case "replication metrics" `Quick test_replication_metrics;
+    Alcotest.test_case "claims at seed 42" `Slow test_claims_at_seed_42;
+  ]
+
+let suite = (fst suite, snd suite @ claims_cases)
 
 (* --- the evaluate CSVs, pinned byte for byte --- *)
 

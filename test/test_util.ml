@@ -38,10 +38,6 @@ let test_stats_merge () =
   Alcotest.(check int) "merged count" 4 (Stats.count m);
   close "merged mean" 2.5 (Stats.mean m)
 
-let test_geometric_mean () =
-  close "gm of 1,4" 2. (Stats.geometric_mean [ 1.; 4. ]);
-  close "gm empty" 0. (Stats.geometric_mean [])
-
 let prop_mean_bounded =
   QCheck.Test.make ~name:"mean within min..max"
     QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1000.) 1000.))
@@ -80,7 +76,7 @@ let prop_moments_mode_independent =
         xs;
       Stats.count exact = Stats.count sketch
       && Stats.mean exact = Stats.mean sketch
-      && Stats.stddev exact = Stats.stddev sketch
+      && Stats.variance exact = Stats.variance sketch
       && Stats.min_value exact = Stats.min_value sketch
       && Stats.max_value exact = Stats.max_value sketch)
 
@@ -229,13 +225,10 @@ and test_chart_negative () =
   Alcotest.(check bool) "draws negative bars" true
     (Test_helpers.contains out "<" && Test_helpers.contains out ">")
 
-let test_chart_timeline () =
-  let bins = Array.init 10 (fun i -> (float_of_int i, float_of_int (i mod 3))) in
-  let out = Ascii_chart.timeline ~title:"t" ~y_label:"y" ~x_label:"x" bins in
-  Alcotest.(check bool) "non-empty" true (String.length out > 50)
-
 let test_chart_empty_timeline () =
-  let out = Ascii_chart.timeline ~title:"t" ~y_label:"y" ~x_label:"x" [||] in
+  let out =
+    Ascii_chart.stacked_timeline ~title:"t" ~y_label:"y" ~x_label:"x" [||] [||]
+  in
   Alcotest.(check bool) "handles empty" true
     (Test_helpers.contains out "empty")
 
@@ -255,7 +248,6 @@ let suite =
       Alcotest.test_case "stats empty" `Quick test_stats_empty;
       Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
       Alcotest.test_case "stats merge" `Quick test_stats_merge;
-      Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
       QCheck_alcotest.to_alcotest prop_mean_bounded;
       QCheck_alcotest.to_alcotest prop_welford_matches_naive;
       QCheck_alcotest.to_alcotest prop_moments_mode_independent;
@@ -273,7 +265,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_binning_preserves_mass;
       Alcotest.test_case "chart hbars" `Quick test_chart_hbars;
       Alcotest.test_case "chart negative" `Quick test_chart_negative;
-      Alcotest.test_case "chart timeline" `Quick test_chart_timeline;
       Alcotest.test_case "chart empty" `Quick test_chart_empty_timeline;
       Alcotest.test_case "chart stacked" `Quick test_chart_stacked;
     ] )
