@@ -25,11 +25,6 @@
 open Accent_core
 open Accent_experiments
 
-let time f =
-  let wall0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. wall0)
-
 (* --- configurations ----------------------------------------------------- *)
 
 let smoke_config =
@@ -75,26 +70,28 @@ let sweep_config smoke =
 (* --- driver ------------------------------------------------------------ *)
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let smoke = List.mem "--smoke" args in
-  let rec flag name default = function
-    | f :: v :: _ when f = name -> v
-    | _ :: rest -> flag name default rest
-    | [] -> default
+  let args =
+    Harness.parse ~name:"cluster" ~out:"BENCH_cluster.json"
+      Harness.[ ("--domains", Int); ("--seeds", Int) ]
   in
-  let out = flag "--out" "BENCH_cluster.json" args in
+  (* nothing of [args] stays live into the big run, whose live-heap
+     figure counts this whole process *)
+  let smoke = args.smoke and out = args.out in
   let domains =
-    int_of_string (flag "--domains" (if smoke then "2" else "4") args)
+    Harness.int args "--domains" ~default:(if smoke then 2 else 4)
   in
-  let n_seeds = int_of_string (flag "--seeds" (if smoke then "2" else "4") args) in
+  let n_seeds = Harness.int args "--seeds" ~default:(if smoke then 2 else 4) in
   let config = if smoke then smoke_config else Cluster_scenario.default_churn in
 
   (* 1. policy comparison *)
-  let policies, policies_wall =
-    time (fun () -> Cluster_scenario.compare_churn ~config ())
+  let policies =
+    let m =
+      Harness.measure (fun () -> Cluster_scenario.compare_churn ~config ())
+    in
+    print_string (Cluster_scenario.render_churn m.value);
+    Printf.printf "cluster: policy comparison in %.2f s\n%!" m.wall_s;
+    m.value
   in
-  print_string (Cluster_scenario.render_churn policies);
-  Printf.printf "cluster: policy comparison in %.2f s\n%!" policies_wall;
 
   (* 2. the single-world probe with the allocation meters on: the
      1000-host million-event run in full mode, a smaller gate
@@ -102,78 +99,64 @@ let () =
      baseline) *)
   let big =
     let cfg = if smoke then gate_config else big_config in
-    let (r, gc), wall =
-      time (fun () ->
-          Cluster_scenario.run_churn_gc ~config:cfg
-            ~policy:(Placement_policy.threshold ()) ())
-    in
-    Printf.printf
-      "cluster: big run  %d hosts  %d events  %d migrations  %.2f s wall  \
-       %.0f ev/s  %.1f minor words/event  %d live words after\n\
-       %!"
-      r.Cluster_scenario.hosts_n r.Cluster_scenario.events
-      r.Cluster_scenario.migrations wall
-      (float_of_int r.Cluster_scenario.events /. Float.max 1e-9 wall)
-      gc.Cluster_scenario.minor_words_per_event
-      gc.Cluster_scenario.live_words_after;
-    if (not smoke) && r.Cluster_scenario.events < 1_000_000 then
-      failwith
-        (Printf.sprintf "cluster: big run executed only %d events (< 1M)"
-           r.Cluster_scenario.events);
-    (r, gc, wall)
+    Harness.measure (fun () ->
+        Cluster_scenario.run_churn_gc ~config:cfg
+          ~policy:(Placement_policy.threshold ()) ())
   in
+  let r, gc = big.value in
+  let events_per_s = Harness.per_sec r.Cluster_scenario.events big.wall_s in
+  Printf.printf
+    "cluster: big run  %d hosts  %d events  %d migrations  %.2f s wall  \
+     %.0f ev/s  %.1f minor words/event  %d live words after\n\
+     %!"
+    r.Cluster_scenario.hosts_n r.Cluster_scenario.events
+    r.Cluster_scenario.migrations big.wall_s events_per_s
+    gc.Cluster_scenario.minor_words_per_event
+    gc.Cluster_scenario.live_words_after;
+  if (not smoke) && r.Cluster_scenario.events < 1_000_000 then
+    failwith
+      (Printf.sprintf "cluster: big run executed only %d events (< 1M)"
+         r.Cluster_scenario.events);
 
   (* 3. sequential vs domain-parallel seed sweep *)
   let seeds = List.init n_seeds (fun i -> Int64.of_int (1 + i)) in
   let sw_config = sweep_config smoke in
   let policy = Placement_policy.threshold () in
-  let seq, seq_wall =
-    time (fun () ->
-        Cluster_scenario.churn_seed_sweep ~config:sw_config ~domains:1 ~policy
-          ~seeds ())
-  in
-  let par, par_wall =
-    time (fun () ->
+  let sweep domains =
+    Harness.measure (fun () ->
         Cluster_scenario.churn_seed_sweep ~config:sw_config ~domains ~policy
           ~seeds ())
   in
-  if seq <> par then
+  let seq = sweep 1 in
+  let par = sweep domains in
+  if seq.value <> par.value then
     failwith "cluster: parallel sweep diverged from sequential results";
   let cores = Accent_util.Domain_pool.recommended () in
-  let speedup = seq_wall /. Float.max 1e-9 par_wall in
+  let speedup = seq.wall_s /. Float.max 1e-9 par.wall_s in
   Printf.printf
     "cluster: sweep of %d seeds  seq %.2f s  %d-domain %.2f s  speedup %.2fx \
      (machine has %d cores)  per-seed results identical\n\
      %!"
-    n_seeds seq_wall domains par_wall speedup cores;
+    n_seeds seq.wall_s domains par.wall_s speedup cores;
 
-  (* --- JSON ------------------------------------------------------------- *)
-  let oc = open_out out in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc {|  "benchmark": "cluster",%s|} "\n";
-  Printf.fprintf oc {|  "mode": "%s",%s|} (if smoke then "smoke" else "full") "\n";
-  Printf.fprintf oc "  \"policies\": [\n%s\n  ],\n"
-    (String.concat ",\n"
-       (List.map
-          (fun r -> "    " ^ Cluster_scenario.churn_json r)
-          policies));
-  (let r, gc, wall = big in
-   Printf.fprintf oc
-     "  \"big_run\": {\"wall_s\": %.3f, \"events_per_s\": %.1f, \
-      \"minor_words\": %.0f, \"minor_words_per_event\": %.2f, \
-      \"live_words_after\": %d, \"result\": %s},\n"
-     wall
-     (float_of_int r.Cluster_scenario.events /. Float.max 1e-9 wall)
-     gc.Cluster_scenario.minor_words gc.Cluster_scenario.minor_words_per_event
-     gc.Cluster_scenario.live_words_after
-     (Cluster_scenario.churn_json r));
-  Printf.fprintf oc
-    "  \"sweep\": {\"seeds\": %d, \"domains\": %d, \"cores\": %d, \
-     \"seq_wall_s\": %.3f, \"par_wall_s\": %.3f, \"speedup\": %.3f, \
-     \"identical\": true, \"rows\": [\n%s\n  ]}\n"
-    n_seeds domains cores seq_wall par_wall speedup
-    (String.concat ",\n"
-       (List.map (fun r -> "    " ^ Cluster_scenario.churn_json r) seq));
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "cluster: wrote %s\n%!" out
+  let churn_rows rs = Harness.rows (List.map Cluster_scenario.churn_json rs) in
+  Harness.write_json ~name:"cluster" ~smoke ~out
+    [
+      ("policies", churn_rows policies);
+      ( "big_run",
+        Printf.sprintf
+          "{\"wall_s\": %.3f, \"events_per_s\": %.1f, \"minor_words\": %.0f, \
+           \"minor_words_per_event\": %.2f, \"live_words_after\": %d, \
+           \"result\": %s}"
+          big.wall_s events_per_s gc.Cluster_scenario.minor_words
+          gc.Cluster_scenario.minor_words_per_event
+          gc.Cluster_scenario.live_words_after
+          (Cluster_scenario.churn_json r) );
+      ( "sweep",
+        Printf.sprintf
+          "{\"seeds\": %d, \"domains\": %d, \"cores\": %d, \
+           \"seq_wall_s\": %.3f, \"par_wall_s\": %.3f, \"speedup\": %.3f, \
+           \"identical\": true, \"rows\": %s}"
+          n_seeds domains cores seq.wall_s par.wall_s speedup
+          (churn_rows seq.value) );
+    ]

@@ -42,14 +42,9 @@
 
 open Accent_mem
 
-let time_it f =
-  let wall0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. wall0
+(* Each benchmark prints its line on stdout and returns its JSON row. *)
 
 (* --- eviction storm ---------------------------------------------------- *)
-
-type evict_row = { pool : int; ops : int; ev_wall_s : float; ns_per_op : float }
 
 (* Fill the pool, then allocate [ops] more pages: each allocation must
    evict the LRU frame.  Once the pool is full the live frame-id set
@@ -63,8 +58,8 @@ let eviction_storm ~pool ~ops =
       (Phys_mem.allocate mem ~owner:{ Phys_mem.space_id = 0; page = i }
          Page.zero_value)
   done;
-  let wall =
-    time_it (fun () ->
+  let m =
+    Harness.measure (fun () ->
         for i = 0 to ops - 1 do
           Phys_mem.touch mem (i * 7919 mod pool);
           ignore
@@ -74,16 +69,14 @@ let eviction_storm ~pool ~ops =
         done)
   in
   assert (Phys_mem.evictions mem = ops);
-  { pool; ops; ev_wall_s = wall; ns_per_op = wall /. float_of_int ops *. 1e9 }
+  let ns = Harness.ns_per m ops in
+  Printf.printf "hotpath: evict  pool %6d  %8d ops  %7.1f ns/op\n%!" pool ops
+    ns;
+  Printf.sprintf
+    {|{"pool_frames": %d, "evictions": %d, "wall_s": %.4f, "ns_per_eviction": %.1f}|}
+    pool ops m.wall_s ns
 
 (* --- working-set churn ------------------------------------------------- *)
-
-type ws_row = {
-  footprint : int;
-  queries : int;
-  ws_wall_s : float;
-  ns_per_query : float;
-}
 
 (* Touch [footprint] distinct pages over a long virtual lifetime so
    only ~[tau] worth of them stay in-window, then interleave
@@ -97,8 +90,8 @@ let working_set_churn ~footprint ~queries =
     Working_set.reference ws ~time:(float_of_int i *. dt) i
   done;
   let t0 = float_of_int footprint *. dt in
-  let wall =
-    time_it (fun () ->
+  let m =
+    Harness.measure (fun () ->
         for q = 0 to queries - 1 do
           let now = t0 +. (float_of_int q *. dt) in
           Working_set.reference ws ~time:now (q mod footprint);
@@ -106,24 +99,14 @@ let working_set_churn ~footprint ~queries =
           ignore (Working_set.pages_within ws ~time:now ~window:(tau /. 2.))
         done)
   in
-  {
-    footprint;
-    queries;
-    ws_wall_s = wall;
-    ns_per_query = wall /. float_of_int queries *. 1e9;
-  }
+  let ns = Harness.ns_per m queries in
+  Printf.printf "hotpath: wset   foot %6d  %8d qrys %7.1f ns/query\n%!"
+    footprint queries ns;
+  Printf.sprintf
+    {|{"footprint_pages": %d, "queries": %d, "wall_s": %.4f, "ns_per_query": %.1f}|}
+    footprint queries m.wall_s ns
 
 (* --- ARQ timer churn --------------------------------------------------- *)
-
-type timer_row = {
-  window : int;
-  rounds : int;
-  timer_ops : int;
-  tm_wall_s : float;
-  tm_ns_per_op : float;
-  compactions : int;
-  max_physical : int;
-}
 
 (* The reliable transport's pattern: a window of per-fragment backoff
    timers goes up, a cumulative ack cancels almost all of them, the
@@ -134,8 +117,8 @@ let timer_churn ~window ~rounds =
   let handles = Array.make window None in
   let max_physical = ref 0 in
   let ops = ref 0 in
-  let wall =
-    time_it (fun () ->
+  let m =
+    Harness.measure (fun () ->
         for round = 0 to rounds - 1 do
           let base = float_of_int (round * window) in
           for i = 0 to window - 1 do
@@ -162,24 +145,18 @@ let timer_churn ~window ~rounds =
           done
         done)
   in
-  {
-    window;
-    rounds;
-    timer_ops = !ops;
-    tm_wall_s = wall;
-    tm_ns_per_op = wall /. float_of_int !ops *. 1e9;
-    compactions = Accent_sim.Event_queue.compactions q;
-    max_physical = !max_physical;
-  }
+  let ns = Harness.ns_per m !ops in
+  let compactions = Accent_sim.Event_queue.compactions q in
+  Printf.printf
+    "hotpath: timer  win  %6d  %8d ops  %7.1f ns/op  %d compactions  max \
+     heap %d\n\
+     %!"
+    window !ops ns compactions !max_physical;
+  Printf.sprintf
+    {|{"window": %d, "rounds": %d, "ops": %d, "wall_s": %.4f, "ns_per_op": %.1f, "compactions": %d, "max_physical": %d}|}
+    window rounds !ops m.wall_s ns compactions !max_physical
 
 (* --- page checks -------------------------------------------------------- *)
-
-type page_row = {
-  pages : int;
-  ns_per_cold : float;
-  ns_per_hit : float;
-  ns_per_recheck : float;
-}
 
 (* A tag no workload uses, so the first pass misses the memo on every
    page; the values are built before the clock starts. *)
@@ -189,25 +166,24 @@ let page_checks ~pages =
   in
   let per_page f =
     let sink = ref 0 in
-    let wall =
-      time_it (fun () -> Array.iter (fun v -> sink := !sink lxor f v) values)
+    let m =
+      Harness.measure (fun () ->
+          Array.iter (fun v -> sink := !sink lxor f v) values)
     in
     ignore (Sys.opaque_identity !sink);
-    wall /. float_of_int pages *. 1e9
+    Harness.ns_per m pages
   in
-  let ns_per_cold = per_page Page.digest in
-  let ns_per_hit = per_page Page.digest in
-  let ns_per_recheck = per_page Page.checksum_value in
-  { pages; ns_per_cold; ns_per_hit; ns_per_recheck }
+  let cold = per_page Page.digest in
+  let hit = per_page Page.digest in
+  let recheck = per_page Page.checksum_value in
+  Printf.printf
+    "hotpath: page   %8d pages  cold %6.1f  hit %6.1f  recheck %6.1f ns\n%!"
+    pages cold hit recheck;
+  Printf.sprintf
+    {|{"pages": %d, "ns_per_cold_digest": %.1f, "ns_per_memo_hit": %.1f, "ns_per_checksum_value": %.1f}|}
+    pages cold hit recheck
 
 (* --- ARQ acks ---------------------------------------------------------- *)
-
-type arq_row = {
-  fragments : int;
-  messages : int;
-  arq_wall_s : float;
-  ns_per_fragment : float;
-}
 
 (* [messages] messages of [fragments] fragments each, one after another
    from host 0 to host 1, on a clean link with free CPUs: every fragment
@@ -238,8 +214,8 @@ let arq_acks ~fragments ~messages =
       ~dest:(Accent_ipc.Port.fresh ids)
       (Accent_ipc.Message.Ping 0)
   in
-  let wall =
-    time_it (fun () ->
+  let m =
+    Harness.measure (fun () ->
         for _ = 1 to messages do
           Reliable.send sender ~dst:1 ~msg
             ~wire_bytes:(fragments * Link.fragment_bytes)
@@ -250,22 +226,14 @@ let arq_acks ~fragments ~messages =
   assert (
     !delivered = fragments * messages
     && Reliable.retransmissions sender = 0);
-  {
-    fragments;
-    messages;
-    arq_wall_s = wall;
-    ns_per_fragment = wall /. float_of_int !delivered *. 1e9;
-  }
+  let ns = Harness.ns_per m !delivered in
+  Printf.printf "hotpath: arq    frags %6d  %8d msgs %7.1f ns/fragment\n%!"
+    fragments messages ns;
+  Printf.sprintf
+    {|{"fragments": %d, "messages": %d, "wall_s": %.4f, "ns_per_fragment": %.1f}|}
+    fragments messages m.wall_s ns
 
 (* --- reference path ------------------------------------------------------ *)
-
-type ref_row = {
-  spaces : int;
-  refs : int;
-  ref_wall_s : float;
-  ns_per_ref : float;
-  words_per_ref : float;
-}
 
 (* [spaces] live spaces of 16 resident, already-touched pages each on one
    frame pool, each with its working set, referenced round-robin — space
@@ -293,51 +261,33 @@ let reference_path ~spaces ~refs =
     ignore (reference i)
   done;
   let base = spaces * per_space in
-  let words0 = Gc.minor_words () in
   let missed = ref 0 in
-  let wall =
-    time_it (fun () ->
+  let m =
+    Harness.measure (fun () ->
         for i = base to base + refs - 1 do
           if not (reference i) then incr missed
         done)
   in
-  let words = Gc.minor_words () -. words0 in
   assert (!missed = 0 && Phys_mem.evictions mem = 0);
-  {
-    spaces;
-    refs;
-    ref_wall_s = wall;
-    ns_per_ref = wall /. float_of_int refs *. 1e9;
-    words_per_ref = words /. float_of_int refs;
-  }
+  let ns = Harness.ns_per m refs and words = Harness.words_per m refs in
+  Printf.printf
+    "hotpath: ref    spaces %6d  %8d refs %7.1f ns/ref  %.2f words/ref\n%!"
+    spaces refs ns words;
+  Printf.sprintf
+    {|{"spaces": %d, "references": %d, "wall_s": %.4f, "ns_per_reference": %.1f, "minor_words_per_reference": %.2f}|}
+    spaces refs m.wall_s ns words
 
 (* --- interval map --------------------------------------------------------- *)
 
-type imap_row = {
-  intervals : int;
-  set_ops : int;
-  ns_per_set : float;
-  words_per_set : float;
-  find_ops : int;
-  ns_per_find : float;
-  words_per_find : float;
-  folds : int;
-  pieces_per_fold : int;
-  ns_per_fold : float;
-  words_per_fold : float;
-}
-
 (* ns and minor words per call of [op i] over [ops] calls. *)
 let per_op ~ops op =
-  let words0 = Gc.minor_words () in
-  let wall =
-    time_it (fun () ->
+  let m =
+    Harness.measure (fun () ->
         for i = 0 to ops - 1 do
           op i
         done)
   in
-  ( wall /. float_of_int ops *. 1e9,
-    (Gc.minor_words () -. words0) /. float_of_int ops )
+  (Harness.ns_per m ops, Harness.words_per m ops)
 
 (* [intervals] regions of 48 pages, 64 apart, all carrying 0: a sparse
    space's layout.  The set op makes one page of region [r] carry 1 (the
@@ -374,93 +324,22 @@ let interval_map_ops ~intervals ~set_ops ~find_ops ~folds =
           Interval_map.fold_pieces m ~lo ~hi:(lo + (span * 64)) ~init:0
             ~f:(fun n _ _ _ -> n + 1))
   in
-  {
-    intervals;
-    set_ops;
-    ns_per_set;
-    words_per_set;
-    find_ops;
-    ns_per_find;
-    words_per_find;
-    folds;
-    pieces_per_fold = !pieces;
-    ns_per_fold;
-    words_per_fold;
-  }
-
-(* --- JSON output ------------------------------------------------------- *)
-
-let evict_json r =
+  Printf.printf
+    "hotpath: imap   n %6d  set %8.1f ns %5.2f w  find %6.1f ns %5.2f w  \
+     fold/%d %8.1f ns %6.2f w\n\
+     %!"
+    intervals ns_per_set words_per_set ns_per_find words_per_find !pieces
+    ns_per_fold words_per_fold;
   Printf.sprintf
-    {|    {"pool_frames": %d, "evictions": %d, "wall_s": %.4f, "ns_per_eviction": %.1f}|}
-    r.pool r.ops r.ev_wall_s r.ns_per_op
-
-let ws_json r =
-  Printf.sprintf
-    {|    {"footprint_pages": %d, "queries": %d, "wall_s": %.4f, "ns_per_query": %.1f}|}
-    r.footprint r.queries r.ws_wall_s r.ns_per_query
-
-let timer_json r =
-  Printf.sprintf
-    {|    {"window": %d, "rounds": %d, "ops": %d, "wall_s": %.4f, "ns_per_op": %.1f, "compactions": %d, "max_physical": %d}|}
-    r.window r.rounds r.timer_ops r.tm_wall_s r.tm_ns_per_op r.compactions
-    r.max_physical
-
-let page_json r =
-  Printf.sprintf
-    {|    {"pages": %d, "ns_per_cold_digest": %.1f, "ns_per_memo_hit": %.1f, "ns_per_checksum_value": %.1f}|}
-    r.pages r.ns_per_cold r.ns_per_hit r.ns_per_recheck
-
-let arq_json r =
-  Printf.sprintf
-    {|    {"fragments": %d, "messages": %d, "wall_s": %.4f, "ns_per_fragment": %.1f}|}
-    r.fragments r.messages r.arq_wall_s r.ns_per_fragment
-
-let ref_json r =
-  Printf.sprintf
-    {|    {"spaces": %d, "references": %d, "wall_s": %.4f, "ns_per_reference": %.1f, "minor_words_per_reference": %.2f}|}
-    r.spaces r.refs r.ref_wall_s r.ns_per_ref r.words_per_ref
-
-let imap_json r =
-  Printf.sprintf
-    {|    {"intervals": %d, "set_ops": %d, "ns_per_set": %.1f, "minor_words_per_set": %.2f, "find_ops": %d, "ns_per_find": %.1f, "minor_words_per_find": %.2f, "folds": %d, "pieces_per_fold": %d, "ns_per_fold": %.1f, "minor_words_per_fold": %.2f}|}
-    r.intervals r.set_ops r.ns_per_set r.words_per_set r.find_ops r.ns_per_find
-    r.words_per_find r.folds r.pieces_per_fold r.ns_per_fold r.words_per_fold
-
-let write_json ~path ~mode ~evict ~ws ~timers ~page ~arq ~refs ~imap =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc {|  "benchmark": "hotpath",%s|} "\n";
-  Printf.fprintf oc {|  "mode": "%s",%s|} mode "\n";
-  Printf.fprintf oc {|  "page_bytes": %d,%s|} Page.size "\n";
-  Printf.fprintf oc "  \"eviction_storm\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map evict_json evict));
-  Printf.fprintf oc "  \"working_set_churn\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map ws_json ws));
-  Printf.fprintf oc "  \"timer_churn\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map timer_json timers));
-  Printf.fprintf oc "  \"page_checks\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map page_json page));
-  Printf.fprintf oc "  \"arq_ack\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map arq_json arq));
-  Printf.fprintf oc "  \"reference_path\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map ref_json refs));
-  Printf.fprintf oc "  \"interval_map\": [\n%s\n  ]\n"
-    (String.concat ",\n" (List.map imap_json imap));
-  Printf.fprintf oc "}\n";
-  close_out oc
+    {|{"intervals": %d, "set_ops": %d, "ns_per_set": %.1f, "minor_words_per_set": %.2f, "find_ops": %d, "ns_per_find": %.1f, "minor_words_per_find": %.2f, "folds": %d, "pieces_per_fold": %d, "ns_per_fold": %.1f, "minor_words_per_fold": %.2f}|}
+    intervals set_ops ns_per_set words_per_set find_ops ns_per_find
+    words_per_find folds !pieces ns_per_fold words_per_fold
 
 (* --- driver ------------------------------------------------------------ *)
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let smoke = List.mem "--smoke" args in
-  let rec out_path = function
-    | "--out" :: path :: _ -> path
-    | _ :: rest -> out_path rest
-    | [] -> "BENCH_hotpath.json"
-  in
-  let out = out_path args in
+  let args = Harness.parse ~name:"hotpath" ~out:"BENCH_hotpath.json" [] in
+  let smoke = args.smoke in
   let pools, evict_ops =
     if smoke then ([ 256; 1_024 ], 20_000)
     else ([ 1_024; 4_096; 16_384; 65_536 ], 200_000)
@@ -473,86 +352,47 @@ let () =
     if smoke then ([ 1_000; 10_000 ], 5) else ([ 1_000; 10_000; 100_000 ], 20)
   in
   let evict =
-    List.map
-      (fun pool ->
-        let r = eviction_storm ~pool ~ops:evict_ops in
-        Printf.printf "hotpath: evict  pool %6d  %8d ops  %7.1f ns/op\n%!"
-          r.pool r.ops r.ns_per_op;
-        r)
-      pools
+    List.map (fun pool -> eviction_storm ~pool ~ops:evict_ops) pools
   in
   let ws =
     List.map
-      (fun footprint ->
-        let r = working_set_churn ~footprint ~queries:ws_queries in
-        Printf.printf "hotpath: wset   foot %6d  %8d qrys %7.1f ns/query\n%!"
-          r.footprint r.queries r.ns_per_query;
-        r)
+      (fun footprint -> working_set_churn ~footprint ~queries:ws_queries)
       footprints
   in
-  let timers =
-    List.map
-      (fun window ->
-        let r = timer_churn ~window ~rounds in
-        Printf.printf
-          "hotpath: timer  win  %6d  %8d ops  %7.1f ns/op  %d compactions  \
-           max heap %d\n\
-           %!"
-          r.window r.timer_ops r.tm_ns_per_op r.compactions r.max_physical;
-        r)
-      windows
-  in
-  let page =
-    let r = page_checks ~pages:(if smoke then 20_000 else 200_000) in
-    Printf.printf
-      "hotpath: page   %8d pages  cold %6.1f  hit %6.1f  recheck %6.1f ns\n%!"
-      r.pages r.ns_per_cold r.ns_per_hit r.ns_per_recheck;
-    [ r ]
-  in
+  let timers = List.map (fun window -> timer_churn ~window ~rounds) windows in
+  let page = [ page_checks ~pages:(if smoke then 20_000 else 200_000) ] in
   (* the same fragment total at every message length *)
   let total = if smoke then 4_096 else 65_536 in
   let arq =
     List.map
-      (fun fragments ->
-        let r = arq_acks ~fragments ~messages:(total / fragments) in
-        Printf.printf
-          "hotpath: arq    frags %6d  %8d msgs %7.1f ns/fragment\n%!"
-          r.fragments r.messages r.ns_per_fragment;
-        r)
+      (fun fragments -> arq_acks ~fragments ~messages:(total / fragments))
       (if smoke then [ 64; 1_024 ] else [ 64; 1_024; 16_384 ])
   in
   let refs =
     List.map
       (fun spaces ->
-        let r =
-          reference_path ~spaces ~refs:(if smoke then 100_000 else 2_000_000)
-        in
-        Printf.printf
-          "hotpath: ref    spaces %6d  %8d refs %7.1f ns/ref  %.2f words/ref\n%!"
-          r.spaces r.refs r.ns_per_ref r.words_per_ref;
-        r)
+        reference_path ~spaces ~refs:(if smoke then 100_000 else 2_000_000))
       (if smoke then [ 256; 1_024 ] else [ 1_024; 16_384; 131_072 ])
   in
   let imap =
     List.map
       (fun intervals ->
-        let r =
-          if smoke then
-            interval_map_ops ~intervals ~set_ops:2_000 ~find_ops:20_000
-              ~folds:2_000
-          else
-            interval_map_ops ~intervals ~set_ops:20_000 ~find_ops:2_000_000
-              ~folds:200_000
-        in
-        Printf.printf
-          "hotpath: imap   n %6d  set %8.1f ns %5.2f w  find %6.1f ns %5.2f \
-           w  fold/%d %8.1f ns %6.2f w\n\
-           %!"
-          r.intervals r.ns_per_set r.words_per_set r.ns_per_find
-          r.words_per_find r.pieces_per_fold r.ns_per_fold r.words_per_fold;
-        r)
+        if smoke then
+          interval_map_ops ~intervals ~set_ops:2_000 ~find_ops:20_000
+            ~folds:2_000
+        else
+          interval_map_ops ~intervals ~set_ops:20_000 ~find_ops:2_000_000
+            ~folds:200_000)
       [ 16; 1_024; 65_536 ]
   in
-  write_json ~path:out ~mode:(if smoke then "smoke" else "full") ~evict ~ws
-    ~timers ~page ~arq ~refs ~imap;
-  Printf.printf "hotpath: wrote %s\n%!" out
+  Harness.write_json ~name:"hotpath" ~smoke ~out:args.out
+    [
+      ("page_bytes", string_of_int Page.size);
+      ("eviction_storm", Harness.rows evict);
+      ("working_set_churn", Harness.rows ws);
+      ("timer_churn", Harness.rows timers);
+      ("page_checks", Harness.rows page);
+      ("arq_ack", Harness.rows arq);
+      ("reference_path", Harness.rows refs);
+      ("interval_map", Harness.rows imap);
+    ]

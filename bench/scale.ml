@@ -8,13 +8,8 @@
 
      - wall-clock seconds for the whole trial (world construction,
        workload build, migration, remote execution to completion),
-     - words allocated on the OCaml heap over the same window, measured
-       with Gc.minor_words: on OCaml 5.1, Gc.allocated_bytes inflates by
-       the promoted words of every minor collection in the window (a
-       bare Gc.minor () with N live young words reports ~N words
-       "allocated"), which made the old numbers grow with live-data
-       size rather than allocation.  Minor words are the honest
-       allocation-pressure number and are exact across promotions, and
+     - minor words allocated over the same window (Harness.measure
+       says why minor words), and
      - simulation events executed, and events per wall second.
 
    Results land in BENCH_scale.json so the perf trajectory across PRs
@@ -65,36 +60,14 @@ let scale_spec ~name ~real_pages =
     base_addr = 0x40000;
   }
 
-type trial = {
-  strategy : string;
-  real_pages : int;
-  n_hosts : int;
-  frames : int;
-  wall_s : float;
-  allocated_words : float;
-  events : int;
-  events_per_sec : float;
-  sim_ms : float;
-  completed : int;
-  wire_bytes : int;
-}
-
 (* Each timed point runs the whole trial [reps] times and reports the
-   best wall clock: a trial is deterministic (identical event count and
-   allocation every repeat), so the wall spread across repeats is pure
-   scheduler/cache noise and the minimum is the least-contaminated
-   estimate.  Allocation and event counts come from the first repeat. *)
+   best wall clock (Harness.best_of, which stops the sweep if a repeat
+   executes different events or allocates different minor words). *)
 let reps = 3
 
-let run_trial_once ?frames ~strategy ~real_pages ~n_hosts () =
-  let costs =
-    match frames with
-    | None -> Accent_kernel.Cost_model.default
-    | Some frames_per_host ->
-        { Accent_kernel.Cost_model.default with frames_per_host }
-  in
-  let wall0 = Unix.gettimeofday () in
-  let alloc0 = Gc.minor_words () in
+(* Every host migrates its process to its neighbour; the world after the
+   run. *)
+let trial_world ~costs ~strategy ~real_pages ~n_hosts () =
   let world = World.create ~costs ~n_hosts () in
   let procs =
     List.init n_hosts (fun i ->
@@ -113,51 +86,45 @@ let run_trial_once ?frames ~strategy ~real_pages ~n_hosts () =
            ~on_complete:(fun _ _ -> incr completed)
            ()))
     procs;
-  let sim_end = World.run world in
-  let wall_s = Unix.gettimeofday () -. wall0 in
-  let allocated_words = Gc.minor_words () -. alloc0 in
-  let events = Accent_sim.Engine.events_executed world.World.engine in
+  ignore (World.run world);
   if !completed <> n_hosts then
     failwith
       (Printf.sprintf "scale: only %d/%d migrations completed" !completed
          n_hosts);
-  {
-    strategy = Strategy.name strategy;
-    real_pages;
-    n_hosts;
-    frames = costs.Accent_kernel.Cost_model.frames_per_host;
-    wall_s;
-    allocated_words;
-    events;
-    events_per_sec = float_of_int events /. Float.max 1e-9 wall_s;
-    sim_ms = Accent_sim.Time.to_ms sim_end;
-    completed = !completed;
-    wire_bytes = Accent_net.Transfer_monitor.bytes_total world.World.monitor;
-  }
+  world
 
 let run_trial ?frames ~strategy ~real_pages ~n_hosts () =
-  let first = run_trial_once ?frames ~strategy ~real_pages ~n_hosts () in
-  let best_wall = ref first.wall_s in
-  for _ = 2 to reps do
-    let t = run_trial_once ?frames ~strategy ~real_pages ~n_hosts () in
-    if t.events <> first.events then
-      failwith "scale: non-deterministic trial (event count drifted)";
-    if t.wall_s < !best_wall then best_wall := t.wall_s
-  done;
-  {
-    first with
-    wall_s = !best_wall;
-    events_per_sec = float_of_int first.events /. Float.max 1e-9 !best_wall;
-  }
+  let costs =
+    match frames with
+    | None -> Accent_kernel.Cost_model.default
+    | Some frames_per_host ->
+        { Accent_kernel.Cost_model.default with frames_per_host }
+  in
+  let events w = Accent_sim.Engine.events_executed w.World.engine in
+  let m =
+    Harness.best_of ~reps ~events
+      (trial_world ~costs ~strategy ~real_pages ~n_hosts)
+  in
+  let world = m.value in
+  let strategy = Strategy.name strategy
+  and frames = costs.Accent_kernel.Cost_model.frames_per_host
+  and events = events world in
+  let events_per_sec = Harness.per_sec events m.wall_s in
+  Printf.printf
+    "scale: %-6s %6d pages x %d hosts (%5d frames)  %7.3f s  %12.0f words  \
+     %8d events (%8.0f ev/s)\n\
+     %!"
+    strategy real_pages n_hosts frames m.wall_s m.minor_words events
+    events_per_sec;
+  Printf.sprintf
+    {|{"strategy": "%s", "real_pages": %d, "hosts": %d, "frames": %d, "wall_s": %.4f, "allocated_words": %.0f, "events": %d, "events_per_sec": %.0f, "sim_ms": %.3f, "migrations_completed": %d, "wire_bytes": %d}|}
+    strategy real_pages n_hosts frames m.wall_s m.minor_words events
+    events_per_sec
+    (Accent_sim.Time.to_ms (Accent_sim.Engine.now world.World.engine))
+    n_hosts
+    (Accent_net.Transfer_monitor.bytes_total world.World.monitor)
 
 (* --- the largest Figure 4-1 trial, as an allocation probe -------------- *)
-
-type probe = {
-  workload : string;
-  strategy : string;
-  probe_wall_s : float;
-  minor_words : float;
-}
 
 let fig41_probe () =
   let spec =
@@ -167,32 +134,18 @@ let fig41_probe () =
   in
   List.map
     (fun strategy ->
-      let wall0 = Unix.gettimeofday () in
-      let alloc0 = Gc.minor_words () in
-      let result = Accent_experiments.Trial.run ~spec ~strategy () in
-      let minor_words = Gc.minor_words () -. alloc0 in
-      let wall_s = Unix.gettimeofday () -. wall0 in
-      ignore result.Accent_experiments.Trial.report;
-      {
-        workload = spec.Accent_workloads.Spec.name;
-        strategy = Strategy.name strategy;
-        probe_wall_s = wall_s;
-        minor_words;
-      })
+      let m =
+        Harness.measure (fun () ->
+            Accent_experiments.Trial.run ~spec ~strategy ())
+      in
+      let workload = spec.Accent_workloads.Spec.name
+      and strategy = Strategy.name strategy in
+      Printf.printf "fig41: %-9s %-10s %7.3f s  %14.0f minor words\n%!" workload
+        strategy m.wall_s m.minor_words;
+      Printf.sprintf
+        {|{"workload": "%s", "strategy": "%s", "wall_s": %.4f, "minor_words": %.0f}|}
+        workload strategy m.wall_s m.minor_words)
     [ Strategy.pure_copy; Strategy.pure_iou (); Strategy.hybrid () ]
-
-(* --- JSON output ------------------------------------------------------- *)
-
-let trial_json (t : trial) =
-  Printf.sprintf
-    {|    {"strategy": "%s", "real_pages": %d, "hosts": %d, "frames": %d, "wall_s": %.4f, "allocated_words": %.0f, "events": %d, "events_per_sec": %.0f, "sim_ms": %.3f, "migrations_completed": %d, "wire_bytes": %d}|}
-    t.strategy t.real_pages t.n_hosts t.frames t.wall_s t.allocated_words
-    t.events t.events_per_sec t.sim_ms t.completed t.wire_bytes
-
-let probe_json p =
-  Printf.sprintf
-    {|    {"workload": "%s", "strategy": "%s", "wall_s": %.4f, "minor_words": %.0f}|}
-    p.workload p.strategy p.probe_wall_s p.minor_words
 
 (* --- the content-addressed transfer headline --------------------------- *)
 
@@ -209,7 +162,7 @@ let dedup_json () =
   List.map
     (fun (c : Accent_experiments.Dedup_sweep.cell) ->
       Printf.sprintf
-        {|    {"strategy": "%s", "overlap": %g, "off_wire_bytes": %d, "on_wire_bytes": %d, "reduction_pct": %.1f, "digest_hits": %d, "pages_checked": %d}|}
+        {|{"strategy": "%s", "overlap": %g, "off_wire_bytes": %d, "on_wire_bytes": %d, "reduction_pct": %.1f, "digest_hits": %d, "pages_checked": %d}|}
         (Strategy.name c.Accent_experiments.Dedup_sweep.strategy)
         c.Accent_experiments.Dedup_sweep.overlap
         (Report.bytes_total c.Accent_experiments.Dedup_sweep.off)
@@ -219,59 +172,39 @@ let dedup_json () =
         c.Accent_experiments.Dedup_sweep.on_.Report.dedup_pages_checked)
     t.Accent_experiments.Dedup_sweep.cells
 
-let write_json ~path ~mode ~trials ~probes ~dedup =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc {|  "benchmark": "scale",%s|} "\n";
-  Printf.fprintf oc {|  "mode": "%s",%s|} mode "\n";
-  Printf.fprintf oc {|  "page_bytes": %d,%s|} Accent_mem.Page.size "\n";
-  Printf.fprintf oc "  \"trials\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map trial_json trials));
-  Printf.fprintf oc "  \"dedup_sweep\": [\n%s\n  ],\n"
-    (String.concat ",\n" dedup);
-  Printf.fprintf oc "  \"fig41_probe\": [\n%s\n  ]\n"
-    (String.concat ",\n" (List.map probe_json probes));
-  Printf.fprintf oc "}\n";
-  close_out oc
-
 (* --- driver ------------------------------------------------------------ *)
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let smoke = List.mem "--smoke" args in
-  let fig41_only = List.mem "--fig41-only" args in
-  let rec flag name default = function
-    | f :: v :: _ when f = name -> v
-    | _ :: rest -> flag name default rest
-    | [] -> default
+  let args =
+    Harness.parse ~name:"scale" ~out:"BENCH_scale.json"
+      Harness.
+        [
+          ("--fig41-only", Switch);
+          ("--domains", Int);
+          ("--sizes", Ints);
+          ("--hosts", Ints);
+        ]
   in
-  let out = flag "--out" "BENCH_scale.json" args in
-  let domains = int_of_string (flag "--domains" "1" args) in
+  let smoke = args.smoke in
+  let fig41_only = Harness.switch args "--fig41-only" in
+  let domains = Harness.int args "--domains" ~default:1 in
   (* --sizes / --hosts take comma-separated overrides: CI's scale gate
      runs just the 8192/65536 pair instead of the whole sweep *)
-  let csv s = List.map int_of_string (String.split_on_char ',' s) in
-  let sizes_override = flag "--sizes" "" args in
+  let sizes_override = Harness.int_list args "--sizes" in
   let sizes, hosts =
-    if sizes_override <> "" then
-      (csv sizes_override, csv (flag "--hosts" "2" args))
-    else if smoke then ([ 64; 256 ], [ 2; 3 ])
-    else ([ 128; 1_024; 8_192; 32_768; 65_536 ], [ 2; 4; 8 ])
+    match sizes_override with
+    | Some sizes ->
+        (sizes, Option.value (Harness.int_list args "--hosts") ~default:[ 2 ])
+    | None when smoke -> ([ 64; 256 ], [ 2; 3 ])
+    | None -> ([ 128; 1_024; 8_192; 32_768; 65_536 ], [ 2; 4; 8 ])
   in
   (* same sweep again against a quarter-size frame pool: spaces that
      exceed it force an eviction per fault, so the sim's own eviction
      path is on the critical path of every one of these points *)
   let constrained =
-    if sizes_override <> "" then []
+    if sizes_override <> None then []
     else if smoke then [ (256, 64, 2) ]
     else [ (8_192, 1_024, 2); (8_192, 1_024, 4); (32_768, 1_024, 2) ]
-  in
-  let report (t : trial) =
-    Printf.printf
-      "scale: %-6s %6d pages x %d hosts (%5d frames)  %7.3f s  %12.0f words  \
-       %8d events (%8.0f ev/s)\n\
-       %!"
-      t.strategy t.real_pages t.n_hosts t.frames t.wall_s t.allocated_words
-      t.events t.events_per_sec
   in
   let trials =
     if fig41_only then []
@@ -294,23 +227,12 @@ let () =
       in
       Accent_util.Domain_pool.map_list ~domains
         (fun (strategy, frames, real_pages, n_hosts) ->
-          let t = run_trial ?frames ~strategy ~real_pages ~n_hosts () in
-          report t;
-          t)
+          run_trial ?frames ~strategy ~real_pages ~n_hosts ())
         grid
     end
   in
   let probes =
-    if smoke || sizes_override <> "" then []
-    else begin
-      let probes = fig41_probe () in
-      List.iter
-        (fun p ->
-          Printf.printf "fig41: %-9s %-10s %7.3f s  %14.0f minor words\n%!"
-            p.workload p.strategy p.probe_wall_s p.minor_words)
-        probes;
-      probes
-    end
+    if smoke || sizes_override <> None then [] else fig41_probe ()
   in
   let dedup =
     if fig41_only then []
@@ -321,6 +243,10 @@ let () =
       cells
     end
   in
-  write_json ~path:out ~mode:(if smoke then "smoke" else "full") ~trials
-    ~probes ~dedup;
-  Printf.printf "scale: wrote %s\n%!" out
+  Harness.write_json ~name:"scale" ~smoke ~out:args.out
+    [
+      ("page_bytes", string_of_int Accent_mem.Page.size);
+      ("trials", Harness.rows trials);
+      ("dedup_sweep", Harness.rows dedup);
+      ("fig41_probe", Harness.rows probes);
+    ]

@@ -692,6 +692,16 @@ let ablate_cmd =
     (Cmd.info "ablate" ~doc)
     Term.(const (fun () -> Accent_experiments.Ablations.run_all ()) $ const ())
 
+let claims_cmd =
+  let doc = "measure the paper's scalar claims at seeds 1..5" in
+  Cmd.v (Cmd.info "claims" ~doc)
+    Term.(
+      const (fun () ->
+          print_string
+            Accent_experiments.Claims.(render_replication (replicate ()));
+          print_newline ())
+      $ const ())
+
 let main_cmd =
   let doc = "Accent copy-on-reference process migration testbed" in
   Cmd.group (Cmd.info "accentctl" ~doc)
@@ -700,6 +710,7 @@ let main_cmd =
       trace_cmd;
       tables_cmd;
       ablate_cmd;
+      claims_cmd;
       inspect_cmd;
       compare_cmd;
       workloads_cmd;

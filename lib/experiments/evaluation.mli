@@ -1,7 +1,6 @@
 (** Top-level driver: regenerate every table and figure of the paper's
     evaluation section and print the headline claims next to the paper's
-    numbers.  `dune exec bench/main.exe` and `accentctl evaluate` both land
-    here. *)
+    numbers.  `accentctl evaluate` lands here. *)
 
 val run_all :
   ?seed:int64 ->
