@@ -175,17 +175,17 @@ let test_cold_working_set_degenerates_to_iou () =
     r.Report.dest_faults_imag
 
 let test_ws_vs_rs_ablation () =
-  let rows =
-    Ablations.ws_vs_rs ~spec:ws_spec ~migrate_after_ms:6_000. ()
+  let t = Ablations.ws_vs_rs ~spec:ws_spec ~migrate_after_ms:6_000. () in
+  let module R = Accent_experiments.Result_table in
+  Alcotest.(check int) "four rows" 4 (List.length t.R.rows);
+  let shipped strategy =
+    (R.find t ~row:[ strategy ] ~column:"shipped_bytes").R.measured
   in
-  Alcotest.(check int) "four rows" 4 (List.length rows);
-  let find name = List.find (fun r -> r.Ablations.ws_strategy = name) rows in
-  let rs = find "rs" and iou = find "iou" in
   Alcotest.(check bool) "rs ships the most" true
     (List.for_all
-       (fun r -> r.Ablations.shipped_bytes <= rs.Ablations.shipped_bytes)
-       rows);
-  Alcotest.(check int) "iou ships nothing" 0 iou.Ablations.shipped_bytes
+       (fun b -> b <= shipped "rs")
+       (Test_helpers.column t "shipped_bytes"));
+  Alcotest.(check (float 0.)) "iou ships nothing" 0. (shipped "iou")
 
 let suite =
   ( "core_api",

@@ -63,3 +63,12 @@ let map_segment host backing space ~at ~segment_id ~offset ~len =
     ~segment_id
     ~backing_port:(Accent_net.Backing_server.port backing)
     ~offset ~len ~vaddr:at
+
+(* The measured values of a result table's column (by CSV header), top
+   to bottom. *)
+let column (t : Accent_experiments.Result_table.t) csv =
+  let module R = Accent_experiments.Result_table in
+  let headers = List.map (fun c -> c.R.csv) t.R.columns in
+  List.map
+    (fun r -> (List.assoc csv (List.combine headers r.R.cells)).R.measured)
+    t.R.rows
