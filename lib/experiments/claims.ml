@@ -1,7 +1,24 @@
 open Accent_core
 module R = Result_table
 
-type evidence = { sweep : Sweep.t; panels : Figure_4_5.panel list }
+type evidence = {
+  sweep : Sweep.t;
+  panels : Figure_4_5.panel list;
+  table_4_4 : R.t;
+  table_4_5 : R.t;
+  figure_4_3 : R.t;
+  figure_4_4 : R.t;
+}
+
+let evidence sweep panels =
+  {
+    sweep;
+    panels;
+    table_4_4 = Paper_tables.table_4_4 sweep;
+    table_4_5 = Paper_tables.table_4_5 sweep;
+    figure_4_3 = Paper_tables.figure_4_3 sweep;
+    figure_4_4 = Paper_tables.figure_4_4 sweep;
+  }
 
 type t = {
   name : string;
@@ -75,13 +92,13 @@ let trial t process strategy prefetch =
 
 (* [pick] over one column of a per-process table. *)
 let extreme pick table column e =
-  let t = table e.sweep in
+  let t = table e in
   Option.bind (per_process (fun p -> cell t [ p ] column) e) pick
 
 (* The mean over representatives of IOU's (no prefetch) saving against
    pure-copy, from a figure's cells. *)
 let mean_savings_pct ~floor figure e =
-  let t = figure e.sweep in
+  let t = figure e in
   Option.map Accent_util.Stats.mean_of
     (per_process
        (fun p ->
@@ -124,7 +141,7 @@ let pf1_faster e =
    slightly"); per representative, weak-locality programs can tick up at
    pf1 because the larger replies outweigh the faults saved. *)
 let pf1_cheaper e =
-  let t = Paper_tables.figure_4_4 e.sweep in
+  let t = e.figure_4_4 in
   Option.map
     (fun reps ->
       let total p =
@@ -142,7 +159,7 @@ let all =
   [
     (* "up to 1,000 times": Lisp-Del's copy over IOU in Table 4-5 *)
     hedged "max copy/IOU transfer-time ratio (x)" 1000. (fun e ->
-        let t = Paper_tables.table_4_5 e.sweep in
+        let t = e.table_4_5 in
         Option.bind
           (per_process
              (fun p ->
@@ -152,11 +169,11 @@ let all =
     (* "practically independent" of address-space size (PAPER.md), while
        Total spans 12,800x *)
     hedged "IOU transfer-time spread (max/min)" paper_iou_spread
-      (extreme spread Paper_tables.table_4_5 "iou_s");
+      (extreme spread (fun e -> e.table_4_5) "iou_s");
     bare "mean IOU byte savings (%)" 58.2
-      (mean_savings_pct ~floor:1. Paper_tables.figure_4_3);
+      (mean_savings_pct ~floor:1. (fun e -> e.figure_4_3));
     bare "mean IOU message-cost savings (%)" 47.8
-      (mean_savings_pct ~floor:1e-9 Paper_tables.figure_4_4)
+      (mean_savings_pct ~floor:1e-9 (fun e -> e.figure_4_4))
     |> noted
          "Message time in the model is 2 ms per message plus 0.032 ms per \
           byte, so the IOU message saving follows the byte saving (itself \
@@ -199,13 +216,13 @@ let all =
         | _ -> None);
     (* 0.263 s (Minprog) .. 0.853 s (Lisp-Del) *)
     bare "InsertProcess time, least (s)" 0.263
-      (extreme least Paper_tables.table_4_4 "insert_s")
+      (extreme least (fun e -> e.table_4_4) "insert_s")
     |> noted
          "Insertion is not calibrated: the cost model fits the excision side \
           of Table 4-4 only, and its 150 ms InsertProcess base puts the five \
           small representatives under the paper's floor.";
     bare "InsertProcess time, greatest (s)" 0.853
-      (extreme greatest Paper_tables.table_4_4 "insert_s")
+      (extreme greatest (fun e -> e.table_4_4) "insert_s")
     |> noted
          "Insertion is not calibrated: the cost model's per-page and \
           per-entry insertion costs were never fitted, and the Lisps insert \
@@ -225,10 +242,9 @@ let replicate ?(seeds = [ 1L; 2L; 3L; 4L; 5L ])
     List.map
       (fun seed ->
         if progress then Printf.eprintf "  replication: seed %Ld\n%!" seed;
-        {
-          sweep = Sweep.run ~seed ~specs ~progress:false ();
-          panels = (if has_lisp_del then Figure_4_5.panels ~seed () else []);
-        })
+        evidence
+          (Sweep.run ~seed ~specs ~progress:false ())
+          (if has_lisp_del then Figure_4_5.panels ~seed () else []))
       seeds
   in
   List.map (fun c -> (c, List.map c.measure evidence)) all

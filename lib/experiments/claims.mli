@@ -20,8 +20,16 @@ type evidence = {
   sweep : Sweep.t;
   panels : Figure_4_5.panel list;
       (** Figure 4-5's three Lisp-Del panels: pure-IOU, RS, pure-copy *)
+  table_4_4 : Result_table.t;
+  table_4_5 : Result_table.t;
+  figure_4_3 : Result_table.t;
+  figure_4_4 : Result_table.t;
 }
-(** What one seed's run measures: the trial grid and the rate panels. *)
+(** What one seed's run measures: the trial grid, the rate panels and
+    the four {!Paper_tables} of the grid the claims read. *)
+
+val evidence : Sweep.t -> Figure_4_5.panel list -> evidence
+(** The evidence of a sweep and its panels, each table built once. *)
 
 type t = {
   name : string;

@@ -85,7 +85,16 @@ let run_all ?seed ?on_event ?(progress = true) ?(out = Format.std_formatter)
   show (grid_and_chart f44 ~unit_label:"s");
   let panels = Figure_4_5.panels ?seed () in
   show (Figure_4_5.render panels);
-  out_string (headline_summary { Claims.sweep; panels });
+  out_string
+    (headline_summary
+       {
+         Claims.sweep;
+         panels;
+         table_4_4 = t44;
+         table_4_5 = t45;
+         figure_4_3 = f43;
+         figure_4_4 = f44;
+       });
   (* beyond the paper: the hybrid engine against its two parents *)
   let hybrid = Hybrid_compare.rows ?seed () in
   out_newline ();
