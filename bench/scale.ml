@@ -189,15 +189,16 @@ let () =
   let fig41_only = Harness.switch args "--fig41-only" in
   let domains = Harness.int args "--domains" ~default:1 in
   (* --sizes / --hosts take comma-separated overrides: CI's scale gate
-     runs just the 8192/65536 pair instead of the whole sweep *)
+     runs just the 8192/65536 pair instead of the whole sweep.  --hosts
+     replaces the unconstrained grid's host list in every mode. *)
   let sizes_override = Harness.int_list args "--sizes" in
   let sizes, hosts =
     match sizes_override with
-    | Some sizes ->
-        (sizes, Option.value (Harness.int_list args "--hosts") ~default:[ 2 ])
+    | Some sizes -> (sizes, [ 2 ])
     | None when smoke -> ([ 64; 256 ], [ 2; 3 ])
     | None -> ([ 128; 1_024; 8_192; 32_768; 65_536 ], [ 2; 4; 8 ])
   in
+  let hosts = Option.value (Harness.int_list args "--hosts") ~default:hosts in
   (* same sweep again against a quarter-size frame pool: spaces that
      exceed it force an eviction per fault, so the sim's own eviction
      path is on the critical path of every one of these points *)
