@@ -106,11 +106,11 @@ let migrate workload strategy prefetch seed loss partition =
           Format.printf "%a@.@." Accent_core.Report.pp_summary
             result.Accent_experiments.Trial.report;
           print_string
-            (Accent_experiments.Utilization.render
-               ~duration_s:
-                 (Accent_core.Report.end_to_end_seconds
-                    result.Accent_experiments.Trial.report)
-               (Accent_experiments.Utilization.of_world
+            (Accent_experiments.Result_table.text
+               (Accent_experiments.Utilization.table
+                  ~duration_s:
+                    (Accent_core.Report.end_to_end_seconds
+                       result.Accent_experiments.Trial.report)
                   result.Accent_experiments.Trial.world)))
 
 let migrate_cmd =

@@ -1,65 +1,44 @@
 open Accent_sim
 open Accent_kernel
 open Accent_core
+module R = Result_table
 
-type host_row = {
-  host : string;
-  nms_busy_s : float;
-  kernel_busy_s : float;
-  exec_busy_s : float;
-  disk_busy_s : float;
-  nms_messages : int;
-}
-
-let of_world world =
-  Array.to_list
-    (Array.map
-       (fun h ->
-         {
-           host = Host.name h;
-           nms_busy_s =
-             Time.to_seconds (Accent_net.Netmsgserver.busy_time (Host.nms h));
-           kernel_busy_s =
-             Time.to_seconds (Queue_server.busy_time (Host.cpu h));
-           exec_busy_s =
-             Time.to_seconds (Queue_server.busy_time (Host.exec_cpu h));
-           disk_busy_s =
-             Time.to_seconds (Queue_server.busy_time (Host.disk_server h));
-           nms_messages =
-             Accent_net.Netmsgserver.messages_handled (Host.nms h);
-         })
-       world.World.hosts)
-
-let render ~duration_s rows =
-  let t =
-    Accent_util.Text_table.create
-      ~title:
-        (Printf.sprintf
-           "Host utilisation over %.1fs (busy seconds; %% of trial)"
-           duration_s)
-      [
-        ("host", Accent_util.Text_table.Left);
-        ("NMS", Accent_util.Text_table.Right);
-        ("kernel", Accent_util.Text_table.Right);
-        ("exec", Accent_util.Text_table.Right);
-        ("disk", Accent_util.Text_table.Right);
-        ("msgs", Accent_util.Text_table.Right);
-      ]
-  in
-  let cell v =
+let table ~duration_s world =
+  let busy v =
     if duration_s <= 0. then Printf.sprintf "%.2f" v
     else Printf.sprintf "%.2f (%.0f%%)" v (100. *. v /. duration_s)
   in
-  List.iter
-    (fun r ->
-      Accent_util.Text_table.add_row t
-        [
-          r.host;
-          cell r.nms_busy_s;
-          cell r.kernel_busy_s;
-          cell r.exec_busy_s;
-          cell r.disk_busy_s;
-          string_of_int r.nms_messages;
-        ])
-    rows;
-  Accent_util.Text_table.render t
+  let seconds server = Time.to_seconds (Queue_server.busy_time server) in
+  {
+    R.title =
+      Printf.sprintf "Host utilisation over %.1fs (busy seconds; %% of trial)"
+        duration_s;
+    key_headers = [ ("host", "host") ];
+    columns =
+      [
+        R.column "NMS" "nms_busy_s" (Custom busy);
+        R.column "kernel" "kernel_busy_s" (Custom busy);
+        R.column "exec" "exec_busy_s" (Custom busy);
+        R.column "disk" "disk_busy_s" (Custom busy);
+        R.column "msgs" "nms_messages" (Fixed 0);
+      ];
+    rows =
+      Array.to_list
+        (Array.map
+           (fun h ->
+             let nms = Host.nms h in
+             {
+               R.keys = [ Host.name h ];
+               cells =
+                 List.map R.measured
+                   [
+                     Time.to_seconds (Accent_net.Netmsgserver.busy_time nms);
+                     seconds (Host.cpu h);
+                     seconds (Host.exec_cpu h);
+                     seconds (Host.disk_server h);
+                     float_of_int
+                       (Accent_net.Netmsgserver.messages_handled nms);
+                   ];
+             })
+           world.World.hosts);
+  }

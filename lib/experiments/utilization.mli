@@ -2,16 +2,10 @@
     time actually went (§4.4.3's "distribution of costs" from the hosts'
     point of view rather than the wire's). *)
 
-type host_row = {
-  host : string;
-  nms_busy_s : float;  (** NetMsgServer CPU *)
-  kernel_busy_s : float;  (** kernel IPC CPU *)
-  exec_busy_s : float;  (** user computation *)
-  disk_busy_s : float;
-  nms_messages : int;
-}
-
-val of_world : Accent_core.World.t -> host_row list
-
-val render : duration_s:float -> host_row list -> string
-(** Table with busy fractions relative to the trial duration. *)
+val table : duration_s:float -> Accent_core.World.t -> Result_table.t
+(** One row per host, keyed by its name: the busy seconds of the
+    NetMsgServer CPU ([nms_busy_s]), the kernel IPC CPU
+    ([kernel_busy_s]), user computation ([exec_busy_s]) and the disk
+    ([disk_busy_s]), each printed beside its share of [duration_s] when
+    that is positive, and the messages the NetMsgServer handled
+    ([nms_messages]). *)

@@ -255,19 +255,18 @@ let test_utilization_rows () =
     Accent_experiments.Trial.run ~spec:Test_helpers.small_spec
       ~strategy:(Strategy.pure_iou ()) ()
   in
-  let rows =
-    Accent_experiments.Utilization.of_world
+  let t =
+    Accent_experiments.Utilization.table ~duration_s:10.
       result.Accent_experiments.Trial.world
   in
-  Alcotest.(check int) "one row per host" 2 (List.length rows);
-  let dest = List.nth rows 1 in
+  let column = Test_helpers.column t in
+  Alcotest.(check int) "one row per host" 2
+    (List.length t.Accent_experiments.Result_table.rows);
   Alcotest.(check bool) "destination executed the process" true
-    (dest.Accent_experiments.Utilization.exec_busy_s > 0.);
+    (List.nth (column "exec_busy_s") 1 > 0.);
   Alcotest.(check bool) "both sides handled messages" true
-    (List.for_all
-       (fun r -> r.Accent_experiments.Utilization.nms_messages > 0)
-       rows);
-  let rendered = Accent_experiments.Utilization.render ~duration_s:10. rows in
+    (List.for_all (fun n -> n > 0.) (column "nms_messages"));
+  let rendered = Accent_experiments.Result_table.text t in
   Alcotest.(check bool) "renders" true (Test_helpers.contains rendered "host0")
 
 let extra_cases =
