@@ -178,6 +178,51 @@ let prop_queue_matches_model =
       done;
       !ok && Event_queue.pop q = None)
 
+(* Push A, pop A, push B, then cancel through A's old handle: the handle
+   names an event that already fired, so B must still pop. *)
+let test_queue_stale_handle () =
+  let q = Event_queue.create () in
+  let a = Event_queue.push q ~time:1. "a" in
+  Alcotest.(check (option (pair (float 0.) string)))
+    "A pops" (Some (1., "a")) (Event_queue.pop q);
+  ignore (Event_queue.push q ~time:2. "b");
+  Event_queue.cancel q a;
+  Alcotest.(check int) "B still live" 1 (Event_queue.size q);
+  Alcotest.(check (option (pair (float 0.) string)))
+    "B pops" (Some (2., "b")) (Event_queue.pop q)
+
+(* [n] tracked payloads early, every fourth one cancelled, behind [m]
+   later untracked ones; every tracked one is then popped or skipped.
+   The weak array is all the caller keeps of the tracked payloads. *)
+let[@inline never] fill_and_drain q ~n ~m =
+  let weak = Weak.create n in
+  let handles =
+    List.init n (fun i ->
+        let payload = Array.make 4 i in
+        Weak.set weak i (Some payload);
+        Event_queue.push q ~time:(float_of_int i) payload)
+  in
+  for i = 0 to m - 1 do
+    Event_queue.push_unit q ~time:(1_000. +. float_of_int i) (Array.make 4 i)
+  done;
+  List.iteri (fun i h -> if i mod 4 = 1 then Event_queue.cancel q h) handles;
+  while Event_queue.next_time q < 1_000. do
+    ignore (Event_queue.pop q)
+  done;
+  weak
+
+(* Popped and cancelled payloads must not outlive their events: a queue
+   that kept them would hold every closure the engine ever ran. *)
+let test_queue_releases_payloads () =
+  let q = Event_queue.create () in
+  let n = 32 and m = 64 in
+  let weak = fill_and_drain q ~n ~m in
+  Gc.full_major ();
+  let retained = List.filter (Weak.check weak) (List.init n Fun.id) in
+  Alcotest.(check (list int)) "no popped or cancelled payload reachable" []
+    retained;
+  Alcotest.(check int) "untracked events still queued" m (Event_queue.size q)
+
 (* --- Engine --- *)
 
 let test_engine_runs_in_order () =
@@ -224,6 +269,42 @@ let test_engine_run_until () =
   Alcotest.(check int) "second still pending" 1 (Engine.pending engine);
   ignore (Engine.run engine);
   Alcotest.(check int) "second fired" 2 !hits
+
+(* A cancelled event past the limit sits at the heap root when the run
+   stops: skipping it must not move the clock, which stops exactly at
+   the limit. *)
+let test_engine_limit_with_cancelled_root () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  let note tag () = fired := (tag, Engine.now engine) :: !fired in
+  ignore (Engine.schedule engine ~delay:(Time.ms 5.) (note "a"));
+  let b = Engine.schedule engine ~delay:(Time.ms 20.) (note "b") in
+  ignore (Engine.schedule engine ~delay:(Time.ms 30.) (note "c"));
+  Engine.cancel engine b;
+  let t = Engine.run ~limit:(Time.ms 10.) engine in
+  Alcotest.(check (float 0.)) "run returns the limit" 10. t;
+  Alcotest.(check (float 0.)) "clock at the limit" 10. (Engine.now engine);
+  ignore (Engine.run engine);
+  Alcotest.(check (list (pair string (float 0.))))
+    "live events fired at their times"
+    [ ("a", 5.); ("c", 30.) ]
+    (List.rev !fired)
+
+(* The engine-level stale handle: cancelling an event that already fired
+   leaves the next scheduled event alone. *)
+let test_engine_stale_cancel () =
+  let engine = Engine.create () in
+  let hits = ref [] in
+  let a =
+    Engine.schedule engine ~delay:(Time.ms 1.) (fun () -> hits := "a" :: !hits)
+  in
+  ignore (Engine.run engine);
+  ignore
+    (Engine.schedule engine ~delay:(Time.ms 1.) (fun () -> hits := "b" :: !hits));
+  Engine.cancel engine a;
+  ignore (Engine.run engine);
+  Alcotest.(check (list string)) "B fired after A's late cancel" [ "a"; "b" ]
+    (List.rev !hits)
 
 let test_engine_negative_delay_clamped () =
   let engine = Engine.create () in
@@ -323,10 +404,16 @@ let suite =
       QCheck_alcotest.to_alcotest prop_queue_matches_model;
       Alcotest.test_case "queue compaction" `Quick
         test_queue_compacts_after_mass_cancel;
+      Alcotest.test_case "queue stale handle" `Quick test_queue_stale_handle;
+      Alcotest.test_case "queue releases payloads" `Quick
+        test_queue_releases_payloads;
       Alcotest.test_case "engine order" `Quick test_engine_runs_in_order;
       Alcotest.test_case "engine nested" `Quick test_engine_nested_scheduling;
       Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
       Alcotest.test_case "engine run_until" `Quick test_engine_run_until;
+      Alcotest.test_case "engine limit with cancelled root" `Quick
+        test_engine_limit_with_cancelled_root;
+      Alcotest.test_case "engine stale cancel" `Quick test_engine_stale_cancel;
       Alcotest.test_case "engine clamps negative delay" `Quick
         test_engine_negative_delay_clamped;
       Alcotest.test_case "engine rng deterministic" `Quick
