@@ -17,6 +17,10 @@
                        push/cancel pattern — mass-cancelled backoff
                        timers must not accumulate (compaction), and
                        per-op cost stays O(log live).
+     engine loop       Engine.run at 16, 1,024 and 65,536 pending
+                       events, each fired event posting the next — ns
+                       and minor words per event (CI holds the words at
+                       0.00).
      page checks       Page.digest on distinct Pattern pages (a memo
                        miss, then a hit) and Page.checksum_value, the
                        wire re-check — per page, no buffer built.
@@ -155,6 +159,44 @@ let timer_churn ~window ~rounds =
   Printf.sprintf
     {|{"window": %d, "rounds": %d, "ops": %d, "wall_s": %.4f, "ns_per_op": %.1f, "compactions": %d, "max_physical": %d}|}
     window rounds !ops m.wall_s ns compactions !max_physical
+
+(* --- engine loop --------------------------------------------------------- *)
+
+(* The simulator's own loop at a fixed queue depth: [pending] events are
+   posted, then every event that fires posts one more at now plus an
+   exponential delay (mean 1 ms) until [events] have fired; the last
+   [pending] drain.  The delays are drawn before the clock starts, so
+   the row times and counts the engine alone: pop, clock advance, post. *)
+let engine_loop ~pending ~events =
+  let engine = Accent_sim.Engine.create () in
+  let rng = Accent_util.Rng.create 42L in
+  (* boxed, as a caller's computed delay is: read out of a flat float
+     array, each delay would be boxed again at the call *)
+  let delays =
+    Array.init 4_096 (fun _ -> ref (Accent_util.Rng.exponential rng 1.))
+  in
+  let posted = ref 0 in
+  let rec fire () =
+    if !posted < events then begin
+      Accent_sim.Engine.post engine ~delay:!(delays.(!posted land 4_095)) fire;
+      incr posted
+    end
+  in
+  for _ = 1 to pending do
+    fire ()
+  done;
+  let m = Harness.measure (fun () -> ignore (Accent_sim.Engine.run engine)) in
+  let fired = Accent_sim.Engine.events_executed engine in
+  assert (fired = events);
+  let ns = Harness.ns_per m fired and words = Harness.words_per m fired in
+  Printf.printf
+    "hotpath: engine pending %6d  %8d events %7.1f ns/event  %.2f \
+     words/event\n\
+     %!"
+    pending fired ns words;
+  Printf.sprintf
+    {|{"pending": %d, "events": %d, "wall_s": %.4f, "ns_per_event": %.1f, "minor_words_per_event": %.2f}|}
+    pending fired m.wall_s ns words
 
 (* --- page checks -------------------------------------------------------- *)
 
@@ -360,6 +402,12 @@ let () =
       footprints
   in
   let timers = List.map (fun window -> timer_churn ~window ~rounds) windows in
+  let engine =
+    List.map
+      (fun pending ->
+        engine_loop ~pending ~events:(if smoke then 100_000 else 2_000_000))
+      [ 16; 1_024; 65_536 ]
+  in
   let page = [ page_checks ~pages:(if smoke then 20_000 else 200_000) ] in
   (* the same fragment total at every message length *)
   let total = if smoke then 4_096 else 65_536 in
@@ -391,6 +439,7 @@ let () =
       ("eviction_storm", Harness.rows evict);
       ("working_set_churn", Harness.rows ws);
       ("timer_churn", Harness.rows timers);
+      ("engine_loop", Harness.rows engine);
       ("page_checks", Harness.rows page);
       ("arq_ack", Harness.rows arq);
       ("reference_path", Harness.rows refs);
