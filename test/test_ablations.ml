@@ -85,6 +85,35 @@ let test_renderers () =
   check_render (Ablations.memory_pressure_sweep ~spec ~frame_counts:[ 4096 ] ());
   check_render (Ablations.strategy_face_off ~spec ())
 
+(* Each title names the spec and settings its table was built with, not
+   the defaults. *)
+let test_titles_name_their_spec () =
+  let titled label t expected =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s title names %S" label expected)
+      true
+      (Test_helpers.contains t.Result_table.title expected)
+  in
+  titled "bandwidth"
+    (Ablations.bandwidth_sweep ~spec ~factors:[ 1. ] ())
+    "(Tiny)";
+  titled "caching" (Ablations.caching_ablation ~spec ()) "(Tiny, pure-IOU";
+  titled "backer load"
+    (Ablations.backer_load_sweep ~spec ~lookups:[ 38. ] ())
+    "(Tiny, pure-IOU)";
+  titled "memory pressure"
+    (Ablations.memory_pressure_sweep ~spec ~frame_counts:[ 4096 ] ())
+    "(Tiny)";
+  titled "face-off"
+    (Ablations.strategy_face_off ~spec ~write_fraction:0.2 ())
+    "(Tiny, 20% stores)";
+  titled "ws vs rs"
+    (Ablations.ws_vs_rs ~spec ~migrate_after_ms:2_500. ())
+    "(Tiny, migrated live at t=2.5s)";
+  titled "flow window"
+    (Ablations.flow_window_sweep ~spec ~windows:[ 1 ] ())
+    "(Tiny)"
+
 (* Four ablations whose numbers come from the IOU and backing-server
    paths, at their default workloads (what [accentctl ablate] prints),
    pinned by one digest of the rendered tables: caching, backer load,
@@ -134,6 +163,8 @@ let suite =
         test_memory_pressure_direction;
       Alcotest.test_case "face-off shape" `Quick test_face_off_shape;
       Alcotest.test_case "renderers" `Quick test_renderers;
+      Alcotest.test_case "titles name their spec" `Quick
+        test_titles_name_their_spec;
       Alcotest.test_case "backing tables pinned" `Quick
         test_backing_tables_pinned;
       Alcotest.test_case "all tables pinned" `Quick test_all_tables_pinned;
