@@ -100,8 +100,11 @@ type gc_probe = {
   minor_words : float;  (** minor-heap words allocated over the run *)
   minor_words_per_event : float;
   live_words_after : int;
-      (** live major-heap words after releasing departed jobs and a full
-          major collection — must depend on cluster size, not job count *)
+      (** [(Gc.stat ()).live_words] after releasing departed jobs and a
+          full major collection: the whole process's live heap, so it
+          also counts whatever the caller holds (module-level data,
+          parsed arguments), not the simulated world alone.  It must
+          depend on cluster size, not job count. *)
 }
 
 val run_churn_gc :
