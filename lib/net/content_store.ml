@@ -1,4 +1,5 @@
 open Accent_mem
+module Int_tbl = Accent_util.Int_tbl
 
 (* One per host, owned by its NetMsgServer.  Two layers share it:
 
@@ -18,7 +19,7 @@ open Accent_mem
    With [dedup] off the digest layer is never touched. *)
 
 type seg = {
-  pages : (int, Page.value) Hashtbl.t; (* singles; consulted first *)
+  pages : Page.value Int_tbl.t; (* offset -> single; consulted first *)
   mutable extents : (int * Page_run.t) list; (* (byte offset, run) *)
 }
 
@@ -36,8 +37,8 @@ type entry = {
 type t = {
   dedup : bool;
   capacity_pages : int;
-  segs : (int, seg) Hashtbl.t; (* segment id -> contents *)
-  index : (int, entry) Hashtbl.t; (* digest -> value *)
+  segs : seg Int_tbl.t; (* segment id -> contents *)
+  index : entry Int_tbl.t; (* digest -> value *)
   lru : Accent_util.Stamp_fifo.t;
   mutable hits : int;
   mutable misses : int;
@@ -51,8 +52,8 @@ let create ?(dedup = false) ?(capacity_pages = 4096) () =
   {
     dedup;
     capacity_pages = max 0 capacity_pages;
-    segs = Hashtbl.create 16;
-    index = Hashtbl.create 16;
+    segs = Int_tbl.create 16;
+    index = Int_tbl.create 16;
     lru = Accent_util.Stamp_fifo.create ();
     hits = 0;
     misses = 0;
@@ -68,22 +69,22 @@ let capacity_pages t = t.capacity_pages
 (* --- the recency queue -------------------------------------------------- *)
 
 let digest_live t digest tick =
-  match Hashtbl.find t.index digest with
+  match Int_tbl.find t.index digest with
   | entry -> entry.tick = tick
   | exception Not_found -> false
 
-let digest_restamp t digest tick = (Hashtbl.find t.index digest).tick <- tick
+let digest_restamp t digest tick = (Int_tbl.find t.index digest).tick <- tick
 
 (* A fresh stamp for [digest], its pair queued at the tail. *)
 let stamp t digest =
   Accent_util.Stamp_fifo.push t.lru ~live:digest_live ~restamp:digest_restamp t
-    ~live_count:(Hashtbl.length t.index) digest
+    ~live_count:(Int_tbl.length t.index) digest
 
 (* Every index entry has a live pair, so an over-full index has a head. *)
 let evict_oldest t =
   let digest = Accent_util.Stamp_fifo.oldest t.lru ~live:digest_live t in
   Accent_util.Stamp_fifo.pop t.lru;
-  Hashtbl.remove t.index digest;
+  Int_tbl.remove t.index digest;
   t.evictions <- t.evictions + 1
 
 (* --- the digest layer --------------------------------------------------- *)
@@ -93,15 +94,15 @@ let evict_oldest t =
 let remember t digest value =
   if t.capacity_pages = 0 then value
   else
-    match Hashtbl.find_opt t.index digest with
+    match Int_tbl.find_opt t.index digest with
     | Some entry ->
         t.interned <- t.interned + 1;
         entry.tick <- stamp t digest;
         entry.value
     | None ->
-        Hashtbl.replace t.index digest { value; tick = stamp t digest };
+        Int_tbl.replace t.index digest { value; tick = stamp t digest };
         t.insertions <- t.insertions + 1;
-        if Hashtbl.length t.index > t.capacity_pages then evict_oldest t;
+        if Int_tbl.length t.index > t.capacity_pages then evict_oldest t;
         value
 
 let insert t value = ignore (remember t (Page.digest value) value)
@@ -124,7 +125,7 @@ let insert_wire t ?claimed value =
 let find t digest =
   if t.capacity_pages = 0 then None
   else
-    match Hashtbl.find_opt t.index digest with
+    match Int_tbl.find_opt t.index digest with
     | Some entry ->
         t.hits <- t.hits + 1;
         entry.tick <- stamp t digest;
@@ -134,11 +135,11 @@ let find t digest =
         None
 
 (* Non-bumping, non-counting membership probe (tests and diagnostics). *)
-let mem t digest = Hashtbl.mem t.index digest
-let indexed_pages t = Hashtbl.length t.index
+let mem t digest = Int_tbl.mem t.index digest
+let indexed_pages t = Int_tbl.length t.index
 
 let verify t =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun digest entry ok ->
       ok && Page.checksum_value entry.value = digest)
     t.index true
@@ -154,11 +155,11 @@ let register t value =
   else remember t (Page.digest value) value
 
 let segment t segment_id =
-  match Hashtbl.find_opt t.segs segment_id with
+  match Int_tbl.find_opt t.segs segment_id with
   | Some seg -> seg
   | None ->
-      let seg = { pages = Hashtbl.create 256; extents = [] } in
-      Hashtbl.replace t.segs segment_id seg;
+      let seg = { pages = Int_tbl.create 256; extents = [] } in
+      Int_tbl.replace t.segs segment_id seg;
       seg
 
 let check_aligned fn offset =
@@ -168,7 +169,7 @@ let check_aligned fn offset =
 let put_page t ~segment_id ~offset value =
   check_aligned "put_page" offset;
   let value = if t.dedup then register t value else value in
-  Hashtbl.replace (segment t segment_id).pages offset value
+  Int_tbl.replace (segment t segment_id).pages offset value
 
 let extent_bytes run = Page_run.length run * Page.size
 
@@ -198,7 +199,7 @@ let put_bytes t ~segment_id ~offset data =
     let off = i * Page.size in
     Bytes.blit data off page 0 (min Page.size (len - off));
     let value = Page.of_bytes page in
-    Hashtbl.replace seg.pages (offset + off) value;
+    Int_tbl.replace seg.pages (offset + off) value;
     if t.dedup then ignore (register t value)
   done
 
@@ -211,10 +212,10 @@ let extent_find seg offset =
     seg.extents
 
 let get_page t ~segment_id ~offset =
-  match Hashtbl.find_opt t.segs segment_id with
+  match Int_tbl.find_opt t.segs segment_id with
   | None -> None
   | Some seg -> (
-      match Hashtbl.find_opt seg.pages offset with
+      match Int_tbl.find_opt seg.pages offset with
       | Some _ as v -> v
       | None -> extent_find seg offset)
 
@@ -229,14 +230,14 @@ let read_run t ~segment_id ~offset ~pages =
   in
   loop 0 []
 
-let has_segment t ~segment_id = Hashtbl.mem t.segs segment_id
+let has_segment t ~segment_id = Int_tbl.mem t.segs segment_id
 
 (* Overlay pages that shadow an extent slot must not be double-counted. *)
 let segment_pages t ~segment_id =
-  match Hashtbl.find_opt t.segs segment_id with
+  match Int_tbl.find_opt t.segs segment_id with
   | None -> 0
   | Some seg ->
-      Hashtbl.fold
+      Int_tbl.fold
         (fun offset _ acc ->
           if extent_find seg offset = None then acc + 1 else acc)
         seg.pages
@@ -250,10 +251,10 @@ let segment_bytes t ~segment_id = segment_pages t ~segment_id * Page.size
    still seen that content, which is exactly what lets a backing server
    answer a pull whose digest it knows regardless of which segment
    originally supplied it. *)
-let drop_segment t ~segment_id = Hashtbl.remove t.segs segment_id
+let drop_segment t ~segment_id = Int_tbl.remove t.segs segment_id
 
 let total_bytes t =
-  Hashtbl.fold (fun id _ acc -> acc + segment_bytes t ~segment_id:id) t.segs 0
+  Int_tbl.fold (fun id _ acc -> acc + segment_bytes t ~segment_id:id) t.segs 0
 
 (* --- accounting --------------------------------------------------------- *)
 

@@ -241,6 +241,172 @@ let test_chart_stacked () =
   Alcotest.(check bool) "has both layers" true
     (Test_helpers.contains out "#" && Test_helpers.contains out "o")
 
+(* --- Int_tbl --- *)
+
+module Int_map = Map.Make (Int)
+
+type tbl_op =
+  | Replace of int * int
+  | Add of int * int
+  | Remove of int
+  | Find of int
+  | Find_opt of int
+  | Mem of int
+  | Length
+  | Iter
+  | Fold
+  | Reset
+
+let show_tbl_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Find_opt k -> Printf.sprintf "find_opt %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Length -> "length"
+  | Iter -> "iter"
+  | Fold -> "fold"
+  | Reset -> "reset"
+
+(* Small keys so probes collide, negatives, and multiples of every
+   capacity a table of up to 256 slots passes through (so homes bunch
+   near slot 0 and runs wrap past the array's end). *)
+let gen_tbl_key =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-40) 40;
+        map2 ( * ) (oneofl [ 8; 16; 32; 64; 128; 256 ]) (int_range (-12) 12);
+      ])
+
+(* Inserts outweigh removes, so a sequence's live set climbs past the
+   48 keys of the fourth doubling (8 -> 16 -> 32 -> 64 -> 128 slots). *)
+let gen_tbl_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, map2 (fun k v -> Replace (k, v)) gen_tbl_key small_nat);
+        (6, map2 (fun k v -> Add (k, v)) gen_tbl_key small_nat);
+        (6, map (fun k -> Remove k) gen_tbl_key);
+        (3, map (fun k -> Find k) gen_tbl_key);
+        (2, map (fun k -> Find_opt k) gen_tbl_key);
+        (2, map (fun k -> Mem k) gen_tbl_key);
+        (1, return Length);
+        (1, return Iter);
+        (1, return Fold);
+        (1, frequency [ (1, return Reset); (9, return Length) ]);
+      ])
+
+(* Every binding, from [iter] and from [fold]: each live key must come
+   out exactly once, so the sorted lists equal the model's bindings. *)
+let tbl_bindings t =
+  let from_iter = ref [] in
+  Int_tbl.iter (fun k v -> from_iter := (k, v) :: !from_iter) t;
+  let from_fold = Int_tbl.fold (fun k v acc -> (k, v) :: acc) t [] in
+  (List.sort compare !from_iter, List.sort compare from_fold)
+
+let prop_int_tbl_model =
+  QCheck.Test.make ~count:300 ~name:"Int_tbl matches a Map model"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_tbl_op ops))
+        Gen.(list_size (int_range 0 400) gen_tbl_op))
+    (fun ops ->
+      let t = Int_tbl.create 8 in
+      let agrees model = function
+        | Replace (k, v) ->
+            Int_tbl.replace t k v;
+            (true, Int_map.add k v model)
+        | Add (k, v) ->
+            Int_tbl.add t k v;
+            (true, Int_map.add k v model)
+        | Remove k ->
+            Int_tbl.remove t k;
+            (true, Int_map.remove k model)
+        | Find k ->
+            let got = try Some (Int_tbl.find t k) with Not_found -> None in
+            (got = Int_map.find_opt k model, model)
+        | Find_opt k -> (Int_tbl.find_opt t k = Int_map.find_opt k model, model)
+        | Mem k -> (Int_tbl.mem t k = Int_map.mem k model, model)
+        | Length -> (Int_tbl.length t = Int_map.cardinal model, model)
+        | Iter | Fold ->
+            let from_iter, from_fold = tbl_bindings t in
+            let want = Int_map.bindings model in
+            (from_iter = want && from_fold = want, model)
+        | Reset ->
+            Int_tbl.reset t;
+            (true, Int_map.empty)
+      in
+      let ok, model =
+        List.fold_left
+          (fun (ok, model) op ->
+            let agreed, model = agrees model op in
+            (ok && agreed, model))
+          (true, Int_map.empty) ops
+      in
+      let from_iter, from_fold = tbl_bindings t in
+      ok
+      && Int_tbl.length t = Int_map.cardinal model
+      && from_iter = Int_map.bindings model
+      && from_fold = Int_map.bindings model)
+
+(* The model property's sequences reach the fourth doubling only
+   sometimes; this walks one table up through 8 doublings and back down,
+   removing in an order unrelated to insertion, with every key checked
+   at every step. *)
+let test_int_tbl_growth () =
+  let t = Int_tbl.create 8 in
+  let keys = Array.init 1_500 (fun i -> ((i * 7919) mod 1_500 - 700) * 64) in
+  let check_all live =
+    Alcotest.(check int) "length" (Hashtbl.length live) (Int_tbl.length t);
+    Array.iter
+      (fun k ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "key %d" k)
+          (Hashtbl.find_opt live k) (Int_tbl.find_opt t k))
+      keys
+  in
+  let live = Hashtbl.create 16 in
+  Array.iteri
+    (fun i k ->
+      Int_tbl.replace t k i;
+      Hashtbl.replace live k i;
+      if i mod 97 = 0 then check_all live)
+    keys;
+  check_all live;
+  Array.iteri
+    (fun i _ ->
+      let k = keys.(i * 1_009 mod 1_500) in
+      Int_tbl.remove t k;
+      Hashtbl.remove live k;
+      if i mod 89 = 0 then check_all live)
+    keys;
+  check_all live;
+  Alcotest.(check int) "emptied" 0 (Int_tbl.length t)
+
+let test_int_tbl_min_int () =
+  let t = Int_tbl.create 8 in
+  Int_tbl.replace t 0 1;
+  Alcotest.check_raises "replace min_int"
+    (Invalid_argument "Int_tbl: min_int is not a key") (fun () ->
+      Int_tbl.replace t min_int 2);
+  Alcotest.check_raises "add min_int"
+    (Invalid_argument "Int_tbl: min_int is not a key") (fun () ->
+      Int_tbl.add t min_int 2);
+  Alcotest.check_raises "find min_int" Not_found (fun () ->
+      ignore (Int_tbl.find t min_int));
+  Alcotest.(check bool) "mem min_int" false (Int_tbl.mem t min_int);
+  Alcotest.(check (option int)) "find_opt min_int" None
+    (Int_tbl.find_opt t min_int);
+  Int_tbl.remove t min_int;
+  Alcotest.(check int) "one key left" 1 (Int_tbl.length t);
+  (* an unfilled table answers every lookup without allocating slots *)
+  let fresh = Int_tbl.create 1_000_000 in
+  Alcotest.(check bool) "fresh mem" false (Int_tbl.mem fresh 3);
+  Int_tbl.remove fresh 3;
+  Alcotest.(check int) "fresh length" 0 (Int_tbl.length fresh)
+
 let suite =
   ( "util",
     [
@@ -267,4 +433,8 @@ let suite =
       Alcotest.test_case "chart negative" `Quick test_chart_negative;
       Alcotest.test_case "chart empty" `Quick test_chart_empty_timeline;
       Alcotest.test_case "chart stacked" `Quick test_chart_stacked;
+      QCheck_alcotest.to_alcotest prop_int_tbl_model;
+      Alcotest.test_case "int_tbl growth and shrink" `Quick
+        test_int_tbl_growth;
+      Alcotest.test_case "int_tbl min_int" `Quick test_int_tbl_min_int;
     ] )
