@@ -1,5 +1,6 @@
 open Accent_sim
 open Accent_ipc
+module Int_tbl = Accent_util.Int_tbl
 
 let window = 8
 let ack_bytes = 32
@@ -51,7 +52,7 @@ type out_msg = {
   frag_bytes : int array;
   first_extra_ms : float;
   acked : bool array;
-  timers : Event_queue.handle option array;
+  timers : Event_queue.handle array; (* [Event_queue.no_handle]: unarmed *)
   retries : int array;
   rto : float array;
   mutable next_unsent : int;
@@ -80,7 +81,7 @@ type t = {
   fragment_cost_ms : bytes:int -> float;
   on_deliver : msg:Message.t -> wire_bytes:int -> completes:bool -> unit;
   on_give_up : msg:Message.t -> dst:int -> unit;
-  outbound : (int, out_msg) Hashtbl.t; (* uid -> state *)
+  outbound : out_msg Int_tbl.t; (* uid -> state *)
   inbound : (int * int, in_msg) Hashtbl.t; (* (src, uid) -> state *)
   mutable next_uid : int;
   mutable retransmissions : int;
@@ -97,32 +98,25 @@ let max_sacks = 16
 let give_up t m =
   if not m.abandoned then begin
     m.abandoned <- true;
-    Array.iteri
-      (fun i h ->
-        match h with
-        | None -> ()
-        | Some h ->
-            Engine.cancel t.engine h;
-            m.timers.(i) <- None)
-      m.timers;
-    Hashtbl.remove t.outbound m.uid;
+    Array.iter (Engine.cancel t.engine) m.timers;
+    Array.fill m.timers 0 m.count Event_queue.no_handle;
+    Int_tbl.remove t.outbound m.uid;
     t.give_ups <- t.give_ups + 1;
     t.on_give_up ~msg:m.msg ~dst:m.dst
   end
 
 let rec arm_timer t m i =
   m.timers.(i) <-
-    Some
-      (Engine.schedule t.engine ~delay:(Time.ms m.rto.(i)) (fun () ->
-           m.timers.(i) <- None;
-           if (not m.acked.(i)) && not m.abandoned then
-             if m.retries.(i) >= max_retries then give_up t m
-             else begin
-               m.retries.(i) <- m.retries.(i) + 1;
-               m.rto.(i) <- Float.min max_rto_ms (m.rto.(i) *. rto_backoff);
-               t.retransmissions <- t.retransmissions + 1;
-               transmit_frag t m i ~retransmit:true
-             end))
+    Engine.schedule t.engine ~delay:(Time.ms m.rto.(i)) (fun () ->
+        m.timers.(i) <- Event_queue.no_handle;
+        if (not m.acked.(i)) && not m.abandoned then
+          if m.retries.(i) >= max_retries then give_up t m
+          else begin
+            m.retries.(i) <- m.retries.(i) + 1;
+            m.rto.(i) <- Float.min max_rto_ms (m.rto.(i) *. rto_backoff);
+            t.retransmissions <- t.retransmissions + 1;
+            transmit_frag t m i ~retransmit:true
+          end)
 
 and transmit_frag t m i ~retransmit =
   let bytes = m.frag_bytes.(i) in
@@ -185,7 +179,7 @@ let send t ~dst ~msg ~wire_bytes ~first_fragment_extra_ms =
         Array.init count (fun i -> min payload (wire_bytes - (i * payload)));
       first_extra_ms = first_fragment_extra_ms;
       acked = Array.make count false;
-      timers = Array.make count None;
+      timers = Array.make count Event_queue.no_handle;
       retries = Array.make count 0;
       rto = Array.make count initial_rto_ms;
       next_unsent = 0;
@@ -195,7 +189,7 @@ let send t ~dst ~msg ~wire_bytes ~first_fragment_extra_ms =
       abandoned = false;
     }
   in
-  Hashtbl.replace t.outbound uid m;
+  Int_tbl.replace t.outbound uid m;
   pump t m
 
 let mark_acked t m i =
@@ -203,16 +197,13 @@ let mark_acked t m i =
     m.acked.(i) <- true;
     m.unacked <- m.unacked - 1;
     m.in_flight <- m.in_flight - 1;
-    (match m.timers.(i) with
-    | None -> ()
-    | Some h ->
-        Engine.cancel t.engine h;
-        m.timers.(i) <- None);
-    if m.unacked = 0 then Hashtbl.remove t.outbound m.uid
+    Engine.cancel t.engine m.timers.(i);
+    m.timers.(i) <- Event_queue.no_handle;
+    if m.unacked = 0 then Int_tbl.remove t.outbound m.uid
   end
 
 let handle_ack t ~uid ~cum ~sacks =
-  match Hashtbl.find_opt t.outbound uid with
+  match Int_tbl.find_opt t.outbound uid with
   | None -> () (* already completed or abandoned; stale ack *)
   | Some m ->
       for i = m.cum_acked to min cum m.count - 1 do
@@ -220,7 +211,7 @@ let handle_ack t ~uid ~cum ~sacks =
       done;
       m.cum_acked <- Int.max m.cum_acked (min cum m.count);
       List.iter (fun i -> mark_acked t m i) sacks;
-      if Hashtbl.mem t.outbound uid then pump t m
+      if Int_tbl.mem t.outbound uid then pump t m
 
 (* --- receiver ----------------------------------------------------- *)
 
@@ -318,7 +309,7 @@ let create engine ~host_id ~link ~registry ~cpu ~fragment_cost_ms ~on_deliver
       fragment_cost_ms;
       on_deliver;
       on_give_up;
-      outbound = Hashtbl.create 16;
+      outbound = Int_tbl.create 16;
       inbound = Hashtbl.create 16;
       next_uid = 0;
       retransmissions = 0;

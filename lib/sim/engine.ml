@@ -34,11 +34,8 @@ let run ?limit t =
         step t
       done
   | Some l ->
-      (* next_time skips dead roots without moving the clock *)
-      while
-        (not (Event_queue.is_empty t.queue))
-        && Event_queue.next_time t.queue <= l
-      do
+      (* due skips dead roots without moving the clock *)
+      while Event_queue.due t.queue ~limit:l do
         step t
       done;
       if t.clock.(0) < l && not (Event_queue.is_empty t.queue) then

@@ -34,10 +34,11 @@ val post : t -> delay:Time.t -> (unit -> unit) -> unit
 val cancel : t -> Event_queue.handle -> unit
 
 val run : ?limit:Time.t -> t -> Time.t
-(** Execute events until the queue drains or the clock passes [limit]
-    (default: no limit).  Returns the final clock value.  Raises
-    [Stalled] via {!val-pending} inspection is not needed — a drained queue
-    is the normal termination. *)
+(** Execute events until the queue drains or the next live event lies
+    past [limit] (default: no limit); in the second case the clock
+    moves to [limit].  Returns the final clock value.  A step allocates
+    nothing with or without a limit: the limit test is
+    {!Event_queue.due}, which returns no float. *)
 
 val run_until : t -> Time.t -> Time.t
 (** [run_until t time] executes events up to and including [time], then

@@ -18,6 +18,8 @@
 
 type handle = int
 
+let no_handle = -1
+
 type 'a t = {
   mutable times : float array; (* heap: unboxed keys; >= len is stale *)
   mutable seqs : int array; (* heap: insertion sequence *)
@@ -189,9 +191,11 @@ let compact t =
 let maybe_compact t =
   if t.len >= min_compact && t.len - t.live > t.live then compact t
 
+(* [no_handle] would name slot [slot_mask], past any store: a real
+   handle is never negative. *)
 let cancel t handle =
   let slot = handle land slot_mask in
-  if t.owners.(slot) = handle then begin
+  if handle <> no_handle && t.owners.(slot) = handle then begin
     t.owners.(slot) <- -1;
     t.payloads.(slot) <- empty;
     t.live <- t.live - 1;
@@ -235,10 +239,11 @@ let pop t =
     let payload = pop_payload_exn t in
     Some (t.clock.(0), payload)
 
-(* Unboxed peek for the engine's run-limit check. *)
-let next_time t =
+(* The engine's run-limit check: the comparison stays here, so no time
+   crosses into the engine to be boxed. *)
+let due t ~limit =
   skip_dead_roots t;
-  if t.len = 0 then infinity else t.times.(0)
+  t.len > 0 && t.times.(0) <= limit
 
 let peek_time t =
   skip_dead_roots t;

@@ -22,6 +22,10 @@ type handle
     event's slot with its sequence number, so a handle kept past its
     pop never cancels a later event in the same slot. *)
 
+val no_handle : handle
+(** A handle that names no event, for a cell that holds a timer only
+    while one is armed: {!cancel} ignores it. *)
+
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
 
@@ -46,7 +50,8 @@ val push_unit : 'a t -> time:Time.t -> 'a -> unit
 (** {!push} for events that will never be cancelled. *)
 
 val cancel : 'a t -> handle -> unit
-(** Cancel the event; a no-op if it already fired or was cancelled.
+(** Cancel the event; a no-op if it already fired or was cancelled, or
+    on {!no_handle}.
     The payload is released at once; the heap entry is dropped lazily. *)
 
 val pop : 'a t -> (Time.t * 'a) option
@@ -67,6 +72,6 @@ val clock : 'a t -> float array
 val peek_time : 'a t -> Time.t option
 (** Time of the earliest live event without removing it. *)
 
-val next_time : 'a t -> Time.t
-(** Unboxed {!peek_time} for the engine's run-limit check; [infinity]
-    when the queue is empty. *)
+val due : 'a t -> limit:Time.t -> bool
+(** Whether a live event is queued at or before [limit]: the engine's
+    run-limit check, which returns no float and so boxes none. *)

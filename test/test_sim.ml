@@ -191,6 +191,21 @@ let test_queue_stale_handle () =
   Alcotest.(check (option (pair (float 0.) string)))
     "B pops" (Some (2., "b")) (Event_queue.pop q)
 
+(* [no_handle] names no event, on an empty queue and on a full one. *)
+let test_queue_no_handle () =
+  let q = Event_queue.create () in
+  Event_queue.cancel q Event_queue.no_handle;
+  let handles =
+    List.init 20 (fun i -> Event_queue.push q ~time:(float_of_int i) i)
+  in
+  Event_queue.cancel q Event_queue.no_handle;
+  Alcotest.(check int) "every event still live" 20 (Event_queue.size q);
+  Alcotest.(check bool) "no real handle is no_handle" false
+    (List.mem Event_queue.no_handle handles);
+  let popped = List.init 20 (fun _ -> Option.map snd (Event_queue.pop q)) in
+  Alcotest.(check (list (option int))) "all pop in order"
+    (List.init 20 Option.some) popped
+
 (* [n] tracked payloads early, every fourth one cancelled, behind [m]
    later untracked ones; every tracked one is then popped or skipped.
    The weak array is all the caller keeps of the tracked payloads. *)
@@ -206,7 +221,7 @@ let[@inline never] fill_and_drain q ~n ~m =
     Event_queue.push_unit q ~time:(1_000. +. float_of_int i) (Array.make 4 i)
   done;
   List.iteri (fun i h -> if i mod 4 = 1 then Event_queue.cancel q h) handles;
-  while Event_queue.next_time q < 1_000. do
+  while Event_queue.due q ~limit:999. do
     ignore (Event_queue.pop q)
   done;
   weak
@@ -405,6 +420,7 @@ let suite =
       Alcotest.test_case "queue compaction" `Quick
         test_queue_compacts_after_mass_cancel;
       Alcotest.test_case "queue stale handle" `Quick test_queue_stale_handle;
+      Alcotest.test_case "queue no_handle" `Quick test_queue_no_handle;
       Alcotest.test_case "queue releases payloads" `Quick
         test_queue_releases_payloads;
       Alcotest.test_case "engine order" `Quick test_engine_runs_in_order;
