@@ -1,5 +1,5 @@
-(* The hot-path micro-benchmark: per-operation cost of the three
-   structures every simulated event leans on, measured in isolation so
+(* The hot-path micro-benchmark: per-operation cost of the structures
+   every simulated event leans on, measured in isolation so
    a regression cannot hide inside whole-trial noise.
 
      eviction storm    Phys_mem.allocate against a full pool — every
@@ -18,9 +18,9 @@
                        timers must not accumulate (compaction), and
                        per-op cost stays O(log live).
      engine loop       Engine.run at 16, 1,024 and 65,536 pending
-                       events, each fired event posting the next — ns
-                       and minor words per event (CI holds the words at
-                       0.00).
+                       events, each fired event posting the next, and
+                       at 1,024 in run ~limit slices — ns and minor
+                       words per event (CI holds the words at 0.00).
      page checks       Page.digest on distinct Pattern pages (a memo
                        miss, then a hit) and Page.checksum_value, the
                        wire re-check — per page, no buffer built.
@@ -38,6 +38,11 @@
                        fault path's materialize), a point find, and a
                        fold_pieces over 64 pieces — ns and minor words
                        per operation.
+     int tables        Int_tbl beside the generic (int, int) Hashtbl.t
+                       at 1k, 32k and 1M keys: find (hit and miss),
+                       replace of a present key, insert with growth and
+                       remove — ns and minor words per operation (CI
+                       holds Int_tbl's hit and replace at 0.00 words).
 
    Results land in BENCH_hotpath.json next to BENCH_scale.json.
 
@@ -166,8 +171,12 @@ let timer_churn ~window ~rounds =
    posted, then every event that fires posts one more at now plus an
    exponential delay (mean 1 ms) until [events] have fired; the last
    [pending] drain.  The delays are drawn before the clock starts, so
-   the row times and counts the engine alone: pop, clock advance, post. *)
-let engine_loop ~pending ~events =
+   the row times and counts the engine alone: pop, clock advance, post.
+   With [slice_ms] the engine runs in [run ~limit] slices of that much
+   simulated time, as a caller stepping a world does, so every event
+   also pays the limit check (a slice's own limit and result are a few
+   words, spread over its thousands of events). *)
+let engine_loop ?slice_ms ~pending ~events () =
   let engine = Accent_sim.Engine.create () in
   let rng = Accent_util.Rng.create 42L in
   (* boxed, as a caller's computed delay is: read out of a flat float
@@ -185,18 +194,34 @@ let engine_loop ~pending ~events =
   for _ = 1 to pending do
     fire ()
   done;
-  let m = Harness.measure (fun () -> ignore (Accent_sim.Engine.run engine)) in
+  let run () =
+    match slice_ms with
+    | None -> ignore (Accent_sim.Engine.run engine)
+    | Some slice ->
+        while Accent_sim.Engine.pending engine > 0 do
+          let limit = Accent_sim.Engine.now engine +. slice in
+          ignore (Accent_sim.Engine.run ~limit engine)
+        done
+  in
+  let m = Harness.measure run in
   let fired = Accent_sim.Engine.events_executed engine in
   assert (fired = events);
   let ns = Harness.ns_per m fired and words = Harness.words_per m fired in
+  let slice_field, slice_text =
+    match slice_ms with
+    | None -> ("", "")
+    | Some s ->
+        ( Printf.sprintf {|"limit_slice_ms": %.0f, |} s,
+          Printf.sprintf "  (run ~limit, %.0f ms slices)" s )
+  in
   Printf.printf
     "hotpath: engine pending %6d  %8d events %7.1f ns/event  %.2f \
-     words/event\n\
+     words/event%s\n\
      %!"
-    pending fired ns words;
+    pending fired ns words slice_text;
   Printf.sprintf
-    {|{"pending": %d, "events": %d, "wall_s": %.4f, "ns_per_event": %.1f, "minor_words_per_event": %.2f}|}
-    pending fired m.wall_s ns words
+    {|{"pending": %d, %s"events": %d, "wall_s": %.4f, "ns_per_event": %.1f, "minor_words_per_event": %.2f}|}
+    pending slice_field fired m.wall_s ns words
 
 (* --- page checks -------------------------------------------------------- *)
 
@@ -377,6 +402,120 @@ let interval_map_ops ~intervals ~set_ops ~find_ops ~folds =
     intervals set_ops ns_per_set words_per_set find_ops ns_per_find
     words_per_find folds !pieces ns_per_fold words_per_fold
 
+(* --- int tables ------------------------------------------------------- *)
+
+(* The two int-keyed tables side by side: [Int_tbl] (flat, open
+   addressing) and the generic [(int, int) Hashtbl.t] (chained buckets,
+   [caml_hash] and polymorphic compare per probe), behind one signature
+   so both rows run the same loops. *)
+module type INT_TABLE = sig
+  type t
+
+  val name : string
+  val create : int -> t
+  val replace : t -> int -> int -> unit
+  val find : t -> int -> int
+  val find_opt : t -> int -> int option
+  val remove : t -> int -> unit
+end
+
+let flat_table : (module INT_TABLE) =
+  (module struct
+    type t = int Accent_util.Int_tbl.t
+
+    let name = "Int_tbl"
+    let create = Accent_util.Int_tbl.create
+    let replace = Accent_util.Int_tbl.replace
+    let find = Accent_util.Int_tbl.find
+    let find_opt = Accent_util.Int_tbl.find_opt
+    let remove = Accent_util.Int_tbl.remove
+  end)
+
+let generic_table : (module INT_TABLE) =
+  (module struct
+    type t = (int, int) Hashtbl.t
+
+    let name = "Hashtbl"
+    let create n = Hashtbl.create n
+    let replace = Hashtbl.replace
+    let find = Hashtbl.find
+    let find_opt = Hashtbl.find_opt
+    let remove = Hashtbl.remove
+  end)
+
+(* [keys] page-aligned offsets, as a segment's pages are keyed, visited
+   in a scattered order (7919 is prime, so [j * 7919 mod keys] is a
+   permutation).  Hits, misses (offsets between two keys) and replaces
+   of a present key run [ops] times on one full table; inserts grow
+   fresh tables from 16 slots to [keys], and removes empty full tables,
+   [max 1 (ops / keys)] times each, timing only the inserts or removes. *)
+let int_table (module T : INT_TABLE) ~keys ~ops =
+  let key j = j * 7919 mod keys * Page.size in
+  let fill t =
+    for j = 0 to keys - 1 do
+      T.replace t (key j) j
+    done
+  in
+  let t = T.create 16 in
+  fill t;
+  let sink = ref 0 in
+  let hit = per_op ~ops (fun j -> sink := !sink lxor T.find t (key j)) in
+  let miss =
+    per_op ~ops (fun j ->
+        match T.find_opt t (key j + 1) with
+        | Some v -> sink := !sink lxor v
+        | None -> ())
+  in
+  let replace = per_op ~ops (fun j -> T.replace t (key j) j) in
+  ignore (Sys.opaque_identity !sink);
+  let rounds = max 1 (ops / keys) in
+  (* ns and minor words per key over [rounds] timed passes of [pass] *)
+  let per_key setup pass =
+    let wall = ref 0. and words = ref 0. in
+    for _ = 1 to rounds do
+      let t = setup () in
+      let m = Harness.measure (fun () -> pass t) in
+      wall := !wall +. m.wall_s;
+      words := !words +. m.minor_words
+    done;
+    let n = float_of_int (rounds * keys) in
+    (!wall /. n *. 1e9, !words /. n)
+  in
+  let insert = per_key (fun () -> T.create 16) fill in
+  let remove =
+    per_key
+      (fun () ->
+        let t = T.create 16 in
+        fill t;
+        t)
+      (fun t ->
+        for j = 0 to keys - 1 do
+          T.remove t (key j)
+        done)
+  in
+  let cells =
+    [
+      ("find_hit", hit);
+      ("find_miss", miss);
+      ("replace", replace);
+      ("insert", insert);
+      ("remove", remove);
+    ]
+  in
+  Printf.printf "hotpath: itbl   %-7s keys %7d %s\n%!" T.name keys
+    (String.concat " "
+       (List.map
+          (fun (op, (ns, w)) -> Printf.sprintf "%s %6.1f ns %4.2f w" op ns w)
+          cells));
+  Printf.sprintf {|{"table": "%s", "keys": %d, "ops": %d, "rounds": %d, %s}|}
+    T.name keys ops rounds
+    (String.concat ", "
+       (List.map
+          (fun (op, (ns, w)) ->
+            Printf.sprintf {|"ns_per_%s": %.1f, "minor_words_per_%s": %.2f|}
+              op ns op w)
+          cells))
+
 (* --- driver ------------------------------------------------------------ *)
 
 let () =
@@ -403,10 +542,13 @@ let () =
   in
   let timers = List.map (fun window -> timer_churn ~window ~rounds) windows in
   let engine =
-    List.map
-      (fun pending ->
-        engine_loop ~pending ~events:(if smoke then 100_000 else 2_000_000))
-      [ 16; 1_024; 65_536 ]
+    let events = if smoke then 100_000 else 2_000_000 in
+    let unlimited =
+      List.map
+        (fun pending -> engine_loop ~pending ~events ())
+        [ 16; 1_024; 65_536 ]
+    in
+    unlimited @ [ engine_loop ~slice_ms:1_000. ~pending:1_024 ~events () ]
   in
   let page = [ page_checks ~pages:(if smoke then 20_000 else 200_000) ] in
   (* the same fragment total at every message length *)
@@ -433,6 +575,15 @@ let () =
             ~folds:200_000)
       [ 16; 1_024; 65_536 ]
   in
+  let tables =
+    List.concat_map
+      (fun keys ->
+        List.map
+          (fun table ->
+            int_table table ~keys ~ops:(if smoke then 100_000 else 2_000_000))
+          [ flat_table; generic_table ])
+      (if smoke then [ 1_024; 32_768 ] else [ 1_024; 32_768; 1_048_576 ])
+  in
   Harness.write_json ~name:"hotpath" ~smoke ~out:args.out
     [
       ("page_bytes", string_of_int Page.size);
@@ -444,4 +595,5 @@ let () =
       ("arq_ack", Harness.rows arq);
       ("reference_path", Harness.rows refs);
       ("interval_map", Harness.rows imap);
+      ("int_tbl", Harness.rows tables);
     ]
