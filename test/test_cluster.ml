@@ -235,6 +235,16 @@ let test_churn_static_is_quiet () =
   Alcotest.(check (float 1e-9)) "empty downtime series reports 0" 0.
     r.Accent_experiments.Cluster_scenario.downtime_ms_p99
 
+(* The churn table of every default policy on the tiny config, byte for
+   byte. *)
+let test_churn_render_pinned () =
+  let rendered =
+    Accent_experiments.Cluster_scenario.render_churn
+      (Accent_experiments.Cluster_scenario.compare_churn ~config:tiny_churn ())
+  in
+  Alcotest.(check string) "render_churn" "9bd378a1d4ed0f1b32c6f643468504b8"
+    (Digest.to_hex (Digest.string rendered))
+
 let sweep ~domains ~seeds =
   Accent_experiments.Cluster_scenario.churn_seed_sweep ~config:tiny_churn
     ~domains
@@ -365,6 +375,7 @@ let suite =
       Alcotest.test_case "default decision log pinned" `Quick
         test_default_decision_log_pinned;
       Alcotest.test_case "churn: counts" `Quick test_churn_counts;
+      Alcotest.test_case "churn: render pinned" `Quick test_churn_render_pinned;
       Alcotest.test_case "churn: static quiet" `Quick
         test_churn_static_is_quiet;
       Alcotest.test_case "parallel sweep identical" `Quick
