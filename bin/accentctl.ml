@@ -204,34 +204,36 @@ let inspect workload loss partition =
         (Option.value (Link.fault_plan link) ~default:Fault_plan.none)
 
 let workloads () =
-  let table =
-    Accent_util.Text_table.create
-      ~title:"The seven representative processes (paper Section 4.1)"
-      [
-        ("name", Accent_util.Text_table.Left);
-        ("Real", Accent_util.Text_table.Right);
-        ("Total", Accent_util.Text_table.Right);
-        ("RS", Accent_util.Text_table.Right);
-        ("touched", Accent_util.Text_table.Right);
-        ("description", Accent_util.Text_table.Left);
-      ]
+  let module R = Accent_experiments.Result_table in
+  let module Spec = Accent_workloads.Spec in
+  let size =
+    R.Custom (fun v -> Accent_util.Bytesize.to_string (int_of_float v))
   in
-  List.iter
-    (fun spec ->
-      Accent_util.Text_table.add_row table
-        [
-          spec.Accent_workloads.Spec.name;
-          Accent_util.Bytesize.to_string spec.Accent_workloads.Spec.real_bytes;
-          Accent_util.Bytesize.to_string spec.Accent_workloads.Spec.total_bytes;
-          Accent_util.Bytesize.to_string spec.Accent_workloads.Spec.rs_bytes;
-          Printf.sprintf "%.0f%%"
-            (100.
-            *. float_of_int spec.Accent_workloads.Spec.touched_real_pages
-            /. float_of_int (Accent_workloads.Spec.real_pages spec));
-          spec.Accent_workloads.Spec.description;
-        ])
-    Accent_workloads.Representative.all;
-  Accent_util.Text_table.print table
+  print_string
+    (R.text
+       (R.table "The seven representative processes (paper Section 4.1)"
+          ~keys:[ ("name", "name") ]
+          [
+            R.column "Real" "real_bytes" size;
+            R.column "Total" "total_bytes" size;
+            R.column "RS" "rs_bytes" size;
+            R.column "touched" "touched_pct" (Custom (Printf.sprintf "%.0f%%"));
+            R.column "description" "description" (Text Left);
+          ]
+          (List.map
+             (fun (spec : Spec.t) ->
+               R.row [ spec.name ]
+                 (List.map R.measured
+                    [
+                      float_of_int spec.real_bytes;
+                      float_of_int spec.total_bytes;
+                      float_of_int spec.rs_bytes;
+                      100.
+                      *. float_of_int spec.touched_real_pages
+                      /. float_of_int (Spec.real_pages spec);
+                    ]
+                 @ [ R.Label spec.description ]))
+             Accent_workloads.Representative.all)))
 
 let workloads_cmd =
   let doc = "list the representative workloads" in
@@ -364,44 +366,46 @@ let compare_workload workload prefetch seed =
       exit 1
   | Some spec ->
       let open Accent_core in
-      let table =
-        Accent_util.Text_table.create
-          ~title:(Printf.sprintf "%s under every strategy" spec.Accent_workloads.Spec.name)
-          [
-            ("strategy", Accent_util.Text_table.Left);
-            ("transfer (s)", Accent_util.Text_table.Right);
-            ("exec (s)", Accent_util.Text_table.Right);
-            ("end-to-end (s)", Accent_util.Text_table.Right);
-            ("downtime (s)", Accent_util.Text_table.Right);
-            ("bytes", Accent_util.Text_table.Right);
-            ("faults", Accent_util.Text_table.Right);
-          ]
+      let module R = Accent_experiments.Result_table in
+      let row strategy =
+        let r =
+          (Accent_experiments.Trial.run ~seed ~write_fraction:0.1 ~spec
+             ~strategy ())
+            .Accent_experiments.Trial.report
+        in
+        R.row [ Strategy.name strategy ]
+          (List.map R.measured
+             [
+               Report.transfer_seconds r;
+               Report.remote_execution_seconds r;
+               Report.end_to_end_seconds r;
+               Report.downtime_seconds r;
+               float_of_int (Report.bytes_total r);
+               float_of_int r.Report.dest_faults_imag;
+             ])
       in
-      List.iter
-        (fun strategy ->
-          let result =
-            Accent_experiments.Trial.run ~seed ~write_fraction:0.1 ~spec
-              ~strategy ()
-          in
-          let r = result.Accent_experiments.Trial.report in
-          Accent_util.Text_table.add_row table
-            [
-              Strategy.name strategy;
-              Accent_util.Text_table.cell_f (Report.transfer_seconds r);
-              Accent_util.Text_table.cell_f (Report.remote_execution_seconds r);
-              Accent_util.Text_table.cell_f (Report.end_to_end_seconds r);
-              Accent_util.Text_table.cell_f (Report.downtime_seconds r);
-              Accent_util.Text_table.cell_bytes (Report.bytes_total r);
-              string_of_int r.Report.dest_faults_imag;
-            ])
-        [
-          Strategy.pure_copy;
-          Strategy.pure_iou ~prefetch ();
-          Strategy.resident_set ~prefetch ();
-          Strategy.pre_copy ();
-          Strategy.hybrid ();
-        ];
-      Accent_util.Text_table.print table
+      print_string
+        (R.text
+           (R.table
+              (Printf.sprintf "%s under every strategy"
+                 spec.Accent_workloads.Spec.name)
+              ~keys:[ ("strategy", "strategy") ]
+              [
+                R.column "transfer (s)" "transfer_s" (Fixed 2);
+                R.column "exec (s)" "exec_s" (Fixed 2);
+                R.column "end-to-end (s)" "end_to_end_s" (Fixed 2);
+                R.column "downtime (s)" "downtime_s" (Fixed 2);
+                R.column "bytes" "bytes" Bytes;
+                R.column "faults" "faults" (Fixed 0);
+              ]
+              (List.map row
+                 [
+                   Strategy.pure_copy;
+                   Strategy.pure_iou ~prefetch ();
+                   Strategy.resident_set ~prefetch ();
+                   Strategy.pre_copy ();
+                   Strategy.hybrid ();
+                 ])))
 
 let compare_cmd =
   let doc = "run one workload under every strategy and tabulate" in

@@ -22,35 +22,35 @@ let strategies =
   ]
 
 let () =
-  let table =
-    Accent_util.Text_table.create
-      ~title:
-        "Pasmac migration timing choices (transfer + remote execution, \
-         seconds; best per row marked *)"
-      (("migrated at", Accent_util.Text_table.Left)
-      :: List.map
-           (fun s -> (Strategy.name s, Accent_util.Text_table.Right))
-           strategies)
+  let module R = Accent_experiments.Result_table in
+  let row spec =
+    let totals =
+      List.map
+        (fun strategy ->
+          let result = Accent_experiments.Trial.run ~spec ~strategy () in
+          Report.transfer_plus_execution_seconds
+            result.Accent_experiments.Trial.report)
+        strategies
+    in
+    let best = List.fold_left Float.min infinity totals in
+    R.row [ spec.Spec.name ]
+      (List.map
+         (fun t ->
+           R.Label (Printf.sprintf "%.1f%s" t (if t = best then " *" else "")))
+         totals)
   in
-  List.iter
-    (fun spec ->
-      let totals =
-        List.map
-          (fun strategy ->
-            let result = Accent_experiments.Trial.run ~spec ~strategy () in
-            Report.transfer_plus_execution_seconds
-              result.Accent_experiments.Trial.report)
-          strategies
-      in
-      let best = List.fold_left Float.min infinity totals in
-      Accent_util.Text_table.add_row table
-        (spec.Spec.name
-        :: List.map
-             (fun t ->
-               Printf.sprintf "%.1f%s" t (if t = best then " *" else ""))
-             totals))
-    [ Representative.pm_start; Representative.pm_mid; Representative.pm_end ];
-  Accent_util.Text_table.print table;
+  print_string
+    (R.text
+       (R.table
+          "Pasmac migration timing choices (transfer + remote execution, \
+           seconds; best per row marked *)"
+          ~keys:[ ("migrated at", "migrated_at") ]
+          (List.map
+             (fun s ->
+               let name = Strategy.name s in
+               R.column name name (Text Right))
+             strategies)
+          (List.map row Representative.[ pm_start; pm_mid; pm_end ])));
   print_endline
     "\nReading the rows: early in life most of the file data is still\n\
      ahead, so eager prefetch is what makes lazy shipment pay; by PM-End\n\

@@ -2,11 +2,6 @@ open Accent_kernel
 open Accent_core
 module R = Result_table
 
-let row keys values = { R.keys; cells = List.map R.measured values }
-
-let table title ?(keys = []) columns rows =
-  { R.title; key_headers = List.map (fun k -> (k, k)) keys; columns; rows }
-
 (* Titles name the workload and settings a table was built with, read
    from its arguments, so a table built on another spec says so. *)
 let name spec = spec.Accent_workloads.Spec.name
@@ -55,7 +50,7 @@ let faster_network factor =
 let bandwidth_sweep ?(spec = Accent_workloads.Representative.lisp_t)
     ?(factors = [ 1.; 4.; 16.; 64. ]) () =
   let times = R.Custom (Printf.sprintf "%.0fx") in
-  table
+  R.table
     (Printf.sprintf
        "Ablation: network/protocol speed (%s).  The transfer-time gap \
         narrows on faster media but lazy shipment keeps winning end to end \
@@ -74,27 +69,28 @@ let bandwidth_sweep ?(spec = Accent_workloads.Representative.lisp_t)
          let copy, iou = copy_and_iou ~costs:(faster_network factor) spec in
          let copy_s = Report.rimas_transfer_seconds copy in
          let iou_s = Report.rimas_transfer_seconds iou in
-         row []
-           [
-             factor;
-             copy_s;
-             iou_s;
-             copy_s /. Float.max 1e-9 iou_s;
-             Report.end_to_end_seconds copy;
-             Report.end_to_end_seconds iou;
-           ])
+         R.row []
+           (List.map R.measured
+              [
+                factor;
+                copy_s;
+                iou_s;
+                copy_s /. Float.max 1e-9 iou_s;
+                Report.end_to_end_seconds copy;
+                Report.end_to_end_seconds iou;
+              ]))
        factors)
 
 (* --- NMS caching switch --- *)
 
 let caching_ablation ?(spec = Accent_workloads.Representative.minprog) () =
-  table
+  R.table
     (Printf.sprintf
        "Ablation: NetMsgServer IOU caching (%s, pure-IOU request).  With the \
         Section 2.4 mechanism disabled the 'lazy' migration silently becomes \
         a physical copy."
        (name spec))
-    ~keys:[ "caching" ]
+    ~keys:[ ("caching", "caching") ]
     [
       R.column "transfer (s)" "transfer_s" (Fixed 2);
       R.column "bulk bytes" "bulk_bytes" Bytes;
@@ -107,20 +103,21 @@ let caching_ablation ?(spec = Accent_workloads.Representative.minprog) () =
                { n with Accent_net.Netmsgserver.iou_caching = caching })
          in
          let r = iou ~costs spec in
-         row
+         R.row
            [ (if caching then "on" else "off") ]
-           [
-             Report.rimas_transfer_seconds r;
-             float_of_int r.Report.bytes_bulk;
-             float_of_int r.Report.bytes_fault;
-           ])
+           (List.map R.measured
+              [
+                Report.rimas_transfer_seconds r;
+                float_of_int r.Report.bytes_bulk;
+                float_of_int r.Report.bytes_fault;
+              ]))
        [ true; false ])
 
 (* --- backing-process load --- *)
 
 let backer_load_sweep ?(spec = Accent_workloads.Representative.minprog)
     ?(lookups = [ 38.; 100.; 300.; 1000. ]) () =
-  table
+  R.table
     (Printf.sprintf
        "Ablation: backing-process service time (%s, pure-IOU).  ImagMem is \
         'distantly accessible': a loaded backer stretches every fault and \
@@ -138,15 +135,16 @@ let backer_load_sweep ?(spec = Accent_workloads.Representative.minprog)
                { n with Accent_net.Netmsgserver.backing_lookup_ms = lookup_ms })
          in
          let r = iou ~costs spec in
-         row []
-           [ lookup_ms; Report.remote_execution_seconds r; per_fault_ms r ])
+         R.row []
+           (List.map R.measured
+              [ lookup_ms; Report.remote_execution_seconds r; per_fault_ms r ]))
        lookups)
 
 (* --- destination memory pressure --- *)
 
 let memory_pressure_sweep ?(spec = Accent_workloads.Representative.pm_start)
     ?(frame_counts = [ 4096; 1024; 512; 256 ]) () =
-  table
+  R.table
     (Printf.sprintf
        "Ablation: destination physical memory (%s).  Pure-copy installs the \
         whole RealMem and thrashes when it no longer fits; IOU materialises \
@@ -169,21 +167,25 @@ let memory_pressure_sweep ?(spec = Accent_workloads.Representative.pm_start)
          in
          let exec r = Report.remote_execution_seconds r in
          let disk r = float_of_int r.Report.dest_faults_disk in
-         row [] [ float_of_int frames; exec copy; disk copy; exec iou; disk iou ])
+         R.row []
+           (List.map R.measured
+              [
+                float_of_int frames; exec copy; disk copy; exec iou; disk iou;
+              ]))
        frame_counts)
 
 (* --- strategy face-off including the pre-copy baseline --- *)
 
 let strategy_face_off ?(spec = Accent_workloads.Representative.pm_start)
     ?(write_fraction = 0.15) () =
-  table
+  R.table
     (Printf.sprintf
        "Strategy face-off incl. the pre-copy baseline (%s, %.0f%% stores).  \
         Pre-copy minimises downtime but, as Section 5 notes, both hosts \
         still pay the full transfer; copy-on-reference cuts the bytes \
         themselves."
        (name spec) (100. *. write_fraction))
-    ~keys:[ "strategy" ]
+    ~keys:[ ("strategy", "strategy") ]
     [
       R.column "downtime (s)" "downtime_s" (Fixed 2);
       R.column "bytes" "bytes" Bytes;
@@ -193,13 +195,14 @@ let strategy_face_off ?(spec = Accent_workloads.Representative.pm_start)
     (List.map
        (fun strategy ->
          let r = (Trial.run ~write_fraction ~spec ~strategy ()).Trial.report in
-         row [ Strategy.name strategy ]
-           [
-             Report.downtime_seconds r;
-             float_of_int (Report.bytes_total r);
-             Report.end_to_end_seconds r;
-             r.Report.message_seconds;
-           ])
+         R.row [ Strategy.name strategy ]
+           (List.map R.measured
+              [
+                Report.downtime_seconds r;
+                float_of_int (Report.bytes_total r);
+                Report.end_to_end_seconds r;
+                r.Report.message_seconds;
+              ]))
        [
          Strategy.pure_copy;
          Strategy.pure_iou ~prefetch:1 ();
@@ -211,7 +214,7 @@ let strategy_face_off ?(spec = Accent_workloads.Representative.pm_start)
 
 let ws_vs_rs ?(spec = Accent_workloads.Representative.pm_mid)
     ?(migrate_after_ms = 5_000.) () =
-  table
+  R.table
     (Printf.sprintf
        "Extension: working-set vs resident-set shipment (%s, migrated live at \
         t=%gs).  Section 4.2.2 calls the resident set a working-set \
@@ -219,7 +222,7 @@ let ws_vs_rs ?(spec = Accent_workloads.Representative.pm_mid)
         real Denning estimator ships less and wastes less."
        (name spec)
        (migrate_after_ms /. 1000.))
-    ~keys:[ "strategy" ]
+    ~keys:[ ("strategy", "strategy") ]
     [
       R.column "shipped" "shipped_bytes" Bytes;
       R.column "faults after" "demand_faults" (Fixed 0);
@@ -247,13 +250,14 @@ let ws_vs_rs ?(spec = Accent_workloads.Representative.pm_mid)
              Float.min 1.
                (float_of_int (touched_shipped * page) /. float_of_int shipped)
          in
-         row [ label ]
-           [
-             float_of_int shipped;
-             float_of_int r.Report.dest_faults_imag;
-             100. *. useful;
-             Report.end_to_end_seconds r;
-           ])
+         R.row [ label ]
+           (List.map R.measured
+              [
+                float_of_int shipped;
+                float_of_int r.Report.dest_faults_imag;
+                100. *. useful;
+                Report.end_to_end_seconds r;
+              ]))
        [
          ("rs", Strategy.resident_set ());
          ("ws 2s", Strategy.working_set ~window_ms:2_000. ());
@@ -265,7 +269,7 @@ let ws_vs_rs ?(spec = Accent_workloads.Representative.pm_mid)
 
 let flow_window_sweep ?(spec = Accent_workloads.Representative.minprog)
     ?(windows = [ 1; 4; 16 ]) () =
-  table
+  R.table
     (Printf.sprintf
        "Ablation: NetMsgServer flow-control window (%s).  Stop-and-wait \
         (window 1) is the 1987 behaviour; pipelining speeds bulk copies but \
@@ -286,13 +290,14 @@ let flow_window_sweep ?(spec = Accent_workloads.Representative.minprog)
                     { n with Accent_net.Netmsgserver.flow_window = window }))
              spec
          in
-         row []
-           [
-             float_of_int window;
-             Report.rimas_transfer_seconds copy;
-             Report.rimas_transfer_seconds iou;
-             per_fault_ms iou;
-           ])
+         R.row []
+           (List.map R.measured
+              [
+                float_of_int window;
+                Report.rimas_transfer_seconds copy;
+                Report.rimas_transfer_seconds iou;
+                per_fault_ms iou;
+              ]))
        windows)
 
 (* --- adaptive prefetch --- *)
@@ -330,11 +335,11 @@ let adaptive_prefetch
         Accent_workloads.Representative.pm_start;
         Accent_workloads.Representative.lisp_del;
       ]) () =
-  table
+  R.table
     "Extension: adaptive prefetch (controller walks the amount up while \
      prefetched pages keep being used, down when they stop; Section 6's \
      'apply that knowledge' made automatic)"
-    ~keys:[ "workload"; "prefetch" ]
+    ~keys:[ ("workload", "workload"); ("prefetch", "prefetch") ]
     [
       R.column "remote exec (s)" "remote_exec_s" (Fixed 2);
       R.column "bytes" "bytes" Bytes;
@@ -352,23 +357,25 @@ let adaptive_prefetch
              (Trial.run ~spec ~strategy:(Strategy.pure_iou ~prefetch ()) ())
                .Trial.report
            in
-           row
+           R.row
              [ name; Printf.sprintf "pf%d" prefetch ]
-             [
-               Report.remote_execution_seconds r;
-               float_of_int (Report.bytes_total r);
-               Float.nan;
-             ]
+             (List.map R.measured
+                [
+                  Report.remote_execution_seconds r;
+                  float_of_int (Report.bytes_total r);
+                  Float.nan;
+                ])
          in
          let exec_s, bytes, final = adaptive_trial spec in
          [ static 0; static 1; static 7 ]
          @ [
-             row [ name; "adaptive" ]
-               [
-                 exec_s;
-                 float_of_int bytes;
-                 Option.fold ~none:Float.nan ~some:float_of_int final;
-               ];
+             R.row [ name; "adaptive" ]
+               (List.map R.measured
+                  [
+                    exec_s;
+                    float_of_int bytes;
+                    Option.fold ~none:Float.nan ~some:float_of_int final;
+                  ]);
            ])
        specs)
 

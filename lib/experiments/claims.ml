@@ -250,36 +250,34 @@ let replicate ?(seeds = [ 1L; 2L; 3L; 4L; 5L ])
   List.map (fun c -> (c, List.map c.measure evidence)) all
 
 let render_replication rows =
-  let module T = Accent_util.Text_table in
-  let t =
-    T.create
-      ~title:
-        "Claims across seeds (same compositions, re-randomised layouts and \
-         traces)"
-      [
-        ("claim", T.Left);
-        ("paper", T.Right);
-        ("band", T.Right);
-        ("measured", T.Right);
-        ("holds", T.Right);
-      ]
-  in
   let g = Printf.sprintf "%.4g" in
-  let range lo hi = g lo ^ ".." ^ g hi in
-  List.iter
-    (fun (c, values) ->
-      let measured =
-        match List.filter_map Fun.id values with
-        | [] -> [ "-"; "-" ]
-        | vs ->
-            [
-              range (Option.get (least vs)) (Option.get (greatest vs));
-              Printf.sprintf "%d of %d"
-                (List.length (List.filter (holds c) vs))
-                (List.length vs);
-            ]
-      in
-      T.add_row t
-        ([ c.name; g c.paper; range (fst c.band) (snd c.band) ] @ measured))
-    rows;
-  T.render t
+  let range lo hi = R.Label (g lo ^ ".." ^ g hi) in
+  R.text
+    (R.table
+       "Claims across seeds (same compositions, re-randomised layouts and \
+        traces)"
+       ~keys:[ ("claim", "claim") ]
+       [
+         R.column "paper" "paper" (Custom g);
+         R.column "band" "band" (Text Right);
+         R.column "measured" "measured" (Text Right);
+         R.column "holds" "holds" (Text Right);
+       ]
+       (List.map
+          (fun (c, values) ->
+            let measured =
+              match List.filter_map Fun.id values with
+              | [] -> [ R.Label "-"; R.Label "-" ]
+              | vs ->
+                  [
+                    range (Option.get (least vs)) (Option.get (greatest vs));
+                    R.Label
+                      (Printf.sprintf "%d of %d"
+                         (List.length (List.filter (holds c) vs))
+                         (List.length vs));
+                  ]
+            in
+            R.row [ c.name ]
+              ([ R.measured c.paper; range (fst c.band) (snd c.band) ]
+              @ measured))
+          rows))

@@ -1,6 +1,7 @@
 open Accent_sim
 open Accent_kernel
 open Accent_core
+module R = Result_table
 
 type config = {
   n_hosts : int;
@@ -429,34 +430,35 @@ let churn_json r =
 
 let render_churn ?(title = "Cluster churn: placement policies compared")
     results =
-  let t =
-    Accent_util.Text_table.create ~title
-      [
-        ("policy", Accent_util.Text_table.Left);
-        ("migrations", Accent_util.Text_table.Right);
-        ("rate (/s)", Accent_util.Text_table.Right);
-        ("downtime p50 (ms)", Accent_util.Text_table.Right);
-        ("downtime p99 (ms)", Accent_util.Text_table.Right);
-        ("wire", Accent_util.Text_table.Right);
-        ("turnaround (s)", Accent_util.Text_table.Right);
-        ("done", Accent_util.Text_table.Right);
-      ]
-  in
-  List.iter
-    (fun r ->
-      Accent_util.Text_table.add_row t
-        [
-          r.policy_name;
-          string_of_int r.migrations;
-          Accent_util.Text_table.cell_f ~dec:3 r.migration_rate_per_s;
-          Accent_util.Text_table.cell_f ~dec:1 r.downtime_ms_p50;
-          Accent_util.Text_table.cell_f ~dec:1 r.downtime_ms_p99;
-          Accent_util.Text_table.cell_bytes r.wire_bytes;
-          Accent_util.Text_table.cell_f ~dec:1 r.mean_turnaround_s;
-          Printf.sprintf "%d/%d" r.jobs_completed r.jobs_submitted;
-        ])
-    results;
-  Accent_util.Text_table.render t
+  R.text
+    (R.table title
+       ~keys:[ ("policy", "policy") ]
+       [
+         R.column "migrations" "migrations" (Fixed 0);
+         R.column "rate (/s)" "migration_rate_per_s" (Fixed 3);
+         R.column "downtime p50 (ms)" "downtime_ms_p50" (Fixed 1);
+         R.column "downtime p99 (ms)" "downtime_ms_p99" (Fixed 1);
+         R.column "wire" "wire_bytes" Bytes;
+         R.column "turnaround (s)" "mean_turnaround_s" (Fixed 1);
+         R.column "done" "done" (Text Right);
+       ]
+       (List.map
+          (fun r ->
+            R.row [ r.policy_name ]
+              (List.map R.measured
+                 [
+                   float_of_int r.migrations;
+                   r.migration_rate_per_s;
+                   r.downtime_ms_p50;
+                   r.downtime_ms_p99;
+                   float_of_int r.wire_bytes;
+                   r.mean_turnaround_s;
+                 ]
+              @ [
+                  R.Label
+                    (Printf.sprintf "%d/%d" r.jobs_completed r.jobs_submitted);
+                ]))
+          results))
 
 (* --- the domain-parallel seed sweep ------------------------------------- *)
 
@@ -472,28 +474,26 @@ let churn_seed_sweep ?(config = default_churn) ?(domains = 1)
     seeds
 
 let render outcomes =
-  let t =
-    Accent_util.Text_table.create
-      ~title:
-        "Extension: automatic migration policies (batch of jobs arriving \
-         on one host of a cluster; Section 6's future work evaluated)"
-      [
-        ("policy", Accent_util.Text_table.Left);
-        ("makespan (s)", Accent_util.Text_table.Right);
-        ("mean turnaround (s)", Accent_util.Text_table.Right);
-        ("migrations", Accent_util.Text_table.Right);
-        ("final placement", Accent_util.Text_table.Left);
-      ]
-  in
-  List.iter
-    (fun o ->
-      Accent_util.Text_table.add_row t
-        [
-          o.label;
-          Accent_util.Text_table.cell_f ~dec:1 o.makespan_s;
-          Accent_util.Text_table.cell_f ~dec:1 o.mean_turnaround_s;
-          string_of_int o.migrations;
-          String.concat "/" (List.map string_of_int o.placements);
-        ])
-    outcomes;
-  Accent_util.Text_table.render t
+  R.text
+    (R.table
+       "Extension: automatic migration policies (batch of jobs arriving on \
+        one host of a cluster; Section 6's future work evaluated)"
+       ~keys:[ ("policy", "policy") ]
+       [
+         R.column "makespan (s)" "makespan_s" (Fixed 1);
+         R.column "mean turnaround (s)" "mean_turnaround_s" (Fixed 1);
+         R.column "migrations" "migrations" (Fixed 0);
+         R.column "final placement" "final_placement" (Text Left);
+       ]
+       (List.map
+          (fun o ->
+            R.row [ o.label ]
+              (List.map R.measured
+                 [
+                   o.makespan_s; o.mean_turnaround_s; float_of_int o.migrations;
+                 ]
+              @ [
+                  R.Label
+                    (String.concat "/" (List.map string_of_int o.placements));
+                ]))
+          outcomes))

@@ -72,18 +72,21 @@ let render panels =
   Buffer.contents buf
 
 let to_csv panels =
-  let line fields = Result_table.csv_line fields ^ "\n" in
-  String.concat ""
-    (line [ "strategy"; "second"; "fault_bytes_per_s"; "other_bytes_per_s" ]
-    :: List.concat_map
-         (fun panel ->
-           let fault_at = lookup panel.fault in
-           Array.to_list
-             (Array.map
-                (fun (t, other) ->
-                  line
-                    (Strategy.name panel.strategy
-                    :: List.map (Printf.sprintf "%.6f") [ t; fault_at t; other ]
-                    ))
-                panel.other))
-         panels)
+  Result_table.csv
+    (Result_table.table "Figure 4-5: Byte Transfer Rates for Lisp-Del"
+       ~keys:[ ("strategy", "strategy") ]
+       [
+         Result_table.column "second" "second" (Fixed 6);
+         Result_table.column "fault" "fault_bytes_per_s" (Fixed 6);
+         Result_table.column "other" "other_bytes_per_s" (Fixed 6);
+       ]
+       (List.concat_map
+          (fun panel ->
+            let fault_at = lookup panel.fault in
+            Array.to_list
+              (Array.map
+                 (fun (t, other) ->
+                   Result_table.row [ Strategy.name panel.strategy ]
+                     (List.map Result_table.measured [ t; fault_at t; other ]))
+                 panel.other))
+          panels))

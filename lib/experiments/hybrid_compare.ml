@@ -1,4 +1,5 @@
 open Accent_core
+module R = Result_table
 
 let strategies () =
   [ Strategy.pre_copy (); Strategy.working_set (); Strategy.hybrid () ]
@@ -28,42 +29,41 @@ let rows ?(seed = 42L) ?(write_fraction = 0.1) ?(migrate_after_ms = 5_000.) ()
         (strategies ()))
     Accent_workloads.Representative.all
 
+(* One group of rows per workload, ruled off from the next. *)
 let render rows =
-  let table =
-    Accent_util.Text_table.create
-      ~title:
-        "Hybrid push/pull vs pre-copy and working-set (write fraction 0.1)"
-      [
-        ("workload", Accent_util.Text_table.Left);
-        ("strategy", Accent_util.Text_table.Left);
-        ("pushed", Accent_util.Text_table.Right);
-        ("pulled", Accent_util.Text_table.Right);
-        ("downtime (s)", Accent_util.Text_table.Right);
-        ("end-to-end (s)", Accent_util.Text_table.Right);
-      ]
+  let workload (row : Trial.summary) = row.spec.Accent_workloads.Spec.name in
+  let line (row : Trial.summary) =
+    let r = row.report in
+    R.row [ workload row; Strategy.name row.strategy ]
+      (List.map R.measured
+         [
+           float_of_int (pushed_bytes r);
+           float_of_int (pulled_bytes r);
+           Report.downtime_seconds r;
+           Report.end_to_end_seconds r;
+         ])
   in
-  let last = ref "" in
-  List.iter
-    (fun (row : Trial.summary) ->
-      let name = row.spec.Accent_workloads.Spec.name in
-      if !last <> "" && !last <> name then Accent_util.Text_table.add_rule table;
-      last := name;
-      let r = row.report in
-      Accent_util.Text_table.add_row table
-        [
-          name;
-          Strategy.name row.strategy;
-          Accent_util.Text_table.cell_bytes (pushed_bytes r);
-          Accent_util.Text_table.cell_bytes (pulled_bytes r);
-          Accent_util.Text_table.cell_f (Report.downtime_seconds r);
-          Accent_util.Text_table.cell_f (Report.end_to_end_seconds r);
-        ])
-    rows;
-  Accent_util.Text_table.render table
+  let rec lines = function
+    | a :: (b :: _ as rest) when workload a <> workload b ->
+        line a :: R.Rule :: lines rest
+    | a :: rest -> line a :: lines rest
+    | [] -> []
+  in
+  R.text
+    (R.table
+       "Hybrid push/pull vs pre-copy and working-set (write fraction 0.1)"
+       ~keys:[ ("workload", "workload"); ("strategy", "strategy") ]
+       [
+         R.column "pushed" "pushed_bytes" Bytes;
+         R.column "pulled" "pulled_bytes" Bytes;
+         R.column "downtime (s)" "downtime_s" (Fixed 2);
+         R.column "end-to-end (s)" "end_to_end_s" (Fixed 2);
+       ]
+       (lines rows))
 
 let to_csv rows =
   let header =
-    Result_table.csv_line
+    R.csv_line
       [
         "workload";
         "strategy";
@@ -78,7 +78,7 @@ let to_csv rows =
     List.map
       (fun (row : Trial.summary) ->
         let r = row.report in
-        Result_table.csv_line
+        R.csv_line
           [
             row.spec.Accent_workloads.Spec.name;
             Strategy.name row.strategy;

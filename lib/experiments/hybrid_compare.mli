@@ -21,4 +21,6 @@ val rows :
     working set to ship. *)
 
 val render : Trial.summary list -> string
+(** The rows as a {!Result_table}, a rule between workloads. *)
+
 val to_csv : Trial.summary list -> string

@@ -9,11 +9,8 @@ let paper_column header csv format =
 let name (spec : Accent_workloads.Spec.t) = spec.Accent_workloads.Spec.name
 let pct part whole = 100. *. float_of_int part /. float_of_int whole
 
-(* A one-key table: one row per process. *)
-let by_process_table title columns rows =
-  { R.title; key_headers = [ ("", "process") ]; columns; rows }
-
-let row name cells = { R.keys = [ name ]; cells }
+(* The key of a one-row-per-process table. *)
+let process = [ ("", "process") ]
 
 (* One row per spec, from the address space of its process built at the
    migration point. *)
@@ -21,12 +18,12 @@ let of_built ?seed ?(specs = Accent_workloads.Representative.all) values =
   List.map
     (fun spec ->
       let _, proc = Trial.build_only ?seed ~spec () in
-      row (name spec)
+      R.row [ name spec ]
         (List.map R.measured (values (Accent_kernel.Proc.space_exn proc))))
     specs
 
 let table_4_1 ?seed ?specs () =
-  by_process_table "Table 4-1: Representative Address Space Sizes in Bytes"
+  R.table "Table 4-1: Representative Address Space Sizes in Bytes" ~keys:process
     [
       R.column "Real" "real_bytes" Bytes;
       R.column "RealZ" "realz_bytes" Bytes;
@@ -44,7 +41,7 @@ let table_4_1 ?seed ?specs () =
          ]))
 
 let table_4_2 ?seed ?specs () =
-  by_process_table "Table 4-2: Representative Resident Sets"
+  R.table "Table 4-2: Representative Resident Sets" ~keys:process
     [
       R.column "RS Size" "rs_bytes" Bytes;
       R.column "% of Real" "pct_of_real" (Fixed 1);
@@ -60,14 +57,16 @@ let table_4_2 ?seed ?specs () =
 
 let of_sweep sweep cells =
   List.map
-    (fun (rep : Sweep.rep_results) -> row (name rep.Sweep.spec) (cells rep))
+    (fun (rep : Sweep.rep_results) -> R.row [ name rep.Sweep.spec ] (cells rep))
     sweep
 
 (* Three measured cells beside the paper's values for this process, where
    the paper printed a row for it. *)
 let beside paper (rep : Sweep.rep_results) (a, b, c) =
   let printed = List.assoc_opt (name rep.Sweep.spec) paper in
-  let cell v pick = { R.measured = v; paper = Option.map pick printed } in
+  let cell v pick =
+    R.Number { R.measured = v; paper = Option.map pick printed }
+  in
   [
     cell a (fun (x, _, _) -> x);
     cell b (fun (_, y, _) -> y);
@@ -83,7 +82,7 @@ let table_4_3 sweep =
         R.measured (pct fetched rep.Sweep.spec.total_bytes);
       ]
   in
-  by_process_table "Table 4-3: Percent of Address Space Accessed"
+  R.table "Table 4-3: Percent of Address Space Accessed" ~keys:process
     [
       R.column "IOU %Real" "iou_pct_real" (Fixed 1);
       R.column "[%Total]" "iou_pct_total" (Bracketed 3);
@@ -94,9 +93,10 @@ let table_4_3 sweep =
          shipped rep (Sweep.iou_at rep 0) @ shipped rep (Sweep.rs_at rep 0)))
 
 let table_4_4 sweep =
-  by_process_table
+  R.table
     "Table 4-4: Process Excision Times in Seconds (paper values in \
      parentheses; Insert column is this system's InsertProcess time)"
+    ~keys:process
     [
       paper_column "AMap" "amap_s" (Fixed 2);
       paper_column "RIMAS" "rimas_s" (Fixed 2);
@@ -121,9 +121,10 @@ let rimas (result : Trial.summary) =
   Report.rimas_transfer_seconds result.Trial.report
 
 let table_4_5 sweep =
-  by_process_table
+  R.table
     "Table 4-5: Address Space Transfer Times in Seconds (paper values in \
      parentheses)"
+    ~keys:process
     [
       paper_column "Pure-IOU" "iou_s" (Fixed 2);
       paper_column "RS" "rs_s" (Fixed 2);
@@ -158,22 +159,19 @@ let long_form title ~csv ~copy metric sweep =
     List.concat_map
       (fun (rep : Sweep.rep_results) ->
         let row strategy prefetch result =
-          {
-            R.keys = [ name rep.Sweep.spec; strategy; string_of_int prefetch ];
-            cells = [ R.measured (metric rep result) ];
-          }
+          R.row
+            [ name rep.Sweep.spec; strategy; string_of_int prefetch ]
+            [ R.measured (metric rep result) ]
         in
         List.map (fun (p, r) -> row "iou" p r) rep.Sweep.iou
         @ List.map (fun (p, r) -> row "rs" p r) rep.Sweep.rs
         @ if copy then [ row "copy" 0 rep.Sweep.copy ] else [])
       sweep
   in
-  {
-    R.title;
-    key_headers = [ ("", "process"); ("", "strategy"); ("", "prefetch") ];
-    columns = [ R.column "value" csv (Fixed 2) ];
-    rows;
-  }
+  R.table title
+    ~keys:[ ("", "process"); ("", "strategy"); ("", "prefetch") ]
+    [ R.column "value" csv (Fixed 2) ]
+    rows
 
 let figure_4_1 =
   long_form "Figure 4-1: Remote Execution Times in Seconds" ~csv:"value"
@@ -210,20 +208,20 @@ let wide (t : R.t) =
         match groups with
         | (q, rs) :: rest when q = p -> (p, r :: rs) :: rest
         | _ -> (p, [ r ]) :: groups)
-      t.R.rows []
+      (R.rows t) []
   in
   let value = List.hd t.R.columns in
   {
     t with
-    R.key_headers = [ ("", "process") ];
+    R.key_headers = process;
     columns =
       (match groups with
       | [] -> []
       | (_, first) :: _ ->
           List.map (fun r -> { value with R.header = label r }) first);
-    rows =
+    lines =
       List.map
-        (fun (p, rs) -> row p (List.concat_map (fun r -> r.R.cells) rs))
+        (fun (p, rs) -> R.row [ p ] (List.concat_map (fun r -> r.R.cells) rs))
         groups;
   }
 
@@ -242,10 +240,12 @@ let chart ~title ~unit_label t =
                ( List.hd r.R.keys,
                  List.map2
                    (fun (c : R.column) (x : R.cell) ->
-                     (c.R.header, x.R.measured))
+                     match x with
+                     | R.Number n -> (c.R.header, n.R.measured)
+                     | R.Label _ -> invalid_arg "Paper_tables.chart: a label")
                    t.R.columns r.R.cells );
              ])
-         t.R.rows)
+         (R.rows t))
 
 (* --- Figure 4-1's footnote --- *)
 

@@ -21,7 +21,7 @@ let test_bandwidth_direction () =
 let test_caching_direction () =
   let t = Ablations.caching_ablation ~spec () in
   Alcotest.(check (list (list string))) "flags recorded" [ [ "on" ]; [ "off" ] ]
-    (List.map (fun r -> r.Result_table.keys) t.Result_table.rows);
+    (List.map (fun r -> r.Result_table.keys) (Result_table.rows t));
   let on = cell t [ "on" ] and off = cell t [ "off" ] in
   Alcotest.(check bool) "without caching the data ships physically" true
     (off "bulk_bytes"
@@ -64,7 +64,8 @@ let test_memory_pressure_direction () =
 
 let test_face_off_shape () =
   let t = Ablations.strategy_face_off ~spec ~write_fraction:0.2 () in
-  Alcotest.(check int) "four strategies" 4 (List.length t.Result_table.rows);
+  Alcotest.(check int) "four strategies" 4
+    (List.length (Result_table.rows t));
   let copy = cell t [ "copy" ] and iou = cell t [ "iou+pf1" ]
   and pre = cell t [ "precopy" ] in
   Alcotest.(check bool) "pre-copy downtime lowest of the physical pair" true

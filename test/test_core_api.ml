@@ -177,7 +177,7 @@ let test_cold_working_set_degenerates_to_iou () =
 let test_ws_vs_rs_ablation () =
   let t = Ablations.ws_vs_rs ~spec:ws_spec ~migrate_after_ms:6_000. () in
   let module R = Accent_experiments.Result_table in
-  Alcotest.(check int) "four rows" 4 (List.length t.R.rows);
+  Alcotest.(check int) "four rows" 4 (List.length (R.rows t));
   let shipped strategy =
     (R.find t ~row:[ strategy ] ~column:"shipped_bytes").R.measured
   in

@@ -70,5 +70,8 @@ let column (t : Accent_experiments.Result_table.t) csv =
   let module R = Accent_experiments.Result_table in
   let headers = List.map (fun c -> c.R.csv) t.R.columns in
   List.map
-    (fun r -> (List.assoc csv (List.combine headers r.R.cells)).R.measured)
-    t.R.rows
+    (fun r ->
+      match List.assoc csv (List.combine headers r.R.cells) with
+      | R.Number n -> n.R.measured
+      | R.Label _ -> invalid_arg "Test_helpers.column: a label column")
+    (R.rows t)

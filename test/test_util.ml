@@ -1,4 +1,4 @@
-(* Stats, byte formatting, text tables, series binning, charts. *)
+(* Stats, byte formatting, series binning, charts. *)
 open Accent_util
 
 (* --- Stats --- *)
@@ -132,34 +132,6 @@ let test_bytesize_units () =
   Alcotest.(check int) "kb" 1024 (Bytesize.of_kb 1);
   Alcotest.(check int) "mb" (1024 * 1024) (Bytesize.of_mb 1);
   Alcotest.(check int) "gb" (1024 * 1024 * 1024) (Bytesize.of_gb 1)
-
-(* --- Text_table --- *)
-
-let test_table_render () =
-  let t =
-    Text_table.create ~title:"T"
-      [ ("name", Text_table.Left); ("value", Text_table.Right) ]
-  in
-  Text_table.add_row t [ "a"; "1" ];
-  Text_table.add_row t [ "long-name"; "22" ];
-  let out = Text_table.render t in
-  Alcotest.(check bool) "has title" true (String.length out > 0 && out.[0] = 'T');
-  (* every row is padded to the same overall width *)
-  let lines = String.split_on_char '\n' out in
-  let row_a = List.nth lines 3 and row_b = List.nth lines 4 in
-  Alcotest.(check int) "rows same width" (String.length row_b)
-    (String.length row_a)
-
-let test_table_arity () =
-  let t = Text_table.create [ ("a", Text_table.Left) ] in
-  Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Text_table.add_row: arity mismatch") (fun () ->
-      Text_table.add_row t [ "x"; "y" ])
-
-let test_table_cells () =
-  Alcotest.(check string) "float cell" "3.14" (Text_table.cell_f 3.14159);
-  Alcotest.(check string) "pct cell" "56.9" (Text_table.cell_f ~dec:1 56.93);
-  Alcotest.(check string) "bytes cell" "1,024" (Text_table.cell_bytes 1024)
 
 (* --- Series --- *)
 
@@ -422,9 +394,6 @@ let suite =
       Alcotest.test_case "bytesize format" `Quick test_bytesize_format;
       Alcotest.test_case "bytesize commas" `Quick test_bytesize_commas;
       Alcotest.test_case "bytesize units" `Quick test_bytesize_units;
-      Alcotest.test_case "table render" `Quick test_table_render;
-      Alcotest.test_case "table arity" `Quick test_table_arity;
-      Alcotest.test_case "table cells" `Quick test_table_cells;
       Alcotest.test_case "series basics" `Quick test_series_basics;
       Alcotest.test_case "series binning" `Quick test_series_binning;
       Alcotest.test_case "series rate" `Quick test_series_rate;
