@@ -36,38 +36,39 @@ let run_cluster ~balanced =
   let h0 = World.host world 0 in
   let procs = List.init 6 (fun i -> Accent_workloads.Spec.build h0 (worker i)) in
   List.iter (fun p -> Proc_runner.start h0 p) procs;
-  let migrator =
-    if balanced then
-      Some
-        (Auto_migrator.start world
-           {
-             Auto_migrator.default_policy with
-             Auto_migrator.period_ms = 2_000.;
-             max_migrations = 4;
-           })
-    else None
-  in
+  (* the daemon publishes each move it makes on the world's event bus *)
+  let decisions = ref [] in
+  World.on_migration_event world (fun ev ->
+      match ev.Mig_event.kind with
+      | Mig_event.Auto_candidate { proc_name; src; dst } ->
+          decisions := (ev.Mig_event.at, proc_name, src, dst) :: !decisions
+      | _ -> ());
+  if balanced then
+    ignore
+      (Auto_migrator.start world
+         {
+           Auto_migrator.default_policy with
+           Auto_migrator.period_ms = 2_000.;
+           max_migrations = 4;
+         });
   ignore (World.run world);
   let makespan = Accent_sim.Time.to_seconds (World.now world) in
-  (world, migrator, makespan)
+  (world, List.rev !decisions, makespan)
 
 let () =
   let _, _, alone = run_cluster ~balanced:false in
-  let world, migrator, balanced = run_cluster ~balanced:true in
+  let world, decisions, balanced = run_cluster ~balanced:true in
   Format.printf "six workers, all started on host0 of a 3-host cluster:@.";
   Format.printf "  unmanaged makespan:  %.1fs@." alone;
   Format.printf "  with auto-migrator:  %.1fs (%.0f%% faster)@." balanced
     (100. *. (alone -. balanced) /. alone);
-  (match migrator with
-  | Some m ->
-      Format.printf "  decisions taken:@.";
-      List.iter
-        (fun (t_ms, name, src, dst) ->
-          Format.printf "    t=%5.1fs  %s: host%d -> host%d@."
-            (float_of_int t_ms /. 1000.)
-            name src dst)
-        (Auto_migrator.decisions m)
-  | None -> ());
+  Format.printf "  decisions taken:@.";
+  List.iter
+    (fun (at, name, src, dst) ->
+      Format.printf "    t=%5.1fs  %s: host%d -> host%d@."
+        (Accent_sim.Time.to_seconds at)
+        name src dst)
+    decisions;
   Format.printf "  final placement: %s@."
     (String.concat " "
        (List.map

@@ -28,7 +28,6 @@ type t = {
       (* hoisted: built once at [start], not rebuilt per tick *)
   mutable tick_k : unit -> unit;
   mutable triggered : int;
-  mutable decisions : (int * string * int * int) list; (* reversed *)
 }
 
 (* A process is movable if it is actually executing and not already in
@@ -73,12 +72,6 @@ let execute_move t (d : Placement_policy.directive) =
             kind =
               Mig_event.Auto_candidate { proc_name = proc.Proc.name; src; dst };
           };
-        t.decisions <-
-          ( int_of_float (Time.to_ms (World.now world)),
-            proc.Proc.name,
-            src,
-            dst )
-          :: t.decisions;
         (* freeze cleanly before excision: wait for any in-flight
            reference to retire *)
         Proc_runner.interrupt proc;
@@ -152,7 +145,6 @@ let start ?live world (policy : policy) =
       movable_on;
       tick_k = (fun () -> ());
       triggered = 0;
-      decisions = [];
     }
   in
   t.tick_k <- (fun () -> tick t);
@@ -162,4 +154,3 @@ let start ?live world (policy : policy) =
   t
 
 let migrations_triggered t = t.triggered
-let decisions t = List.rev t.decisions

@@ -4,9 +4,10 @@
     The daemon samples every host's load on a fixed period into a
     {!Placement_policy.snapshot} and executes whatever the configured
     {!Placement_policy.t} decides: [Observe] actions are published as
-    {!Mig_event.Auto_threshold} events, [Move] directives become real
-    migrations (interrupt, wait for in-flight references to retire,
-    excise and ship with the policy's strategy).  The decision logic
+    {!Mig_event.Auto_threshold} events, [Move] directives are published
+    as {!Mig_event.Auto_candidate} events and become real migrations
+    (interrupt, wait for in-flight references to retire, excise and ship
+    with the policy's strategy).  The decision logic
     itself lives entirely in {!Placement_policy}; this module owns the
     clock, the event publication and the migration mechanics. *)
 
@@ -31,6 +32,3 @@ val start : ?live:(unit -> bool) -> World.t -> policy -> t
     its own [live]). *)
 
 val migrations_triggered : t -> int
-
-val decisions : t -> (int * string * int * int) list
-(** [(time_ms, proc_name, from_host, to_host)] log, oldest first. *)

@@ -40,7 +40,6 @@ type t = {
   resident : Page.index list;
 }
 
-val proc_id : t -> int
 val proc_name : t -> string
 val pages : t -> int
 (** Real pages named by the checkpoint. *)

@@ -31,8 +31,6 @@ val create :
 (** [port] is the MigrationManager port need replies return to; the
     store is the host's shared content store. *)
 
-val enabled : t -> bool
-
 val send :
   t ->
   dest:Accent_ipc.Port.id ->

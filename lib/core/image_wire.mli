@@ -30,15 +30,6 @@ val page_runs_of_pages : Page.index list -> (Page.index * Page.index) list
 (** The pages, sorted and deduplicated, coalesced into maximal closed
     runs, ascending. *)
 
-val data_chunks :
-  lookup:(Page.index -> Page.value option) ->
-  missing:string ->
-  Page.index list ->
-  Accent_ipc.Memory_object.t
-(** Coalesce the pages (sorted and deduplicated here) into consecutive
-    runs and read each value through [lookup]; a [None] raises
-    {!Abort} with [missing]. *)
-
 val vaddr_data_chunks :
   Address_space.t -> Page.index list -> Accent_ipc.Memory_object.t
 (** [data_chunks] over the live space — what push rounds read. *)

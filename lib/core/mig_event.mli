@@ -122,8 +122,6 @@ val publish : bus -> t -> unit
 (** {2 Trace output} *)
 
 val kind_name : kind -> string
-val to_json : t -> string
-(** One self-contained JSON object (a JSONL line, without the newline). *)
 
 val jsonl_writer : out_channel -> t -> unit
 (** A subscriber that appends [to_json] lines to the channel. *)

@@ -10,7 +10,6 @@ type t = { ctx : ctx; engine : Transfer_engine.t }
 let backing_service_ms = 50.
 
 let port t = t.ctx.port
-let host t = t.ctx.host
 let backing t = t.ctx.backing
 let bus t = t.ctx.bus
 

@@ -21,7 +21,6 @@ val create : bus:Mig_event.bus -> Accent_kernel.Host.t -> t
     world publishes on the world's one [bus]. *)
 
 val port : t -> Accent_ipc.Port.id
-val host : t -> Accent_kernel.Host.t
 
 val backing : t -> Accent_net.Backing_server.t
 (** The manager's own backing server (used by the resident-set and

@@ -102,8 +102,6 @@ val settle :
 (** {2 Derived durations (seconds)} *)
 
 val excise_seconds : t -> float
-val core_transfer_seconds : t -> float
-(** Excision end to Core delivery. *)
 
 val rimas_transfer_seconds : t -> float
 (** Excision end to RIMAS delivery — the paper's Table 4-5 quantity.  The
@@ -113,7 +111,6 @@ val rimas_transfer_seconds : t -> float
 val transfer_seconds : t -> float
 (** Excision end to the later of the two deliveries. *)
 
-val insert_seconds : t -> float
 val remote_execution_seconds : t -> float
 val end_to_end_seconds : t -> float
 (** Request to remote completion. *)
@@ -128,9 +125,6 @@ val transfer_plus_execution_seconds : t -> float
 
 val goodput_bytes : t -> int
 (** Control + bulk + fault — the traffic the 1987 accounting knew about. *)
-
-val overhead_bytes : t -> int
-(** Retransmit + ack bytes added by the reliable transport. *)
 
 val bytes_total : t -> int
 (** Goodput plus overhead — everything that crossed the wire. *)

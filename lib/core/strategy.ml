@@ -40,4 +40,3 @@ let name t =
   if t.prefetch = 0 then transfer_name t.transfer
   else Printf.sprintf "%s+pf%d" (transfer_name t.transfer) t.prefetch
 
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -86,6 +86,3 @@ val is_live : t -> bool
 
 val name : t -> string
 (** e.g. ["iou+pf3"], ["copy"], ["rs"]. *)
-
-val transfer_name : transfer -> string
-val pp : Format.formatter -> t -> unit

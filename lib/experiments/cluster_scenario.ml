@@ -228,9 +228,6 @@ let churn_job_spec config ~think_ms i =
    releasing everything the steady state says should be gone. *)
 let run_churn_aux ?(config = default_churn) ~(policy : Placement_policy.t) () =
   let world = World.create ~seed:config.churn_seed ~n_hosts:config.hosts () in
-  (* the per-message byte series is a single-migration figure's tool; at
-     datacenter scale it is O(messages) retained heap *)
-  Accent_net.Transfer_monitor.set_record_series world.World.monitor false;
   let engine = world.World.engine in
   let arrivals_rng = Engine.rng engine "cluster-arrivals" in
   let placement_rng = Engine.rng engine "cluster-placement" in

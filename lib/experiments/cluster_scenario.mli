@@ -37,10 +37,6 @@ type outcome = {
   placements : int list;  (** final process count per host *)
 }
 
-val run :
-  ?config:config -> policy:Accent_core.Auto_migrator.policy option ->
-  label:string -> unit -> outcome
-
 val compare_policies : ?config:config -> unit -> outcome list
 (** The three configurations above. *)
 

@@ -55,9 +55,6 @@ type t = {
 val default_kill_fracs : float list
 (** [0.25; 0.5; 0.75]. *)
 
-val default_strategies : unit -> Strategy.t list
-(** Four strategies: pure-copy, pure-IOU, pre-copy, hybrid. *)
-
 val run :
   ?seed:int64 ->
   ?seeds:int ->

@@ -54,28 +54,30 @@ let run_once ~seed ~spec ~strategy ~dedup ~capacity_pages =
   World.migrate_and_run world ~proc ~src:0 ~dst:1 ~strategy
 
 let run ?(seed = 42L) ?(spec = Accent_workloads.Representative.pm_start)
-    ?(overlaps = default_overlaps) ?strategies ?(domains = 1) () =
+    ?(overlaps = default_overlaps) ?strategies () =
   let strategies =
     match strategies with
     | Some s -> s
     | None -> [ Strategy.pure_copy; Strategy.hybrid () ]
   in
   let pages = Accent_workloads.Spec.real_pages spec in
-  (* each cell is a pair of independent two-host worlds; the cell grid
-     fans across domains and merges back in grid order *)
-  let grid =
-    List.concat_map
-      (fun strategy -> List.map (fun overlap -> (strategy, overlap)) overlaps)
-      strategies
-  in
+  (* each cell is a pair of independent two-host worlds *)
   let cells =
-    Accent_util.Domain_pool.map_list ~domains
-      (fun (strategy, overlap) ->
-        let capacity_pages = int_of_float (overlap *. float_of_int pages) in
-        let off = run_once ~seed ~spec ~strategy ~dedup:false ~capacity_pages in
-        let on_ = run_once ~seed ~spec ~strategy ~dedup:true ~capacity_pages in
-        { overlap; strategy; off; on_ })
-      grid
+    List.concat_map
+      (fun strategy ->
+        List.map
+          (fun overlap ->
+            let capacity_pages =
+              int_of_float (overlap *. float_of_int pages)
+            in
+            let run ~dedup =
+              run_once ~seed ~spec ~strategy ~dedup ~capacity_pages
+            in
+            let off = run ~dedup:false in
+            let on_ = run ~dedup:true in
+            { overlap; strategy; off; on_ })
+          overlaps)
+      strategies
   in
   { spec; seed; cells }
 

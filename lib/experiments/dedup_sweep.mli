@@ -26,9 +26,6 @@ type t = {
   cells : cell list;
 }
 
-val default_overlaps : float list
-(** [0.; 0.5; 0.9; 1.0] *)
-
 val reduction_pct : cell -> float
 (** Percent of the dedup-off wire bytes the dedup-on run avoided. *)
 
@@ -37,12 +34,9 @@ val run :
   ?spec:Accent_workloads.Spec.t ->
   ?overlaps:float list ->
   ?strategies:Accent_core.Strategy.t list ->
-  ?domains:int ->
   unit ->
   t
-(** Defaults: pm_start, pure-copy and hybrid, {!default_overlaps}.
-    [domains] fans the (strategy × overlap) cell grid across OCaml
-    domains; the result is identical for any domain count. *)
+(** Defaults: pm_start, pure-copy and hybrid, overlaps 0, 0.5, 0.9 and 1. *)
 
 val to_csv : t -> string
 val render : t -> string

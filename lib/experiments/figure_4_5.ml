@@ -8,33 +8,28 @@ type panel = {
   end_to_end_s : float;
 }
 
-(* The paper's figure plots one-second bins. *)
-let bin_s = 1.0
+(* Element by element, to the longer length. *)
+let sum a b =
+  let at bins i = if i < Array.length bins then bins.(i) else 0 in
+  Array.init (max (Array.length a) (Array.length b)) (fun i -> at a i + at b i)
+
+(* The monitor's bins are one second wide, so each one's bytes are its
+   bytes per second. *)
+let per_second bins =
+  Array.mapi (fun i bytes -> (float_of_int i, float_of_int bytes)) bins
 
 let panels ?seed ?(spec = Accent_workloads.Representative.lisp_del) () =
   List.map
     (fun strategy ->
       let result = Trial.run ?seed ~spec ~strategy () in
-      let monitor = result.Trial.world.World.monitor in
-      let width = bin_s *. 1000. (* series times are in ms *) in
-      let to_seconds bins =
-        Array.map (fun (t, v) -> (t /. 1000., v /. bin_s)) bins
+      let bins =
+        Accent_net.Transfer_monitor.bins_of result.Trial.world.World.monitor
       in
-      let fault_series =
-        Accent_net.Transfer_monitor.series_of monitor Accent_ipc.Message.Fault
-      in
-      (* bulk and control merge into the paper's "all other transfers" *)
-      let other = Series.create () in
-      List.iter
-        (fun category ->
-          List.iter
-            (fun (time, value) -> Series.add other ~time ~value)
-            (Series.samples (Accent_net.Transfer_monitor.series_of monitor category)))
-        [ Accent_ipc.Message.Bulk; Accent_ipc.Message.Control ];
       {
         strategy;
-        fault = to_seconds (Series.bin fault_series ~width);
-        other = to_seconds (Series.bin other ~width);
+        fault = per_second (bins Fault);
+        (* bulk and control merge into the paper's "all other transfers" *)
+        other = per_second (sum (bins Bulk) (bins Control));
         end_to_end_s = Report.end_to_end_seconds result.Trial.report;
       })
     [ Strategy.pure_iou (); Strategy.resident_set (); Strategy.pure_copy ]

@@ -24,9 +24,6 @@ type t = {
   points : point list;  (** strategy-major, loss ascending within *)
 }
 
-val default_rates_pct : float list
-(** 0, 1, 2, 5, 10. *)
-
 val run :
   ?seed:int64 ->
   ?spec:Accent_workloads.Spec.t ->

@@ -24,18 +24,12 @@ val run :
   ?specs:Accent_workloads.Spec.t list ->
   ?prefetches:int list ->
   ?progress:bool ->
-  ?domains:int ->
   unit ->
   t
 (** Defaults: the seven representatives, prefetch {0,1,3,7,15}, progress
     lines on stderr.  [on_event] subscribes to every trial world's
     migration event bus — each trial is a fresh world whose clock restarts
-    near zero, so per-trial statistics should reset on [Requested].
-    [domains] fans the (spec × strategy) grid over that many OCaml
-    domains ({!Accent_util.Domain_pool}); results are merged in grid
-    order so any domain count yields the same [t], but with [domains > 1]
-    the [on_event] callback and progress lines run concurrently from
-    worker domains — pass a domain-safe callback or keep the default 1. *)
+    near zero, so per-trial statistics should reset on [Requested]. *)
 
 val find : t -> string -> rep_results
 (** By representative name; raises [Not_found]. *)

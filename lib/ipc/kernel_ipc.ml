@@ -13,7 +13,6 @@ type t = {
   cpu : Queue_server.t;
   handlers : (Message.t -> unit) Port.Table.t;
   mutable forwarder : (Message.t -> unit) option;
-  mutable sent : int;
   mutable local : int;
   mutable forwarded : int;
 }
@@ -24,7 +23,6 @@ let create engine ~cpu =
     cpu;
     handlers = Port.Table.create 64;
     forwarder = None;
-    sent = 0;
     local = 0;
     forwarded = 0;
   }
@@ -50,7 +48,6 @@ let handling_cost msg =
   Time.ms (local_base_ms +. data_cost)
 
 let send t msg =
-  t.sent <- t.sent + 1;
   let cost = handling_cost msg in
   Queue_server.submit t.cpu ~service_time:cost (fun () ->
       match Port.Table.find_opt t.handlers msg.Message.dest with
@@ -67,6 +64,5 @@ let send t msg =
                   m "dropping message for unbound %a at t=%a" Port.pp
                     msg.Message.dest Time.pp (Engine.now t.engine))))
 
-let sent t = t.sent
 let delivered_locally t = t.local
 let forwarded t = t.forwarded

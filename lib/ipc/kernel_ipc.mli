@@ -47,6 +47,5 @@ val handling_cost : Message.t -> Accent_sim.Time.t
 
 (** {2 Accounting} *)
 
-val sent : t -> int
 val delivered_locally : t -> int
 val forwarded : t -> int

@@ -1,9 +1,7 @@
 type id = int
 
 let fresh ids = Accent_sim.Ids.next ids
-let compare = Int.compare
 let equal = Int.equal
-let to_int id = id
 let pp ppf id = Format.fprintf ppf "port#%d" id
 
 type right = Receive | Send | Ownership

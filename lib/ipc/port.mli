@@ -12,9 +12,7 @@ type id = private int
 val fresh : Accent_sim.Ids.t -> id
 (** Allocate a new port id from the world's id source. *)
 
-val compare : id -> id -> int
 val equal : id -> id -> bool
-val to_int : id -> int
 val pp : Format.formatter -> id -> unit
 
 type right = Receive | Send | Ownership

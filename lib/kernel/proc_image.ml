@@ -173,15 +173,6 @@ let range_run t ~lo ~hi =
   | Some run -> run
   | None -> failwith "Proc_image.range_run: missing page"
 
-let digests t =
-  List.concat_map
-    (fun (run : Address_space.image_run) ->
-      match run with
-      | Address_space.Img_real { run; _ } ->
-          Array.to_list (Page_run.map_to_array Page.digest run)
-      | Address_space.Img_zero _ | Address_space.Img_imag _ -> [])
-    t.mem
-
 (* --- freeze / restore ---------------------------------------------------- *)
 
 let freeze t =

@@ -72,10 +72,6 @@ val range_run : t -> lo:int -> hi:int -> Page_run.t
     O(log parts) however many pages the range spans.  Raises [Failure]
     on a page the image does not hold. *)
 
-val digests : t -> int list
-(** Content digests of every real page, ascending by page — the digest
-    set a checkpoint pairs with the image skeleton. *)
-
 (** {2 Restore} *)
 
 val restore : Host.t -> t -> Proc.t

@@ -53,13 +53,6 @@ let pages t =
 
 let distinct_pages t = List.length (pages t)
 
-let concat a b =
-  {
-    t_pages = Array.append a.t_pages b.t_pages;
-    t_think = Array.append a.t_think b.t_think;
-    t_write = Bytes.cat a.t_write b.t_write;
-  }
-
 let write_count t =
   let n = ref 0 in
   Bytes.iter (fun c -> if c <> '\000' then incr n) t.t_write;

@@ -46,8 +46,6 @@ val distinct_pages : t -> int
 val pages : t -> Accent_mem.Page.index list
 (** Distinct pages in first-reference order. *)
 
-val concat : t -> t -> t
-
 val write_count : t -> int
 
 val with_writes : rng:Accent_util.Rng.t -> fraction:float -> t -> t

@@ -76,7 +76,6 @@ let create ~id ~name ~mem ~disk =
   }
 
 let id t = t.id
-let name t = t.name
 
 let require_aligned op (range : Vaddr.range) =
   if not (Vaddr.page_aligned range) then
@@ -432,8 +431,6 @@ let gather_real t ov ~lo ~hi =
         pos := piece_end + 1
   done;
   (Page_run.builder_run parts, List.rev !homes)
-
-let range_run t ~lo ~hi = fst (gather_real t (overlay_of t) ~lo ~hi)
 
 (* Every Real range with its values as one shared view, sharing a single
    overlay preparation across all ranges (regions are ascending, which is

@@ -38,7 +38,6 @@ val create :
     the space with its eviction dispatcher. *)
 
 val id : t -> int
-val name : t -> string
 
 (** {2 Building the space} *)
 
@@ -111,14 +110,6 @@ val page_value : t -> Page.index -> Page.value option
 (** A materialised page's value, wherever it lives — no bytes are copied
     or generated; [None] for zero-pending (all zeros), imaginary or
     invalid pages. *)
-
-val range_run : t -> lo:int -> hi:int -> Page_run.t
-(** The materialised page values of the Real range [lo, hi) in page order,
-    as a run of shared views: cold extents contribute O(1) sub-views and
-    only individually-materialised pages are read — O(cold parts +
-    materialised pages in range), with no per-page table lookups and no
-    copying.  This is the excision path.  Raises [Failure] if any page of
-    the range has no materialised value. *)
 
 val real_runs : t -> (int * Page_run.t) list
 (** [(lo, run)] for every Real range, ascending — {!range_run} over each

@@ -66,10 +66,6 @@ val of_bytes : data -> value
 val to_bytes : value -> data
 (** Materialize: always a fresh, caller-owned buffer. *)
 
-val blit_value : value -> bytes -> int -> unit
-(** [blit_value v buf off] materializes [v] directly into [buf] at
-    [off] — one page, no intermediate allocation for symbolic values. *)
-
 val digest : value -> int
 (** Equals [checksum (to_bytes v)], without materializing: constant for
     [Zero], precomputed for [Literal], memoized per domain for [Pattern]

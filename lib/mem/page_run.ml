@@ -197,11 +197,6 @@ let iteri f t =
 
 let iter f t = iteri (fun _ v -> f v) t
 
-let fold_left f init t =
-  let acc = ref init in
-  iter (fun v -> acc := f !acc v) t;
-  !acc
-
 let map_to_array f t =
   let n = length t in
   if n = 0 then [||]

@@ -63,7 +63,6 @@ val to_array : t -> Page.value array
 
 val iter : (Page.value -> unit) -> t -> unit
 val iteri : (int -> Page.value -> unit) -> t -> unit
-val fold_left : ('a -> Page.value -> 'a) -> 'a -> t -> 'a
 val map_to_array : (Page.value -> 'a) -> t -> 'a array
 val init : int -> (int -> Page.value) -> t
 

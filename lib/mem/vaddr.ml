@@ -9,7 +9,6 @@ let range lo hi =
 
 let of_len lo len = range lo (lo + len)
 let len { lo; hi } = hi - lo
-let is_empty r = r.lo >= r.hi
 let contains { lo; hi } x = lo <= x && x < hi
 let overlaps a b = a.lo < b.hi && b.lo < a.hi
 

@@ -16,7 +16,6 @@ val of_len : int -> int -> range
 (** [of_len lo len] is [range lo (lo + len)]. *)
 
 val len : range -> int
-val is_empty : range -> bool
 val contains : range -> int -> bool
 val overlaps : range -> range -> bool
 val intersect : range -> range -> range option

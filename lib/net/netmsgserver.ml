@@ -49,7 +49,6 @@ type t = {
   mutable cached_bytes : int;
   mutable rel : Reliable.t option;
   mutable give_up_handlers : (Message.t -> unit) list;
-  mutable transport_give_ups : int;
 }
 
 let host_id t = t.host_id
@@ -259,7 +258,6 @@ let create engine ~ids ~host_id ~kernel ~link ~registry ~monitor ~params =
       cached_bytes = 0;
       rel = None;
       give_up_handlers = [];
-      transport_give_ups = 0;
     }
   in
   Kernel_ipc.set_forwarder kernel (forward t);
@@ -283,7 +281,6 @@ let create engine ~ids ~host_id ~kernel ~link ~registry ~monitor ~params =
                Queue_server.submit t.cpu ~service_time:(Time.ms cost)
                  (fun () -> if completes then deliver_local t msg))
              ~on_give_up:(fun ~msg ~dst:_ ->
-               t.transport_give_ups <- t.transport_give_ups + 1;
                Logs.warn (fun m ->
                    m "NMS%d: transport gave up on %s message to %a" t.host_id
                      (Message.category_name msg.Message.category)
@@ -300,7 +297,7 @@ let dedup_enabled t = t.params.dedup
 let on_transport_give_up t handler =
   t.give_up_handlers <- handler :: t.give_up_handlers
 
-let transport_give_ups t = t.transport_give_ups
+let transport_give_ups t = Option.fold ~none:0 ~some:Reliable.give_ups t.rel
 let bytes_cached t = t.cached_bytes
 let backers t = Option.to_list t.backer @ t.failed_backers
 
@@ -318,7 +315,6 @@ let reset_accounting t =
   t.handled <- 0;
   t.cached_bytes <- 0;
   List.iter Backing_server.reset_accounting (backers t);
-  t.transport_give_ups <- 0;
   Option.iter Reliable.reset_accounting t.rel
 
 (* The crashed backer's port stops being a home, so requests for its

@@ -3,7 +3,9 @@ open Accent_ipc
 type slot = {
   mutable bytes : int;
   mutable messages : int;
-  mutable series : Accent_util.Series.t;
+  mutable bins : int array;
+      (* bytes per virtual second, with spare capacity past [seconds] *)
+  mutable seconds : int; (* bins in use: through the last second recorded *)
 }
 
 type t = {
@@ -12,14 +14,9 @@ type t = {
   fault : slot;
   retransmit : slot;
   ack : slot;
-  (* The per-category time series costs a retained cons per transmitted
-     message — fine for a single-migration figure, O(messages) retention
-     for a datacenter churn run, which turns it off. *)
-  mutable record_series : bool;
 }
 
-let fresh_slot () =
-  { bytes = 0; messages = 0; series = Accent_util.Series.create () }
+let fresh_slot () = { bytes = 0; messages = 0; bins = [||]; seconds = 0 }
 
 let create () =
   {
@@ -28,7 +25,6 @@ let create () =
     fault = fresh_slot ();
     retransmit = fresh_slot ();
     ack = fresh_slot ();
-    record_series = true;
   }
 
 let slot t (category : Message.category) =
@@ -44,10 +40,15 @@ let all_slots t = [ t.control; t.bulk; t.fault; t.retransmit; t.ack ]
 let record t ~time ~category ~bytes =
   let s = slot t category in
   s.bytes <- s.bytes + bytes;
-  if t.record_series then
-    Accent_util.Series.add s.series ~time ~value:(float_of_int bytes)
-
-let set_record_series t on = t.record_series <- on
+  (* times are in ms *)
+  let i = int_of_float (Float.floor (time /. 1000.)) in
+  if i >= Array.length s.bins then begin
+    let grown = Array.make (max (i + 1) (2 * Array.length s.bins)) 0 in
+    Array.blit s.bins 0 grown 0 s.seconds;
+    s.bins <- grown
+  end;
+  s.bins.(i) <- s.bins.(i) + bytes;
+  if i >= s.seconds then s.seconds <- i + 1
 
 let note_message t ~category =
   let s = slot t category in
@@ -62,12 +63,15 @@ let overhead_bytes t = t.retransmit.bytes + t.ack.bytes
 let messages_total t =
   List.fold_left (fun acc s -> acc + s.messages) 0 (all_slots t)
 
-let series_of t category = (slot t category).series
+let bins_of t category =
+  let s = slot t category in
+  Array.sub s.bins 0 s.seconds
 
 let reset t =
   List.iter
     (fun s ->
       s.bytes <- 0;
       s.messages <- 0;
-      s.series <- Accent_util.Series.create ())
+      Array.fill s.bins 0 s.seconds 0;
+      s.seconds <- 0)
     (all_slots t)

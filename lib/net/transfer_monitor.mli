@@ -2,9 +2,12 @@
 
     One monitor observes the link for a whole experiment and answers the
     questions behind Figures 4-3 and 4-5: how many bytes crossed the wire
-    for each traffic class, and at what rate over time.  Counters can be
-    reset at the start of a trial's measurement interval ("when the
-    migration request is received by the MigrationManager"). *)
+    for each traffic class (Figure 4-3), and how many in each one-second
+    bin of virtual time (Figure 4-5).  The bins are summed as bytes are
+    recorded, so the monitor holds one int per class per virtual second,
+    not a sample per message.  Counters can be reset at the start of a
+    trial's measurement interval ("when the migration request is
+    received by the MigrationManager"). *)
 
 type t
 
@@ -16,6 +19,8 @@ val record :
   category:Accent_ipc.Message.category ->
   bytes:int ->
   unit
+(** Count [bytes] of the class at [time] (ms, not negative) into its total
+    and into the bin of second [floor (time / 1000)]. *)
 
 val note_message : t -> category:Accent_ipc.Message.category -> unit
 (** Count one network message (for the message-count comparison of
@@ -34,14 +39,11 @@ val overhead_bytes : t -> int
 
 val messages_total : t -> int
 
-val series_of : t -> Accent_ipc.Message.category -> Accent_util.Series.t
-(** Byte arrivals over time for the class (times in milliseconds). *)
-
-val set_record_series : t -> bool -> unit
-(** Recording the time series retains one sample per transmitted
-    message — what a figure over a single migration wants, and what a
-    datacenter churn run must turn off to keep its live heap a function
-    of cluster size.  Byte and message counters are unaffected. *)
+val bins_of : t -> Accent_ipc.Message.category -> int array
+(** Bytes of the class per virtual second: element [i] sums the records
+    at [i] s <= time < [i + 1] s.  The array runs from second 0 through
+    the last second recorded, quiet seconds reading 0; [[||]] if nothing
+    was recorded. *)
 
 val reset : t -> unit
-(** Zero all counters and series. *)
+(** Zero all counters and bins. *)

@@ -182,18 +182,18 @@ let test_default_decision_log_pinned () =
     (List.init 4 (fun i ->
          Accent_workloads.Spec.build h0
            (worker (Printf.sprintf "w%d" i) (1 + (8 * i)))));
-  let migrator =
-    Auto_migrator.start world
-      { Auto_migrator.default_policy with Auto_migrator.period_ms = 1_000. }
-  in
+  let decisions = Test_helpers.auto_candidates world in
+  ignore
+    (Auto_migrator.start world
+       { Auto_migrator.default_policy with Auto_migrator.period_ms = 1_000. });
   ignore (World.run world);
   let show (at, name, src, dst) =
-    Printf.sprintf "%d:%s:%d->%d" at name src dst
+    Printf.sprintf "%.0f:%s:%d->%d" (Accent_sim.Time.to_ms at) name src dst
   in
   Alcotest.(check (list string))
     "decision log"
     [ "1000:w0:0->1"; "2000:w1:0->2"; "32000:w2:0->1" ]
-    (List.map show (Auto_migrator.decisions migrator))
+    (List.map show (decisions ()))
 
 (* --- the domain-parallel sweep vs its sequential twin --------------------- *)
 

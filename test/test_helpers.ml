@@ -75,3 +75,14 @@ let column (t : Accent_experiments.Result_table.t) csv =
       | R.Number n -> n.R.measured
       | R.Label _ -> invalid_arg "Test_helpers.column: a label column")
     (R.rows t)
+
+(* The moves an auto-migrator makes, as it publishes them on the world's
+   bus: [(at, proc_name, src, dst)], oldest first once the world has run. *)
+let auto_candidates world =
+  let seen = ref [] in
+  Accent_core.World.on_migration_event world (fun ev ->
+      match ev.Accent_core.Mig_event.kind with
+      | Accent_core.Mig_event.Auto_candidate { proc_name; src; dst } ->
+          seen := (ev.Accent_core.Mig_event.at, proc_name, src, dst) :: !seen
+      | _ -> ());
+  fun () -> List.rev !seen

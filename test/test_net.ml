@@ -147,8 +147,61 @@ let test_monitor_accounting () =
     (Transfer_monitor.bytes_of mon Message.Fault);
   Alcotest.(check int) "total" 600 (Transfer_monitor.bytes_total mon);
   Alcotest.(check int) "messages" 1 (Transfer_monitor.messages_total mon);
+  Transfer_monitor.record mon ~time:999. ~category:Message.Bulk ~bytes:7;
+  Transfer_monitor.record mon ~time:1000. ~category:Message.Bulk ~bytes:9;
+  Transfer_monitor.record mon ~time:3500. ~category:Message.Bulk ~bytes:4;
+  Alcotest.(check (array int))
+    "bulk bins: 999 ms in second 0, 1000 ms in 1, quiet 2 reads 0"
+    [| 507; 9; 0; 4 |]
+    (Transfer_monitor.bins_of mon Message.Bulk);
+  Alcotest.(check (array int))
+    "fault bins run through its last recorded second" [| 100 |]
+    (Transfer_monitor.bins_of mon Message.Fault);
+  Alcotest.(check (array int))
+    "no records, no bins" [||]
+    (Transfer_monitor.bins_of mon Message.Ack);
   Transfer_monitor.reset mon;
-  Alcotest.(check int) "reset" 0 (Transfer_monitor.bytes_total mon)
+  Alcotest.(check int) "reset" 0 (Transfer_monitor.bytes_total mon);
+  Alcotest.(check (array int))
+    "reset empties the bins" [||]
+    (Transfer_monitor.bins_of mon Message.Bulk);
+  Transfer_monitor.record mon ~time:1500. ~category:Message.Bulk ~bytes:3;
+  Alcotest.(check (array int))
+    "bins after reset start from zero" [| 0; 3 |]
+    (Transfer_monitor.bins_of mon Message.Bulk)
+
+let categories =
+  Message.[ Control; Bulk; Fault; Retransmit; Ack ]
+
+let prop_monitor_bins =
+  QCheck.Test.make ~count:200
+    ~name:"monitor bins sum to bytes_of and span to the last second"
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 60)
+        (triple (int_range 0 4) (float_range 0. 10_000.) (int_range 0 2000)))
+    (fun records ->
+      let mon = monitor () in
+      List.iter
+        (fun (c, time, bytes) ->
+          Transfer_monitor.record mon ~time
+            ~category:(List.nth categories c) ~bytes)
+        records;
+      List.for_all
+        (fun category ->
+          let bins = Transfer_monitor.bins_of mon category in
+          let expected_len =
+            List.fold_left
+              (fun acc (c, time, _) ->
+                if List.nth categories c = category then
+                  max acc (int_of_float (Float.floor (time /. 1000.)) + 1)
+                else acc)
+              0 records
+          in
+          Array.fold_left ( + ) 0 bins
+          = Transfer_monitor.bytes_of mon category
+          && Array.length bins = expected_len)
+        categories)
 
 (* --- Net_registry --- *)
 
@@ -668,6 +721,7 @@ let suite =
       Alcotest.test_case "link transmit timing" `Quick test_link_transmit_timing;
       Alcotest.test_case "link serializes" `Quick test_link_serializes_transfers;
       Alcotest.test_case "monitor accounting" `Quick test_monitor_accounting;
+      QCheck_alcotest.to_alcotest prop_monitor_bins;
       Alcotest.test_case "registry homes" `Quick test_registry_homes;
       Alcotest.test_case "cross-host delivery" `Quick
         test_nms_cross_host_delivery;

@@ -1,4 +1,4 @@
-(* Stats, byte formatting, series binning, charts. *)
+(* Stats, byte formatting, charts. *)
 open Accent_util
 
 (* --- Stats --- *)
@@ -132,51 +132,6 @@ let test_bytesize_units () =
   Alcotest.(check int) "kb" 1024 (Bytesize.of_kb 1);
   Alcotest.(check int) "mb" (1024 * 1024) (Bytesize.of_mb 1);
   Alcotest.(check int) "gb" (1024 * 1024 * 1024) (Bytesize.of_gb 1)
-
-(* --- Series --- *)
-
-let test_series_basics () =
-  let s = Series.create () in
-  Alcotest.(check bool) "empty" true (Series.is_empty s);
-  Series.add s ~time:0. ~value:10.;
-  Series.add s ~time:1500. ~value:20.;
-  Series.add s ~time:2500. ~value:5.;
-  Alcotest.(check int) "length" 3 (Series.length s);
-  close "total" 35. (Series.total s);
-  close "duration" 2500. (Series.duration s)
-
-let test_series_binning () =
-  let s = Series.create () in
-  Series.add s ~time:100. ~value:1.;
-  Series.add s ~time:900. ~value:2.;
-  Series.add s ~time:1100. ~value:4.;
-  Series.add s ~time:3500. ~value:8.;
-  let bins = Series.bin s ~width:1000. in
-  Alcotest.(check int) "bin count spans to last sample" 4 (Array.length bins);
-  close "bin0" 3. (snd bins.(0));
-  close "bin1" 4. (snd bins.(1));
-  close "bin2 (quiet) is zero" 0. (snd bins.(2));
-  close "bin3" 8. (snd bins.(3))
-
-let test_series_rate () =
-  let s = Series.create () in
-  Series.add s ~time:0. ~value:500.;
-  Series.add s ~time:999. ~value:500.;
-  let rates = Series.rate_bins s ~width:1000. in
-  close "rate" 1. (snd rates.(0))
-
-let prop_binning_preserves_mass =
-  QCheck.Test.make ~name:"binning preserves total value"
-    QCheck.(
-      list_of_size
-        Gen.(int_range 1 60)
-        (pair (float_range 0. 10_000.) (float_range 0. 100.)))
-    (fun samples ->
-      let s = Series.create () in
-      List.iter (fun (time, value) -> Series.add s ~time ~value) samples;
-      let bins = Series.bin s ~width:500. in
-      let binned = Array.fold_left (fun acc (_, v) -> acc +. v) 0. bins in
-      Float.abs (binned -. Series.total s) < 1e-6)
 
 (* --- Ascii_chart --- *)
 
@@ -394,10 +349,6 @@ let suite =
       Alcotest.test_case "bytesize format" `Quick test_bytesize_format;
       Alcotest.test_case "bytesize commas" `Quick test_bytesize_commas;
       Alcotest.test_case "bytesize units" `Quick test_bytesize_units;
-      Alcotest.test_case "series basics" `Quick test_series_basics;
-      Alcotest.test_case "series binning" `Quick test_series_binning;
-      Alcotest.test_case "series rate" `Quick test_series_rate;
-      QCheck_alcotest.to_alcotest prop_binning_preserves_mass;
       Alcotest.test_case "chart hbars" `Quick test_chart_hbars;
       Alcotest.test_case "chart negative" `Quick test_chart_negative;
       Alcotest.test_case "chart empty" `Quick test_chart_empty_timeline;
