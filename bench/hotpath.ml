@@ -23,7 +23,11 @@
                        words per event (CI holds the words at 0.00).
      page checks       Page.digest on distinct Pattern pages (a memo
                        miss, then a hit) and Page.checksum_value, the
-                       wire re-check — per page, no buffer built.
+                       wire re-check — per page, no buffer built; then
+                       one 32,768-page Gen run through Page_run.digests
+                       (cold, warm) and Page_run.checksums — ns and
+                       minor words per page (CI holds warm digests and
+                       checksums at 0.00 words).
      ARQ acks          one message through two Reliable endpoints on a
                        clean link — cost per in-order fragment is flat
                        in message length (an ack walks top - cum + 1
@@ -250,6 +254,28 @@ let page_checks ~pages =
     {|{"pages": %d, "ns_per_cold_digest": %.1f, "ns_per_memo_hit": %.1f, "ns_per_checksum_value": %.1f}|}
     pages cold hit recheck
 
+(* The same checks a run at a time over one Gen run of [pages] pages
+   under another unused tag: Page_run.digests from a cold memo, then
+   warm, then Page_run.checksums.  The warm and checksum rows must read
+   0.00 minor words per page (CI gates them): a Gen part is never turned
+   into values, and the one int array per call is a major allocation. *)
+let page_run_checks ~pages =
+  let run = Page_run.pattern ~tag:0x2F00E ~first:0 ~len:pages in
+  let row name f =
+    let m = Harness.measure (fun () -> f run) in
+    ignore (Sys.opaque_identity m.value);
+    let ns = Harness.ns_per m pages and words = Harness.words_per m pages in
+    Printf.printf
+      "hotpath: run    %8d pages  %-13s %6.1f ns  %.2f words/page\n%!" pages
+      name ns words;
+    Printf.sprintf
+      {|{"run_pages": %d, "run": "%s", "ns_per_page": %.1f, "minor_words_per_page": %.2f}|}
+      pages name ns words
+  in
+  let cold = row "digests_cold" Page_run.digests in
+  let warm = row "digests_warm" Page_run.digests in
+  [ cold; warm; row "checksums" Page_run.checksums ]
+
 (* --- ARQ acks ---------------------------------------------------------- *)
 
 (* [messages] messages of [fragments] fragments each, one after another
@@ -313,7 +339,7 @@ let reference_path ~spaces ~refs =
   let run = Page_run.init per_space (fun _ -> Page.zero_value) in
   let procs =
     Array.init spaces (fun id ->
-        let space = Address_space.create ~id ~name:"p" ~mem ~disk in
+        let space = Address_space.create ~id ~mem ~disk in
         Address_space.install_run space ~addr:0 run ~resident:true;
         (space, Working_set.create ~window:1_000.))
   in
@@ -550,7 +576,10 @@ let () =
     in
     unlimited @ [ engine_loop ~slice_ms:1_000. ~pending:1_024 ~events () ]
   in
-  let page = [ page_checks ~pages:(if smoke then 20_000 else 200_000) ] in
+  let page =
+    let per_page = page_checks ~pages:(if smoke then 20_000 else 200_000) in
+    per_page :: page_run_checks ~pages:32_768
+  in
   (* the same fragment total at every message length *)
   let total = if smoke then 4_096 else 65_536 in
   let arq =

@@ -37,7 +37,7 @@ let () =
 
   (* The client maps the whole file copy-on-reference at 16 MB, and its
      pager learns where faults on the segment go. *)
-  let space = Host.new_space client_host ~name:"client" in
+  let space = Host.new_space client_host in
   let file_base = 16 * 1024 * 1024 in
   Address_space.map_imaginary space
     (Vaddr.of_len file_base file_bytes)

@@ -47,12 +47,15 @@ let save ?bus ?(at = Time.zero) store (image : Proc_image.t) =
      keeps executing after a checkpoint *)
   let image = Proc_image.freeze image in
   let new_bytes = ref 0 in
-  let bank value =
-    let digest = Page.digest value in
-    if not (Content_store.mem store digest) then
-      new_bytes := !new_bytes + Page.size;
-    Content_store.insert store value;
-    digest
+  let bank run =
+    let digests = Page_run.digests run in
+    Page_run.iteri
+      (fun i value ->
+        if not (Content_store.mem store digests.(i)) then
+          new_bytes := !new_bytes + Page.size;
+        Content_store.insert store value)
+      run;
+    digests
   in
   let mem =
     List.map
@@ -60,7 +63,7 @@ let save ?bus ?(at = Time.zero) store (image : Proc_image.t) =
         match run with
         | Address_space.Img_zero { lo; hi } -> Ck_zero { lo; hi }
         | Address_space.Img_real { lo; run; homes } ->
-            Ck_real { lo; digests = Page_run.map_to_array bank run; homes }
+            Ck_real { lo; digests = bank run; homes }
         | Address_space.Img_imag { lo; hi; segment_id; offset } ->
             Ck_imag { lo; hi; segment_id; offset })
       image.Proc_image.mem

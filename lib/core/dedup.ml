@@ -88,9 +88,7 @@ let digest_runs t memory =
         | Memory_object.Iou _ -> iou_run_values t c
       in
       Option.map
-        (fun run ->
-          ( c.Memory_object.range.Vaddr.lo,
-            Page_run.map_to_array Page.digest run ))
+        (fun run -> (c.Memory_object.range.Vaddr.lo, Page_run.digests run))
         advertised)
     memory
 
@@ -126,8 +124,7 @@ let prune t memory need =
         let content =
           match needed with
           | Some () -> mk_needed ~first_page sub
-          | None ->
-              Memory_object.Digest_refs (Page_run.map_to_array Page.digest sub)
+          | None -> Memory_object.Digest_refs (Page_run.digests sub)
         in
         { Memory_object.range = Vaddr.range a b; content } :: rev_pieces)
     |> List.rev
@@ -246,10 +243,7 @@ let resolve t ~proc_id memory =
           | Memory_object.Iou _ -> c
           | Memory_object.Data run ->
               (* page data that did cross the wire seeds future hits *)
-              Page_run.iter
-                (fun v ->
-                  ignore (Accent_net.Content_store.insert_wire t.store v))
-                run;
+              ignore (Accent_net.Content_store.insert_wire_run t.store run);
               c
           | Memory_object.Digest_refs digests ->
               let values =

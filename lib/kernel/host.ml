@@ -81,10 +81,9 @@ let nms t = t.nms
 let pager t = t.pager
 let registry t = t.registry
 
-let new_space t ~name =
+let new_space t =
   let space =
-    Address_space.create ~id:(Ids.next t.ids) ~name ~mem:t.mem
-      ~disk:t.disk_store
+    Address_space.create ~id:(Ids.next t.ids) ~mem:t.mem ~disk:t.disk_store
   in
   Hashtbl.replace t.spaces (Address_space.id space) space;
   space

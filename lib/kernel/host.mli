@@ -30,7 +30,7 @@ val nms : t -> Accent_net.Netmsgserver.t
 val pager : t -> Pager.t
 val registry : t -> Accent_net.Net_registry.t
 
-val new_space : t -> name:string -> Accent_mem.Address_space.t
+val new_space : t -> Accent_mem.Address_space.t
 (** Fresh address space registered with this host's eviction dispatch. *)
 
 val drop_space : t -> Accent_mem.Address_space.t -> unit

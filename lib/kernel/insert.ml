@@ -58,7 +58,7 @@ let install_content host space chunks ~c ~vaddr ~len =
   done
 
 let rebuild_space host core rimas =
-  let space = Host.new_space host ~name:core.Context.proc_name in
+  let space = Host.new_space host in
   let cursor = ref 0 in
   List.iter
     (fun (lo, hi, cls) ->

@@ -179,7 +179,7 @@ let freeze t =
   { t with core = { t.core with Context.pcb = Pcb.copy t.core.Context.pcb } }
 
 let restore host t =
-  let space = Host.new_space host ~name:t.core.Context.proc_name in
+  let space = Host.new_space host in
   Address_space.import_image space t.mem;
   let pager = Host.pager host in
   List.iter

@@ -36,7 +36,6 @@ let no_run = { first = 0; run = Page_run.empty }
 
 type t = {
   id : int;
-  name : string;
   mem : Phys_mem.t;
   disk : Paging_disk.t;
   regions : backing Interval_map.t;
@@ -58,10 +57,9 @@ let backing_equal a b =
       s1 = s2 && b1 = b2
   | (Zero | Real | Imaginary _), _ -> false
 
-let create ~id ~name ~mem ~disk =
+let create ~id ~mem ~disk =
   {
     id;
-    name;
     mem;
     disk;
     regions = Interval_map.create ~equal:backing_equal ();

@@ -31,8 +31,7 @@ type presence =
       (** offset is the byte offset of the page within the segment *)
   | Invalid
 
-val create :
-  id:int -> name:string -> mem:Phys_mem.t -> disk:Paging_disk.t -> t
+val create : id:int -> mem:Phys_mem.t -> disk:Paging_disk.t -> t
 (** A fresh, empty (all-BadMem) space bound to one host's physical memory
     and paging disk.  [id] must be unique per simulation; the host registers
     the space with its eviction dispatcher. *)

@@ -8,7 +8,14 @@
     mutation edge).  Every value carries (or can derive in O(1) amortized
     time) a digest equal to {!checksum} of its materialized bytes, so the
     migration machinery can compare and checksum pages without ever
-    allocating their contents. *)
+    allocating their contents.
+
+    Pattern digests are memoized per domain in 64-page chunks, and the
+    run-level {!sink} reads that memo a chunk at a time and computes
+    Pattern checksums four pages per loop ({!Page_run.digests} and
+    {!Page_run.checksums} are built on it).  {!checksum_value} and a
+    sink made with [~memo:false] never read the memo or a stored
+    digest. *)
 
 val size : int
 (** 512, as in Accent. *)
@@ -69,13 +76,39 @@ val to_bytes : value -> data
 val digest : value -> int
 (** Equals [checksum (to_bytes v)], without materializing: constant for
     [Zero], precomputed for [Literal], memoized per domain for [Pattern]
-    under one int packing [(tag, idx)] (a pair with [tag] outside
-    \[0, 2{^30}) or [idx] outside \[0, 2{^32}) is never memoized). *)
+    in 64-slot chunks keyed by [(tag, idx / 64)] (a pair with [tag]
+    outside \[0, 2{^30}) or [idx] outside \[0, 2{^32}) is never
+    memoized). *)
 
 val checksum_value : value -> int
 (** [checksum (to_bytes v)], re-derived from the content on every call:
     no memo, no stored digest, no copy.  The check for a value whose
     digest cannot be trusted (off the wire, out of a store). *)
+
+(** {1 Digests a run at a time} *)
+
+type sink
+(** Fills an [int array] with one digest per page.  Pattern pages are
+    computed four at a time in one loop of four independent LCG→FNV
+    chains, bit-identical to the single-page checksum. *)
+
+val sink : memo:bool -> int array -> sink
+(** [sink ~memo out] writes into [out]: with [memo], each page's
+    {!digest}, reading (and filling) the Pattern memo a chunk at a time;
+    without it, each page's {!checksum_value}, re-derived from the
+    content with no memo and no stored digest. *)
+
+val sink_values : sink -> value array -> off:int -> len:int -> pos:int -> unit
+(** The digests of [values.(off)] .. [values.(off + len - 1)] go to
+    [out.(pos)] onwards. *)
+
+val sink_pattern : sink -> tag:int -> first:index -> len:int -> pos:int -> unit
+(** The digests of [pattern_value ~tag first] .. [pattern_value ~tag
+    (first + len - 1)] go to [out.(pos)] onwards; no value is built. *)
+
+val sink_close : sink -> unit
+(** Computes the pages still waiting for a lane.  [out] is complete only
+    after this call. *)
 
 val equal_value : value -> value -> bool
 (** Content equality across representations.  O(1) for same-shape

@@ -178,6 +178,26 @@ let to_array t =
   | (Slice _ | Gen _) as part -> blit_part part buf 0);
   buf
 
+(* One digest per page, through a [Page.sink]: Slice parts hand over
+   their values, Gen parts only their (tag, first, len). *)
+let sink_digests ~memo t =
+  let out = Array.make (length t) 0 in
+  let s = Page.sink ~memo out in
+  let part pos = function
+    | Slice { values; off; len } -> Page.sink_values s values ~off ~len ~pos
+    | Gen { tag; first; len } -> Page.sink_pattern s ~tag ~first ~len ~pos
+    | Concat _ -> assert false
+  in
+  (match t with
+  | Concat { parts; starts; _ } ->
+      Array.iteri (fun p r -> part starts.(p) r) parts
+  | Slice _ | Gen _ -> part 0 t);
+  Page.sink_close s;
+  out
+
+let digests t = sink_digests ~memo:true t
+let checksums t = sink_digests ~memo:false t
+
 let iteri f t =
   let base = ref 0 in
   let leaf part =
@@ -194,17 +214,6 @@ let iteri f t =
     base := !base + length part
   in
   match t with Concat { parts; _ } -> Array.iter leaf parts | _ -> leaf t
-
-let iter f t = iteri (fun _ v -> f v) t
-
-let map_to_array f t =
-  let n = length t in
-  if n = 0 then [||]
-  else begin
-    let buf = Array.make n (f (get t 0)) in
-    iteri (fun i v -> if i > 0 then buf.(i) <- f v) t;
-    buf
-  end
 
 let init n f = of_array (Array.init n f)
 

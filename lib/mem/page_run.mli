@@ -10,7 +10,12 @@
     of such parts — so those hand-offs become pointer adoption and the
     bytes are only ever materialized where a consumer genuinely reads
     them.  This is what keeps freeze/residual/cold-tail cost O(runs), not
-    O(address-space pages). *)
+    O(address-space pages).
+
+    Digests are taken a run at a time too: {!digests} (the trusted
+    names, through the Pattern memo) and {!checksums} (the integrity
+    check, re-derived from content) hand a generator part over as its
+    [(tag, first, len)], so it is never turned into values. *)
 
 type t
 
@@ -61,9 +66,17 @@ val concat : t list -> t
 val to_array : t -> Page.value array
 (** Materialize as a fresh array (O(length)). *)
 
-val iter : (Page.value -> unit) -> t -> unit
+val digests : t -> int array
+(** [Page.digest] of every page, in order: the Pattern memo is read a
+    64-page chunk at a time and its misses are computed four pages per
+    loop, and a [Gen] part is never turned into values. *)
+
+val checksums : t -> int array
+(** [Page.checksum_value] of every page, in order: the integrity path,
+    re-derived from the content with no memo and no stored digest
+    (Pattern pages four per loop, Literal bytes hashed in place). *)
+
 val iteri : (int -> Page.value -> unit) -> t -> unit
-val map_to_array : (Page.value -> 'a) -> t -> 'a array
 val init : int -> (int -> Page.value) -> t
 
 val equal : t -> t -> bool

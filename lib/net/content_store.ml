@@ -107,20 +107,35 @@ let remember t digest value =
 
 let insert t value = ignore (remember t (Page.digest value) value)
 
-(* Every insert coming off the wire re-derives the digest from the
-   value's content: a Data reply whose payload does not hash to its
-   claimed name is dropped (and counted), never cached — so a corrupted
-   reply can never satisfy a later digest hit.  The requester refetches. *)
+(* Every insert coming off the wire re-derives each page's digest from
+   its content ([Page_run.checksums]: no memo, no stored digest) and
+   compares it with the page's claimed name: a page whose payload does
+   not hash to its name is dropped (and counted), never cached — so a
+   corrupted reply can never satisfy a later digest hit.  The requester
+   refetches. *)
+let insert_wire_run t ?claimed run =
+  let actual = Page_run.checksums run in
+  let claimed =
+    match claimed with Some c -> c | None -> Page_run.digests run
+  in
+  if Array.length claimed <> Array.length actual then
+    invalid_arg "Content_store.insert_wire_run: one claim per page";
+  let passed = ref 0 in
+  Page_run.iteri
+    (fun i value ->
+      if actual.(i) <> claimed.(i) then t.rejects <- t.rejects + 1
+      else begin
+        ignore (remember t claimed.(i) value);
+        incr passed
+      end)
+    run;
+  !passed
+
 let insert_wire t ?claimed value =
-  let claimed = match claimed with Some d -> d | None -> Page.digest value in
-  if Page.checksum_value value <> claimed then begin
-    t.rejects <- t.rejects + 1;
-    false
-  end
-  else begin
-    ignore (remember t claimed value);
-    true
-  end
+  insert_wire_run t
+    ?claimed:(Option.map (fun d -> [| d |]) claimed)
+    (Page_run.singleton value)
+  = 1
 
 let find t digest =
   if t.capacity_pages = 0 then None
@@ -184,7 +199,11 @@ let put_extent t ~segment_id ~offset run =
           invalid_arg "Content_store.put_extent: overlapping extent")
       seg.extents;
     let run =
-      if t.dedup then Page_run.of_array (Page_run.map_to_array (register t) run)
+      if t.dedup && t.capacity_pages > 0 then begin
+        let digests = Page_run.digests run and values = Page_run.to_array run in
+        Array.iteri (fun i v -> values.(i) <- remember t digests.(i) v) values;
+        Page_run.of_array values
+      end
       else run
     in
     seg.extents <- (offset, run) :: seg.extents

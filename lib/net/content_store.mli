@@ -20,6 +20,11 @@
       from at any time, because segment contents reference their values
       directly.
 
+    Pages arriving off the wire enter the digest layer a run at a time
+    ({!insert_wire_run}): each page's digest is re-derived from its
+    content with no memo and no stored digest, and a page whose name
+    does not match is rejected alone.
+
     With [dedup = false] (the default everywhere) the digest layer is
     never consulted or populated by the segment operations — the
     compatibility guarantee behind dedup being default-off. *)
@@ -47,14 +52,21 @@ val mem : t -> int -> bool
 val insert : t -> Accent_mem.Page.value -> unit
 (** Remember a locally-produced (trusted) value under its own digest. *)
 
+val insert_wire_run : t -> ?claimed:int array -> Accent_mem.Page_run.t -> int
+(** Remember a run of values that arrived off the wire; returns how many
+    passed the check.  Every page's digest is re-derived from its content
+    ({!Accent_mem.Page_run.checksums}: no memo, no stored digest) and
+    checked against its claim ([claimed.(i)], the name the sender
+    advertised; the value's own digest when omitted).  A page whose
+    digests differ is dropped and the reject counter bumped — a
+    poisoned page never enters the store, so it can never serve a later
+    digest hit, and the requester refetches.  The rest are stored in
+    order.  Raises [Invalid_argument] unless [claimed] has one entry per
+    page. *)
+
 val insert_wire : t -> ?claimed:int -> Accent_mem.Page.value -> bool
-(** Remember a value that arrived off the wire.  The digest is re-derived
-    from the value's content ({!Accent_mem.Page.checksum_value}) and
-    checked against [claimed] (the name the sender advertised; the
-    value's own digest when omitted): on mismatch the value is dropped,
-    the reject counter bumped, and [false] returned — a poisoned page
-    never enters the store, so it can never serve a later digest hit.
-    The requester refetches. *)
+(** {!insert_wire_run} on a one-page run: [true] iff the value passed
+    the check. *)
 
 val verify : t -> bool
 (** Integrity sweep: every indexed value's digest, re-derived from the

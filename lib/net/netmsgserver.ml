@@ -131,15 +131,15 @@ let receive_cost t msg ~wire_bytes ~last =
 (* A completed inbound message enters the local kernel.  With dedup on,
    imaginary read replies populate the content store on receipt first:
    each page is re-hashed and kept only if the bytes match their name
-   (Content_store.insert_wire), so future digest-first transfers of the
-   same content can elide it. *)
+   (Content_store.insert_wire_run), so future digest-first transfers of
+   the same content can elide it. *)
 let deliver_local t msg =
   (if t.params.dedup then
      match msg.Message.payload with
      | Protocol.Imaginary_read_reply { page_data; _ } ->
-         List.iter
-           (fun v -> ignore (Content_store.insert_wire t.cache v))
-           page_data
+         ignore
+           (Content_store.insert_wire_run t.cache
+              (Accent_mem.Page_run.of_list page_data))
      | _ -> ());
   Kernel_ipc.send t.kernel msg
 

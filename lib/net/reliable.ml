@@ -10,12 +10,15 @@ let max_rto_ms = 1600.
 let max_retries = 8
 
 (* Order-sensitive fold of the per-page digests of the message's
-   physically-present Data chunks.  Page digests come for free from the
-   value representation, so the checksum never materialises a symbolic
-   page.  IOU chunks carry no payload on the wire, so they contribute
+   physically-present Data chunks.  Each run's digests come from
+   [Page_run.digests] — stored for a Literal, read from the Pattern memo
+   a chunk at a time, misses computed four pages per loop — so the
+   checksum never materialises a page or turns a generator into values.
+   IOU chunks carry no payload on the wire, so they contribute
    nothing. *)
 let base_checksum msg =
   let h = ref 1 in
+  let fold d = h := (!h * 0x100000001B3) land max_int lxor d in
   (match msg.Message.memory with
   | None -> ()
   | Some chunks ->
@@ -24,17 +27,10 @@ let base_checksum msg =
           match c.Memory_object.content with
           | Memory_object.Iou _ -> ()
           | Memory_object.Data run ->
-              Accent_mem.Page_run.iter
-                (fun v ->
-                  h :=
-                    (!h * 0x100000001B3) land max_int
-                    lxor Accent_mem.Page.digest v)
-                run
+              Array.iter fold (Accent_mem.Page_run.digests run)
           | Memory_object.Digest_refs digests ->
               (* the references themselves are wire payload *)
-              Array.iter
-                (fun d -> h := (!h * 0x100000001B3) land max_int lxor d)
-                digests)
+              Array.iter fold digests)
         chunks);
   !h land 0x3FFFFFFF
 

@@ -32,6 +32,12 @@ let reset t =
 
 let[@inline] key_at s i : int = Obj.obj (Array.unsafe_get s i)
 
+(* A key cell only ever holds an immediate, before and after the write,
+   so it is written through an [int array] view of the slots: a plain
+   store, with no [caml_modify].  Value cells keep the barrier. *)
+let[@inline] set_key s i (key : int) =
+  Array.unsafe_set (Obj.magic s : int array) i key
+
 (* Multiply-xorshift: the mask keeps only the low bits, so fold the high
    half of the product down — strided page indices and aligned offsets
    then spread over every slot, not just the few their low bits
@@ -79,7 +85,7 @@ let grow t =
     let key = key_at old (2 * j) in
     if key <> empty then begin
       let i = locate s key in
-      Array.unsafe_set s i (Obj.repr key);
+      set_key s i key;
       Array.unsafe_set s (i + 1) (Array.unsafe_get old ((2 * j) + 1))
     end
   done;
@@ -99,7 +105,7 @@ let replace t key value =
       end
       else i
     in
-    Array.unsafe_set t.slots i (Obj.repr key);
+    set_key t.slots i key;
     Array.unsafe_set t.slots (i + 1) (Obj.repr value);
     t.size <- t.size + 1
   end
@@ -118,13 +124,13 @@ let remove t key =
     while key_at s !j <> empty do
       let k = key_at s !j in
       if (!j - home k mask) land mask >= (!j - !hole) land mask then begin
-        Array.unsafe_set s !hole (Obj.repr k);
+        set_key s !hole k;
         Array.unsafe_set s (!hole + 1) (Array.unsafe_get s (!j + 1));
         hole := !j
       end;
       j := (!j + 2) land mask
     done;
-    Array.unsafe_set s !hole empty_cell;
+    set_key s !hole empty;
     Array.unsafe_set s (!hole + 1) empty_cell;
     t.size <- t.size - 1
   end

@@ -225,7 +225,7 @@ let build ?(write_fraction = 0.) host t =
   let rng =
     Accent_sim.Engine.rng (Host.engine host) ("workload:" ^ t.name)
   in
-  let space = Host.new_space host ~name:t.name in
+  let space = Host.new_space host in
   let universe, zero_candidates = build_layout space t in
   let touched =
     Access_pattern.choose_touched_in t.pattern ~rng

@@ -7,7 +7,7 @@ let page_bytes n = n * Page.size
 let fresh ?(frames = 64) () =
   let mem = Phys_mem.create ~frames in
   let disk = Paging_disk.create () in
-  let space = Address_space.create ~id:1 ~name:"t" ~mem ~disk in
+  let space = Address_space.create ~id:1 ~mem ~disk in
   Phys_mem.set_evict_handler mem (fun o data ~dirty ->
       (* single-space worlds in these tests *)
       assert (o.Phys_mem.space_id = 1);
@@ -190,7 +190,7 @@ let test_resident_set_per_space () =
   let mem = Phys_mem.create ~frames:6 and disk = Paging_disk.create () in
   let spaces = Hashtbl.create 2 in
   let mk id =
-    let space = Address_space.create ~id ~name:"t" ~mem ~disk in
+    let space = Address_space.create ~id ~mem ~disk in
     Hashtbl.replace spaces id space;
     space
   in

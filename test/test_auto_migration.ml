@@ -175,7 +175,7 @@ let test_affinity_pull () =
   let segment_id = Backing_server.new_segment backing in
   Backing_server.put_bytes backing ~segment_id ~offset:0
     (Bytes.make (16 * 512) 'z');
-  let space = Host.new_space h0 ~name:"pull" in
+  let space = Host.new_space h0 in
   Test_helpers.map_segment h0 backing space ~at:0 ~segment_id ~offset:0
     ~len:(16 * 512);
   let proc =

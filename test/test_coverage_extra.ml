@@ -59,7 +59,7 @@ let test_excise_preserves_iou_chunks () =
   let segment_id = Backing_server.new_segment backing in
   Backing_server.put_bytes backing ~segment_id ~offset:(8 * 512)
     (Bytes.make (4 * 512) 'r');
-  let space = Host.new_space h0 ~name:"mixed" in
+  let space = Host.new_space h0 in
   Address_space.install_bytes space ~addr:0 (Bytes.make (2 * 512) 'd')
     ~resident:true;
   Test_helpers.map_segment h0 backing space ~at:(4 * 512) ~segment_id

@@ -15,7 +15,7 @@ let world () = World.create ~n_hosts:2 ()
 let test_empty_trace_process () =
   let w = world () in
   let h = World.host w 0 in
-  let space = Host.new_space h ~name:"empty" in
+  let space = Host.new_space h in
   Address_space.validate_zero space (Vaddr.of_len 0 512);
   let proc = Host.spawn h ~name:"empty" ~trace:(Trace.of_steps []) ~space () in
   let completed = ref false in
@@ -29,7 +29,7 @@ let test_empty_trace_process () =
 let test_migrate_empty_trace_process () =
   let w = world () in
   let h = World.host w 0 in
-  let space = Host.new_space h ~name:"idle" in
+  let space = Host.new_space h in
   Address_space.install_bytes space ~addr:0 (Bytes.make (4 * 512) 'i')
     ~resident:true;
   let proc = Host.spawn h ~name:"idle" ~trace:(Trace.of_steps []) ~space () in
@@ -45,7 +45,7 @@ let test_migrate_empty_trace_process () =
 let test_insert_rejects_short_rimas () =
   let w = world () in
   let world0 = World.host w 0 and world1 = World.host w 1 in
-  let space = Host.new_space world0 ~name:"bad" in
+  let space = Host.new_space world0 in
   Address_space.install_bytes space ~addr:0 (Bytes.make (4 * 512) 'x')
     ~resident:true;
   let proc = Host.spawn world0 ~name:"bad" ~trace:(Trace.of_steps []) ~space () in
@@ -87,8 +87,8 @@ let test_eviction_multi_space_dispatch () =
   in
   let w = World.create ~costs ~n_hosts:1 () in
   let h = World.host w 0 in
-  let mk name =
-    let space = Host.new_space h ~name in
+  let mk () =
+    let space = Host.new_space h in
     for i = 0 to 5 do
       Address_space.install_bytes space
         ~addr:(i * 512)
@@ -97,8 +97,8 @@ let test_eviction_multi_space_dispatch () =
     done;
     space
   in
-  let a = mk "a" in
-  let b = mk "b" (* 12 resident installs into 8 frames: evictions *) in
+  let a = mk () in
+  let b = mk () (* 12 resident installs into 8 frames: evictions *) in
   Alcotest.(check bool) "pool saturated" true
     (Phys_mem.in_use (Host.mem h) = 8);
   (* both spaces still see all their data, wherever it now lives *)
@@ -218,7 +218,7 @@ let test_unknown_segment_read_returns_empty_and_faulter_fails () =
   let h0 = World.host w 0 and h1 = World.host w 1 in
   let backing = Test_helpers.new_backer h1 in
   (* map a segment the backer was never given data for *)
-  let space = Host.new_space h0 ~name:"p" in
+  let space = Host.new_space h0 in
   Test_helpers.map_segment h0 backing space ~at:0 ~segment_id:4242 ~offset:0
     ~len:512;
   let proc = Host.spawn h0 ~name:"p" ~trace:(Trace.of_steps []) ~space () in

@@ -37,7 +37,7 @@ let test_trace_accounting () =
 let test_host_spawn () =
   let w = world () in
   let h = host w 0 in
-  let space = Host.new_space h ~name:"p" in
+  let space = Host.new_space h in
   Address_space.validate_zero space (Vaddr.of_len 0 512);
   let proc =
     Host.spawn h ~name:"p" ~trace:(Trace.of_steps []) ~space ~n_ports:3 ()
@@ -54,7 +54,7 @@ let test_host_spawn () =
 (* --- Pager fault paths, with paper-calibrated costs --- *)
 
 let build_proc h ~steps builder =
-  let space = Host.new_space h ~name:"p" in
+  let space = Host.new_space h in
   builder space;
   Host.spawn h ~name:"p" ~trace:(Trace.of_steps steps) ~space ()
 

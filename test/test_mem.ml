@@ -167,6 +167,108 @@ let prop_checksum_contract =
           && C.insert_wire store v
       | Page.Zero | Page.Pattern _ -> true)
 
+(* A page run as data: Gen parts (tags and indices on both sides of the
+   memo's packing bounds, first pages anywhere in a 64-page chunk) and
+   Slices of Zero, Pattern and Literal values, concatenated. *)
+type run_part = Gen of int * int * int | Values of Page.value list
+
+let run_part_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map3
+          (fun tag first len -> Gen (tag, first, len))
+          (key_gen ~bits:30)
+          (oneof [ key_gen ~bits:32; int_range 0 1000 ])
+          (int_range 0 200);
+        map (fun vs -> Values vs) (list_size (int_range 0 200) value_gen);
+      ])
+
+let print_run_part = function
+  | Gen (tag, first, len) -> Printf.sprintf "Gen (%d, %d, %d)" tag first len
+  | Values vs -> "[" ^ String.concat "; " (List.map print_value vs) ^ "]"
+
+(* The run of [parts], with every memoizable tag moved by [salt] (one
+   fresh value per case, below 2^30), so its Pattern pages start cold. *)
+let run_of_parts ~salt parts =
+  let retag tag = if tag lsr 30 = 0 then tag lxor salt else tag in
+  let value = function
+    | Page.Pattern { tag; idx } -> Page.pattern_value ~tag:(retag tag) idx
+    | v -> v
+  in
+  Page_run.concat
+    (List.map
+       (function
+         | Gen (tag, first, len) ->
+             Page_run.pattern ~tag:(retag tag) ~first:(max 0 first) ~len
+         | Values vs -> Page_run.of_list (List.map value vs))
+       parts)
+
+let run_salt = ref 0
+
+(* Run digests and checksums equal the per-page checksum of the bytes,
+   from a cold memo, from one partly warmed by single-page digests, and
+   warm; and a run-level wire insert holding a forged Literal and a
+   mis-claimed page rejects exactly those two and stores the rest. *)
+let prop_run_digests =
+  QCheck.Test.make ~long_factor:50
+    ~name:"run digests and checksums = per-page checksum of the bytes"
+    QCheck.(
+      make
+        ~print:Print.(pair (list print_run_part) int)
+        Gen.(pair (list_size (int_range 1 4) run_part_gen) (int_range 0 99)))
+    (fun (parts, warm_every) ->
+      incr run_salt;
+      let salt = (!run_salt * 0x9E37) land 0x3FFFFFFF in
+      let per_page run =
+        Array.init (Page_run.length run) (fun i ->
+            Page.checksum (Page.to_bytes (Page_run.get run i)))
+      in
+      let run = run_of_parts ~salt parts in
+      let n = Page_run.length run in
+      let expected = per_page run in
+      let cold_digests = Page_run.digests run in
+      let cold_checksums = Page_run.checksums run in
+      (* warm every [warm_every + 1]-th page of a second copy one page at
+         a time, then take its run digests *)
+      let run2 = run_of_parts ~salt:(salt lxor 0x2AAAAAAA) parts in
+      for i = 0 to n - 1 do
+        if i mod (warm_every + 1) = 0 then
+          ignore (Page.digest (Page_run.get run2 i))
+      done;
+      let partly_warm = Page_run.digests run2 in
+      let expected2 = per_page run2 in
+      let wire_ok =
+        let module C = Accent_net.Content_store in
+        let data = Bytes.make Page.size '\x5A' in
+        let good = Page.checksum data in
+        let forged = Page.Literal { data; digest = good lxor 1 } in
+        let wire = Page_run.concat [ run; Page_run.singleton forged ] in
+        let claimed = Page_run.digests wire in
+        (* page [mis] is mis-claimed; with no page before the forged
+           one, only the forged one is rejected *)
+        let mis = if n = 0 then -1 else warm_every mod n in
+        if mis >= 0 then claimed.(mis) <- claimed.(mis) lxor 1;
+        let store = C.create ~dedup:true ~capacity_pages:1_000 () in
+        let stored = C.insert_wire_run store ~claimed wire in
+        let rejected = if mis < 0 then 1 else 2 in
+        C.rejects store = rejected
+        && stored = n + 1 - rejected
+        && (not (C.mem store good))
+        && (not (C.mem store claimed.(n)))
+        && (mis < 0 || not (C.mem store claimed.(mis)))
+        && List.for_all
+             (fun i -> i = mis || C.mem store expected.(i))
+             (List.init n Fun.id)
+      in
+      cold_digests = expected
+      && cold_checksums = expected
+      && Page_run.digests run = expected
+      && Page_run.checksums run = expected
+      && partly_warm = expected2
+      && Page_run.checksums run2 = expected2
+      && wire_ok)
+
 let prop_span_count_consistent =
   QCheck.Test.make ~name:"span and count agree"
     QCheck.(pair (int_range 0 100_000) (int_range 1 100_000))
@@ -525,7 +627,7 @@ let prop_cold_store_equals_per_page_model =
       in
       let touched : (int, unit) Hashtbl.t = Hashtbl.create 64 in
       let cold : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-      let fresh_space id = Address_space.create ~id ~name:"p" ~mem ~disk in
+      let fresh_space id = Address_space.create ~id ~mem ~disk in
       let space = ref (fresh_space 1) and other = ref (fresh_space 2) in
       (* A host-style handler dispatching on the owner.  An install over
          resident pages may evict one of them before its turn to be
@@ -694,6 +796,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_value_roundtrip_and_digest;
       QCheck_alcotest.to_alcotest prop_span_count_consistent;
       QCheck_alcotest.to_alcotest prop_checksum_contract;
+      QCheck_alcotest.to_alcotest prop_run_digests;
       Alcotest.test_case "vaddr basics" `Quick test_vaddr_basic;
       Alcotest.test_case "vaddr invalid" `Quick test_vaddr_invalid;
       Alcotest.test_case "vaddr intersect" `Quick test_vaddr_intersect;
