@@ -5,10 +5,11 @@ open Accent_kernel
 
 exception Unresolvable of string
 
-(* A parked outbound send, waiting for the destination's need reply. *)
+(* A parked outbound send, waiting for the destination's need reply:
+   each chunk with the run whose digests were advertised for it. *)
 type pending = {
   proc_id : int;
-  memory : Memory_object.t;
+  chunks : (Memory_object.chunk * Page_run.t option) list;
   build : Memory_object.t -> Message.t;
 }
 
@@ -63,53 +64,56 @@ let staged_for t proc_id =
 
 (* --- source side ---------------------------------------------------------- *)
 
-(* An IOU chunk is advertisable too when the source's own store holds the
-   run it points at (the backing server banks into the same store): the
+(* Each chunk with the run it advertises, read once, and the
+   advertisement: the (offset, digests) of every advertised run.  An IOU
+   chunk is advertisable too when the source's own store holds the run it
+   points at (the backing server banks into the same store): the
    destination may already hold those pages, and materialising them there
    beats pulling them across the wire one fault at a time. *)
-let iou_run_values t (c : Memory_object.chunk) =
-  match c.Memory_object.content with
-  | Memory_object.Data _ | Memory_object.Digest_refs _ -> None
-  | Memory_object.Iou { segment_id; offset; _ } ->
-      let pages = Vaddr.len c.Memory_object.range / Page.size in
-      let values =
-        Accent_net.Content_store.read_run t.store ~segment_id ~offset ~pages
-      in
-      if List.length values = pages then Some (Page_run.of_list values)
-      else None
-
 let digest_runs t memory =
-  List.filter_map
-    (fun (c : Memory_object.chunk) ->
-      let advertised =
+  let chunks =
+    List.map
+      (fun (c : Memory_object.chunk) ->
         match c.Memory_object.content with
-        | Memory_object.Data run -> Some run
-        | Memory_object.Digest_refs _ -> None
-        | Memory_object.Iou _ -> iou_run_values t c
-      in
-      Option.map
-        (fun run -> (c.Memory_object.range.Vaddr.lo, Page_run.digests run))
-        advertised)
-    memory
+        | Memory_object.Data run -> (c, Some run)
+        | Memory_object.Digest_refs _ -> (c, None)
+        | Memory_object.Iou { segment_id; offset; _ } ->
+            let pages = Vaddr.len c.Memory_object.range / Page.size in
+            let run =
+              Accent_net.Content_store.read_run t.store ~segment_id ~offset
+                ~pages
+            in
+            (c, if Page_run.length run = pages then Some run else None))
+      memory
+  in
+  let runs =
+    List.filter_map
+      (fun ((c : Memory_object.chunk), run) ->
+        Option.map
+          (fun run -> (c.Memory_object.range.Vaddr.lo, Page_run.digests run))
+          run)
+      chunks
+  in
+  (chunks, runs)
 
 let send t ~dest ~proc_id ~memory ~build =
   let direct () = Kernel_ipc.send (Host.kernel t.host) (build memory) in
   if not (enabled t) then direct ()
   else
     match digest_runs t memory with
-    | [] -> direct ()
-    | runs ->
+    | _, [] -> direct ()
+    | chunks, runs ->
         let xfer_id = Ids.next (Host.ids t.host) in
-        Hashtbl.replace t.pending_out xfer_id { proc_id; memory; build };
+        Hashtbl.replace t.pending_out xfer_id { proc_id; chunks; build };
         Kernel_ipc.send (Host.kernel t.host)
           (Protocol.mig_digests ~ids:(Host.ids t.host) ~dest ~xfer_id ~proc_id
              ~src_port:t.port ~runs)
 
-(* Split each advertised chunk against the need runs (one map by
+(* Split each advertised chunk's run against the need runs (one map by
    address): pages the destination asked for keep their original shape
    (Data bytes, or an IOU to pull through), the rest travel as 8-byte
-   digest references. *)
-let prune t memory need =
+   digest references.  A chunk that advertised nothing ships whole. *)
+let prune chunks need =
   let needed = Interval_map.create () in
   List.iter
     (fun (off, pages) ->
@@ -130,27 +134,23 @@ let prune t memory need =
     |> List.rev
   in
   List.concat_map
-    (fun (c : Memory_object.chunk) ->
-      match c.Memory_object.content with
-      | Memory_object.Digest_refs _ -> [ c ]
-      | Memory_object.Data run ->
+    (fun ((c : Memory_object.chunk), advertised) ->
+      match (c.Memory_object.content, advertised) with
+      | Memory_object.Data _, Some run ->
           (* a needed slice is copied out, so the destination does not pin
              the source's whole run for the few pages it missed *)
           split_chunk c run ~mk_needed:(fun ~first_page:_ sub ->
               Memory_object.Data (Page_run.of_array (Page_run.to_array sub)))
-      | Memory_object.Iou { segment_id; backing_port; offset } -> (
-          match iou_run_values t c with
-          | None -> [ c ] (* was not advertised; ship the IOU whole *)
-          | Some run ->
-              split_chunk c run
-                ~mk_needed:(fun ~first_page _ ->
-                  Memory_object.Iou
-                    {
-                      segment_id;
-                      backing_port;
-                      offset = offset + (first_page * Page.size);
-                    })))
-    memory
+      | Memory_object.Iou { segment_id; backing_port; offset }, Some run ->
+          split_chunk c run ~mk_needed:(fun ~first_page _ ->
+              Memory_object.Iou
+                {
+                  segment_id;
+                  backing_port;
+                  offset = offset + (first_page * Page.size);
+                })
+      | _ -> [ c ])
+    chunks
 
 (* --- the protocol handler ------------------------------------------------- *)
 
@@ -207,9 +207,9 @@ let handle t msg =
                 proc_id)
       | Some p ->
           Hashtbl.remove t.pending_out xfer_id;
-          let pruned = prune t p.memory need in
+          let pruned = prune p.chunks need in
           let elided =
-            Memory_object.data_bytes p.memory
+            Memory_object.data_bytes (List.map fst p.chunks)
             - Memory_object.data_bytes pruned
           in
           emit t ~proc_id:p.proc_id (Mig_event.Dedup_elided { bytes = elided });

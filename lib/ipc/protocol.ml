@@ -3,7 +3,7 @@ type Message.payload +=
   | Imaginary_read_reply of {
       segment_id : int;
       offset : int;
-      page_data : Accent_mem.Page.value list;
+      page_data : Accent_mem.Page_run.t;
     }
   | Imaginary_segment_death of { segment_id : int }
   | Mig_digests of {
@@ -19,7 +19,9 @@ let read_request ~ids ~dest ~reply_to ~segment_id ~offset ~pages =
     (Imaginary_read_request { segment_id; offset; pages })
 
 let read_reply ~ids ~dest ~segment_id ~offset ~page_data =
-  let data_bytes = List.length page_data * Accent_mem.Page.size in
+  let data_bytes =
+    Accent_mem.Page_run.length page_data * Accent_mem.Page.size
+  in
   Message.make ~ids ~dest ~category:Message.Fault
     ~inline_bytes:(32 + data_bytes)
     (Imaginary_read_reply { segment_id; offset; page_data })

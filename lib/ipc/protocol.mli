@@ -21,7 +21,7 @@ type Message.payload +=
   | Imaginary_read_reply of {
       segment_id : int;
       offset : int;
-      page_data : Accent_mem.Page.value list;
+      page_data : Accent_mem.Page_run.t;
           (** pages from [offset] upward; may be shorter than requested if
               the segment ends or has holes *)
     }
@@ -61,7 +61,7 @@ val read_reply :
   dest:Port.id ->
   segment_id:int ->
   offset:int ->
-  page_data:Accent_mem.Page.value list ->
+  page_data:Accent_mem.Page_run.t ->
   Message.t
 (** Build the reply; its inline size reflects the pages carried. *)
 

@@ -99,7 +99,7 @@ let handle_reply t ~segment_id ~offset ~page_data =
   | Some { proc; k; timeout } ->
       Hashtbl.remove t.waiting (segment_id, offset);
       Engine.cancel t.engine timeout;
-      let n = List.length page_data in
+      let n = Page_run.length page_data in
       if n = 0 then begin
         (* the backer answered but no longer holds the data (it crashed or
            retired the segment): the page is unrecoverable, same outcome as
@@ -118,7 +118,7 @@ let handle_reply t ~segment_id ~offset ~page_data =
       in
         Engine.post t.engine ~delay:install_cost (fun () ->
              let space = Proc.space_exn proc in
-             List.iteri
+             Page_run.iteri
                (fun i data ->
                  let page_offset = offset + (i * Page.size) in
                  match vaddr_of_offset t ~segment_id ~offset:page_offset with

@@ -14,11 +14,22 @@ type t = {
   mutable deaths : int;
 }
 
+(* A request is answerable when its range is non-empty, starts at a
+   non-negative page-aligned offset, and ends without overflowing. *)
+let well_formed ~offset ~pages =
+  pages >= 1 && offset >= 0
+  && offset mod Accent_mem.Page.size = 0
+  && pages <= (max_int - offset) / Accent_mem.Page.size
+
 let serve t msg ~segment_id ~offset ~pages =
   match msg.Message.reply_to with
   | None ->
       Logs.warn (fun m ->
           m "backer %a: read request without reply port" Port.pp t.port)
+  | Some _ when not (well_formed ~offset ~pages) ->
+      Logs.warn (fun m ->
+          m "backer %a: read request for %d pages at offset %d dropped"
+            Port.pp t.port pages offset)
   | Some reply_port ->
       ignore
         (Engine.schedule t.engine ~delay:(Time.ms t.service_ms) (fun () ->
@@ -26,7 +37,8 @@ let serve t msg ~segment_id ~offset ~pages =
                Content_store.read_run t.store ~segment_id ~offset ~pages
              in
              t.faults_served <- t.faults_served + 1;
-             t.pages_served <- t.pages_served + List.length page_data;
+             t.pages_served <-
+               t.pages_served + Accent_mem.Page_run.length page_data;
              Kernel_ipc.send t.kernel
                (Protocol.read_reply ~ids:t.ids ~dest:reply_port ~segment_id
                   ~offset ~page_data)))

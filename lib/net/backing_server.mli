@@ -6,7 +6,9 @@
     another process via an IPC message" (§2.2).  A backing server is that
     process: it owns one port, banks segment pages, answers each read
     request with the requested run of pages after a fixed service delay,
-    and retires a segment when its death notice arrives.
+    and retires a segment when its death notice arrives.  A request with
+    no reply port, or whose range is empty, negative, unaligned or
+    overflowing, is logged and dropped unanswered.
 
     Two kinds of owner create one each:
 
@@ -62,12 +64,13 @@ val bank :
   Accent_mem.Page_run.t ->
   Accent_ipc.Memory_object.content
 (** Adopt a run of page values as the segment's extent at the
-    page-aligned [offset] (O(1), see {!Content_store.put_extent}) and
+    page-aligned [offset] (no copy, see {!Content_store.put_extent}) and
     return the IOU that promises it — every Data→IOU substitution goes
     through here. *)
 
 val put_bytes : t -> segment_id:int -> offset:int -> bytes -> unit
-(** Provide segment contents from bytes (page-aligned [offset]). *)
+(** Provide segment contents from bytes: one extent at the page-aligned
+    [offset], which must not overlap what the segment already holds. *)
 
 val fail : t -> unit
 (** Failure injection: drop every owned segment and stop answering, as if

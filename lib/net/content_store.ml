@@ -4,11 +4,11 @@ module Int_tbl = Accent_util.Int_tbl
 (* One per host, owned by its NetMsgServer.  Two layers share it:
 
    - the segment/offset layer is the NMS Data-chunk cache and the
-     MigrationManager's backing store: each segment is an overlay of
-     individually-written pages over a small list of bulk extents, adopted
-     in O(1) (the NetMsgServer caches every outbound Data chunk this way,
-     so a per-page path would put an O(space) insert loop on every
-     migration send);
+     MigrationManager's backing store: each segment is an interval map
+     of extents by byte offset, each a run adopted in O(log extents)
+     when it lands after the others (the NetMsgServer caches every
+     outbound Data chunk this way, so a per-page path would put an
+     O(space) insert loop on every migration send);
 
    - the digest layer names every page value the host has seen, across
      all segments and all migrations, and is what the digest-first
@@ -18,10 +18,9 @@ module Int_tbl = Accent_util.Int_tbl
 
    With [dedup] off the digest layer is never touched. *)
 
-type seg = {
-  pages : Page.value Int_tbl.t; (* offset -> single; consulted first *)
-  mutable extents : (int * Page_run.t) list; (* (byte offset, run) *)
-}
+(* A segment maps each extent's byte range to its start and its run;
+   extents compare with [==], so adjacent ones never coalesce. *)
+type seg = (int * Page_run.t) Interval_map.t
 
 type entry = {
   value : Page.value;
@@ -161,43 +160,29 @@ let verify t =
 
 (* --- the segment/offset layer ------------------------------------------- *)
 
-(* Segment contents register their digests (and intern duplicate literal
-   values into one physical copy) only when dedup is on: with it off the
-   hot path is the plain segment table, including O(1) extent
-   adoption. *)
-let register t value =
-  if t.capacity_pages = 0 then value
-  else remember t (Page.digest value) value
-
 let segment t segment_id =
   match Int_tbl.find_opt t.segs segment_id with
   | Some seg -> seg
   | None ->
-      let seg = { pages = Int_tbl.create 256; extents = [] } in
+      let seg = Interval_map.create ~equal:( == ) () in
       Int_tbl.replace t.segs segment_id seg;
       seg
 
-let check_aligned fn offset =
-  if offset mod Page.size <> 0 then
-    invalid_arg (Printf.sprintf "Content_store.%s: unaligned offset" fn)
-
-let put_page t ~segment_id ~offset value =
-  check_aligned "put_page" offset;
-  let value = if t.dedup then register t value else value in
-  Int_tbl.replace (segment t segment_id).pages offset value
-
-let extent_bytes run = Page_run.length run * Page.size
-
+(* Segment contents register their digests (and intern duplicate literal
+   values into one physical copy) only when dedup is on: with it off an
+   extent is adopted with no per-page work, one overlap probe and one
+   splice (O(log extents) when it lands after the others, as every bank
+   site's does). *)
 let put_extent t ~segment_id ~offset run =
-  check_aligned "put_extent" offset;
+  if offset mod Page.size <> 0 then
+    invalid_arg "Content_store.put_extent: unaligned offset";
   if Page_run.length run > 0 then begin
     let seg = segment t segment_id in
-    let hi = offset + extent_bytes run in
-    List.iter
-      (fun (lo, vs) ->
-        if offset < lo + extent_bytes vs && lo < hi then
-          invalid_arg "Content_store.put_extent: overlapping extent")
-      seg.extents;
+    let hi = offset + (Page_run.length run * Page.size) in
+    if
+      Interval_map.fold_range seg ~lo:offset ~hi ~init:false
+        ~f:(fun _ _ _ _ -> true)
+    then invalid_arg "Content_store.put_extent: overlapping extent";
     let run =
       if t.dedup && t.capacity_pages > 0 then begin
         let digests = Page_run.digests run and values = Page_run.to_array run in
@@ -206,74 +191,51 @@ let put_extent t ~segment_id ~offset run =
       end
       else run
     in
-    seg.extents <- (offset, run) :: seg.extents
+    Interval_map.set seg ~lo:offset ~hi (offset, run)
   end
 
 let put_bytes t ~segment_id ~offset data =
-  check_aligned "put_bytes" offset;
   let len = Bytes.length data in
-  let seg = segment t segment_id in
-  for i = 0 to ((len + Page.size - 1) / Page.size) - 1 do
-    let page = Page.zero () in
-    let off = i * Page.size in
-    Bytes.blit data off page 0 (min Page.size (len - off));
-    let value = Page.of_bytes page in
-    Int_tbl.replace seg.pages (offset + off) value;
-    if t.dedup then ignore (register t value)
-  done
+  put_extent t ~segment_id ~offset
+    (Page_run.init ((len + Page.size - 1) / Page.size) (fun i ->
+         let page = Page.zero () and off = i * Page.size in
+         Bytes.blit data off page 0 (min Page.size (len - off));
+         Page.of_bytes page))
 
-let extent_find seg offset =
-  List.find_map
-    (fun (lo, vs) ->
-      if lo <= offset && offset < lo + extent_bytes vs then
-        Some (Page_run.get vs ((offset - lo) / Page.size))
-      else None)
-    seg.extents
-
-let get_page t ~segment_id ~offset =
-  match Int_tbl.find_opt t.segs segment_id with
-  | None -> None
-  | Some seg -> (
-      match Int_tbl.find_opt seg.pages offset with
-      | Some _ as v -> v
-      | None -> extent_find seg offset)
-
+(* Slices of the extents covering [offset, offset + pages * 512), up to
+   the first gap. *)
 let read_run t ~segment_id ~offset ~pages =
-  assert (pages >= 1);
-  let rec loop i acc =
-    if i >= pages then List.rev acc
-    else
-      match get_page t ~segment_id ~offset:(offset + (i * Page.size)) with
-      | None -> List.rev acc
-      | Some value -> loop (i + 1) (value :: acc)
-  in
-  loop 0 []
+  match Int_tbl.find_opt t.segs segment_id with
+  | None -> Page_run.empty
+  | Some seg ->
+      let b = Page_run.builder () in
+      ignore
+        (Interval_map.fold_pieces seg ~lo:offset
+           ~hi:(offset + (pages * Page.size))
+           ~init:true
+           ~f:(fun contiguous lo hi piece ->
+             match piece with
+             | Some (start, run) when contiguous ->
+                 Page_run.builder_add b
+                   (Page_run.sub run
+                      ~pos:((lo - start) / Page.size)
+                      ~len:((hi - lo) / Page.size));
+                 true
+             | _ -> false));
+      Page_run.builder_run b
 
 let has_segment t ~segment_id = Int_tbl.mem t.segs segment_id
 
-(* Overlay pages that shadow an extent slot must not be double-counted. *)
 let segment_pages t ~segment_id =
   match Int_tbl.find_opt t.segs segment_id with
   | None -> 0
-  | Some seg ->
-      Int_tbl.fold
-        (fun offset _ acc ->
-          if extent_find seg offset = None then acc + 1 else acc)
-        seg.pages
-        (List.fold_left
-           (fun acc (_, vs) -> acc + Page_run.length vs)
-           0 seg.extents)
-
-let segment_bytes t ~segment_id = segment_pages t ~segment_id * Page.size
+  | Some seg -> Interval_map.total_length seg / Page.size
 
 (* Dropping a segment forgets its offsets, not its digests: the host has
    still seen that content, which is exactly what lets a backing server
    answer a pull whose digest it knows regardless of which segment
    originally supplied it. *)
 let drop_segment t ~segment_id = Int_tbl.remove t.segs segment_id
-
-let total_bytes t =
-  Int_tbl.fold (fun id _ acc -> acc + segment_bytes t ~segment_id:id) t.segs 0
 
 (* --- accounting --------------------------------------------------------- *)
 

@@ -6,10 +6,11 @@
     segment/offset view:
 
     - {b segment/offset}: the authoritative contents of cached and banked
-      imaginary segments, indexed by page-aligned segment offset (O(1)
-      extent adoption, overlay pages shadowing extents, per-segment drop),
-      plus the request-answering logic of the backing servers
-      ({!read_run});
+      imaginary segments.  A segment is its extents: one interval map
+      from byte ranges to adopted page runs, which never overlap
+      (O(log extents) adoption of a run banked after the others,
+      per-segment drop), plus the request-answering logic of the backing
+      servers ({!read_run}, a run of slices of those extents);
 
     - {b digest}: every page value this host has seen, across all
       segments and all migrations, keyed by content digest.  This is the
@@ -80,44 +81,37 @@ val indexed_pages : t -> int
     interned through) the digest layer, so the NMS cache and the backing
     server share one physical copy of any page value they both hold. *)
 
-val put_page :
-  t -> segment_id:int -> offset:int -> Accent_mem.Page.value -> unit
-(** Store one page value at the page-aligned [offset].  Implicitly
-    declares the segment.  Nothing is copied — values are immutable. *)
-
 val put_extent :
   t -> segment_id:int -> offset:int -> Accent_mem.Page_run.t -> unit
-(** Adopt a whole run of page values starting at the page-aligned
-    [offset] in O(1) with dedup off — the run is referenced, not copied.
-    Raises [Invalid_argument] if the run overlaps an extent already
-    stored; offsets already present via {!put_page} keep shadowing the
-    extent. *)
+(** Adopt a whole run of page values as an extent starting at the
+    page-aligned [offset], implicitly declaring the segment.  With dedup
+    off the run is referenced, not copied, in O(log extents) when it
+    lands after every extent already stored (every bank site appends in
+    ascending order).  Raises [Invalid_argument] if the offset is
+    unaligned or the run overlaps a stored extent; an empty run is a
+    no-op. *)
 
 val put_bytes : t -> segment_id:int -> offset:int -> bytes -> unit
-(** Bytes-edge convenience: store a run of pages; trailing partial page
-    zero-padded. *)
-
-val get_page : t -> segment_id:int -> offset:int -> Accent_mem.Page.value option
+(** Bytes-edge convenience: {!put_extent} of the run the bytes make,
+    trailing partial page zero-padded. *)
 
 val read_run :
-  t -> segment_id:int -> offset:int -> pages:int -> Accent_mem.Page.value list
-(** Pages at [offset], [offset+512], ... while present, at most [pages] of
-    them — the service routine for an Imaginary Read Request.  Empty if
-    the first page is absent. *)
+  t -> segment_id:int -> offset:int -> pages:int -> Accent_mem.Page_run.t
+(** The pages at [offset], [offset+512], ... up to the first absent one,
+    at most [pages] of them — the service routine for an Imaginary Read
+    Request.  Slices of the stored extents, never copies; empty if the
+    first page is absent.  [offset] must be page-aligned and
+    [offset + pages * 512] must not overflow (the backer checks a
+    request's range before it reads). *)
 
 val has_segment : t -> segment_id:int -> bool
 
 val segment_pages : t -> segment_id:int -> int
-(** Present pages; an overlay page shadowing an extent slot counts
-    once. *)
-
-val segment_bytes : t -> segment_id:int -> int
+(** Pages the segment's extents hold. *)
 
 val drop_segment : t -> segment_id:int -> unit
 (** Forgets the segment's offsets but not its digests: dropped content
     still counts as seen. *)
-
-val total_bytes : t -> int
 
 (** {2 Accounting} *)
 

@@ -137,9 +137,7 @@ let deliver_local t msg =
   (if t.params.dedup then
      match msg.Message.payload with
      | Protocol.Imaginary_read_reply { page_data; _ } ->
-         ignore
-           (Content_store.insert_wire_run t.cache
-              (Accent_mem.Page_run.of_list page_data))
+         ignore (Content_store.insert_wire_run t.cache page_data)
      | _ -> ());
   Kernel_ipc.send t.kernel msg
 

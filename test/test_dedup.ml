@@ -216,8 +216,10 @@ let test_wire_insert_rejects_mismatch () =
 
 let test_interning_and_segment_sharing () =
   let store = Content_store.create ~dedup:true ~capacity_pages:16 () in
-  Content_store.put_page store ~segment_id:1 ~offset:0 (v 3);
-  Content_store.put_page store ~segment_id:2 ~offset:512 (Page.pattern_value ~tag:97 4);
+  Content_store.put_extent store ~segment_id:1 ~offset:0
+    (Page_run.singleton (v 3));
+  Content_store.put_extent store ~segment_id:2 ~offset:512
+    (Page_run.singleton (Page.pattern_value ~tag:97 4));
   Alcotest.(check int) "one physical copy" 1 (Content_store.indexed_pages store);
   Alcotest.(check int) "second put interned" 1 (Content_store.interned store);
   (* dropping a segment forgets offsets, not content *)

@@ -130,6 +130,47 @@ let test_read_request_without_reply_port_is_dropped () =
   ignore (World.run w);
   Alcotest.(check int) "nothing served" 0 (Backing_server.faults_served backing)
 
+(* A request whose range is empty, negative, unaligned or overflowing is
+   logged and dropped like one without a reply port: nothing is served,
+   nothing escapes the simulation, and a well-formed request after them
+   is still answered. *)
+let test_malformed_read_request_is_dropped () =
+  let w = world () in
+  let h0 = World.host w 0 and h1 = World.host w 1 in
+  let backing = Test_helpers.new_backer h1 in
+  let segment_id = Backing_server.new_segment backing in
+  Backing_server.put_bytes backing ~segment_id ~offset:0 (Bytes.make 1024 'x');
+  let replies = ref [] in
+  let reply_to = Host.new_port h0 in
+  Kernel_ipc.bind (Host.kernel h0) reply_to (fun msg ->
+      match msg.Message.payload with
+      | Protocol.Imaginary_read_reply r ->
+          replies := Page_run.length r.page_data :: !replies
+      | _ -> ());
+  let request ~offset ~pages =
+    Kernel_ipc.send (Host.kernel h0)
+      (Protocol.read_request ~ids:(Host.ids h0)
+         ~dest:(Backing_server.port backing) ~reply_to ~segment_id ~offset
+         ~pages)
+  in
+  List.iter
+    (fun (offset, pages) -> request ~offset ~pages)
+    [
+      (0, 0);
+      (0, -1);
+      (-512, 1);
+      (100, 1);
+      (512, max_int / Page.size);
+    ];
+  ignore (World.run w);
+  Alcotest.(check int) "nothing served" 0
+    (Backing_server.faults_served backing);
+  Alcotest.(check (list int)) "no reply" [] !replies;
+  request ~offset:512 ~pages:4;
+  ignore (World.run w);
+  Alcotest.(check (list int)) "a well-formed request still served" [ 1 ]
+    !replies
+
 let test_death_idempotent () =
   let w = world () in
   let h1 = World.host w 1 in
@@ -199,7 +240,8 @@ let test_misdirected_death_spares_the_nms_cache () =
   let reply_to =
     on_h1 (fun msg ->
         match msg.Message.payload with
-        | Protocol.Imaginary_read_reply r -> reply := r.page_data
+        | Protocol.Imaginary_read_reply r ->
+            reply := Array.to_list (Page_run.to_array r.page_data)
         | _ -> ())
   in
   Kernel_ipc.send (Host.kernel h1)
@@ -287,6 +329,8 @@ let suite =
         test_eviction_multi_space_dispatch;
       Alcotest.test_case "request without reply port" `Quick
         test_read_request_without_reply_port_is_dropped;
+      Alcotest.test_case "malformed read request is dropped" `Quick
+        test_malformed_read_request_is_dropped;
       Alcotest.test_case "death idempotent" `Quick test_death_idempotent;
       Alcotest.test_case "misdirected death spares the NMS cache" `Quick
         test_misdirected_death_spares_the_nms_cache;

@@ -434,8 +434,11 @@ let test_nms_serves_cached_faults_and_death () =
   (match !reply with
   | Some { Message.payload = Protocol.Imaginary_read_reply r; _ } ->
       Alcotest.(check int) "offset echoed" 512 r.offset;
-      Alcotest.(check int) "two pages" 2 (List.length r.page_data);
-      let first = Accent_mem.Page.to_bytes (List.hd r.page_data) in
+      Alcotest.(check int) "two pages" 2
+        (Accent_mem.Page_run.length r.page_data);
+      let first =
+        Accent_mem.Page.to_bytes (Accent_mem.Page_run.get r.page_data 0)
+      in
       Alcotest.(check bool) "page contents are the cached data" true
         (Bytes.equal first (Bytes.sub payload 512 512))
   | _ -> Alcotest.fail "expected a read reply");
@@ -487,7 +490,9 @@ let fault_iou w (segment_id, backing_port, offset) =
   let reply_port =
     remote_port w ~on:1 (fun msg ->
         match msg.Message.payload with
-        | Protocol.Imaginary_read_reply r -> reply := Some r.page_data
+        | Protocol.Imaginary_read_reply r ->
+            reply :=
+              Some (Array.to_list (Accent_mem.Page_run.to_array r.page_data))
         | _ -> ())
   in
   Kernel_ipc.send w.kernels.(1)

@@ -440,13 +440,13 @@ let prop_partial_rimas_equiv =
                 Pulled
                   ( lo,
                     List.init pages (fun i ->
-                        match
-                          Accent_net.Content_store.get_page
+                        let run =
+                          Accent_net.Content_store.read_run
                             (Backing_server.store backing) ~segment_id
-                            ~offset:(offset + (i * Page.size))
-                        with
-                        | Some v -> v
-                        | None -> Page.zero_value) )
+                            ~offset:(offset + (i * Page.size)) ~pages:1
+                        in
+                        if Page_run.length run = 1 then Page_run.get run 0
+                        else Page.zero_value) )
             | _ -> Passed chunk)
           (Transfer_engine.partial_rimas backing excised ~keep_pages)
       in
