@@ -596,10 +596,11 @@ let restore file seed =
   let h0 = World.host world 0 in
   let store = Accent_net.Content_store.create ~capacity_pages:65_536 () in
   let ck =
-    try Checkpoint.read_file file store
-    with Sys_error e ->
-      prerr_endline e;
-      exit 1
+    match Checkpoint.read_file file store with
+    | Ok ck -> ck
+    | Error reason ->
+        prerr_endline reason;
+        exit 1
   in
   let finished = ref None in
   Checkpoint.restore ~bus:world.World.bus store h0 ck ~k:(fun p ->

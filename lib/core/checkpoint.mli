@@ -83,9 +83,49 @@ val restore :
 
     For [accentctl checkpoint]/[restore]: the checkpoint travels with its
     page values, so the file is restorable on a machine whose store never
-    saw them. *)
+    saw them.
+
+    The file is one versioned binary encoding that depends on neither
+    the machine nor the OCaml version.  Every integer is 8 bytes
+    little-endian; a float (a think time, a working-set time in ms) is
+    its IEEE-754 bits; every list is its length followed by its
+    elements; an enumeration is one byte.  In order:
+
+    - the magic ["ACCENTCK"] and the format version (1);
+    - the page table: each distinct page once, in ascending digest
+      order — its digest, then [0] (Zero), [1] tag idx (Pattern) or
+      [2] and the 512 bytes (Literal);
+    - process id, name (length and bytes), the PCB (status byte, pc,
+      zero/disk/imaginary fault counts, migrations), port rights;
+    - the trace: its length, then the page column, the think-time column
+      and one write byte (0 or 1) per step;
+    - the mem runs, ascending: [0] lo hi (zero), [1] lo digests homes
+      (real; homes as (pages, home byte) pairs) or [2] lo hi segment
+      offset (imaginary);
+    - the backings (segment, port), the working set ((page, time)
+      pairs, then the reference count), the dirty and resident pages;
+    - the MD5 digest of every byte before it.
+
+    The file carries no AMap: {!read_file} rebuilds it from the mem
+    runs, classifying each the way {!Address_space.build_amap} does. *)
 
 val write_file : string -> Accent_net.Content_store.t -> t -> unit
-val read_file : string -> Accent_net.Content_store.t -> t
-(** Re-banks the file's pages into the store, then returns the
-    checkpoint. *)
+(** Writes the checkpoint with every page the store holds for it. *)
+
+val read_file :
+  string -> Accent_net.Content_store.t -> (t, string) result
+(** Decode a file, then bank its pages into the store through
+    {!Accent_net.Content_store.insert_wire_run}, each digest re-derived
+    from the page's content.  Never raises: an unreadable file, bad
+    magic or version, a digest mismatch, truncation, an out-of-range
+    field, a page that fails its digest or that the store cannot keep
+    gives [Error] with a one-line reason.  Decoding is linear in the
+    file's length.
+
+    [Ok t] guarantees that, while the store is not changed,
+    {!rebuild_image} succeeds on [t] and {!restore} rebuilds it: runs are
+    ascending, disjoint and page-aligned, each real run's homes sum to
+    its length and its digests are banked, every imaginary segment has
+    a backing, every trace page lies in a run and [pc] is within the
+    trace, times are finite and non-negative and the working set is
+    ascending. *)

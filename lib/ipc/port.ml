@@ -1,6 +1,7 @@
 type id = int
 
 let fresh ids = Accent_sim.Ids.next ids
+let of_int n = if n > 0 then Some n else None
 let equal = Int.equal
 let pp ppf id = Format.fprintf ppf "port#%d" id
 

@@ -12,6 +12,10 @@ type id = private int
 val fresh : Accent_sim.Ids.t -> id
 (** Allocate a new port id from the world's id source. *)
 
+val of_int : int -> id option
+(** A port id read back from outside the simulation (a checkpoint file):
+    [Some] iff the int is positive, as every id {!fresh} draws is. *)
+
 val equal : id -> id -> bool
 val pp : Format.formatter -> id -> unit
 

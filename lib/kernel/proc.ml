@@ -22,7 +22,7 @@ let create ~id ~name ~trace ?(ports = []) ~space () =
   {
     id;
     name;
-    pcb = Pcb.create ~tag:id ();
+    pcb = Pcb.create ();
     space = Some space;
     ports;
     trace;

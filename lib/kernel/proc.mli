@@ -45,7 +45,7 @@ val create :
   space:Accent_mem.Address_space.t ->
   unit ->
   t
-(** A new process bound to [space]; PCB microstate is derived from [id]. *)
+(** A new process bound to [space], with a fresh PCB. *)
 
 val reincarnate :
   id:int ->
@@ -56,7 +56,7 @@ val reincarnate :
   space:Accent_mem.Address_space.t ->
   t
 (** Rebuild a process from its excised context (InsertProcess): the PCB —
-    program counter, fault counts, microstate — continues from where
+    program counter, fault counts — continues from where
     ExciseProcess froze it. *)
 
 val space_exn : t -> Accent_mem.Address_space.t

@@ -95,7 +95,7 @@ let test_insert_cost_monotone_in_data () =
     {
       Context.proc_id = 1;
       proc_name = "m";
-      pcb = Pcb.create ~tag:1 ();
+      pcb = Pcb.create ();
       port_rights = [];
       amap =
         Amap.of_ranges

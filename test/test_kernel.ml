@@ -9,14 +9,7 @@ let world () = Accent_core.World.create ~n_hosts:2 ()
 let host w i = Accent_core.World.host w i
 let run w = ignore (Accent_core.World.run w)
 
-(* --- Pcb / Trace --- *)
-
-let test_pcb_microstate () =
-  let a = Pcb.create ~tag:1 () and b = Pcb.create ~tag:1 () in
-  Alcotest.(check int) "size" 1024 (Pcb.size_bytes a);
-  Alcotest.(check int) "deterministic" (Pcb.checksum a) (Pcb.checksum b);
-  let c = Pcb.create ~tag:2 () in
-  Alcotest.(check bool) "tag matters" false (Pcb.checksum a = Pcb.checksum c)
+(* --- Trace --- *)
 
 let test_trace_accounting () =
   let t =
@@ -254,7 +247,6 @@ let test_runner_interrupt_freezes () =
 let suite =
   ( "kernel",
     [
-      Alcotest.test_case "pcb microstate" `Quick test_pcb_microstate;
       Alcotest.test_case "trace accounting" `Quick test_trace_accounting;
       Alcotest.test_case "host spawn" `Quick test_host_spawn;
       Alcotest.test_case "resident reference free" `Quick
