@@ -21,6 +21,11 @@
                        events, each fired event posting the next, and
                        at 1,024 in run ~limit slices — ns and minor
                        words per event (CI holds the words at 0.00).
+     queue station     one Queue_server serving 10^5 jobs whose waits
+                       spread from 1e-3 to 1e4 ms — ns and minor words
+                       per job, and the words its wait accounting
+                       retains after 10^3 and after 10^5 jobs (CI
+                       holds the two equal).
      page checks       Page.digest on distinct Pattern pages (a memo
                        miss, then a hit) and Page.checksum_value, the
                        wire re-check — per page, no buffer built; then
@@ -104,15 +109,18 @@ let working_set_churn ~footprint ~queries =
   let tau = 1_000. in
   let dt = tau /. 512. in
   let ws = Working_set.create ~window:tau in
+  let clock = [| 0. |] in
   for i = 0 to footprint - 1 do
-    Working_set.reference ws ~time:(float_of_int i *. dt) i
+    clock.(0) <- float_of_int i *. dt;
+    Working_set.reference ws ~clock i
   done;
   let t0 = float_of_int footprint *. dt in
   let m =
     Harness.measure (fun () ->
         for q = 0 to queries - 1 do
           let now = t0 +. (float_of_int q *. dt) in
-          Working_set.reference ws ~time:now (q mod footprint);
+          clock.(0) <- now;
+          Working_set.reference ws ~clock (q mod footprint);
           ignore (Working_set.size_at ws ~time:now);
           ignore (Working_set.pages_within ws ~time:now ~window:(tau /. 2.))
         done)
@@ -232,6 +240,57 @@ let engine_loop ?slice_ms ~pending ~events () =
     {|{"pending": %d, %s"events": %d, "wall_s": %.4f, "ns_per_event": %.1f, "minor_words_per_event": %.2f}|}
     pending slice_field fired m.wall_s ns words
 
+(* --- queue station ------------------------------------------------------- *)
+
+(* One Queue_server fed [pairs] job pairs, one pair at a time: a blocker
+   with service time w_k, then a probe (1 us) that waits w_k behind it;
+   the probe's completion submits the next pair.  w_k = 1e-3 *
+   k^(7 / log10 pairs) ms, so the longest wait grows with the run, as a
+   long run's tail does: 1e-3 ms at the first pair, about 10 ms after
+   10^3 jobs, 1e4 ms at the last.  The station's wait accounting
+   ([wait_stats]) is weighed after the first 10^3 jobs and at the end;
+   the two counts match exactly when it holds no per-job or per-decade
+   store (CI fails otherwise). *)
+let queue_station ~pairs =
+  let module Q = Accent_sim.Queue_server in
+  let engine = Accent_sim.Engine.create () in
+  let station = Q.create engine ~name:"station" in
+  let exponent = 7. /. log10 (float_of_int pairs) in
+  (* boxed once here, as a caller's computed service time is *)
+  let waits =
+    Array.init pairs (fun k -> ref (1e-3 *. (float_of_int (k + 1) ** exponent)))
+  in
+  let next = ref 0 and stop = ref 0 in
+  let rec submit_pair () =
+    if !next < !stop then begin
+      Q.submit station ~service_time:!(waits.(!next)) ignore;
+      incr next;
+      Q.submit station ~service_time:1e-3 submit_pair
+    end
+  in
+  let serve upto =
+    stop := upto;
+    submit_pair ();
+    ignore (Accent_sim.Engine.run engine)
+  in
+  let retained () = Obj.reachable_words (Obj.repr (Q.wait_stats station)) in
+  serve 500;
+  let early = retained () in
+  let m = Harness.measure (fun () -> serve pairs) in
+  let late = retained () in
+  let jobs = 2 * (pairs - 500) in
+  assert (Q.jobs_completed station = 2 * pairs);
+  let max_wait = Accent_util.Stats.max_value (Q.wait_stats station) in
+  let ns = Harness.ns_per m jobs and words = Harness.words_per m jobs in
+  Printf.printf
+    "hotpath: queue  %8d jobs %7.1f ns/job  %.2f words/job  retained %d \
+     words after 1e3 jobs, %d after %d (max wait %.0f ms)\n\
+     %!"
+    (2 * pairs) ns words early late (2 * pairs) max_wait;
+  Printf.sprintf
+    {|{"jobs": %d, "max_wait_ms": %.1f, "wall_s": %.4f, "ns_per_job": %.1f, "minor_words_per_job": %.2f, "retained_words_after_1e3_jobs": %d, "retained_words_after_1e5_jobs": %d}|}
+    (2 * pairs) max_wait m.wall_s ns words early late
+
 (* --- page checks -------------------------------------------------------- *)
 
 (* A tag no workload uses, so the first pass misses the memo on every
@@ -348,11 +407,14 @@ let reference_path ~spaces ~refs =
         Address_space.install_run space ~addr:0 run ~resident:true;
         (space, Working_set.create ~window:1_000.))
   in
+  (* the pager's path reads the time from the engine's clock cell *)
+  let clock = [| 0. |] in
   let reference i =
     let space, ws = procs.(i mod spaces) in
     let page = i / spaces mod per_space in
     let resident = Address_space.reference space page in
-    Working_set.reference ws ~time:(float_of_int i) page;
+    clock.(0) <- float_of_int i;
+    Working_set.reference ws ~clock page;
     resident
   in
   for i = 0 to (spaces * per_space) - 1 do
@@ -618,6 +680,7 @@ let () =
     in
     unlimited @ [ engine_loop ~slice_ms:1_000. ~pending:1_024 ~events () ]
   in
+  let station = [ queue_station ~pairs:50_000 ] in
   let page =
     let per_page = page_checks ~pages:(if smoke then 20_000 else 200_000) in
     per_page :: page_run_checks ~pages:32_768
@@ -668,6 +731,7 @@ let () =
       ("working_set_churn", Harness.rows ws);
       ("timer_churn", Harness.rows timers);
       ("engine_loop", Harness.rows engine);
+      ("queue_station", Harness.rows station);
       ("page_checks", Harness.rows page);
       ("arq_ack", Harness.rows arq);
       ("reference_path", Harness.rows refs);

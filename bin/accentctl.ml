@@ -568,7 +568,11 @@ let checkpoint workload seed out =
         Checkpoint.save ~bus:world.World.bus ~at:(World.now world) store
           (Accent_kernel.Proc_image.capture h0 proc)
       in
-      Checkpoint.write_file out store ck;
+      (match Checkpoint.write_file out store ck with
+      | Ok () -> ()
+      | Error reason ->
+          prerr_endline reason;
+          exit 1);
       let distinct =
         List.length (List.sort_uniq compare (Checkpoint.digests ck))
       in

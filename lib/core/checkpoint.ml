@@ -221,43 +221,51 @@ let add_trace b trace =
   done
 
 let write_file path store t =
-  let b = Buffer.create 4096 in
-  let core = t.core and pcb = t.core.Context.pcb in
-  Buffer.add_string b magic;
-  add_int b version;
-  add_list b (add_page b)
-    (List.filter_map
-       (fun d -> Option.map (fun v -> (d, v)) (Content_store.find store d))
-       (List.sort_uniq compare (digests t)));
-  add_int b core.Context.proc_id;
-  add_int b (String.length core.Context.proc_name);
-  Buffer.add_string b core.Context.proc_name;
-  add_byte b (code_of statuses pcb.Pcb.status);
-  List.iter (add_int b)
-    [
-      pcb.Pcb.pc; pcb.faults_zero; pcb.faults_disk; pcb.faults_imag;
-      pcb.migrations;
-    ];
-  add_list b
-    (fun (port : Port.id) -> add_int b (port :> int))
-    core.Context.port_rights;
-  add_trace b core.Context.trace;
-  add_list b (add_run b) t.mem;
-  add_list b
-    (fun (segment_id, (port : Port.id)) ->
-      add_int b segment_id;
-      add_int b (port :> int))
-    t.backings;
-  add_list b
-    (fun (page, time) ->
-      add_int b page;
-      add_float b (Time.to_ms time))
-    t.ws.Working_set.entries;
-  add_int b t.ws.Working_set.snap_refs;
-  add_list b (add_int b) t.dirty;
-  add_list b (add_int b) t.resident;
-  Buffer.add_string b (Digest.string (Buffer.contents b));
-  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b)
+  let digests = List.sort_uniq compare (digests t) in
+  match List.find_opt (fun d -> not (Content_store.mem store d)) digests with
+  | Some d -> Error (Printf.sprintf "%s: digest %d is not in the store" path d)
+  | None -> (
+      let b = Buffer.create 4096 in
+      let core = t.core and pcb = t.core.Context.pcb in
+      Buffer.add_string b magic;
+      add_int b version;
+      (* peek: writing a file moves no hit, miss or LRU position *)
+      add_list b
+        (fun d -> add_page b (d, Option.get (Content_store.peek store d)))
+        digests;
+      add_int b core.Context.proc_id;
+      add_int b (String.length core.Context.proc_name);
+      Buffer.add_string b core.Context.proc_name;
+      add_byte b (code_of statuses pcb.Pcb.status);
+      List.iter (add_int b)
+        [
+          pcb.Pcb.pc; pcb.faults_zero; pcb.faults_disk; pcb.faults_imag;
+          pcb.migrations;
+        ];
+      add_list b
+        (fun (port : Port.id) -> add_int b (port :> int))
+        core.Context.port_rights;
+      add_trace b core.Context.trace;
+      add_list b (add_run b) t.mem;
+      add_list b
+        (fun (segment_id, (port : Port.id)) ->
+          add_int b segment_id;
+          add_int b (port :> int))
+        t.backings;
+      add_list b
+        (fun (page, time) ->
+          add_int b page;
+          add_float b (Time.to_ms time))
+        t.ws.Working_set.entries;
+      add_int b t.ws.Working_set.snap_refs;
+      add_list b (add_int b) t.dirty;
+      add_list b (add_int b) t.resident;
+      Buffer.add_string b (Digest.string (Buffer.contents b));
+      match
+        Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b)
+      with
+      | () -> Ok ()
+      | exception Sys_error e -> Error e)
 
 (* Decoding reads through one cursor; every read is checked and the
    first failure aborts with its one-line reason. *)

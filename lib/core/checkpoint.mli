@@ -109,8 +109,13 @@ val restore :
     The file carries no AMap: {!read_file} rebuilds it from the mem
     runs, classifying each the way {!Address_space.build_amap} does. *)
 
-val write_file : string -> Accent_net.Content_store.t -> t -> unit
-(** Writes the checkpoint with every page the store holds for it. *)
+val write_file :
+  string -> Accent_net.Content_store.t -> t -> (unit, string) result
+(** Writes the checkpoint with its pages, read from the store through
+    {!Accent_net.Content_store.peek}: no hit, miss or LRU position
+    moves.  Never raises: a page the store no longer holds gives
+    [Error] naming its digest, with nothing written, and an unwritable
+    path gives [Error] too. *)
 
 val read_file :
   string -> Accent_net.Content_store.t -> (t, string) result

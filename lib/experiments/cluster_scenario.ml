@@ -77,7 +77,7 @@ let harvest_relocated world arrived ~f =
 let run ?(config = default_config) ~policy ~label () =
   let world = World.create ~seed:config.seed ~n_hosts:config.n_hosts () in
   let h0 = World.host world 0 in
-  let turnarounds = Accent_util.Stats.create () in
+  let turnarounds = Accent_util.Stats.moments_only () in
   let arrived : (int, Time.t) Hashtbl.t = Hashtbl.create 16 in
   (* jobs arrive staggered on host 0 and start executing there *)
   List.iteri
@@ -260,7 +260,7 @@ let run_churn_aux ?(config = default_churn) ~(policy : Placement_policy.t) () =
       | _ -> ());
   let interarrival_ms = 1_000. /. Float.max 1e-6 config.arrival_rate_per_s in
   let completed = ref 0 in
-  let turnarounds = Accent_util.Stats.create () in
+  let turnarounds = Accent_util.Stats.moments_only () in
   let per_host_completions = Array.make config.hosts 0 in
   let rec arrive i =
     if i < config.jobs then begin

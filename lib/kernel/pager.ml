@@ -212,7 +212,7 @@ let reference t proc page ~k =
   let space = Proc.space_exn proc in
   let resident = Address_space.reference space page in
   Accent_mem.Working_set.reference proc.Proc.working_set
-    ~time:(Engine.now t.engine) page;
+    ~clock:(Engine.clock t.engine) page;
   (* only prefetching processes ever fill this table *)
   if
     Hashtbl.length proc.Proc.prefetched_pending > 0

@@ -98,7 +98,8 @@ let prune t =
   done;
   if cutoff > t.marks.(2) then t.marks.(2) <- cutoff
 
-let reference t ~time idx =
+let reference t ~clock idx =
+  let time = clock.(0) in
   t.refs <- t.refs + 1;
   if time > t.marks.(0) then t.marks.(0) <- time;
   (match Int_tbl.find t.slot_of idx with
@@ -180,5 +181,10 @@ let export t =
 
 let import t { entries; snap_refs } =
   if t.used <> 1 then invalid_arg "Working_set.import: set not empty";
-  List.iter (fun (idx, time) -> reference t ~time idx) entries;
+  let clock = [| 0. |] in
+  List.iter
+    (fun (idx, time) ->
+      clock.(0) <- time;
+      reference t ~clock idx)
+    entries;
   t.refs <- snap_refs

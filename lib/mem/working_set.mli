@@ -27,8 +27,10 @@ val create : window:Accent_sim.Time.t -> t
 
 val window : t -> Accent_sim.Time.t
 
-val reference : t -> time:Accent_sim.Time.t -> Page.index -> unit
-(** Record a reference.  Times must be non-decreasing. *)
+val reference : t -> clock:float array -> Page.index -> unit
+(** Record a reference at the time in [clock]'s one slot, the engine's
+    clock cell ({!Accent_sim.Engine.clock}) on the pager's path, so the
+    call boxes no float.  Times must be non-decreasing. *)
 
 val size_at : t -> time:Accent_sim.Time.t -> int
 (** Number of distinct pages referenced in [time - window, time]. *)

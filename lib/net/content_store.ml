@@ -148,8 +148,9 @@ let find t digest =
         t.misses <- t.misses + 1;
         None
 
-(* Non-bumping, non-counting membership probe (tests and diagnostics). *)
+(* Non-bumping, non-counting probes (tests, diagnostics, checkpoints). *)
 let mem t digest = Int_tbl.mem t.index digest
+let peek t d = Option.map (fun e -> e.value) (Int_tbl.find_opt t.index d)
 let indexed_pages t = Int_tbl.length t.index
 
 let verify t =

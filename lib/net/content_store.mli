@@ -50,6 +50,9 @@ val find : t -> int -> Accent_mem.Page.value option
 val mem : t -> int -> bool
 (** Membership without touching LRU order or the hit/miss counters. *)
 
+val peek : t -> int -> Accent_mem.Page.value option
+(** {!find} without touching LRU order or the hit/miss counters. *)
+
 val insert : t -> Accent_mem.Page.value -> unit
 (** Remember a locally-produced (trusted) value under its own digest. *)
 

@@ -15,6 +15,7 @@ let create ?(seed = 1L) () =
   }
 
 let now t = t.clock.(0)
+let clock t = t.clock
 let rng t label = Accent_util.Rng.of_label t.root_rng label
 
 (* the delay goes to the queue as given, so nothing is boxed *)

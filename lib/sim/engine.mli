@@ -17,6 +17,10 @@ val now : t -> Time.t
     ({!Event_queue.clock}): popping an event moves it, so a step copies no
     time. *)
 
+val clock : t -> float array
+(** That cell itself, for hot paths: reading it boxes no float where
+    {!now} across modules does.  Read it, never write it. *)
+
 val rng : t -> string -> Accent_util.Rng.t
 (** [rng t label] is the deterministic random stream for the component named
     [label].  The same label always yields the same stream for a given

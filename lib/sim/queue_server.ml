@@ -7,11 +7,14 @@
    Queue cell.  The job in service lives in the same shape: its service
    time sits in a scratch float array and one completion closure,
    allocated at [create], is rescheduled for every job, where the old
-   code closed over each job record afresh.  The one per-job statistic
-   is the queueing delay, streamed into a bounded Stats accumulator
-   (exact_capacity 0) at service start, so per-host queue statistics
-   never retain a float per job served and a completion records nothing
-   but the busy time. *)
+   code closed over each job record afresh.  Times are read from the
+   engine's clock cell and busy time is summed in the scratch array, so
+   no clock read or sum boxes a float.  The one per-job statistic is
+   the queueing delay, streamed at service start into a moments-only
+   Stats accumulator: a fixed few words per station however many jobs
+   it serves and however widely their waits spread, and no [log] per
+   job (the readers want the mean and the extremes, never a
+   percentile). *)
 
 type t = {
   engine : Engine.t;
@@ -51,11 +54,11 @@ let ring_grow t =
   t.q_k <- k;
   t.head <- 0
 
-let ring_push t ~service_time ~arrived k =
+let ring_push t ~service_time k =
   if t.waiting = Array.length t.q_k then ring_grow t;
   let i = (t.head + t.waiting) mod Array.length t.q_k in
   t.q_service.(i) <- service_time;
-  t.q_arrived.(i) <- arrived;
+  t.q_arrived.(i) <- (Engine.clock t.engine).(0);
   t.q_k.(i) <- k;
   t.waiting <- t.waiting + 1
 
@@ -71,8 +74,7 @@ let start_next t =
     t.head <- (i + 1) mod Array.length t.q_k;
     t.waiting <- t.waiting - 1;
     t.scratch.(1) <- service_time;
-    Accent_util.Stats.add t.waits
-      (Time.diff (Engine.now t.engine) arrived);
+    Accent_util.Stats.add t.waits ((Engine.clock t.engine).(0) -. arrived);
     Engine.post t.engine ~delay:service_time t.on_done
   end
 
@@ -91,14 +93,14 @@ let create engine ~name =
       scratch = Array.make 2 0.;
       cur_k = nop;
       on_done = nop;
-      waits = Accent_util.Stats.create ~exact_capacity:0 ();
+      waits = Accent_util.Stats.moments_only ();
     }
   in
   (* the one completion continuation: rescheduled for every job *)
   t.on_done <-
     (fun () ->
       t.completed <- t.completed + 1;
-      t.scratch.(0) <- Time.add t.scratch.(0) t.scratch.(1);
+      t.scratch.(0) <- t.scratch.(0) +. t.scratch.(1);
       let k = t.cur_k in
       t.cur_k <- nop;
       k ();
@@ -110,7 +112,7 @@ let busy t = t.in_service
 let queue_length t = t.waiting
 
 let submit t ~service_time k =
-  ring_push t ~service_time ~arrived:(Engine.now t.engine) k;
+  ring_push t ~service_time k;
   if not t.in_service then start_next t
 
 let jobs_completed t = t.completed

@@ -9,9 +9,10 @@
 
     Accounting is two counters and one distribution: jobs completed,
     busy time, and the per-job queueing delay (arrival to service
-    start) in a bounded [Stats] sketch.  A job's total time in the
-    system is its delay plus its service time, so it is not recorded
-    separately. *)
+    start) in a moments-only [Stats] accumulator, whose size does not
+    grow with the jobs served or the spread of their waits.  A job's
+    total time in the system is its delay plus its service time, so it
+    is not recorded separately. *)
 
 type t
 
@@ -35,7 +36,9 @@ val busy_time : t -> Time.t
 (** Total time the server has spent in service so far. *)
 
 val wait_stats : t -> Accent_util.Stats.t
-(** Per-job queueing delays (arrival to service start). *)
+(** Per-job queueing delays (arrival to service start): count, total,
+    mean, variance, min and max; {!Accent_util.Stats.percentile} on it
+    raises [Invalid_argument]. *)
 
 val reset_accounting : t -> unit
 (** Zero the counters and stats; queued work is unaffected. *)

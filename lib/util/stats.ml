@@ -18,7 +18,10 @@
    - {e sketch mode}: past the capacity the samples collapse into a
      DDSketch-style logarithmic histogram (relative accuracy
      [sketch_alpha] per magnitude), and memory stays bounded by the
-     dynamic range of the data, independent of the observation count. *)
+     dynamic range of the data, independent of the observation count.
+
+   A moments-only accumulator ([exact_capacity = no_store]) has no
+   sample store at all: a few words, and no [log] per sample. *)
 
 let sketch_alpha = 0.01
 let default_exact_capacity = 4096
@@ -52,6 +55,7 @@ type t = {
   mutable sketch : sketch option;  (* Some once capacity was exceeded *)
 }
 
+let no_store = -1 (* exact_capacity of a moments-only accumulator *)
 let i_total = 0
 let i_mean = 1
 let i_m2 = 2
@@ -72,6 +76,8 @@ let create ?(exact_capacity = default_exact_capacity) () =
     exact_len = 0;
     sketch = None;
   }
+
+let moments_only () = { (create ()) with exact_capacity = no_store }
 
 let clear t =
   t.count <- 0;
@@ -175,7 +181,7 @@ let add t x =
   m.(i_m2) <- m.(i_m2) +. (delta *. (x -. m.(i_mean)));
   if x < m.(i_min) then m.(i_min) <- x;
   if x > m.(i_max) then m.(i_max) <- x;
-  store_sample t x
+  if t.exact_capacity <> no_store then store_sample t x
 
 let count t = t.count
 let total t = t.moments.(i_total)
@@ -186,7 +192,7 @@ let variance t =
 
 let min_value t = t.moments.(i_min)
 let max_value t = t.moments.(i_max)
-let retained_exactly t = t.sketch = None
+let retained_exactly t = t.sketch = None && t.exact_capacity <> no_store
 
 (* interpolated percentile over a sorted array prefix — the historical
    definition, unchanged *)
@@ -231,7 +237,9 @@ let sketch_order_stat t sk k =
   !result
 
 let percentile t p =
-  if t.count = 0 then 0.
+  if t.exact_capacity = no_store then
+    invalid_arg "Stats.percentile: a moments-only accumulator keeps no samples"
+  else if t.count = 0 then 0.
   else
     match t.sketch with
     | None ->
@@ -260,11 +268,15 @@ let merge_side dst src =
   done
 
 let merge a b =
+  let bare = a.exact_capacity = no_store || b.exact_capacity = no_store in
+  let t =
+    if bare then moments_only ()
+    else create ~exact_capacity:(max a.exact_capacity b.exact_capacity) ()
+  in
   match (a.sketch, b.sketch) with
-  | None, None ->
+  | None, None when not bare ->
       (* both fully retained: re-feed the samples in insertion order, as
          the historical merge did *)
-      let t = create ~exact_capacity:(max a.exact_capacity b.exact_capacity) () in
       for i = 0 to a.exact_len - 1 do
         add t a.exact.(i)
       done;
@@ -272,8 +284,8 @@ let merge a b =
         add t b.exact.(i)
       done;
       t
+  | _ when a.count + b.count = 0 -> t
   | _ ->
-      let t = create ~exact_capacity:(max a.exact_capacity b.exact_capacity) () in
       (* moments: Chan's pairwise combination *)
       let na = float_of_int a.count and nb = float_of_int b.count in
       let n = na +. nb in
@@ -286,22 +298,24 @@ let merge a b =
       m.(i_m2) <- ma.(i_m2) +. mb.(i_m2) +. (delta *. delta *. na *. nb /. n);
       m.(i_min) <- Float.min ma.(i_min) mb.(i_min);
       m.(i_max) <- Float.max ma.(i_max) mb.(i_max);
-      (* samples: everything collapses into one sketch *)
-      let sk = fresh_sketch () in
-      let feed side =
-        match side.sketch with
-        | Some s ->
-            merge_side sk.pos s.pos;
-            merge_side sk.neg s.neg;
-            sk.zeros <- sk.zeros + s.zeros
-        | None ->
-            for i = 0 to side.exact_len - 1 do
-              sketch_add sk side.exact.(i)
-            done
-      in
-      feed a;
-      feed b;
-      t.sketch <- Some sk;
+      if not bare then begin
+        (* samples: everything collapses into one sketch *)
+        let sk = fresh_sketch () in
+        let feed side =
+          match side.sketch with
+          | Some s ->
+              merge_side sk.pos s.pos;
+              merge_side sk.neg s.neg;
+              sk.zeros <- sk.zeros + s.zeros
+          | None ->
+              for i = 0 to side.exact_len - 1 do
+                sketch_add sk side.exact.(i)
+              done
+        in
+        feed a;
+        feed b;
+        t.sketch <- Some sk
+      end;
       t
 
 let pp ppf t =

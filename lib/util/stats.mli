@@ -15,9 +15,10 @@
       order statistic (interpolation between two adjacent order
       statistics preserves the bound for same-signed data).
 
-    Accumulators on per-event hot paths (the queue servers) use
-    [~exact_capacity:0] so their live heap never grows with run
-    length. *)
+    A sketch still grows with the data's range: a busy queue station's
+    waits, spread over seven decades, held about 780 words of bins.
+    Readers that want only moments (queue stations, churn's mean
+    turnaround) use {!moments_only}: a fixed few words, no [log]. *)
 
 type t
 (** A mutable accumulator of floating-point observations. *)
@@ -33,6 +34,11 @@ val default_exact_capacity : int
 val create : ?exact_capacity:int -> unit -> t
 (** [exact_capacity] defaults to {!default_exact_capacity}; [0] means
     sketch-only from the first sample. *)
+
+val moments_only : unit -> t
+(** An accumulator that keeps only the moments.  Its count, total, mean,
+    variance, min and max are bit-identical to any other mode's over the
+    same samples; {!percentile} on it raises [Invalid_argument]. *)
 
 val add : t -> float -> unit
 (** Record one observation.  No boxed allocation on the steady state. *)
@@ -61,15 +67,18 @@ val percentile : t -> float -> float
 (** [percentile t p] for [p] in [0,100], by linear interpolation over
     the sorted samples; 0 if empty.  Exact below [exact_capacity];
     within {!sketch_alpha} relative error (clamped to the exact
-    min/max) beyond it. *)
+    min/max) beyond it.  Raises [Invalid_argument] on a {!moments_only}
+    accumulator. *)
 
 val retained_exactly : t -> bool
-(** Whether every sample is still retained (percentiles are exact). *)
+(** Whether every sample is still retained (percentiles are exact);
+    never for a {!moments_only} accumulator. *)
 
 val merge : t -> t -> t
 (** Combined accumulator over both observation sets.  Moments are
     combined exactly; the sample store stays exact only when both
-    inputs were exact and the union fits the larger capacity. *)
+    inputs were exact and the union fits the larger capacity, and the
+    result is {!moments_only} when either input is. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line [n/mean/stddev/min/max] rendering. *)

@@ -147,9 +147,14 @@ let with_temp f =
   let path = Filename.temp_file "accent_ck" ".ckpt" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
+let write_ok path store ck =
+  Alcotest.(check (result unit string))
+    "written" (Ok ())
+    (Checkpoint.write_file path store ck)
+
 let file_bytes store ck =
   with_temp (fun path ->
-      Checkpoint.write_file path store ck;
+      write_ok path store ck;
       In_channel.with_open_bin path In_channel.input_all)
 
 let read_bytes ?(store = Content_store.create ~capacity_pages:65_536 ()) s =
@@ -418,8 +423,19 @@ let field_rejections () =
     { ck with Checkpoint.mem = [ real [ cold 2 ] ] };
   reject_ck ~reason:"home length 0"
     { ck with Checkpoint.mem = [ real [ cold 0; cold 1 ] ] };
-  reject_ck ~reason:"digest 12345 is not in the page table"
-    (appended ck (real ~lo:top ~digest:12345 [ cold 1 ]));
+  (* the writer refuses a digest the store lacks, so the run appended
+     here names a held one whose bytes are then re-pointed at 12345 *)
+  let held = file_bytes store (appended ck (real ~lo:top [ cold 1 ])) in
+  let encoded d =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int d);
+    Bytes.to_string b
+  in
+  let rec last_at i =
+    if String.sub held i 8 = encoded digest then i else last_at (i - 1)
+  in
+  reject ~reason:"digest 12345 is not in the page table"
+    (reseal (set_int held ~at:(last_at (String.length held - 24)) 12345));
   reject_ck ~reason:"imaginary segment 7 has no backing"
     (appended ck (imag ()));
   reject_ck ~reason:"segment 0 is not positive"
@@ -440,12 +456,70 @@ let field_rejections () =
     { ck with Checkpoint.dirty = [ -3 ] };
   reject_ck ~reason:"resident page 8388608 outside the address space"
     { ck with Checkpoint.resident = [ Vaddr.space_limit / Page.size ] };
-  (* the pages themselves: a file missing one, a store too small *)
-  reject ~reason:"is not in the page table"
-    (file_bytes (Content_store.create ~capacity_pages:4 ()) ck);
+  (* the pages themselves: a store too small to keep them *)
   reject
     ~store:(Content_store.create ~capacity_pages:4 ())
     ~reason:"the store cannot keep every page" (file_bytes store ck)
+
+(* A checkpoint saved into a 4-page store has lost most of its pages:
+   the writer names the first lost digest and writes nothing. *)
+let write_refuses_a_lost_page () =
+  let world, proc =
+    Accent_experiments.Trial.build_only
+      ~spec:Accent_workloads.Representative.minprog ()
+  in
+  let starved = Content_store.create ~capacity_pages:4 () in
+  let ck =
+    Checkpoint.save starved
+      (Proc_image.freeze (Proc_image.capture (World.host world 0) proc))
+  in
+  let lost =
+    List.find
+      (fun d -> not (Content_store.mem starved d))
+      (List.sort_uniq compare (Checkpoint.digests ck))
+  in
+  let path = Filename.temp_file "accent_ck" ".ckpt" in
+  Sys.remove path;
+  match Checkpoint.write_file path starved ck with
+  | Ok () -> Alcotest.fail "wrote a checkpoint with a lost page"
+  | Error msg ->
+      Alcotest.(check string)
+        "names the lost digest"
+        (Printf.sprintf "%s: digest %d is not in the store" path lost)
+        msg;
+      Alcotest.(check bool) "nothing written" false (Sys.file_exists path)
+
+(* Writing reads the store through [peek]: its hit and miss counters and
+   its eviction order match an unwritten twin's.  Each store is full, so
+   the fresh pages inserted afterwards evict half of the checkpoint's; a
+   write that freshened LRU order (in digest order, not the save's) would
+   change which half. *)
+let write_leaves_the_store_alone () =
+  let image = image_of_mode Accent_workloads.Representative.minprog 1 in
+  let pages =
+    let roomy = Content_store.create ~capacity_pages:4096 () in
+    List.length
+      (List.sort_uniq compare (Checkpoint.digests (Checkpoint.save roomy image)))
+  in
+  let fresh () = Content_store.create ~capacity_pages:pages () in
+  let written = fresh () and twin = fresh () in
+  let ck = Checkpoint.save written image in
+  ignore (Checkpoint.save twin image);
+  let counters s = (Content_store.hits s, Content_store.misses s) in
+  let before = counters written in
+  ignore (file_bytes written ck);
+  Alcotest.(check (pair int int)) "hits and misses" before (counters written);
+  Alcotest.(check (pair int int)) "as the twin's" (counters twin) before;
+  List.iter
+    (fun s ->
+      for i = 1 to pages / 2 do
+        Content_store.insert s (Page.pattern_value ~tag:4_242 i)
+      done)
+    [ written; twin ];
+  let kept s = List.filter (Content_store.mem s) (Checkpoint.digests ck) in
+  Alcotest.(check int) "half evicted" (pages / 2)
+    (Content_store.evictions written);
+  Alcotest.(check (list int)) "same pages survive" (kept twin) (kept written)
 
 (* A written page whose bytes change after the save travels with its old
    digest; the store re-derives it and refuses the file. *)
@@ -582,7 +656,7 @@ let file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Checkpoint.write_file path store ck;
+      write_ok path store ck;
       let store' = Content_store.create ~capacity_pages:4096 () in
       let ck' = Result.get_ok (Checkpoint.read_file path store') in
       Alcotest.(check bool)
@@ -670,6 +744,10 @@ let suite =
         Alcotest.test_case "file header rejections" `Quick header_rejections;
         Alcotest.test_case "file byte rejections" `Quick byte_rejections;
         Alcotest.test_case "file field rejections" `Quick field_rejections;
+        Alcotest.test_case "write refuses a lost page" `Quick
+          write_refuses_a_lost_page;
+        Alcotest.test_case "write leaves the store alone" `Quick
+          write_leaves_the_store_alone;
         Alcotest.test_case "file with a corrupted page refused" `Quick
           file_with_corrupted_page;
         Alcotest.test_case "every truncation refused" `Quick

@@ -171,9 +171,9 @@ let test_kernel_counters_after_migration () =
 
 let test_pages_within_explicit_window () =
   let ws = Working_set.create ~window:10_000. in
-  Working_set.reference ws ~time:0. 1;
-  Working_set.reference ws ~time:5_000. 2;
-  Working_set.reference ws ~time:9_000. 3;
+  Working_set.reference ws ~clock:[| 0. |] 1;
+  Working_set.reference ws ~clock:[| 5_000. |] 2;
+  Working_set.reference ws ~clock:[| 9_000. |] 3;
   Alcotest.(check (list int)) "narrow window" [ 2; 3 ]
     (Working_set.pages_within ws ~time:9_000. ~window:5_000.);
   Alcotest.(check (list int)) "wide window" [ 1; 2; 3 ]

@@ -441,9 +441,9 @@ let test_disk_pattern_stays_symbolic () =
 
 let test_working_set_window () =
   let ws = Working_set.create ~window:100. in
-  Working_set.reference ws ~time:0. 1;
-  Working_set.reference ws ~time:50. 2;
-  Working_set.reference ws ~time:120. 3;
+  Working_set.reference ws ~clock:[| 0. |] 1;
+  Working_set.reference ws ~clock:[| 50. |] 2;
+  Working_set.reference ws ~clock:[| 120. |] 3;
   Alcotest.(check int) "page 1 aged out at t=120" 2
     (Working_set.size_at ws ~time:120.);
   Alcotest.(check (list int)) "members" [ 2; 3 ]
@@ -453,8 +453,8 @@ let test_working_set_window () =
 
 let test_working_set_rereference_refreshes () =
   let ws = Working_set.create ~window:100. in
-  Working_set.reference ws ~time:0. 1;
-  Working_set.reference ws ~time:90. 1;
+  Working_set.reference ws ~clock:[| 0. |] 1;
+  Working_set.reference ws ~clock:[| 90. |] 1;
   Alcotest.(check int) "re-reference keeps page in" 1
     (Working_set.size_at ws ~time:150.)
 
@@ -576,7 +576,7 @@ let prop_working_set_equals_fold =
           match kind with
           | 0 | 1 | 2 ->
               now := !now +. (float_of_int a /. 10.);
-              Working_set.reference !ws ~time:!now b;
+              Working_set.reference !ws ~clock:[| !now |] b;
               Hashtbl.replace model b !now
           | 3 ->
               let window = float_of_int (a * 5) in

@@ -378,6 +378,35 @@ let test_server_accounting () =
   Queue_server.reset_accounting server;
   Alcotest.(check int) "reset" 0 (Queue_server.jobs_completed server)
 
+(* The wait accounting is a fixed few words: ten jobs whose waits lie
+   within a decade and 10^5 jobs whose waits spread over seven (1e-3 to
+   1e4 ms) leave the same reachable words. *)
+let test_server_wait_accounting_flat () =
+  let exponent = 7. /. Float.log10 50_000. in
+  let retained_after ~pairs =
+    let engine = Engine.create () in
+    let server = Queue_server.create engine ~name:"s" in
+    for k = 1 to pairs do
+      (* a blocker, then a probe that waits out its service time *)
+      let wait = 1e-3 *. (float_of_int k ** exponent) in
+      ignore
+        (Engine.schedule engine ~delay:(Time.ms (2e4 *. float_of_int k))
+           (fun () ->
+             Queue_server.submit server ~service_time:(Time.ms wait) ignore;
+             Queue_server.submit server ~service_time:(Time.ms 1e-3) ignore))
+    done;
+    ignore (Engine.run engine);
+    let waits = Queue_server.wait_stats server in
+    Alcotest.(check int) "every job waited" (2 * pairs)
+      (Accent_util.Stats.count waits);
+    (waits, Obj.reachable_words (Obj.repr waits))
+  in
+  let _, few = retained_after ~pairs:5 in
+  let waits, many = retained_after ~pairs:50_000 in
+  Alcotest.(check (float 1e-6)) "longest wait 1e4 ms" 1e4
+    (Accent_util.Stats.max_value waits);
+  Alcotest.(check int) "same words after 10 and 10^5 jobs" few many
+
 let test_server_idle_then_busy () =
   let engine = Engine.create () in
   let server = Queue_server.create engine ~name:"s" in
@@ -437,6 +466,8 @@ let suite =
       Alcotest.test_case "ids" `Quick test_ids;
       Alcotest.test_case "server fifo" `Quick test_server_fifo_serialization;
       Alcotest.test_case "server accounting" `Quick test_server_accounting;
+      Alcotest.test_case "server wait accounting flat" `Quick
+        test_server_wait_accounting_flat;
       Alcotest.test_case "server idle then busy" `Quick
         test_server_idle_then_busy;
       Alcotest.test_case "server queue length" `Quick test_server_queue_length;

@@ -80,6 +80,51 @@ let prop_moments_mode_independent =
       && Stats.min_value exact = Stats.min_value sketch
       && Stats.max_value exact = Stats.max_value sketch)
 
+(* A moments-only accumulator runs the same moment updates with no
+   sample store behind them: its six moments equal an exact
+   accumulator's bit for bit, across seven decades of magnitude. *)
+let prop_moments_only_is_exact =
+  QCheck.Test.make ~name:"moments-only = exact Stats, bit for bit"
+    QCheck.(
+      list_of_size
+        Gen.(int_range 0 200)
+        (map
+           (fun (neg, e) -> (if neg then -1. else 1.) *. (10. ** e))
+           (pair bool (float_range (-3.) 4.))))
+    (fun xs ->
+      let exact = Stats.create () and only = Stats.moments_only () in
+      List.iter
+        (fun x ->
+          Stats.add exact x;
+          Stats.add only x)
+        xs;
+      let bits s =
+        List.map Int64.bits_of_float
+          [
+            Stats.total s; Stats.mean s; Stats.variance s; Stats.min_value s;
+            Stats.max_value s;
+          ]
+      in
+      Stats.count only = Stats.count exact && bits only = bits exact)
+
+let test_moments_only_keeps_no_samples () =
+  let s = Stats.moments_only () in
+  List.iter (Stats.add s) [ 1.; 2.; 3. ];
+  Alcotest.(check bool) "not retained" false (Stats.retained_exactly s);
+  Alcotest.check_raises "no percentile"
+    (Invalid_argument
+       "Stats.percentile: a moments-only accumulator keeps no samples")
+    (fun () -> ignore (Stats.percentile s 50.));
+  let m = Stats.merge s (feed [ 4.; 5. ]) in
+  close "merged mean" 3. (Stats.mean m);
+  Alcotest.(check int) "merged count" 5 (Stats.count m);
+  Alcotest.check_raises "merged keeps no samples"
+    (Invalid_argument
+       "Stats.percentile: a moments-only accumulator keeps no samples")
+    (fun () -> ignore (Stats.percentile m 50.));
+  Alcotest.(check int) "empty merge" 0
+    (Stats.count (Stats.merge (Stats.moments_only ()) (Stats.moments_only ())))
+
 let percentile_points = [ 0.; 10.; 25.; 50.; 75.; 90.; 99.; 100. ]
 
 (* Below the retention capacity the accumulator IS the historical
@@ -344,6 +389,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_mean_bounded;
       QCheck_alcotest.to_alcotest prop_welford_matches_naive;
       QCheck_alcotest.to_alcotest prop_moments_mode_independent;
+      QCheck_alcotest.to_alcotest prop_moments_only_is_exact;
+      Alcotest.test_case "moments only keeps no samples" `Quick
+        test_moments_only_keeps_no_samples;
       QCheck_alcotest.to_alcotest prop_percentile_exact_below_capacity;
       QCheck_alcotest.to_alcotest prop_percentile_sketch_within_alpha;
       Alcotest.test_case "bytesize format" `Quick test_bytesize_format;
