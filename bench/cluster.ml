@@ -9,7 +9,8 @@
      - "big_run": a 1000-host run sized to execute over a million
        simulation events, as a single-world scalability probe, with the
        allocation meters on (minor words per event, live words after the
-       departed jobs are released) — smoke mode runs a smaller gate
+       departed jobs are released, and the process's top heap, whose
+       high-water mark the big run sets) — smoke mode runs a smaller gate
        configuration so CI can hold both throughput and allocation to a
        committed baseline (bench/BASELINE_cluster.json);
      - "sweep": the same seed sweep run sequentially and fanned over
@@ -104,15 +105,17 @@ let () =
           ~policy:(Placement_policy.threshold ()) ())
   in
   let r, gc = big.value in
+  let top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
   let events_per_s = Harness.per_sec r.Cluster_scenario.events big.wall_s in
   Printf.printf
     "cluster: big run  %d hosts  %d events  %d migrations  %.2f s wall  \
-     %.0f ev/s  %.1f minor words/event  %d live words after\n\
+     %.0f ev/s  %.1f minor words/event  %d live words after  %d top heap \
+     words\n\
      %!"
     r.Cluster_scenario.hosts_n r.Cluster_scenario.events
     r.Cluster_scenario.migrations big.wall_s events_per_s
     gc.Cluster_scenario.minor_words_per_event
-    gc.Cluster_scenario.live_words_after;
+    gc.Cluster_scenario.live_words_after top_heap_words;
   if (not smoke) && r.Cluster_scenario.events < 1_000_000 then
     failwith
       (Printf.sprintf "cluster: big run executed only %d events (< 1M)"
@@ -147,10 +150,10 @@ let () =
         Printf.sprintf
           "{\"wall_s\": %.3f, \"events_per_s\": %.1f, \"minor_words\": %.0f, \
            \"minor_words_per_event\": %.2f, \"live_words_after\": %d, \
-           \"result\": %s}"
+           \"top_heap_words\": %d, \"result\": %s}"
           big.wall_s events_per_s gc.Cluster_scenario.minor_words
           gc.Cluster_scenario.minor_words_per_event
-          gc.Cluster_scenario.live_words_after
+          gc.Cluster_scenario.live_words_after top_heap_words
           (Cluster_scenario.churn_json r) );
       ( "sweep",
         Printf.sprintf

@@ -52,6 +52,13 @@
                        eight-page extents — the backer's service of
                        one Imaginary Read Request — ns and minor words
                        per page read.
+     footprint         the heap words one churn-shaped job retains
+                       (built on one host, before its first step), and
+                       the words an Interval_map holds at 1, 2, 5 and 9
+                       intervals (CI holds both at or below the
+                       committed rows); then set and clear at random
+                       positions in maps of 1k, 16k and 64k intervals
+                       (reported only: a splice still moves the tail).
      int tables        Int_tbl beside the generic (int, int) Hashtbl.t
                        at 1k, 32k and 1M keys: find (hit and miss),
                        replace of a present key, insert with growth and
@@ -75,11 +82,10 @@ open Accent_mem
    touches — which exercise the lazy-invalidation path — stay valid. *)
 let eviction_storm ~pool ~ops =
   let mem = Phys_mem.create ~frames:pool in
-  Phys_mem.set_evict_handler mem (fun _ _ ~dirty:_ -> ());
+  Phys_mem.set_evict_handler mem (fun ~space_id:_ ~page:_ _ ~dirty:_ -> ());
   for i = 0 to pool - 1 do
     ignore
-      (Phys_mem.allocate mem ~owner:{ Phys_mem.space_id = 0; page = i }
-         Page.zero_value)
+      (Phys_mem.allocate mem ~space_id:0 ~page:i Page.zero_value)
   done;
   let m =
     Harness.measure (fun () ->
@@ -87,7 +93,7 @@ let eviction_storm ~pool ~ops =
           Phys_mem.touch mem (i * 7919 mod pool);
           ignore
             (Phys_mem.allocate mem
-               ~owner:{ Phys_mem.space_id = 0; page = pool + i }
+               ~space_id:0 ~page:(pool + i)
                Page.zero_value)
         done)
   in
@@ -471,8 +477,8 @@ let interval_map_ops ~intervals ~set_ops ~find_ops ~folds =
   let ns_per_find, words_per_find =
     per_op ~ops:find_ops (fun i ->
         match Interval_map.find m ((region i * 64) + 24) with
-        | Some _ -> incr found
-        | None -> ())
+        | _ -> incr found
+        | exception Not_found -> ())
   in
   assert (!found = find_ops);
   let span = min intervals 32 in
@@ -531,6 +537,77 @@ let segment_read ~extents ~reads =
   Printf.sprintf
     {|{"extents": %d, "extent_pages": 8, "reads": %d, "pages_read": %d, "ns_per_page": %.1f, "minor_words_per_page": %.2f}|}
     extents reads !pages ns words
+
+(* --- footprint ------------------------------------------------------------ *)
+
+(* The heap words [jobs] churn jobs add to a one-host world, per job: each
+   is built from the churn scenario's own spec and spawned, as an arrival
+   is, but never stepped, so the row weighs what a queued job holds.  The
+   host's frame table and LRU ring grow with the resident pages, so a
+   job's share of them is counted too.  [Obj.reachable_words] is exact
+   and deterministic: the row is a count, not a timing. *)
+let job_footprint ~jobs =
+  let module C = Accent_experiments.Cluster_scenario in
+  let world = Accent_core.World.create ~n_hosts:1 () in
+  let host = Accent_core.World.host world 0 in
+  let weigh () = Obj.reachable_words (Obj.repr world) in
+  let before = weigh () in
+  for i = 0 to jobs - 1 do
+    let spec = C.churn_job_spec C.default_churn ~think_ms:4_000. i in
+    ignore (Sys.opaque_identity (Accent_workloads.Spec.build host spec))
+  done;
+  let words = (weigh () - before) / jobs in
+  Printf.printf "hotpath: foot   churn job  %8d jobs  %6d words/job\n%!" jobs
+    words;
+  Printf.sprintf {|{"structure": "churn_job", "jobs": %d, "words_per_job": %d}|}
+    jobs words
+
+(* The words a map of [intervals] disjoint one-page intervals holds, each
+   carrying a distinct immediate, built by appends as a space's layout
+   is.  A hundred such maps are weighed together, so the equality
+   closure they share counts once and rounds away. *)
+let map_footprint ~intervals =
+  let copies = 100 in
+  let maps =
+    Array.init copies (fun _ ->
+        let m = Interval_map.create () in
+        for i = 0 to intervals - 1 do
+          Interval_map.set m ~lo:(2 * i) ~hi:((2 * i) + 1) i
+        done;
+        m)
+  in
+  let words = (Obj.reachable_words (Obj.repr maps) - (copies + 1)) / copies in
+  Printf.printf "hotpath: foot   map  %6d intervals  %6d words\n%!" intervals
+    words;
+  Printf.sprintf {|{"structure": "interval_map", "intervals": %d, "words": %d}|}
+    intervals words
+
+(* [ops] set/clear pairs at random positions in a map of [intervals]
+   one-page intervals, two pages apart: the set fills the gap after a
+   random interval with a new value (one insert) and the clear takes it
+   out again (one delete), so the map keeps its size and every splice
+   lands at a random point, moving half the tail on average. *)
+let interval_map_random ~intervals ~ops =
+  let m = Interval_map.create () in
+  for i = 0 to intervals - 1 do
+    Interval_map.set m ~lo:(2 * i) ~hi:((2 * i) + 1) 0
+  done;
+  let rng = Accent_util.Rng.create 7L in
+  let at =
+    Array.init ops (fun _ -> (2 * Accent_util.Rng.int rng intervals) + 1)
+  in
+  let ns, _ =
+    per_op ~ops (fun i ->
+        let lo = at.(i) in
+        Interval_map.set m ~lo ~hi:(lo + 1) 1;
+        Interval_map.clear m ~lo ~hi:(lo + 1))
+  in
+  assert (Interval_map.cardinal m = intervals);
+  Printf.printf "hotpath: imrnd  n %6d  %6d random set+clear %8.1f ns/op\n%!"
+    intervals ops (ns /. 2.);
+  Printf.sprintf
+    {|{"structure": "interval_map_random", "intervals": %d, "set_clear_pairs": %d, "ns_per_op": %.1f}|}
+    intervals ops (ns /. 2.)
 
 (* --- int tables ------------------------------------------------------- *)
 
@@ -715,6 +792,14 @@ let () =
         segment_read ~extents ~reads:(if smoke then 2_000 else 200_000))
       [ 1; 64; 512 ]
   in
+  let footprint =
+    (job_footprint ~jobs:100
+    :: List.map (fun intervals -> map_footprint ~intervals) [ 1; 2; 5; 9 ])
+    @ List.map
+        (fun intervals ->
+          interval_map_random ~intervals ~ops:(if smoke then 200 else 20_000))
+        [ 1_024; 16_384; 65_536 ]
+  in
   let tables =
     List.concat_map
       (fun keys ->
@@ -737,5 +822,6 @@ let () =
       ("reference_path", Harness.rows refs);
       ("interval_map", Harness.rows imap);
       ("segment_read", Harness.rows segment);
+      ("footprint", Harness.rows footprint);
       ("int_tbl", Harness.rows tables);
     ]

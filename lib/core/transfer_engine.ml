@@ -316,7 +316,7 @@ let handle_ack t ~proc_id ~round =
   match Hashtbl.find_opt t.outbound proc_id with
   | None -> Logs.warn (fun m -> m "MigrationManager: stray push ack")
   | Some push ->
-      let dirty = Hashtbl.length push.proc.Proc.written_log in
+      let dirty = Accent_util.Int_tbl.length push.proc.Proc.written_log in
       if round >= push.max_rounds || dirty <= push.threshold_pages then
         freeze t ~proc:push.proc ~dest:push.dest ~handoff:push.handoff
           (Residual push)

@@ -67,6 +67,12 @@ type churn_config = {
 
 val default_churn : churn_config
 
+val churn_job_spec :
+  churn_config -> think_ms:float -> int -> Accent_workloads.Spec.t
+(** The [i]th churn job's spec: [job_pages] real pages in two runs under
+    one VM segment, as many zero-fill pages, [job_refs] references with
+    [think_ms] of compute in all. *)
+
 type churn_result = {
   policy_name : string;
   hosts_n : int;

@@ -61,13 +61,12 @@ let create engine ~ids ~id ~name ~costs ~link ~registry ~monitor =
   Accent_net.Net_registry.set_port_home registry (Pager.port pager)
     ~host_id:id;
   (* Evicted frames page out to the owning space's slot on the local disk. *)
-  Phys_mem.set_evict_handler mem (fun owner data ~dirty ->
-      match Hashtbl.find_opt t.spaces owner.Phys_mem.space_id with
-      | Some space -> Address_space.evict_page space owner.Phys_mem.page data ~dirty
-      | None ->
+  Phys_mem.set_evict_handler mem (fun ~space_id ~page data ~dirty ->
+      match Hashtbl.find t.spaces space_id with
+      | space -> Address_space.evict_page space page data ~dirty
+      | exception Not_found ->
           Logs.warn (fun m ->
-              m "%s: evicting frame of unknown space %d" name
-                owner.Phys_mem.space_id));
+              m "%s: evicting frame of unknown space %d" name space_id));
   t
 
 let id t = t.id

@@ -1,6 +1,7 @@
 open Accent_sim
 open Accent_mem
 open Accent_ipc
+module Int_tbl = Accent_util.Int_tbl
 
 exception Bad_memory_reference of { proc : string; page : int }
 
@@ -61,11 +62,15 @@ let register_segment t ~space_id ~segment_id ~backing_port ~offset ~len ~vaddr
 
 let backing_port t ~segment_id = Hashtbl.find_opt t.segment_ports segment_id
 
+(* The address a segment offset is mapped at, or -1 off the layout; no
+   option is built per page of a reply. *)
 let vaddr_of_offset t ~segment_id ~offset =
-  match Hashtbl.find_opt t.layouts segment_id with
-  | None -> None
-  | Some layout ->
-      Option.map (fun delta -> offset + delta) (Interval_map.find layout offset)
+  match Hashtbl.find t.layouts segment_id with
+  | layout -> (
+      match Interval_map.find layout offset with
+      | delta -> offset + delta
+      | exception Not_found -> -1)
+  | exception Not_found -> -1
 
 let drop_bindings t ~space_id ~notify =
   match Hashtbl.find_opt t.segments_of_space space_id with
@@ -121,22 +126,24 @@ let handle_reply t ~segment_id ~offset ~page_data =
              Page_run.iteri
                (fun i data ->
                  let page_offset = offset + (i * Page.size) in
-                 match vaddr_of_offset t ~segment_id ~offset:page_offset with
-                 | None -> () (* off the end of the mapped layout *)
-                 | Some vaddr -> (
-                     let idx = Page.index_of_addr vaddr in
-                     match Address_space.presence_of_page space idx with
-                     | Imaginary_pending _ ->
-                         Address_space.resolve_imaginary_fault space idx data;
-                         if i > 0 then begin
-                           Hashtbl.replace proc.Proc.prefetched_pending idx ();
-                           proc.Proc.prefetch_extra <-
-                             proc.Proc.prefetch_extra + 1;
-                           t.on_prefetch proc `Issued
-                         end
-                     | Resident _ | Paged_out | Zero_pending | Invalid ->
-                         (* already materialised some other way; drop *)
-                         ()))
+                 let vaddr =
+                   vaddr_of_offset t ~segment_id ~offset:page_offset
+                 in
+                 (* -1: off the end of the mapped layout *)
+                 if vaddr >= 0 then
+                   let idx = Page.index_of_addr vaddr in
+                   match Address_space.presence_of_page space idx with
+                   | Imaginary_pending _ ->
+                       Address_space.resolve_imaginary_fault space idx data;
+                       if i > 0 then begin
+                         Int_tbl.replace proc.Proc.prefetched_pending idx ();
+                         proc.Proc.prefetch_extra <-
+                           proc.Proc.prefetch_extra + 1;
+                         t.on_prefetch proc `Issued
+                       end
+                   | Resident _ | Paged_out | Zero_pending | Invalid ->
+                       (* already materialised some other way; drop *)
+                       ())
                page_data;
              k ())
 
@@ -215,10 +222,10 @@ let reference t proc page ~k =
     ~clock:(Engine.clock t.engine) page;
   (* only prefetching processes ever fill this table *)
   if
-    Hashtbl.length proc.Proc.prefetched_pending > 0
-    && Hashtbl.mem proc.Proc.prefetched_pending page
+    Int_tbl.length proc.Proc.prefetched_pending > 0
+    && Int_tbl.mem proc.Proc.prefetched_pending page
   then begin
-    Hashtbl.remove proc.Proc.prefetched_pending page;
+    Int_tbl.remove proc.Proc.prefetched_pending page;
     proc.Proc.prefetch_hits <- proc.Proc.prefetch_hits + 1;
     t.on_prefetch proc `Hit
   end;

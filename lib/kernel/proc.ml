@@ -10,11 +10,11 @@ type t = {
   mutable finished_at : Accent_sim.Time.t option;
   mutable on_complete : (t -> unit) option;
   working_set : Accent_mem.Working_set.t;
-  prefetched_pending : (Accent_mem.Page.index, unit) Hashtbl.t;
+  prefetched_pending : unit Accent_util.Int_tbl.t;
   mutable prefetch_extra : int;
   mutable prefetch_hits : int;
   mutable failed : bool;
-  written_log : (Accent_mem.Page.index, unit) Hashtbl.t;
+  written_log : unit Accent_util.Int_tbl.t;
   mutable in_flight : bool;
 }
 
@@ -32,11 +32,11 @@ let create ~id ~name ~trace ?(ports = []) ~space () =
     on_complete = None;
     working_set =
       Accent_mem.Working_set.create ~window:(Accent_sim.Time.seconds 10.);
-    prefetched_pending = Hashtbl.create 16;
+    prefetched_pending = Accent_util.Int_tbl.create 16;
     prefetch_extra = 0;
     prefetch_hits = 0;
     failed = false;
-    written_log = Hashtbl.create 16;
+    written_log = Accent_util.Int_tbl.create 16;
     in_flight = false;
   }
 
@@ -54,11 +54,11 @@ let reincarnate ~id ~name ~pcb ~trace ~ports ~space =
     on_complete = None;
     working_set =
       Accent_mem.Working_set.create ~window:(Accent_sim.Time.seconds 10.);
-    prefetched_pending = Hashtbl.create 16;
+    prefetched_pending = Accent_util.Int_tbl.create 16;
     prefetch_extra = 0;
     prefetch_hits = 0;
     failed = false;
-    written_log = Hashtbl.create 16;
+    written_log = Accent_util.Int_tbl.create 16;
     in_flight = false;
   }
 
@@ -78,10 +78,14 @@ let remote_execution_time t =
   | Some a, Some b -> Some (Accent_sim.Time.diff b a)
   | _ -> None
 
+let written_pages t =
+  Accent_util.Int_tbl.fold (fun page () acc -> page :: acc) t.written_log []
+  |> List.sort Int.compare
+
 let drain_written_log t =
-  let pages = Hashtbl.fold (fun page () acc -> page :: acc) t.written_log [] in
-  Hashtbl.reset t.written_log;
-  List.sort Int.compare pages
+  let pages = written_pages t in
+  Accent_util.Int_tbl.reset t.written_log;
+  pages
 
 let write_marker = '\xAB'
 
@@ -95,4 +99,4 @@ let apply_write t page =
       Accent_mem.Address_space.write_page space page
         (Accent_mem.Page.of_bytes data)
   | None -> invalid_arg "Proc.apply_write: page not materialised");
-  Hashtbl.replace t.written_log page ()
+  Accent_util.Int_tbl.replace t.written_log page ()

@@ -40,9 +40,7 @@ let capture host proc =
     mem;
     backings;
     ws = Working_set.export proc.Proc.working_set;
-    dirty =
-      Hashtbl.fold (fun page () acc -> page :: acc) proc.Proc.written_log []
-      |> List.sort compare;
+    dirty = Proc.written_pages proc;
     resident = List.map fst (Address_space.resident_pages space);
   }
 
@@ -199,5 +197,7 @@ let restore host t =
       ~ports:t.core.Context.port_rights ~space
   in
   Working_set.import proc.Proc.working_set t.ws;
-  List.iter (fun p -> Hashtbl.replace proc.Proc.written_log p ()) t.dirty;
+  List.iter
+    (fun p -> Accent_util.Int_tbl.replace proc.Proc.written_log p ())
+    t.dirty;
   proc

@@ -17,8 +17,8 @@ let of_ranges ranges =
 
 let classify t addr =
   match Interval_map.find t addr with
-  | Some cls -> cls
-  | None -> Accessibility.Bad_mem
+  | cls -> cls
+  | exception Not_found -> Accessibility.Bad_mem
 
 let ranges t = Interval_map.ranges t
 

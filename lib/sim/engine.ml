@@ -21,6 +21,7 @@ let rng t label = Accent_util.Rng.of_label t.root_rng label
 (* the delay goes to the queue as given, so nothing is boxed *)
 let schedule t ~delay f = Event_queue.push_after t.queue ~delay f
 let post t ~delay f = ignore (Event_queue.push_after t.queue ~delay f)
+let post_at t cell i f = Event_queue.push_after_at t.queue cell i f
 let cancel t handle = Event_queue.cancel t.queue handle
 
 let step t =

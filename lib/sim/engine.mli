@@ -35,6 +35,12 @@ val post : t -> delay:Time.t -> (unit -> unit) -> unit
 (** {!schedule} for events that will never be cancelled: the handle is
     dropped. *)
 
+val post_at : t -> float array -> int -> (unit -> unit) -> unit
+(** [post_at t cell i f] is [post t ~delay:cell.(i) f] with the delay
+    read inside the queue: a delay computed in another module and
+    handed to {!post} is boxed at the call under separate compilation,
+    one kept in a flat float array is not. *)
+
 val cancel : t -> Event_queue.handle -> unit
 
 val run : ?limit:Time.t -> t -> Time.t

@@ -157,15 +157,20 @@ let push t ~time payload =
   sift_up t (t.len - 1);
   handle
 
-(* The float arithmetic stays inside this function, so the engine's
-   schedule passes its delay through and boxes nothing. *)
-let push_after t ~delay payload =
+(* The float arithmetic stays inside this module, so the engine's
+   schedule passes its delay through and boxes nothing, and
+   [push_after_at] reads its delay from the caller's cell. *)
+let[@inline] push_delayed t delay payload =
   let handle = append t payload in
   t.times.(t.len - 1) <- t.clock.(0) +. (if delay < 0. then 0. else delay);
   sift_up t (t.len - 1);
   handle
 
+let push_after t ~delay payload = push_delayed t delay payload
 let push_unit t ~time payload = ignore (push t ~time payload)
+
+let push_after_at t cell i payload =
+  ignore (push_delayed t cell.(i) payload)
 
 (* Filter the dead entries out, freeing their slots, and heapify what is
    left.  Because the order is strictly total, the rebuilt heap pops in

@@ -49,6 +49,12 @@ val push_after : 'a t -> delay:Time.t -> 'a -> handle
 val push_unit : 'a t -> time:Time.t -> 'a -> unit
 (** {!push} for events that will never be cancelled. *)
 
+val push_after_at : 'a t -> float array -> int -> 'a -> unit
+(** [push_after_at t cell i p] is {!push_after} with [~delay:cell.(i)],
+    for an event that will never be cancelled.  The delay is read here,
+    so a caller in another module that keeps it in a flat float array
+    boxes nothing. *)
+
 val cancel : 'a t -> handle -> unit
 (** Cancel the event; a no-op if it already fired or was cancelled, or
     on {!no_handle}.

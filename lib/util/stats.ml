@@ -172,7 +172,7 @@ let store_sample t x =
 
 (* --- the accumulator ---------------------------------------------------- *)
 
-let add t x =
+let[@inline] add_value t x =
   t.count <- t.count + 1;
   let m = t.moments in
   m.(i_total) <- m.(i_total) +. x;
@@ -182,6 +182,11 @@ let add t x =
   if x < m.(i_min) then m.(i_min) <- x;
   if x > m.(i_max) then m.(i_max) <- x;
   if t.exact_capacity <> no_store then store_sample t x
+
+let add t x = add_value t x
+
+(* the sample is read here, so it never crosses a module boxed *)
+let add_at t cell i = add_value t cell.(i)
 
 let count t = t.count
 let total t = t.moments.(i_total)

@@ -43,6 +43,12 @@ val moments_only : unit -> t
 val add : t -> float -> unit
 (** Record one observation.  No boxed allocation on the steady state. *)
 
+val add_at : t -> float array -> int -> unit
+(** [add_at t cell i] records [cell.(i)].  A float passed to {!add} from
+    another module is boxed at the call unless the compiler can see
+    both sides; read out of a flat float array here, it never is.  For
+    per-job paths that keep their times in such a cell. *)
+
 val clear : t -> unit
 (** Reset to the freshly-created state, dropping retained samples. *)
 

@@ -229,6 +229,54 @@ let test_interning_and_segment_sharing () =
   Alcotest.(check bool) "digest survives the drop" true
     (Content_store.mem store (d 3))
 
+(* With dedup on, a banked extent registers every page's digest in page
+   order and holds the index's copy of each page, Gen parts included:
+   every read of any segment then hands out one shared value per
+   content, which is what the pages pulled into a destination's frames
+   point at.  (Keeping a Gen part as a generator would save the store
+   its array word per page but give each reader a fresh 3-word value.)
+   A twin store fed the same pages as one plain array counts the same
+   insertions and interns. *)
+let test_banked_extent_shares_values () =
+  let literal c = Page.of_bytes (Bytes.make Page.size c) in
+  let banked () =
+    Page_run.concat
+      [
+        Page_run.pattern ~tag:0x51 ~first:0 ~len:64;
+        Page_run.of_array [| literal 'a'; literal 'b'; literal 'a' |];
+        Page_run.pattern ~tag:0x51 ~first:8 ~len:4;
+      ]
+  in
+  let store = Content_store.create ~dedup:true ~capacity_pages:256 () in
+  let twin = Content_store.create ~dedup:true ~capacity_pages:256 () in
+  List.iter
+    (fun segment_id ->
+      Content_store.put_extent store ~segment_id ~offset:0 (banked ());
+      Content_store.put_extent twin ~segment_id ~offset:0
+        (Page_run.of_array (Page_run.to_array (banked ()))))
+    [ 1; 2 ];
+  let count f = (f store, f twin) in
+  Alcotest.(check (pair int int)) "insertions" (66, 66)
+    (count Content_store.insertions);
+  Alcotest.(check (pair int int)) "interned" (76, 76)
+    (count Content_store.interned);
+  let read s segment_id =
+    Content_store.read_run s ~segment_id ~offset:0 ~pages:71
+  in
+  List.iter
+    (fun segment_id ->
+      Alcotest.(check bool) "same pages as banked" true
+        (Page_run.equal (banked ()) (read store segment_id));
+      Alcotest.(check bool) "same pages as the twin" true
+        (Page_run.equal (read twin segment_id) (read store segment_id)))
+    [ 1; 2 ];
+  let page segment_id k = Page_run.get (read store segment_id) k in
+  Alcotest.(check bool) "Gen page shared across segments" true
+    (page 1 5 == page 2 5 && page 1 5 == page 1 5);
+  Alcotest.(check bool) "repeated Gen page shared" true (page 1 8 == page 1 67);
+  Alcotest.(check bool) "duplicate literal shared" true
+    (page 1 66 == page 1 64 && page 2 65 == page 1 65)
+
 (* The backing server and the NMS cache share one physical store per
    host — the point of the subsystem. *)
 let test_store_shared_per_host () =
@@ -315,6 +363,8 @@ let suite =
         test_wire_insert_rejects_mismatch;
       Alcotest.test_case "duplicate puts intern to one copy" `Quick
         test_interning_and_segment_sharing;
+      Alcotest.test_case "banked extent shares interned values" `Quick
+        test_banked_extent_shares_values;
       Alcotest.test_case "backing server and NMS share the store" `Quick
         test_store_shared_per_host;
       Alcotest.test_case "lossy wire never poisons the store" `Quick

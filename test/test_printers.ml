@@ -68,13 +68,13 @@ let test_phys_mem_full_without_handler () =
   let mem = Phys_mem.create ~frames:1 in
   ignore
     (Phys_mem.allocate mem
-       ~owner:{ Phys_mem.space_id = 1; page = 0 }
+       ~space_id:1 ~page:0
        Page.zero_value);
   Alcotest.check_raises "no evict handler"
     (Failure "Phys_mem: pool full and no evict handler set") (fun () ->
       ignore
         (Phys_mem.allocate mem
-           ~owner:{ Phys_mem.space_id = 1; page = 1 }
+           ~space_id:1 ~page:1
            Page.zero_value))
 
 let test_kernel_cost_threshold_boundary () =

@@ -407,6 +407,36 @@ let test_server_wait_accounting_flat () =
     (Accent_util.Stats.max_value waits);
   Alcotest.(check int) "same words after 10 and 10^5 jobs" few many
 
+(* Serving a job allocates nothing: its wait and service time pass to
+   the stats and the engine as cells, not as float arguments, which the
+   dev profile's separate compilation would box.  Each completion
+   submits the next job, so the ring and the event queue keep their
+   size after the warm-up; the service time is a constant, so the
+   caller boxes nothing either. *)
+let test_server_job_allocates_nothing () =
+  let engine = Engine.create () in
+  let server = Queue_server.create engine ~name:"s" in
+  let left = ref 0 in
+  let rec next () =
+    if !left > 0 then begin
+      decr left;
+      Queue_server.submit server ~service_time:0.5 next
+    end
+  in
+  let serve n =
+    left := n;
+    Queue_server.submit server ~service_time:0.5 next;
+    Queue_server.submit server ~service_time:0.5 ignore;
+    ignore (Engine.run engine)
+  in
+  serve 1_000;
+  let words0 = Gc.minor_words () in
+  serve 100_000;
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check int) "served" 101_004 (Queue_server.jobs_completed server);
+  if words >= 64. then
+    Alcotest.failf "100k jobs allocated %.0f minor words" words
+
 let test_server_idle_then_busy () =
   let engine = Engine.create () in
   let server = Queue_server.create engine ~name:"s" in
@@ -466,6 +496,8 @@ let suite =
       Alcotest.test_case "ids" `Quick test_ids;
       Alcotest.test_case "server fifo" `Quick test_server_fifo_serialization;
       Alcotest.test_case "server accounting" `Quick test_server_accounting;
+      Alcotest.test_case "server job allocates nothing" `Quick
+        test_server_job_allocates_nothing;
       Alcotest.test_case "server wait accounting flat" `Quick
         test_server_wait_accounting_flat;
       Alcotest.test_case "server idle then busy" `Quick
