@@ -205,7 +205,10 @@ val region_count : t -> int
     makes Accent AMap construction expensive. *)
 
 val vm_segment_count : t -> int
-(** Number of labelled VM segments (code, stack, mapped files...). *)
+(** Number of distinct VM segment labels (code, stack, mapped files...)
+    the space's installs carried: a label counts once however many runs
+    carry it, unlabelled installs share one label, and an imported
+    image is one segment. *)
 
 val touched_pages : t -> int
 (** Distinct pages referenced via {!reference} since creation; {!destroy}
