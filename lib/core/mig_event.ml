@@ -59,10 +59,14 @@ type subs = {
   mutable n_subs : int;
 }
 
+(* A migration's fold step, and whether a Transport_give_up or
+   Engine_abort has passed through it. *)
+type route = { step : t -> unit; mutable impaired : bool }
+
 type bus = {
   all : subs;
   cleanup : subs;  (* sees only Transport_give_up / Engine_abort *)
-  routes : (int, t -> unit) Hashtbl.t;  (* each migration's fold step *)
+  routes : (int, route) Hashtbl.t;
 }
 
 let create_bus () =
@@ -92,20 +96,29 @@ let subs_notify s ev =
 let subscribe bus f = subs_add bus.all f
 let subscribe_cleanup bus f = subs_add bus.cleanup f
 
-let register bus ~proc_id step = Hashtbl.replace bus.routes proc_id step
+let register bus ~proc_id step =
+  Hashtbl.replace bus.routes proc_id { step; impaired = false }
+
 let tracked bus ~proc_id = Hashtbl.mem bus.routes proc_id
+
+let open_routes bus =
+  Hashtbl.fold
+    (fun proc_id r acc -> if r.impaired then acc else proc_id :: acc)
+    bus.routes []
+  |> List.sort Int.compare
 
 let publish bus ev =
   (match Hashtbl.find bus.routes ev.proc_id with
-  | step ->
-      step ev;
+  | r -> (
+      r.step ev;
       (* The Outcome is terminal, so drop the route: the table then
          scales with in-flight migrations, not with every migration a
-         churn run ever completed.  An aborted migration's route stays —
-         a checkpoint restore may still stamp it — until the process's
-         next registration replaces it. *)
-      (match ev.kind with
+         churn run ever completed.  An abandoned migration's route stays
+         — a checkpoint restore may still stamp it — until an Outcome or
+         the process's next registration ends it. *)
+      match ev.kind with
       | Outcome _ -> Hashtbl.remove bus.routes ev.proc_id
+      | Transport_give_up | Engine_abort _ -> r.impaired <- true
       | _ -> ())
   | exception Not_found -> ());
   (match ev.kind with

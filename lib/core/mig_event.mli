@@ -107,13 +107,30 @@ val subscribe_cleanup : bus -> (t -> unit) -> unit
 
 val register : bus -> proc_id:int -> (t -> unit) -> unit
 (** Route events for [proc_id] to a fold step: each published event with
-    that id is passed to it before any subscriber sees the event.  The
-    route is dropped after the [Outcome] event.  A later registration for
-    the same process replaces the earlier one (re-migration). *)
+    that id is passed to it before any subscriber sees the event.  A
+    later registration for the same process replaces the earlier one
+    (re-migration).
+
+    The route rule: a route ends with the [Outcome] event, which drops
+    it.  An {e impaired} migration's route stays — a checkpoint restore
+    may still stamp it — until an [Outcome] or the next registration
+    ends it, and neither may ever come.  A migration is impaired when
+    its route saw a [Transport_give_up] or [Engine_abort] (an Aborted
+    migration nothing restored), or when the pager killed the relocated
+    process after an unanswerable fault (a Degraded one: the fault's
+    give-up belongs to no migration message, so the bus never hears of
+    it and only the process's [failed] flag records it).  Any other
+    route still held once the world is quiescent belongs to a migration
+    that stalled without a word: a leak, which [World.audit] reports. *)
 
 val tracked : bus -> proc_id:int -> bool
 (** Whether a route is registered for [proc_id]: a migration of
     it was requested and has not yet published its [Outcome]. *)
+
+val open_routes : bus -> int list
+(** The proc ids, ascending, whose route has seen neither an [Outcome]
+    nor a [Transport_give_up]/[Engine_abort].  At quiescence each must
+    be a process the pager killed. *)
 
 val publish : bus -> t -> unit
 (** Pass the event to its process's fold step (if one is registered),

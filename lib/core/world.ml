@@ -43,6 +43,51 @@ let run ?limit t = Engine.run ?limit t.engine
 let message_seconds t =
   Array.fold_left (fun acc h -> acc +. Host.message_seconds h) 0. t.hosts
 
+let audit t =
+  let faults = ref [] in
+  let fault fmt = Printf.ksprintf (fun s -> faults := s :: !faults) fmt in
+  Array.iteri
+    (fun i h ->
+      let in_use = Accent_mem.Phys_mem.in_use (Host.mem h)
+      and resident = Host.resident_pages h in
+      if in_use <> resident then
+        fault "host %d frames: %d in use, %d resident in its spaces" i in_use
+          resident;
+      List.iter
+        (fun (engine, counters) ->
+          List.iter
+            (fun (counter, n) ->
+              if n <> 0 then fault "host %d %s.%s = %d" i engine counter n)
+            counters)
+        (Migration_manager.engine_stats t.managers.(i));
+      let store = Netmsgserver.content_store (Host.nms h) in
+      if not (Content_store.verify store) then
+        fault "host %d store verify: a value does not hash to its digest" i;
+      let held = Content_store.segment_count store
+      and owned = Host.segments_owned h in
+      if held <> owned then
+        fault "host %d store segments: %d held, %d owned by live backers" i
+          held owned)
+    t.hosts;
+  (* the one impaired route the bus cannot see: the pager killed the
+     relocated process *)
+  let killed proc_id =
+    Array.exists
+      (fun h ->
+        match Host.find_proc h proc_id with
+        | Some p -> p.Proc.failed
+        | None -> false)
+      t.hosts
+  in
+  List.iter
+    (fun proc_id ->
+      if not (killed proc_id) then
+        fault "bus route: proc %d saw no outcome, give-up or pager kill"
+          proc_id)
+    (Mig_event.open_routes t.bus);
+  if !faults <> [] then
+    failwith ("World.audit:\n" ^ String.concat "\n" (List.rev !faults))
+
 let reset_accounting t =
   Transfer_monitor.reset t.monitor;
   Array.iter
@@ -78,4 +123,5 @@ let migrate_and_run ?(after_ms = 0.) t ~proc ~src ~dst ~strategy =
     failwith
       (Printf.sprintf "World.migrate_and_run: %s never completed"
          proc.Proc.name);
+  audit t;
   report

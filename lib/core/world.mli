@@ -44,6 +44,25 @@ val now : t -> Accent_sim.Time.t
 val run : ?limit:Accent_sim.Time.t -> t -> Accent_sim.Time.t
 (** Run the engine until quiescent (or until [limit]). *)
 
+val audit : t -> unit
+(** Check, at quiescence, what every layer promises to let go of once its
+    migrations end.  Raises [Failure] listing every violation, one per
+    line, each naming the host (or process) and the counter:
+    - [frames]: each host's [Phys_mem.in_use] equals
+      {!Accent_kernel.Host.resident_pages};
+    - [transfer.*], [dedup.*]: every {!Migration_manager.engine_stats}
+      counter is 0;
+    - [store verify]: {!Accent_net.Content_store.verify} holds on every
+      host's store;
+    - [store segments]: each host store holds exactly the segments its
+      live backers own ({!Accent_kernel.Host.segments_owned});
+    - [bus route]: every route the bus still holds is impaired (the
+      rule at {!Mig_event.register}): it saw a give-up or an abort, or
+      its process was killed by the pager.
+
+    [migrate_and_run], and the cluster, churn and crash-recovery runners,
+    call it before they return. *)
+
 val message_seconds : t -> float
 (** Total message-manipulation time across all hosts — the Figure 4-4
     quantity. *)

@@ -104,6 +104,7 @@ let run ?(config = default_config) ~policy ~label () =
     (List.init config.n_jobs (job_spec config));
   let migrator = Option.map (Auto_migrator.start world) policy in
   ignore (World.run world);
+  World.audit world;
   harvest_relocated world arrived ~f:(fun _ s ->
       Accent_util.Stats.add turnarounds s);
   {
@@ -321,6 +322,7 @@ let run_churn_aux ?(config = default_churn) ~(policy : Placement_policy.t) () =
       }
   in
   ignore (World.run world);
+  World.audit world;
   let sim_s = Time.to_seconds (World.now world) in
   let migrations = Auto_migrator.migrations_triggered migrator in
   harvest_relocated world arrived ~f:(fun h s ->

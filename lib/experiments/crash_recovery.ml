@@ -180,6 +180,7 @@ let crash_trial ~seed ~spec ~strategy ~kill_frac ~kill_ms ~clean_downtime_s =
     trigger_restore ();
     ignore (World.run world)
   end;
+  World.audit world;
   let recovered = !recovering in
   let completed = !completed_at <> None in
   let kill_s = kill_ms /. 1000. in

@@ -18,6 +18,7 @@ type t = {
   registry : Accent_net.Net_registry.t;
   spaces : (int, Address_space.t) Hashtbl.t;
   procs : (int, Proc.t) Hashtbl.t;
+  mutable backers : Accent_net.Backing_server.t list; (* [new_backer]'s *)
 }
 
 let create engine ~ids ~id ~name ~costs ~link ~registry ~monitor =
@@ -56,6 +57,7 @@ let create engine ~ids ~id ~name ~costs ~link ~registry ~monitor =
       registry;
       spaces = Hashtbl.create 8;
       procs = Hashtbl.create 8;
+      backers = [];
     }
   in
   Accent_net.Net_registry.set_port_home registry (Pager.port pager)
@@ -97,10 +99,14 @@ let new_port t =
   port
 
 let new_backer t ~service_ms =
-  Accent_net.Backing_server.create t.engine ~ids:t.ids ~kernel:t.kernel
-    ~registry:t.registry ~host_id:t.id
-    ~store:(Accent_net.Netmsgserver.content_store t.nms)
-    ~service_ms
+  let backer =
+    Accent_net.Backing_server.create t.engine ~ids:t.ids ~kernel:t.kernel
+      ~registry:t.registry ~host_id:t.id
+      ~store:(Accent_net.Netmsgserver.content_store t.nms)
+      ~service_ms
+  in
+  t.backers <- backer :: t.backers;
+  backer
 
 let spawn t ~name ~trace ~space ?(n_ports = 2) () =
   let ports = List.init n_ports (fun _ -> new_port t) in
@@ -152,3 +158,16 @@ let message_seconds t =
     (Time.add
        (Accent_net.Netmsgserver.busy_time t.nms)
        (Queue_server.busy_time t.cpu))
+
+let resident_pages t =
+  Hashtbl.fold
+    (fun _ space acc -> acc + Address_space.resident_page_count space)
+    t.spaces 0
+
+(* Failed backers own nothing ([Backing_server.fail] drops every owned
+   segment), so counting them changes no sum. *)
+let segments_owned t =
+  List.fold_left
+    (fun acc b -> acc + Accent_net.Backing_server.segments_alive b)
+    (Accent_net.Netmsgserver.segments_backed t.nms)
+    t.backers

@@ -85,3 +85,13 @@ val release_ports : t -> Proc.t -> unit
 val message_seconds : t -> float
 (** Seconds this host has spent handling messages (NetMsgServer CPU plus
     kernel IPC CPU) — the per-node quantity summed in Figure 4-4. *)
+
+val resident_pages : t -> int
+(** Resident pages summed over the spaces registered here; equals
+    [Phys_mem.in_use (mem t)] while every frame belongs to one of them. *)
+
+val segments_owned : t -> int
+(** Segments in the host's content store that a live backer owns: the
+    NetMsgServer's IOU-cache backer and every {!new_backer}.  Equals
+    [Content_store.segment_count] of that store while nothing else
+    banks into it. *)

@@ -2,8 +2,11 @@
 
     A page's contents are an immutable {!value}: either symbolic ([Zero],
     or [Pattern] — deterministically generated from a [(tag, idx)] key) or
-    a materialized [Literal].  Symbolic pages cost no heap space and are
-    never copied however many hops they travel; a page only becomes
+    a materialized [Literal].  Symbolic pages hold no page bytes and are
+    never copied however many hops they travel; [Zero] is a constant and
+    costs no heap space, while a [Pattern] value is a 3-word block (one
+    is built per page whenever a generator run is read page by page:
+    {!Page_run.get}, [iteri], [to_array]).  A page only becomes
     [Literal] when something actually writes to it ([of_bytes] at the
     mutation edge).  Every value carries (or can derive in O(1) amortized
     time) a digest equal to {!checksum} of its materialized bytes, so the
@@ -115,7 +118,8 @@ val equal_value : value -> value -> bool
     symbolic values and digest-mismatched literals. *)
 
 val is_symbolic : value -> bool
-(** [true] for [Zero] and [Pattern] — pages that occupy no heap. *)
+(** [true] for [Zero] and [Pattern] — pages that hold no bytes ([Zero]
+    occupies no heap; a [Pattern] value is a 3-word block). *)
 
 val values_of_bytes : bytes -> value array
 (** Split a page-multiple buffer into one value per page (copying;

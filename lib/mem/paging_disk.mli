@@ -5,7 +5,8 @@
     disk fault is charged by the kernel's cost model, and queueing for the
     disk arm is modelled with a {!Accent_sim.Queue_server} at the host
     level.  Values are immutable, so the store never copies page bytes;
-    a symbolic page costs no heap however long it sits on disk. *)
+    a symbolic page holds no bytes however long it sits on disk (a
+    [Pattern] is its 3-word value, [Zero] nothing). *)
 
 type t
 type block_id = int

@@ -226,6 +226,7 @@ let read_run t ~segment_id ~offset ~pages =
       Page_run.builder_run b
 
 let has_segment t ~segment_id = Int_tbl.mem t.segs segment_id
+let segment_count t = Int_tbl.length t.segs
 
 let segment_pages t ~segment_id =
   match Int_tbl.find_opt t.segs segment_id with

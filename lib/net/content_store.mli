@@ -109,6 +109,9 @@ val read_run :
 
 val has_segment : t -> segment_id:int -> bool
 
+val segment_count : t -> int
+(** Segments the store holds, whoever banked them. *)
+
 val segment_pages : t -> segment_id:int -> int
 (** Pages the segment's extents hold. *)
 

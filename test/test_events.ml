@@ -39,22 +39,6 @@ let test_unknown_payload_with_memory () =
   ignore (World.run world);
   Alcotest.(check pass) "unknown payload with memory did not raise" () ()
 
-(* Every engine counter of every host must be 0 once no migration is in
-   flight. *)
-let check_engines_drained world =
-  Array.iteri
-    (fun i manager ->
-      List.iter
-        (fun (engine, stats) ->
-          List.iter
-            (fun (counter, n) ->
-              Alcotest.(check int)
-                (Printf.sprintf "host %d %s.%s" i engine counter)
-                0 n)
-            stats)
-        (Migration_manager.engine_stats manager))
-    world.World.managers
-
 (* A stray push ack names a proc the manager is not migrating; a stray
    RIMAS or push round names one no migration is tracking.  None may
    raise, park or stage anything, or leave the manager unable to serve a
@@ -79,7 +63,7 @@ let test_malformed_then_real_migration () =
          src_port = Migration_manager.port (World.manager world 0);
        });
   ignore (World.run world);
-  check_engines_drained world;
+  World.audit world;
   let proc =
     Accent_workloads.Spec.build (World.host world 0) Test_helpers.small_spec
   in
@@ -92,7 +76,7 @@ let test_malformed_then_real_migration () =
   Alcotest.(check bool)
     "migration after junk still completes" true
     (report.Report.completed_at <> None);
-  check_engines_drained world
+  World.audit world
 
 (* A lone Core parks in the engine's arrival table waiting for its
    RIMAS; a transport give-up must clear the entry (the RIMAS will never
@@ -122,18 +106,14 @@ let test_giveup_clears_pending_core () =
                   };
               })));
   ignore (World.run world);
-  let pending () =
-    List.assoc "inbound"
-      (List.assoc "transfer" (Migration_manager.engine_stats manager1))
-  in
-  Alcotest.(check int) "lone Core parked" 1 (pending ());
+  Test_helpers.audit_names world "host 1 transfer.inbound = 1";
   Mig_event.publish bus
     {
       Mig_event.at = Accent_sim.Engine.now (Host.engine host0);
       proc_id = proc.Proc.id;
       kind = Mig_event.Transport_give_up;
     };
-  Alcotest.(check int) "give-up cleared the arrival table" 0 (pending ());
+  World.audit world;
   Alcotest.(check bool)
     "give-up ended the migration" true
     (report.Report.outcome <> Report.Completed)
@@ -248,19 +228,7 @@ let test_strategy_pinned ~dedup strategy () =
   Alcotest.(check string)
     "event stream and wire bytes"
     (List.assoc (name, dedup) pinned)
-    (Digest.to_hex (Digest.string (Buffer.contents buf)));
-  List.iter
-    (fun i ->
-      List.iter
-        (fun (engine, stats) ->
-          List.iter
-            (fun (counter, n) ->
-              Alcotest.(check int)
-                (Printf.sprintf "host %d %s.%s" i engine counter)
-                0 n)
-            stats)
-        (Migration_manager.engine_stats (World.manager world i)))
-    [ 0; 1 ]
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let suite =
   ( "migration_events",

@@ -5,6 +5,14 @@ let contains haystack needle =
   let rec scan i = i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1)) in
   nl = 0 || scan 0
 
+(* Require [World.audit] to raise, naming [check] in its report. *)
+let audit_names world check =
+  match Accent_core.World.audit world with
+  | () -> Alcotest.failf "the audit passed; expected it to name %s" check
+  | exception Failure report ->
+      if not (contains report check) then
+        Alcotest.failf "the audit did not name %s:\n%s" check report
+
 (* A tiny two-host world with a small synthetic workload, shared by the
    integration suites. *)
 let small_spec =

@@ -33,22 +33,7 @@ let test_hybrid_completes () =
   Alcotest.(check bool) "trace finished" true (Proc.is_done result.Trial.proc)
 
 let test_hybrid_leaves_no_engine_state () =
-  let result = run_hybrid () in
-  List.iter
-    (fun manager ->
-      List.iter
-        (fun (engine, stats) ->
-          List.iter
-            (fun (counter, n) ->
-              Alcotest.(check int)
-                (Printf.sprintf "%s %s empty after completion" engine counter)
-                0 n)
-            stats)
-        (Migration_manager.engine_stats manager))
-    [
-      World.manager result.Trial.world 0;
-      World.manager result.Trial.world 1;
-    ]
+  World.audit (run_hybrid ()).Trial.world
 
 let test_hybrid_deterministic () =
   let key (result : Trial.result) =
