@@ -210,6 +210,9 @@ val vm_segment_count : t -> int
     carry it, unlabelled installs share one label, and an imported
     image is one segment. *)
 
+val vm_segment_labels : t -> string list
+(** The distinct labels {!vm_segment_count} counts, newest first. *)
+
 val touched_pages : t -> int
 (** Distinct pages referenced via {!reference} since creation; {!destroy}
     keeps the count. *)
