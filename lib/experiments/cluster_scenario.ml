@@ -206,7 +206,7 @@ let churn_job_spec config ~think_ms i =
   let rs = max 2 (p / 2) in
   let overlap = min touched (max 1 (p / 4)) in
   {
-    Accent_workloads.Spec.name = Printf.sprintf "j%d" i;
+    Accent_workloads.Spec.name = "j" ^ Int.to_string i;
     description = "churn job";
     real_bytes = p * page;
     total_bytes = 2 * p * page;

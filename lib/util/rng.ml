@@ -3,9 +3,9 @@
    unboxed loads and stores, so advancing the generator allocates
    nothing, where a boxed-int64 field costs a fresh 3-word box per
    draw — and trace generation draws several times per reference.
-   [next] is [@inline always] so the whole advance-and-mix chain lands
-   inside each caller and every intermediate [int64] stays in
-   registers. *)
+   [next] and [mix] are [@inline always] so the whole advance-and-mix
+   chain lands inside each caller and every intermediate [int64] stays
+   in registers. *)
 
 type t = { state : Bytes.t }
 
@@ -13,12 +13,12 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* Finalizer from splitmix64: two xor-shift-multiply rounds give full
    avalanche, so consecutive seeds produce uncorrelated streams. *)
-let mix z =
+let[@inline always] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed =
+let[@inline] create seed =
   let state = Bytes.create 8 in
   Bytes.set_int64_ne state 0 seed;
   { state }
@@ -26,25 +26,19 @@ let create seed =
 let[@inline always] next t =
   let s = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in
   Bytes.set_int64_ne t.state 0 s;
-  let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  Int64.(logxor z (shift_right_logical z 31))
+  mix s
 
 let bits64 t = next t
 
 (* FNV-1a over the label bytes, folded into the parent's seed.  Used only to
-   derive stream seeds, not as a general-purpose hash. *)
-let hash_label label =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    label;
-  !h
-
+   derive stream seeds, not as a general-purpose hash.  The loop keeps the
+   hash in a register: no [int64] is boxed per byte. *)
 let of_label t label =
-  create (mix (Int64.logxor (Bytes.get_int64_ne t.state 0) (hash_label label)))
+  let h = ref 0xCBF29CE484222325L in
+  for i = 0 to String.length label - 1 do
+    h := Int64.(mul (logxor !h (of_int (Char.code label.[i]))) 0x100000001B3L)
+  done;
+  create (mix (Int64.logxor (Bytes.get_int64_ne t.state 0) !h))
 
 let split t = create (next t)
 
@@ -53,7 +47,7 @@ let int t bound =
   let r = Int64.to_int (Int64.logand (next t) 0x3FFFFFFFFFFFFFFFL) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   assert (bound > 0.);
   (* 53 random bits scaled to [0,1), as in the Java reference. *)
   let bits = Int64.shift_right_logical (next t) 11 in
@@ -62,11 +56,13 @@ let float t bound =
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else float t 1.0 < p
 
-let exponential t mean =
+let[@inline] exponential t mean =
   assert (mean > 0.);
   let u = float t 1.0 in
   (* 1 - u avoids log 0. *)
   -.mean *. log (1.0 -. u)
+
+let exponential_at t cell i = cell.(i) <- exponential t cell.(i)
 
 let geometric t p =
   assert (p > 0. && p <= 1.);

@@ -41,6 +41,11 @@ val exponential : t -> float -> float
 (** [exponential t mean] draws from an exponential distribution with the
     given mean.  [mean] must be positive. *)
 
+val exponential_at : t -> float array -> int -> unit
+(** [exponential_at t cell i] replaces [cell.(i)], a mean, by an
+    {!exponential} draw with that mean.  No float crosses the call, so
+    none is boxed: the way to fill a float array with draws. *)
+
 val geometric : t -> float -> int
 (** [geometric t p] is the number of failures before the first success of a
     Bernoulli(p) sequence; [p] must be in (0,1]. *)

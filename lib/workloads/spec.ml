@@ -1,4 +1,3 @@
-open Accent_util
 open Accent_mem
 open Accent_kernel
 
@@ -51,16 +50,20 @@ let validate t =
   then invalid_arg (t.name ^ ": overlap too small for this RS size");
   if t.refs < t.touched_real_pages then
     invalid_arg (t.name ^ ": refs < touched pages");
+  if not (t.total_think_ms > 0. && Float.is_finite t.total_think_ms) then
+    invalid_arg (t.name ^ ": total_think_ms must be positive and finite");
+  if
+    t.touched_real_pages < 0 || t.rs_touched_overlap < 0
+    || t.zero_touch_pages < 0
+  then invalid_arg (t.name ^ ": negative page count");
   if t.real_runs < 1 || t.vm_segments < 1 then
     invalid_arg (t.name ^ ": runs/segments must be positive");
   if t.base_addr + t.total_bytes > Vaddr.space_limit then
     invalid_arg (t.name ^ ": exceeds the 4 GB space")
 
-(* Split [total] into [parts] integer shares, largest-first remainders. *)
-let shares total parts =
-  let parts = max 1 parts in
-  let base = total / parts and extra = total mod parts in
-  List.init parts (fun i -> base + if i < extra then 1 else 0)
+(* Share [i] of [total] split into [parts] integer shares, largest
+   first. *)
+let share total parts i = (total / parts) + if i < total mod parts then 1 else 0
 
 (* The universe — every real page index, in address order — represented
    by the layout's installed slices instead of an O(pages) array: a
@@ -94,131 +97,88 @@ let universe_position u idx =
 (* Lay the space out as gap/run/gap/run/.../gap and install run contents
    (straight to the paging disk, like data faulted in long ago).  Each
    slice goes in as one symbolic {!Page_run.pattern} — no value array is
-   ever filled, and the space adopts each slice whole as a cold extent. *)
+   ever filled, and the space adopts each slice whole as a cold extent.
+   Returns the universe and the first page of each zero-fill gap. *)
 let build_layout space t =
-  let tag = content_tag t in
-  let runs = min t.real_runs (real_pages t) in
-  let run_sizes = Array.of_list (shares (real_pages t) runs) in
-  let gap_sizes =
-    Array.of_list (shares (realz_bytes t / Page.size) (runs + 1))
+  let tag = content_tag t and real = real_pages t in
+  let runs = min t.real_runs real and zero = realz_bytes t / Page.size in
+  (* each run is cut into label slices so the space carries exactly
+     [vm_segments] distinct VM segments overall *)
+  let cuts i =
+    let pages = share real runs i in
+    min pages (max 1 (((max runs t.vm_segments * pages) + real - 1) / real))
   in
-  let installed = ref [] in
-  let installed_pages = ref 0 in
-  let zero_candidates = ref [] in
-  let slices = max runs t.vm_segments in
-  let slice_counter = ref 0 in
-  let addr = ref t.base_addr in
-  let emit_gap pages =
+  let n = ref 0 in
+  for i = 0 to runs - 1 do
+    n := !n + cuts i
+  done;
+  let firsts = Array.make !n 0 and cum = Array.make !n 0 in
+  let labels = Array.make (min t.vm_segments !n) "" in
+  let gap_starts = Array.make (min (runs + 1) zero) 0 in
+  let addr = ref t.base_addr and s = ref 0 and installed = ref 0 in
+  let emit_gap g =
+    let pages = share zero (runs + 1) g in
     if pages > 0 then begin
-      Address_space.validate_zero space (Vaddr.of_len !addr (pages * Page.size));
-      zero_candidates := Page.index_of_addr !addr :: !zero_candidates;
+      Address_space.validate_zero space
+        (Vaddr.of_len !addr (pages * Page.size));
+      gap_starts.(g) <- Page.index_of_addr !addr;
       addr := !addr + (pages * Page.size)
     end
   in
-  let emit_run i pages =
-    (* each run is cut into label slices so the space carries exactly
-       [vm_segments] distinct VM segments overall *)
-    let run_slices =
-      let total = max 1 (real_pages t) in
-      max 1 (((slices * pages) + total - 1) / total)
-    in
-    let run_slices = min run_slices pages in
-    List.iter
-      (fun slice_pages ->
-        if slice_pages > 0 then begin
-          let label =
-            Printf.sprintf "seg%d" (!slice_counter mod t.vm_segments)
-          in
-          incr slice_counter;
-          let first = Page.index_of_addr !addr in
-          installed := (first, slice_pages) :: !installed;
-          installed_pages := !installed_pages + slice_pages;
-          Address_space.install_run ~segment:label space ~addr:!addr
-            (Page_run.pattern ~tag ~first ~len:slice_pages)
-            ~resident:false;
-          addr := !addr + (slice_pages * Page.size)
-        end)
-      (shares pages run_slices);
-    ignore i
-  in
-  Array.iteri
-    (fun i run_pages ->
-      emit_gap gap_sizes.(i);
-      emit_run i run_pages)
-    run_sizes;
-  emit_gap gap_sizes.(runs);
-  assert (!installed_pages = real_pages t);
-  let slabs = Array.of_list (List.rev !installed) in
-  let n = Array.length slabs in
-  let firsts = Array.map fst slabs in
-  let cum = Array.make n 0 in
-  for s = 1 to n - 1 do
-    cum.(s) <- cum.(s - 1) + snd slabs.(s - 1)
+  for i = 0 to runs - 1 do
+    emit_gap i;
+    let pages = share real runs i and c = cuts i in
+    for j = 0 to c - 1 do
+      let len = share pages c j and seg = !s mod t.vm_segments in
+      if !s = seg then labels.(seg) <- "seg" ^ Int.to_string seg;
+      let first = Page.index_of_addr !addr in
+      firsts.(!s) <- first;
+      cum.(!s) <- !installed;
+      installed := !installed + len;
+      Address_space.install_run ~segment:labels.(seg) space ~addr:!addr
+        (Page_run.pattern ~tag ~first ~len)
+        ~resident:false;
+      addr := !addr + (len * Page.size);
+      incr s
+    done
   done;
-  ({ firsts; cum; u_total = !installed_pages }, List.rev !zero_candidates)
+  emit_gap runs;
+  assert (!installed = real);
+  ({ firsts; cum; u_total = real }, gap_starts)
 
-(* Pick [k] elements of [arr] spread evenly. *)
-let spread_pick arr k =
-  let n = Array.length arr in
-  if k > n then invalid_arg "spread_pick: not enough eligible elements";
-  List.init k (fun i -> arr.(i * n / max 1 k))
-
-(* {!spread_pick} over the whole universe with the touched pages excluded,
-   without materialising the eligible array: the i-th pick is the
-   [i*n/k]-th untouched position, found by walking the sorted touched
-   positions with a cursor (the [r]-th untouched position is [r + ti]
-   where [ti] counts the touched positions at or below it). *)
-let spread_pick_untouched u k ~touched =
-  let excl = Array.map (universe_position u) touched in
-  let n = u.u_total - Array.length excl in
-  if k > n then invalid_arg "spread_pick: not enough eligible elements";
-  let ti = ref 0 and acc = ref [] in
-  for i = 0 to k - 1 do
-    let r = i * n / max 1 k in
-    while !ti < Array.length excl && excl.(!ti) <= r + !ti do
-      incr ti
-    done;
-    acc := universe_page u (r + !ti) :: !acc
-  done;
-  List.rev !acc
-
-let promote_resident space t ~universe ~touched =
-  let from_touched = spread_pick touched t.rs_touched_overlap in
-  let rest = rs_pages t - t.rs_touched_overlap in
-  let from_untouched = spread_pick_untouched universe rest ~touched in
-  let resident = List.sort_uniq compare (from_touched @ from_untouched) in
-  assert (List.length resident = rs_pages t);
-  List.iter (fun idx -> Address_space.resolve_disk_fault space idx) resident
-
-(* Interleave FillZero touches (stack growth and the like) into the trace
-   at evenly-spread positions.  Insertion [i] lands just before original
-   step [(i+1)*n/(z+1)], same slots as the list walk this replaces. *)
-let add_zero_touches ~rng t ~zero_candidates trace =
-  let n = Trace.length trace in
-  let z = min t.zero_touch_pages (List.length zero_candidates) in
-  if z = 0 || n = 0 then trace
-  else begin
-    let candidates = Array.of_list zero_candidates in
-    Rng.shuffle rng candidates;
-    let pages = Array.make (n + z) 0 in
-    let think_ms = Array.make (n + z) 0. in
-    let writes = Bytes.make (n + z) '\000' in
-    let oi = ref 0 and ins = ref 0 in
-    for i = 0 to n - 1 do
-      while !ins < z && (!ins + 1) * n / (z + 1) = i do
-        pages.(!oi) <- candidates.(!ins);
-        think_ms.(!oi) <- 1.0;
-        incr oi;
-        incr ins
+(* Promote [rs_touched_overlap] touched pages and the rest of the
+   resident set from the untouched ones, each pick spread evenly over
+   its side, in ascending page order.  The [j]-th of [k] untouched picks
+   is the [j*m/k]-th untouched position: a cursor over the touched pages
+   counts those at or below it. *)
+let promote_resident space t ~universe:u ~touched =
+  let n = Array.length touched and k1 = t.rs_touched_overlap in
+  let k2 = rs_pages t - k1 and m = u.u_total - n in
+  assert (k1 <= n && k2 <= m);
+  let ti = ref 0 in
+  let untouched j =
+    if j >= k2 then max_int
+    else begin
+      let r = j * m / k2 in
+      while !ti < n && universe_position u touched.(!ti) <= r + !ti do
+        incr ti
       done;
-      pages.(!oi) <- Trace.page_at trace i;
-      think_ms.(!oi) <- Trace.think_at trace i;
-      if Trace.write_at trace i then Bytes.set writes !oi '\001';
-      incr oi
-    done;
-    assert (!ins = z && !oi = n + z);
-    Trace.of_arrays ~pages ~think_ms ~writes
-  end
+      universe_page u (r + !ti)
+    end
+  in
+  let i = ref 0 and j = ref 0 and next = ref (untouched 0) in
+  while !i < k1 || !j < k2 do
+    let from_touched = if !i < k1 then touched.(!i * n / k1) else max_int in
+    if from_touched < !next then begin
+      Address_space.resolve_disk_fault space from_touched;
+      incr i
+    end
+    else begin
+      Address_space.resolve_disk_fault space !next;
+      incr j;
+      next := untouched !j
+    end
+  done
 
 let build ?(write_fraction = 0.) host t =
   validate t;
@@ -226,7 +186,7 @@ let build ?(write_fraction = 0.) host t =
     Accent_sim.Engine.rng (Host.engine host) ("workload:" ^ t.name)
   in
   let space = Host.new_space host in
-  let universe, zero_candidates = build_layout space t in
+  let universe, gap_starts = build_layout space t in
   let touched =
     Access_pattern.choose_touched_in t.pattern ~rng
       ~universe_len:universe.u_total ~page_of:(universe_page universe)
@@ -236,8 +196,8 @@ let build ?(write_fraction = 0.) host t =
   let trace =
     Access_pattern.generate t.pattern ~rng ~touched ~refs:t.refs
       ~total_think_ms:t.total_think_ms
+      ~zero_fill:(min t.zero_touch_pages (Array.length gap_starts), gap_starts)
   in
-  let trace = add_zero_touches ~rng t ~zero_candidates trace in
   (* Post-conditions: state matches the paper's tables exactly. *)
   assert (Address_space.real_bytes space = t.real_bytes);
   assert (Address_space.total_bytes space = t.total_bytes);
