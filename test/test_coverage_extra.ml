@@ -37,7 +37,7 @@ let test_sequential_streams_interleave () =
   in
   let trace =
     Accent_workloads.Access_pattern.generate pattern ~rng ~touched ~refs:90
-      ~total_think_ms:100.
+      ~total_think_ms:100. ~zero_fill:(0, [||])
   in
   (* the first few references must come from different thirds of the
      touched set: streams advance round-robin, not one after another *)
